@@ -18,7 +18,7 @@ from .evaluation import (
     dcg,
     ndcg,
 )
-from .graph import ResourceGraph, TransitionOperator, build_graph, row_stochastic_view
+from .graph import ResourceGraph, TransitionOperator, build_graph
 from .judgments import (
     GradeDistance,
     JudgmentRecord,
@@ -43,11 +43,10 @@ from .lsa import (
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
 from .rank import (
     STRATEGIES,
+    Pipeline,
     PipelineParams,
-    PipelinePriors,
     RankerConfig,
     RankingResult,
-    compute_priors,
     ldrank,
     power_rank,
     strategy,
@@ -74,8 +73,8 @@ __all__ = [
     "InputFormatError",
     "JudgmentRecord",
     "JudgmentSet",
+    "Pipeline",
     "PipelineParams",
-    "PipelinePriors",
     "RankerConfig",
     "RankingResult",
     "RelevanceJudgments",
@@ -92,7 +91,6 @@ __all__ = [
     "build_resource_text",
     "build_text_matrix",
     "compare_strategies",
-    "compute_priors",
     "consensual_pool",
     "dcg",
     "equi_prior",
@@ -110,7 +108,6 @@ __all__ = [
     "pairwise_distance",
     "power_rank",
     "resource_coordinates",
-    "row_stochastic_view",
     "sparse_svd",
     "stem",
     "strategy",

@@ -31,7 +31,7 @@ from .judgments import (
     majority_vote,
 )
 from .lsa import ConvergenceError
-from .rank import STRATEGIES, PipelineParams, compute_priors, strategy
+from .rank import STRATEGIES, Pipeline, PipelineParams
 from .types import ConvergenceWarning, InputFormatError
 
 __all__ = ["main"]
@@ -129,18 +129,14 @@ def _cmd_rank(args) -> int:
     params = _params_from(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = strategy(args.strategy, bundle, params)
+        pipeline = Pipeline(bundle, params)
+        result = pipeline.rank(args.strategy)
         if args.emit_priors:
-            priors = compute_priors(bundle, params)
+            priors = [pipeline.prior(name).values for name in STRATEGIES]
             with open(args.emit_priors, "w", encoding="utf-8") as fh:
                 fh.write("resource\tequi\thit\tsvd\tfinal\n")
                 for i, rid in enumerate(bundle.resource_ids):
-                    fh.write(
-                        f"{rid}\t{_fmt(priors.equi.values[i])}"
-                        f"\t{_fmt(priors.hit.values[i])}"
-                        f"\t{_fmt(priors.svd.values[i])}"
-                        f"\t{_fmt(priors.final.values[i])}\n"
-                    )
+                    fh.write(rid + "".join(f"\t{_fmt(p[i])}" for p in priors) + "\n")
     out = sys.stdout
     for pos, idx in enumerate(result.order, start=1):
         out.write(f"{pos}\t{result.resource_ids[idx]}\t{_fmt(result.scores.values[idx])}\n")

@@ -59,23 +59,19 @@ class ConsensusResult:
     converged: bool
 
 
-def _max_pairwise_tv(rows: np.ndarray) -> float:
+def _pairwise_tv(rows: np.ndarray) -> np.ndarray:
+    """Total-variation distance between every pair of rows, zero diagonal."""
     m = rows.shape[0]
-    worst = 0.0
-    for i in range(m):
-        d = 0.5 * np.abs(rows[i + 1 :] - rows[i]).sum(axis=1)
-        if d.size:
-            worst = max(worst, float(d.max()))
-    return worst
-
-
-def _pool_step(rows: np.ndarray, damping: float) -> np.ndarray:
-    """One synchronous update of every expert toward the others."""
-    m = rows.shape[0]
-    # Pairwise total-variation distances, zero diagonal.
     dist = np.zeros((m, m), dtype=np.float64)
     for i in range(m):
         dist[i] = 0.5 * np.abs(rows - rows[i]).sum(axis=1)
+    return dist
+
+
+def _pool_step(rows: np.ndarray, dist: np.ndarray, damping: float) -> np.ndarray:
+    """One synchronous update of every expert toward the others, given
+    their pairwise distances ``dist``."""
+    m = rows.shape[0]
     row_sums = dist.sum(axis=1)
     pulled = np.empty_like(rows)
     for i in range(m):
@@ -100,12 +96,13 @@ def consensual_pool(pool: ExpertPool) -> ConsensusResult:
     iterations = 0
     converged = False
     while True:
-        if _max_pairwise_tv(rows) < pool.epsilon:
+        dist = _pairwise_tv(rows)
+        if dist.max() < pool.epsilon:
             converged = True
             break
         if iterations >= pool.max_iters:
             break
-        rows = _pool_step(rows, pool.damping)
+        rows = _pool_step(rows, dist, pool.damping)
         iterations += 1
     if not converged:
         warnings.warn(

@@ -12,7 +12,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .rank import STRATEGIES, PipelineParams, RankingResult, strategy
+from .rank import STRATEGIES, Pipeline, PipelineParams, RankingResult
 
 __all__ = [
     "RelevanceJudgments",
@@ -100,9 +100,11 @@ def compare_strategies(
 ) -> StrategyComparison:
     """Run every strategy over aligned (bundle, judgments) pairs.
 
-    Each strategy runs once per bundle, timed in isolation with a monotonic
-    clock, and is scored at every cutoff.  Means are arithmetic over the
-    bundles; an empty bundle list yields an empty comparison.
+    Each bundle gets one ``Pipeline``, from which every strategy is ranked
+    and scored at every cutoff.  The seconds are marginal, measured with a
+    monotonic clock: a stage shared by several strategies is charged to the
+    first one that needs it, in ``STRATEGIES`` order.  Means are arithmetic
+    over the bundles; an empty bundle list yields an empty comparison.
     """
     bundles = list(bundles)
     judgments = list(judgments)
@@ -128,10 +130,11 @@ def compare_strategies(
     per_query: list[dict[str, dict[int, float]]] = []
     seconds: dict[str, list[float]] = {name: [] for name in STRATEGIES}
     for bundle, judged in zip(bundles, judgments):
+        pipeline = Pipeline(bundle, params)
         row: dict[str, dict[int, float]] = {}
         for name in STRATEGIES:
             start = time.perf_counter()
-            result = strategy(name, bundle, params)
+            result = pipeline.rank(name)
             seconds[name].append(time.perf_counter() - start)
             row[name] = {r: ndcg(result, judged, r) for r in cutoffs}
         per_query.append(row)

@@ -1,9 +1,10 @@
 """Resource graph extraction and the row-stochastic transition operator.
 
 The walk structure ignores predicates entirely: an edge is a distinct
-(subject, object) pair.  Dangling rows (no out-edges) are completed with a
-caller-supplied fill distribution at application time; the n-by-n stochastic
-matrix itself is never materialized densely.
+(subject, object) pair.  ``ResourceGraph`` holds the edges as one
+compressed-sparse-row adjacency.  Dangling rows (no out-edges) are completed
+with a caller-supplied fill distribution at application time; the n-by-n
+stochastic matrix itself is never materialized densely.
 """
 
 from __future__ import annotations
@@ -15,25 +16,40 @@ import scipy.sparse as sp
 
 from .types import CorpusBundle, Distribution
 
-__all__ = ["ResourceGraph", "TransitionOperator", "build_graph", "row_stochastic_view"]
+__all__ = ["ResourceGraph", "TransitionOperator", "build_graph"]
 
 
 @dataclass(frozen=True, eq=False)
 class ResourceGraph:
-    """Adjacency over resource indices: one sorted successor array per node."""
+    """Adjacency over resource indices in compressed sparse row form.
+
+    The successors of node i are ``indices[indptr[i]:indptr[i + 1]]``,
+    sorted and unique.
+    """
 
     resource_ids: tuple[str, ...]
-    out_edges: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
 
     def __post_init__(self):
         n = len(self.resource_ids)
-        if len(self.out_edges) != n:
-            raise ValueError("one successor array required per resource")
-        for i, succ in enumerate(self.out_edges):
-            if succ.size and (succ.min() < 0 or succ.max() >= n):
-                raise ValueError(f"successor index out of range for node {i}")
-            if succ.size > 1 and np.any(np.diff(succ) <= 0):
-                raise ValueError(f"successors of node {i} must be sorted and unique")
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        indices = np.asarray(self.indices, dtype=np.int64)
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("indptr must hold n + 1 offsets from 0 to the edge count")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("indptr offsets must not decrease")
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        bad = (indices < 0) | (indices >= n)
+        if bad.any():
+            raise ValueError(f"successor index out of range for node {rows[bad.argmax()]}")
+        # Row-major keys increase strictly iff every row is sorted and unique.
+        steps = np.diff(rows * n + indices) <= 0
+        if steps.any():
+            node = rows[steps.argmax() + 1]
+            raise ValueError(f"successors of node {node} must be sorted and unique")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     @property
     def n(self) -> int:
@@ -41,7 +57,10 @@ class ResourceGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(sum(s.size for s in self.out_edges))
+        return int(self.indices.size)
+
+    def successors(self, i: int) -> np.ndarray:
+        return self.indices[self.indptr[i] : self.indptr[i + 1]]
 
 
 def build_graph(bundle: CorpusBundle, bidirectional: bool = False) -> ResourceGraph:
@@ -53,19 +72,18 @@ def build_graph(bundle: CorpusBundle, bidirectional: bool = False) -> ResourceGr
     symmetric.
     """
     index = bundle.index
-    pairs = set()
-    for s, _p, o in bundle.graph_edges:
-        i, j = index[s], index[o]
-        pairs.add((i, j))
-        if bidirectional:
-            pairs.add((j, i))
-    successors: list[list[int]] = [[] for _ in range(bundle.n)]
-    for i, j in pairs:
-        successors[i].append(j)
-    out_edges = tuple(
-        np.array(sorted(js), dtype=np.int64) for js in successors
-    )
-    return ResourceGraph(resource_ids=bundle.resource_ids, out_edges=out_edges)
+    n = bundle.n
+    m = len(bundle.graph_edges)
+    src = np.fromiter((index[s] for s, _p, _o in bundle.graph_edges), dtype=np.int64, count=m)
+    dst = np.fromiter((index[o] for _s, _p, o in bundle.graph_edges), dtype=np.int64, count=m)
+    if bidirectional:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    # Sort, then drop repeats: same result as np.unique, whose hash-table
+    # path (numpy >= 2.3) is many times slower on millions of distinct keys.
+    keys = np.sort(src * n + dst)
+    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return ResourceGraph(resource_ids=bundle.resource_ids, indptr=indptr, indices=cols)
 
 
 class TransitionOperator:
@@ -83,21 +101,10 @@ class TransitionOperator:
                 f"graph has {graph.n} resources"
             )
         n = graph.n
-        rows, cols, data = [], [], []
-        dangling = np.zeros(n, dtype=bool)
-        for i, succ in enumerate(graph.out_edges):
-            if succ.size == 0:
-                dangling[i] = True
-                continue
-            w = 1.0 / succ.size
-            rows.extend([i] * succ.size)
-            cols.extend(succ.tolist())
-            data.extend([w] * succ.size)
-        self._matrix = sp.csr_array(
-            (np.array(data), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-            shape=(n, n),
-        )
-        self._dangling_mask = dangling
+        degree = np.diff(graph.indptr)
+        weights = np.repeat(1.0 / np.maximum(degree, 1), degree)
+        self._matrix = sp.csr_array((weights, graph.indices, graph.indptr), shape=(n, n))
+        self._dangling_mask = degree == 0
         self._fill = dangling_fill.values
         self.n = n
 
@@ -113,8 +120,3 @@ class TransitionOperator:
         if mass:
             out = out + mass * self._fill
         return out
-
-
-def row_stochastic_view(graph: ResourceGraph, dangling_fill: Distribution) -> TransitionOperator:
-    """The transition operator for ``graph`` with dangling rows filled."""
-    return TransitionOperator(graph, dangling_fill)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
@@ -32,7 +31,6 @@ __all__ = [
     "build_text_matrix",
     "sparse_svd",
     "resource_coordinates",
-    "dump_matrix_market",
 ]
 
 MIN_TOKEN_LENGTH = 2
@@ -203,8 +201,3 @@ def resource_coordinates(svd: SvdResult) -> np.ndarray:
     directions.
     """
     return svd.left_vectors * svd.singular_values[np.newaxis, :]
-
-
-def dump_matrix_market(matrix: ResourceTextMatrix, path) -> None:
-    """Debug dump of the counts in MatrixMarket coordinate format."""
-    scipy.io.mmwrite(str(path), sp.coo_array(matrix.counts))

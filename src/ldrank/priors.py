@@ -83,7 +83,8 @@ def svd_prior(
     rows of the ``info_need`` resources by ``stress``, recomputes the
     coordinates, and scores each resource by the growth of its coordinate
     norm (negative drifts clamp to zero).  All-zero drift falls back to the
-    uniform distribution with a warning.
+    uniform distribution with a warning, and so does a ``k`` above the rank
+    bound min(resources, stems), which includes an empty vocabulary.
     """
     n = matrix.n_resources
     if not info_need:
@@ -93,6 +94,14 @@ def svd_prior(
         raise ValueError(f"info_need indices must lie in 0..{n - 1}")
     if stress <= 0:
         raise ValueError(f"stress must be positive, got {stress}")
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+    if k > min(matrix.counts.shape):
+        warnings.warn(
+            f"k={k} exceeds the rank bound of the {n}x{matrix.n_stems} text matrix; "
+            "svd prior falls back to uniform"
+        )
+        return equi_prior(n)
 
     base = sparse_svd(matrix, k)
     prev_norms = np.linalg.norm(resource_coordinates(base), axis=1)

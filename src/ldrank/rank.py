@@ -4,22 +4,25 @@
 ``alpha * S + (1 - alpha) * ones * teleport'`` without ever materializing
 the dense matrix: each step costs O(edges + n).
 
-``ldrank`` composes the whole pipeline: hit prior from the result page,
-amplification set from the query plus the top hit, latent-drift prior from
-the stressed SVD, consensus pooling of the three priors, and finally the
-power iteration with the pooled belief used both as teleport vector and as
-dangling-row fill.
+``Pipeline`` holds the staged computation for one bundle: hit prior from
+the result page, amplification set from the query plus the top hit,
+latent-drift prior from the stressed SVD, consensus pooling of the three
+priors, and the resource graph.  Each stage runs at most once, and every
+strategy walks from the same stages, with its prior used both as teleport
+vector and as dangling-row fill.  ``ldrank`` and ``strategy`` rank one
+strategy from a fresh pipeline.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .consensus import ConsensusResult, ExpertPool, consensual_pool
-from .graph import ResourceGraph, build_graph, row_stochastic_view
+from .graph import ResourceGraph, TransitionOperator, build_graph
 from .lsa import build_text_matrix
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
 from .types import ConvergenceWarning, CorpusBundle, Distribution
@@ -28,10 +31,9 @@ __all__ = [
     "RankerConfig",
     "RankingResult",
     "PipelineParams",
-    "PipelinePriors",
+    "Pipeline",
     "STRATEGIES",
     "power_rank",
-    "compute_priors",
     "ldrank",
     "strategy",
 ]
@@ -107,7 +109,7 @@ def power_rank(graph: ResourceGraph, config: RankerConfig) -> RankingResult:
         raise ValueError(
             f"teleport has length {len(config.teleport)}, graph has {graph.n} resources"
         )
-    op = row_stochastic_view(graph, config.dangling)
+    op = TransitionOperator(graph, config.dangling)
     t = config.teleport.values
     restart = (1.0 - config.alpha) * t
     x = t.copy()
@@ -153,57 +155,64 @@ class PipelineParams:
     stopwords: frozenset[str] | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class PipelinePriors:
-    """The three expert priors plus their pooled consensus."""
+class Pipeline:
+    """The staged computation for one bundle.
 
-    equi: Distribution
-    hit: Distribution
-    svd: Distribution
-    consensus: ConsensusResult
+    Every stage runs on first use and at most once: ``hit`` (visibility
+    prior), ``svd`` (text matrix and latent-drift prior), ``consensus``
+    (pool of the hit, svd and uniform priors) and ``graph``.  ``prior`` and
+    ``rank`` derive each strategy in ``STRATEGIES`` from those stages.
+    """
 
-    @property
-    def final(self) -> Distribution:
-        return self.consensus.distribution
+    def __init__(self, bundle: CorpusBundle, params: PipelineParams | None = None):
+        self.bundle = bundle
+        self.params = params or PipelineParams()
 
+    @cached_property
+    def hit(self) -> Distribution:
+        return hit_prior(self.bundle.serp, self.bundle.n)
 
-def compute_priors(bundle: CorpusBundle, params: PipelineParams | None = None) -> PipelinePriors:
-    """Run the prior-construction half of the pipeline."""
-    params = params or PipelineParams()
-    n = bundle.n
-    equi = equi_prior(n)
-    hit = hit_prior(bundle.serp, n)
-    info_need = build_info_need(bundle.query_indices(), hit)
-    matrix = build_text_matrix(bundle, params.stopwords)
-    svd = svd_prior(matrix, info_need, k=params.ndim, stress=params.stress)
-    pool = ExpertPool(
-        experts=(hit, svd, equi),
-        damping=params.damping,
-        epsilon=params.consensus_epsilon,
-        max_iters=params.consensus_max_iters,
-    )
-    return PipelinePriors(equi=equi, hit=hit, svd=svd, consensus=consensual_pool(pool))
+    @cached_property
+    def svd(self) -> Distribution:
+        info_need = build_info_need(self.bundle.query_indices(), self.hit)
+        matrix = build_text_matrix(self.bundle, self.params.stopwords)
+        return svd_prior(matrix, info_need, k=self.params.ndim, stress=self.params.stress)
 
+    @cached_property
+    def consensus(self) -> ConsensusResult:
+        p = self.params
+        experts = (self.hit, self.svd, equi_prior(self.bundle.n))
+        pool = ExpertPool(experts, damping=p.damping, epsilon=p.consensus_epsilon,
+                          max_iters=p.consensus_max_iters)
+        return consensual_pool(pool)
 
-def _run_walk(
-    bundle: CorpusBundle, prior: Distribution, params: PipelineParams
-) -> RankingResult:
-    graph = build_graph(bundle, bidirectional=params.bidirectional)
-    config = RankerConfig(
-        teleport=prior,
-        dangling=prior,
-        alpha=params.alpha,
-        tol=params.tol,
-        max_iters=params.power_max_iters,
-    )
-    return power_rank(graph, config)
+    @cached_property
+    def graph(self) -> ResourceGraph:
+        return build_graph(self.bundle, bidirectional=self.params.bidirectional)
+
+    def prior(self, name: str) -> Distribution:
+        """The teleport of strategy ``name``; LDRANK's is the consensus."""
+        if name == "EQUI":
+            return equi_prior(self.bundle.n)
+        if name == "HIT":
+            return self.hit
+        if name == "SVD":
+            return self.svd
+        if name == "LDRANK":
+            return self.consensus.distribution
+        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
+
+    def rank(self, name: str) -> RankingResult:
+        """Walk with the prior of strategy ``name`` as teleport and dangling fill."""
+        prior, p = self.prior(name), self.params
+        config = RankerConfig(teleport=prior, dangling=prior, alpha=p.alpha, tol=p.tol,
+                              max_iters=p.power_max_iters)
+        return power_rank(self.graph, config)
 
 
 def ldrank(bundle: CorpusBundle, params: PipelineParams | None = None) -> RankingResult:
     """Full pipeline: pooled prior, then the biased walk it parameterizes."""
-    params = params or PipelineParams()
-    priors = compute_priors(bundle, params)
-    return _run_walk(bundle, priors.final, params)
+    return Pipeline(bundle, params).rank("LDRANK")
 
 
 def strategy(
@@ -215,18 +224,6 @@ def strategy(
     prior on its own; LDRANK pools all three priors.  In every case the
     chosen prior serves as both teleport vector and dangling fill.
     """
-    params = params or PipelineParams()
-    if name == "EQUI":
-        prior = equi_prior(bundle.n)
-    elif name == "HIT":
-        prior = hit_prior(bundle.serp, bundle.n)
-    elif name == "SVD":
-        hit = hit_prior(bundle.serp, bundle.n)
-        info_need = build_info_need(bundle.query_indices(), hit)
-        matrix = build_text_matrix(bundle, params.stopwords)
-        prior = svd_prior(matrix, info_need, k=params.ndim, stress=params.stress)
-    elif name == "LDRANK":
+    if name == "LDRANK":
         return ldrank(bundle, params)
-    else:
-        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
-    return _run_walk(bundle, prior, params)
+    return Pipeline(bundle, params).rank(name)

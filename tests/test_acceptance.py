@@ -44,8 +44,8 @@ import scipy.sparse as sp
 def _random_graph(rng, n, edge_prob=0.3):
     mask = rng.random((n, n)) < edge_prob
     ids = tuple(f"n{i:02d}" for i in range(n))
-    out_edges = tuple(np.flatnonzero(mask[i]).astype(np.int64) for i in range(n))
-    return ResourceGraph(resource_ids=ids, out_edges=out_edges)
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
+    return ResourceGraph(resource_ids=ids, indptr=indptr, indices=np.nonzero(mask)[1])
 
 
 def _random_distribution(rng, n):
@@ -74,7 +74,7 @@ def test_criterion_01_stationary_walk_matches_dense_eigenvector():
         assert result.converged
 
         walk = oracles.dense_walk_matrix(
-            [e.tolist() for e in graph.out_edges], alpha,
+            [graph.successors(i).tolist() for i in range(n)], alpha,
             teleport.values, teleport.values,
         )
         expected = oracles.stationary_by_eig(walk)

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -65,6 +66,62 @@ def test_rank_emit_priors(basic_dir, tmp_path, capsys):
     for col in range(1, 5):
         total = sum(float(l.split("\t")[col]) for l in lines[1:])
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+def _stopword_texts(basic_dir, tmp_path):
+    """The basic bundle with every text empty or stopwords only."""
+    texts = tmp_path / "texts.jsonl"
+    lines = (basic_dir / "texts.jsonl").read_text().splitlines()
+    ids = [json.loads(line)["id"] for line in lines]
+    texts.write_text("".join(
+        json.dumps({"id": rid, "text": "the of and" if i % 2 else ""}) + "\n"
+        for i, rid in enumerate(ids)
+    ))
+    return [
+        "rank",
+        str(basic_dir / "graph.tsv"),
+        str(texts),
+        str(basic_dir / "serp.tsv"),
+        str(basic_dir / "query.txt"),
+    ]
+
+
+@pytest.mark.parametrize("name", ["SVD", "LDRANK"])
+def test_rank_without_vocabulary_falls_back_to_uniform(basic_dir, tmp_path, capsys, name):
+    assert main(_stopword_texts(basic_dir, tmp_path) + ["--strategy", name]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 6
+    assert "svd prior falls back to uniform" in captured.err
+
+
+def test_rank_svd_without_vocabulary_ranks_like_equi(basic_dir, tmp_path, capsys):
+    args = _stopword_texts(basic_dir, tmp_path)
+    assert main(args + ["--strategy", "SVD"]) == 0
+    svd = capsys.readouterr().out
+    assert main(args + ["--strategy", "EQUI"]) == 0
+    assert svd == capsys.readouterr().out
+
+
+def test_rank_hit_emit_priors_without_vocabulary(basic_dir, tmp_path, capsys):
+    dump = tmp_path / "priors.tsv"
+    args = _stopword_texts(basic_dir, tmp_path)
+    assert main(args + ["--strategy", "HIT", "--emit-priors", str(dump)]) == 0
+    capsys.readouterr()
+    rows = [line.split("\t") for line in dump.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == [row[1] for row in rows]  # svd == equi
+
+
+def test_rank_ndim_above_matrix_rank_falls_back(basic_dir, capsys):
+    assert main(_rank_args(basic_dir, "--strategy", "SVD", "--ndim", "50")) == 0
+    svd = capsys.readouterr()
+    assert "svd prior falls back to uniform" in svd.err
+    assert main(_rank_args(basic_dir, "--strategy", "EQUI")) == 0
+    assert svd.out == capsys.readouterr().out
+
+
+def test_rank_ndim_below_one_is_input_error(basic_dir, capsys):
+    assert main(_rank_args(basic_dir, "--ndim", "0")) == 1
+    assert "k must be at least 1" in capsys.readouterr().err
 
 
 def test_rank_missing_file_exits_one(basic_dir, tmp_path, capsys):

@@ -138,7 +138,18 @@ def test_svd_prior_validates_inputs():
     with pytest.raises(ValueError):
         svd_prior(m, {0}, k=1, stress=0.0)
     with pytest.raises(ValueError):
-        svd_prior(m, {0}, k=5)
+        svd_prior(m, {0}, k=0)
+
+
+def test_svd_prior_rank_above_matrix_falls_back_to_uniform():
+    m = _matrix_from_dense(np.eye(3))
+    with pytest.warns(UserWarning, match="falls back to uniform"):
+        p = svd_prior(m, {0}, k=5)
+    assert np.array_equal(p.values, np.full(3, 1.0 / 3.0))
+    empty = _matrix_from_dense(np.zeros((3, 0)))
+    with pytest.warns(UserWarning, match="falls back to uniform"):
+        p = svd_prior(empty, {0}, k=1)
+    assert np.array_equal(p.values, np.full(3, 1.0 / 3.0))
 
 
 def test_svd_prior_on_fixture_is_query_biased(basic_bundle):

@@ -4,11 +4,11 @@ import pytest
 from ldrank import (
     ConvergenceWarning,
     Distribution,
+    Pipeline,
     PipelineParams,
     RankerConfig,
     RankingResult,
     build_graph,
-    compute_priors,
     ldrank,
     power_rank,
     strategy,
@@ -66,7 +66,7 @@ def test_matches_dense_eig_on_random_graphs():
         g = _graph(edges, ids)
         res = power_rank(g, RankerConfig(teleport=t, dangling=t, alpha=float(alpha)))
         dense = oracles.dense_walk_matrix(
-            [s.tolist() for s in g.out_edges], float(alpha), t.values, t.values
+            [g.successors(i).tolist() for i in range(g.n)], float(alpha), t.values, t.values
         )
         want = oracles.stationary_by_eig(dense)
         assert res.converged, trial
@@ -161,11 +161,11 @@ def test_ldrank_matches_dense_pipeline(basic_bundle):
 
 
 def test_priors_exposed(basic_bundle):
-    priors = compute_priors(basic_bundle)
-    assert priors.consensus.converged
-    for d in (priors.equi, priors.hit, priors.svd, priors.final):
-        assert abs(d.values.sum() - 1.0) < 1e-9
-    assert np.allclose(priors.equi.values, 1.0 / 6.0)
+    pipeline = Pipeline(basic_bundle)
+    assert pipeline.consensus.converged
+    for name in ("EQUI", "HIT", "SVD", "LDRANK"):
+        assert abs(pipeline.prior(name).values.sum() - 1.0) < 1e-9
+    assert np.allclose(pipeline.prior("EQUI").values, 1.0 / 6.0)
 
 
 def test_strategy_dispatch(basic_bundle):
@@ -189,7 +189,7 @@ def test_strategy_teleport_equals_dangling(basic_bundle):
     n = basic_bundle.n
     uniform = np.full(n, 1.0 / n)
     dense = oracles.dense_walk_matrix(
-        [s.tolist() for s in g.out_edges], 0.7, uniform, uniform
+        [g.successors(i).tolist() for i in range(g.n)], 0.7, uniform, uniform
     )
     want = oracles.stationary_by_eig(dense)
     assert np.abs(res.scores.values - want).sum() < 1e-8
