@@ -32,7 +32,7 @@ from .judgments import (
 )
 from .lsa import ConvergenceError
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import ConvergenceWarning, InputFormatError
+from .types import ConvergenceWarning, InputFormatError, read_lines
 
 __all__ = ["main"]
 
@@ -150,18 +150,16 @@ def _read_manifest(path):
     serp, query, qrels), resolved relative to the manifest's directory."""
     base = Path(path).parent
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise InputFormatError(
-                    path, line_no,
-                    f"expected 5 tab-separated paths, got {len(fields)}",
-                )
-            entries.append(tuple(base / f for f in fields))
+    for line_no, line in read_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise InputFormatError(
+                path, line_no,
+                f"expected 5 tab-separated paths, got {len(fields)}",
+            )
+        entries.append(tuple(base / f for f in fields))
     return entries
 
 
@@ -169,14 +167,11 @@ def _cmd_eval(args) -> int:
     try:
         cutoffs = [int(tok) for tok in args.cutoffs.split(",") if tok.strip()]
     except ValueError:
-        print(f"error: invalid cutoff list {args.cutoffs!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"invalid cutoff list {args.cutoffs!r}") from None
     if not cutoffs:
-        print("error: at least one cutoff required", file=sys.stderr)
-        return 1
+        raise ValueError("at least one cutoff required")
     if any(r < 1 for r in cutoffs):
-        print("error: cutoffs must be positive", file=sys.stderr)
-        return 1
+        raise ValueError("cutoffs must be positive")
 
     entries = _read_manifest(args.manifest)
     bundles, judgments = [], []
@@ -330,13 +325,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, InputFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

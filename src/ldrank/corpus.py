@@ -13,14 +13,17 @@ query     one resource identifier per line; the file may be empty.
 
 All files must be UTF-8.  The resource universe is exactly the set of ids in
 the texts file; graph endpoints, result-page mentions and query entries must
-all resolve inside it.
+all resolve inside it.  ``assemble_bundle`` resolves them once, into the
+index form of ``CorpusBundle``; no later stage looks up an identifier.
 """
 
 from __future__ import annotations
 
 import json
 
-from .types import CorpusBundle, InputFormatError, SerpContext
+import numpy as np
+
+from .types import CorpusBundle, InputFormatError, SerpContext, read_lines
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
 
@@ -28,22 +31,14 @@ __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormat
 def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
     if not token:
         raise InputFormatError(path, line_no, f"empty {what}")
-    if any(c.isspace() for c in token):
+    if token.split() != [token]:
         raise InputFormatError(path, line_no, f"{what} {token!r} contains whitespace")
     return token
 
 
-def _read_lines(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(path, 0, f"not valid UTF-8 ({exc.reason})") from exc
-
-
-def _read_graph_file(path) -> list[tuple[str, str, str]]:
-    triples = []
-    for line_no, raw in enumerate(_read_lines(path), start=1):
+def _read_graph_file(path):
+    """Yield the ``(subject, predicate, object)`` triples of a graph file."""
+    for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -57,13 +52,12 @@ def _read_graph_file(path) -> list[tuple[str, str, str]]:
         _check_resource_id(obj, path, line_no, "object")
         if not predicate:
             raise InputFormatError(path, line_no, "empty predicate")
-        triples.append((subject, predicate, obj))
-    return triples
+        yield subject, predicate, obj
 
 
 def _read_texts_file(path) -> dict[str, str]:
     texts: dict[str, str] = {}
-    for line_no, raw in enumerate(_read_lines(path), start=1):
+    for line_no, raw in read_lines(path):
         if not raw.strip():
             continue
         try:
@@ -87,7 +81,7 @@ def _read_texts_file(path) -> dict[str, str]:
 
 def _read_serp_file(path) -> list[tuple[str, list[str]]]:
     rows: dict[int, tuple[str, list[str]]] = {}
-    for line_no, raw in enumerate(_read_lines(path), start=1):
+    for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -125,7 +119,7 @@ def _read_serp_file(path) -> list[tuple[str, list[str]]]:
 
 def _read_query_file(path) -> set[str]:
     resources = set()
-    for line_no, raw in enumerate(_read_lines(path), start=1):
+    for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line:
             continue
@@ -133,40 +127,40 @@ def _read_query_file(path) -> set[str]:
     return resources
 
 
-def assemble_bundle(
-    graph_edges,
-    resource_texts: dict[str, str],
-    serp_docs,
-    query_resources,
-) -> CorpusBundle:
+def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> CorpusBundle:
     """Build a validated bundle from already-parsed primitives.
 
-    ``serp_docs`` is a sequence of ``(doc_id, [resource ids])`` in rank
-    order.  Referential integrity against the text table is enforced here.
+    This is the only place that maps resource identifiers to indices.
+    ``graph_edges`` is an iterable of ``(subject, predicate, object)``
+    triples, consumed once (a generator works); ``serp_docs`` is a sequence
+    of ``(doc_id, [resource ids])`` in rank order.  An identifier with no
+    entry in the texts table raises ``ValueError`` naming it; graph
+    endpoints are resolved first, then query entries, then result-page
+    mentions.
     """
-    known = set(resource_texts)
-
-    def resolve(rid: str, role: str) -> str:
-        if rid not in known:
-            raise ValueError(f"{role} {rid!r} has no entry in the texts table")
-        return rid
-
-    for s, _p, o in graph_edges:
-        resolve(s, "graph subject")
-        resolve(o, "graph object")
-    for rid in query_resources:
-        resolve(rid, "query resource")
-
-    resource_ids = tuple(sorted(known))
+    resource_ids = tuple(sorted(texts))
     index = {rid: i for i, rid in enumerate(resource_ids)}
+
+    def resolve(rid: str, role: str) -> int:
+        try:
+            return index[rid]
+        except KeyError:
+            raise ValueError(f"{role} {rid!r} has no entry in the texts table") from None
+
+    def endpoints():
+        for s, _p, o in graph_edges:
+            yield resolve(s, "graph subject")
+            yield resolve(o, "graph object")
+
+    edges = np.fromiter(endpoints(), dtype=np.int64).reshape(-1, 2)
+    query_idx = frozenset(resolve(rid, "query resource") for rid in query)
 
     occurrences: dict[int, set[int]] = {}
     docs = []
     for rank, (doc_id, mentions) in enumerate(serp_docs, start=1):
         docs.append(doc_id)
         for rid in mentions:
-            resolve(rid, "result-page resource")
-            occurrences.setdefault(index[rid], set()).add(rank)
+            occurrences.setdefault(resolve(rid, "result-page resource"), set()).add(rank)
 
     serp = SerpContext(
         docs=tuple(docs),
@@ -174,10 +168,10 @@ def assemble_bundle(
     )
     return CorpusBundle(
         resource_ids=resource_ids,
-        graph_edges=tuple(graph_edges),
-        resource_texts=dict(resource_texts),
+        graph_edges=edges,
+        texts=tuple(texts[rid] for rid in resource_ids),
         serp=serp,
-        query_resources=frozenset(query_resources),
+        query=query_idx,
     )
 
 
@@ -186,13 +180,15 @@ def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
 
     Raises ``InputFormatError`` for malformed lines (with file and line
     number), ``ValueError`` for dangling resource references, and the usual
-    ``OSError`` family if a file is missing.
+    ``OSError`` family if a file is missing.  The graph file is read last
+    and streamed into ``assemble_bundle`` without holding its triples, so a
+    dangling reference on one graph line is reported before a format error
+    on a later one.
     """
-    graph_edges = _read_graph_file(graph_path)
-    resource_texts = _read_texts_file(texts_path)
+    texts = _read_texts_file(texts_path)
     serp_docs = _read_serp_file(serp_path)
-    query_resources = _read_query_file(query_path)
-    return assemble_bundle(graph_edges, resource_texts, serp_docs, query_resources)
+    query = _read_query_file(query_path)
+    return assemble_bundle(_read_graph_file(graph_path), texts, serp_docs, query)
 
 
 def build_resource_text(

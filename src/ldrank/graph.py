@@ -64,18 +64,15 @@ class ResourceGraph:
 
 
 def build_graph(bundle: CorpusBundle, bidirectional: bool = False) -> ResourceGraph:
-    """Project the triples of a bundle onto resource indices.
+    """Collapse the edge rows of a bundle into the CSR adjacency.
 
     Parallel edges collapse (multiple predicates between the same pair count
     once) and self-loops are kept as they appear in the input.  With
     ``bidirectional=True`` every edge is mirrored, which makes the adjacency
     symmetric.
     """
-    index = bundle.index
     n = bundle.n
-    m = len(bundle.graph_edges)
-    src = np.fromiter((index[s] for s, _p, _o in bundle.graph_edges), dtype=np.int64, count=m)
-    dst = np.fromiter((index[o] for _s, _p, o in bundle.graph_edges), dtype=np.int64, count=m)
+    src, dst = bundle.graph_edges.T
     if bidirectional:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
     # Sort, then drop repeats: same result as np.unique, whose hash-table

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evaluation import VALID_GRADES, RelevanceJudgments
-from .types import InputFormatError
+from .types import InputFormatError, read_lines
 
 __all__ = [
     "JudgmentRecord",
@@ -246,39 +246,38 @@ def load_judgments(path) -> JudgmentSet:
     ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].
     """
     records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise InputFormatError(path, line_no, "expected a JSON object")
-            item = obj.get("item")
-            worker = obj.get("worker")
-            grade = obj.get("grade")
-            trust = obj.get("trust")
-            if not isinstance(item, str) or not item:
-                raise InputFormatError(path, line_no, 'missing or invalid "item"')
-            if not isinstance(worker, str) or not worker:
-                raise InputFormatError(path, line_no, 'missing or invalid "worker"')
-            if isinstance(grade, bool) or not isinstance(grade, int):
-                raise InputFormatError(path, line_no, 'field "grade" must be an integer')
-            if trust is not None and not isinstance(trust, (int, float)):
-                raise InputFormatError(path, line_no, 'field "trust" must be numeric')
-            try:
-                records.append(
-                    JudgmentRecord(
-                        item=item,
-                        worker=worker,
-                        grade=grade,
-                        trust=None if trust is None else float(trust),
-                    )
+    for line_no, raw in read_lines(path):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise InputFormatError(path, line_no, "expected a JSON object")
+        item = obj.get("item")
+        worker = obj.get("worker")
+        grade = obj.get("grade")
+        trust = obj.get("trust")
+        if not isinstance(item, str) or not item:
+            raise InputFormatError(path, line_no, 'missing or invalid "item"')
+        if not isinstance(worker, str) or not worker:
+            raise InputFormatError(path, line_no, 'missing or invalid "worker"')
+        if isinstance(grade, bool) or not isinstance(grade, int):
+            raise InputFormatError(path, line_no, 'field "grade" must be an integer')
+        if trust is not None and not isinstance(trust, (int, float)):
+            raise InputFormatError(path, line_no, 'field "trust" must be numeric')
+        try:
+            records.append(
+                JudgmentRecord(
+                    item=item,
+                    worker=worker,
+                    grade=grade,
+                    trust=None if trust is None else float(trust),
                 )
-            except ValueError as exc:
-                raise InputFormatError(path, line_no, str(exc)) from exc
+            )
+        except ValueError as exc:
+            raise InputFormatError(path, line_no, str(exc)) from exc
     try:
         return JudgmentSet(records=tuple(records))
     except ValueError as exc:
@@ -288,32 +287,30 @@ def load_judgments(path) -> JudgmentSet:
 def load_qrels(path) -> RelevanceJudgments:
     """Read a tab-separated ``item<TAB>grade`` relevance file."""
     grades: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise InputFormatError(
-                    path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-                )
-            item, grade_text = fields
-            if not item:
-                raise InputFormatError(path, line_no, "empty item id")
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise InputFormatError(
-                    path, line_no, f"grade {grade_text!r} is not an integer"
-                )
-            if grade not in VALID_GRADES:
-                raise InputFormatError(
-                    path, line_no, f"grade must be one of {VALID_GRADES}, got {grade}"
-                )
-            if item in grades:
-                raise InputFormatError(path, line_no, f"duplicate item {item!r}")
-            grades[item] = grade
+    for line_no, line in read_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise InputFormatError(
+                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
+            )
+        item, grade_text = fields
+        if not item:
+            raise InputFormatError(path, line_no, "empty item id")
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise InputFormatError(
+                path, line_no, f"grade {grade_text!r} is not an integer"
+            )
+        if grade not in VALID_GRADES:
+            raise InputFormatError(
+                path, line_no, f"grade must be one of {VALID_GRADES}, got {grade}"
+            )
+        if item in grades:
+            raise InputFormatError(path, line_no, f"duplicate item {item!r}")
+        grades[item] = grade
     return RelevanceJudgments(grades=grades)
 
 

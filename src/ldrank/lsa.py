@@ -11,6 +11,7 @@ truncation.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
@@ -106,16 +107,8 @@ def build_text_matrix(
     bundle: CorpusBundle, stopwords: frozenset[str] | None = None
 ) -> ResourceTextMatrix:
     """Count stems per resource, rows in resource-index order."""
-    per_resource: list[dict[str, int]] = []
-    vocabulary: set[str] = set()
-    for rid in bundle.resource_ids:
-        counts: dict[str, int] = {}
-        for s in tokenize(bundle.resource_texts[rid], stopwords):
-            counts[s] = counts.get(s, 0) + 1
-        per_resource.append(counts)
-        vocabulary.update(counts)
-
-    stem_vocab = {s: j for j, s in enumerate(sorted(vocabulary))}
+    per_resource = [Counter(tokenize(text, stopwords)) for text in bundle.texts]
+    stem_vocab = {s: j for j, s in enumerate(sorted(set().union(*per_resource)))}
     rows, cols, data = [], [], []
     for i, counts in enumerate(per_resource):
         for s, c in counts.items():

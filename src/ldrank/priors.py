@@ -24,6 +24,9 @@ from .types import Distribution, SerpContext
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
+#: Singular values closer than this fraction of the largest one count as tied.
+TIE_RTOL = 1e-9
+
 
 def equi_prior(n: int) -> Distribution:
     """Uniform distribution over ``n`` resources."""
@@ -40,7 +43,7 @@ def hit_prior(serp: SerpContext, n: int) -> Distribution:
     if n < 1:
         raise ValueError("need at least one resource")
     scores = np.zeros(n, dtype=np.float64)
-    size = serp.size
+    size = len(serp.docs)
     for idx, ranks in serp.occurrences.items():
         if idx >= n:
             raise ValueError(f"occurrence index {idx} outside 0..{n - 1}")
@@ -55,7 +58,7 @@ def hit_prior(serp: SerpContext, n: int) -> Distribution:
     return Distribution(scores / total)
 
 
-def build_info_need(query_resources, hit: Distribution) -> frozenset[int]:
+def build_info_need(query, hit: Distribution) -> frozenset[int]:
     """Resource indices to amplify: the query set plus the top hit resource.
 
     The top hit resource (ties broken toward the lowest index) is always
@@ -63,12 +66,25 @@ def build_info_need(query_resources, hit: Distribution) -> frozenset[int]:
     """
     n = len(hit)
     indices = set()
-    for idx in query_resources:
+    for idx in query:
         if not 0 <= idx < n:
             raise ValueError(f"query resource index {idx} outside 0..{n - 1}")
         indices.add(int(idx))
     indices.add(int(np.argmax(hit.values)))
     return frozenset(indices)
+
+
+def _coordinate_norms(matrix: ResourceTextMatrix, k: int) -> np.ndarray:
+    """Row norms of the rank-k latent coordinates, k widened while sigma_k
+    ties sigma_(k+1): only then is the truncation unique.  Ties among
+    negligible singular values add nothing to the norms and are let be."""
+    limit = min(matrix.counts.shape)
+    while True:
+        svd = sparse_svd(matrix, min(k + 1, limit))
+        s, tol = svd.singular_values, TIE_RTOL * svd.singular_values[0]
+        if k == limit or s[k - 1] <= tol or s[k - 1] - s[k] > tol:
+            return np.linalg.norm(resource_coordinates(svd)[:, :k], axis=1)
+        k += 1
 
 
 def svd_prior(
@@ -82,9 +98,10 @@ def svd_prior(
     Computes rank-k coordinates for every resource, multiplies the count
     rows of the ``info_need`` resources by ``stress``, recomputes the
     coordinates, and scores each resource by the growth of its coordinate
-    norm (negative drifts clamp to zero).  All-zero drift falls back to the
-    uniform distribution with a warning, and so does a ``k`` above the rank
-    bound min(resources, stems), which includes an empty vocabulary.
+    norm (negative drifts clamp to zero).  If sigma_k ties sigma_(k+1), k
+    widens over the tie (see ``TIE_RTOL``).  All-zero drift falls back to
+    the uniform distribution with a warning, and so does a ``k`` above the
+    rank bound min(resources, stems), which includes an empty vocabulary.
     """
     n = matrix.n_resources
     if not info_need:
@@ -103,20 +120,18 @@ def svd_prior(
         )
         return equi_prior(n)
 
-    base = sparse_svd(matrix, k)
-    prev_norms = np.linalg.norm(resource_coordinates(base), axis=1)
-
     row_scale = np.ones(n, dtype=np.float64)
     row_scale[focus] = stress
     # CSC stores row indices in .indices, so rows scale in place on the data.
     stressed_counts = matrix.counts.copy()
     stressed_counts.data = stressed_counts.data * row_scale[stressed_counts.indices]
-    stressed = ResourceTextMatrix(counts=stressed_counts, stem_vocab=matrix.stem_vocab)
 
-    after = sparse_svd(stressed, k)
-    norms = np.linalg.norm(resource_coordinates(after), axis=1)
-
-    drift = np.maximum(norms - prev_norms, 0.0)
+    drift = np.zeros(n)
+    # A stress that leaves the matrix as it is (focus rows without stems, or
+    # stress 1) moves nothing; two solver runs would differ only by rounding.
+    if not np.array_equal(stressed_counts.data, matrix.counts.data):
+        stressed = ResourceTextMatrix(counts=stressed_counts, stem_vocab=matrix.stem_vocab)
+        drift = np.maximum(_coordinate_norms(stressed, k) - _coordinate_norms(matrix, k), 0.0)
     total = drift.sum()
     if total <= 0.0:
         warnings.warn(

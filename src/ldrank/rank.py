@@ -45,13 +45,11 @@ STRATEGIES = ("EQUI", "HIT", "SVD", "LDRANK")
 class RankerConfig:
     """Power-iteration parameters.
 
-    ``teleport`` is the restart distribution; ``dangling`` fills rows with
-    no out-edges.  They are usually the same vector but stay independently
-    configurable.
+    ``teleport`` is the restart distribution; it also fills the rows with
+    no out-edges.
     """
 
     teleport: Distribution
-    dangling: Distribution
     alpha: float = 0.7
     tol: float = 1e-10
     max_iters: int = 1000
@@ -63,8 +61,6 @@ class RankerConfig:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if len(self.teleport) != len(self.dangling):
-            raise ValueError("teleport and dangling fills must have equal length")
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +101,7 @@ def power_rank(graph: ResourceGraph, config: RankerConfig) -> RankingResult:
     well.  Hitting ``max_iters`` first returns the current iterate flagged
     (and warned) as non-converged.
     """
-    if len(config.teleport) != graph.n:
-        raise ValueError(
-            f"teleport has length {len(config.teleport)}, graph has {graph.n} resources"
-        )
-    op = TransitionOperator(graph, config.dangling)
+    op = TransitionOperator(graph, config.teleport)
     t = config.teleport.values
     restart = (1.0 - config.alpha) * t
     x = t.copy()
@@ -174,7 +166,7 @@ class Pipeline:
 
     @cached_property
     def svd(self) -> Distribution:
-        info_need = build_info_need(self.bundle.query_indices(), self.hit)
+        info_need = build_info_need(self.bundle.query, self.hit)
         matrix = build_text_matrix(self.bundle, self.params.stopwords)
         return svd_prior(matrix, info_need, k=self.params.ndim, stress=self.params.stress)
 
@@ -205,7 +197,7 @@ class Pipeline:
     def rank(self, name: str) -> RankingResult:
         """Walk with the prior of strategy ``name`` as teleport and dangling fill."""
         prior, p = self.prior(name), self.params
-        config = RankerConfig(teleport=prior, dangling=prior, alpha=p.alpha, tol=p.tol,
+        config = RankerConfig(teleport=prior, alpha=p.alpha, tol=p.tol,
                               max_iters=p.power_max_iters)
         return power_rank(self.graph, config)
 

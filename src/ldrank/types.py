@@ -1,8 +1,9 @@
 """Shared data model: probability vectors, result-page context, corpus bundle.
 
 Everything downstream indexes resources by position in the lexicographically
-sorted list of resource identifiers, so the bundle fixes that order once and
-every vector/matrix row in the pipeline refers to it.
+sorted list of resource identifiers.  The bundle fixes that order once and
+holds its graph, texts, result page and query in index form, so no stage
+after ``corpus.assemble_bundle`` looks up an identifier.
 """
 
 from __future__ import annotations
@@ -23,6 +24,21 @@ class InputFormatError(ValueError):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"{self.path}:{line_no}: {reason}")
+
+
+def read_lines(path):
+    """Yield ``(line_no, line)`` for each line of a UTF-8 text file.
+
+    Lines are numbered from 1, read lazily, and end at ``\\n``, ``\\r\\n``
+    or ``\\r``, which are stripped.  Undecodable bytes raise
+    ``InputFormatError`` at line 0.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                yield line_no, line.rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(path, 0, f"not valid UTF-8 ({exc.reason})") from exc
 
 
 class ConvergenceWarning(UserWarning):
@@ -98,44 +114,45 @@ class SerpContext:
                         f"rank {r} for resource index {idx} outside 1..{size}"
                     )
 
-    @property
-    def size(self) -> int:
-        """Number of documents on the page."""
-        return len(self.docs)
-
 
 @dataclass(frozen=True, eq=False)
 class CorpusBundle:
-    """Everything one ranking run needs, with a fixed resource order.
+    """Everything one ranking run needs, in index form.
 
     ``resource_ids`` is sorted lexicographically and defines the index used
-    by every vector and matrix row downstream.
+    by every vector and matrix row downstream; every other field refers to
+    resources by that index only.  ``graph_edges`` is an ``(m, 2)`` int64
+    array with one ``(subject, object)`` row per input triple, in input
+    order (predicates dropped, parallel rows kept); ``texts`` holds one text
+    per resource; ``query`` is the set of query-resource indices.
+    ``corpus.assemble_bundle`` builds bundles from resource identifiers.
     """
 
     resource_ids: tuple[str, ...]
-    graph_edges: tuple[tuple[str, str, str], ...]
-    resource_texts: dict[str, str]
+    graph_edges: np.ndarray
+    texts: tuple[str, ...]
     serp: SerpContext
-    query_resources: frozenset[str]
+    query: frozenset[int]
 
     def __post_init__(self):
         if list(self.resource_ids) != sorted(set(self.resource_ids)):
             raise ValueError("resource_ids must be sorted and free of duplicates")
+        n = len(self.resource_ids)
+        edges = np.asarray(self.graph_edges, dtype=np.int64)
+        if edges.ndim != 2 or edges.shape[1] != 2:
+            raise ValueError(f"graph_edges must have shape (m, 2), got {edges.shape}")
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ValueError(f"graph_edges hold an index outside 0..{n - 1}")
+        texts = tuple(self.texts)
+        if len(texts) != n:
+            raise ValueError(f"{len(texts)} texts for {n} resources")
+        query = frozenset(int(i) for i in self.query)
+        if any(not 0 <= i < n for i in query):
+            raise ValueError(f"query holds an index outside 0..{n - 1}")
+        object.__setattr__(self, "graph_edges", edges)
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "query", query)
 
     @property
     def n(self) -> int:
         return len(self.resource_ids)
-
-    @property
-    def index(self) -> dict[str, int]:
-        """Resource identifier -> position in ``resource_ids``."""
-        # Computed lazily and cached on first use; the dataclass is frozen so
-        # we stash it via object.__setattr__.
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {rid: i for i, rid in enumerate(self.resource_ids)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
-
-    def query_indices(self) -> frozenset[int]:
-        return frozenset(self.index[rid] for rid in self.query_resources)

@@ -64,8 +64,11 @@ def truncation_residual_by_gram(dense, k):
     return float(np.sqrt((s[k:] ** 2).sum()))
 
 
-def coordinate_norms_by_dense_svd(dense, k):
+def coordinate_norms_by_dense_svd(dense, k, rtol=1e-9):
+    """Rank-k coordinate norms, k widened while sigma_k ties sigma_(k+1)."""
     u, s, _vt = np.linalg.svd(dense, full_matrices=False)
+    while k < s.size and s[k - 1] > rtol * s[0] and s[k - 1] - s[k] <= rtol * s[0]:
+        k += 1
     return np.linalg.norm(u[:, :k] * s[:k], axis=1)
 
 
@@ -206,29 +209,20 @@ def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
     raw = hit_weights_by_loop(len(bundle.serp.docs), bundle.serp.occurrences, n)
     hit = raw / raw.sum() if raw.sum() > 0 else equi.copy()
 
-    info_need = set(int(i) for i in bundle.query_indices())
+    info_need = set(bundle.query)
     info_need.add(int(np.argmax(hit)))
 
-    vocab = sorted(
-        {
-            s
-            for rid in bundle.resource_ids
-            for s in tokenize_fn(bundle.resource_texts[rid])
-        }
-    )
+    vocab = sorted({s for text in bundle.texts for s in tokenize_fn(text)})
     col = {s: j for j, s in enumerate(vocab)}
     counts = np.zeros((n, len(vocab)))
-    for i, rid in enumerate(bundle.resource_ids):
-        for s in tokenize_fn(bundle.resource_texts[rid]):
+    for i, text in enumerate(bundle.texts):
+        for s in tokenize_fn(text):
             counts[i, col[s]] += 1.0
 
     latent = latent_prior_by_dense_svd(counts, info_need, k, stress)
     final = consensus_mean_by_loops([hit, latent, equi], damping, epsilon)
 
-    pairs = set()
-    index = bundle.index
-    for s, _p, o in bundle.graph_edges:
-        pairs.add((index[s], index[o]))
+    pairs = {(int(s), int(o)) for s, o in bundle.graph_edges}
     out_edges = edges_to_out_lists(n, pairs)
     walk = dense_walk_matrix(out_edges, alpha, final, final)
     return stationary_by_eig(walk)

@@ -67,7 +67,7 @@ def test_criterion_01_stationary_walk_matches_dense_eigenvector():
         alpha = alphas[trial % 3]
 
         config = RankerConfig(
-            teleport=teleport, dangling=teleport, alpha=alpha,
+            teleport=teleport, alpha=alpha,
             tol=1e-13, max_iters=5000,
         )
         result = power_rank(graph, config)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from ldrank import krippendorff_alpha, ldrank, load_judgments, strategy
+from ldrank import STRATEGIES, krippendorff_alpha, ldrank, load_judgments, strategy
 from ldrank.cli import main
 
 
@@ -31,6 +31,34 @@ def test_rank_output_matches_library(basic_dir, basic_bundle, capsys):
         assert int(rank_s) == pos
         assert rid == result.resource_ids[idx]
         assert score_s == format(result.scores.values[idx], ".12g")
+
+
+# Golden outputs under fixtures/basic/expected/ were recorded before the
+# bundle moved to index form; any byte of difference is a change in behaviour.
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_rank_matches_golden_output(basic_dir, capsys, name, bidirectional):
+    extra = ["--bidirectional"] if bidirectional else []
+    assert main(_rank_args(basic_dir, "--strategy", name, *extra)) == 0
+    suffix = "_bidirectional" if bidirectional else ""
+    want = (basic_dir / "expected" / f"rank_{name}{suffix}.tsv").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
+def test_emit_priors_matches_golden_output(basic_dir, tmp_path, capsys):
+    dump = tmp_path / "priors.tsv"
+    assert main(_rank_args(basic_dir, "--emit-priors", str(dump))) == 0
+    capsys.readouterr()
+    assert dump.read_bytes() == (basic_dir / "expected" / "priors.tsv").read_bytes()
+
+
+def test_eval_matches_golden_output(basic_dir, capsys):
+    args = ["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "1,3,5", "--per-query"]
+    assert main(args) == 0
+    want = (basic_dir / "expected" / "eval.tsv").read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
 
 
 def test_rank_byte_identical_across_runs(basic_dir, capsys):
@@ -224,6 +252,35 @@ def test_eval_bad_manifest(tmp_path, capsys):
     man.write_text("too\tfew\tfields\n")
     assert main(["eval", str(man), "--cutoffs", "1"]) == 1
     capsys.readouterr()
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe not text\n")
+    return path
+
+
+def _assert_utf8_error(capsys, path):
+    err = capsys.readouterr().err
+    assert f"{path}:0: not valid UTF-8" in err
+
+
+def test_eval_non_utf8_inputs_name_the_file(basic_dir, tmp_path, capsys):
+    manifest = _not_utf8(tmp_path / "manifest.tsv")
+    assert main(["eval", str(manifest), "--cutoffs", "1"]) == 1
+    _assert_utf8_error(capsys, manifest)
+
+    qrels = _not_utf8(tmp_path / "qrels.tsv")
+    bundle = [basic_dir / name for name in ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")]
+    manifest.write_text("\t".join(map(str, [*bundle, qrels])) + "\n", encoding="utf-8")
+    assert main(["eval", str(manifest), "--cutoffs", "1"]) == 1
+    _assert_utf8_error(capsys, qrels)
+
+
+@pytest.mark.parametrize("command", ["agg", "alpha"])
+def test_judgments_non_utf8_names_the_file(tmp_path, capsys, command):
+    judgments = _not_utf8(tmp_path / "judgments.jsonl")
+    assert main([command, str(judgments)]) == 1
+    _assert_utf8_error(capsys, judgments)
 
 
 def test_agg_default(fixtures_dir, capsys):

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ldrank import InputFormatError, build_resource_text, load_bundle
+from ldrank import CorpusBundle, InputFormatError, SerpContext, build_resource_text, load_bundle
 from ldrank.corpus import assemble_bundle
 
 
@@ -13,7 +16,7 @@ def test_load_bundle_basic(basic_bundle):
     assert b.serp.docs == ("doc-a", "doc-b", "doc-c")
     # Berlin is mentioned by the documents at ranks 1 and 2.
     assert b.serp.occurrences[0] == frozenset({1, 2})
-    assert b.query_resources == frozenset({"Germany"})
+    assert {b.resource_ids[i] for i in b.query} == {"Germany"}
 
 
 def test_load_bundle_is_deterministic(basic_dir):
@@ -26,11 +29,11 @@ def test_load_bundle_is_deterministic(basic_dir):
     a = load_bundle(*paths)
     b = load_bundle(*paths)
     assert a.resource_ids == b.resource_ids
-    assert a.graph_edges == b.graph_edges
-    assert a.resource_texts == b.resource_texts
+    assert np.array_equal(a.graph_edges, b.graph_edges)
+    assert a.texts == b.texts
     assert a.serp.docs == b.serp.docs
     assert a.serp.occurrences == b.serp.occurrences
-    assert a.query_resources == b.query_resources
+    assert a.query == b.query
 
 
 def _write(path, text):
@@ -62,7 +65,7 @@ def test_graph_line_field_count_error(tmp_path):
 def test_graph_comments_and_blank_lines_skipped(tmp_path):
     files = _bundle_files(tmp_path, graph="# comment\n\na\tp\tb\n")
     bundle = load_bundle(*files)
-    assert bundle.graph_edges == (("a", "p", "b"),)
+    assert bundle.graph_edges.tolist() == [[0, 1]]
 
 
 def test_resource_id_with_whitespace_rejected(tmp_path):
@@ -137,7 +140,7 @@ def test_dangling_references_rejected(tmp_path):
 def test_empty_query_file_ok(tmp_path):
     files = _bundle_files(tmp_path, query="")
     bundle = load_bundle(*files)
-    assert bundle.query_resources == frozenset()
+    assert bundle.query == frozenset()
 
 
 def test_non_utf8_file_rejected(tmp_path):
@@ -162,6 +165,106 @@ def test_assemble_orders_ids_lexicographically():
     )
     assert bundle.resource_ids == ("a", "m", "z")
     assert bundle.serp.occurrences == {1: frozenset({1})}
+
+
+# ------------------------------------------------- index-form properties
+
+_NAMES = st.text(alphabet="abc", min_size=1, max_size=3)
+
+
+@st.composite
+def _parsed_bundles(draw):
+    """Parsed primitives of a small bundle: triples, texts, serp, query."""
+    ids = draw(st.lists(_NAMES, min_size=1, max_size=6, unique=True))
+    known = st.sampled_from(ids)
+    triples = draw(st.lists(st.tuples(known, st.sampled_from(("p", "q")), known), max_size=12))
+    texts = {rid: draw(st.text(alphabet="xyz ", max_size=8)) for rid in ids}
+    serp = draw(st.lists(st.tuples(st.just("d"), st.lists(known, max_size=3)), max_size=4))
+    query = draw(st.sets(known))
+    return triples, texts, serp, query
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parsed_bundles())
+def test_assemble_bundle_maps_every_id_to_its_index(parsed):
+    triples, texts, serp, query = parsed
+    bundle = assemble_bundle(iter(triples), texts, serp, query)
+    ids = bundle.resource_ids
+    assert bundle.graph_edges.shape == (len(triples), 2)
+    for k, (s, _p, o) in enumerate(triples):
+        assert (ids[bundle.graph_edges[k, 0]], ids[bundle.graph_edges[k, 1]]) == (s, o)
+    for i, rid in enumerate(ids):
+        assert bundle.texts[i] == texts[rid]
+    assert {ids[i] for i in bundle.query} == set(query)
+    mentioned = {(ids[i], r) for i, ranks in bundle.serp.occurrences.items() for r in ranks}
+    assert mentioned == {(rid, r) for r, (_d, rids) in enumerate(serp, start=1) for rid in rids}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _parsed_bundles(),
+    st.sampled_from(("subject", "object", "query", "serp")),
+    st.integers(min_value=0, max_value=12),
+    st.text(alphabet="abcz", min_size=1, max_size=3).filter(lambda x: "z" in x),
+)
+def test_assemble_bundle_names_an_unknown_id_in_any_role(parsed, role, at, unknown):
+    triples, texts, serp, query = parsed
+    triples, serp, query = list(triples), list(serp), set(query)
+    if role == "subject":
+        triples.insert(at % (len(triples) + 1), (unknown, "p", next(iter(texts))))
+    elif role == "object":
+        triples.insert(at % (len(triples) + 1), (next(iter(texts)), "p", unknown))
+    elif role == "query":
+        query.add(unknown)
+    else:
+        serp.insert(at % (len(serp) + 1), ("d", [unknown]))
+    with pytest.raises(ValueError, match=repr(unknown)):
+        assemble_bundle(triples, texts, serp, query)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    offset=st.integers(min_value=0, max_value=2**40),
+    below=st.booleans(),
+    field=st.sampled_from(("subject", "object", "query")),
+)
+def test_corpus_bundle_rejects_out_of_range_indices(n, offset, below, field):
+    bad = -1 - offset if below else n + offset
+    edges = [[0, 0]]
+    query = {0}
+    if field == "query":
+        query = {bad}
+    else:
+        edges = [[bad, 0]] if field == "subject" else [[0, bad]]
+    with pytest.raises(ValueError, match="outside"):
+        CorpusBundle(
+            resource_ids=tuple(f"r{i}" for i in range(n)),
+            graph_edges=np.array(edges, dtype=np.int64),
+            texts=("",) * n,
+            serp=SerpContext(docs=(), occurrences={}),
+            query=frozenset(query),
+        )
+
+
+@pytest.mark.parametrize(
+    "edges, texts, message",
+    [
+        (np.zeros((1, 3), dtype=np.int64), ("", ""), "shape"),
+        (np.zeros(2, dtype=np.int64), ("", ""), "shape"),
+        (np.zeros((0, 2), dtype=np.int64), ("",), "1 texts for 2 resources"),
+        (np.zeros((0, 2), dtype=np.int64), ("", "", ""), "3 texts for 2 resources"),
+    ],
+)
+def test_corpus_bundle_rejects_malformed_arrays(edges, texts, message):
+    with pytest.raises(ValueError, match=message):
+        CorpusBundle(
+            resource_ids=("a", "b"),
+            graph_edges=edges,
+            texts=texts,
+            serp=SerpContext(docs=(), occurrences={}),
+            query=frozenset(),
+        )
 
 
 # ------------------------------------------------------- resource text

@@ -60,7 +60,7 @@ def test_build_graph_matches_out_list_oracle(triples, bidirectional):
     # Two predicates over six nodes: parallel edges and self-loops are common.
     bundle = _bundle(triples, ids=list(_IDS))
     g = build_graph(bundle, bidirectional=bidirectional)
-    index = bundle.index
+    index = {rid: i for i, rid in enumerate(bundle.resource_ids)}
     pairs = {(index[s], index[o]) for s, _p, o in triples}
     if bidirectional:
         pairs |= {(j, i) for i, j in pairs}

@@ -129,6 +129,30 @@ def test_svd_prior_stress_one_degenerates_to_uniform():
     assert np.allclose(p.values, 1.0 / 3.0)
 
 
+@pytest.mark.parametrize("focus, stress", [({0, 2}, 1000.0), ({1}, 1.0)])
+def test_svd_prior_unchanged_matrix_skips_the_solver(monkeypatch, focus, stress):
+    # Rows 0 and 2 hold no stems, so stressing them changes nothing, as does
+    # stress 1.  The drift is exactly zero; two solver runs could disagree
+    # in the last bits and turn that rounding into a spike.
+    def fail(*_args):
+        raise AssertionError("sparse_svd called on an unchanged matrix")
+
+    monkeypatch.setattr("ldrank.priors.sparse_svd", fail)
+    m = _matrix_from_dense([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+    with pytest.warns(UserWarning, match="did not grow"):
+        p = svd_prior(m, focus, k=1, stress=stress)
+    assert np.array_equal(p.values, np.full(4, 0.25))
+
+
+def test_svd_prior_widens_k_over_tied_singular_values():
+    # Stressing rows 0 and 1 of the identity gives sigma = 1000, 1000, 1: no
+    # rank-1 truncation is unique, so k widens to 2 and both rows drift alike.
+    p = svd_prior(_matrix_from_dense(np.eye(3)), {0, 1}, k=1, stress=1000.0)
+    assert np.allclose(p.values, [0.5, 0.5, 0.0], atol=1e-12)
+    want = oracles.latent_prior_by_dense_svd(np.eye(3), {0, 1}, 1, 1000.0)
+    assert np.allclose(p.values, want, atol=1e-12)
+
+
 def test_svd_prior_validates_inputs():
     m = _matrix_from_dense(np.eye(3))
     with pytest.raises(ValueError):
@@ -155,7 +179,7 @@ def test_svd_prior_rank_above_matrix_falls_back_to_uniform():
 def test_svd_prior_on_fixture_is_query_biased(basic_bundle):
     matrix = build_text_matrix(basic_bundle)
     hit = hit_prior(basic_bundle.serp, basic_bundle.n)
-    info_need = build_info_need(basic_bundle.query_indices(), hit)
+    info_need = build_info_need(basic_bundle.query, hit)
     p = svd_prior(matrix, info_need, k=1, stress=1000.0)
     # Germany (index 3) is the query resource; Berlin (0) the top hit.
     assert frozenset({0, 3}) == info_need

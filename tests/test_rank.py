@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ldrank import (
     ConvergenceWarning,
@@ -30,7 +34,7 @@ def test_two_node_chain_against_dense_oracle():
     # a -> b, b dangling; teleport and fill both uniform.
     g = _graph([("a", "p", "b")], ["a", "b"])
     t = Distribution.uniform(2)
-    res = power_rank(g, RankerConfig(teleport=t, dangling=t, alpha=0.8))
+    res = power_rank(g, RankerConfig(teleport=t, alpha=0.8))
     want = oracles.stationary_by_eig(
         oracles.dense_walk_matrix([[1], []], 0.8, t.values, t.values)
     )
@@ -43,7 +47,7 @@ def test_two_node_chain_against_dense_oracle():
 def test_all_dangling_graph_returns_teleport():
     g = _graph([], ["a", "b", "c"])
     t = Distribution(np.array([0.2, 0.5, 0.3]))
-    res = power_rank(g, RankerConfig(teleport=t, dangling=t, alpha=0.7))
+    res = power_rank(g, RankerConfig(teleport=t, alpha=0.7))
     # Every row is the fill = teleport, so the teleport is stationary:
     # the first iterate equals the start and the loop exits immediately.
     assert res.iterations == 1
@@ -64,7 +68,7 @@ def test_matches_dense_eig_on_random_graphs():
         t = Distribution.from_weights(rng.random(n) + 0.05)
         alpha = rng.choice([0.6, 0.7, 0.8])
         g = _graph(edges, ids)
-        res = power_rank(g, RankerConfig(teleport=t, dangling=t, alpha=float(alpha)))
+        res = power_rank(g, RankerConfig(teleport=t, alpha=float(alpha)))
         dense = oracles.dense_walk_matrix(
             [g.successors(i).tolist() for i in range(g.n)], float(alpha), t.values, t.values
         )
@@ -76,7 +80,7 @@ def test_matches_dense_eig_on_random_graphs():
 def test_stationarity_residual_below_tolerance():
     g = _graph([("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")], ["a", "b", "c"])
     t = Distribution(np.array([0.5, 0.25, 0.25]))
-    cfg = RankerConfig(teleport=t, dangling=t, alpha=0.7, tol=1e-10)
+    cfg = RankerConfig(teleport=t, alpha=0.7, tol=1e-10)
     res = power_rank(g, cfg)
     dense = oracles.dense_walk_matrix([[1], [2], [0]], 0.7, t.values, t.values)
     residual = np.abs(res.scores.values - res.scores.values @ dense).sum()
@@ -86,7 +90,7 @@ def test_stationarity_residual_below_tolerance():
 def test_scores_form_distribution():
     g = _graph([("a", "p", "b"), ("c", "p", "b")], ["a", "b", "c", "d"])
     t = Distribution.uniform(4)
-    res = power_rank(g, RankerConfig(teleport=t, dangling=t))
+    res = power_rank(g, RankerConfig(teleport=t))
     v = res.scores.values
     assert v.min() >= 0
     assert abs(v.sum() - 1.0) < 1e-9
@@ -96,7 +100,7 @@ def test_order_breaks_ties_by_resource_id():
     # Symmetric two-cycle: both nodes share the same score exactly.
     g = _graph([("b", "p", "a"), ("a", "p", "b")], ["a", "b"])
     t = Distribution.uniform(2)
-    res = power_rank(g, RankerConfig(teleport=t, dangling=t))
+    res = power_rank(g, RankerConfig(teleport=t))
     assert res.scores.values[0] == pytest.approx(res.scores.values[1])
     assert res.ranked_ids() == ["a", "b"]
 
@@ -106,7 +110,7 @@ def test_order_sorted_by_score():
     ids = [f"r{i}" for i in range(6)]
     edges = [(ids[i], "p", ids[j]) for i in range(6) for j in range(6) if i != j and rng.random() < 0.4]
     t = Distribution.from_weights(rng.random(6) + 0.01)
-    res = power_rank(_graph(edges, ids), RankerConfig(teleport=t, dangling=t))
+    res = power_rank(_graph(edges, ids), RankerConfig(teleport=t))
     ranked_scores = res.scores.values[res.order]
     assert np.all(np.diff(ranked_scores) <= 1e-15)
 
@@ -115,7 +119,7 @@ def test_max_iters_flags_nonconvergence():
     g = _graph([("a", "p", "b"), ("b", "p", "a")], ["a", "b"])
     t = Distribution(np.array([0.9, 0.1]))
     with pytest.warns(ConvergenceWarning):
-        res = power_rank(g, RankerConfig(teleport=t, dangling=t, max_iters=2, tol=1e-16))
+        res = power_rank(g, RankerConfig(teleport=t, max_iters=2, tol=1e-16))
     assert not res.converged
     assert res.iterations == 2
 
@@ -123,16 +127,14 @@ def test_max_iters_flags_nonconvergence():
 def test_config_validation():
     t = Distribution.uniform(2)
     with pytest.raises(ValueError):
-        RankerConfig(teleport=t, dangling=t, alpha=1.0)
+        RankerConfig(teleport=t, alpha=1.0)
     with pytest.raises(ValueError):
-        RankerConfig(teleport=t, dangling=t, alpha=0.0)
+        RankerConfig(teleport=t, alpha=0.0)
     with pytest.raises(ValueError):
-        RankerConfig(teleport=t, dangling=t, tol=0.0)
-    with pytest.raises(ValueError):
-        RankerConfig(teleport=t, dangling=Distribution.uniform(3))
+        RankerConfig(teleport=t, tol=0.0)
     g = _graph([("a", "p", "b")], ["a", "b"])
     with pytest.raises(ValueError):
-        power_rank(g, RankerConfig(teleport=Distribution.uniform(3), dangling=Distribution.uniform(3)))
+        power_rank(g, RankerConfig(teleport=Distribution.uniform(3)))
 
 
 # ------------------------------------------------------------- pipeline
@@ -210,3 +212,49 @@ def test_ranking_result_validation():
             iterations=1,
             converged=True,
         )
+
+
+# ------------------------------------------------------------- relabelling
+
+_WORDS = ("river", "city", "museum", "bridge", "tower")
+
+
+@st.composite
+def _bundle_and_renaming(draw):
+    """Parsed primitives over resources r0..r{n-1} and an order-changing
+    renaming: resource ``ri`` becomes ``r{perm[i]}``."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    node = st.integers(min_value=0, max_value=n - 1)
+    texts = [" ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=5))) for _ in range(n)]
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    serp = draw(st.lists(st.lists(node, unique=True, max_size=3), min_size=1, max_size=4))
+    query = draw(st.sets(node, max_size=2))
+    perm = draw(st.permutations(range(n)).filter(lambda p: list(p) != sorted(p)))
+    return texts, edges, serp, query, perm
+
+
+def _assemble(texts, edges, serp, query, name):
+    return assemble_bundle(
+        [(name(s), "p", name(o)) for s, o in edges],
+        {name(i): text for i, text in enumerate(texts)},
+        [(f"d{r}", [name(i) for i in mentions]) for r, mentions in enumerate(serp)],
+        {name(i) for i in query},
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_bundle_and_renaming())
+def test_relabelling_resources_permutes_ldrank_scores(case):
+    texts, edges, serp, query, perm = case
+    before = _assemble(texts, edges, serp, query, lambda i: f"r{i}")
+    after = _assemble(texts, edges, serp, query, lambda i: f"r{perm[i]}")
+    # The top hit joins the focus set, and a tie for it goes to the lowest
+    # index, i.e. to the smallest identifier: only a unique top hit is
+    # independent of the names.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pipeline = Pipeline(before)
+        assume(np.count_nonzero(pipeline.hit.values == pipeline.hit.values.max()) == 1)
+        a = pipeline.rank("LDRANK").scores.values
+        b = ldrank(after).scores.values
+    assert np.abs(b[list(perm)] - a).sum() < 1e-8

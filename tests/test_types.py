@@ -57,10 +57,10 @@ def test_corpus_bundle_requires_sorted_unique_ids():
     with pytest.raises(ValueError):
         CorpusBundle(
             resource_ids=("b", "a"),
-            graph_edges=(),
-            resource_texts={"a": "", "b": ""},
+            graph_edges=np.empty((0, 2), dtype=np.int64),
+            texts=("", ""),
             serp=serp,
-            query_resources=frozenset(),
+            query=frozenset(),
         )
 
 
@@ -68,11 +68,13 @@ def test_corpus_bundle_index_is_positional():
     serp = SerpContext(docs=(), occurrences={})
     bundle = CorpusBundle(
         resource_ids=("a", "b", "c"),
-        graph_edges=(),
-        resource_texts={"a": "", "b": "", "c": ""},
+        graph_edges=[[2, 0]],
+        texts=["", "", ""],
         serp=serp,
-        query_resources=frozenset({"b"}),
+        query=[1],
     )
-    assert bundle.index == {"a": 0, "b": 1, "c": 2}
-    assert bundle.query_indices() == frozenset({1})
+    assert bundle.graph_edges.dtype == np.int64
+    assert bundle.graph_edges.tolist() == [[2, 0]]
+    assert bundle.texts == ("", "", "")
+    assert bundle.query == frozenset({1})
     assert bundle.n == 3
