@@ -9,7 +9,7 @@ dangling-row fill.  Evaluation (graded-gain metrics) and crowdsourced
 judgment handling (reliability, filtering, vote aggregation) ride along.
 """
 
-from .consensus import ConsensusResult, ExpertPool, consensual_pool, pairwise_distance
+from .consensus import ConsensusResult, consensual_pool
 from .corpus import assemble_bundle, build_resource_text, load_bundle
 from .evaluation import (
     RelevanceJudgments,
@@ -45,7 +45,6 @@ from .rank import (
     STRATEGIES,
     Pipeline,
     PipelineParams,
-    RankerConfig,
     RankingResult,
     ldrank,
     power_rank,
@@ -68,14 +67,12 @@ __all__ = [
     "ConvergenceWarning",
     "CorpusBundle",
     "Distribution",
-    "ExpertPool",
     "GradeDistance",
     "InputFormatError",
     "JudgmentRecord",
     "JudgmentSet",
     "Pipeline",
     "PipelineParams",
-    "RankerConfig",
     "RankingResult",
     "RelevanceJudgments",
     "ResourceGraph",
@@ -105,7 +102,6 @@ __all__ = [
     "load_qrels",
     "majority_vote",
     "ndcg",
-    "pairwise_distance",
     "power_rank",
     "resource_coordinates",
     "sparse_svd",

@@ -18,11 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import load_bundle
 from .evaluation import compare_strategies
 from .judgments import (
+    FILTER_THRESHOLD,
     filter_workers,
     format_qrels,
     krippendorff_alpha,
@@ -57,60 +59,53 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         help="teleport construction strategy (default: LDRANK)",
     )
     parser.add_argument(
-        "--alpha", type=float, default=0.7,
-        help="walk damping: weight of the graph vs the teleport (default: 0.7)",
+        "--alpha", type=float,
+        help="walk damping: weight of the graph vs the teleport (default: %(default)s)",
     )
     parser.add_argument(
-        "--ndim", type=int, default=1,
-        help="latent dimensions kept by the truncated SVD (default: 1)",
+        "--ndim", type=int,
+        help="latent dimensions kept by the truncated SVD (default: %(default)s)",
     )
     parser.add_argument(
-        "--stress", type=float, default=1000.0,
-        help="row amplification applied to the resources under focus (default: 1000)",
+        "--stress", type=float,
+        help="row amplification applied to the resources under focus "
+             "(default: %(default)s)",
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-10,
-        help="L1 convergence tolerance of the power iteration (default: 1e-10)",
+        "--tol", type=float,
+        help="L1 convergence tolerance of the power iteration (default: %(default)s)",
     )
     parser.add_argument(
         "--bidirectional", action="store_true",
         help="mirror every graph edge before walking",
     )
     parser.add_argument(
-        "--lambda", dest="damping", type=float, default=0.5,
-        help="consensus step size in (0, 1] (default: 0.5)",
+        "--lambda", dest="damping", type=float,
+        help="consensus step size in (0, 1] (default: %(default)s)",
     )
     parser.add_argument(
-        "--consensus-eps", type=float, default=1e-9,
+        "--consensus-eps", dest="consensus_epsilon", metavar="CONSENSUS_EPS", type=float,
         help="consensus stopping threshold on the largest pairwise distance "
-             "(default: 1e-9)",
+             "(default: %(default)s)",
     )
     parser.add_argument(
-        "--consensus-max-iters", type=int, default=10000,
-        help="consensus iteration cap (default: 10000)",
+        "--consensus-max-iters", type=int,
+        help="consensus iteration cap (default: %(default)s)",
     )
     parser.add_argument(
-        "--max-iters", type=int, default=1000,
-        help="power iteration cap (default: 1000)",
+        "--max-iters", dest="power_max_iters", metavar="MAX_ITERS", type=int,
+        help="power iteration cap (default: %(default)s)",
     )
     parser.add_argument(
         "--strict", action="store_true",
         help="exit with code 2 if any iterative stage fails to converge",
     )
+    # Set after the flags exist, so that their %(default)s help shows these.
+    parser.set_defaults(**asdict(PipelineParams()))
 
 
 def _params_from(args) -> PipelineParams:
-    return PipelineParams(
-        alpha=args.alpha,
-        ndim=args.ndim,
-        stress=args.stress,
-        tol=args.tol,
-        bidirectional=args.bidirectional,
-        damping=args.damping,
-        consensus_epsilon=args.consensus_eps,
-        consensus_max_iters=args.consensus_max_iters,
-        power_max_iters=args.max_iters,
-    )
+    return PipelineParams(**{f.name: getattr(args, f.name) for f in fields(PipelineParams)})
 
 
 def _drain_warnings(caught) -> bool:
@@ -125,8 +120,8 @@ def _drain_warnings(caught) -> bool:
 
 
 def _cmd_rank(args) -> int:
-    bundle = load_bundle(args.graph, args.texts, args.serp, args.query)
     params = _params_from(args)
+    bundle = load_bundle(args.graph, args.texts, args.serp, args.query)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         pipeline = Pipeline(bundle, params)
@@ -164,6 +159,7 @@ def _read_manifest(path):
 
 
 def _cmd_eval(args) -> int:
+    params = _params_from(args)
     try:
         cutoffs = [int(tok) for tok in args.cutoffs.split(",") if tok.strip()]
     except ValueError:
@@ -179,7 +175,6 @@ def _cmd_eval(args) -> int:
         bundles.append(load_bundle(graph, texts, serp, query))
         judgments.append(load_qrels(qrels))
 
-    params = _params_from(args)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table = compare_strategies(bundles, judgments, cutoffs, params)
@@ -287,9 +282,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_agg.add_argument("judgments", help="JSON Lines judgments file")
     p_agg.add_argument(
-        "--filter-threshold", type=float, nargs="?", const=0.412, default=None,
+        "--filter-threshold", type=float, nargs="?", const=FILTER_THRESHOLD,
         help="drop workers whose majority-disagreement rate exceeds this "
-             "(bare flag: 0.412)",
+             "(bare flag: %(const)s)",
     )
     p_agg.add_argument(
         "--tie-break", choices=("highest-value", "mean-trust"),
@@ -308,9 +303,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_alpha.add_argument("judgments", help="JSON Lines judgments file")
     p_alpha.add_argument(
-        "--filter-threshold", type=float, nargs="?", const=0.412, default=None,
+        "--filter-threshold", type=float, nargs="?", const=FILTER_THRESHOLD,
         help="apply worker filtering before measuring agreement "
-             "(bare flag: 0.412)",
+             "(bare flag: %(const)s)",
     )
     p_alpha.set_defaults(func=_cmd_alpha)
 

@@ -5,7 +5,8 @@ expert mixes its own distribution with a weighted average of the others,
 weighting each peer by its total-variation distance (so far-away opinions
 pull harder).  The damping factor controls the step size.  Iteration stops
 once the largest pairwise distance falls below epsilon; the pooled belief is
-the arithmetic mean of the final expert distributions.
+the arithmetic mean of the final expert distributions.  The damping, epsilon
+and iteration cap come from ``PipelineParams``, which checked their ranges.
 """
 
 from __future__ import annotations
@@ -15,39 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import ConvergenceWarning, Distribution
+from .types import ConvergenceWarning, Distribution, PipelineParams
 
-__all__ = ["ExpertPool", "ConsensusResult", "pairwise_distance", "consensual_pool"]
-
-
-def pairwise_distance(p: Distribution, q: Distribution) -> float:
-    """Total-variation distance: half the L1 distance, in [0, 1]."""
-    if len(p) != len(q):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(q)}")
-    return 0.5 * float(np.abs(p.values - q.values).sum())
-
-
-@dataclass(frozen=True, eq=False)
-class ExpertPool:
-    """A set of expert distributions plus the pooling schedule."""
-
-    experts: tuple[Distribution, ...]
-    damping: float = 0.5
-    epsilon: float = 1e-9
-    max_iters: int = 10000
-
-    def __post_init__(self):
-        if not self.experts:
-            raise ValueError("pool needs at least one expert")
-        n = len(self.experts[0])
-        if any(len(e) != n for e in self.experts):
-            raise ValueError("all experts must share the same support length")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
+__all__ = ["ConsensusResult", "consensual_pool"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,25 +55,33 @@ def _pool_step(rows: np.ndarray, dist: np.ndarray, damping: float) -> np.ndarray
     return (1.0 - damping) * rows + damping * pulled
 
 
-def consensual_pool(pool: ExpertPool) -> ConsensusResult:
-    """Iterate the pool to consensus and return the mean distribution.
+def consensual_pool(experts, params: PipelineParams) -> ConsensusResult:
+    """Iterate the experts to consensus and return the mean distribution.
 
-    Convergence is checked before the first update, so a pool of identical
-    experts returns after zero iterations.  If the pool has not converged
-    after ``max_iters`` updates, the mean of the current distributions is
-    returned anyway, flagged and warned as non-converged.
+    ``experts`` is a non-empty sequence of distributions of one length;
+    ``params`` gives the step ``damping``, the stopping threshold
+    ``consensus_epsilon`` and the cap ``consensus_max_iters``.  Convergence
+    is checked before the first update, so identical experts return after
+    zero iterations.  If the pool has not converged after the cap, the mean
+    of the current distributions is returned anyway, flagged and warned as
+    non-converged.
     """
-    rows = np.stack([e.values for e in pool.experts])
+    if not experts:
+        raise ValueError("pool needs at least one expert")
+    n = len(experts[0])
+    if any(len(e) != n for e in experts):
+        raise ValueError("all experts must share the same support length")
+    rows = np.stack([e.values for e in experts])
     iterations = 0
     converged = False
     while True:
         dist = _pairwise_tv(rows)
-        if dist.max() < pool.epsilon:
+        if dist.max() < params.consensus_epsilon:
             converged = True
             break
-        if iterations >= pool.max_iters:
+        if iterations >= params.consensus_max_iters:
             break
-        rows = _pool_step(rows, dist, pool.damping)
+        rows = _pool_step(rows, dist, params.damping)
         iterations += 1
     if not converged:
         warnings.warn(

@@ -22,6 +22,7 @@ from .evaluation import VALID_GRADES, RelevanceJudgments
 from .types import InputFormatError, read_lines
 
 __all__ = [
+    "FILTER_THRESHOLD",
     "JudgmentRecord",
     "JudgmentSet",
     "GradeDistance",
@@ -32,6 +33,9 @@ __all__ = [
     "load_qrels",
     "format_qrels",
 ]
+
+#: Default majority-disagreement rate above which ``filter_workers`` drops a worker.
+FILTER_THRESHOLD = 0.412
 
 
 @dataclass(frozen=True)
@@ -162,7 +166,7 @@ def krippendorff_alpha(
     return 1.0 - observed / expected
 
 
-def filter_workers(judgments: JudgmentSet, threshold: float = 0.412) -> JudgmentSet:
+def filter_workers(judgments: JudgmentSet, threshold: float = FILTER_THRESHOLD) -> JudgmentSet:
     """Drop workers whose majority-disagreement rate exceeds ``threshold``.
 
     Majorities are computed once per item over the unfiltered records; items

@@ -43,7 +43,7 @@ _stopwords_cache: frozenset[str] | None = None
 
 
 class ConvergenceError(RuntimeError):
-    """The iterative SVD ran out of iterations before converging."""
+    """The iterative SVD failed: out of iterations, or ARPACK gave up."""
 
 
 def load_default_stopwords() -> frozenset[str]:
@@ -103,11 +103,9 @@ class ResourceTextMatrix:
         return self.counts.shape[1]
 
 
-def build_text_matrix(
-    bundle: CorpusBundle, stopwords: frozenset[str] | None = None
-) -> ResourceTextMatrix:
+def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
     """Count stems per resource, rows in resource-index order."""
-    per_resource = [Counter(tokenize(text, stopwords)) for text in bundle.texts]
+    per_resource = [Counter(tokenize(text)) for text in bundle.texts]
     stem_vocab = {s: j for j, s in enumerate(sorted(set().union(*per_resource)))}
     rows, cols, data = [], [], []
     for i, counts in enumerate(per_resource):
@@ -157,7 +155,8 @@ def sparse_svd(matrix: ResourceTextMatrix, k: int) -> SvdResult:
     Uses the Lanczos-style iterative solver with a fixed start vector, so
     repeated calls on the same matrix give identical results.  The solver
     requires k strictly below min(shape); the boundary case falls back to a
-    dense factorization, which is exact.
+    dense factorization, which is exact.  Any ARPACK failure is raised as
+    ``ConvergenceError`` carrying ARPACK's message.
     """
     m, n = matrix.counts.shape
     limit = min(m, n)
@@ -172,11 +171,8 @@ def sparse_svd(matrix: ResourceTextMatrix, k: int) -> SvdResult:
         v0 = np.ones(limit, dtype=np.float64)
         try:
             u, s, vt = scipy.sparse.linalg.svds(a, k=k, v0=v0, tol=0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise ConvergenceError(
-                f"iterative SVD did not converge at k={k}: "
-                f"{len(getattr(exc, 'eigenvalues', []))} values converged"
-            ) from exc
+        except scipy.sparse.linalg.ArpackError as exc:
+            raise ConvergenceError(f"iterative SVD failed at k={k}: {exc}") from exc
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order]
     return SvdResult(

@@ -7,7 +7,8 @@ Three independent experts emit a prior each:
   document at rank r is worth ``size + 1 - r`` points;
 * ``svd_prior``: latent-text response, scoring each resource by how far its
   latent coordinates grow when the rows of the resources under focus are
-  amplified and the truncated SVD is recomputed.
+  amplified and the truncated SVD is recomputed; its dimension and stress
+  come from ``PipelineParams``, which checked their ranges.
 
 Each prior degrades to the uniform distribution (with a warning) when its
 evidence is entirely absent.
@@ -20,7 +21,7 @@ import warnings
 import numpy as np
 
 from .lsa import ResourceTextMatrix, resource_coordinates, sparse_svd
-from .types import Distribution, SerpContext
+from .types import Distribution, PipelineParams, SerpContext
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
@@ -88,20 +89,19 @@ def _coordinate_norms(matrix: ResourceTextMatrix, k: int) -> np.ndarray:
 
 
 def svd_prior(
-    matrix: ResourceTextMatrix,
-    info_need,
-    k: int = 1,
-    stress: float = 1000.0,
+    matrix: ResourceTextMatrix, info_need, params: PipelineParams
 ) -> Distribution:
     """Latent-drift prior.
 
-    Computes rank-k coordinates for every resource, multiplies the count
-    rows of the ``info_need`` resources by ``stress``, recomputes the
-    coordinates, and scores each resource by the growth of its coordinate
-    norm (negative drifts clamp to zero).  If sigma_k ties sigma_(k+1), k
-    widens over the tie (see ``TIE_RTOL``).  All-zero drift falls back to
-    the uniform distribution with a warning, and so does a ``k`` above the
-    rank bound min(resources, stems), which includes an empty vocabulary.
+    Computes rank-k coordinates (k = ``params.ndim``) for every resource,
+    multiplies the count rows of the ``info_need`` resources by
+    ``params.stress``, recomputes the coordinates, and scores each resource
+    by the growth of its coordinate norm (negative drifts clamp to zero).
+    If sigma_k ties sigma_(k+1), k widens over the tie (see ``TIE_RTOL``).
+    All-zero drift falls back to the uniform distribution with a warning,
+    and so does a ``k`` above the rank bound min(resources, stems), which
+    includes an empty vocabulary.  A stress so large that the squared
+    stressed counts overflow float64 raises ``ValueError``.
     """
     n = matrix.n_resources
     if not info_need:
@@ -109,10 +109,7 @@ def svd_prior(
     focus = sorted(int(i) for i in info_need)
     if focus[0] < 0 or focus[-1] >= n:
         raise ValueError(f"info_need indices must lie in 0..{n - 1}")
-    if stress <= 0:
-        raise ValueError(f"stress must be positive, got {stress}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    k, stress = params.ndim, params.stress
     if k > min(matrix.counts.shape):
         warnings.warn(
             f"k={k} exceeds the rank bound of the {n}x{matrix.n_stems} text matrix; "
@@ -125,6 +122,10 @@ def svd_prior(
     # CSC stores row indices in .indices, so rows scale in place on the data.
     stressed_counts = matrix.counts.copy()
     stressed_counts.data = stressed_counts.data * row_scale[stressed_counts.indices]
+    if not np.isfinite(stressed_counts.data @ stressed_counts.data):
+        raise ValueError(
+            f"stress {stress} is too large: the squared stressed counts overflow"
+        )
 
     drift = np.zeros(n)
     # A stress that leaves the matrix as it is (focus rows without stems, or

@@ -4,6 +4,9 @@
 ``alpha * S + (1 - alpha) * ones * teleport'`` without ever materializing
 the dense matrix: each step costs O(edges + n).
 
+Every stage takes its settings from one ``PipelineParams`` (defined in
+``types``), which has checked them when it was built.
+
 ``Pipeline`` holds the staged computation for one bundle: hit prior from
 the result page, amplification set from the query plus the top hit,
 latent-drift prior from the stressed SVD, consensus pooling of the three
@@ -21,14 +24,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .consensus import ConsensusResult, ExpertPool, consensual_pool
+from .consensus import ConsensusResult, consensual_pool
 from .graph import ResourceGraph, TransitionOperator, build_graph
 from .lsa import build_text_matrix
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
-from .types import ConvergenceWarning, CorpusBundle, Distribution
+from .types import ConvergenceWarning, CorpusBundle, Distribution, PipelineParams
 
 __all__ = [
-    "RankerConfig",
     "RankingResult",
     "PipelineParams",
     "Pipeline",
@@ -39,28 +41,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("EQUI", "HIT", "SVD", "LDRANK")
-
-
-@dataclass(frozen=True)
-class RankerConfig:
-    """Power-iteration parameters.
-
-    ``teleport`` is the restart distribution; it also fills the rows with
-    no out-edges.
-    """
-
-    teleport: Distribution
-    alpha: float = 0.7
-    tol: float = 1e-10
-    max_iters: int = 1000
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie strictly inside (0, 1), got {self.alpha}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,27 +72,29 @@ class RankingResult:
         return [self.resource_ids[i] for i in self.order]
 
 
-def power_rank(graph: ResourceGraph, config: RankerConfig) -> RankingResult:
+def power_rank(
+    graph: ResourceGraph, teleport: Distribution, params: PipelineParams
+) -> RankingResult:
     """Power iteration from the teleport vector to the stationary scores.
 
-    Stops when the L1 difference between successive iterates drops below
-    ``config.tol``; the walk matrix is an ``alpha``-contraction in L1, so
-    the stationarity residual of the returned vector is below tolerance as
-    well.  Hitting ``max_iters`` first returns the current iterate flagged
-    (and warned) as non-converged.
+    ``teleport`` is the restart distribution and also fills the rows with
+    no out-edges.  Stops when the L1 difference between successive iterates
+    drops below ``params.tol``; the walk matrix is an ``alpha``-contraction
+    in L1, so the stationarity residual of the returned vector is below
+    tolerance as well.  Hitting ``params.power_max_iters`` first returns
+    the current iterate flagged (and warned) as non-converged.
     """
-    op = TransitionOperator(graph, config.teleport)
-    t = config.teleport.values
-    restart = (1.0 - config.alpha) * t
-    x = t.copy()
+    op = TransitionOperator(graph, teleport)
+    restart = (1.0 - params.alpha) * teleport.values
+    x = teleport.values.copy()
     iterations = 0
     converged = False
-    while iterations < config.max_iters:
-        x_next = config.alpha * op.apply(x) + restart
+    while iterations < params.power_max_iters:
+        x_next = params.alpha * op.apply(x) + restart
         diff = float(np.abs(x_next - x).sum())
         x = x_next
         iterations += 1
-        if diff < config.tol:
+        if diff < params.tol:
             converged = True
             break
     if not converged:
@@ -129,22 +111,6 @@ def power_rank(graph: ResourceGraph, config: RankerConfig) -> RankingResult:
         iterations=iterations,
         converged=converged,
     )
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    """Knobs for the full pipeline, with the recommended defaults."""
-
-    alpha: float = 0.7
-    ndim: int = 1
-    stress: float = 1000.0
-    tol: float = 1e-10
-    bidirectional: bool = False
-    damping: float = 0.5
-    consensus_epsilon: float = 1e-9
-    consensus_max_iters: int = 10000
-    power_max_iters: int = 1000
-    stopwords: frozenset[str] | None = None
 
 
 class Pipeline:
@@ -167,16 +133,12 @@ class Pipeline:
     @cached_property
     def svd(self) -> Distribution:
         info_need = build_info_need(self.bundle.query, self.hit)
-        matrix = build_text_matrix(self.bundle, self.params.stopwords)
-        return svd_prior(matrix, info_need, k=self.params.ndim, stress=self.params.stress)
+        return svd_prior(build_text_matrix(self.bundle), info_need, self.params)
 
     @cached_property
     def consensus(self) -> ConsensusResult:
-        p = self.params
         experts = (self.hit, self.svd, equi_prior(self.bundle.n))
-        pool = ExpertPool(experts, damping=p.damping, epsilon=p.consensus_epsilon,
-                          max_iters=p.consensus_max_iters)
-        return consensual_pool(pool)
+        return consensual_pool(experts, self.params)
 
     @cached_property
     def graph(self) -> ResourceGraph:
@@ -196,10 +158,7 @@ class Pipeline:
 
     def rank(self, name: str) -> RankingResult:
         """Walk with the prior of strategy ``name`` as teleport and dangling fill."""
-        prior, p = self.prior(name), self.params
-        config = RankerConfig(teleport=prior, alpha=p.alpha, tol=p.tol,
-                              max_iters=p.power_max_iters)
-        return power_rank(self.graph, config)
+        return power_rank(self.graph, self.prior(name), self.params)
 
 
 def ldrank(bundle: CorpusBundle, params: PipelineParams | None = None) -> RankingResult:

@@ -1,4 +1,5 @@
-"""Shared data model: probability vectors, result-page context, corpus bundle.
+"""Shared data model: pipeline settings, probability vectors, result-page
+context, corpus bundle.
 
 Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
@@ -8,7 +9,9 @@ after ``corpus.assemble_bundle`` looks up an identifier.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -43,6 +46,48 @@ def read_lines(path):
 
 class ConvergenceWarning(UserWarning):
     """An iterative routine hit its iteration cap before reaching tolerance."""
+
+
+_POSITIVE = ("must be positive and finite", lambda v: 0.0 < v < math.inf)
+_COUNT = ("must be at least 1 and an integer", lambda v: isinstance(v, Integral) and v >= 1)
+_PARAM_RANGES = {
+    "alpha": ("must lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0),
+    "ndim": _COUNT,
+    "stress": _POSITIVE,
+    "tol": _POSITIVE,
+    "damping": ("must lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "consensus_epsilon": _POSITIVE,
+    "consensus_max_iters": _COUNT,
+    "power_max_iters": _COUNT,
+}
+
+
+@dataclass(frozen=True)
+class PipelineParams:
+    """Every setting of the pipeline: its default and its valid range.
+
+    ``alpha`` is the walk damping, ``ndim`` the SVD dimension k, ``stress``
+    the row amplification of the resources under focus, ``tol`` the L1
+    tolerance of the power iteration and ``damping`` the consensus step
+    lambda.  Construction rejects any out-of-range, NaN or infinite value
+    with a ``ValueError`` naming the field, so no stage checks them again.
+    """
+
+    alpha: float = 0.7
+    ndim: int = 1
+    stress: float = 1000.0
+    tol: float = 1e-10
+    bidirectional: bool = False
+    damping: float = 0.5
+    consensus_epsilon: float = 1e-9
+    consensus_max_iters: int = 10000
+    power_max_iters: int = 1000
+
+    def __post_init__(self):
+        for name, (rule, ok) in _PARAM_RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} {rule}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

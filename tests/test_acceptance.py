@@ -16,11 +16,10 @@ import pytest
 import oracles
 from ldrank import (
     Distribution,
-    ExpertPool,
     GradeDistance,
     JudgmentRecord,
     JudgmentSet,
-    RankerConfig,
+    PipelineParams,
     RankingResult,
     RelevanceJudgments,
     ResourceGraph,
@@ -66,11 +65,8 @@ def test_criterion_01_stationary_walk_matches_dense_eigenvector():
         teleport = _random_distribution(rng, n)
         alpha = alphas[trial % 3]
 
-        config = RankerConfig(
-            teleport=teleport, alpha=alpha,
-            tol=1e-13, max_iters=5000,
-        )
-        result = power_rank(graph, config)
+        params = PipelineParams(alpha=alpha, tol=1e-13, power_max_iters=5000)
+        result = power_rank(graph, teleport, params)
         assert result.converged
 
         walk = oracles.dense_walk_matrix(
@@ -128,7 +124,7 @@ def test_criterion_03_full_rank_drift_follows_row_norm_law():
             stem_vocab={f"s{j:03d}": j for j in range(n)},
         )
 
-        prior = svd_prior(matrix, focus, k=m, stress=stress)
+        prior = svd_prior(matrix, focus, PipelineParams(ndim=m, stress=stress))
 
         row_norms = np.linalg.norm(dense, axis=1)
         predicted = np.zeros(m)
@@ -151,8 +147,7 @@ def test_criterion_04_consensus_converges_inside_hull():
     for trial in range(500):
         n = int(rng.integers(2, 7))
         experts = tuple(_random_distribution(rng, n) for _ in range(3))
-        pool = ExpertPool(experts=experts)
-        res = consensual_pool(pool)
+        res = consensual_pool(experts, PipelineParams())
         assert res.converged, f"trial {trial}"
         assert res.iterations <= 10000
 
@@ -166,7 +161,7 @@ def test_criterion_04_consensus_converges_inside_hull():
         n = int(rng.integers(2, 7))
         p, q = _random_distribution(rng, n), _random_distribution(rng, n)
         damping = (0.5, 0.25)[trial % 2]
-        res = consensual_pool(ExpertPool(experts=(p, q), damping=damping))
+        res = consensual_pool((p, q), PipelineParams(damping=damping))
         assert res.converged
         midpoint = 0.5 * (p.values + q.values)
         assert np.abs(res.distribution.values - midpoint).max() < 1e-9

@@ -149,7 +149,38 @@ def test_rank_ndim_above_matrix_rank_falls_back(basic_dir, capsys):
 
 def test_rank_ndim_below_one_is_input_error(basic_dir, capsys):
     assert main(_rank_args(basic_dir, "--ndim", "0")) == 1
-    assert "k must be at least 1" in capsys.readouterr().err
+    assert "ndim must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, field", [
+    (("--strategy", "HIT", "--stress", "-5"), "stress"),
+    (("--strategy", "EQUI", "--ndim", "0"), "ndim"),
+    (("--strategy", "HIT", "--lambda", "7"), "damping"),
+    (("--tol", "nan"), "tol"),
+    (("--consensus-eps", "nan"), "consensus_epsilon"),
+    (("--max-iters", "0"), "power_max_iters"),
+    (("--consensus-max-iters", "0"), "consensus_max_iters"),
+])
+def test_bad_flag_is_reported_before_any_file_is_read(tmp_path, capsys, flags, field):
+    absent = str(tmp_path / "absent.tsv")
+    for argv in (["rank", absent, absent, absent, absent], ["eval", absent, "--cutoffs", "1"]):
+        assert main(argv + list(flags)) == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} " in err
+        assert "absent.tsv" not in err
+
+
+def test_overflowing_stress_is_input_error(basic_dir, capsys):
+    for stress in ("1e200", "1e300"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ldrank", *_rank_args(basic_dir, "--stress", stress)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        assert "error: stress" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    assert main(_rank_args(basic_dir, "--stress", "1e150")) == 0
+    capsys.readouterr()
 
 
 def test_rank_missing_file_exits_one(basic_dir, tmp_path, capsys):

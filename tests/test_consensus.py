@@ -4,9 +4,8 @@ import pytest
 from ldrank import (
     ConvergenceWarning,
     Distribution,
-    ExpertPool,
+    PipelineParams,
     consensual_pool,
-    pairwise_distance,
 )
 from ldrank.consensus import _pairwise_tv, _pool_step
 
@@ -17,13 +16,17 @@ def _dist(*values):
     return Distribution(np.array(values, dtype=float))
 
 
+def _tv(p, q):
+    return _pairwise_tv(np.stack([p.values, q.values]))[0, 1]
+
+
 # -------------------------------------------------------------- distance
 
 
 def test_pairwise_distance_known_value():
-    assert pairwise_distance(_dist(1.0, 0.0), _dist(0.0, 1.0)) == pytest.approx(1.0)
-    assert pairwise_distance(_dist(0.5, 0.5), _dist(0.5, 0.5)) == 0.0
-    assert pairwise_distance(_dist(0.8, 0.2), _dist(0.6, 0.4)) == pytest.approx(0.2)
+    assert _tv(_dist(1.0, 0.0), _dist(0.0, 1.0)) == pytest.approx(1.0)
+    assert _tv(_dist(0.5, 0.5), _dist(0.5, 0.5)) == 0.0
+    assert _tv(_dist(0.8, 0.2), _dist(0.6, 0.4)) == pytest.approx(0.2)
 
 
 def test_pairwise_distance_properties():
@@ -32,34 +35,33 @@ def test_pairwise_distance_properties():
         n = int(rng.integers(2, 7))
         p = Distribution.from_weights(rng.random(n) + 1e-9)
         q = Distribution.from_weights(rng.random(n) + 1e-9)
-        d = pairwise_distance(p, q)
+        d = _tv(p, q)
         assert 0.0 <= d <= 1.0
-        assert d == pytest.approx(pairwise_distance(q, p))
+        assert d == pytest.approx(_tv(q, p))
     with pytest.raises(ValueError):
-        pairwise_distance(_dist(1.0), _dist(0.5, 0.5))
+        consensual_pool((_dist(1.0), _dist(0.5, 0.5)), PipelineParams())
 
 
 # ------------------------------------------------------------------ pool
 
 
 def test_identical_experts_zero_iterations():
-    pool = ExpertPool(experts=(_dist(0.3, 0.7), _dist(0.3, 0.7), _dist(0.3, 0.7)))
-    res = consensual_pool(pool)
+    experts = (_dist(0.3, 0.7), _dist(0.3, 0.7), _dist(0.3, 0.7))
+    res = consensual_pool(experts, PipelineParams())
     assert res.converged
     assert res.iterations == 0
     assert np.allclose(res.distribution.values, [0.3, 0.7])
 
 
 def test_single_expert_returned_as_is():
-    pool = ExpertPool(experts=(_dist(0.9, 0.1),))
-    res = consensual_pool(pool)
+    res = consensual_pool((_dist(0.9, 0.1),), PipelineParams())
     assert res.converged and res.iterations == 0
     assert np.allclose(res.distribution.values, [0.9, 0.1])
 
 
 def test_two_experts_meet_at_midpoint():
-    pool = ExpertPool(experts=(_dist(0.8, 0.2), _dist(0.2, 0.8)), damping=0.5)
-    res = consensual_pool(pool)
+    experts = (_dist(0.8, 0.2), _dist(0.2, 0.8))
+    res = consensual_pool(experts, PipelineParams(damping=0.5))
     assert res.converged
     # With two experts the full pull is the other expert, so a 0.5 step
     # sends both straight to the midpoint.
@@ -69,7 +71,7 @@ def test_two_experts_meet_at_midpoint():
 
 def test_three_expert_symmetric_case():
     experts = (_dist(1.0, 0.0), _dist(0.0, 1.0), _dist(0.5, 0.5))
-    res = consensual_pool(ExpertPool(experts=experts))
+    res = consensual_pool(experts, PipelineParams())
     assert res.converged
     assert np.allclose(res.distribution.values, [0.5, 0.5], atol=1e-9)
 
@@ -82,7 +84,7 @@ def test_result_stays_in_convex_hull():
         experts = tuple(
             Distribution.from_weights(rng.random(n) + 1e-12) for _ in range(m)
         )
-        res = consensual_pool(ExpertPool(experts=experts))
+        res = consensual_pool(experts, PipelineParams())
         assert res.converged
         rows = np.stack([e.values for e in experts])
         lo = rows.min(axis=0) - 1e-12
@@ -114,7 +116,7 @@ def test_matches_pure_python_reference():
         experts = tuple(
             Distribution.from_weights(rng.random(n) + 1e-9) for _ in range(m)
         )
-        res = consensual_pool(ExpertPool(experts=experts))
+        res = consensual_pool(experts, PipelineParams())
         want = oracles.consensus_mean_by_loops([e.values for e in experts])
         assert np.allclose(res.distribution.values, want, atol=1e-7)
 
@@ -123,9 +125,9 @@ def test_non_convergence_returns_mean_with_flag():
     # Three asymmetric experts keep a strictly positive spread for any
     # finite number of steps, so an unreachable epsilon forces the cap.
     experts = (_dist(1.0, 0.0), _dist(0.0, 1.0), _dist(0.3, 0.7))
-    pool = ExpertPool(experts=experts, max_iters=2, epsilon=1e-300)
+    params = PipelineParams(consensus_max_iters=2, consensus_epsilon=1e-300)
     with pytest.warns(ConvergenceWarning):
-        res = consensual_pool(pool)
+        res = consensual_pool(experts, params)
     assert not res.converged
     assert res.iterations == 2
     v = res.distribution.values
@@ -134,17 +136,17 @@ def test_non_convergence_returns_mean_with_flag():
 
 def test_pool_validation():
     with pytest.raises(ValueError):
-        ExpertPool(experts=())
+        consensual_pool((), PipelineParams())
     with pytest.raises(ValueError):
-        ExpertPool(experts=(_dist(1.0), _dist(0.5, 0.5)))
+        consensual_pool((_dist(1.0), _dist(0.5, 0.5)), PipelineParams())
     with pytest.raises(ValueError):
-        ExpertPool(experts=(_dist(1.0),), damping=0.0)
+        PipelineParams(damping=0.0)
     with pytest.raises(ValueError):
-        ExpertPool(experts=(_dist(1.0),), damping=1.5)
+        PipelineParams(damping=1.5)
     with pytest.raises(ValueError):
-        ExpertPool(experts=(_dist(1.0),), epsilon=0.0)
+        PipelineParams(consensus_epsilon=0.0)
     with pytest.raises(ValueError):
-        ExpertPool(experts=(_dist(1.0),), max_iters=0)
+        PipelineParams(consensus_max_iters=0)
 
 
 def test_mean_is_valid_distribution():
@@ -153,7 +155,7 @@ def test_mean_is_valid_distribution():
         experts = tuple(
             Distribution.from_weights(rng.random(3) + 1e-9) for _ in range(3)
         )
-        res = consensual_pool(ExpertPool(experts=experts))
+        res = consensual_pool(experts, PipelineParams())
         v = res.distribution.values
         assert v.min() >= 0.0
         assert abs(v.sum() - 1.0) < 1e-9

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ldrank import (
+    ConvergenceError,
     build_text_matrix,
     load_default_stopwords,
     resource_coordinates,
@@ -156,6 +158,19 @@ def test_sparse_svd_rank_bounds():
         sparse_svd(m, 0)
     with pytest.raises(ValueError):
         sparse_svd(m, 3)
+
+
+@pytest.mark.parametrize("error", [
+    spla.ArpackError(-9999),
+    spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], []),
+])
+def test_sparse_svd_reports_any_arpack_failure(monkeypatch, error):
+    def fail(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(spla, "svds", fail)
+    with pytest.raises(ConvergenceError, match="k=1: ARPACK error -"):
+        sparse_svd(_matrix_from_dense([[1, 0], [0, 1], [1, 1]]), 1)
 
 
 def test_sparse_svd_descending_order():

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from ldrank import (
     Distribution,
+    PipelineParams,
     SerpContext,
     build_info_need,
     build_text_matrix,
@@ -104,7 +105,7 @@ def test_svd_prior_puts_mass_on_stressed_rows():
         ]
     )
     m = _matrix_from_dense(dense)
-    p = svd_prior(m, {1}, k=2, stress=1000.0)
+    p = svd_prior(m, {1}, PipelineParams(ndim=2, stress=1000.0))
     assert p.values[1] == max(p.values)
 
 
@@ -115,7 +116,7 @@ def test_svd_prior_matches_dense_oracle():
         m = _matrix_from_dense(dense)
         info_need = {int(i) for i in rng.choice(6, size=2, replace=False)}
         for k in (1, 2, 3):
-            got = svd_prior(m, info_need, k=k, stress=1000.0)
+            got = svd_prior(m, info_need, PipelineParams(ndim=k, stress=1000.0))
             want = oracles.latent_prior_by_dense_svd(dense, info_need, k, 1000.0)
             assert np.allclose(got.values, want, atol=1e-6), (trial, k)
 
@@ -125,7 +126,7 @@ def test_svd_prior_stress_one_degenerates_to_uniform():
     m = _matrix_from_dense(dense)
     # Stress 1 changes nothing, so no coordinate can grow.
     with pytest.warns(UserWarning):
-        p = svd_prior(m, {0}, k=1, stress=1.0)
+        p = svd_prior(m, {0}, PipelineParams(ndim=1, stress=1.0))
     assert np.allclose(p.values, 1.0 / 3.0)
 
 
@@ -140,14 +141,15 @@ def test_svd_prior_unchanged_matrix_skips_the_solver(monkeypatch, focus, stress)
     monkeypatch.setattr("ldrank.priors.sparse_svd", fail)
     m = _matrix_from_dense([[0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
     with pytest.warns(UserWarning, match="did not grow"):
-        p = svd_prior(m, focus, k=1, stress=stress)
+        p = svd_prior(m, focus, PipelineParams(ndim=1, stress=stress))
     assert np.array_equal(p.values, np.full(4, 0.25))
 
 
 def test_svd_prior_widens_k_over_tied_singular_values():
     # Stressing rows 0 and 1 of the identity gives sigma = 1000, 1000, 1: no
     # rank-1 truncation is unique, so k widens to 2 and both rows drift alike.
-    p = svd_prior(_matrix_from_dense(np.eye(3)), {0, 1}, k=1, stress=1000.0)
+    m = _matrix_from_dense(np.eye(3))
+    p = svd_prior(m, {0, 1}, PipelineParams(ndim=1, stress=1000.0))
     assert np.allclose(p.values, [0.5, 0.5, 0.0], atol=1e-12)
     want = oracles.latent_prior_by_dense_svd(np.eye(3), {0, 1}, 1, 1000.0)
     assert np.allclose(p.values, want, atol=1e-12)
@@ -156,23 +158,23 @@ def test_svd_prior_widens_k_over_tied_singular_values():
 def test_svd_prior_validates_inputs():
     m = _matrix_from_dense(np.eye(3))
     with pytest.raises(ValueError):
-        svd_prior(m, set(), k=1)
+        svd_prior(m, set(), PipelineParams(ndim=1))
     with pytest.raises(ValueError):
-        svd_prior(m, {9}, k=1)
+        svd_prior(m, {9}, PipelineParams(ndim=1))
     with pytest.raises(ValueError):
-        svd_prior(m, {0}, k=1, stress=0.0)
+        svd_prior(m, {0}, PipelineParams(ndim=1, stress=0.0))
     with pytest.raises(ValueError):
-        svd_prior(m, {0}, k=0)
+        svd_prior(m, {0}, PipelineParams(ndim=0))
 
 
 def test_svd_prior_rank_above_matrix_falls_back_to_uniform():
     m = _matrix_from_dense(np.eye(3))
     with pytest.warns(UserWarning, match="falls back to uniform"):
-        p = svd_prior(m, {0}, k=5)
+        p = svd_prior(m, {0}, PipelineParams(ndim=5))
     assert np.array_equal(p.values, np.full(3, 1.0 / 3.0))
     empty = _matrix_from_dense(np.zeros((3, 0)))
     with pytest.warns(UserWarning, match="falls back to uniform"):
-        p = svd_prior(empty, {0}, k=1)
+        p = svd_prior(empty, {0}, PipelineParams(ndim=1))
     assert np.array_equal(p.values, np.full(3, 1.0 / 3.0))
 
 
@@ -180,7 +182,7 @@ def test_svd_prior_on_fixture_is_query_biased(basic_bundle):
     matrix = build_text_matrix(basic_bundle)
     hit = hit_prior(basic_bundle.serp, basic_bundle.n)
     info_need = build_info_need(basic_bundle.query, hit)
-    p = svd_prior(matrix, info_need, k=1, stress=1000.0)
+    p = svd_prior(matrix, info_need, PipelineParams(ndim=1, stress=1000.0))
     # Germany (index 3) is the query resource; Berlin (0) the top hit.
     assert frozenset({0, 3}) == info_need
     assert p.values[0] + p.values[3] > 0.5

@@ -6,14 +6,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ldrank import (
+    STRATEGIES,
+    ConvergenceError,
     ConvergenceWarning,
     Distribution,
     Pipeline,
     PipelineParams,
-    RankerConfig,
     RankingResult,
     build_graph,
     ldrank,
+    load_bundle,
     power_rank,
     strategy,
 )
@@ -34,7 +36,7 @@ def test_two_node_chain_against_dense_oracle():
     # a -> b, b dangling; teleport and fill both uniform.
     g = _graph([("a", "p", "b")], ["a", "b"])
     t = Distribution.uniform(2)
-    res = power_rank(g, RankerConfig(teleport=t, alpha=0.8))
+    res = power_rank(g, t, PipelineParams(alpha=0.8))
     want = oracles.stationary_by_eig(
         oracles.dense_walk_matrix([[1], []], 0.8, t.values, t.values)
     )
@@ -47,7 +49,7 @@ def test_two_node_chain_against_dense_oracle():
 def test_all_dangling_graph_returns_teleport():
     g = _graph([], ["a", "b", "c"])
     t = Distribution(np.array([0.2, 0.5, 0.3]))
-    res = power_rank(g, RankerConfig(teleport=t, alpha=0.7))
+    res = power_rank(g, t, PipelineParams(alpha=0.7))
     # Every row is the fill = teleport, so the teleport is stationary:
     # the first iterate equals the start and the loop exits immediately.
     assert res.iterations == 1
@@ -68,7 +70,7 @@ def test_matches_dense_eig_on_random_graphs():
         t = Distribution.from_weights(rng.random(n) + 0.05)
         alpha = rng.choice([0.6, 0.7, 0.8])
         g = _graph(edges, ids)
-        res = power_rank(g, RankerConfig(teleport=t, alpha=float(alpha)))
+        res = power_rank(g, t, PipelineParams(alpha=float(alpha)))
         dense = oracles.dense_walk_matrix(
             [g.successors(i).tolist() for i in range(g.n)], float(alpha), t.values, t.values
         )
@@ -80,8 +82,7 @@ def test_matches_dense_eig_on_random_graphs():
 def test_stationarity_residual_below_tolerance():
     g = _graph([("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")], ["a", "b", "c"])
     t = Distribution(np.array([0.5, 0.25, 0.25]))
-    cfg = RankerConfig(teleport=t, alpha=0.7, tol=1e-10)
-    res = power_rank(g, cfg)
+    res = power_rank(g, t, PipelineParams(alpha=0.7, tol=1e-10))
     dense = oracles.dense_walk_matrix([[1], [2], [0]], 0.7, t.values, t.values)
     residual = np.abs(res.scores.values - res.scores.values @ dense).sum()
     assert residual < 1e-10
@@ -90,7 +91,7 @@ def test_stationarity_residual_below_tolerance():
 def test_scores_form_distribution():
     g = _graph([("a", "p", "b"), ("c", "p", "b")], ["a", "b", "c", "d"])
     t = Distribution.uniform(4)
-    res = power_rank(g, RankerConfig(teleport=t))
+    res = power_rank(g, t, PipelineParams())
     v = res.scores.values
     assert v.min() >= 0
     assert abs(v.sum() - 1.0) < 1e-9
@@ -100,7 +101,7 @@ def test_order_breaks_ties_by_resource_id():
     # Symmetric two-cycle: both nodes share the same score exactly.
     g = _graph([("b", "p", "a"), ("a", "p", "b")], ["a", "b"])
     t = Distribution.uniform(2)
-    res = power_rank(g, RankerConfig(teleport=t))
+    res = power_rank(g, t, PipelineParams())
     assert res.scores.values[0] == pytest.approx(res.scores.values[1])
     assert res.ranked_ids() == ["a", "b"]
 
@@ -110,7 +111,7 @@ def test_order_sorted_by_score():
     ids = [f"r{i}" for i in range(6)]
     edges = [(ids[i], "p", ids[j]) for i in range(6) for j in range(6) if i != j and rng.random() < 0.4]
     t = Distribution.from_weights(rng.random(6) + 0.01)
-    res = power_rank(_graph(edges, ids), RankerConfig(teleport=t))
+    res = power_rank(_graph(edges, ids), t, PipelineParams())
     ranked_scores = res.scores.values[res.order]
     assert np.all(np.diff(ranked_scores) <= 1e-15)
 
@@ -119,22 +120,78 @@ def test_max_iters_flags_nonconvergence():
     g = _graph([("a", "p", "b"), ("b", "p", "a")], ["a", "b"])
     t = Distribution(np.array([0.9, 0.1]))
     with pytest.warns(ConvergenceWarning):
-        res = power_rank(g, RankerConfig(teleport=t, max_iters=2, tol=1e-16))
+        res = power_rank(g, t, PipelineParams(power_max_iters=2, tol=1e-16))
     assert not res.converged
     assert res.iterations == 2
 
 
 def test_config_validation():
-    t = Distribution.uniform(2)
     with pytest.raises(ValueError):
-        RankerConfig(teleport=t, alpha=1.0)
+        PipelineParams(alpha=1.0)
     with pytest.raises(ValueError):
-        RankerConfig(teleport=t, alpha=0.0)
+        PipelineParams(alpha=0.0)
     with pytest.raises(ValueError):
-        RankerConfig(teleport=t, tol=0.0)
+        PipelineParams(tol=0.0)
     g = _graph([("a", "p", "b")], ["a", "b"])
     with pytest.raises(ValueError):
-        power_rank(g, RankerConfig(teleport=Distribution.uniform(3)))
+        power_rank(g, Distribution.uniform(3), PipelineParams())
+
+
+# ------------------------------------------------------------- settings
+
+_OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+_POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+_NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+_NOT_POSITIVE = st.floats(max_value=0.0) | _NON_FINITE
+_NOT_A_COUNT = st.integers(max_value=0) | _NON_FINITE | st.just(1.5)
+
+# An out-of-range, NaN or infinite value for every checked field.
+_BAD_VALUES = {
+    "alpha": st.floats(max_value=0.0) | st.floats(min_value=1.0) | _NON_FINITE,
+    "ndim": _NOT_A_COUNT,
+    "stress": _NOT_POSITIVE,
+    "tol": _NOT_POSITIVE,
+    "damping": _NOT_POSITIVE | st.floats(min_value=1.0, exclude_min=True),
+    "consensus_epsilon": _NOT_POSITIVE,
+    "consensus_max_iters": _NOT_A_COUNT,
+    "power_max_iters": _NOT_A_COUNT,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_BAD_VALUES)).flatmap(
+    lambda name: st.tuples(st.just(name), _BAD_VALUES[name])))
+def test_out_of_range_setting_names_its_field(case):
+    name, value = case
+    with pytest.raises(ValueError, match=f"^{name} "):
+        PipelineParams(**{name: value})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.builds(
+    PipelineParams,
+    alpha=_OPEN_UNIT | st.sampled_from([5e-324, 1e-12, 1.0 - 1e-12, 0.9999999999999999]),
+    ndim=st.integers(min_value=1, max_value=8),
+    stress=_POSITIVE | st.sampled_from([5e-324, 1e150, 1e200, 1e300]),
+    tol=_POSITIVE | st.sampled_from([5e-324, 1e-300]),
+    bidirectional=st.booleans(),
+    damping=_OPEN_UNIT | st.just(1.0),
+    consensus_epsilon=_POSITIVE | st.just(5e-324),
+    consensus_max_iters=st.integers(min_value=1, max_value=500),
+    power_max_iters=st.integers(min_value=1, max_value=500),
+))
+def test_any_valid_settings_rank_or_raise_an_input_error(basic_dir, params):
+    bundle = load_bundle(*(basic_dir / f for f in
+                           ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")))
+    for name in STRATEGIES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                res = strategy(name, bundle, params)
+            except (ValueError, ConvergenceError):
+                continue
+        assert isinstance(res.scores, Distribution)
+        Distribution(res.scores.values)
 
 
 # ------------------------------------------------------------- pipeline
