@@ -53,12 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--strategy",
-        choices=STRATEGIES,
-        default="LDRANK",
-        help="teleport construction strategy (default: LDRANK)",
-    )
-    parser.add_argument(
         "--alpha", type=float,
         help="walk damping: weight of the graph vs the teleport (default: %(default)s)",
     )
@@ -244,6 +238,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rank.add_argument("texts", help="JSON Lines resource texts ({id, text})")
     p_rank.add_argument("serp", help="tab-separated rank/doc-id/resource-list page")
     p_rank.add_argument("query", help="query resource ids, one per line")
+    p_rank.add_argument(
+        "--strategy",
+        choices=STRATEGIES,
+        default="LDRANK",
+        help="teleport construction strategy (default: LDRANK)",
+    )
     _add_pipeline_flags(p_rank)
     p_rank.add_argument(
         "--emit-priors", metavar="PATH",

@@ -1,17 +1,17 @@
 """Latent text analysis: stem-count matrix and truncated SVD coordinates.
 
 Texts are tokenized (lowercase, split on non-alphanumeric runs), filtered
-against a stopword list plus a minimum length of 2, and stemmed.  The counts
-form a sparse resources-by-stems matrix in compressed-column storage; its
-rank-k SVD gives every resource a k-dimensional coordinate vector whose
-length measures how much of the resource's text mass survives the
-truncation.
+against a stopword list plus a minimum length of 2, and stemmed; the stemmer
+is cached, so each distinct token is stemmed once.  The counts are built in
+one pass over token-id arrays, COO pairs summed into a sparse
+resources-by-stems matrix in compressed-column storage; its rank-k SVD gives
+every resource a k-dimensional coordinate vector whose length measures how
+much of the resource's text mass survives the truncation.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
 
@@ -104,19 +104,28 @@ class ResourceTextMatrix:
 
 
 def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
-    """Count stems per resource, rows in resource-index order."""
-    per_resource = [Counter(tokenize(text)) for text in bundle.texts]
-    stem_vocab = {s: j for j, s in enumerate(sorted(set().union(*per_resource)))}
-    rows, cols, data = [], [], []
-    for i, counts in enumerate(per_resource):
-        for s, c in counts.items():
-            rows.append(i)
-            cols.append(stem_vocab[s])
-            data.append(float(c))
-    matrix = sp.csc_array(
-        (np.array(data), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(bundle.n, len(stem_vocab)),
-    )
+    """Count stems per resource, rows in resource-index order.
+
+    ``tokenize`` stems each distinct token once (``stem`` is cached).  Each
+    stem gets an id on first sight; one array pass maps the ids to columns
+    of the sorted vocabulary, and the duplicate (row, column) pairs of a
+    COO matrix are summed into canonical CSC counts.
+    """
+    ids: dict[str, int] = {}
+    token_ids: list[int] = []
+    lengths: list[int] = []
+    for text in bundle.texts:
+        stems = tokenize(text)
+        lengths.append(len(stems))
+        token_ids.extend([ids.setdefault(s, len(ids)) for s in stems])
+    stem_vocab = {s: j for j, s in enumerate(sorted(ids))}
+    column_of_id = np.array([stem_vocab[s] for s in ids], dtype=np.int64)
+    cols = column_of_id[np.array(token_ids, dtype=np.int64)]
+    rows = np.repeat(np.arange(bundle.n, dtype=np.int64), lengths)
+    matrix = sp.coo_array(
+        (np.ones(cols.size), (rows, cols)), shape=(bundle.n, len(stem_vocab))
+    ).tocsc()
+    matrix.sum_duplicates()
     matrix.sort_indices()
     return ResourceTextMatrix(counts=matrix, stem_vocab=stem_vocab)
 

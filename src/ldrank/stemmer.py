@@ -6,9 +6,19 @@ step functions follow the algorithm's structure closely so they can be
 checked against it line by line.
 
 Words are assumed to be lowercase; ``stem`` lowercases defensively.
+
+``stem`` is a pure function of its argument, so it is memoised with an LRU
+cache of ``STEM_CACHE_SIZE`` entries: a text matrix stems each distinct
+token once, and a long-lived process holds at most that many words.
 """
 
 from __future__ import annotations
+
+import functools
+
+# Entries kept by the ``stem`` cache: well above the distinct tokens of one
+# corpus (a few thousand), small enough to bound a long-lived process.
+STEM_CACHE_SIZE = 1 << 16
 
 _VOWELS = frozenset("aeiouy")
 # Doubles that trigger undoubling after removal of -ed/-ing style suffixes.
@@ -252,8 +262,9 @@ def _step5(word: str, r1: int, r2: int) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=STEM_CACHE_SIZE)
 def stem(word: str) -> str:
-    """Stem one English word.
+    """Stem one English word (cached; see the module docstring).
 
     Words of one or two characters, and tokens with no alphabetic
     structure to speak of (digits, codes), come back unchanged.

@@ -6,9 +6,24 @@ instead of power iterations, literal pair enumeration instead of
 coincidence counting, plain Python loops instead of vectorized updates.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
+
+
+# ---------------------------------------------------------------- texts
+
+def stem_counts_by_counter(texts, tokenize_fn):
+    """Sorted stem vocabulary and the dense texts-by-stems count matrix,
+    from one Counter per text."""
+    per_text = [Counter(tokenize_fn(text)) for text in texts]
+    vocab = sorted(set().union(*per_text))
+    col = {s: j for j, s in enumerate(vocab)}
+    dense = np.zeros((len(texts), len(vocab)))
+    for i, counts in enumerate(per_text):
+        for s, c in counts.items():
+            dense[i, col[s]] = c
+    return vocab, dense
 
 
 # ---------------------------------------------------------------- walks
@@ -212,13 +227,7 @@ def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
     info_need = set(bundle.query)
     info_need.add(int(np.argmax(hit)))
 
-    vocab = sorted({s for text in bundle.texts for s in tokenize_fn(text)})
-    col = {s: j for j, s in enumerate(vocab)}
-    counts = np.zeros((n, len(vocab)))
-    for i, text in enumerate(bundle.texts):
-        for s in tokenize_fn(text):
-            counts[i, col[s]] += 1.0
-
+    _vocab, counts = stem_counts_by_counter(bundle.texts, tokenize_fn)
     latent = latent_prior_by_dense_svd(counts, info_need, k, stress)
     final = consensus_mean_by_loops([hit, latent, equi], damping, epsilon)
 

@@ -163,11 +163,22 @@ def test_rank_ndim_below_one_is_input_error(basic_dir, capsys):
 ])
 def test_bad_flag_is_reported_before_any_file_is_read(tmp_path, capsys, flags, field):
     absent = str(tmp_path / "absent.tsv")
-    for argv in (["rank", absent, absent, absent, absent], ["eval", absent, "--cutoffs", "1"]):
-        assert main(argv + list(flags)) == 1
+    # eval runs every strategy and takes no --strategy.
+    eval_flags = flags[2:] if flags[0] == "--strategy" else flags
+    for argv in (["rank", absent, absent, absent, absent, *flags],
+                 ["eval", absent, "--cutoffs", "1", *eval_flags]):
+        assert main(argv) == 1
         err = capsys.readouterr().err
         assert f"error: {field} " in err
         assert "absent.tsv" not in err
+
+
+def test_eval_rejects_strategy_flag(basic_dir, capsys):
+    argv = ["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "1", "--strategy", "HIT"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: unrecognized arguments: --strategy HIT" in captured.err
 
 
 def test_overflowing_stress_is_input_error(basic_dir, capsys):

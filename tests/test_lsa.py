@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldrank import (
     ConvergenceError,
@@ -88,6 +90,35 @@ def test_empty_texts_give_empty_rows():
     bundle = assemble_bundle([], {"x": "", "y": "words here"}, [], set())
     m = build_text_matrix(bundle)
     assert m.counts.toarray()[0].sum() == 0.0
+
+
+# Stopwords, one-letter tokens, mixed case, digits, underscores, non-ASCII
+# letters (some change length when lowercased) and repeated inflections.
+_PIECES = (
+    "the", "and", "of", "a", "x", "I", "Running", "runs", "runner", "RIVER",
+    "rivers", "River's", "x86", "2024", "alpha_beta", "Snake_Case_42",
+    "café", "Straße", "naïve", "東京", "İstanbul", "ÆON",
+)
+_TEXT = st.lists(st.sampled_from(_PIECES) | st.text(max_size=6), max_size=10).map(" ".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TEXT, min_size=1, max_size=6))
+@example(["", "the and of", "a x I"])
+@example(["Running runs RIVER", "rivers running", "river"])
+def test_text_matrix_matches_counter_oracle(texts):
+    bundle = assemble_bundle([], {f"r{i}": t for i, t in enumerate(texts)}, [], set())
+    m = build_text_matrix(bundle)
+    vocab, dense = oracles.stem_counts_by_counter(bundle.texts, tokenize)
+    assert list(m.stem_vocab) == vocab
+    assert m.stem_vocab == {s: j for j, s in enumerate(vocab)}
+    assert m.counts.shape == (len(texts), len(vocab))
+    assert np.array_equal(m.counts.toarray(), dense)
+    # Canonical CSC: row indices strictly increase within every column.
+    c = m.counts
+    assert c.has_canonical_format and c.has_sorted_indices
+    for j in range(c.shape[1]):
+        assert np.all(np.diff(c.indices[c.indptr[j]:c.indptr[j + 1]]) > 0)
 
 
 # ------------------------------------------------------------------ SVD

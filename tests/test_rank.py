@@ -277,16 +277,24 @@ _WORDS = ("river", "city", "museum", "bridge", "tower")
 
 
 @st.composite
-def _bundle_and_renaming(draw):
-    """Parsed primitives over resources r0..r{n-1} and an order-changing
-    renaming: resource ``ri`` becomes ``r{perm[i]}``."""
+def _bundle_parts(draw):
+    """Parsed primitives (texts, edges, serp, query) over resources
+    r0..r{n-1}."""
     n = draw(st.integers(min_value=2, max_value=7))
     node = st.integers(min_value=0, max_value=n - 1)
     texts = [" ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=5))) for _ in range(n)]
     edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
     serp = draw(st.lists(st.lists(node, unique=True, max_size=3), min_size=1, max_size=4))
     query = draw(st.sets(node, max_size=2))
-    perm = draw(st.permutations(range(n)).filter(lambda p: list(p) != sorted(p)))
+    return texts, edges, serp, query
+
+
+@st.composite
+def _bundle_and_renaming(draw):
+    """Bundle parts and an order-changing renaming: resource ``ri`` becomes
+    ``r{perm[i]}``."""
+    texts, edges, serp, query = draw(_bundle_parts())
+    perm = draw(st.permutations(range(len(texts))).filter(lambda p: list(p) != sorted(p)))
     return texts, edges, serp, query, perm
 
 
@@ -315,3 +323,25 @@ def test_relabelling_resources_permutes_ldrank_scores(case):
         a = pipeline.rank("LDRANK").scores.values
         b = ldrank(after).scores.values
     assert np.abs(b[list(perm)] - a).sum() < 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bundle_parts())
+def test_bidirectional_leaves_symmetric_graph_unchanged(parts):
+    texts, edges, serp, query = parts
+    symmetric = edges + [(o, s) for s, o in edges]
+    bundle = _assemble(texts, symmetric, serp, query, lambda i: f"r{i}")
+    plain, mirrored = build_graph(bundle), build_graph(bundle, bidirectional=True)
+    assert np.array_equal(plain.indptr, mirrored.indptr)
+    assert np.array_equal(plain.indices, mirrored.indices)
+    # Both walks take one LDRANK teleport: two runs of the SVD prior in one
+    # process can differ by rounding noise when ARPACK exhausts the Krylov
+    # space of a rank-deficient text matrix and restarts from its own
+    # random state.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        teleport = Pipeline(bundle).prior("LDRANK")
+        a = power_rank(plain, teleport, PipelineParams())
+        b = power_rank(mirrored, teleport, PipelineParams(bidirectional=True))
+    assert np.array_equal(a.scores.values, b.scores.values)
+    assert np.array_equal(a.order, b.order)

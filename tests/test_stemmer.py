@@ -1,4 +1,5 @@
-from ldrank.stemmer import stem
+from ldrank import build_text_matrix
+from ldrank.stemmer import STEM_CACHE_SIZE, stem
 
 # Frozen input/output pairs, each verified by hand against the algorithm
 # description (regions, longest-match, and the post-removal repairs).
@@ -107,3 +108,24 @@ def test_non_alpha_tokens_pass_through():
     assert stem("x86") == "x86"
     assert stem("2024") == "2024"
     assert stem("w123") == "w123"
+
+
+def test_cache_changes_no_stem():
+    assert stem.cache_info().maxsize == STEM_CACHE_SIZE
+    stem.cache_clear()
+    for _cold_then_warm in range(2):
+        for w in KNOWN:
+            assert stem(w) == stem.__wrapped__(w)
+    assert stem.cache_info().hits >= len(KNOWN)
+
+
+def test_text_matrix_same_bytes_with_cold_and_warm_cache(basic_bundle):
+    def arrays():
+        m = build_text_matrix(basic_bundle)
+        c = m.counts
+        return list(m.stem_vocab.items()), [
+            (a.dtype, a.tobytes()) for a in (c.data, c.indices, c.indptr)]
+
+    stem.cache_clear()
+    cold = arrays()
+    assert arrays() == cold
