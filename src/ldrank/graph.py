@@ -4,7 +4,8 @@ The walk structure ignores predicates entirely: an edge is a distinct
 (subject, object) pair.  ``ResourceGraph`` holds the edges as one
 compressed-sparse-row adjacency.  Dangling rows (no out-edges) are completed
 with a caller-supplied fill distribution at application time; the n-by-n
-stochastic matrix itself is never materialized densely.
+stochastic matrix itself is never materialized densely.  scipy is imported
+only where the operator is built, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .types import CorpusBundle, Distribution
 
@@ -97,6 +97,8 @@ class TransitionOperator:
                 f"fill distribution has length {len(dangling_fill)}, "
                 f"graph has {graph.n} resources"
             )
+        import scipy.sparse as sp
+
         n = graph.n
         degree = np.diff(graph.indptr)
         weights = np.repeat(1.0 / np.maximum(degree, 1), degree)

@@ -2,19 +2,32 @@
 
 A judgment set is a flat list of (item, worker, grade) records, at most one
 per item-worker pair, with grades on the 0..3 relevance scale and an
-optional per-record worker trust value in [0, 1].
+optional per-record worker trust value in [0, 1].  ``JudgmentSet`` holds
+the records as columns: the distinct item and worker ids in order of first
+use, one item code, worker code, grade and trust per record in file order,
+with NaN for a missing trust.
 
 ``krippendorff_alpha`` measures inter-rater reliability with a pluggable
 distance between grades; ``filter_workers`` drops workers who disagree too
 often with per-item majorities; ``majority_vote`` collapses the records to
-one grade per item.
+one grade per item.  All three work on the item-by-grade count matrix,
+built with one ``np.bincount``.
+
+``load_judgments`` parses fixed-size chunks of lines with one ``json.loads``
+per chunk.  A chunk that fails any check, and a file that is not valid
+UTF-8, is re-read by the per-line loop, which reports the first bad line
+as ``path:line: reason``; only the error path pays for per-line parsing.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+import math
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -37,6 +50,8 @@ __all__ = [
 #: Default majority-disagreement rate above which ``filter_workers`` drops a worker.
 FILTER_THRESHOLD = 0.412
 
+_N_GRADES = len(VALID_GRADES)
+
 
 @dataclass(frozen=True)
 class JudgmentRecord:
@@ -56,28 +71,158 @@ class JudgmentRecord:
 
 @dataclass(frozen=True, eq=False)
 class JudgmentSet:
-    """All records of one collection task; one record per item-worker pair."""
+    """All records of one collection task; one record per item-worker pair.
 
-    records: tuple[JudgmentRecord, ...]
+    ``item_codes[r]`` and ``worker_codes[r]`` index ``item_ids`` and
+    ``worker_ids``; every id is used by some record.  ``trust`` is NaN
+    where a record has none.  Construction checks the columns and rejects
+    a repeated item-worker pair, naming the first repeat in record order.
+    """
+
+    item_ids: tuple[str, ...]
+    worker_ids: tuple[str, ...]
+    item_codes: np.ndarray
+    worker_codes: np.ndarray
+    grades: np.ndarray
+    trust: np.ndarray
 
     def __post_init__(self):
-        seen = set()
-        for rec in self.records:
-            key = (rec.item, rec.worker)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate judgment for item {rec.item!r} by worker {rec.worker!r}"
-                )
-            seen.add(key)
+        columns = {
+            name: np.array(getattr(self, name), dtype=dtype)
+            for name, dtype in (
+                ("item_codes", np.intp),
+                ("worker_codes", np.intp),
+                ("grades", np.intp),
+                ("trust", np.float64),
+            )
+        }
+        n = columns["grades"].size
+        if any(col.shape != (n,) for col in columns.values()):
+            raise ValueError("record columns must be vectors of one length")
+        for what, ids, codes in (
+            ("item", self.item_ids, columns["item_codes"]),
+            ("worker", self.worker_ids, columns["worker_codes"]),
+        ):
+            if len(set(ids)) != len(ids):
+                raise ValueError(f"{what} ids must be distinct")
+            if n and (codes.min() < 0 or codes.max() >= len(ids)):
+                raise ValueError(f"{what} codes must index the {what} ids")
+            if np.count_nonzero(np.bincount(codes, minlength=len(ids))) != len(ids):
+                raise ValueError(f"every {what} id must have a record")
+        grades, trust = columns["grades"], columns["trust"]
+        bad = np.flatnonzero((grades < VALID_GRADES[0]) | (grades > VALID_GRADES[-1]))
+        if bad.size:
+            raise ValueError(
+                f"grade must be one of {VALID_GRADES}, got {int(grades[bad[0]])!r}"
+            )
+        bad = np.flatnonzero(~(np.isnan(trust) | ((trust >= 0.0) & (trust <= 1.0))))
+        if bad.size:
+            raise ValueError(f"trust must lie in [0, 1], got {float(trust[bad[0]])}")
 
-    def by_item(self) -> dict[str, list[JudgmentRecord]]:
-        grouped: dict[str, list[JudgmentRecord]] = defaultdict(list)
-        for rec in self.records:
-            grouped[rec.item].append(rec)
-        return dict(grouped)
+        items, workers = columns["item_codes"], columns["worker_codes"]
+        _, first = np.unique(items * len(self.worker_ids) + workers, return_index=True)
+        if first.size < n:
+            repeat = np.ones(n, dtype=bool)
+            repeat[first] = False
+            r = int(np.argmax(repeat))
+            raise ValueError(
+                f"duplicate judgment for item {self.item_ids[items[r]]!r} "
+                f"by worker {self.worker_ids[workers[r]]!r}"
+            )
+        for name, col in columns.items():
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    @classmethod
+    def from_records(cls, records: Iterable[JudgmentRecord]) -> "JudgmentSet":
+        """The set of ``records``, in their order."""
+        records = tuple(records)
+        columns = _Columns()
+        columns.extend(
+            [rec.item for rec in records],
+            [rec.worker for rec in records],
+            [rec.grade for rec in records],
+            [rec.trust for rec in records],
+        )
+        return columns.build()
+
+    @cached_property
+    def records(self) -> tuple[JudgmentRecord, ...]:
+        """One ``JudgmentRecord`` per record, built on first access."""
+        return tuple(
+            JudgmentRecord(
+                item=self.item_ids[i],
+                worker=self.worker_ids[w],
+                grade=g,
+                trust=None if math.isnan(t) else t,
+            )
+            for i, w, g, t in zip(
+                self.item_codes.tolist(),
+                self.worker_codes.tolist(),
+                self.grades.tolist(),
+                self.trust.tolist(),
+            )
+        )
 
     def workers(self) -> set[str]:
-        return {rec.worker for rec in self.records}
+        return set(self.worker_ids)
+
+    def grade_counts(self) -> np.ndarray:
+        """Items-by-grades matrix: how many records give item i grade g."""
+        keys = self.item_codes * _N_GRADES + self.grades
+        return np.bincount(keys, minlength=len(self.item_ids) * _N_GRADES).reshape(
+            -1, _N_GRADES
+        )
+
+    def subset(self, keep: np.ndarray) -> "JudgmentSet":
+        """The records where ``keep`` is true, ids recoded by first use."""
+        item_ids, item_codes = _recode(self.item_ids, self.item_codes[keep])
+        worker_ids, worker_codes = _recode(self.worker_ids, self.worker_codes[keep])
+        return JudgmentSet(
+            item_ids, worker_ids, item_codes, worker_codes,
+            self.grades[keep], self.trust[keep],
+        )
+
+
+def _codes(index: dict[str, int], names: list) -> np.ndarray:
+    """Codes of ``names`` in ``index``, adding new names in order of first use."""
+    for name in dict.fromkeys(names):
+        index.setdefault(name, len(index))
+    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
+
+
+def _recode(ids: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """Drop the ids ``codes`` does not use; renumber the rest by first use."""
+    used, first = np.unique(codes, return_index=True)
+    used = used[np.argsort(first)]
+    renumber = np.zeros(len(ids), dtype=np.intp)
+    renumber[used] = np.arange(used.size)
+    return tuple(ids[c] for c in used.tolist()), renumber[codes]
+
+
+class _Columns:
+    """Record columns under construction, ids coded in order of first use."""
+
+    def __init__(self):
+        self.item_index: dict[str, int] = {}
+        self.worker_index: dict[str, int] = {}
+        self.parts: list[tuple[np.ndarray, ...]] = []
+
+    def extend(self, items, workers, grades, trust) -> None:
+        """Append records; a ``None`` trust becomes NaN."""
+        self.parts.append((
+            _codes(self.item_index, items),
+            _codes(self.worker_index, workers),
+            np.array(grades, dtype=np.intp),
+            np.array(trust, dtype=np.float64),
+        ))
+
+    def build(self) -> JudgmentSet:
+        if self.parts:
+            columns = [np.concatenate(col) for col in zip(*self.parts)]
+        else:
+            columns = [np.zeros(0, dtype=np.intp)] * 3 + [np.zeros(0)]
+        return JudgmentSet(tuple(self.item_index), tuple(self.worker_index), *columns)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,23 +282,19 @@ def krippendorff_alpha(
     zero expected disagreement (every pooled grade identical) does too.
     """
     distance = distance or GradeDistance.relevance_scale()
-    pairable = [
-        [rec.grade for rec in recs]
-        for recs in judgments.by_item().values()
-        if len(recs) >= 2
-    ]
-    if not pairable:
+    counts = judgments.grade_counts().astype(np.float64)
+    m = counts.sum(axis=1)
+    counts, m = counts[m >= 2], m[m >= 2]
+    if not m.size:
         raise ValueError("no item has two or more judgments; alpha is undefined")
 
-    n_grades = len(VALID_GRADES)
-    coincidence = np.zeros((n_grades, n_grades))
-    for grades in pairable:
-        m = len(grades)
-        counts = np.bincount(grades, minlength=n_grades).astype(np.float64)
-        # Ordered within-item pairs (g, h) with distinct raters, spread over
-        # the m - 1 possible partners.
-        pair_counts = np.outer(counts, counts) - np.diag(counts)
-        coincidence += pair_counts / (m - 1)
+    # Ordered within-item pairs (g, h) with distinct raters, spread over
+    # the m - 1 possible partners.  The sum runs over items in order, one
+    # item at a time, as a per-item loop would add them.
+    pair_counts = counts[:, :, None] * counts[:, None, :]
+    diagonal = np.arange(_N_GRADES)
+    pair_counts[:, diagonal, diagonal] -= counts
+    coincidence = (pair_counts / (m - 1.0)[:, None, None]).sum(axis=0)
 
     total = coincidence.sum()
     margins = coincidence.sum(axis=0)
@@ -164,6 +305,11 @@ def krippendorff_alpha(
     if expected == 0.0:
         return 1.0
     return 1.0 - observed / expected
+
+
+def _tied_top_grades(counts: np.ndarray) -> np.ndarray:
+    """Per item, a boolean row marking the grades with the most votes."""
+    return counts == counts.max(axis=1, keepdims=True)
 
 
 def filter_workers(judgments: JudgmentSet, threshold: float = FILTER_THRESHOLD) -> JudgmentSet:
@@ -178,30 +324,17 @@ def filter_workers(judgments: JudgmentSet, threshold: float = FILTER_THRESHOLD) 
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
 
-    majority: dict[str, int] = {}
-    for item, recs in judgments.by_item().items():
-        counts = Counter(rec.grade for rec in recs)
-        top = counts.most_common()
-        if len(top) == 1 or top[0][1] > top[1][1]:
-            majority[item] = top[0][0]
-
-    judged = defaultdict(int)
-    against = defaultdict(int)
-    for rec in judgments.records:
-        if rec.item not in majority:
-            continue
-        judged[rec.worker] += 1
-        if rec.grade != majority[rec.item]:
-            against[rec.worker] += 1
-
-    dropped = {
-        worker
-        for worker in judgments.workers()
-        if judged[worker] and against[worker] / judged[worker] > threshold
-    }
-    return JudgmentSet(
-        records=tuple(rec for rec in judgments.records if rec.worker not in dropped)
-    )
+    counts = judgments.grade_counts()
+    has_majority = _tied_top_grades(counts).sum(axis=1) == 1
+    majority = np.argmax(counts, axis=1)
+    items, workers = judgments.item_codes, judgments.worker_codes
+    judged = has_majority[items]
+    against = judged & (judgments.grades != majority[items])
+    n_workers = len(judgments.worker_ids)
+    n_judged = np.bincount(workers[judged], minlength=n_workers)
+    n_against = np.bincount(workers[against], minlength=n_workers)
+    rate = np.divide(n_against, n_judged, out=np.zeros(n_workers), where=n_judged > 0)
+    return judgments.subset(~(rate > threshold)[workers])
 
 
 def majority_vote(
@@ -218,39 +351,137 @@ def majority_vote(
         raise ValueError(
             f'tie_break must be "highest-value" or "mean-trust", got {tie_break!r}'
         )
+    trust = judgments.trust
     if tie_break == "mean-trust":
-        for rec in judgments.records:
-            if rec.trust is None:
-                raise ValueError(
-                    f"mean-trust tie-breaking needs trust values; record for item "
-                    f"{rec.item!r} by worker {rec.worker!r} has none"
-                )
+        missing = np.flatnonzero(np.isnan(trust))
+        if missing.size:
+            r = missing[0]
+            raise ValueError(
+                f"mean-trust tie-breaking needs trust values; record for item "
+                f"{judgments.item_ids[judgments.item_codes[r]]!r} by worker "
+                f"{judgments.worker_ids[judgments.worker_codes[r]]!r} has none"
+            )
 
-    grades: dict[str, int] = {}
-    for item, recs in judgments.by_item().items():
-        counts = Counter(rec.grade for rec in recs)
-        best = max(counts.values())
-        tied = sorted(g for g, c in counts.items() if c == best)
-        if len(tied) == 1 or tie_break == "highest-value":
-            grades[item] = tied[-1]
-            continue
-        mean_trust = {
-            g: float(np.mean([rec.trust for rec in recs if rec.grade == g]))
-            for g in tied
-        }
-        top_trust = max(mean_trust.values())
-        grades[item] = max(g for g in tied if mean_trust[g] == top_trust)
-    return RelevanceJudgments(grades=grades)
+    counts = judgments.grade_counts()
+    tied = _tied_top_grades(counts)
+    top = _N_GRADES - 1 - np.argmax(tied[:, ::-1], axis=1)
+    split = np.flatnonzero(tied.sum(axis=1) > 1)
+    if tie_break == "mean-trust" and split.size:
+        # Each item's records, in record order.
+        by_item = np.argsort(judgments.item_codes, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+        for i in split.tolist():
+            recs = by_item[starts[i]:starts[i + 1]]
+            grades, supporters = judgments.grades[recs], trust[recs]
+            candidates = np.flatnonzero(tied[i]).tolist()
+            mean_trust = {
+                g: float(np.mean(supporters[grades == g])) for g in candidates
+            }
+            top_trust = max(mean_trust.values())
+            top[i] = max(g for g in candidates if mean_trust[g] == top_trust)
+    return RelevanceJudgments(grades=dict(zip(judgments.item_ids, top.tolist())))
+
+
+#: Lines per ``json.loads`` call; bounds the text and objects held at once.
+_CHUNK_LINES = 4096
+_JSON_SPACE = " \t\n\r"
+_TRUST_TYPES = frozenset({float, int, bool, type(None)})
 
 
 def load_judgments(path) -> JudgmentSet:
     """Read a JSON Lines judgments file.
 
     Each line is an object with string ``item`` and ``worker``, integer
-    ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].
+    ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].  Lines are
+    parsed in chunks; a chunk that fails any check is re-read line by line,
+    so errors name the same line and reason as a per-line parse would.
     """
-    records = []
-    for line_no, raw in read_lines(path):
+    columns = _Columns()
+    try:
+        # Universal newlines, as ``read_lines`` reads them: \r\n and \r
+        # become \n, so no line holds a line break before its end.
+        with open(path, encoding="utf-8") as fh:
+            line_no = 1
+            while chunk := list(islice(fh, _CHUNK_LINES)):
+                columns.extend(*_parse_chunk(path, line_no, chunk))
+                line_no += len(chunk)
+    except UnicodeDecodeError:
+        # A format error on a line before the undecodable bytes comes
+        # first; the per-line loop finds it, or raises the decoding error.
+        deque(_records_by_line(path, read_lines(path)), maxlen=0)
+        raise
+    try:
+        return columns.build()
+    except ValueError as exc:
+        raise InputFormatError(path, 0, str(exc)) from exc
+
+
+def _parse_chunk(path, first_line_no: int, lines: list[str]):
+    """Item, worker, grade and trust columns of a chunk of raw lines."""
+    body = [raw.strip(_JSON_SPACE) for raw in lines if not raw.isspace()]
+    text = ",\n".join(body)
+    # One "{" and one "}" per line, at its two ends, so every line holds
+    # exactly one object and no object spans lines.
+    n = len(body)
+    if (
+        n
+        and text[0] == "{"
+        and text[-1] == "}"
+        and text.count("},\n{") == n - 1
+        and text.count("{") == n
+        and text.count("}") == n
+    ):
+        try:
+            objects = json.loads(f"[{text}]")
+        except ValueError:
+            objects = None
+        if objects is not None and len(objects) == n:
+            fields = _checked_fields(objects)
+            if fields is not None:
+                return fields
+    records = list(
+        _records_by_line(
+            path, enumerate((raw.rstrip("\n") for raw in lines), first_line_no)
+        )
+    )
+    return (
+        [rec.item for rec in records],
+        [rec.worker for rec in records],
+        [rec.grade for rec in records],
+        [rec.trust for rec in records],
+    )
+
+
+def _checked_fields(objects: list[dict]):
+    """The four fields of every object, or None if any fails a check."""
+    items = [obj.get("item") for obj in objects]
+    workers = [obj.get("worker") for obj in objects]
+    grades = [obj.get("grade") for obj in objects]
+    trusts = [obj.get("trust") for obj in objects]
+    for names in (items, workers):
+        if set(map(type, names)) != {str} or "" in names:
+            return None
+    if set(map(type, grades)) != {int} or not set(grades) <= set(VALID_GRADES):
+        return None
+    if not _TRUST_TYPES.issuperset(map(type, trusts)):
+        return None
+    try:
+        trust = np.array(trusts, dtype=np.float64)
+    except OverflowError:
+        return None
+    # A missing trust is NaN; any other value outside [0, 1] fails.
+    if np.count_nonzero(~((trust >= 0.0) & (trust <= 1.0))) != trusts.count(None):
+        return None
+    return items, workers, grades, trust
+
+
+def _records_by_line(path, numbered_lines):
+    """Validate ``(line_no, line)`` pairs one line at a time.
+
+    Yields one ``JudgmentRecord`` per non-blank line and raises
+    ``InputFormatError`` at the first bad line.
+    """
+    for line_no, raw in numbered_lines:
         if not raw.strip():
             continue
         try:
@@ -272,20 +503,14 @@ def load_judgments(path) -> JudgmentSet:
         if trust is not None and not isinstance(trust, (int, float)):
             raise InputFormatError(path, line_no, 'field "trust" must be numeric')
         try:
-            records.append(
-                JudgmentRecord(
-                    item=item,
-                    worker=worker,
-                    grade=grade,
-                    trust=None if trust is None else float(trust),
-                )
-            )
+            trust = None if trust is None else float(trust)
+        except OverflowError as exc:
+            raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
+        try:
+            record = JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
         except ValueError as exc:
             raise InputFormatError(path, line_no, str(exc)) from exc
-    try:
-        return JudgmentSet(records=tuple(records))
-    except ValueError as exc:
-        raise InputFormatError(path, 0, str(exc)) from exc
+        yield record
 
 
 def load_qrels(path) -> RelevanceJudgments:

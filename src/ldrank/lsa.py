@@ -6,7 +6,9 @@ is cached, so each distinct token is stemmed once.  The counts are built in
 one pass over token-id arrays, COO pairs summed into a sparse
 resources-by-stems matrix in compressed-column storage; its rank-k SVD gives
 every resource a k-dimensional coordinate vector whose length measures how
-much of the resource's text mass survives the truncation.
+much of the resource's text mass survives the truncation.  scipy is
+imported inside the functions that use it, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from .stemmer import stem
 from .types import CorpusBundle
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "ResourceTextMatrix",
@@ -111,6 +114,8 @@ def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
     of the sorted vocabulary, and the duplicate (row, column) pairs of a
     COO matrix are summed into canonical CSC counts.
     """
+    import scipy.sparse as sp
+
     ids: dict[str, int] = {}
     token_ids: list[int] = []
     lengths: list[int] = []
@@ -167,6 +172,9 @@ def sparse_svd(matrix: ResourceTextMatrix, k: int) -> SvdResult:
     dense factorization, which is exact.  Any ARPACK failure is raised as
     ``ConvergenceError`` carrying ARPACK's message.
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     m, n = matrix.counts.shape
     limit = min(m, n)
     if not 1 <= k <= limit:

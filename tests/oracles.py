@@ -205,6 +205,89 @@ def records_to_item_grades(records):
     return dict(grouped)
 
 
+def _records_by_item(records):
+    grouped = defaultdict(list)
+    for rec in records:
+        grouped[rec.item].append(rec)
+    return dict(grouped)
+
+
+def alpha_by_item_loop(records, table):
+    """Agreement coefficient, one item's coincidences added at a time."""
+    pairable = [
+        [rec.grade for rec in recs]
+        for recs in _records_by_item(records).values()
+        if len(recs) >= 2
+    ]
+    if not pairable:
+        raise ValueError("no item has two or more judgments; alpha is undefined")
+    coincidence = np.zeros((4, 4))
+    for grades in pairable:
+        m = len(grades)
+        counts = np.bincount(grades, minlength=4).astype(np.float64)
+        coincidence += (np.outer(counts, counts) - np.diag(counts)) / (m - 1)
+    total = coincidence.sum()
+    margins = coincidence.sum(axis=0)
+    observed = float((coincidence * table).sum()) / total
+    expected = float((np.outer(margins, margins) * table).sum()) / (
+        total * (total - 1.0)
+    )
+    if expected == 0.0:
+        return 1.0
+    return 1.0 - observed / expected
+
+
+def kept_records_by_counter(records, threshold):
+    """Records of the workers whose rate against strict per-item majorities
+    is at most ``threshold``, majorities taken over all records."""
+    majority = {}
+    for item, recs in _records_by_item(records).items():
+        top = Counter(rec.grade for rec in recs).most_common()
+        if len(top) == 1 or top[0][1] > top[1][1]:
+            majority[item] = top[0][0]
+    judged = defaultdict(int)
+    against = defaultdict(int)
+    for rec in records:
+        if rec.item not in majority:
+            continue
+        judged[rec.worker] += 1
+        if rec.grade != majority[rec.item]:
+            against[rec.worker] += 1
+    dropped = {
+        worker
+        for worker in {rec.worker for rec in records}
+        if judged[worker] and against[worker] / judged[worker] > threshold
+    }
+    return [rec for rec in records if rec.worker not in dropped]
+
+
+def majority_grades_by_counter(records, tie_break):
+    """Item -> modal grade, items in order of first record; ties to the
+    highest grade, or to the highest mean trust of the supporters."""
+    if tie_break == "mean-trust":
+        for rec in records:
+            if rec.trust is None:
+                raise ValueError(
+                    f"mean-trust tie-breaking needs trust values; record for item "
+                    f"{rec.item!r} by worker {rec.worker!r} has none"
+                )
+    grades = {}
+    for item, recs in _records_by_item(records).items():
+        counts = Counter(rec.grade for rec in recs)
+        best = max(counts.values())
+        tied = sorted(g for g, c in counts.items() if c == best)
+        if len(tied) == 1 or tie_break == "highest-value":
+            grades[item] = tied[-1]
+            continue
+        mean_trust = {
+            g: float(np.mean([rec.trust for rec in recs if rec.grade == g]))
+            for g in tied
+        }
+        top_trust = max(mean_trust.values())
+        grades[item] = max(g for g in tied if mean_trust[g] == top_trust)
+    return grades
+
+
 # ---------------------------------------------------------------- pipeline
 
 def hit_weights_by_loop(serp_docs_total, occurrences, n):

@@ -247,12 +247,10 @@ def test_criterion_07_agreement_matches_pair_enumeration():
     """Perfect agreement yields exactly 1.0; on 100 random judgment sets
     the coincidence-matrix route agrees with literal ordered-pair
     enumeration within 1e-10."""
-    perfect = JudgmentSet(
-        records=tuple(
-            JudgmentRecord(item=f"i{k}", worker=f"w{w}", grade=k % 4)
-            for k in range(5)
-            for w in range(3)
-        )
+    perfect = JudgmentSet.from_records(
+        JudgmentRecord(item=f"i{k}", worker=f"w{w}", grade=k % 4)
+        for k in range(5)
+        for w in range(3)
     )
     assert krippendorff_alpha(perfect) == 1.0
 
@@ -268,7 +266,7 @@ def test_criterion_07_agreement_matches_pair_enumeration():
                         item=f"i{k}", worker=f"w{w}", grade=int(rng.integers(0, 4))
                     )
                 )
-        judgments = JudgmentSet(records=tuple(records))
+        judgments = JudgmentSet.from_records(records)
         got = krippendorff_alpha(judgments)
         want = oracles.alpha_by_pair_enumeration(
             oracles.records_to_item_grades(records), table

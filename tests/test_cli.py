@@ -61,6 +61,21 @@ def test_eval_matches_golden_output(basic_dir, capsys):
     assert capsys.readouterr().out.encode("utf-8") == want
 
 
+# The judgments fixture has a split vote that trust decides (Museum), a
+# mean-trust tie (City), a worker above the 0.412 filter threshold (w4) and
+# a single-judgment item (Europe).
+@pytest.mark.parametrize("command, flags, golden", [
+    ("agg", [], "agg.tsv"),
+    ("agg", ["--filter-threshold", "--tie-break", "mean-trust"], "agg_filter_mean_trust.tsv"),
+    ("alpha", [], "alpha.txt"),
+    ("alpha", ["--filter-threshold"], "alpha_filter.txt"),
+])
+def test_judgments_commands_match_golden_output(basic_dir, capsys, command, flags, golden):
+    assert main([command, str(basic_dir / "judgments.jsonl"), *flags]) == 0
+    want = (basic_dir / "expected" / golden).read_bytes()
+    assert capsys.readouterr().out.encode("utf-8") == want
+
+
 def test_rank_byte_identical_across_runs(basic_dir, capsys):
     assert main(_rank_args(basic_dir)) == 0
     first = capsys.readouterr().out
@@ -381,3 +396,24 @@ def test_module_entry_point(basic_dir):
     lines = proc.stdout.splitlines()
     assert len(lines) == 6
     assert lines[0].count("\t") == 2
+
+
+def test_judgments_commands_never_import_scipy(basic_dir):
+    # scipy is imported only by the functions that build sparse matrices,
+    # so importing the CLI and running agg or alpha never pays for it.
+    judgments = str(basic_dir / "judgments.jsonl")
+    script = f"""
+import contextlib, io, sys
+import ldrank.cli
+loaded = ["scipy" in sys.modules]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["alpha", {judgments!r}], ["agg", {judgments!r}], {_rank_args(basic_dir)!r}):
+        assert ldrank.cli.main(argv) == 0
+        loaded.append("scipy" in sys.modules)
+print(loaded)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False, True]\n"

@@ -1,6 +1,12 @@
+import json
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ldrank.judgments as judgments_module
 from ldrank import (
     GradeDistance,
     InputFormatError,
@@ -14,16 +20,15 @@ from ldrank import (
     load_qrels,
     majority_vote,
 )
+from ldrank.types import read_lines
 
 import oracles
 
 
 def _js(rows):
-    return JudgmentSet(
-        records=tuple(
-            JudgmentRecord(item=i, worker=w, grade=g, trust=t)
-            for i, w, g, t in (row if len(row) == 4 else (*row, None) for row in rows)
-        )
+    return JudgmentSet.from_records(
+        JudgmentRecord(item=i, worker=w, grade=g, trust=t)
+        for i, w, g, t in (row if len(row) == 4 else (*row, None) for row in rows)
     )
 
 
@@ -293,3 +298,271 @@ def test_load_qrels_validation(tmp_path):
     path.write_text("a 1\n")
     with pytest.raises(InputFormatError):
         load_qrels(path)
+
+
+# ------------------------------------------------- columns against oracles
+
+_TRUSTS = (None, 0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+@st.composite
+def _record_lists(draw):
+    """Random record lists over few items and workers: split votes,
+    single-judgment items and equal supporter trusts come up often, and
+    half the lists have a trust on every record."""
+    trust = st.sampled_from(_TRUSTS[1:] if draw(st.booleans()) else _TRUSTS)
+    n_items = draw(st.integers(1, 5))
+    n_workers = draw(st.integers(1, 6))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_items - 1), st.integers(0, n_workers - 1)),
+            min_size=1, max_size=24, unique=True,
+        )
+    )
+    return [
+        JudgmentRecord(
+            item=f"i{i}", worker=f"w{w}",
+            grade=draw(st.integers(0, 3)), trust=draw(trust),
+        )
+        for i, w in pairs
+    ]
+
+
+# Rates are small fractions, so drawing thresholds among them puts some
+# workers exactly at the threshold.
+_THRESHOLDS = sorted({k / d for d in range(1, 7) for k in range(d + 1)} | {0.412})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists(), st.sampled_from(_THRESHOLDS))
+def test_filter_workers_matches_counter_oracle(records, threshold):
+    filtered = filter_workers(JudgmentSet.from_records(records), threshold)
+    assert filtered.records == tuple(oracles.kept_records_by_counter(records, threshold))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists(), st.sampled_from(["highest-value", "mean-trust"]))
+def test_majority_vote_matches_counter_oracle(records, tie_break):
+    judgments = JudgmentSet.from_records(records)
+    try:
+        want = oracles.majority_grades_by_counter(records, tie_break)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            majority_vote(judgments, tie_break)
+        assert str(got.value) == str(exc)
+        return
+    got = majority_vote(judgments, tie_break).grades
+    assert list(got.items()) == list(want.items())
+
+
+def test_filter_workers_rate_exactly_at_threshold_kept():
+    # Worker x disagrees with a strict majority on `against` of `judged`
+    # items and the threshold is that very quotient: x stays, as
+    # against / judged > threshold is false.  (A multiplied form such as
+    # against > threshold * judged would drop x at 15/22.)
+    for judged in range(1, 41):
+        for against in range(judged + 1):
+            rows = [(f"i{k}", w, 1) for k in range(judged) for w in ("p", "q")]
+            rows += [(f"i{k}", "x", 2 if k < against else 1) for k in range(judged)]
+            js = _js(rows)
+            threshold = against / judged
+            filtered = filter_workers(js, threshold)
+            assert "x" in filtered.workers(), (against, judged)
+            assert filtered.records == tuple(
+                oracles.kept_records_by_counter(js.records, threshold)
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=8, max_size=24).flatmap(
+        lambda trusts: st.tuples(st.just(trusts), st.permutations(trusts))
+    )
+)
+def test_majority_vote_mean_trust_rounds_like_np_mean(trusts_pair):
+    # Two grades tie with the same trust values in different orders: the
+    # means agree up to rounding, so the winner depends on summing each
+    # grade's supporters with np.mean in record order.
+    first, second = trusts_pair
+    rows = [("i", f"a{k}", 1, t) for k, t in enumerate(first)]
+    rows += [("i", f"b{k}", 2, t) for k, t in enumerate(second)]
+    got = majority_vote(_js(rows), tie_break="mean-trust").grades
+    assert got == oracles.majority_grades_by_counter(_js(rows).records, "mean-trust")
+
+
+def test_majority_vote_names_first_record_without_trust():
+    js = _js([("i1", "w1", 1, 0.5), ("i2", "w2", 2), ("i1", "w3", 3)])
+    with pytest.raises(ValueError, match="item 'i2' by worker 'w2' has none"):
+        majority_vote(js, tie_break="mean-trust")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_record_lists(), st.sampled_from([None, *_THRESHOLDS]))
+def test_alpha_matches_item_loop_oracle(records, threshold):
+    judgments = JudgmentSet.from_records(records)
+    if threshold is not None:
+        judgments = filter_workers(judgments, threshold)
+        records = oracles.kept_records_by_counter(records, threshold)
+    table = GradeDistance.relevance_scale().table
+    try:
+        want = oracles.alpha_by_item_loop(records, table)
+    except ValueError:
+        with pytest.raises(ValueError):
+            krippendorff_alpha(judgments)
+        return
+    assert krippendorff_alpha(judgments) == pytest.approx(want, abs=1e-10)
+
+
+def test_judgment_set_columns_round_trip():
+    rows = [("b", "w2", 1, 0.5), ("a", "w1", 3, None), ("b", "w1", 0, 1.0)]
+    js = _js(rows)
+    assert js.item_ids == ("b", "a")
+    assert js.worker_ids == ("w2", "w1")
+    assert js.item_codes.tolist() == [0, 1, 0]
+    assert js.worker_codes.tolist() == [0, 1, 1]
+    assert js.grades.tolist() == [1, 3, 0]
+    assert np.isnan(js.trust[1]) and js.trust[[0, 2]].tolist() == [0.5, 1.0]
+    assert js.grade_counts().tolist() == [[1, 1, 0, 0], [0, 0, 0, 1]]
+    assert [tuple(vars(rec).values()) for rec in js.records] == rows
+    with pytest.raises(ValueError):
+        js.grades[0] = 2
+
+
+def test_judgment_set_duplicate_names_first_repeat():
+    with pytest.raises(ValueError, match="item 'i2' by worker 'w1'"):
+        _js([("i2", "w1", 1), ("i1", "w1", 2), ("i2", "w1", 3), ("i1", "w1", 0)])
+
+
+# ------------------------------------------------ chunked parse vs line loop
+
+
+def _load_line_by_line(path):
+    """The per-line loop over the whole file, as ``load_judgments`` ran it
+    before chunking."""
+    records = list(judgments_module._records_by_line(path, read_lines(path)))
+    try:
+        return JudgmentSet.from_records(records)
+    except ValueError as exc:
+        raise InputFormatError(path, 0, str(exc)) from exc
+
+
+def _outcome(load, path):
+    try:
+        js = load(path)
+    except ValueError as exc:  # InputFormatError, or json's digit limit
+        return type(exc), str(exc)
+    return (
+        js.item_ids, js.worker_ids, js.item_codes.tolist(), js.worker_codes.tolist(),
+        js.grades.tolist(), [None if t != t else t for t in js.trust.tolist()],
+    )
+
+
+def _mostly(valid, flawed):
+    """Draw from ``valid`` nine times in ten, else from ``flawed``, so most
+    lines parse and a flaw is seldom hidden behind an earlier one."""
+    return st.integers(0, 9).flatmap(lambda k: flawed if k == 0 else valid)
+
+
+_NAMES = _mostly(
+    st.sampled_from(["a", "b", "c", "a\x85b", "p\u2028q", "x y"]),
+    st.sampled_from(["", 7, None, True, "{b}", "[c]", "e\x1cf"]),
+)
+_GRADES = _mostly(
+    st.sampled_from([0, 1, 2, 3]),
+    st.sampled_from([True, False, 2.0, -1, 4, 10**30, 10**400, "1", None]),
+)
+_TRUST_VALUES = _mostly(
+    st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 0, 1, True, False, None]),
+    st.sampled_from([float("nan"), float("inf"), -0.5, 1.5, 10**400, "0.5", [0.5]]),
+)
+
+
+@st.composite
+def _objects(draw):
+    obj = {"item": draw(_NAMES), "worker": draw(_NAMES), "grade": draw(_GRADES)}
+    if draw(st.booleans()):
+        obj["trust"] = draw(_TRUST_VALUES)
+    if not draw(st.integers(0, 19)):
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    if not draw(st.integers(0, 19)):
+        obj["meta"] = {"tags": [1, {"x": "}"}]}
+    separators = draw(st.sampled_from([None, (",", ":")]))
+    return json.dumps(obj, ensure_ascii=False, separators=separators)
+
+
+_MERGED_A = '{"item": "a", "worker": "w1", "grade": 1, "z": [{}'
+_MERGED_B = '{}]}'
+_CUT_A = '{"item": "a", "worker": "w2"'
+_CUT_B = '"grade": 1}'
+_TWO = '{"item": "b", "worker": "w3", "grade": 2}, {"item": "c", "worker": "w3", "grade": 2}'
+
+_LINES = _mostly(
+    _objects(),
+    st.one_of(
+        st.sampled_from([
+            "", "   ", "\t", "\x1c", "\x85", "\u2028", " \x85 ",
+            "not json", "{", "}", "[1]", "3", '"s"', "null", "NaN",
+            "\x85" + '{"item": "a", "worker": "w", "grade": 1}',
+            '{"item": "a",\x1c "worker": "w", "grade": 1}',
+            '{"item": "a\x1cb", "worker": "w", "grade": 1}',
+            _MERGED_A, _MERGED_B, _CUT_A, _CUT_B, _TWO,
+            "9" * 5000,
+        ]),
+        st.tuples(_objects(), _objects()).map(", ".join),
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(_LINES, max_size=14),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=14, max_size=14),
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 4096]),
+)
+@example(  # a duplicate pair, then a format error: the format error wins
+    lines=[
+        '{"item": "a", "worker": "w", "grade": 1}',
+        '{"item": "a", "worker": "w", "grade": 2}',
+        '{"item": "b", "worker": "w", "grade": 7}',
+    ],
+    ends=["\n"] * 14, last_end=True, chunk=4096,
+)
+# Lines that are no object alone, but parse to one object per line when
+# joined: two lines merge into one object while another splits in two.
+@example(lines=[_MERGED_A, _MERGED_B, _TWO], ends=["\n"] * 14, last_end=True, chunk=4096)
+@example(lines=[_CUT_A, _CUT_B, _TWO], ends=["\n"] * 14, last_end=True, chunk=4096)
+def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end, chunk):
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and not last_end:
+        text = text[: -len(ends[len(lines) - 1])]
+    path = tmp_path_factory.mktemp("judgments") / "j.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(judgments_module, "_CHUNK_LINES", chunk):
+        got = _outcome(load_judgments, path)
+    assert got == _outcome(_load_line_by_line, path)
+    if got[0] is not InputFormatError and got[0] is not ValueError:
+        assert load_judgments(path).records == _load_line_by_line(path).records
+
+
+def test_chunked_parse_reports_format_error_before_bad_bytes(tmp_path):
+    good = '{"item": "a", "worker": "w%d", "grade": 1}\n'
+    path = tmp_path / "j.jsonl"
+    path.write_bytes(
+        "".join(good % k for k in range(3)).encode()
+        + b"not json\n"
+        + "".join(good % k for k in range(3, 9000)).encode()
+        + b"\xff\n"
+    )
+    with pytest.raises(InputFormatError, match=r":4: invalid JSON"):
+        load_judgments(path)
+    path.write_bytes("".join(good % k for k in range(9000)).encode() + b"\xff\n")
+    with pytest.raises(InputFormatError, match=r":0: not valid UTF-8"):
+        load_judgments(path)
+
+
+def test_load_judgments_huge_trust_is_a_format_error(tmp_path):
+    path = tmp_path / "j.jsonl"
+    path.write_text('{"item": "a", "worker": "w", "grade": 1, "trust": 1%s}\n' % ("0" * 400))
+    with pytest.raises(InputFormatError, match=r":1: trust must lie in \[0, 1\]"):
+        load_judgments(path)
