@@ -34,7 +34,7 @@ from .judgments import (
 )
 from .lsa import ConvergenceError
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import ConvergenceWarning, InputFormatError, read_lines
+from .types import ConvergenceWarning, InputFormatError, read_rows
 
 __all__ = ["main"]
 
@@ -139,15 +139,9 @@ def _read_manifest(path):
     serp, query, qrels), resolved relative to the manifest's directory."""
     base = Path(path).parent
     entries = []
-    for line_no, line in read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            raise InputFormatError(
-                path, line_no,
-                f"expected 5 tab-separated paths, got {len(fields)}",
-            )
+    for line_no, fields in read_rows(path, 5, "paths"):
+        if "" in fields:
+            raise InputFormatError(path, line_no, "empty path")
         entries.append(tuple(base / f for f in fields))
     return entries
 

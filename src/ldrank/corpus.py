@@ -3,7 +3,7 @@
 File formats
 ------------
 graph     tab-separated ``subject<TAB>predicate<TAB>object`` triples, one per
-          line; blank lines and lines starting with ``#`` are ignored.
+          line.
 texts     JSON Lines, one object per line with string fields ``id`` and
           ``text``.
 serp      tab-separated ``rank<TAB>doc-id<TAB>resources`` where ``resources``
@@ -11,43 +11,37 @@ serp      tab-separated ``rank<TAB>doc-id<TAB>resources`` where ``resources``
           ranks must be the contiguous range 1..N with no duplicates.
 query     one resource identifier per line; the file may be empty.
 
-All files must be UTF-8.  The resource universe is exactly the set of ids in
-the texts file; graph endpoints, result-page mentions and query entries must
+The line rules shared by every input file are those of the ``types``
+readers.  A resource id is non-empty, holds no whitespace and does not
+start with ``#``.  The resource universe is exactly the set of ids in the
+texts file; graph endpoints, result-page mentions and query entries must
 all resolve inside it.  ``assemble_bundle`` resolves them once, into the
 index form of ``CorpusBundle``; no later stage looks up an identifier.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .types import CorpusBundle, InputFormatError, SerpContext, read_lines
+from .types import CorpusBundle, InputFormatError, SerpContext
+from .types import data_lines, parse_int, read_objects, read_rows
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
 
 
 def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
+    if token.split() == [token] and token[0] != "#":
+        return token
     if not token:
         raise InputFormatError(path, line_no, f"empty {what}")
     if token.split() != [token]:
         raise InputFormatError(path, line_no, f"{what} {token!r} contains whitespace")
-    return token
+    raise InputFormatError(path, line_no, f"{what} {token!r} starts with '#'")
 
 
 def _read_graph_file(path):
     """Yield the ``(subject, predicate, object)`` triples of a graph file."""
-    for line_no, raw in read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise InputFormatError(
-                path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        subject, predicate, obj = fields
+    for line_no, (subject, predicate, obj) in read_rows(path, 3):
         _check_resource_id(subject, path, line_no, "subject")
         _check_resource_id(obj, path, line_no, "object")
         if not predicate:
@@ -57,44 +51,25 @@ def _read_graph_file(path):
 
 def _read_texts_file(path) -> dict[str, str]:
     texts: dict[str, str] = {}
-    for line_no, raw in read_lines(path):
-        if not raw.strip():
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(record, dict):
-            raise InputFormatError(path, line_no, "expected a JSON object")
-        rid = record.get("id")
-        text = record.get("text")
-        if not isinstance(rid, str) or not isinstance(text, str):
-            raise InputFormatError(
-                path, line_no, 'expected string fields "id" and "text"'
-            )
-        _check_resource_id(rid, path, line_no, "resource id")
-        if rid in texts:
-            raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
-        texts[rid] = text
+    for chunk in read_objects(path):
+        for line_no, record in chunk:
+            rid = record.get("id")
+            text = record.get("text")
+            if not isinstance(rid, str) or not isinstance(text, str):
+                raise InputFormatError(
+                    path, line_no, 'expected string fields "id" and "text"'
+                )
+            _check_resource_id(rid, path, line_no, "resource id")
+            if rid in texts:
+                raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
+            texts[rid] = text
     return texts
 
 
 def _read_serp_file(path) -> list[tuple[str, list[str]]]:
     rows: dict[int, tuple[str, list[str]]] = {}
-    for line_no, raw in read_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = raw.split("\t")
-        if len(fields) != 3:
-            raise InputFormatError(
-                path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
-            )
-        rank_text, doc_id, mention_text = fields
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise InputFormatError(path, line_no, f"rank {rank_text!r} is not an integer")
+    for line_no, (rank_text, doc_id, mention_text) in read_rows(path, 3):
+        rank = parse_int(rank_text, path, line_no, "rank")
         if rank < 1:
             raise InputFormatError(path, line_no, f"rank must be positive, got {rank}")
         if rank in rows:
@@ -118,13 +93,10 @@ def _read_serp_file(path) -> list[tuple[str, list[str]]]:
 
 
 def _read_query_file(path) -> set[str]:
-    resources = set()
-    for line_no, raw in read_lines(path):
-        line = raw.strip()
-        if not line:
-            continue
-        resources.add(_check_resource_id(line, path, line_no, "resource id"))
-    return resources
+    return {
+        _check_resource_id(line.strip(), path, line_no, "resource id")
+        for line_no, line in data_lines(path)
+    }
 
 
 def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> CorpusBundle:

@@ -13,26 +13,22 @@ often with per-item majorities; ``majority_vote`` collapses the records to
 one grade per item.  All three work on the item-by-grade count matrix,
 built with one ``np.bincount``.
 
-``load_judgments`` parses fixed-size chunks of lines with one ``json.loads``
-per chunk.  A chunk that fails any check, and a file that is not valid
-UTF-8, is re-read by the per-line loop, which reports the first bad line
-as ``path:line: reason``; only the error path pays for per-line parsing.
+``load_judgments`` reads its file with ``types.read_objects`` and checks
+each object once, in line order; ``load_qrels`` reads with
+``types.read_rows``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .evaluation import VALID_GRADES, RelevanceJudgments
-from .types import InputFormatError, read_lines
+from .types import InputFormatError, parse_int, read_objects, read_rows
 
 __all__ = [
     "FILTER_THRESHOLD",
@@ -382,157 +378,66 @@ def majority_vote(
     return RelevanceJudgments(grades=dict(zip(judgments.item_ids, top.tolist())))
 
 
-#: Lines per ``json.loads`` call; bounds the text and objects held at once.
-_CHUNK_LINES = 4096
-_JSON_SPACE = " \t\n\r"
-_TRUST_TYPES = frozenset({float, int, bool, type(None)})
-
-
 def load_judgments(path) -> JudgmentSet:
     """Read a JSON Lines judgments file.
 
     Each line is an object with string ``item`` and ``worker``, integer
-    ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].  Lines are
-    parsed in chunks; a chunk that fails any check is re-read line by line,
-    so errors name the same line and reason as a per-line parse would.
+    ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].  The first
+    bad object is reported as ``path:line: reason``, a repeated
+    item-worker pair at line 0.
     """
     columns = _Columns()
-    try:
-        # Universal newlines, as ``read_lines`` reads them: \r\n and \r
-        # become \n, so no line holds a line break before its end.
-        with open(path, encoding="utf-8") as fh:
-            line_no = 1
-            while chunk := list(islice(fh, _CHUNK_LINES)):
-                columns.extend(*_parse_chunk(path, line_no, chunk))
-                line_no += len(chunk)
-    except UnicodeDecodeError:
-        # A format error on a line before the undecodable bytes comes
-        # first; the per-line loop finds it, or raises the decoding error.
-        deque(_records_by_line(path, read_lines(path)), maxlen=0)
-        raise
+    # A call per chunk, so that chunk's lists are freed before the next is read.
+    for pairs in read_objects(path):
+        columns.extend(*_checked_columns(path, pairs))
     try:
         return columns.build()
     except ValueError as exc:
         raise InputFormatError(path, 0, str(exc)) from exc
 
 
-def _parse_chunk(path, first_line_no: int, lines: list[str]):
-    """Item, worker, grade and trust columns of a chunk of raw lines."""
-    body = [raw.strip(_JSON_SPACE) for raw in lines if not raw.isspace()]
-    text = ",\n".join(body)
-    # One "{" and one "}" per line, at its two ends, so every line holds
-    # exactly one object and no object spans lines.
-    n = len(body)
-    if (
-        n
-        and text[0] == "{"
-        and text[-1] == "}"
-        and text.count("},\n{") == n - 1
-        and text.count("{") == n
-        and text.count("}") == n
-    ):
-        try:
-            objects = json.loads(f"[{text}]")
-        except ValueError:
-            objects = None
-        if objects is not None and len(objects) == n:
-            fields = _checked_fields(objects)
-            if fields is not None:
-                return fields
-    records = list(
-        _records_by_line(
-            path, enumerate((raw.rstrip("\n") for raw in lines), first_line_no)
-        )
-    )
-    return (
-        [rec.item for rec in records],
-        [rec.worker for rec in records],
-        [rec.grade for rec in records],
-        [rec.trust for rec in records],
-    )
-
-
-def _checked_fields(objects: list[dict]):
-    """The four fields of every object, or None if any fails a check."""
-    items = [obj.get("item") for obj in objects]
-    workers = [obj.get("worker") for obj in objects]
-    grades = [obj.get("grade") for obj in objects]
-    trusts = [obj.get("trust") for obj in objects]
-    for names in (items, workers):
-        if set(map(type, names)) != {str} or "" in names:
-            return None
-    if set(map(type, grades)) != {int} or not set(grades) <= set(VALID_GRADES):
-        return None
-    if not _TRUST_TYPES.issuperset(map(type, trusts)):
-        return None
-    try:
-        trust = np.array(trusts, dtype=np.float64)
-    except OverflowError:
-        return None
-    # A missing trust is NaN; any other value outside [0, 1] fails.
-    if np.count_nonzero(~((trust >= 0.0) & (trust <= 1.0))) != trusts.count(None):
-        return None
-    return items, workers, grades, trust
-
-
-def _records_by_line(path, numbered_lines):
-    """Validate ``(line_no, line)`` pairs one line at a time.
-
-    Yields one ``JudgmentRecord`` per non-blank line and raises
-    ``InputFormatError`` at the first bad line.
-    """
-    for line_no, raw in numbered_lines:
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise InputFormatError(path, line_no, "expected a JSON object")
+def _checked_columns(path, pairs):
+    """Item, worker, grade and trust columns of ``(line_no, object)`` pairs."""
+    items, workers, grades, trusts = [], [], [], []
+    for line_no, obj in pairs:
         item = obj.get("item")
         worker = obj.get("worker")
         grade = obj.get("grade")
         trust = obj.get("trust")
-        if not isinstance(item, str) or not item:
+        # A JSON value is of exactly one of these types; bool is not int.
+        if type(item) is not str or not item:
             raise InputFormatError(path, line_no, 'missing or invalid "item"')
-        if not isinstance(worker, str) or not worker:
+        if type(worker) is not str or not worker:
             raise InputFormatError(path, line_no, 'missing or invalid "worker"')
-        if isinstance(grade, bool) or not isinstance(grade, int):
+        if type(grade) is not int:
             raise InputFormatError(path, line_no, 'field "grade" must be an integer')
-        if trust is not None and not isinstance(trust, (int, float)):
-            raise InputFormatError(path, line_no, 'field "trust" must be numeric')
-        try:
-            trust = None if trust is None else float(trust)
-        except OverflowError as exc:
-            raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
-        try:
-            record = JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
-        except ValueError as exc:
-            raise InputFormatError(path, line_no, str(exc)) from exc
-        yield record
+        if trust is not None and type(trust) is not float:
+            if type(trust) not in (int, bool):
+                raise InputFormatError(path, line_no, 'field "trust" must be numeric')
+            try:
+                trust = float(trust)
+            except OverflowError as exc:
+                raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
+        if grade not in VALID_GRADES:
+            raise InputFormatError(
+                path, line_no, f"grade must be one of {VALID_GRADES}, got {grade!r}"
+            )
+        if trust is not None and not 0.0 <= trust <= 1.0:
+            raise InputFormatError(path, line_no, f"trust must lie in [0, 1], got {trust}")
+        items.append(item)
+        workers.append(worker)
+        grades.append(grade)
+        trusts.append(trust)
+    return items, workers, grades, trusts
 
 
 def load_qrels(path) -> RelevanceJudgments:
     """Read a tab-separated ``item<TAB>grade`` relevance file."""
     grades: dict[str, int] = {}
-    for line_no, line in read_lines(path):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise InputFormatError(
-                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
-            )
-        item, grade_text = fields
+    for line_no, (item, grade_text) in read_rows(path, 2):
         if not item:
             raise InputFormatError(path, line_no, "empty item id")
-        try:
-            grade = int(grade_text)
-        except ValueError:
-            raise InputFormatError(
-                path, line_no, f"grade {grade_text!r} is not an integer"
-            )
+        grade = parse_int(grade_text, path, line_no, "grade")
         if grade not in VALID_GRADES:
             raise InputFormatError(
                 path, line_no, f"grade must be one of {VALID_GRADES}, got {grade}"

@@ -1,5 +1,9 @@
-"""Shared data model: pipeline settings, probability vectors, result-page
-context, corpus bundle.
+"""Shared data model: input readers, pipeline settings, probability
+vectors, result-page context, corpus bundle.
+
+Every line-format decision is made here: ``read_rows`` reads the
+tab-separated files (graph, serp, qrels, manifest), ``read_objects`` the
+JSON Lines files (texts, judgments) and ``data_lines`` the query file.
 
 Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
@@ -9,8 +13,11 @@ after ``corpus.assemble_bundle`` looks up an identifier.
 
 from __future__ import annotations
 
+import json
 import math
+import re
 from dataclasses import dataclass
+from itertools import islice
 from numbers import Integral
 
 import numpy as np
@@ -42,6 +49,125 @@ def read_lines(path):
                 yield line_no, line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise InputFormatError(path, 0, f"not valid UTF-8 ({exc.reason})") from exc
+
+
+def data_lines(path):
+    """Yield ``(line_no, line)`` for each line of a UTF-8 text file that is
+    neither blank nor a comment, whose first non-blank character is ``#``."""
+    for line_no, line in read_lines(path):
+        head = line.lstrip()
+        if head and head[0] != "#":
+            yield line_no, line
+
+
+def read_rows(path, count: int, noun: str = "fields"):
+    """Yield ``(line_no, fields)`` for each line of ``data_lines(path)``; it
+    must split at tabs into exactly ``count`` fields, or this raises."""
+    # The loop of ``data_lines``, inlined: a graph file has millions of lines.
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, 1):
+                head = line.lstrip()
+                if not head or head[0] == "#":
+                    continue
+                fields = line.rstrip("\n").split("\t")
+                if len(fields) != count:
+                    reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
+                    raise InputFormatError(path, line_no, reason)
+                yield line_no, fields
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(path, 0, f"not valid UTF-8 ({exc.reason})") from exc
+
+
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str, path, line_no: int, what: str) -> int:
+    """``text`` as an integer: ASCII digits after an optional ``-``, nothing else."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than ``int`` converts
+            pass
+    raise InputFormatError(path, line_no, f"{what} {text!r} is not an integer")
+
+
+#: Lines per ``json.loads`` call in ``read_objects``; bounds the text and
+#: objects held at once.
+_CHUNK_LINES = 4096
+_JSON_SPACE = " \t\n\r"
+
+
+def read_objects(path):
+    """Yield, per chunk of ``_CHUNK_LINES`` lines of a JSON Lines file, an
+    iterable of ``(line_no, object)`` pairs, one per non-blank line.
+
+    A chunk is parsed with one ``json.loads`` when every non-blank line in
+    it frames exactly one object, else line by line, so the first bad line
+    is reported as ``path:line: reason``.  A caller that takes each chunk's
+    pairs before the next chunk sees them in line order with these errors.
+    A file that is not valid UTF-8 is re-read line by line from the chunk
+    that failed, so a format error on a line decoded before the bad bytes
+    still comes first.
+    """
+    line_no = 1
+    try:
+        # Universal newlines, as ``read_lines`` reads them: \r\n and \r
+        # become \n, so no line holds a line break before its end.
+        with open(path, encoding="utf-8") as fh:
+            while chunk := list(islice(fh, _CHUNK_LINES)):
+                pairs = _chunk_objects(path, line_no, chunk)
+                line_no += len(chunk)
+                del chunk  # not held while the next chunk is read
+                yield pairs
+    except UnicodeDecodeError:
+        # The per-line loop finds a format error before the undecodable
+        # bytes, or raises the decoding error.
+        yield _objects_by_line(path, islice(read_lines(path), line_no - 1, None))
+        raise
+
+
+def _chunk_objects(path, first_line_no: int, lines: list[str]):
+    """``(line_no, object)`` pairs of a chunk of raw lines."""
+    body = [raw.strip(_JSON_SPACE) for raw in lines if not raw.isspace()]
+    text = ",\n".join(body)
+    # One "{" and one "}" per line, at its two ends, so every line holds
+    # exactly one object and no object spans lines.
+    n = len(body)
+    if (
+        n
+        and text[0] == "{"
+        and text[-1] == "}"
+        and text.count("},\n{") == n - 1
+        and text.count("{") == n
+        and text.count("}") == n
+    ):
+        try:
+            objects = json.loads(f"[{text}]")
+        except ValueError:
+            objects = None
+        if objects is not None and len(objects) == n:
+            if n == len(lines):
+                return enumerate(objects, first_line_no)
+            numbers = enumerate(lines, first_line_no)
+            return zip([k for k, raw in numbers if not raw.isspace()], objects)
+    return _objects_by_line(
+        path, enumerate((raw.rstrip("\n") for raw in lines), first_line_no)
+    )
+
+
+def _objects_by_line(path, numbered_lines):
+    """Parse ``(line_no, line)`` pairs one line at a time."""
+    for line_no, raw in numbered_lines:
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise InputFormatError(path, line_no, "expected a JSON object")
+        yield line_no, obj
 
 
 class ConvergenceWarning(UserWarning):

@@ -3,12 +3,18 @@
 Everything here is deliberately written along different routes than the
 package: dense matrices instead of sparse operators, eigendecompositions
 instead of power iterations, literal pair enumeration instead of
-coincidence counting, plain Python loops instead of vectorized updates.
+coincidence counting, plain Python loops instead of vectorized updates,
+one reading loop per input file instead of the shared chunked readers.
 """
 
+import json
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import numpy as np
+
+from ldrank.judgments import JudgmentRecord
+from ldrank.types import InputFormatError, read_lines
 
 
 # ---------------------------------------------------------------- texts
@@ -318,3 +324,190 @@ def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
     out_edges = edges_to_out_lists(n, pairs)
     walk = dense_walk_matrix(out_edges, alpha, final, final)
     return stationary_by_eig(walk)
+
+
+# ---------------------------------------------------------------- input files
+#
+# One loop per file format, each reading and checking one line at a time.
+
+
+def _records_by_line(path, numbered_lines):
+    """Validate ``(line_no, line)`` pairs one line at a time.
+
+    Yields one ``JudgmentRecord`` per non-blank line and raises
+    ``InputFormatError`` at the first bad line.
+    """
+    for line_no, raw in numbered_lines:
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise InputFormatError(path, line_no, "expected a JSON object")
+        item = obj.get("item")
+        worker = obj.get("worker")
+        grade = obj.get("grade")
+        trust = obj.get("trust")
+        if not isinstance(item, str) or not item:
+            raise InputFormatError(path, line_no, 'missing or invalid "item"')
+        if not isinstance(worker, str) or not worker:
+            raise InputFormatError(path, line_no, 'missing or invalid "worker"')
+        if isinstance(grade, bool) or not isinstance(grade, int):
+            raise InputFormatError(path, line_no, 'field "grade" must be an integer')
+        if trust is not None and not isinstance(trust, (int, float)):
+            raise InputFormatError(path, line_no, 'field "trust" must be numeric')
+        try:
+            trust = None if trust is None else float(trust)
+        except OverflowError as exc:
+            raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
+        try:
+            record = JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
+        except ValueError as exc:
+            raise InputFormatError(path, line_no, str(exc)) from exc
+        yield record
+
+
+def _resource_id_by_split(token, path, line_no, what):
+    if not token:
+        raise InputFormatError(path, line_no, f"empty {what}")
+    if token.split() != [token]:
+        raise InputFormatError(path, line_no, f"{what} {token!r} contains whitespace")
+    return token
+
+
+def texts_by_line(path):
+    """The id-to-text table of a JSON Lines texts file."""
+    texts = {}
+    for line_no, raw in read_lines(path):
+        if not raw.strip():
+            continue
+        try:
+            record = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise InputFormatError(path, line_no, "expected a JSON object")
+        rid = record.get("id")
+        text = record.get("text")
+        if not isinstance(rid, str) or not isinstance(text, str):
+            raise InputFormatError(
+                path, line_no, 'expected string fields "id" and "text"'
+            )
+        _resource_id_by_split(rid, path, line_no, "resource id")
+        if rid in texts:
+            raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
+        texts[rid] = text
+    return texts
+
+
+def graph_triples_by_line(path):
+    """The ``(subject, predicate, object)`` triples of a graph file."""
+    triples = []
+    for line_no, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise InputFormatError(
+                path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
+            )
+        subject, predicate, obj = fields
+        _resource_id_by_split(subject, path, line_no, "subject")
+        _resource_id_by_split(obj, path, line_no, "object")
+        if not predicate:
+            raise InputFormatError(path, line_no, "empty predicate")
+        triples.append((subject, predicate, obj))
+    return triples
+
+
+def serp_by_line(path):
+    """``(doc_id, [resource ids])`` per result, in rank order."""
+    rows = {}
+    for line_no, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = raw.split("\t")
+        if len(fields) != 3:
+            raise InputFormatError(
+                path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
+            )
+        rank_text, doc_id, mention_text = fields
+        try:
+            rank = int(rank_text)
+        except ValueError:
+            raise InputFormatError(path, line_no, f"rank {rank_text!r} is not an integer")
+        if rank < 1:
+            raise InputFormatError(path, line_no, f"rank must be positive, got {rank}")
+        if rank in rows:
+            raise InputFormatError(path, line_no, f"duplicate rank {rank}")
+        if not doc_id:
+            raise InputFormatError(path, line_no, "empty document id")
+        mentions = []
+        if mention_text:
+            for token in mention_text.split(","):
+                mentions.append(_resource_id_by_split(token, path, line_no, "resource id"))
+        rows[rank] = (doc_id, mentions)
+    expected = set(range(1, len(rows) + 1))
+    if set(rows) != expected:
+        missing = sorted(expected - set(rows))
+        raise InputFormatError(path, 0, f"ranks are not contiguous from 1; missing {missing}")
+    return [rows[r] for r in sorted(rows)]
+
+
+def query_by_line(path):
+    """The set of resource ids of a query file."""
+    resources = set()
+    for line_no, raw in read_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        resources.add(_resource_id_by_split(line, path, line_no, "resource id"))
+    return resources
+
+
+def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
+    """The item-to-grade table of a qrels file."""
+    grades = {}
+    for line_no, line in read_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise InputFormatError(
+                path, line_no, f"expected 2 tab-separated fields, got {len(fields)}"
+            )
+        item, grade_text = fields
+        if not item:
+            raise InputFormatError(path, line_no, "empty item id")
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise InputFormatError(path, line_no, f"grade {grade_text!r} is not an integer")
+        if grade not in valid_grades:
+            raise InputFormatError(
+                path, line_no, f"grade must be one of {valid_grades}, got {grade}"
+            )
+        if item in grades:
+            raise InputFormatError(path, line_no, f"duplicate item {item!r}")
+        grades[item] = grade
+    return grades
+
+
+def manifest_by_line(path):
+    """Five paths per manifest line, relative to the manifest's directory."""
+    base = Path(path).parent
+    entries = []
+    for line_no, line in read_lines(path):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise InputFormatError(
+                path, line_no, f"expected 5 tab-separated paths, got {len(fields)}"
+            )
+        entries.append(tuple(base / f for f in fields))
+    return entries

@@ -311,6 +311,30 @@ def test_eval_bad_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _manifest(tmp_path, basic_dir, *lines):
+    names = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt", "qrels.tsv")
+    entry = "\t".join(str(basic_dir / name) for name in names)
+    path = tmp_path / "m.tsv"
+    path.write_text("".join(line.format(entry=entry) + "\n" for line in lines),
+                    encoding="utf-8")
+    return path
+
+
+def test_indented_comment_is_a_comment_in_a_manifest(tmp_path, basic_dir, capsys):
+    man = _manifest(tmp_path, basic_dir, "  # note", "{entry}")
+    assert main(["eval", str(man), "--cutoffs", "1"]) == 0
+    assert capsys.readouterr().out.startswith("strategy\tndcg@1\n")
+
+
+def test_empty_manifest_path_names_its_line(tmp_path, basic_dir, capsys):
+    man = _manifest(tmp_path, basic_dir, "# bundles", "{entry}", "{entry}")
+    text = man.read_text(encoding="utf-8").splitlines()
+    text[2] = text[2].rsplit("\t", 1)[0] + "\t"
+    man.write_text("\n".join(text) + "\n", encoding="utf-8")
+    assert main(["eval", str(man), "--cutoffs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {man}:3: empty path\n"
+
+
 def _not_utf8(path):
     path.write_bytes(b"\xff\xfe not text\n")
     return path

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,47 @@ def test_non_utf8_file_rejected(tmp_path):
     files[0].write_bytes(b"a\tp\tb\xff\n")
     with pytest.raises(InputFormatError):
         load_bundle(*files)
+
+
+@pytest.mark.parametrize("rank", ["0_1", " 1", "١"])
+def test_serp_rank_must_be_ascii_digits(tmp_path, rank):
+    files = _bundle_files(tmp_path, serp=f"{rank}\td1\ta\n")
+    message = re.escape(f"s.tsv:1: rank {rank!r} is not an integer") + "$"
+    with pytest.raises(InputFormatError, match=message):
+        load_bundle(*files)
+
+
+def test_serp_negative_rank_message_is_kept(tmp_path):
+    files = _bundle_files(tmp_path, serp="-1\td1\ta\n")
+    with pytest.raises(InputFormatError, match=r"s.tsv:1: rank must be positive, got -1$"):
+        load_bundle(*files)
+
+
+def test_texts_id_starting_with_hash_is_rejected(tmp_path):
+    files = _bundle_files(
+        tmp_path,
+        graph="#a\tp\tb\nb\tp\t#a\n",
+        texts='{"id": "b", "text": "beta"}\n{"id": "#a", "text": "alpha"}\n',
+        serp="",
+        query="",
+    )
+    with pytest.raises(InputFormatError, match=r"t.jsonl:2: resource id '#a' starts with '#'$"):
+        load_bundle(*files)
+
+
+@pytest.mark.parametrize("graph, serp, where", [
+    ("a\tp\t#b\n", "1\td1\ta\n", r"g.tsv:1: object '#b'"),
+    ("a\tp\tb\n", "1\td1\ta,#b\n", r"s.tsv:1: resource id '#b'"),
+])
+def test_reference_starting_with_hash_is_rejected(tmp_path, graph, serp, where):
+    files = _bundle_files(tmp_path, graph=graph, serp=serp)
+    with pytest.raises(InputFormatError, match=where + " starts with '#'$"):
+        load_bundle(*files)
+
+
+def test_hash_line_is_a_comment_in_a_query_file(tmp_path):
+    files = _bundle_files(tmp_path, query="# the query\n  #b\nb\n")
+    assert load_bundle(*files).query == frozenset({1})
 
 
 def test_missing_file_raises_oserror(tmp_path):

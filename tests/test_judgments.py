@@ -1,4 +1,5 @@
 import json
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ldrank.judgments as judgments_module
+import ldrank.types as types_module
 from ldrank import (
     GradeDistance,
     InputFormatError,
@@ -300,6 +301,21 @@ def test_load_qrels_validation(tmp_path):
         load_qrels(path)
 
 
+@pytest.mark.parametrize("grade", ["0_3", "٣", " 3"])
+def test_qrels_grade_must_be_ascii_digits(tmp_path, grade):
+    path = tmp_path / "q.tsv"
+    path.write_text(f"a\t{grade}\n", encoding="utf-8")
+    message = re.escape(f"q.tsv:1: grade {grade!r} is not an integer") + "$"
+    with pytest.raises(InputFormatError, match=message):
+        load_qrels(path)
+
+
+def test_indented_comment_is_a_comment_in_qrels(tmp_path):
+    path = tmp_path / "q.tsv"
+    path.write_text("  # note\na\t3\n#x\t3\n", encoding="utf-8")
+    assert load_qrels(path).grades == {"a": 3}
+
+
 # ------------------------------------------------- columns against oracles
 
 _TRUSTS = (None, 0.0, 0.25, 0.5, 0.75, 1.0)
@@ -439,7 +455,7 @@ def test_judgment_set_duplicate_names_first_repeat():
 def _load_line_by_line(path):
     """The per-line loop over the whole file, as ``load_judgments`` ran it
     before chunking."""
-    records = list(judgments_module._records_by_line(path, read_lines(path)))
+    records = list(oracles._records_by_line(path, read_lines(path)))
     try:
         return JudgmentSet.from_records(records)
     except ValueError as exc:
@@ -538,7 +554,7 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
         text = text[: -len(ends[len(lines) - 1])]
     path = tmp_path_factory.mktemp("judgments") / "j.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(judgments_module, "_CHUNK_LINES", chunk):
+    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
         got = _outcome(load_judgments, path)
     assert got == _outcome(_load_line_by_line, path)
     if got[0] is not InputFormatError and got[0] is not ValueError:
