@@ -33,10 +33,8 @@ from .judgments import (
 from .lsa import (
     ConvergenceError,
     ResourceTextMatrix,
-    SvdResult,
     build_text_matrix,
     load_default_stopwords,
-    resource_coordinates,
     sparse_svd,
     tokenize,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "SerpContext",
     "StrategyComparison",
     "STRATEGIES",
-    "SvdResult",
     "TransitionOperator",
     "assemble_bundle",
     "build_graph",
@@ -103,7 +100,6 @@ __all__ = [
     "majority_vote",
     "ndcg",
     "power_rank",
-    "resource_coordinates",
     "sparse_svd",
     "stem",
     "strategy",

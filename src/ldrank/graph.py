@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import CorpusBundle, Distribution
+from .types import CorpusBundle, Distribution, integer_array
 
 __all__ = ["ResourceGraph", "TransitionOperator", "build_graph"]
 
@@ -33,8 +33,8 @@ class ResourceGraph:
 
     def __post_init__(self):
         n = len(self.resource_ids)
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        indices = np.asarray(self.indices, dtype=np.int64)
+        indptr = integer_array(self.indptr, "indptr")
+        indices = integer_array(self.indices, "indices")
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError("indptr must hold n + 1 offsets from 0 to the edge count")
         if np.any(np.diff(indptr) < 0):

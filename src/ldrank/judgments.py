@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .evaluation import VALID_GRADES, RelevanceJudgments
-from .types import InputFormatError, parse_int, read_objects, read_rows
+from .types import InputFormatError, integer_array, parse_int, read_objects, read_rows
 
 __all__ = [
     "FILTER_THRESHOLD",
@@ -84,14 +84,10 @@ class JudgmentSet:
 
     def __post_init__(self):
         columns = {
-            name: np.array(getattr(self, name), dtype=dtype)
-            for name, dtype in (
-                ("item_codes", np.intp),
-                ("worker_codes", np.intp),
-                ("grades", np.intp),
-                ("trust", np.float64),
-            )
+            name: integer_array(getattr(self, name), name).astype(np.intp)
+            for name in ("item_codes", "worker_codes", "grades")
         }
+        columns["trust"] = np.array(self.trust, dtype=np.float64)
         n = columns["grades"].size
         if any(col.shape != (n,) for col in columns.values()):
             raise ValueError("record columns must be vectors of one length")

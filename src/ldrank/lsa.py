@@ -1,14 +1,14 @@
-"""Latent text analysis: stem-count matrix and truncated SVD coordinates.
+"""Latent text analysis: stem-count matrix and its truncated SVD.
 
 Texts are tokenized (lowercase, split on non-alphanumeric runs), filtered
 against a stopword list plus a minimum length of 2, and stemmed; the stemmer
 is cached, so each distinct token is stemmed once.  The counts are built in
 one pass over token-id arrays, COO pairs summed into a sparse
-resources-by-stems matrix in compressed-column storage; its rank-k SVD gives
-every resource a k-dimensional coordinate vector whose length measures how
-much of the resource's text mass survives the truncation.  scipy is
-imported inside the functions that use it, so importing this module does
-not load it.
+resources-by-stems matrix in compressed-column storage.  ``sparse_svd``
+returns its rank-k factors ``(u, s, vt)`` as plain arrays; the rows of
+``u * s`` are the resources' latent coordinates, whose lengths
+``priors.svd_prior`` compares.  scipy is imported inside the functions that
+use it, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -28,13 +28,11 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ResourceTextMatrix",
-    "SvdResult",
     "ConvergenceError",
     "tokenize",
     "load_default_stopwords",
     "build_text_matrix",
     "sparse_svd",
-    "resource_coordinates",
 ]
 
 MIN_TOKEN_LENGTH = 2
@@ -135,52 +133,27 @@ def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
     return ResourceTextMatrix(counts=matrix, stem_vocab=stem_vocab)
 
 
-@dataclass(frozen=True, eq=False)
-class SvdResult:
-    """Rank-k factorization: singular values descending, vectors columnwise.
+def sparse_svd(counts: sp.sparray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated SVD ``(u, s, vt)`` of a sparse count array at rank ``k``.
 
-    ``left_vectors`` is resources-by-k, ``right_vectors`` stems-by-k, both
-    with orthonormal columns.
-    """
-
-    singular_values: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def __post_init__(self):
-        s = self.singular_values
-        if s.ndim != 1:
-            raise ValueError("singular values must form a vector")
-        if s.size and s.min() < 0:
-            raise ValueError("singular values must be non-negative")
-        if np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be sorted descending")
-        if self.left_vectors.shape[1] != s.size or self.right_vectors.shape[1] != s.size:
-            raise ValueError("vector blocks must have one column per singular value")
-
-    @property
-    def k(self) -> int:
-        return self.singular_values.size
-
-
-def sparse_svd(matrix: ResourceTextMatrix, k: int) -> SvdResult:
-    """Truncated SVD of the count matrix at rank ``k``.
-
-    Uses the Lanczos-style iterative solver with a fixed start vector, so
-    repeated calls on the same matrix give identical results.  The solver
-    requires k strictly below min(shape); the boundary case falls back to a
-    dense factorization, which is exact.  Any ARPACK failure is raised as
+    In numpy's convention: ``u`` is rows-by-k with orthonormal columns,
+    ``s`` holds the singular values sorted descending and clamped at 0, and
+    ``vt`` is k-by-columns with orthonormal rows.  Uses the Lanczos-style
+    iterative solver with a fixed start vector, so repeated calls on the
+    same array give identical results.  The solver requires k strictly
+    below min(shape); the boundary case falls back to a dense
+    factorization, which is exact.  Any ARPACK failure is raised as
     ``ConvergenceError`` carrying ARPACK's message.
     """
     import scipy.linalg
     import scipy.sparse.linalg
 
-    m, n = matrix.counts.shape
+    m, n = counts.shape
     limit = min(m, n)
     if not 1 <= k <= limit:
         raise ValueError(f"k must lie in 1..{limit} for a {m}x{n} matrix, got {k}")
 
-    a = matrix.counts.astype(np.float64)
+    a = counts.astype(np.float64)
     if k == limit:
         u, s, vt = scipy.linalg.svd(a.toarray(), full_matrices=False)
         u, s, vt = u[:, :k], s[:k], vt[:k]
@@ -192,18 +165,6 @@ def sparse_svd(matrix: ResourceTextMatrix, k: int) -> SvdResult:
             raise ConvergenceError(f"iterative SVD failed at k={k}: {exc}") from exc
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order]
-    return SvdResult(
-        singular_values=np.maximum(s, 0.0),
-        left_vectors=np.ascontiguousarray(u),
-        right_vectors=np.ascontiguousarray(vt.T),
-    )
-
-
-def resource_coordinates(svd: SvdResult) -> np.ndarray:
-    """Per-resource coordinates in the latent space: rows of U scaled by S.
-
-    Row norms never exceed the corresponding row norms of the original
-    matrix, since these are projections onto the top right-singular
-    directions.
-    """
-    return svd.left_vectors * svd.singular_values[np.newaxis, :]
+    # Row-major u keeps each resource's coordinates contiguous, so numpy
+    # sums the squares of a row pairwise when taking its norm.
+    return np.ascontiguousarray(u), np.maximum(s, 0.0), vt

@@ -6,9 +6,10 @@ Three independent experts emit a prior each:
 * ``hit_prior``: visibility on the result page, where a mention in the
   document at rank r is worth ``size + 1 - r`` points;
 * ``svd_prior``: latent-text response, scoring each resource by how far its
-  latent coordinates grow when the rows of the resources under focus are
-  amplified and the truncated SVD is recomputed; its dimension and stress
-  come from ``PipelineParams``, which checked their ranges.
+  latent coordinates (the rows of ``u * s`` from ``lsa.sparse_svd``) grow
+  when the count rows of the resources under focus are amplified and the
+  truncated SVD is recomputed; its dimension and stress come from
+  ``PipelineParams``, which checked their ranges.
 
 Each prior degrades to the uniform distribution (with a warning) when its
 evidence is entirely absent.
@@ -20,7 +21,7 @@ import warnings
 
 import numpy as np
 
-from .lsa import ResourceTextMatrix, resource_coordinates, sparse_svd
+from .lsa import ResourceTextMatrix, sparse_svd
 from .types import Distribution, PipelineParams, SerpContext
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
@@ -75,16 +76,16 @@ def build_info_need(query, hit: Distribution) -> frozenset[int]:
     return frozenset(indices)
 
 
-def _coordinate_norms(matrix: ResourceTextMatrix, k: int) -> np.ndarray:
-    """Row norms of the rank-k latent coordinates, k widened while sigma_k
-    ties sigma_(k+1): only then is the truncation unique.  Ties among
+def _coordinate_norms(counts, k: int) -> np.ndarray:
+    """Row norms of the rank-k latent coordinates ``u * s``, k widened while
+    sigma_k ties sigma_(k+1): only then is the truncation unique.  Ties among
     negligible singular values add nothing to the norms and are let be."""
-    limit = min(matrix.counts.shape)
+    limit = min(counts.shape)
     while True:
-        svd = sparse_svd(matrix, min(k + 1, limit))
-        s, tol = svd.singular_values, TIE_RTOL * svd.singular_values[0]
+        u, s, _ = sparse_svd(counts, min(k + 1, limit))
+        tol = TIE_RTOL * s[0]
         if k == limit or s[k - 1] <= tol or s[k - 1] - s[k] > tol:
-            return np.linalg.norm(resource_coordinates(svd)[:, :k], axis=1)
+            return np.linalg.norm(u[:, :k] * s[:k], axis=1)
         k += 1
 
 
@@ -131,8 +132,8 @@ def svd_prior(
     # A stress that leaves the matrix as it is (focus rows without stems, or
     # stress 1) moves nothing; two solver runs would differ only by rounding.
     if not np.array_equal(stressed_counts.data, matrix.counts.data):
-        stressed = ResourceTextMatrix(counts=stressed_counts, stem_vocab=matrix.stem_vocab)
-        drift = np.maximum(_coordinate_norms(stressed, k) - _coordinate_norms(matrix, k), 0.0)
+        grown = _coordinate_norms(stressed_counts, k)
+        drift = np.maximum(grown - _coordinate_norms(matrix.counts, k), 0.0)
     total = drift.sum()
     if total <= 0.0:
         warnings.warn(

@@ -28,7 +28,13 @@ from .consensus import ConsensusResult, consensual_pool
 from .graph import ResourceGraph, TransitionOperator, build_graph
 from .lsa import build_text_matrix
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
-from .types import ConvergenceWarning, CorpusBundle, Distribution, PipelineParams
+from .types import (
+    ConvergenceWarning,
+    CorpusBundle,
+    Distribution,
+    PipelineParams,
+    integer_array,
+)
 
 __all__ = [
     "RankingResult",
@@ -59,7 +65,7 @@ class RankingResult:
 
     def __post_init__(self):
         n = len(self.scores)
-        order = np.asarray(self.order, dtype=np.int64)
+        order = integer_array(self.order, "order")
         if sorted(order.tolist()) != list(range(n)):
             raise ValueError("order must be a permutation of the resource indices")
         if len(self.resource_ids) != n:

@@ -40,15 +40,23 @@ def read_lines(path):
     """Yield ``(line_no, line)`` for each line of a UTF-8 text file.
 
     Lines are numbered from 1, read lazily, and end at ``\\n``, ``\\r\\n``
-    or ``\\r``, which are stripped.  Undecodable bytes raise
+    or ``\\r``, which are stripped.  Each line is decoded on its own, so
+    every line before undecodable bytes is yielded; those bytes raise
     ``InputFormatError`` at line 0.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                yield line_no, line.rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(path, 0, f"not valid UTF-8 ({exc.reason})") from exc
+    line_no = 0
+    with open(path, "rb") as fh:
+        for raw in fh:
+            # A raw line ends at \n only; bytes.splitlines also ends lines
+            # at \r\n and a lone \r, as text mode does.
+            for piece in raw.splitlines(keepends=True):
+                try:
+                    line = piece.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    reason = f"not valid UTF-8 ({exc.reason})"
+                    raise InputFormatError(path, 0, reason) from exc
+                line_no += 1
+                yield line_no, line.rstrip("\r\n")
 
 
 def data_lines(path):
@@ -62,21 +70,33 @@ def data_lines(path):
 
 def read_rows(path, count: int, noun: str = "fields"):
     """Yield ``(line_no, fields)`` for each line of ``data_lines(path)``; it
-    must split at tabs into exactly ``count`` fields, or this raises."""
-    # The loop of ``data_lines``, inlined: a graph file has millions of lines.
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, 1):
-                head = line.lstrip()
-                if not head or head[0] == "#":
-                    continue
-                fields = line.rstrip("\n").split("\t")
-                if len(fields) != count:
-                    reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
-                    raise InputFormatError(path, line_no, reason)
-                yield line_no, fields
-    except UnicodeDecodeError as exc:
-        raise InputFormatError(path, 0, f"not valid UTF-8 ({exc.reason})") from exc
+    must split at tabs into exactly ``count`` fields, or this raises.
+
+    The file is read in text mode.  If it is not valid UTF-8, reading goes
+    on through ``read_lines`` after the last line read, so a format error
+    on a line before the undecodable bytes is still reported first.
+    """
+    line_no = 0
+    with open(path, encoding="utf-8") as fh:
+        numbered = enumerate(fh, 1)
+        while True:
+            try:
+                # The loop of ``data_lines``, inlined: a graph file has
+                # millions of lines.
+                for line_no, line in numbered:
+                    head = line.lstrip()
+                    if not head or head[0] == "#":
+                        continue
+                    fields = line.rstrip("\n").split("\t")
+                    if len(fields) != count:
+                        reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
+                        raise InputFormatError(path, line_no, reason)
+                    yield line_no, fields
+                return
+            except UnicodeDecodeError:
+                # The decoder reads ahead in blocks, past lines not yet
+                # checked; ``read_lines`` decodes them one at a time.
+                numbered = islice(read_lines(path), line_no, None)
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -168,6 +188,19 @@ def _objects_by_line(path, numbered_lines):
         if not isinstance(obj, dict):
             raise InputFormatError(path, line_no, "expected a JSON object")
         yield line_no, obj
+
+
+def integer_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array, or a ``ValueError`` naming ``name``.
+
+    Only the dtype is tested: integers and arrays of integer dtype pass,
+    bools, floats, strings and objects do not, so no value is rounded or
+    parsed on the way in.  Empty input passes whatever its dtype.
+    """
+    array = np.asarray(values)
+    if array.size and array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must hold integers, got {array.dtype} values")
+    return array.astype(np.int64, copy=False)
 
 
 class ConvergenceWarning(UserWarning):
@@ -309,7 +342,7 @@ class CorpusBundle:
         if list(self.resource_ids) != sorted(set(self.resource_ids)):
             raise ValueError("resource_ids must be sorted and free of duplicates")
         n = len(self.resource_ids)
-        edges = np.asarray(self.graph_edges, dtype=np.int64)
+        edges = integer_array(self.graph_edges, "graph_edges")
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"graph_edges must have shape (m, 2), got {edges.shape}")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
@@ -317,7 +350,7 @@ class CorpusBundle:
         texts = tuple(self.texts)
         if len(texts) != n:
             raise ValueError(f"{len(texts)} texts for {n} resources")
-        query = frozenset(int(i) for i in self.query)
+        query = frozenset(integer_array(list(self.query), "query").tolist())
         if any(not 0 <= i < n for i in query):
             raise ValueError(f"query holds an index outside 0..{n - 1}")
         object.__setattr__(self, "graph_edges", edges)

@@ -95,6 +95,23 @@ def test_resource_graph_rows_are_checked_independently():
     assert [g.successors(0).tolist(), g.successors(1).tolist()] == [[1], [0]]
 
 
+@pytest.mark.parametrize(
+    "indptr, indices, field",
+    [
+        ([0, 1.5, 1.0], [1], "indptr"),
+        ([0, 1, 1], [1.2], "indices"),
+        ([False, True, True], [1], "indptr"),
+    ],
+)
+def test_resource_graph_rejects_non_integer_offsets(indptr, indices, field):
+    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+        ResourceGraph(resource_ids=("a", "b"), indptr=indptr, indices=indices)
+    g = ResourceGraph(
+        resource_ids=("a", "b"), indptr=np.array([0, 1, 1], dtype=np.int32), indices=[1]
+    )
+    assert g.indptr.dtype == np.int64 and g.successors(0).tolist() == [1]
+
+
 def test_transition_operator_matches_dense():
     rng = np.random.default_rng(7)
     for _ in range(50):

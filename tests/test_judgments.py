@@ -144,6 +144,23 @@ def test_judgment_set_rejects_duplicates():
         _js([("i1", "w1", 2), ("i1", "w1", 3)])
 
 
+@pytest.mark.parametrize(
+    "item_codes, worker_codes, grades, field",
+    [
+        ([0], [0], [2.7], "grades"),
+        ([0], [0], ["3"], "grades"),
+        ([0], [0], [True], "grades"),
+        ([0], [0.9], [2], "worker_codes"),
+        ([0.0], [0], [2], "item_codes"),
+    ],
+)
+def test_judgment_set_rejects_non_integer_columns(item_codes, worker_codes, grades, field):
+    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+        JudgmentSet(("i",), ("w",), item_codes, worker_codes, grades, [np.nan])
+    empty = JudgmentSet((), (), [], [], [], [])
+    assert empty.grades.dtype == np.intp and empty.grades.size == 0
+
+
 def test_judgment_record_validation():
     with pytest.raises(ValueError):
         JudgmentRecord(item="i", worker="w", grade=7)

@@ -9,20 +9,16 @@ from ldrank import (
     ConvergenceError,
     build_text_matrix,
     load_default_stopwords,
-    resource_coordinates,
     sparse_svd,
     tokenize,
 )
 from ldrank.corpus import assemble_bundle
-from ldrank.lsa import ResourceTextMatrix
 
 import oracles
 
 
-def _matrix_from_dense(dense):
-    dense = np.asarray(dense, dtype=float)
-    vocab = {f"s{j:03d}": j for j in range(dense.shape[1])}
-    return ResourceTextMatrix(counts=sp.csc_array(dense), stem_vocab=vocab)
+def _counts(dense):
+    return sp.csc_array(np.asarray(dense, dtype=float))
 
 
 # ----------------------------------------------------------- tokenizer
@@ -127,15 +123,13 @@ def test_text_matrix_matches_counter_oracle(texts):
 def test_sparse_svd_known_values():
     # Rows (1,0), (0,1), (1,1): squared singular values are the
     # eigenvalues 3 and 1 of the 2x2 Gram matrix.
-    m = _matrix_from_dense([[1, 0], [0, 1], [1, 1]])
-    res = sparse_svd(m, 2)
-    assert np.allclose(res.singular_values, [np.sqrt(3.0), 1.0], atol=1e-10)
+    _, s, _ = sparse_svd(_counts([[1, 0], [0, 1], [1, 1]]), 2)
+    assert np.allclose(s, [np.sqrt(3.0), 1.0], atol=1e-10)
 
 
 def test_sparse_svd_diagonal():
-    m = _matrix_from_dense(np.diag([3.0, 2.0, 1.0]))
-    res = sparse_svd(m, 2)
-    assert np.allclose(res.singular_values, [3.0, 2.0], atol=1e-10)
+    _, s, _ = sparse_svd(_counts(np.diag([3.0, 2.0, 1.0])), 2)
+    assert np.allclose(s, [3.0, 2.0], atol=1e-10)
 
 
 def test_sparse_svd_matches_gram_oracle_all_ranks():
@@ -143,30 +137,30 @@ def test_sparse_svd_matches_gram_oracle_all_ranks():
     for _ in range(20):
         dense = rng.integers(0, 4, size=(7, 5)).astype(float)
         dense[rng.random(dense.shape) < 0.5] = 0.0
-        m = _matrix_from_dense(dense)
+        counts = _counts(dense)
         want = oracles.singular_values_by_gram(dense)
         for k in range(1, 6):
-            res = sparse_svd(m, k)
+            _, s, _ = sparse_svd(counts, k)
             # The Gram route squares the conditioning, so near-zero values
             # carry an error of order sqrt(eps) * s_max; 1e-6 respects that.
-            assert np.allclose(res.singular_values, want[:k], atol=1e-6), k
+            assert np.allclose(s, want[:k], atol=1e-6), k
 
 
 def test_sparse_svd_orthonormal_vectors():
     rng = np.random.default_rng(3)
     dense = rng.integers(0, 5, size=(8, 6)).astype(float)
-    res = sparse_svd(_matrix_from_dense(dense), 4)
-    assert np.allclose(res.left_vectors.T @ res.left_vectors, np.eye(4), atol=1e-8)
-    assert np.allclose(res.right_vectors.T @ res.right_vectors, np.eye(4), atol=1e-8)
+    u, _, vt = sparse_svd(_counts(dense), 4)
+    assert np.allclose(u.T @ u, np.eye(4), atol=1e-8)
+    assert np.allclose(vt @ vt.T, np.eye(4), atol=1e-8)
 
 
 def test_sparse_svd_truncation_is_best_approximation():
     rng = np.random.default_rng(5)
     dense = rng.integers(0, 3, size=(6, 5)).astype(float)
-    m = _matrix_from_dense(dense)
+    counts = _counts(dense)
     for k in range(1, 6):
-        res = sparse_svd(m, k)
-        approx = (res.left_vectors * res.singular_values) @ res.right_vectors.T
+        u, s, vt = sparse_svd(counts, k)
+        approx = (u * s) @ vt
         got = np.linalg.norm(dense - approx)
         want = oracles.truncation_residual_by_gram(dense, k)
         assert abs(got - want) < 1e-8, k
@@ -175,20 +169,19 @@ def test_sparse_svd_truncation_is_best_approximation():
 def test_sparse_svd_deterministic():
     rng = np.random.default_rng(9)
     dense = rng.integers(0, 4, size=(9, 7)).astype(float)
-    m = _matrix_from_dense(dense)
-    a = sparse_svd(m, 3)
-    b = sparse_svd(m, 3)
-    assert np.array_equal(a.singular_values, b.singular_values)
-    assert np.array_equal(a.left_vectors, b.left_vectors)
-    assert np.array_equal(a.right_vectors, b.right_vectors)
+    counts = _counts(dense)
+    a = sparse_svd(counts, 3)
+    b = sparse_svd(counts, 3)
+    for x, y in zip(a, b):
+        assert np.array_equal(x, y)
 
 
 def test_sparse_svd_rank_bounds():
-    m = _matrix_from_dense([[1, 0], [0, 1], [1, 1]])
+    counts = _counts([[1, 0], [0, 1], [1, 1]])
     with pytest.raises(ValueError):
-        sparse_svd(m, 0)
+        sparse_svd(counts, 0)
     with pytest.raises(ValueError):
-        sparse_svd(m, 3)
+        sparse_svd(counts, 3)
 
 
 @pytest.mark.parametrize("error", [
@@ -201,26 +194,35 @@ def test_sparse_svd_reports_any_arpack_failure(monkeypatch, error):
 
     monkeypatch.setattr(spla, "svds", fail)
     with pytest.raises(ConvergenceError, match="k=1: ARPACK error -"):
-        sparse_svd(_matrix_from_dense([[1, 0], [0, 1], [1, 1]]), 1)
+        sparse_svd(_counts([[1, 0], [0, 1], [1, 1]]), 1)
 
 
 def test_sparse_svd_descending_order():
     rng = np.random.default_rng(13)
     dense = rng.integers(0, 6, size=(10, 6)).astype(float)
-    res = sparse_svd(_matrix_from_dense(dense), 5)
-    assert np.all(np.diff(res.singular_values) <= 0)
-    assert res.singular_values.min() >= 0
+    _, s, _ = sparse_svd(_counts(dense), 5)
+    assert np.all(np.diff(s) <= 0)
+    assert s.min() >= 0
+
+
+def test_sparse_svd_returns_row_major_u():
+    # numpy sums a contiguous row pairwise and a strided one in sequence,
+    # so the layout of u sets the last bits of the coordinate norms once
+    # k reaches 8 (rank --ndim 8 and above).
+    dense = np.random.default_rng(17).integers(0, 4, size=(12, 10)).astype(float)
+    for k in (9, 10):  # the iterative branch, then the dense one
+        u, _, _ = sparse_svd(_counts(dense), k)
+        assert u.flags.c_contiguous, k
 
 
 # ---------------------------------------------------------- coordinates
 
 
 def test_resource_coordinates_shape_and_scaling():
-    m = _matrix_from_dense([[2, 0], [0, 5], [0, 0]])
-    res = sparse_svd(m, 2)
-    coords = resource_coordinates(res)
+    u, s, _ = sparse_svd(_counts([[2, 0], [0, 5], [0, 0]]), 2)
+    coords = u * s
     assert coords.shape == (3, 2)
-    assert np.allclose(coords, res.left_vectors * res.singular_values)
+    assert np.allclose(np.abs(coords[:2]), [[0, 2], [5, 0]])
     # The all-zero row has an all-zero coordinate vector.
     assert np.allclose(coords[2], 0.0)
 
@@ -230,17 +232,17 @@ def test_coordinate_norms_never_exceed_row_norms():
     for _ in range(10):
         dense = rng.integers(0, 4, size=(7, 6)).astype(float)
         row_norms = np.linalg.norm(dense, axis=1)
-        m = _matrix_from_dense(dense)
+        counts = _counts(dense)
         for k in range(1, 7):
-            coords = resource_coordinates(sparse_svd(m, k))
-            norms = np.linalg.norm(coords, axis=1)
+            u, s, _ = sparse_svd(counts, k)
+            norms = np.linalg.norm(u * s, axis=1)
             assert np.all(norms <= row_norms + 1e-8), k
 
 
 def test_full_rank_coordinates_preserve_row_norms():
     rng = np.random.default_rng(23)
     dense = rng.integers(1, 5, size=(6, 4)).astype(float)
-    coords = resource_coordinates(sparse_svd(_matrix_from_dense(dense), 4))
+    u, s, _ = sparse_svd(_counts(dense), 4)
     assert np.allclose(
-        np.linalg.norm(coords, axis=1), np.linalg.norm(dense, axis=1), atol=1e-8
+        np.linalg.norm(u * s, axis=1), np.linalg.norm(dense, axis=1), atol=1e-8
     )

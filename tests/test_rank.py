@@ -271,6 +271,13 @@ def test_ranking_result_validation():
         )
 
 
+
+@pytest.mark.parametrize("order", [[0.2, 1.7], [True, False], ["1", "0"]])
+def test_ranking_result_rejects_non_integer_order(order):
+    with pytest.raises(ValueError, match="^order must hold integers"):
+        RankingResult(Distribution.uniform(2), order, ("a", "b"), 1, True)
+
+
 # ------------------------------------------------------------- relabelling
 
 _WORDS = ("river", "city", "museum", "bridge", "tower")

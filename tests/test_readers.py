@@ -9,10 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ldrank.types as types_module
-from ldrank import InputFormatError, load_qrels
+from ldrank import InputFormatError, load_judgments, load_qrels
 from ldrank.cli import _read_manifest
 from ldrank.corpus import _read_graph_file, _read_query_file, _read_serp_file, _read_texts_file
-from ldrank.types import parse_int, read_rows
+from ldrank.types import parse_int, read_lines, read_rows
 
 import oracles
 
@@ -195,6 +195,62 @@ def test_read_rows_skips_blank_and_comment_lines(tmp_path):
     path.write_text("a\tb\n\nc\n", encoding="utf-8")
     with pytest.raises(InputFormatError, match=r":3: expected 2 tab-separated pairs, got 1$"):
         list(read_rows(path, 2, "pairs"))
+
+
+def test_read_rows_yields_every_row_before_bad_bytes(tmp_path):
+    # 24 KiB of rows: the decoder fails blocks after the first, so reading
+    # resumes mid-file and must neither skip nor repeat a row.
+    path = tmp_path / "f.tsv"
+    path.write_bytes("".join(f"a{k}\tb\n" for k in range(3000)).encode() + b"\xff\n")
+    got = []
+    with pytest.raises(InputFormatError) as exc:
+        got.extend(read_rows(path, 2))
+    assert str(exc.value) == f"{path}:0: not valid UTF-8 (invalid start byte)"
+    assert got == [(k + 1, [f"a{k}", "b"]) for k in range(3000)]
+
+
+# \x85, \x1c and \u2028 end a line for str.splitlines, not for text mode.
+_LINE_TEXT = st.text(st.sampled_from("ab #\t{}\x85\x1c\u2028\xe9"), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINE_TEXT, max_size=14), _ENDS, st.booleans())
+def test_read_lines_splits_as_text_mode_and_yields_lines_before_bad_bytes(
+    tmp_path_factory, lines, ends, last_end
+):
+    text = _join(lines, ends, last_end)
+    path = tmp_path_factory.mktemp("lines") / "f.txt"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8") as fh:
+        want = [(k, line.rstrip("\n")) for k, line in enumerate(fh, 1)]
+    assert list(read_lines(path)) == want
+    # Bad bytes appended to an unterminated last line take that line with them.
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    got = []
+    with pytest.raises(InputFormatError) as exc:
+        got.extend(read_lines(path))
+    assert str(exc.value) == f"{path}:0: not valid UTF-8 (invalid start byte)"
+    assert got == (want if text.endswith(("\n", "\r")) or not text else want[:-1])
+
+
+# Bad bytes in the same decoder block as an earlier malformed line.
+@pytest.mark.parametrize("name, load, data, reason", [
+    ("t.jsonl", _read_texts_file,
+     b'{"id": "a", "text": "x"}\n{oops\n\xff\n',
+     "invalid JSON (Expecting property name enclosed in double quotes)"),
+    ("g.tsv", lambda p: list(_read_graph_file(p)),
+     b"a\tp\ta\nb\tp\n\xff\n",
+     "expected 3 tab-separated fields, got 2"),
+    ("j.jsonl", load_judgments,
+     b'{"item": "i", "worker": "w", "grade": 1}\n{"item": "i"\n\xff\n',
+     "invalid JSON (Expecting ',' delimiter)"),
+])
+def test_format_error_before_bad_bytes_in_one_block(tmp_path, name, load, data, reason):
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(InputFormatError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}:2: {reason}"
 
 
 @pytest.mark.parametrize("text", ["0_1", " 1", "1 ", "+1", "٣", "1\x85", "", "-", "1e3"])

@@ -78,3 +78,24 @@ def test_corpus_bundle_index_is_positional():
     assert bundle.texts == ("", "", "")
     assert bundle.query == frozenset({1})
     assert bundle.n == 3
+
+
+@pytest.mark.parametrize(
+    "edges, query, field",
+    [
+        ([[0.0, 1.9]], set(), "graph_edges"),
+        ([[True, False]], set(), "graph_edges"),
+        ([["0", "1"]], set(), "graph_edges"),
+        ([[0, 1]], {0.7}, "query"),
+        ([[0, 1]], {True}, "query"),
+    ],
+)
+def test_corpus_bundle_rejects_non_integer_indices(edges, query, field):
+    serp = SerpContext(docs=(), occurrences={})
+    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
+        CorpusBundle(("a", "b"), edges, ("", ""), serp, query)
+    # Empty input of any dtype, and integer arrays of any width, pass.
+    bundle = CorpusBundle(
+        ("a", "b"), np.empty((0, 2)), ("", ""), serp, np.array([1], dtype=np.uint8)
+    )
+    assert bundle.graph_edges.dtype == np.int64 and bundle.query == {1}
