@@ -15,8 +15,11 @@ The line rules shared by every input file are those of the ``types``
 readers.  A resource id is non-empty, holds no whitespace and does not
 start with ``#``.  The resource universe is exactly the set of ids in the
 texts file; graph endpoints, result-page mentions and query entries must
-all resolve inside it.  ``assemble_bundle`` resolves them once, into the
-index form of ``CorpusBundle``; no later stage looks up an identifier.
+all resolve inside it.  A texts-file id holds no ``,`` either, since
+result pages separate mentions with it, so an endpoint or query entry
+with a ``,`` is a dangling reference.  ``assemble_bundle`` resolves them
+once, into the index form of ``CorpusBundle``; no later stage looks up an
+identifier.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ def _read_texts_file(path) -> dict[str, str]:
                     path, line_no, 'expected string fields "id" and "text"'
                 )
             _check_resource_id(rid, path, line_no, "resource id")
+            if "," in rid:  # result pages separate mentions with ","
+                raise InputFormatError(path, line_no, f"resource id {rid!r} contains ','")
             if rid in texts:
                 raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
             texts[rid] = text

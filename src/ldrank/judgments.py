@@ -57,12 +57,16 @@ class JudgmentRecord:
     trust: float | None = None
 
     def __post_init__(self):
-        if self.grade not in VALID_GRADES:
+        # As in ``load_judgments``: a float or bool grade is not an int.
+        if type(self.grade) is not int or self.grade not in VALID_GRADES:
             raise ValueError(
                 f"grade must be one of {VALID_GRADES}, got {self.grade!r}"
             )
-        if self.trust is not None and not 0.0 <= self.trust <= 1.0:
-            raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
+        if self.trust is not None:
+            if isinstance(self.trust, bool) or not isinstance(self.trust, (int, float)):
+                raise ValueError(f"trust must be a number, got {self.trust!r}")
+            if not 0.0 <= self.trust <= 1.0:
+                raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,7 +91,10 @@ class JudgmentSet:
             name: integer_array(getattr(self, name), name).astype(np.intp)
             for name in ("item_codes", "worker_codes", "grades")
         }
-        columns["trust"] = np.array(self.trust, dtype=np.float64)
+        trust = np.asarray(self.trust)
+        if trust.size and trust.dtype.kind not in "iuf":
+            raise ValueError(f"trust must hold numbers, got {trust.dtype} values")
+        columns["trust"] = trust.astype(np.float64)
         n = columns["grades"].size
         if any(col.shape != (n,) for col in columns.values()):
             raise ValueError("record columns must be vectors of one length")

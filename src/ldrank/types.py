@@ -1,9 +1,11 @@
 """Shared data model: input readers, pipeline settings, probability
 vectors, result-page context, corpus bundle.
 
-Every line-format decision is made here: ``read_rows`` reads the
-tab-separated files (graph, serp, qrels, manifest), ``read_objects`` the
-JSON Lines files (texts, judgments) and ``data_lines`` the query file.
+Every line-format decision is made here.  ``_chunks`` is the only code
+that opens, decodes, splits and numbers an input file, a chunk of lines at
+a time; ``read_rows`` reads the tab-separated files (graph, serp, qrels,
+manifest), ``read_objects`` the JSON Lines files (texts, judgments) and
+``data_lines`` the query file, each through it.
 
 Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
@@ -36,27 +38,52 @@ class InputFormatError(ValueError):
         super().__init__(f"{self.path}:{line_no}: {reason}")
 
 
-def read_lines(path):
-    """Yield ``(line_no, line)`` for each line of a UTF-8 text file.
+#: Raw lines per chunk of an input file: one ``decode`` per chunk, and in
+#: ``read_objects`` one ``json.loads``; bounds the text held at once.
+_CHUNK_LINES = 1024
 
-    Lines are numbered from 1, read lazily, and end at ``\\n``, ``\\r\\n``
-    or ``\\r``, which are stripped.  Each line is decoded on its own, so
-    every line before undecodable bytes is yielded; those bytes raise
-    ``InputFormatError`` at line 0.
+
+def _chunks(path):
+    """Yield ``(first_line_no, lines)`` for chunks of up to ``_CHUNK_LINES``
+    raw lines of a UTF-8 text file; lines are numbered from 1.
+
+    This is the only code that opens an input file.  Lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r``, as in text mode, and the endings are stripped.
+    A chunk that is not valid UTF-8 is decoded one line at a time: the lines
+    before the bad bytes are yielded, then ``InputFormatError`` is raised at
+    line 0, so a reader reports a format error on an earlier line first.
     """
-    line_no = 0
+    line_no = 1
     with open(path, "rb") as fh:
-        for raw in fh:
-            # A raw line ends at \n only; bytes.splitlines also ends lines
-            # at \r\n and a lone \r, as text mode does.
-            for piece in raw.splitlines(keepends=True):
-                try:
-                    line = piece.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    reason = f"not valid UTF-8 ({exc.reason})"
-                    raise InputFormatError(path, 0, reason) from exc
-                line_no += 1
-                yield line_no, line.rstrip("\r\n")
+        while data := b"".join(islice(fh, _CHUNK_LINES)):
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                lines = []
+                # bytes.splitlines ends lines at \n, \r\n and \r only; one
+                # of these pieces holds the bad bytes, so this loop raises.
+                for piece in data.splitlines(keepends=True):
+                    try:
+                        lines.append(piece.decode("utf-8").rstrip("\r\n"))
+                    except UnicodeDecodeError as exc:
+                        yield line_no, lines
+                        reason = f"not valid UTF-8 ({exc.reason})"
+                        raise InputFormatError(path, 0, reason) from exc
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
+            lines = text.split("\n")
+            if not lines[-1]:  # the chunk ends with a line break
+                lines.pop()
+            yield line_no, lines
+            line_no += len(lines)
+
+
+def read_lines(path):
+    """Yield ``(line_no, line)`` for each line of a UTF-8 text file, split
+    and numbered as ``_chunks`` does: every line before undecodable bytes
+    is yielded, then those bytes raise ``InputFormatError`` at line 0."""
+    for first_line_no, lines in _chunks(path):
+        yield from enumerate(lines, first_line_no)
 
 
 def data_lines(path):
@@ -70,33 +97,19 @@ def data_lines(path):
 
 def read_rows(path, count: int, noun: str = "fields"):
     """Yield ``(line_no, fields)`` for each line of ``data_lines(path)``; it
-    must split at tabs into exactly ``count`` fields, or this raises.
-
-    The file is read in text mode.  If it is not valid UTF-8, reading goes
-    on through ``read_lines`` after the last line read, so a format error
-    on a line before the undecodable bytes is still reported first.
-    """
-    line_no = 0
-    with open(path, encoding="utf-8") as fh:
-        numbered = enumerate(fh, 1)
-        while True:
-            try:
-                # The loop of ``data_lines``, inlined: a graph file has
-                # millions of lines.
-                for line_no, line in numbered:
-                    head = line.lstrip()
-                    if not head or head[0] == "#":
-                        continue
-                    fields = line.rstrip("\n").split("\t")
-                    if len(fields) != count:
-                        reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
-                        raise InputFormatError(path, line_no, reason)
-                    yield line_no, fields
-                return
-            except UnicodeDecodeError:
-                # The decoder reads ahead in blocks, past lines not yet
-                # checked; ``read_lines`` decodes them one at a time.
-                numbered = islice(read_lines(path), line_no, None)
+    must split at tabs into exactly ``count`` fields, or this raises."""
+    for first_line_no, lines in _chunks(path):
+        # The loop of ``data_lines``, inlined: a graph file has millions of
+        # lines.
+        for line_no, line in enumerate(lines, first_line_no):
+            head = line.lstrip()
+            if not head or head[0] == "#":
+                continue
+            fields = line.split("\t")
+            if len(fields) != count:
+                reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
+                raise InputFormatError(path, line_no, reason)
+            yield line_no, fields
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -112,44 +125,26 @@ def parse_int(text: str, path, line_no: int, what: str) -> int:
     raise InputFormatError(path, line_no, f"{what} {text!r} is not an integer")
 
 
-#: Lines per ``json.loads`` call in ``read_objects``; bounds the text and
-#: objects held at once.
-_CHUNK_LINES = 4096
 _JSON_SPACE = " \t\n\r"
 
 
 def read_objects(path):
-    """Yield, per chunk of ``_CHUNK_LINES`` lines of a JSON Lines file, an
-    iterable of ``(line_no, object)`` pairs, one per non-blank line.
+    """Yield, per ``_chunks`` chunk of a JSON Lines file, an iterable of
+    ``(line_no, object)`` pairs, one per non-blank line.
 
     A chunk is parsed with one ``json.loads`` when every non-blank line in
     it frames exactly one object, else line by line, so the first bad line
     is reported as ``path:line: reason``.  A caller that takes each chunk's
-    pairs before the next chunk sees them in line order with these errors.
-    A file that is not valid UTF-8 is re-read line by line from the chunk
-    that failed, so a format error on a line decoded before the bad bytes
-    still comes first.
+    pairs before the next chunk sees them in line order with these errors,
+    undecodable bytes included.
     """
-    line_no = 1
-    try:
-        # Universal newlines, as ``read_lines`` reads them: \r\n and \r
-        # become \n, so no line holds a line break before its end.
-        with open(path, encoding="utf-8") as fh:
-            while chunk := list(islice(fh, _CHUNK_LINES)):
-                pairs = _chunk_objects(path, line_no, chunk)
-                line_no += len(chunk)
-                del chunk  # not held while the next chunk is read
-                yield pairs
-    except UnicodeDecodeError:
-        # The per-line loop finds a format error before the undecodable
-        # bytes, or raises the decoding error.
-        yield _objects_by_line(path, islice(read_lines(path), line_no - 1, None))
-        raise
+    for first_line_no, lines in _chunks(path):
+        yield _chunk_objects(path, first_line_no, lines)
 
 
 def _chunk_objects(path, first_line_no: int, lines: list[str]):
-    """``(line_no, object)`` pairs of a chunk of raw lines."""
-    body = [raw.strip(_JSON_SPACE) for raw in lines if not raw.isspace()]
+    """``(line_no, object)`` pairs of a chunk of lines."""
+    body = [line.strip(_JSON_SPACE) for line in lines if line and not line.isspace()]
     text = ",\n".join(body)
     # One "{" and one "}" per line, at its two ends, so every line holds
     # exactly one object and no object spans lines.
@@ -170,19 +165,17 @@ def _chunk_objects(path, first_line_no: int, lines: list[str]):
             if n == len(lines):
                 return enumerate(objects, first_line_no)
             numbers = enumerate(lines, first_line_no)
-            return zip([k for k, raw in numbers if not raw.isspace()], objects)
-    return _objects_by_line(
-        path, enumerate((raw.rstrip("\n") for raw in lines), first_line_no)
-    )
+            return zip([k for k, line in numbers if line and not line.isspace()], objects)
+    return _objects_by_line(path, enumerate(lines, first_line_no))
 
 
 def _objects_by_line(path, numbered_lines):
     """Parse ``(line_no, line)`` pairs one line at a time."""
-    for line_no, raw in numbered_lines:
-        if not raw.strip():
+    for line_no, line in numbered_lines:
+        if not line.strip():
             continue
         try:
-            obj = json.loads(raw)
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
@@ -328,7 +321,7 @@ class CorpusBundle:
     resources by that index only.  ``graph_edges`` is an ``(m, 2)`` int64
     array with one ``(subject, object)`` row per input triple, in input
     order (predicates dropped, parallel rows kept); ``texts`` holds one text
-    per resource; ``query`` is the set of query-resource indices.
+    per resource; ``serp.occurrences`` and ``query`` index resources too.
     ``corpus.assemble_bundle`` builds bundles from resource identifiers.
     """
 
@@ -353,6 +346,8 @@ class CorpusBundle:
         query = frozenset(integer_array(list(self.query), "query").tolist())
         if any(not 0 <= i < n for i in query):
             raise ValueError(f"query holds an index outside 0..{n - 1}")
+        if any(i >= n for i in self.serp.occurrences):  # SerpContext rejects i < 0
+            raise ValueError(f"serp occurrences hold an index outside 0..{n - 1}")
         object.__setattr__(self, "graph_edges", edges)
         object.__setattr__(self, "texts", texts)
         object.__setattr__(self, "query", query)

@@ -396,6 +396,8 @@ def texts_by_line(path):
                 path, line_no, 'expected string fields "id" and "text"'
             )
         _resource_id_by_split(rid, path, line_no, "resource id")
+        if "," in rid:
+            raise InputFormatError(path, line_no, f"resource id {rid!r} contains ','")
         if rid in texts:
             raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
         texts[rid] = text

@@ -178,6 +178,28 @@ def test_texts_id_starting_with_hash_is_rejected(tmp_path):
         load_bundle(*files)
 
 
+def test_texts_id_with_comma_is_rejected(tmp_path):
+    files = _bundle_files(
+        tmp_path,
+        graph="a\tp\ta\n",
+        texts='{"id": "a", "text": "alpha"}\n{"id": "a,b", "text": "beta"}\n',
+        serp="1\td1\ta,b\n",
+        query="",
+    )
+    with pytest.raises(InputFormatError, match=r"t.jsonl:2: resource id 'a,b' contains ','$"):
+        load_bundle(*files)
+
+
+@pytest.mark.parametrize("graph, query, role", [
+    ("a,b\tp\ta\n", "a\n", "graph subject"),
+    ("a\tp\ta\n", "a,b\n", "query resource"),
+])
+def test_reference_with_comma_is_dangling(tmp_path, graph, query, role):
+    files = _bundle_files(tmp_path, graph=graph, serp="", query=query)
+    with pytest.raises(ValueError, match=f"^{role} 'a,b' has no entry in the texts table$"):
+        load_bundle(*files)
+
+
 @pytest.mark.parametrize("graph, serp, where", [
     ("a\tp\t#b\n", "1\td1\ta\n", r"g.tsv:1: object '#b'"),
     ("a\tp\tb\n", "1\td1\ta,#b\n", r"s.tsv:1: resource id '#b'"),
@@ -287,6 +309,18 @@ def test_corpus_bundle_rejects_out_of_range_indices(n, offset, below, field):
             texts=("",) * n,
             serp=SerpContext(docs=(), occurrences={}),
             query=frozenset(query),
+        )
+
+
+@pytest.mark.parametrize("index", [3, 99])
+def test_corpus_bundle_rejects_out_of_range_serp_index(index):
+    with pytest.raises(ValueError, match=r"^serp occurrences hold an index outside 0\.\.2$"):
+        CorpusBundle(
+            resource_ids=("a", "b", "c"),
+            graph_edges=np.zeros((0, 2), dtype=np.int64),
+            texts=("", "", ""),
+            serp=SerpContext(docs=("d1",), occurrences={0: frozenset({1}), index: frozenset({1})}),
+            query=frozenset(),
         )
 
 

@@ -168,6 +168,28 @@ def test_judgment_record_validation():
         JudgmentRecord(item="i", worker="w", grade=1, trust=1.5)
 
 
+@pytest.mark.parametrize("grade", [2.0, True, False, "1"])
+def test_judgment_record_rejects_a_grade_that_is_not_an_int(grade):
+    with pytest.raises(ValueError, match=f"^grade must be one of .*, got {grade!r}$"):
+        JudgmentRecord(item="i", worker="w", grade=grade)
+
+
+@pytest.mark.parametrize("trust", [True, False, "0.5", "1"])
+def test_judgment_record_rejects_a_trust_that_is_not_a_number(trust):
+    with pytest.raises(ValueError, match=f"^trust must be a number, got {trust!r}$"):
+        JudgmentRecord(item="i", worker="w", grade=1, trust=trust)
+    assert JudgmentRecord(item="i", worker="w", grade=1, trust=1).trust == 1
+
+
+@pytest.mark.parametrize("trust", [["0.5"], [True], np.array([None])])
+def test_judgment_set_rejects_a_trust_column_that_is_not_numeric(trust):
+    with pytest.raises(ValueError, match="^trust must hold numbers"):
+        JudgmentSet(("i",), ("w",), [0], [0], [1], trust)
+    # Integer and float columns of any width pass.
+    for ok in ([1], np.array([0.5], dtype=np.float32)):
+        assert JudgmentSet(("i",), ("w",), [0], [0], [1], ok).trust.dtype == np.float64
+
+
 # --------------------------------------------------------------- filter
 
 

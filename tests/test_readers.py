@@ -43,7 +43,7 @@ _ENDS = st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=14, max_size=14
 
 _IDS = _mostly(
     st.sampled_from(["a", "b", "c", "a\x85b", "p q", "x y"]),
-    st.sampled_from(["", 7, None, True, "{b}", "[c]", "e\x1cf"]),
+    st.sampled_from(["", 7, None, True, "{b}", "[c]", "e\x1cf", "a,b"]),
 )
 _TEXT_VALUES = _mostly(
     st.sampled_from(["", "alpha beta", "x}y", "{z", "{}", "}, {", "a\x85b", "p q"]),
@@ -121,8 +121,8 @@ def test_texts_reader_matches_line_loop(tmp_path_factory, lines, ends, last_end,
     assert got == _outcome(oracles.texts_by_line, path)
 
 
-# Line 8500 lies in the chunk whose reading meets the bad bytes, but in an
-# earlier block of the decoder, so the line loop reaches it first.
+# Line 8500 lies in the chunk that holds the bad bytes, so it is reached
+# only when that chunk is decoded line by line.
 @pytest.mark.parametrize("bad", [4, 8500])
 def test_texts_reader_reports_format_error_before_bad_bytes(tmp_path, bad):
     good = '{"id": "r%d", "text": "x"}\n'
@@ -198,8 +198,8 @@ def test_read_rows_skips_blank_and_comment_lines(tmp_path):
 
 
 def test_read_rows_yields_every_row_before_bad_bytes(tmp_path):
-    # 24 KiB of rows: the decoder fails blocks after the first, so reading
-    # resumes mid-file and must neither skip nor repeat a row.
+    # 3000 rows: the bad bytes lie chunks into the file, and the rows of the
+    # chunk that holds them must be yielded, none skipped or repeated.
     path = tmp_path / "f.tsv"
     path.write_bytes("".join(f"a{k}\tb\n" for k in range(3000)).encode() + b"\xff\n")
     got = []
@@ -213,27 +213,35 @@ def test_read_rows_yields_every_row_before_bad_bytes(tmp_path):
 _LINE_TEXT = st.text(st.sampled_from("ab #\t{}\x85\x1c\u2028\xe9"), max_size=6)
 
 
+# Text mode is the oracle here: every other reader's oracle reads through
+# ``read_lines``, and so through the same ``_chunks``.
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_LINE_TEXT, max_size=14), _ENDS, st.booleans())
+@given(
+    st.lists(_LINE_TEXT, max_size=14), _ENDS, st.booleans(), st.sampled_from([1, 2, 3, 4096])
+)
 def test_read_lines_splits_as_text_mode_and_yields_lines_before_bad_bytes(
-    tmp_path_factory, lines, ends, last_end
+    tmp_path_factory, lines, ends, last_end, chunk
 ):
     text = _join(lines, ends, last_end)
     path = tmp_path_factory.mktemp("lines") / "f.txt"
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         want = [(k, line.rstrip("\n")) for k, line in enumerate(fh, 1)]
-    assert list(read_lines(path)) == want
+    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
+        assert list(read_lines(path)) == want
     # Bad bytes appended to an unterminated last line take that line with them.
     path.write_bytes(text.encode("utf-8") + b"\xff\n")
     got = []
-    with pytest.raises(InputFormatError) as exc:
+    with (
+        mock.patch.object(types_module, "_CHUNK_LINES", chunk),
+        pytest.raises(InputFormatError) as exc,
+    ):
         got.extend(read_lines(path))
     assert str(exc.value) == f"{path}:0: not valid UTF-8 (invalid start byte)"
     assert got == (want if text.endswith(("\n", "\r")) or not text else want[:-1])
 
 
-# Bad bytes in the same decoder block as an earlier malformed line.
+# Bad bytes in the same chunk as an earlier malformed line.
 @pytest.mark.parametrize("name, load, data, reason", [
     ("t.jsonl", _read_texts_file,
      b'{"id": "a", "text": "x"}\n{oops\n\xff\n',
