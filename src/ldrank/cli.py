@@ -128,7 +128,7 @@ def _cmd_rank(args) -> int:
                     fh.write(rid + "".join(f"\t{_fmt(p[i])}" for p in priors) + "\n")
     out = sys.stdout
     for pos, idx in enumerate(result.order, start=1):
-        out.write(f"{pos}\t{result.resource_ids[idx]}\t{_fmt(result.scores.values[idx])}\n")
+        out.write(f"{pos}\t{bundle.resource_ids[idx]}\t{_fmt(result.scores.values[idx])}\n")
     if _drain_warnings(caught) and args.strict:
         return 2
     return 0

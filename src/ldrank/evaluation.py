@@ -3,6 +3,7 @@
 The discounted gain of a ranked list counts the first grade at full value
 and divides the grade at position i >= 2 by log2(i).  NDCG divides by the
 gain of the ideal reordering of the same grades, so it stays in [0, 1].
+``RelevanceJudgments.grades_of`` is the one place ids meet judgments.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import time
 import warnings
 from dataclasses import dataclass
 
-from .rank import STRATEGIES, Pipeline, PipelineParams, RankingResult
+from .rank import STRATEGIES, Pipeline, PipelineParams
 
 __all__ = [
     "RelevanceJudgments",
@@ -27,16 +28,26 @@ VALID_GRADES = (0, 1, 2, 3)
 
 @dataclass(frozen=True, eq=False)
 class RelevanceJudgments:
-    """Item identifier -> relevance grade on the 0..3 scale."""
+    """Item identifier -> relevance grade, an ``int`` on the 0..3 scale."""
 
     grades: dict[str, int]
 
     def __post_init__(self):
         for item, grade in self.grades.items():
-            if grade not in VALID_GRADES:
+            if type(grade) is not int or grade not in VALID_GRADES:
                 raise ValueError(
                     f"grade for {item!r} must be one of {VALID_GRADES}, got {grade!r}"
                 )
+
+    def grades_of(self, resource_ids) -> list[int]:
+        """One grade per id, 0 for an unjudged one (warned once per call)."""
+        missing = [rid for rid in resource_ids if rid not in self.grades]
+        if missing:
+            warnings.warn(
+                f"{len(missing)} ranked resources have no judgment and count as grade 0 "
+                f"(first: {missing[0]!r})"
+            )
+        return [self.grades.get(rid, 0) for rid in resource_ids]
 
 
 def dcg(grades, r: int) -> float:
@@ -57,21 +68,12 @@ def dcg(grades, r: int) -> float:
     return total
 
 
-def ndcg(ranking: RankingResult, judgments: RelevanceJudgments, r: int) -> float:
-    """Normalized DCG at cutoff ``r`` for one ranking.
+def ndcg(grades, r: int) -> float:
+    """Normalized DCG at cutoff ``r`` of a list of grades in rank order.
 
-    Resources missing from the judgments count as grade 0 (warned once per
-    call).  If even the ideal ordering has zero gain there is nothing to
-    normalize by; that degenerate case scores 1.0, with a warning.
+    If even the ideal ordering has zero gain there is nothing to normalize
+    by; that degenerate case scores 1.0, with a warning.
     """
-    ranked_ids = ranking.ranked_ids()
-    missing = [rid for rid in ranked_ids if rid not in judgments.grades]
-    if missing:
-        warnings.warn(
-            f"{len(missing)} ranked resources have no judgment and count as grade 0 "
-            f"(first: {missing[0]!r})"
-        )
-    grades = [judgments.grades.get(rid, 0) for rid in ranked_ids]
     ideal = sorted(grades, reverse=True)
     ideal_gain = dcg(ideal, r)
     if ideal_gain == 0.0:
@@ -100,10 +102,11 @@ def compare_strategies(
 ) -> StrategyComparison:
     """Run every strategy over aligned (bundle, judgments) pairs.
 
-    Each bundle gets one ``Pipeline``, from which every strategy is ranked
-    and scored at every cutoff.  The seconds are marginal, measured with a
-    monotonic clock: a stage shared by several strategies is charged to the
-    first one that needs it, in ``STRATEGIES`` order.  Means are arithmetic
+    Each bundle gets one ``Pipeline``, from which every strategy is ranked,
+    and one ``grades_of`` call, by whose grades every ranking is scored at
+    every cutoff.  The seconds are marginal, measured with a monotonic
+    clock: a stage shared by several strategies is charged to the first
+    one that needs it, in ``STRATEGIES`` order.  Means are arithmetic
     over the bundles; an empty bundle list yields an empty comparison.
     """
     bundles = list(bundles)
@@ -118,25 +121,20 @@ def compare_strategies(
     params = params or PipelineParams()
 
     if not bundles:
-        return StrategyComparison(
-            strategies=STRATEGIES,
-            cutoffs=cutoffs,
-            n_queries=0,
-            mean_ndcg={},
-            mean_seconds={},
-            per_query_ndcg=(),
-        )
+        return StrategyComparison(STRATEGIES, cutoffs, 0, {}, {}, ())
 
     per_query: list[dict[str, dict[int, float]]] = []
     seconds: dict[str, list[float]] = {name: [] for name in STRATEGIES}
     for bundle, judged in zip(bundles, judgments):
         pipeline = Pipeline(bundle, params)
+        grades = judged.grades_of(bundle.resource_ids)
         row: dict[str, dict[int, float]] = {}
         for name in STRATEGIES:
             start = time.perf_counter()
             result = pipeline.rank(name)
             seconds[name].append(time.perf_counter() - start)
-            row[name] = {r: ndcg(result, judged, r) for r in cutoffs}
+            ranked = [grades[i] for i in result.order]
+            row[name] = {r: ndcg(ranked, r) for r in cutoffs}
         per_query.append(row)
 
     n = len(bundles)

@@ -2,10 +2,11 @@
 
 The walk structure ignores predicates entirely: an edge is a distinct
 (subject, object) pair.  ``ResourceGraph`` holds the edges as one
-compressed-sparse-row adjacency.  Dangling rows (no out-edges) are completed
-with a caller-supplied fill distribution at application time; the n-by-n
-stochastic matrix itself is never materialized densely.  scipy is imported
-only where the operator is built, so importing this module does not load it.
+compressed-sparse-row adjacency over resource indices, with no ids.
+Dangling rows (no out-edges) are completed with a caller-supplied fill
+distribution at application time; the n-by-n stochastic matrix itself is
+never materialized densely.  scipy is imported only where the operator is
+built, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ class ResourceGraph:
     """Adjacency over resource indices in compressed sparse row form.
 
     The successors of node i are ``indices[indptr[i]:indptr[i + 1]]``,
-    sorted and unique.
+    sorted and unique.  The graph has ``indptr.size - 1`` nodes.
     """
 
-    resource_ids: tuple[str, ...]
     indptr: np.ndarray
     indices: np.ndarray
 
     def __post_init__(self):
-        n = len(self.resource_ids)
         indptr = integer_array(self.indptr, "indptr")
         indices = integer_array(self.indices, "indices")
-        if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
-            raise ValueError("indptr must hold n + 1 offsets from 0 to the edge count")
+        n = indptr.size - 1
+        if indptr.ndim != 1 or n < 0 or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("indptr must be a vector of offsets from 0 to the edge count")
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr offsets must not decrease")
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
@@ -53,7 +53,7 @@ class ResourceGraph:
 
     @property
     def n(self) -> int:
-        return len(self.resource_ids)
+        return self.indptr.size - 1
 
     @property
     def edge_count(self) -> int:
@@ -80,7 +80,7 @@ def build_graph(bundle: CorpusBundle, bidirectional: bool = False) -> ResourceGr
     keys = np.sort(src * n + dst)
     rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
     indptr = np.searchsorted(rows, np.arange(n + 1))
-    return ResourceGraph(resource_ids=bundle.resource_ids, indptr=indptr, indices=cols)
+    return ResourceGraph(indptr=indptr, indices=cols)
 
 
 class TransitionOperator:

@@ -57,7 +57,12 @@ class JudgmentRecord:
     trust: float | None = None
 
     def __post_init__(self):
-        # As in ``load_judgments``: a float or bool grade is not an int.
+        # As in ``load_judgments``: ids are non-empty strings, and a float or
+        # bool grade is not an int.
+        if type(self.item) is not str or not self.item:
+            raise ValueError('missing or invalid "item"')
+        if type(self.worker) is not str or not self.worker:
+            raise ValueError('missing or invalid "worker"')
         if type(self.grade) is not int or self.grade not in VALID_GRADES:
             raise ValueError(
                 f"grade must be one of {VALID_GRADES}, got {self.grade!r}"
@@ -415,7 +420,7 @@ def _checked_columns(path, pairs):
         if type(grade) is not int:
             raise InputFormatError(path, line_no, 'field "grade" must be an integer')
         if trust is not None and type(trust) is not float:
-            if type(trust) not in (int, bool):
+            if type(trust) is not int:
                 raise InputFormatError(path, line_no, 'field "trust" must be numeric')
             try:
                 trust = float(trust)

@@ -2,7 +2,8 @@
 
 ``power_rank`` runs the damped power iteration for the walk matrix
 ``alpha * S + (1 - alpha) * ones * teleport'`` without ever materializing
-the dense matrix: each step costs O(edges + n).
+the dense matrix: each step costs O(edges + n).  It ranks indices, score
+ties by ascending index, which is id order: the bundle sorts its ids.
 
 Every stage takes its settings from one ``PipelineParams`` (defined in
 ``types``), which has checked them when it was built.
@@ -54,28 +55,21 @@ class RankingResult:
     """Stationary scores plus the induced ordering.
 
     ``order`` holds resource indices sorted by descending score, ties broken
-    by ascending resource identifier.
+    by ascending index, which is ascending resource id.
     """
 
     scores: Distribution
     order: np.ndarray
-    resource_ids: tuple[str, ...]
     iterations: int
     converged: bool
 
     def __post_init__(self):
-        n = len(self.scores)
         order = integer_array(self.order, "order")
-        if sorted(order.tolist()) != list(range(n)):
+        if sorted(order.tolist()) != list(range(len(self.scores))):
             raise ValueError("order must be a permutation of the resource indices")
-        if len(self.resource_ids) != n:
-            raise ValueError("one resource id required per score")
         order = order.copy()
         order.setflags(write=False)
         object.__setattr__(self, "order", order)
-
-    def ranked_ids(self) -> list[str]:
-        return [self.resource_ids[i] for i in self.order]
 
 
 def power_rank(
@@ -108,12 +102,9 @@ def power_rank(
             f"power iteration still above tolerance after {iterations} iterations",
             ConvergenceWarning,
         )
-    ids = np.array(graph.resource_ids)
-    order = np.lexsort((ids, -x))
     return RankingResult(
         scores=Distribution(x),
-        order=order,
-        resource_ids=graph.resource_ids,
+        order=np.argsort(-x, kind="stable"),
         iterations=iterations,
         converged=converged,
     )

@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import islice
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -221,8 +221,9 @@ class PipelineParams:
     ``alpha`` is the walk damping, ``ndim`` the SVD dimension k, ``stress``
     the row amplification of the resources under focus, ``tol`` the L1
     tolerance of the power iteration and ``damping`` the consensus step
-    lambda.  Construction rejects any out-of-range, NaN or infinite value
-    with a ``ValueError`` naming the field, so no stage checks them again.
+    lambda.  Construction rejects a wrong type (a bool is not a number)
+    and any out-of-range, NaN or infinite value with a ``ValueError``
+    naming the field, so no stage checks them again.
     """
 
     alpha: float = 0.7
@@ -238,8 +239,12 @@ class PipelineParams:
     def __post_init__(self):
         for name, (rule, ok) in _PARAM_RANGES.items():
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
             if not ok(value):
                 raise ValueError(f"{name} {rule}, got {value}")
+        if type(self.bidirectional) is not bool:
+            raise ValueError(f"bidirectional must be a bool, got {self.bidirectional!r}")
 
 
 @dataclass(frozen=True, eq=False)

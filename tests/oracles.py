@@ -62,6 +62,11 @@ def stationary_by_eig(walk_matrix):
     return v / v.sum()
 
 
+def order_by_score_then_id(scores, resource_ids):
+    """Indices by descending score, ties by ascending resource id."""
+    return np.lexsort((np.array(resource_ids), -np.asarray(scores)))
+
+
 def edges_to_out_lists(n, pairs):
     out = [set() for _ in range(n)]
     for i, j in pairs:
@@ -356,7 +361,7 @@ def _records_by_line(path, numbered_lines):
             raise InputFormatError(path, line_no, 'missing or invalid "worker"')
         if isinstance(grade, bool) or not isinstance(grade, int):
             raise InputFormatError(path, line_no, 'field "grade" must be an integer')
-        if trust is not None and not isinstance(trust, (int, float)):
+        if trust is not None and (isinstance(trust, bool) or not isinstance(trust, (int, float))):
             raise InputFormatError(path, line_no, 'field "trust" must be numeric')
         try:
             trust = None if trust is None else float(trust)

@@ -20,7 +20,6 @@ from ldrank import (
     JudgmentRecord,
     JudgmentSet,
     PipelineParams,
-    RankingResult,
     RelevanceJudgments,
     ResourceGraph,
     ResourceTextMatrix,
@@ -42,9 +41,8 @@ import scipy.sparse as sp
 
 def _random_graph(rng, n, edge_prob=0.3):
     mask = rng.random((n, n)) < edge_prob
-    ids = tuple(f"n{i:02d}" for i in range(n))
     indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    return ResourceGraph(resource_ids=ids, indptr=indptr, indices=np.nonzero(mask)[1])
+    return ResourceGraph(indptr=indptr, indices=np.nonzero(mask)[1])
 
 
 def _random_distribution(rng, n):
@@ -208,26 +206,15 @@ def test_criterion_06_discounted_gain_worked_example():
             oracles.gain_by_direct_formula(grades, r), abs=1e-10
         )
 
-    ranking = RankingResult(
-        scores=Distribution(np.array([0.4, 0.3, 0.2, 0.1])),
-        order=np.array([0, 1, 2, 3]),
-        resource_ids=("a", "b", "c", "d"),
-        iterations=1,
-        converged=True,
-    )
     judged = RelevanceJudgments(grades={"a": 3, "b": 2, "c": 1, "d": 0})
     for r in (1, 2, 3, 4):
-        assert ndcg(ranking, judged, r) == 1.0
+        assert ndcg(judged.grades_of(["a", "b", "c", "d"]), r) == 1.0
 
     for trial in range(1000):
         n = int(rng.integers(1, 9))
         ids = tuple(f"x{i}" for i in range(n))
         scores = Distribution.from_weights(rng.random(n) + 1e-3)
         order = np.lexsort((np.array(ids), -scores.values))
-        random_ranking = RankingResult(
-            scores=scores, order=order, resource_ids=ids,
-            iterations=1, converged=True,
-        )
         # Judge a random subset so the grade-0 default path is exercised.
         graded_ids = [rid for rid in ids if rng.random() < 0.8]
         random_judged = RelevanceJudgments(
@@ -236,7 +223,8 @@ def test_criterion_06_discounted_gain_worked_example():
         r = int(rng.integers(1, 11))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            value = ndcg(random_ranking, random_judged, r)
+            grades = random_judged.grades_of(ids)
+            value = ndcg([grades[i] for i in order], r)
         assert 0.0 <= value <= 1.0, f"trial {trial}: {value}"
 
 

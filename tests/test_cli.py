@@ -29,7 +29,7 @@ def test_rank_output_matches_library(basic_dir, basic_bundle, capsys):
         rank_s, rid, score_s = line.split("\t")
         idx = result.order[pos - 1]
         assert int(rank_s) == pos
-        assert rid == result.resource_ids[idx]
+        assert rid == basic_bundle.resource_ids[idx]
         assert score_s == format(result.scores.values[idx], ".12g")
 
 
@@ -90,7 +90,7 @@ def test_rank_strategy_flag(basic_dir, basic_bundle, capsys):
     out = capsys.readouterr().out
     want = strategy("HIT", basic_bundle)
     top_id = out.splitlines()[0].split("\t")[1]
-    assert top_id == want.resource_ids[want.order[0]]
+    assert top_id == basic_bundle.resource_ids[want.order[0]]
 
 
 def test_rank_emit_priors(basic_dir, tmp_path, capsys):
@@ -333,6 +333,29 @@ def test_empty_manifest_path_names_its_line(tmp_path, basic_dir, capsys):
     man.write_text("\n".join(text) + "\n", encoding="utf-8")
     assert main(["eval", str(man), "--cutoffs", "1"]) == 1
     assert capsys.readouterr().err == f"error: {man}:3: empty path\n"
+
+
+def test_eval_warns_once_per_bundle_about_unjudged_resources(tmp_path, basic_dir, capsys):
+    # Three resources left out of the qrels score as if judged grade 0.
+    names = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
+    entry = "\t".join(str(basic_dir / name) for name in names)
+    grades = (basic_dir / "qrels.tsv").read_text(encoding="utf-8").splitlines()
+    zeroed = [line.split("\t")[0] + "\t0" for line in grades[:3]]
+    outputs = []
+    for qrels, lines in (("missing.tsv", grades[3:]), ("zero.tsv", zeroed + grades[3:])):
+        (tmp_path / qrels).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        man = tmp_path / f"{qrels}.manifest"
+        man.write_text(f"{entry}\t{tmp_path / qrels}\n", encoding="utf-8")
+        assert main(["eval", str(man), "--cutoffs", "1,3,5", "--per-query"]) == 0
+        outputs.append(capsys.readouterr())
+    missing, zero = outputs
+    assert missing.out == zero.out
+    warned = [l for l in missing.err.splitlines() if l.startswith("warning:")]
+    assert warned == [
+        "warning: 3 ranked resources have no judgment and count as grade 0 "
+        "(first: 'Berlin')"
+    ]
+    assert "warning:" not in zero.err
 
 
 def _not_utf8(path):

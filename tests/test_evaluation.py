@@ -1,9 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ldrank import (
-    Distribution,
-    RankingResult,
     RelevanceJudgments,
     compare_strategies,
     dcg,
@@ -11,20 +11,6 @@ from ldrank import (
 )
 
 import oracles
-
-
-def _ranking(ids_in_order):
-    n = len(ids_in_order)
-    ids = tuple(sorted(ids_in_order))
-    # Scores descending along the requested order.
-    scores = np.zeros(n)
-    for pos, rid in enumerate(ids_in_order):
-        scores[ids.index(rid)] = float(n - pos)
-    dist = Distribution(scores / scores.sum())
-    order = np.array(sorted(range(n), key=lambda i: (-dist.values[i], ids[i])))
-    return RankingResult(
-        scores=dist, order=order, resource_ids=ids, iterations=1, converged=True
-    )
 
 
 # ------------------------------------------------------------------- dcg
@@ -76,15 +62,13 @@ def test_dcg_rejects_bad_input():
 
 
 def test_ndcg_ideal_ranking_scores_exactly_one():
-    ranking = _ranking(["a", "b", "c", "d"])
     judged = RelevanceJudgments(grades={"a": 3, "b": 2, "c": 1, "d": 0})
-    assert ndcg(ranking, judged, 4) == 1.0
+    assert ndcg(judged.grades_of(["a", "b", "c", "d"]), 4) == 1.0
 
 
 def test_ndcg_worst_ranking_below_one():
-    ranking = _ranking(["d", "c", "b", "a"])
     judged = RelevanceJudgments(grades={"a": 3, "b": 2, "c": 1, "d": 0})
-    value = ndcg(ranking, judged, 4)
+    value = ndcg(judged.grades_of(["d", "c", "b", "a"]), 4)
     assert 0.0 < value < 1.0
 
 
@@ -97,23 +81,32 @@ def test_ndcg_bounded_on_random_inputs():
             grades={rid: int(g) for rid, g in zip(ids, rng.integers(0, 4, 6))}
         )
         r = int(rng.integers(1, 8))
-        value = ndcg(_ranking(perm), judged, r)
+        value = ndcg(judged.grades_of(perm), r)
         assert 0.0 <= value <= 1.0 + 1e-12
 
 
 def test_ndcg_missing_grades_warn_and_count_zero():
-    ranking = _ranking(["a", "b"])
     judged = RelevanceJudgments(grades={"a": 2})
     with pytest.warns(UserWarning):
-        value = ndcg(ranking, judged, 2)
+        grades = judged.grades_of(["a", "b"])
+    assert grades == [2, 0]
+    value = ndcg(grades, 2)
     assert value == 1.0  # grades [2, 0] in ranked order are already ideal
 
 
+def test_grades_of_warns_once_per_call():
+    judged = RelevanceJudgments(grades={"b": 1})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert judged.grades_of(["a", "b", "c"]) == [0, 1, 0]
+    assert [str(w.message) for w in caught] == [
+        "2 ranked resources have no judgment and count as grade 0 (first: 'a')"
+    ]
+
+
 def test_ndcg_all_zero_ideal_warns_and_returns_one():
-    ranking = _ranking(["a", "b"])
-    judged = RelevanceJudgments(grades={"a": 0, "b": 0})
     with pytest.warns(UserWarning):
-        value = ndcg(ranking, judged, 2)
+        value = ndcg([0, 0], 2)
     assert value == 1.0
 
 
@@ -122,6 +115,12 @@ def test_relevance_judgments_validation():
         RelevanceJudgments(grades={"a": 5})
     with pytest.raises(ValueError):
         RelevanceJudgments(grades={"a": -1})
+
+
+@pytest.mark.parametrize("grade", [True, False, 2.0, np.int64(2), "2"])
+def test_relevance_judgments_reject_a_grade_that_is_not_an_int(grade):
+    with pytest.raises(ValueError, match="^grade for 'a' must be one of"):
+        RelevanceJudgments(grades={"a": grade})
 
 
 # ------------------------------------------------------- strategy table

@@ -77,22 +77,26 @@ def test_build_graph_matches_out_list_oracle(triples, bidirectional):
         ([0, 0, 1], [-1], "out of range for node 1"),
         ([0, 2, 2], [1, 0], "node 0 must be sorted and unique"),
         ([0, 0, 2], [1, 1], "node 1 must be sorted and unique"),
-        ([0, 1], [0], "indptr"),
+        ([], [], "indptr"),
         ([0, 2, 1], [0], "indptr"),
         ([1, 1, 1], [], "indptr"),
     ],
 )
 def test_resource_graph_rejects_malformed_adjacency(indptr, indices, message):
     with pytest.raises(ValueError, match=message):
-        ResourceGraph(resource_ids=("a", "b"), indptr=np.array(indptr), indices=np.array(indices))
+        ResourceGraph(indptr=np.array(indptr), indices=np.array(indices))
 
 
 def test_resource_graph_rows_are_checked_independently():
     # A descending step across a row boundary is fine.
-    g = ResourceGraph(
-        resource_ids=("a", "b"), indptr=np.array([0, 1, 2]), indices=np.array([1, 0])
-    )
+    g = ResourceGraph(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]))
     assert [g.successors(0).tolist(), g.successors(1).tolist()] == [[1], [0]]
+
+
+def test_resource_graph_node_count_comes_from_its_offsets():
+    assert ResourceGraph(indptr=[0], indices=[]).n == 0
+    assert ResourceGraph(indptr=[0, 1], indices=[0]).n == 1
+    assert ResourceGraph(indptr=[0, 1, 1, 1], indices=[2]).n == 3
 
 
 @pytest.mark.parametrize(
@@ -105,10 +109,8 @@ def test_resource_graph_rows_are_checked_independently():
 )
 def test_resource_graph_rejects_non_integer_offsets(indptr, indices, field):
     with pytest.raises(ValueError, match=f"^{field} must hold integers"):
-        ResourceGraph(resource_ids=("a", "b"), indptr=indptr, indices=indices)
-    g = ResourceGraph(
-        resource_ids=("a", "b"), indptr=np.array([0, 1, 1], dtype=np.int32), indices=[1]
-    )
+        ResourceGraph(indptr=indptr, indices=indices)
+    g = ResourceGraph(indptr=np.array([0, 1, 1], dtype=np.int32), indices=[1])
     assert g.indptr.dtype == np.int64 and g.successors(0).tolist() == [1]
 
 

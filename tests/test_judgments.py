@@ -181,6 +181,14 @@ def test_judgment_record_rejects_a_trust_that_is_not_a_number(trust):
     assert JudgmentRecord(item="i", worker="w", grade=1, trust=1).trust == 1
 
 
+@pytest.mark.parametrize("field, value", [("item", 5), ("item", ""), ("item", None),
+                                          ("worker", ("x",)), ("worker", "")])
+def test_judgment_record_rejects_an_id_that_is_not_a_non_empty_string(field, value):
+    ids = {"item": "i", "worker": "w", field: value}
+    with pytest.raises(ValueError, match=f'^missing or invalid "{field}"$'):
+        JudgmentRecord(grade=1, **ids)
+
+
 @pytest.mark.parametrize("trust", [["0.5"], [True], np.array([None])])
 def test_judgment_set_rejects_a_trust_column_that_is_not_numeric(trust):
     with pytest.raises(ValueError, match="^trust must hold numbers"):
@@ -527,8 +535,8 @@ _GRADES = _mostly(
     st.sampled_from([True, False, 2.0, -1, 4, 10**30, 10**400, "1", None]),
 )
 _TRUST_VALUES = _mostly(
-    st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 0, 1, True, False, None]),
-    st.sampled_from([float("nan"), float("inf"), -0.5, 1.5, 10**400, "0.5", [0.5]]),
+    st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 0, 1, None]),
+    st.sampled_from([float("nan"), float("inf"), -0.5, 1.5, 10**400, "0.5", [0.5], True, False]),
 )
 
 
@@ -614,6 +622,16 @@ def test_chunked_parse_reports_format_error_before_bad_bytes(tmp_path):
     path.write_bytes("".join(good % k for k in range(9000)).encode() + b"\xff\n")
     with pytest.raises(InputFormatError, match=r":0: not valid UTF-8"):
         load_judgments(path)
+
+
+@pytest.mark.parametrize("trust", ["true", "false"])
+def test_load_judgments_rejects_a_boolean_trust(tmp_path, trust):
+    path = tmp_path / "j.jsonl"
+    path.write_text('{"item": "a", "worker": "w", "grade": 1, "trust": %s}\n' % trust)
+    with pytest.raises(InputFormatError, match=r':1: field "trust" must be numeric$'):
+        load_judgments(path)
+    with pytest.raises(InputFormatError, match=r':1: field "trust" must be numeric$'):
+        _load_line_by_line(path)
 
 
 def test_load_judgments_huge_trust_is_a_format_error(tmp_path):

@@ -99,11 +99,36 @@ def test_scores_form_distribution():
 
 def test_order_breaks_ties_by_resource_id():
     # Symmetric two-cycle: both nodes share the same score exactly.
-    g = _graph([("b", "p", "a"), ("a", "p", "b")], ["a", "b"])
+    bundle = _bundle([("b", "p", "a"), ("a", "p", "b")], ["a", "b"])
     t = Distribution.uniform(2)
-    res = power_rank(g, t, PipelineParams())
+    res = power_rank(build_graph(bundle), t, PipelineParams())
     assert res.scores.values[0] == pytest.approx(res.scores.values[1])
-    assert res.ranked_ids() == ["a", "b"]
+    assert [bundle.resource_ids[i] for i in res.order] == ["a", "b"]
+
+
+_ID_CHARS = "abcXYZ09_-"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    ids=st.lists(st.text(_ID_CHARS, min_size=1, max_size=3), min_size=2, max_size=8,
+                 unique=True),
+    data=st.data(),
+)
+def test_order_breaks_ties_as_the_id_lexsort(ids, data):
+    # Isolated nodes with equal teleport weight score exactly alike, so
+    # small weights and few edges make ties common.
+    node = st.sampled_from(ids)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=len(ids)))
+    weights = data.draw(st.lists(st.sampled_from([1, 2]), min_size=len(ids),
+                                 max_size=len(ids)))
+    bundle = _bundle([(s, "p", o) for s, o in edges], ids)
+    res = power_rank(build_graph(bundle), Distribution.from_weights(weights),
+                     PipelineParams())
+    scores = res.scores.values
+    assume(np.unique(scores).size < scores.size)
+    want = oracles.order_by_score_then_id(scores, bundle.resource_ids)
+    assert res.order.tolist() == want.tolist()
 
 
 def test_order_sorted_by_score():
@@ -202,7 +227,7 @@ def test_ldrank_fixture_end_to_end(basic_bundle):
     assert res.converged
     assert res.scores.values.min() >= 0
     assert abs(res.scores.values.sum() - 1.0) < 1e-9
-    ranked = res.ranked_ids()
+    ranked = [basic_bundle.resource_ids[i] for i in res.order]
     # Germany is the query resource, gets half the drift prior and has two
     # in-edges from well-scored nodes, so it must come out on top.  River
     # has no in-edges at all: nothing but the teleport feeds it, so it
@@ -265,7 +290,6 @@ def test_ranking_result_validation():
         RankingResult(
             scores=Distribution(np.array([0.5, 0.5])),
             order=np.array([0, 0]),
-            resource_ids=("a", "b"),
             iterations=1,
             converged=True,
         )
@@ -275,7 +299,7 @@ def test_ranking_result_validation():
 @pytest.mark.parametrize("order", [[0.2, 1.7], [True, False], ["1", "0"]])
 def test_ranking_result_rejects_non_integer_order(order):
     with pytest.raises(ValueError, match="^order must hold integers"):
-        RankingResult(Distribution.uniform(2), order, ("a", "b"), 1, True)
+        RankingResult(Distribution.uniform(2), order, 1, True)
 
 
 # ------------------------------------------------------------- relabelling

@@ -1,7 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from ldrank import CorpusBundle, Distribution, SerpContext
+from ldrank import CorpusBundle, Distribution, PipelineParams, SerpContext
 
 
 def test_distribution_accepts_valid_vector():
@@ -99,3 +101,22 @@ def test_corpus_bundle_rejects_non_integer_indices(edges, query, field):
         ("a", "b"), np.empty((0, 2)), ("", ""), serp, np.array([1], dtype=np.uint8)
     )
     assert bundle.graph_edges.dtype == np.int64 and bundle.query == {1}
+
+
+_NUMERIC_PARAMS = [f.name for f in fields(PipelineParams) if f.name != "bidirectional"]
+
+
+@pytest.mark.parametrize("name", _NUMERIC_PARAMS)
+@pytest.mark.parametrize("value", [True, False, "1", None])
+def test_pipeline_params_reject_a_numeric_field_that_is_not_a_number(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+        PipelineParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
+def test_pipeline_params_reject_a_bidirectional_that_is_not_a_bool(value):
+    with pytest.raises(ValueError, match=f"^bidirectional must be a bool, got {value!r}$"):
+        PipelineParams(bidirectional=value)
+    assert PipelineParams(bidirectional=True).bidirectional is True
+    # numpy scalars are numbers.
+    assert PipelineParams(ndim=np.int64(2), alpha=np.float64(0.5)).ndim == 2
