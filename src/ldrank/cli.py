@@ -126,9 +126,12 @@ def _cmd_rank(args) -> int:
                 fh.write("resource\tequi\thit\tsvd\tfinal\n")
                 for i, rid in enumerate(bundle.resource_ids):
                     fh.write(rid + "".join(f"\t{_fmt(p[i])}" for p in priors) + "\n")
-    out = sys.stdout
-    for pos, idx in enumerate(result.order, start=1):
-        out.write(f"{pos}\t{bundle.resource_ids[idx]}\t{_fmt(result.scores.values[idx])}\n")
+    ids = bundle.resource_ids
+    scores = result.scores.values[result.order].tolist()
+    sys.stdout.write("".join(
+        f"{pos}\t{ids[idx]}\t{_fmt(score)}\n"
+        for pos, (idx, score) in enumerate(zip(result.order.tolist(), scores), start=1)
+    ))
     if _drain_warnings(caught) and args.strict:
         return 2
     return 0

@@ -17,17 +17,27 @@ start with ``#``.  The resource universe is exactly the set of ids in the
 texts file; graph endpoints, result-page mentions and query entries must
 all resolve inside it.  A texts-file id holds no ``,`` either, since
 result pages separate mentions with it, so an endpoint or query entry
-with a ``,`` is a dangling reference.  ``assemble_bundle`` resolves them
-once, into the index form of ``CorpusBundle``; no later stage looks up an
-identifier.
+with a ``,`` is a dangling reference.  ``load_bundle`` and
+``assemble_bundle`` resolve them once, into the index form of
+``CorpusBundle``; no later stage looks up an identifier.
+
+The graph file holds millions of lines, so ``load_bundle`` resolves it a
+chunk of lines at a time.  A chunk is taken in bulk, by a few whole-chunk
+operations, when every line holds two tabs, no predicate is empty and
+every endpoint is a texts-file id.  By the id rules above, no blank or
+comment line and no malformed or dangling id passes that test, so a chunk
+holding one is read again line by line, and reports its first fault
+exactly as a line loop would.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+
 import numpy as np
 
 from .types import CorpusBundle, InputFormatError, SerpContext
-from .types import data_lines, parse_int, read_objects, read_rows
+from .types import _chunks, chunk_rows, data_lines, parse_int, read_objects, read_rows
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
 
@@ -42,14 +52,46 @@ def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
     raise InputFormatError(path, line_no, f"{what} {token!r} starts with '#'")
 
 
-def _read_graph_file(path):
-    """Yield the ``(subject, predicate, object)`` triples of a graph file."""
-    for line_no, (subject, predicate, obj) in read_rows(path, 3):
+def _resolve(index: dict[str, int], rid: str, role: str) -> int:
+    try:
+        return index[rid]
+    except KeyError:
+        raise ValueError(f"{role} {rid!r} has no entry in the texts table") from None
+
+
+def _graph_file_ids(path, index: dict[str, int]):
+    """Yield, per chunk of a graph file, the subject and object indices of
+    its triples, in turn.
+
+    ``index`` maps texts-file ids only.  A chunk that fails the bulk test
+    of the module docstring is read again by ``_graph_chunk_ids``.
+    """
+    for first_line_no, lines in _chunks(path):
+        ids = None
+        if set(map(str.count, lines, repeat("\t"))) == {2}:
+            fields = "\t".join(lines).split("\t")
+            if "" not in fields[1::3]:
+                del fields[1::3]
+                try:
+                    ids = list(map(index.__getitem__, fields))
+                except KeyError:
+                    pass
+        yield ids if ids is not None else _graph_chunk_ids(path, first_line_no, lines, index)
+
+
+def _graph_chunk_ids(path, first_line_no: int, lines: list[str],
+                     index: dict[str, int]) -> list[int]:
+    """``_graph_file_ids`` of one chunk, line by line: each line is checked,
+    then its endpoints resolved, so the first fault in line order raises."""
+    ids = []
+    for line_no, (subject, predicate, obj) in chunk_rows(path, first_line_no, lines, 3):
         _check_resource_id(subject, path, line_no, "subject")
         _check_resource_id(obj, path, line_no, "object")
         if not predicate:
             raise InputFormatError(path, line_no, "empty predicate")
-        yield subject, predicate, obj
+        ids.append(_resolve(index, subject, "graph subject"))
+        ids.append(_resolve(index, obj, "graph object"))
+    return ids
 
 
 def _read_texts_file(path) -> dict[str, str]:
@@ -104,40 +146,22 @@ def _read_query_file(path) -> set[str]:
     }
 
 
-def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> CorpusBundle:
-    """Build a validated bundle from already-parsed primitives.
-
-    This is the only place that maps resource identifiers to indices.
-    ``graph_edges`` is an iterable of ``(subject, predicate, object)``
-    triples, consumed once (a generator works); ``serp_docs`` is a sequence
-    of ``(doc_id, [resource ids])`` in rank order.  An identifier with no
-    entry in the texts table raises ``ValueError`` naming it; graph
-    endpoints are resolved first, then query entries, then result-page
-    mentions.
-    """
+def _assemble(graph_ids, texts: dict[str, str], serp_docs, query) -> CorpusBundle:
+    """The bundle of ``texts``, with ``graph_ids(index)`` giving the subject
+    and object indices of each edge in turn; query entries, then result-page
+    mentions, are resolved after it."""
     resource_ids = tuple(sorted(texts))
     index = {rid: i for i, rid in enumerate(resource_ids)}
-
-    def resolve(rid: str, role: str) -> int:
-        try:
-            return index[rid]
-        except KeyError:
-            raise ValueError(f"{role} {rid!r} has no entry in the texts table") from None
-
-    def endpoints():
-        for s, _p, o in graph_edges:
-            yield resolve(s, "graph subject")
-            yield resolve(o, "graph object")
-
-    edges = np.fromiter(endpoints(), dtype=np.int64).reshape(-1, 2)
-    query_idx = frozenset(resolve(rid, "query resource") for rid in query)
+    edges = np.fromiter(graph_ids(index), dtype=np.int64).reshape(-1, 2)
+    query_idx = frozenset(_resolve(index, rid, "query resource") for rid in query)
 
     occurrences: dict[int, set[int]] = {}
     docs = []
     for rank, (doc_id, mentions) in enumerate(serp_docs, start=1):
         docs.append(doc_id)
         for rid in mentions:
-            occurrences.setdefault(resolve(rid, "result-page resource"), set()).add(rank)
+            i = _resolve(index, rid, "result-page resource")
+            occurrences.setdefault(i, set()).add(rank)
 
     serp = SerpContext(
         docs=tuple(docs),
@@ -152,20 +176,45 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> Cor
     )
 
 
+def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> CorpusBundle:
+    """Build a validated bundle from already-parsed primitives.
+
+    ``graph_edges`` is an iterable of ``(subject, predicate, object)``
+    triples, consumed once (a generator works); ``serp_docs`` is a sequence
+    of ``(doc_id, [resource ids])`` in rank order.  An identifier with no
+    entry in the texts table raises ``ValueError`` naming it; graph
+    endpoints are resolved first, then query entries, then result-page
+    mentions.  ``load_bundle`` maps identifiers to indices by the same
+    rules.
+    """
+
+    def graph_ids(index):
+        for s, _p, o in graph_edges:
+            yield _resolve(index, s, "graph subject")
+            yield _resolve(index, o, "graph object")
+
+    return _assemble(graph_ids, texts, serp_docs, query)
+
+
 def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     """Load, validate and assemble the four input files into one bundle.
 
     Raises ``InputFormatError`` for malformed lines (with file and line
     number), ``ValueError`` for dangling resource references, and the usual
-    ``OSError`` family if a file is missing.  The graph file is read last
-    and streamed into ``assemble_bundle`` without holding its triples, so a
-    dangling reference on one graph line is reported before a format error
-    on a later one.
+    ``OSError`` family if a file is missing.  The graph file is read last,
+    a chunk of lines at a time, with its endpoints resolved as each chunk
+    is read and no triple held; so a dangling reference on one graph line
+    is reported before a format error on a later one.  Query entries, then
+    result-page mentions, are resolved after it, as in ``assemble_bundle``.
     """
     texts = _read_texts_file(texts_path)
     serp_docs = _read_serp_file(serp_path)
     query = _read_query_file(query_path)
-    return assemble_bundle(_read_graph_file(graph_path), texts, serp_docs, query)
+
+    def graph_ids(index):
+        return chain.from_iterable(_graph_file_ids(graph_path, index))
+
+    return _assemble(graph_ids, texts, serp_docs, query)
 
 
 def build_resource_text(

@@ -28,12 +28,22 @@ VALID_GRADES = (0, 1, 2, 3)
 
 @dataclass(frozen=True, eq=False)
 class RelevanceJudgments:
-    """Item identifier -> relevance grade, an ``int`` on the 0..3 scale."""
+    """Item identifier -> relevance grade, an ``int`` on the 0..3 scale.
+
+    Each identifier is a non-empty ``str`` that a qrels line can hold: no
+    tab or line break, and no ``#`` as its first non-blank character.
+    """
 
     grades: dict[str, int]
 
     def __post_init__(self):
         for item, grade in self.grades.items():
+            if type(item) is not str or not item:
+                raise ValueError(f"item id {item!r} must be a non-empty string")
+            if "\t" in item or "\n" in item or "\r" in item:
+                raise ValueError(f"item id {item!r} holds a tab or line break")
+            if item.lstrip()[:1] == "#":
+                raise ValueError(f"item id {item!r} starts with '#'")
             if type(grade) is not int or grade not in VALID_GRADES:
                 raise ValueError(
                     f"grade for {item!r} must be one of {VALID_GRADES}, got {grade!r}"
@@ -68,6 +78,9 @@ def dcg(grades, r: int) -> float:
     return total
 
 
+_ZERO_GAIN = "ideal ranking has zero gain; returning 1.0"
+
+
 def ndcg(grades, r: int) -> float:
     """Normalized DCG at cutoff ``r`` of a list of grades in rank order.
 
@@ -77,7 +90,7 @@ def ndcg(grades, r: int) -> float:
     ideal = sorted(grades, reverse=True)
     ideal_gain = dcg(ideal, r)
     if ideal_gain == 0.0:
-        warnings.warn("ideal ranking has zero gain; returning 1.0")
+        warnings.warn(_ZERO_GAIN)
         return 1.0
     return dcg(grades, r) / ideal_gain
 
@@ -104,10 +117,12 @@ def compare_strategies(
 
     Each bundle gets one ``Pipeline``, from which every strategy is ranked,
     and one ``grades_of`` call, by whose grades every ranking is scored at
-    every cutoff.  The seconds are marginal, measured with a monotonic
-    clock: a stage shared by several strategies is charged to the first
-    one that needs it, in ``STRATEGIES`` order.  Means are arithmetic
-    over the bundles; an empty bundle list yields an empty comparison.
+    every cutoff by ``ndcg``.  A bundle whose grades are all 0 scores 1.0
+    everywhere, with one warning instead of one per ``ndcg`` call.  The
+    seconds are marginal, measured with a monotonic clock: a stage shared
+    by several strategies is charged to the first one that needs it, in
+    ``STRATEGIES`` order.  Means are arithmetic over the bundles; an empty
+    bundle list yields an empty comparison.
     """
     bundles = list(bundles)
     judgments = list(judgments)
@@ -128,13 +143,19 @@ def compare_strategies(
     for bundle, judged in zip(bundles, judgments):
         pipeline = Pipeline(bundle, params)
         grades = judged.grades_of(bundle.resource_ids)
+        judged_any = any(grades)
+        if not judged_any:  # every ideal gain is 0: warn once, not per ndcg call
+            warnings.warn(_ZERO_GAIN)
         row: dict[str, dict[int, float]] = {}
         for name in STRATEGIES:
             start = time.perf_counter()
             result = pipeline.rank(name)
             seconds[name].append(time.perf_counter() - start)
-            ranked = [grades[i] for i in result.order]
-            row[name] = {r: ndcg(ranked, r) for r in cutoffs}
+            if judged_any:
+                ranked = [grades[i] for i in result.order.tolist()]
+                row[name] = {r: ndcg(ranked, r) for r in cutoffs}
+            else:
+                row[name] = dict.fromkeys(cutoffs, 1.0)
         per_query.append(row)
 
     n = len(bundles)

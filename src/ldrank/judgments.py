@@ -79,9 +79,10 @@ class JudgmentSet:
     """All records of one collection task; one record per item-worker pair.
 
     ``item_codes[r]`` and ``worker_codes[r]`` index ``item_ids`` and
-    ``worker_ids``; every id is used by some record.  ``trust`` is NaN
-    where a record has none.  Construction checks the columns and rejects
-    a repeated item-worker pair, naming the first repeat in record order.
+    ``worker_ids``, which hold non-empty strings; every id is used by some
+    record.  ``trust`` is NaN where a record has none.  Construction checks
+    the columns and rejects a repeated item-worker pair, naming the first
+    repeat in record order.
     """
 
     item_ids: tuple[str, ...]
@@ -107,6 +108,9 @@ class JudgmentSet:
             ("item", self.item_ids, columns["item_codes"]),
             ("worker", self.worker_ids, columns["worker_codes"]),
         ):
+            for rid in ids:
+                if type(rid) is not str or not rid:
+                    raise ValueError(f"{what} id {rid!r} must be a non-empty string")
             if len(set(ids)) != len(ids):
                 raise ValueError(f"{what} ids must be distinct")
             if n and (codes.min() < 0 or codes.max() >= len(ids)):

@@ -3,14 +3,17 @@ vectors, result-page context, corpus bundle.
 
 Every line-format decision is made here.  ``_chunks`` is the only code
 that opens, decodes, splits and numbers an input file, a chunk of lines at
-a time; ``read_rows`` reads the tab-separated files (graph, serp, qrels,
+a time; ``read_rows`` reads the tab-separated files (serp, qrels,
 manifest), ``read_objects`` the JSON Lines files (texts, judgments) and
-``data_lines`` the query file, each through it.
+``data_lines`` the query file, each through it.  The graph file, millions
+of lines long, is resolved a chunk at a time by ``corpus``, which falls
+back to ``chunk_rows``, the line loop of ``read_rows``, on a chunk it
+cannot take in bulk.
 
 Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
 holds its graph, texts, result page and query in index form, so no stage
-after ``corpus.assemble_bundle`` looks up an identifier.
+after ``corpus`` builds it looks up an identifier.
 """
 
 from __future__ import annotations
@@ -99,17 +102,22 @@ def read_rows(path, count: int, noun: str = "fields"):
     """Yield ``(line_no, fields)`` for each line of ``data_lines(path)``; it
     must split at tabs into exactly ``count`` fields, or this raises."""
     for first_line_no, lines in _chunks(path):
-        # The loop of ``data_lines``, inlined: a graph file has millions of
-        # lines.
-        for line_no, line in enumerate(lines, first_line_no):
-            head = line.lstrip()
-            if not head or head[0] == "#":
-                continue
-            fields = line.split("\t")
-            if len(fields) != count:
-                reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
-                raise InputFormatError(path, line_no, reason)
-            yield line_no, fields
+        yield from chunk_rows(path, first_line_no, lines, count, noun)
+
+
+def chunk_rows(path, first_line_no: int, lines: list[str], count: int,
+               noun: str = "fields"):
+    """``read_rows`` over one ``_chunks`` chunk of ``path``."""
+    # The loop of ``data_lines``, inlined.
+    for line_no, line in enumerate(lines, first_line_no):
+        head = line.lstrip()
+        if not head or head[0] == "#":
+            continue
+        fields = line.split("\t")
+        if len(fields) != count:
+            reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
+            raise InputFormatError(path, line_no, reason)
+        yield line_no, fields
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -327,7 +335,8 @@ class CorpusBundle:
     array with one ``(subject, object)`` row per input triple, in input
     order (predicates dropped, parallel rows kept); ``texts`` holds one text
     per resource; ``serp.occurrences`` and ``query`` index resources too.
-    ``corpus.assemble_bundle`` builds bundles from resource identifiers.
+    ``corpus.load_bundle`` and ``corpus.assemble_bundle`` build bundles
+    from resource identifiers.
     """
 
     resource_ids: tuple[str, ...]

@@ -410,8 +410,8 @@ def texts_by_line(path):
 
 
 def graph_triples_by_line(path):
-    """The ``(subject, predicate, object)`` triples of a graph file."""
-    triples = []
+    """Yield the ``(subject, predicate, object)`` triples of a graph file, each
+    as its line is checked."""
     for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -426,8 +426,7 @@ def graph_triples_by_line(path):
         _resource_id_by_split(obj, path, line_no, "object")
         if not predicate:
             raise InputFormatError(path, line_no, "empty predicate")
-        triples.append((subject, predicate, obj))
-    return triples
+        yield subject, predicate, obj
 
 
 def serp_by_line(path):

@@ -358,6 +358,22 @@ def test_eval_warns_once_per_bundle_about_unjudged_resources(tmp_path, basic_dir
     assert "warning:" not in zero.err
 
 
+def test_eval_warns_once_per_bundle_about_a_zero_ideal_gain(tmp_path, basic_dir, capsys):
+    names = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
+    entry = "\t".join(str(basic_dir / name) for name in names)
+    grades = (basic_dir / "qrels.tsv").read_text(encoding="utf-8").splitlines()
+    qrels = tmp_path / "zero.tsv"
+    qrels.write_text("".join(l.split("\t")[0] + "\t0\n" for l in grades), encoding="utf-8")
+    man = tmp_path / "zero.manifest"
+    man.write_text(f"{entry}\t{qrels}\n" * 2, encoding="utf-8")
+    assert main(["eval", str(man), "--cutoffs", "1,3,5"]) == 0
+    out, err = capsys.readouterr()
+    assert [l for l in err.splitlines() if l.startswith("warning:")] == [
+        "warning: ideal ranking has zero gain; returning 1.0"
+    ] * 2
+    assert out.splitlines()[1:] == [f"{name}\t1\t1\t1" for name in STRATEGIES]
+
+
 def _not_utf8(path):
     path.write_bytes(b"\xff\xfe not text\n")
     return path

@@ -1,10 +1,12 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldrank.corpus as corpus_module
 from ldrank import CorpusBundle, InputFormatError, SerpContext, build_resource_text, load_bundle
 from ldrank.corpus import assemble_bundle
 
@@ -137,6 +139,61 @@ def test_dangling_references_rejected(tmp_path):
     files = _bundle_files(tmp_path, serp="1\td1\tzzz\n")
     with pytest.raises(ValueError):
         load_bundle(*files)
+
+
+def _many_chunk_graph(n_lines, bad):
+    """``n_lines`` of ``a<TAB>p<TAB>b``, with ``bad`` mapping line numbers
+    to the lines that replace them."""
+    return "".join(bad.get(k, "a\tp\tb") + "\n" for k in range(1, n_lines + 1))
+
+
+# Line 3500 lies in the fourth chunk of 1024 lines, with line 3501.
+@pytest.mark.parametrize("bad, error, message", [
+    ({3500: "a\tp\tzzz", 3501: "a\tp"}, ValueError,
+     "graph object 'zzz' has no entry in the texts table"),
+    ({3500: "a\tp", 3501: "a\tp\tzzz"}, InputFormatError,
+     ":3500: expected 3 tab-separated fields, got 2"),
+    ({3500: "zzz\tp\tb", 3501: "a\t\tb"}, ValueError,
+     "graph subject 'zzz' has no entry in the texts table"),
+    ({3500: "a\t\tb", 3501: "zzz\tp\tb"}, InputFormatError, ":3500: empty predicate"),
+])
+def test_graph_fault_on_an_earlier_line_of_a_chunk_is_reported_first(
+    tmp_path, bad, error, message
+):
+    files = _bundle_files(tmp_path, graph=_many_chunk_graph(4000, bad))
+    with pytest.raises(error) as exc:
+        load_bundle(*files)
+    assert type(exc.value) is error
+    assert str(exc.value).endswith(message)
+
+
+def test_clean_graph_chunks_are_taken_in_bulk(tmp_path):
+    files = _bundle_files(tmp_path, graph=_many_chunk_graph(4000, {}))
+    with mock.patch.object(corpus_module, "_graph_chunk_ids", side_effect=AssertionError):
+        assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 4000
+    commented = _many_chunk_graph(4000, {1: "# a comment", 2000: "", 3999: "  # b"})
+    files = _bundle_files(tmp_path, graph=commented)
+    assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 3997
+
+
+def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_dir, tmp_path):
+    # The fixture's comment line sends its only chunk down the line loop;
+    # without it, the chunk is taken in bulk.
+    lines = (basic_dir / "graph.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[0].startswith("#")
+    graph = tmp_path / "graph.tsv"
+    graph.write_text("".join(lines[1:]), encoding="utf-8")
+    with mock.patch.object(corpus_module, "_graph_chunk_ids", side_effect=AssertionError):
+        bulk = load_bundle(
+            graph, basic_dir / "texts.jsonl", basic_dir / "serp.tsv", basic_dir / "query.txt"
+        )
+    assert bulk.resource_ids == basic_bundle.resource_ids
+    assert bulk.graph_edges.dtype == basic_bundle.graph_edges.dtype
+    assert np.array_equal(bulk.graph_edges, basic_bundle.graph_edges)
+    assert bulk.texts == basic_bundle.texts
+    assert bulk.serp.docs == basic_bundle.serp.docs
+    assert bulk.serp.occurrences == basic_bundle.serp.occurrences
+    assert bulk.query == basic_bundle.query
 
 
 def test_empty_query_file_ok(tmp_path):

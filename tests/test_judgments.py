@@ -189,6 +189,15 @@ def test_judgment_record_rejects_an_id_that_is_not_a_non_empty_string(field, val
         JudgmentRecord(grade=1, **ids)
 
 
+@pytest.mark.parametrize("field, ids", [("item", (5,)), ("item", ("",)), ("item", (None,)),
+                                        ("worker", (("x",),)), ("worker", ("",))])
+def test_judgment_set_rejects_an_id_that_is_not_a_non_empty_string(field, ids):
+    columns = {"item_ids": ("i",), "worker_ids": ("w",), f"{field}_ids": ids}
+    with pytest.raises(ValueError, match=rf"^{field} id {re.escape(repr(ids[0]))} must be a "
+                                         "non-empty string$"):
+        JudgmentSet(**columns, item_codes=[0], worker_codes=[0], grades=[1], trust=[np.nan])
+
+
 @pytest.mark.parametrize("trust", [["0.5"], [True], np.array([None])])
 def test_judgment_set_rejects_a_trust_column_that_is_not_numeric(trust):
     with pytest.raises(ValueError, match="^trust must hold numbers"):
@@ -332,6 +341,42 @@ def test_qrels_round_trip(tmp_path):
     assert text == "a\t0\nb\t2\nc\t3\n"
     path = tmp_path / "q.tsv"
     path.write_text(text)
+    assert load_qrels(path).grades == judged.grades
+
+
+@pytest.mark.parametrize("item, reason", [
+    ("a\tb", "holds a tab or line break"),
+    ("a\nb", "holds a tab or line break"),
+    ("a\r", "holds a tab or line break"),
+    ("", "must be a non-empty string"),
+    (5, "must be a non-empty string"),
+    ("#a", "starts with '#'"),
+    (" \x85#a", "starts with '#'"),
+])
+def test_relevance_judgments_reject_an_id_no_qrels_line_holds(item, reason):
+    with pytest.raises(ValueError, match=f"^item id {re.escape(repr(item))} {reason}$"):
+        RelevanceJudgments(grades={"a": 1, item: 2})
+
+
+# Any text but surrogates, which UTF-8 cannot write.  "#" and blanks are
+# drawn often, and one key in ten may hold anything, "\t", "\n" and "\r"
+# included, so about half the dictionaries build.
+_QRELS_ITEMS = st.integers(0, 9).flatmap(lambda k: st.text(
+    st.one_of(st.sampled_from("# \x85\x1c,a" + ("\t\n\r" if k == 0 else "")),
+              st.characters(exclude_characters="" if k == 0 else "\t\n\r")),
+    min_size=0 if k == 0 else 1, max_size=5,
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_QRELS_ITEMS, st.sampled_from([0, 1, 2, 3]), max_size=6))
+def test_qrels_written_by_format_qrels_load_back(tmp_path_factory, grades):
+    try:
+        judged = RelevanceJudgments(grades=grades)
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("qrels") / "q.tsv"
+    path.write_text(format_qrels(judged), encoding="utf-8", newline="")
     assert load_qrels(path).grades == judged.grades
 
 

@@ -2,6 +2,7 @@
 rules every line-based input file now shares."""
 
 import json
+from itertools import chain
 from unittest import mock
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 import ldrank.types as types_module
 from ldrank import InputFormatError, load_judgments, load_qrels
 from ldrank.cli import _read_manifest
-from ldrank.corpus import _read_graph_file, _read_query_file, _read_serp_file, _read_texts_file
+from ldrank.corpus import _graph_file_ids, _read_query_file, _read_serp_file, _read_texts_file
 from ldrank.types import parse_int, read_lines, read_rows
 
 import oracles
@@ -158,8 +159,33 @@ def _rows(count, fields, comments):
     return st.one_of(row.map("\t".join), _BLANKS, comments)
 
 
+# The ids of a texts file, which the graph reader resolves endpoints in:
+# every well-formed id of _FIELDS but "c", so most drawn files reach their
+# later lines, while "c" and the ids holding "," still dangle.
+_GRAPH_INDEX = {rid: k for k, rid in enumerate([
+    "0", "1", "2", "3", "4", "-1", "-0", "007", "10", "9" * 5000, "1.5", "one",
+    "a", "a#", "b", "d1", "p", "\xe9",
+])}
+
+
+def _graph_ids(path):
+    """The endpoint indices of a graph file, as ``load_bundle`` reads them."""
+    return list(chain.from_iterable(_graph_file_ids(path, _GRAPH_INDEX)))
+
+
+def _graph_ids_by_line(path):
+    """The oracle's triples, each resolved as its line is checked."""
+    ids = []
+    for subject, _predicate, obj in oracles.graph_triples_by_line(path):
+        for rid, role in ((subject, "graph subject"), (obj, "graph object")):
+            if rid not in _GRAPH_INDEX:
+                raise ValueError(f"{role} {rid!r} has no entry in the texts table")
+            ids.append(_GRAPH_INDEX[rid])
+    return ids
+
+
 _TSV_FORMATS = {
-    "graph": (lambda p: list(_read_graph_file(p)), oracles.graph_triples_by_line,
+    "graph": (_graph_ids, _graph_ids_by_line,
               _rows(3, _FIELDS, st.one_of(_COMMENTS, _INDENTED_COMMENTS))),
     "serp": (_read_serp_file, oracles.serp_by_line,
              _rows(3, _FIELDS, st.one_of(_COMMENTS, _INDENTED_COMMENTS))),
@@ -183,6 +209,54 @@ def test_tab_separated_readers_match_line_loops(tmp_path_factory, fmt, data, end
     path = tmp_path_factory.mktemp(fmt) / "f.tsv"
     path.write_bytes(_join(drawn, ends, last_end).encode("utf-8"))
     assert _outcome(read, path) == _outcome(by_line, path)
+
+
+# --------------------------------------------- graph chunks vs line loop
+
+_GOOD_IDS = st.sampled_from(sorted(_GRAPH_INDEX))
+# Dangling, empty, spaced or comma-holding ids.  None starts with "#": the
+# oracle does not check that rule, and a line whose subject starts with "#"
+# is a comment.
+_BAD_IDS = st.sampled_from(["", "c", "a#b", "x y", " a", "a ", "a\x85b", "e\x1cf", "a,b", ","])
+_GRAPH_LINE = st.tuples(_GOOD_IDS, st.sampled_from(["p", "p q", "#", ",", " "]), _GOOD_IDS)
+_FLAWED_GRAPH_LINE = st.one_of(
+    _BLANKS,
+    _COMMENTS,
+    _INDENTED_COMMENTS,
+    st.tuples(_mostly(_GOOD_IDS, _BAD_IDS), st.sampled_from(["", "p"]),
+              _mostly(_GOOD_IDS, _BAD_IDS)).map("\t".join),
+    st.lists(st.one_of(_GOOD_IDS, _BAD_IDS, st.just("p")), min_size=1, max_size=5)
+    .map("\t".join),
+)
+
+
+# Flaws are few, so many files and chunks are clean and taken in bulk; a
+# flaw may fall anywhere, with a clean chunk before or after it.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(_GRAPH_LINE.map("\t".join), max_size=11),
+    st.lists(st.tuples(st.integers(0, 11), _FLAWED_GRAPH_LINE), max_size=3),
+    _ENDS,
+    st.booleans(),
+    st.sampled_from([1, 2, 3, 4096]),
+)
+@example(  # a dangling id, then a format error, in one chunk
+    lines=["a\tp\tb", "a\tp\tc", "a\tp"], flaws=[], ends=["\n"] * 14, last_end=True,
+    chunk=4096,
+)
+@example(  # four fields, then two: three per line on the whole, all resolving
+    lines=["a\tp\tb\tp", "b\tp"], flaws=[], ends=["\n"] * 14, last_end=True, chunk=4096,
+)
+def test_graph_chunks_resolve_as_line_loop(tmp_path_factory, lines, flaws, ends, last_end,
+                                           chunk):
+    lines = list(lines)
+    for at, line in flaws:
+        lines.insert(at, line)
+    path = tmp_path_factory.mktemp("graph") / "g.tsv"
+    path.write_bytes(_join(lines, ends, last_end).encode("utf-8"))
+    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
+        got = _outcome(_graph_ids, path)
+    assert got == _outcome(_graph_ids_by_line, path)
 
 
 # --------------------------------------------------- the shared line rules
@@ -246,7 +320,7 @@ def test_read_lines_splits_as_text_mode_and_yields_lines_before_bad_bytes(
     ("t.jsonl", _read_texts_file,
      b'{"id": "a", "text": "x"}\n{oops\n\xff\n',
      "invalid JSON (Expecting property name enclosed in double quotes)"),
-    ("g.tsv", lambda p: list(_read_graph_file(p)),
+    ("g.tsv", lambda p: list(chain.from_iterable(_graph_file_ids(p, _GRAPH_INDEX))),
      b"a\tp\ta\nb\tp\n\xff\n",
      "expected 3 tab-separated fields, got 2"),
     ("j.jsonl", load_judgments,
