@@ -7,15 +7,17 @@ the records as columns: the distinct item and worker ids in order of first
 use, one item code, worker code, grade and trust per record in file order,
 with NaN for a missing trust.
 
+Each rule on the records has one home: ``_checked_columns`` checks the
+types of the fields, ``JudgmentSet`` their values.  ``load_judgments``, a
+``types.read_objects`` chunk at a time, and ``JudgmentSet.from_records``
+both run the two in turn, so they reject the same records with the same
+reasons.  ``JudgmentRecord`` has no rules.
+
 ``krippendorff_alpha`` measures inter-rater reliability with a pluggable
 distance between grades; ``filter_workers`` drops workers who disagree too
 often with per-item majorities; ``majority_vote`` collapses the records to
 one grade per item.  All three work on the item-by-grade count matrix,
 built with one ``np.bincount``.
-
-``load_judgments`` reads its file with ``types.read_objects`` and checks
-each object once, in line order; ``load_qrels`` reads with
-``types.read_rows``.
 """
 
 from __future__ import annotations
@@ -51,27 +53,12 @@ _N_GRADES = len(VALID_GRADES)
 
 @dataclass(frozen=True)
 class JudgmentRecord:
+    """One judgment; a plain record, checked by ``JudgmentSet.from_records``."""
+
     item: str
     worker: str
     grade: int
     trust: float | None = None
-
-    def __post_init__(self):
-        # As in ``load_judgments``: ids are non-empty strings, and a float or
-        # bool grade is not an int.
-        if type(self.item) is not str or not self.item:
-            raise ValueError('missing or invalid "item"')
-        if type(self.worker) is not str or not self.worker:
-            raise ValueError('missing or invalid "worker"')
-        if type(self.grade) is not int or self.grade not in VALID_GRADES:
-            raise ValueError(
-                f"grade must be one of {VALID_GRADES}, got {self.grade!r}"
-            )
-        if self.trust is not None:
-            if isinstance(self.trust, bool) or not isinstance(self.trust, (int, float)):
-                raise ValueError(f"trust must be a number, got {self.trust!r}")
-            if not 0.0 <= self.trust <= 1.0:
-                raise ValueError(f"trust must lie in [0, 1], got {self.trust}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,10 +66,10 @@ class JudgmentSet:
     """All records of one collection task; one record per item-worker pair.
 
     ``item_codes[r]`` and ``worker_codes[r]`` index ``item_ids`` and
-    ``worker_ids``, which hold non-empty strings; every id is used by some
-    record.  ``trust`` is NaN where a record has none.  Construction checks
-    the columns and rejects a repeated item-worker pair, naming the first
-    repeat in record order.
+    ``worker_ids``, which hold distinct non-empty strings; every id is used
+    by some record.  ``trust`` is NaN where a record has none.  The value
+    rules live here: construction checks the columns, each record with
+    ``_bad_record``, then that no item-worker pair repeats.
     """
 
     item_ids: tuple[str, ...]
@@ -100,7 +87,7 @@ class JudgmentSet:
         trust = np.asarray(self.trust)
         if trust.size and trust.dtype.kind not in "iuf":
             raise ValueError(f"trust must hold numbers, got {trust.dtype} values")
-        columns["trust"] = trust.astype(np.float64)
+        columns["trust"] = trust = trust.astype(np.float64)
         n = columns["grades"].size
         if any(col.shape != (n,) for col in columns.values()):
             raise ValueError("record columns must be vectors of one length")
@@ -117,22 +104,14 @@ class JudgmentSet:
                 raise ValueError(f"{what} codes must index the {what} ids")
             if np.count_nonzero(np.bincount(codes, minlength=len(ids))) != len(ids):
                 raise ValueError(f"every {what} id must have a record")
-        grades, trust = columns["grades"], columns["trust"]
-        bad = np.flatnonzero((grades < VALID_GRADES[0]) | (grades > VALID_GRADES[-1]))
-        if bad.size:
-            raise ValueError(
-                f"grade must be one of {VALID_GRADES}, got {int(grades[bad[0]])!r}"
-            )
-        bad = np.flatnonzero(~(np.isnan(trust) | ((trust >= 0.0) & (trust <= 1.0))))
-        if bad.size:
-            raise ValueError(f"trust must lie in [0, 1], got {float(trust[bad[0]])}")
+        bad = self._bad_record(columns["grades"], trust, ~np.isnan(trust))
+        if bad is not None:
+            raise ValueError(bad[1])
 
         items, workers = columns["item_codes"], columns["worker_codes"]
         _, first = np.unique(items * len(self.worker_ids) + workers, return_index=True)
         if first.size < n:
-            repeat = np.ones(n, dtype=bool)
-            repeat[first] = False
-            r = int(np.argmax(repeat))
+            r = np.setdiff1d(np.arange(n), first)[0]
             raise ValueError(
                 f"duplicate judgment for item {self.item_ids[items[r]]!r} "
                 f"by worker {self.worker_ids[workers[r]]!r}"
@@ -141,35 +120,34 @@ class JudgmentSet:
             col.setflags(write=False)
             object.__setattr__(self, name, col)
 
+    @staticmethod
+    def _bad_record(grades: np.ndarray, trust: np.ndarray, given: np.ndarray):
+        """The first record whose grade lies outside 0..3, or whose trust is
+        ``given`` and lies outside [0, 1], with the reason; else ``None``."""
+        bad_grade = (grades < VALID_GRADES[0]) | (grades > VALID_GRADES[-1])
+        bad = np.flatnonzero(bad_grade | (given & ~((trust >= 0.0) & (trust <= 1.0))))
+        if not bad.size:
+            return None
+        r = int(bad[0])
+        if bad_grade[r]:
+            return r, f"grade must be one of {VALID_GRADES}, got {int(grades[r])!r}"
+        return r, f"trust must lie in [0, 1], got {float(trust[r])}"
+
     @classmethod
     def from_records(cls, records: Iterable[JudgmentRecord]) -> "JudgmentSet":
-        """The set of ``records``, in their order."""
-        records = tuple(records)
+        """The set of ``records``, in their order; a bad record raises
+        ``ValueError`` with the reason ``load_judgments`` gives for it."""
         columns = _Columns()
-        columns.extend(
-            [rec.item for rec in records],
-            [rec.worker for rec in records],
-            [rec.grade for rec in records],
-            [rec.trust for rec in records],
-        )
+        columns.extend(enumerate(map(vars, records)), lambda _, reason: ValueError(reason))
         return columns.build()
 
     @cached_property
     def records(self) -> tuple[JudgmentRecord, ...]:
         """One ``JudgmentRecord`` per record, built on first access."""
+        columns = (self.item_codes, self.worker_codes, self.grades, self.trust)
         return tuple(
-            JudgmentRecord(
-                item=self.item_ids[i],
-                worker=self.worker_ids[w],
-                grade=g,
-                trust=None if math.isnan(t) else t,
-            )
-            for i, w, g, t in zip(
-                self.item_codes.tolist(),
-                self.worker_codes.tolist(),
-                self.grades.tolist(),
-                self.trust.tolist(),
-            )
+            JudgmentRecord(self.item_ids[i], self.worker_ids[w], g, None if math.isnan(t) else t)
+            for i, w, g, t in zip(*(col.tolist() for col in columns))
         )
 
     def workers(self) -> set[str]:
@@ -214,23 +192,76 @@ class _Columns:
     def __init__(self):
         self.item_index: dict[str, int] = {}
         self.worker_index: dict[str, int] = {}
-        self.parts: list[tuple[np.ndarray, ...]] = []
+        empty = np.zeros(0, dtype=np.intp)
+        self.parts: list[tuple[np.ndarray, ...]] = [(empty, empty, empty, np.zeros(0))]
 
-    def extend(self, items, workers, grades, trust) -> None:
-        """Append records; a ``None`` trust becomes NaN."""
-        self.parts.append((
-            _codes(self.item_index, items),
-            _codes(self.worker_index, workers),
-            np.array(grades, dtype=np.intp),
-            np.array(trust, dtype=np.float64),
-        ))
+    def extend(self, pairs, error) -> None:
+        """Append the records of ``(key, fields)`` pairs, or raise
+        ``error(key, reason)`` for the first bad record.
+
+        Values are checked on the records before the first type error, or
+        before a ``ValueError`` the pairs raise as they are read, so the
+        earliest bad record wins and, within a record, its type error.
+        """
+        keys, items, workers, grades, trusts, failure = _checked_columns(pairs, error)
+        try:
+            grades = np.array(grades, dtype=np.intp)
+        except OverflowError:  # a grade beyond int64, which _bad_record names
+            grades = np.array(grades, dtype=object)
+        trust = np.array(trusts, dtype=np.float64)  # None becomes NaN
+        given = np.array([t is not None for t in trusts], dtype=bool)
+        bad = JudgmentSet._bad_record(grades, trust, given)
+        if bad is not None:
+            raise error(keys[bad[0]], bad[1])
+        if failure is not None:
+            raise failure
+        items, workers = _codes(self.item_index, items), _codes(self.worker_index, workers)
+        self.parts.append((items, workers, grades, trust))
 
     def build(self) -> JudgmentSet:
-        if self.parts:
-            columns = [np.concatenate(col) for col in zip(*self.parts)]
-        else:
-            columns = [np.zeros(0, dtype=np.intp)] * 3 + [np.zeros(0)]
+        columns = map(np.concatenate, zip(*self.parts))
         return JudgmentSet(tuple(self.item_index), tuple(self.worker_index), *columns)
+
+
+def _checked_columns(pairs, error):
+    """Keys, items, workers, grades and trusts of the ``(key, fields)``
+    pairs before the first with a field of the wrong type, then
+    ``error(key, reason)`` for that pair, or ``None``.  The types: non-empty
+    ``str`` item and worker, ``int`` grade, and a ``trust`` absent or an
+    ``int`` or ``float`` that converts to a float; a bool is neither.
+    """
+    columns = keys, items, workers, grades, trusts = [], [], [], [], []
+    try:
+        for key, fields in pairs:
+            item = fields.get("item")
+            worker = fields.get("worker")
+            grade = fields.get("grade")
+            trust = fields.get("trust")
+            reason = None
+            if type(item) is not str or not item:
+                reason = 'missing or invalid "item"'
+            elif type(worker) is not str or not worker:
+                reason = 'missing or invalid "worker"'
+            elif type(grade) is not int:
+                reason = 'field "grade" must be an integer'
+            elif trust is not None and type(trust) is not float:
+                if type(trust) is not int:
+                    reason = 'field "trust" must be numeric'
+                else:
+                    try:
+                        trust = float(trust)
+                    except OverflowError:
+                        reason = "trust must lie in [0, 1]"
+            if reason:
+                return *columns, error(key, reason)
+            keys.append(key)
+            items.append(item)
+            workers.append(worker)
+            grades.append(grade)
+            trusts.append(trust)
+    except ValueError as exc:  # a line that is not one JSON object
+        return *columns, exc
+    return *columns, None
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +274,8 @@ class GradeDistance:
         t = np.asarray(self.table, dtype=np.float64)
         if t.shape != (4, 4):
             raise ValueError(f"distance table must be 4x4, got {t.shape}")
+        if not np.isfinite(t).all():
+            raise ValueError("distances must be finite")
         if not np.allclose(t, t.T):
             raise ValueError("distance table must be symmetric")
         if np.any(np.diag(t) != 0):
@@ -401,46 +434,11 @@ def load_judgments(path) -> JudgmentSet:
     columns = _Columns()
     # A call per chunk, so that chunk's lists are freed before the next is read.
     for pairs in read_objects(path):
-        columns.extend(*_checked_columns(path, pairs))
+        columns.extend(pairs, lambda line_no, reason: InputFormatError(path, line_no, reason))
     try:
         return columns.build()
     except ValueError as exc:
         raise InputFormatError(path, 0, str(exc)) from exc
-
-
-def _checked_columns(path, pairs):
-    """Item, worker, grade and trust columns of ``(line_no, object)`` pairs."""
-    items, workers, grades, trusts = [], [], [], []
-    for line_no, obj in pairs:
-        item = obj.get("item")
-        worker = obj.get("worker")
-        grade = obj.get("grade")
-        trust = obj.get("trust")
-        # A JSON value is of exactly one of these types; bool is not int.
-        if type(item) is not str or not item:
-            raise InputFormatError(path, line_no, 'missing or invalid "item"')
-        if type(worker) is not str or not worker:
-            raise InputFormatError(path, line_no, 'missing or invalid "worker"')
-        if type(grade) is not int:
-            raise InputFormatError(path, line_no, 'field "grade" must be an integer')
-        if trust is not None and type(trust) is not float:
-            if type(trust) is not int:
-                raise InputFormatError(path, line_no, 'field "trust" must be numeric')
-            try:
-                trust = float(trust)
-            except OverflowError as exc:
-                raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
-        if grade not in VALID_GRADES:
-            raise InputFormatError(
-                path, line_no, f"grade must be one of {VALID_GRADES}, got {grade!r}"
-            )
-        if trust is not None and not 0.0 <= trust <= 1.0:
-            raise InputFormatError(path, line_no, f"trust must lie in [0, 1], got {trust}")
-        items.append(item)
-        workers.append(worker)
-        grades.append(grade)
-        trusts.append(trust)
-    return items, workers, grades, trusts
 
 
 def load_qrels(path) -> RelevanceJudgments:

@@ -367,11 +367,13 @@ def _records_by_line(path, numbered_lines):
             trust = None if trust is None else float(trust)
         except OverflowError as exc:
             raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
-        try:
-            record = JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
-        except ValueError as exc:
-            raise InputFormatError(path, line_no, str(exc)) from exc
-        yield record
+        if grade not in (0, 1, 2, 3):
+            raise InputFormatError(
+                path, line_no, f"grade must be one of (0, 1, 2, 3), got {grade!r}"
+            )
+        if trust is not None and not 0.0 <= trust <= 1.0:
+            raise InputFormatError(path, line_no, f"trust must lie in [0, 1], got {trust}")
+        yield JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
 
 
 def _resource_id_by_split(token, path, line_no, what):

@@ -63,6 +63,17 @@ def test_distance_validation():
         GradeDistance(table=bad)  # asymmetric
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_distance_table_must_be_finite(value):
+    table = GradeDistance.nominal().table.copy()
+    table[0, 3] = table[3, 0] = value
+    with pytest.raises(ValueError, match="^distances must be finite$"):
+        GradeDistance(table=table)
+    table[3, 0] = 1.0  # asymmetric as well: finiteness is checked first
+    with pytest.raises(ValueError, match="^distances must be finite$"):
+        GradeDistance(table=table)
+
+
 # ----------------------------------------------------------------- alpha
 
 
@@ -161,32 +172,35 @@ def test_judgment_set_rejects_non_integer_columns(item_codes, worker_codes, grad
     assert empty.grades.dtype == np.intp and empty.grades.size == 0
 
 
+def _one_record(**fields):
+    return JudgmentSet.from_records([JudgmentRecord(**{"item": "i", "worker": "w", **fields})])
+
+
 def test_judgment_record_validation():
-    with pytest.raises(ValueError):
-        JudgmentRecord(item="i", worker="w", grade=7)
-    with pytest.raises(ValueError):
-        JudgmentRecord(item="i", worker="w", grade=1, trust=1.5)
+    with pytest.raises(ValueError, match=r"^grade must be one of \(0, 1, 2, 3\), got 7$"):
+        _one_record(grade=7)
+    with pytest.raises(ValueError, match=r"^trust must lie in \[0, 1\], got 1.5$"):
+        _one_record(grade=1, trust=1.5)
 
 
 @pytest.mark.parametrize("grade", [2.0, True, False, "1"])
 def test_judgment_record_rejects_a_grade_that_is_not_an_int(grade):
-    with pytest.raises(ValueError, match=f"^grade must be one of .*, got {grade!r}$"):
-        JudgmentRecord(item="i", worker="w", grade=grade)
+    with pytest.raises(ValueError, match='^field "grade" must be an integer$'):
+        _one_record(grade=grade)
 
 
 @pytest.mark.parametrize("trust", [True, False, "0.5", "1"])
 def test_judgment_record_rejects_a_trust_that_is_not_a_number(trust):
-    with pytest.raises(ValueError, match=f"^trust must be a number, got {trust!r}$"):
-        JudgmentRecord(item="i", worker="w", grade=1, trust=trust)
-    assert JudgmentRecord(item="i", worker="w", grade=1, trust=1).trust == 1
+    with pytest.raises(ValueError, match='^field "trust" must be numeric$'):
+        _one_record(grade=1, trust=trust)
+    assert _one_record(grade=1, trust=1).records[0].trust == 1
 
 
 @pytest.mark.parametrize("field, value", [("item", 5), ("item", ""), ("item", None),
                                           ("worker", ("x",)), ("worker", "")])
 def test_judgment_record_rejects_an_id_that_is_not_a_non_empty_string(field, value):
-    ids = {"item": "i", "worker": "w", field: value}
     with pytest.raises(ValueError, match=f'^missing or invalid "{field}"$'):
-        JudgmentRecord(grade=1, **ids)
+        _one_record(grade=1, **{field: value})
 
 
 @pytest.mark.parametrize("field, ids", [("item", (5,)), ("item", ("",)), ("item", (None,)),
@@ -653,6 +667,29 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
         assert load_judgments(path).records == _load_line_by_line(path).records
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(JudgmentRecord, _NAMES, _NAMES, _GRADES, _TRUST_VALUES), max_size=8))
+@example([JudgmentRecord("a", "w", 2.0)])
+@example([JudgmentRecord("a", "w", 1, "0.5")])
+@example([JudgmentRecord("a", "w", 1, True)])
+@example([JudgmentRecord("a", "w", 1), JudgmentRecord("b", "w", 9), JudgmentRecord("c", 7, 1)])
+@example([JudgmentRecord("a", "w", 1), JudgmentRecord("a", "w", 2)])
+def test_from_records_agrees_with_load_judgments(tmp_path_factory, records):
+    # The same records in a file: the same columns, or the loader's reason
+    # without its "path:line: " prefix.
+    path = tmp_path_factory.mktemp("judgments") / "j.jsonl"
+    path.write_text("".join(json.dumps(vars(rec)) + "\n" for rec in records))
+    try:
+        loaded = load_judgments(path)
+    except InputFormatError as exc:
+        with pytest.raises(ValueError) as built:
+            JudgmentSet.from_records(records)
+        assert type(built.value) is ValueError and str(built.value) == exc.reason
+        return
+    built = JudgmentSet.from_records(records)
+    assert _outcome(lambda _: built, path) == _outcome(lambda _: loaded, path)
+
+
 def test_chunked_parse_reports_format_error_before_bad_bytes(tmp_path):
     good = '{"item": "a", "worker": "w%d", "grade": 1}\n'
     path = tmp_path / "j.jsonl"
@@ -677,6 +714,23 @@ def test_load_judgments_rejects_a_boolean_trust(tmp_path, trust):
         load_judgments(path)
     with pytest.raises(InputFormatError, match=r':1: field "trust" must be numeric$'):
         _load_line_by_line(path)
+
+
+@pytest.mark.parametrize("fields, reason", [
+    ({"grade": 1, "trust": float("nan")}, "trust must lie in [0, 1], got nan"),
+    ({"grade": 10**30}, f"grade must be one of (0, 1, 2, 3), got {10**30}"),
+    ({"grade": -(2**63) - 1, "trust": 2}, f"grade must be one of (0, 1, 2, 3), got {-(2**63) - 1}"),
+])
+def test_nan_trust_and_huge_grades_are_range_errors(tmp_path, fields, reason):
+    # A given NaN trust is not a missing one, and a grade beyond int64 is
+    # named in full, by both entry points.
+    path = tmp_path / "j.jsonl"
+    path.write_text('{"item": "a", "worker": "w", "grade": 1}\n'
+                    + json.dumps({"item": "b", "worker": "w", **fields}) + "\n")
+    with pytest.raises(InputFormatError, match=re.escape(f":2: {reason}") + "$"):
+        load_judgments(path)
+    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+        _one_record(**fields)
 
 
 def test_load_judgments_huge_trust_is_a_format_error(tmp_path):
