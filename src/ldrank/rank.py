@@ -65,7 +65,13 @@ class RankingResult:
 
     def __post_init__(self):
         order = integer_array(self.order, "order")
-        if sorted(order.tolist()) != list(range(len(self.scores))):
+        n = len(self.scores)
+        if (
+            order.shape != (n,)
+            or order.min() < 0
+            or order.max() >= n
+            or not (np.bincount(order, minlength=n) == 1).all()
+        ):
             raise ValueError("order must be a permutation of the resource indices")
         order = order.copy()
         order.setflags(write=False)

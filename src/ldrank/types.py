@@ -1,14 +1,16 @@
 """Shared data model: input readers, pipeline settings, probability
 vectors, result-page context, corpus bundle.
 
-Every line-format decision is made here.  ``_chunks`` is the only code
-that opens, decodes, splits and numbers an input file, a chunk of lines at
-a time; ``read_rows`` reads the tab-separated files (serp, qrels,
-manifest), ``read_objects`` the JSON Lines files (texts, judgments) and
+Every line-format decision is made here.  ``_blocks`` is the only code
+that opens, decodes and numbers an input file: it reads fixed-size byte
+blocks, each cut after its last line break, with one ``read`` and one
+``decode`` per block.  ``_chunks`` splits each block into lines;
+``read_rows`` reads the tab-separated files (serp, qrels, manifest),
+``read_objects`` the JSON Lines files (texts, judgments) and
 ``data_lines`` the query file, each through it.  The graph file, millions
-of lines long, is resolved a chunk at a time by ``corpus``, which falls
-back to ``chunk_rows``, the line loop of ``read_rows``, on a chunk it
-cannot take in bulk.
+of lines long, is resolved by ``corpus`` from the bytes of each block,
+with array operations; each line they cannot take goes alone through
+``chunk_rows``, the line loop of ``read_rows``.
 
 Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
@@ -20,9 +22,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
-from itertools import islice
 from numbers import Integral, Real
 
 import numpy as np
@@ -41,44 +43,65 @@ class InputFormatError(ValueError):
         super().__init__(f"{self.path}:{line_no}: {reason}")
 
 
-#: Raw lines per chunk of an input file: one ``decode`` per chunk, and in
-#: ``read_objects`` one ``json.loads``; bounds the text held at once.
-_CHUNK_LINES = 1024
+#: Bytes read per block of an input file, before the block is cut after its
+#: last line break: one ``decode`` per block, and in ``read_objects`` one
+#: ``json.loads``; bounds the text held at once.
+_CHUNK_BYTES = 1 << 16
+
+
+def _blocks(path):
+    """Yield ``(first_line_no, data, text)`` for consecutive blocks of whole
+    lines of a UTF-8 text file; lines are numbered from 1.
+
+    This is the only code that opens an input file.  Each block is one
+    ``read`` of ``_CHUNK_BYTES`` bytes (more while a line is longer), cut
+    after its last line break, with the rest carried into the next block.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in text mode; in ``data``
+    every line break is ``b"\\n"``, and ``text`` is ``data`` decoded.  Only
+    the last line of the file may lack a line break.  Undecodable bytes end
+    the file: the block of the whole lines before them is yielded, then
+    ``InputFormatError`` is raised at line 0, so a reader reports a format
+    error on an earlier line first.
+    """
+    line_no = 1
+    rest = b""
+    with open(path, "rb") as fh:
+        while True:
+            # A line longer than a block doubles the read, so it costs
+            # reads in proportion to its length, not to its square.
+            block = fh.read(max(_CHUNK_BYTES, len(rest)))
+            data, rest = rest + block, b""
+            if block:
+                # A "\r" at the end may be the first half of a "\r\n".
+                end = len(data) - data.endswith(b"\r")
+                cut = max(data.rfind(b"\n", 0, end), data.rfind(b"\r", 0, end)) + 1
+                data, rest = data[:cut], data[cut:]
+                if not data:
+                    continue
+            elif not data:
+                return
+            if b"\r" in data:
+                data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                data = data[: data.rfind(b"\n", 0, exc.start) + 1]
+                if data:
+                    yield line_no, data, data.decode("utf-8")
+                reason = f"not valid UTF-8 ({exc.reason})"
+                raise InputFormatError(path, 0, reason) from exc
+            yield line_no, data, text
+            line_no += data.count(b"\n")
 
 
 def _chunks(path):
-    """Yield ``(first_line_no, lines)`` for chunks of up to ``_CHUNK_LINES``
-    raw lines of a UTF-8 text file; lines are numbered from 1.
-
-    This is the only code that opens an input file.  Lines end at ``\\n``,
-    ``\\r\\n`` or ``\\r``, as in text mode, and the endings are stripped.
-    A chunk that is not valid UTF-8 is decoded one line at a time: the lines
-    before the bad bytes are yielded, then ``InputFormatError`` is raised at
-    line 0, so a reader reports a format error on an earlier line first.
-    """
-    line_no = 1
-    with open(path, "rb") as fh:
-        while data := b"".join(islice(fh, _CHUNK_LINES)):
-            try:
-                text = data.decode("utf-8")
-            except UnicodeDecodeError:
-                lines = []
-                # bytes.splitlines ends lines at \n, \r\n and \r only; one
-                # of these pieces holds the bad bytes, so this loop raises.
-                for piece in data.splitlines(keepends=True):
-                    try:
-                        lines.append(piece.decode("utf-8").rstrip("\r\n"))
-                    except UnicodeDecodeError as exc:
-                        yield line_no, lines
-                        reason = f"not valid UTF-8 ({exc.reason})"
-                        raise InputFormatError(path, 0, reason) from exc
-            if "\r" in text:
-                text = text.replace("\r\n", "\n").replace("\r", "\n")
-            lines = text.split("\n")
-            if not lines[-1]:  # the chunk ends with a line break
-                lines.pop()
-            yield line_no, lines
-            line_no += len(lines)
+    """Yield ``(first_line_no, lines)`` per ``_blocks`` block of a UTF-8
+    text file, with the line endings stripped."""
+    for first_line_no, _data, text in _blocks(path):
+        lines = text.split("\n")
+        if not lines[-1]:  # the block ends with a line break
+            lines.pop()
+        yield first_line_no, lines
 
 
 def read_lines(path):
@@ -346,7 +369,8 @@ class CorpusBundle:
     query: frozenset[int]
 
     def __post_init__(self):
-        if list(self.resource_ids) != sorted(set(self.resource_ids)):
+        ids = self.resource_ids
+        if not all(map(operator.lt, ids, ids[1:])):  # strictly increasing
             raise ValueError("resource_ids must be sorted and free of duplicates")
         n = len(self.resource_ids)
         edges = integer_array(self.graph_edges, "graph_edges")

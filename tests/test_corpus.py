@@ -141,13 +141,17 @@ def test_dangling_references_rejected(tmp_path):
         load_bundle(*files)
 
 
+# 64 bytes with its line break, so a 64 KiB block holds 1024 such lines.
+_TRIPLE = "a\t" + "p" * 59 + "\tb"
+
+
 def _many_chunk_graph(n_lines, bad):
-    """``n_lines`` of ``a<TAB>p<TAB>b``, with ``bad`` mapping line numbers
-    to the lines that replace them."""
-    return "".join(bad.get(k, "a\tp\tb") + "\n" for k in range(1, n_lines + 1))
+    """``n_lines`` of ``a<TAB>ppp...<TAB>b``, with ``bad`` mapping line
+    numbers to the lines that replace them."""
+    return "".join(bad.get(k, _TRIPLE) + "\n" for k in range(1, n_lines + 1))
 
 
-# Line 3500 lies in the fourth chunk of 1024 lines, with line 3501.
+# Line 3500 lies in the fourth block of 1024 lines, with line 3501.
 @pytest.mark.parametrize("bad, error, message", [
     ({3500: "a\tp\tzzz", 3501: "a\tp"}, ValueError,
      "graph object 'zzz' has no entry in the texts table"),
@@ -173,12 +177,33 @@ def test_clean_graph_chunks_are_taken_in_bulk(tmp_path):
         assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 4000
     commented = _many_chunk_graph(4000, {1: "# a comment", 2000: "", 3999: "  # b"})
     files = _bundle_files(tmp_path, graph=commented)
-    assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 3997
+    rules = corpus_module._graph_chunk_ids
+    with mock.patch.object(corpus_module, "_graph_chunk_ids", wraps=rules) as seen:
+        assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 3997
+    # Only the lines that are not triples reach the line rules, one at a time.
+    assert [c.args[1:3] for c in seen.call_args_list] == [
+        (1, ["# a comment"]), (2000, [""]), (3999, ["  # b"]),
+    ]
+
+
+def test_long_ids_that_share_their_ends_are_taken_in_bulk(tmp_path):
+    # DBpedia-like ids: one prefix, one suffix, some of one length.
+    names = ["A_1000", "B_1000", "A_10000", "Ab_1000", "A", "A_1001", "\xe9_1000"]
+    ids = [f"http://dbpedia.org/resource/{name}_(film)" for name in names]
+    texts = "".join(f'{{"id": "{rid}", "text": "t"}}\n' for rid in ids)
+    pairs = [(s, o) for s in range(len(ids)) for o in range(len(ids))]
+    graph = "".join(f"{ids[s]}\tp\t{ids[o]}\n" for s, o in pairs)
+    files = _bundle_files(tmp_path, graph=graph, texts=texts,
+                          serp=f"1\td1\t{ids[0]}\n", query=f"{ids[1]}\n")
+    with mock.patch.object(corpus_module, "_graph_chunk_ids", side_effect=AssertionError):
+        bundle = load_bundle(*files)
+    rank = {rid: k for k, rid in enumerate(sorted(ids))}
+    assert bundle.graph_edges.tolist() == [[rank[ids[s]], rank[ids[o]]] for s, o in pairs]
 
 
 def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_dir, tmp_path):
-    # The fixture's comment line sends its only chunk down the line loop;
-    # without it, the chunk is taken in bulk.
+    # The fixture's comment line goes through the line rules; without it,
+    # every line is taken in bulk.
     lines = (basic_dir / "graph.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
     assert lines[0].startswith("#")
     graph = tmp_path / "graph.tsv"

@@ -640,7 +640,7 @@ _LINES = _mostly(
     st.lists(_LINES, max_size=14),
     st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=14, max_size=14),
     st.booleans(),
-    st.sampled_from([1, 2, 3, 4096]),
+    st.sampled_from([1, 2, 3, 7, 1 << 16]),
 )
 @example(  # a duplicate pair, then a format error: the format error wins
     lines=[
@@ -660,7 +660,7 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
         text = text[: -len(ends[len(lines) - 1])]
     path = tmp_path_factory.mktemp("judgments") / "j.jsonl"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
+    with mock.patch.object(types_module, "_CHUNK_BYTES", chunk):
         got = _outcome(load_judgments, path)
     assert got == _outcome(_load_line_by_line, path)
     if got[0] is not InputFormatError and got[0] is not ValueError:

@@ -296,6 +296,19 @@ def test_ranking_result_validation():
 
 
 
+@pytest.mark.parametrize("order", [
+    [0, 1],  # 2 missing
+    [0, 1, 1],  # 1 repeated
+    [2, 0, 2, 1],  # 2 repeated, one entry too many
+    [0, 1, 3],  # out of range
+    [0, 1, -1],
+    [[0, 1, 2]],
+])
+def test_ranking_result_rejects_an_order_that_is_no_permutation(order):
+    with pytest.raises(ValueError, match="^order must be a permutation of the resource indices$"):
+        RankingResult(Distribution.uniform(3), np.array(order), 1, True)
+
+
 @pytest.mark.parametrize("order", [[0.2, 1.7], [True, False], ["1", "0"]])
 def test_ranking_result_rejects_non_integer_order(order):
     with pytest.raises(ValueError, match="^order must hold integers"):

@@ -92,7 +92,7 @@ _TEXT_LINES = _mostly(
     _ENDS,
     st.booleans(),
     st.booleans(),
-    st.sampled_from([1, 2, 3, 4096]),
+    st.sampled_from([1, 2, 3, 7, 1 << 16]),
 )
 @example(  # a duplicate id, then a format error: the duplicate comes first
     lines=[
@@ -117,13 +117,13 @@ def test_texts_reader_matches_line_loop(tmp_path_factory, lines, ends, last_end,
         data += b"\xff\n"
     path = tmp_path_factory.mktemp("texts") / "t.jsonl"
     path.write_bytes(data)
-    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
+    with mock.patch.object(types_module, "_CHUNK_BYTES", chunk):
         got = _outcome(_read_texts_file, path)
     assert got == _outcome(oracles.texts_by_line, path)
 
 
-# Line 8500 lies in the chunk that holds the bad bytes, so it is reached
-# only when that chunk is decoded line by line.
+# Line 8500 lies in the 64 KiB block that holds the bad bytes, so it is
+# reached only through the lines that block yields before them.
 @pytest.mark.parametrize("bad", [4, 8500])
 def test_texts_reader_reports_format_error_before_bad_bytes(tmp_path, bad):
     good = '{"id": "r%d", "text": "x"}\n'
@@ -161,10 +161,17 @@ def _rows(count, fields, comments):
 
 # The ids of a texts file, which the graph reader resolves endpoints in:
 # every well-formed id of _FIELDS but "c", so most drawn files reach their
-# later lines, while "c" and the ids holding "," still dangle.
+# later lines, while "c" and the ids holding "," still dangle.  The rest
+# sit at the edges of the bulk path's key, its first and last 8 bytes and
+# its byte length: "a\x00" beside "a", and pairs of 8 to 17 bytes, or
+# longer, that differ only in a byte one part of the key covers alone.
 _GRAPH_INDEX = {rid: k for k, rid in enumerate([
     "0", "1", "2", "3", "4", "-1", "-0", "007", "10", "9" * 5000, "1.5", "one",
-    "a", "a#", "b", "d1", "p", "\xe9",
+    "a", "a#", "b", "d1", "p", "\xe9", "a\x00",
+    "abcdefgh", "abcdefghi", "abcdefghj", "abcdefghijklmnop", "abcdefghijklmnoq",
+    "\xe9" * 8, "abcdefgh_ijklmnop", "abcdefgh-ijklmnop",
+    "http://dbpedia.org/resource/A_1000_(film)",
+    "http://dbpedia.org/resource/B_1000_(film)",
 ])}
 
 
@@ -238,7 +245,7 @@ _FLAWED_GRAPH_LINE = st.one_of(
     st.lists(st.tuples(st.integers(0, 11), _FLAWED_GRAPH_LINE), max_size=3),
     _ENDS,
     st.booleans(),
-    st.sampled_from([1, 2, 3, 4096]),
+    st.sampled_from([1, 2, 3, 7, 1 << 16]),
 )
 @example(  # a dangling id, then a format error, in one chunk
     lines=["a\tp\tb", "a\tp\tc", "a\tp"], flaws=[], ends=["\n"] * 14, last_end=True,
@@ -254,7 +261,7 @@ def test_graph_chunks_resolve_as_line_loop(tmp_path_factory, lines, flaws, ends,
         lines.insert(at, line)
     path = tmp_path_factory.mktemp("graph") / "g.tsv"
     path.write_bytes(_join(lines, ends, last_end).encode("utf-8"))
-    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
+    with mock.patch.object(types_module, "_CHUNK_BYTES", chunk):
         got = _outcome(_graph_ids, path)
     assert got == _outcome(_graph_ids_by_line, path)
 
@@ -272,15 +279,15 @@ def test_read_rows_skips_blank_and_comment_lines(tmp_path):
 
 
 def test_read_rows_yields_every_row_before_bad_bytes(tmp_path):
-    # 3000 rows: the bad bytes lie chunks into the file, and the rows of the
-    # chunk that holds them must be yielded, none skipped or repeated.
+    # 30000 rows: the bad bytes lie blocks into the file, and the rows of the
+    # block that holds them must be yielded, none skipped or repeated.
     path = tmp_path / "f.tsv"
-    path.write_bytes("".join(f"a{k}\tb\n" for k in range(3000)).encode() + b"\xff\n")
+    path.write_bytes("".join(f"a{k}\tb\n" for k in range(30000)).encode() + b"\xff\n")
     got = []
     with pytest.raises(InputFormatError) as exc:
         got.extend(read_rows(path, 2))
     assert str(exc.value) == f"{path}:0: not valid UTF-8 (invalid start byte)"
-    assert got == [(k + 1, [f"a{k}", "b"]) for k in range(3000)]
+    assert got == [(k + 1, [f"a{k}", "b"]) for k in range(30000)]
 
 
 # \x85, \x1c and \u2028 end a line for str.splitlines, not for text mode.
@@ -291,7 +298,7 @@ _LINE_TEXT = st.text(st.sampled_from("ab #\t{}\x85\x1c\u2028\xe9"), max_size=6)
 # ``read_lines``, and so through the same ``_chunks``.
 @settings(max_examples=300, deadline=None)
 @given(
-    st.lists(_LINE_TEXT, max_size=14), _ENDS, st.booleans(), st.sampled_from([1, 2, 3, 4096])
+    st.lists(_LINE_TEXT, max_size=14), _ENDS, st.booleans(), st.sampled_from([1, 2, 3, 7, 1 << 16])
 )
 def test_read_lines_splits_as_text_mode_and_yields_lines_before_bad_bytes(
     tmp_path_factory, lines, ends, last_end, chunk
@@ -301,13 +308,13 @@ def test_read_lines_splits_as_text_mode_and_yields_lines_before_bad_bytes(
     path.write_bytes(text.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         want = [(k, line.rstrip("\n")) for k, line in enumerate(fh, 1)]
-    with mock.patch.object(types_module, "_CHUNK_LINES", chunk):
+    with mock.patch.object(types_module, "_CHUNK_BYTES", chunk):
         assert list(read_lines(path)) == want
     # Bad bytes appended to an unterminated last line take that line with them.
     path.write_bytes(text.encode("utf-8") + b"\xff\n")
     got = []
     with (
-        mock.patch.object(types_module, "_CHUNK_LINES", chunk),
+        mock.patch.object(types_module, "_CHUNK_BYTES", chunk),
         pytest.raises(InputFormatError) as exc,
     ):
         got.extend(read_lines(path))

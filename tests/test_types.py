@@ -66,6 +66,18 @@ def test_corpus_bundle_requires_sorted_unique_ids():
         )
 
 
+@pytest.mark.parametrize("ids", [("b", "a"), ("a", "a"), ("a", "c", "b"), ("a", "b", "b")])
+def test_corpus_bundle_names_unsorted_or_repeated_ids(ids):
+    with pytest.raises(ValueError, match="^resource_ids must be sorted and free of duplicates$"):
+        CorpusBundle(
+            resource_ids=ids,
+            graph_edges=np.empty((0, 2), dtype=np.int64),
+            texts=("",) * len(ids),
+            serp=SerpContext(docs=(), occurrences={}),
+            query=frozenset(),
+        )
+
+
 def test_corpus_bundle_index_is_positional():
     serp = SerpContext(docs=(), occurrences={})
     bundle = CorpusBundle(
