@@ -34,7 +34,7 @@ from .judgments import (
 )
 from .lsa import ConvergenceError
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import ConvergenceWarning, InputFormatError, read_rows
+from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows
 
 __all__ = ["main"]
 
@@ -151,14 +151,18 @@ def _read_manifest(path):
 
 def _cmd_eval(args) -> int:
     params = _params_from(args)
-    try:
-        cutoffs = [int(tok) for tok in args.cutoffs.split(",") if tok.strip()]
+    tokens = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
+    try:  # ASCII digits only, as every integer of the input files
+        cutoffs = [parse_int(tok, "--cutoffs", 0, "cutoff") for tok in tokens]
     except ValueError:
         raise ValueError(f"invalid cutoff list {args.cutoffs!r}") from None
     if not cutoffs:
         raise ValueError("at least one cutoff required")
     if any(r < 1 for r in cutoffs):
         raise ValueError("cutoffs must be positive")
+    repeated = [r for k, r in enumerate(cutoffs) if r in cutoffs[:k]]
+    if repeated:
+        raise ValueError(f"cutoff {repeated[0]} is given more than once")
 
     entries = _read_manifest(args.manifest)
     bundles, judgments = [], []

@@ -24,13 +24,13 @@ with a ``,`` is a dangling reference.  ``load_bundle`` and
 The graph file holds millions of lines, so ``load_bundle`` resolves it a
 block of bytes at a time, with array operations on the block's UTF-8
 bytes and no string per field.  They find the tabs and line breaks, take
-each line with two tabs and a non-empty predicate, and look up the bytes
-of its subject and object in ``_IdTable``, a hash table of the texts-file
-ids built once per load.  A line passes this test when both endpoints are
-found.  By the id rules above, no blank or comment line and no malformed
-or dangling id passes it, so each line that fails goes alone, in line
-order, through ``_graph_chunk_ids``, the line rules, which skip it or
-report its fault exactly as a line loop would.
+each line with two tabs and a non-empty predicate, and look up its subject
+and object in ``_IdTable``: the texts-file ids as rows of 8-byte words.  A
+line passes this test when both endpoints are found.  By the id rules
+above, no blank or comment line and no malformed or dangling id passes it,
+so each line that fails goes alone, in line order, through
+``_graph_chunk_ids``, the line rules.  They skip it or report its fault
+exactly as a line loop would, or resolve an id too long for the table.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ def _resolve(index: dict[str, int], rid: str, role: str) -> int:
 
 #: ``_KEEP[k]`` keeps the low ``k`` bytes of a little-endian word.
 _KEEP = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-#: Odd multipliers for the hashes.
-_ODD = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
-                 0xFF51AFD7ED558CCD], dtype=np.uint64)
+#: Odd multipliers: for the length, and for each word and ``_mix``.
+_ODD = np.array([0x9E3779B97F4A7C15, 0xFF51AFD7ED558CCD], dtype=np.uint64)
+#: The widest row of ``_IdTable``, in words (512 bytes), and so of a block's fields.
+_MAX_WIDTH = 64
 
 
 def _words(data: bytes) -> np.ndarray:
@@ -77,111 +78,81 @@ def _words(data: bytes) -> np.ndarray:
 def _mix(x: np.ndarray) -> np.ndarray:
     """Scramble a uint64 array one to one, every bit reaching the top bits;
     array arithmetic wraps where scalar arithmetic would warn."""
-    x = (x ^ (x >> np.uint64(32))) * _ODD[3]
+    x = (x ^ (x >> np.uint64(32))) * _ODD[1]
     return x ^ (x >> np.uint64(29))
 
 
-def _field_words(words, starts, lengths):
-    """The bytes of each field ``[start, start + length)`` as 8-byte words,
-    bytes past the field zeroed, concatenated; each word's place in its
-    field; and where each field's words begin."""
-    count = (lengths + 7) // 8
-    begin = np.cumsum(count) - count
-    k = np.arange(int(count.sum())) - np.repeat(begin, count)
-    at = np.repeat(starts, count) + 8 * k
-    left = np.repeat(lengths, count) - 8 * k
-    return words[at] & _KEEP[np.minimum(left, 8)], k, begin
-
-
-def _field_keys(words, starts, lengths):
-    """Two words that, with its byte length, key each field: its first 8
-    bytes and its last 8 bytes (for a field of up to 8 bytes, both are its
-    bytes, zero-padded), which hold the whole of a field of up to 16 bytes.
-
-    A longer field also mixes a hash of all its bytes into the second word,
-    so ids that share their two ends and their length still differ in key,
-    though not surely.  So the longer fields are returned too, as indices
-    and their ``_field_words``, for ``_IdTable.find`` to compare.
-    """
-    keep = _KEEP[np.minimum(lengths, 8)]
-    first = words[starts] & keep
-    last = words[np.maximum(starts, starts + lengths - 8)] & keep
-    long = np.flatnonzero(lengths > 16)
-    if not long.size:  # no words, no places, no beginnings
-        return first, last, (long, np.empty(0, dtype=np.uint64), long, long)
-    pieces, k, begin = _field_words(words, starts[long], lengths[long])
-    hashed = np.add.reduceat(_mix(pieces + k.astype(np.uint64) * _ODD[0]), begin)
-    last[long] ^= _mix(hashed)
-    return first, last, (long, pieces, k, begin)
+def _rows(words, starts, lengths, width: int) -> np.ndarray:
+    """Each field ``[start, start + length)`` as a row of ``width`` words,
+    zero past its end and cut after ``width`` words, read within ``words``:
+    a ``(width, fields)`` array, so one column per field."""
+    step = 8 * np.arange(width)[:, None]
+    rows = words[np.minimum(starts + step, words.size - 1)]
+    rows &= _KEEP[np.clip(lengths - step, 0, 8)]
+    return rows
 
 
 class _IdTable:
-    """The ids of an index by the key of their UTF-8 bytes: rows
-    ``(first, last, length, value)`` grouped in buckets by a hash of the
-    key, at least two buckets per id, so a lookup reads about one row."""
+    """The ids of an index by their UTF-8 bytes: each a row of ``width``
+    words, zero past its end, with its length and value, in buckets by a hash
+    of both, two buckets per id, so a lookup reads about one row.  A field
+    matches a row only when its length and every word are equal.  ``width``
+    is the longest id in words, but at most ``_MAX_WIDTH`` and four times the
+    mean, so the rows hold at most four times the ids' words; a longer id
+    has no row, and the line rules resolve it."""
 
     def __init__(self, index: dict[str, int]):
         encoded = [rid.encode("utf-8") for rid in index]
         lengths = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-        words = _words(b"".join(encoded))
-        offsets = np.cumsum(lengths) - lengths
-        first, last, (long, pieces, _, begin) = _field_keys(words, offsets, lengths)
-        # The words of the ids of more than 16 bytes, and where each begins;
-        # a zero word last, so a ``take`` always has a word to clip to.
-        self._pieces = np.append(pieces, np.uint64(0))
-        piece_at = np.zeros(len(encoded), dtype=np.int64)
-        piece_at[long] = begin
-        self._shift = np.uint64(64 - max(1, (2 * len(encoded)).bit_length()))
-        bucket = self._bucket(first, last, lengths)
-        order = np.argsort(bucket, kind="stable")
+        sizes = (lengths + 7) // 8
+        cap = min(4 * int(sizes.sum()) // max(1, sizes.size), _MAX_WIDTH)
+        self._width = min(int(sizes.max(initial=0)), cap)
+        kept = np.flatnonzero(sizes <= self._width)
+        # The kept ids, then row -1, whose length -1 no field has and whose
+        # value is -1.  int32 halves the blocks held until they are joined;
+        # 2**31 ids would not fit in memory.
+        lengths = np.append(lengths[kept], -1)
+        values = np.fromiter(index.values(), dtype=np.int32, count=len(encoded))
+        values = np.append(values[kept], np.int32(-1))
+        words = _words(b"".join([encoded[k] for k in kept.tolist()]))
+        rows = _rows(words, np.cumsum(lengths) - lengths, lengths, self._width)
+        self._shift = np.uint64(64 - max(1, (2 * kept.size).bit_length()))
+        bucket = self._bucket(rows[:, :-1], lengths[:-1])
         counts = np.bincount(bucket, minlength=1 << (64 - int(self._shift)))
         self._start = np.concatenate([[0], np.cumsum(counts)])
-        # An empty bucket's first row is the next bucket's, or this padding
-        # row, whose length -1 matches no field and whose value is -1.
-        self._first = np.append(first[order], np.uint64(0))
-        self._last = np.append(last[order], np.uint64(0))
-        self._length = np.append(lengths[order], -1)
-        self._piece_at = np.append(piece_at[order], 0)
-        # int32 halves the blocks held until they are joined; an index of
-        # 2**31 ids would not fit in memory.
-        values = np.fromiter(index.values(), dtype=np.int32, count=len(encoded))
-        self._value = np.append(values[order], np.int32(-1))
+        order = np.append(np.argsort(bucket, kind="stable"), kept.size)
+        # ``take`` keeps C order; every ``take`` from ``rows[:, order]``,
+        # laid out transposed, would copy the whole table first.
+        self._rows = rows.take(order, axis=1)
+        self._length, self._value = lengths[order], values[order]
 
-    def _bucket(self, first, last, lengths):
-        h = first * _ODD[0] ^ last * _ODD[1] ^ lengths.astype(np.uint64) * _ODD[2]
+    def _bucket(self, rows, lengths):
+        h = lengths.astype(np.uint64) * _ODD[0]
+        for column in rows:
+            h = (h ^ column) * _ODD[1]
         return (_mix(h) >> self._shift).astype(np.intp)
+
+    def _differ(self, at, fields, lengths):
+        """Whether each field differs in length or in a word from row ``at``."""
+        return (self._length[at] != lengths) | (self._rows.take(at, axis=1) != fields).any(axis=0)
 
     def find(self, words, starts, lengths) -> np.ndarray:
         """The value of the id whose bytes each field holds, or -1."""
-        first, last, (long, pieces, k, begin) = _field_keys(words, starts, lengths)
-        bucket = self._bucket(first, last, lengths)
+        fields = _rows(words, starts, lengths, self._width)
+        bucket = self._bucket(fields, lengths)
         rows = self._start[bucket]
-        # Every row with a field's key is in its bucket, so a field that
+        # Every row with a field's bytes is in its bucket, so a field that
         # misses the first row of its bucket reads the rest of it, and a
         # field with no row gets row -1, the padding row.
-        miss = np.flatnonzero(
-            (self._first[rows] != first) | (self._last[rows] != last)
-            | (self._length[rows] != lengths)
-        )
+        miss = np.flatnonzero(self._differ(rows, fields, lengths))
         if miss.size:
             count = np.maximum(self._start[bucket[miss] + 1] - rows[miss] - 1, 0)
             who = np.repeat(miss, count)
             step = np.arange(who.size) - np.repeat(np.cumsum(count) - count, count)
             at = rows[who] + 1 + step
-            hit = (
-                (self._first[at] == first[who]) & (self._last[at] == last[who])
-                & (self._length[at] == lengths[who])
-            )
+            hit = ~self._differ(at, fields[:, who], lengths[who])
             rows[miss] = -1
             rows[who[hit]] = at[hit]
-        # The key is the whole of a field of up to 16 bytes; a longer field
-        # must match its row's id word for word, so byte for byte.  A row
-        # that matched has the field's length, so its words are in range.
-        if long.size:
-            at = np.repeat(self._piece_at[rows[long]], np.diff(begin, append=k.size)) + k
-            theirs = self._pieces.take(at, mode="clip")
-            differ = np.bitwise_or.reduceat(pieces ^ theirs, begin) != 0
-            rows[long[differ]] = -1
         return self._value[rows]
 
 
@@ -220,32 +191,30 @@ def _graph_block_ids(path, first_line_no: int, data: bytes, table: _IdTable,
     pairs = table.find(_words(data), starts.ravel(), lengths.ravel()).reshape(-1, 2)
     ok &= (pairs >= 0).all(axis=1)
     if not ok.all():
-        # The line rules skip or reject each of these lines, but for a long
-        # endpoint whose key another id shares, which they resolve.
+        # The line rules skip or reject each of these lines, but for an
+        # endpoint too long for the table's rows, which they resolve.
         for k in np.flatnonzero(~ok).tolist():
             line = data[breaks[k] + 1:breaks[k + 1]].decode("utf-8")
-            ids = _graph_chunk_ids(path, first_line_no + k, [line], index)
-            if ids:
+            ids = _graph_chunk_ids(path, first_line_no + k, line, index)
+            if ids is not None:
                 pairs[k] = ids
                 ok[k] = True
         pairs = pairs[ok]
     return pairs.ravel()
 
 
-def _graph_chunk_ids(path, first_line_no: int, lines: list[str],
-                     index: dict[str, int]) -> list[int]:
-    """The line rules: the endpoint indices of ``lines``, numbered from
-    ``first_line_no``, line by line.  Each line is checked, then its
-    endpoints resolved, so the first fault in line order raises."""
-    ids = []
-    for line_no, (subject, predicate, obj) in chunk_rows(path, first_line_no, lines, 3):
+def _graph_chunk_ids(path, line_no: int, line: str,
+                     index: dict[str, int]) -> tuple[int, int] | None:
+    """The line rules: the subject and object indices of one graph line, or
+    ``None`` for a blank or comment line.  The line is checked, then its
+    endpoints resolved, so a format fault is reported first."""
+    for _, (subject, predicate, obj) in chunk_rows(path, line_no, [line], 3):
         _check_resource_id(subject, path, line_no, "subject")
         _check_resource_id(obj, path, line_no, "object")
         if not predicate:
             raise InputFormatError(path, line_no, "empty predicate")
-        ids.append(_resolve(index, subject, "graph subject"))
-        ids.append(_resolve(index, obj, "graph object"))
-    return ids
+        return _resolve(index, subject, "graph subject"), _resolve(index, obj, "graph object")
+    return None
 
 
 def _read_texts_file(path) -> dict[str, str]:

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
+import ldrank.corpus as corpus_module
 from ldrank import STRATEGIES, krippendorff_alpha, ldrank, load_judgments, strategy
 from ldrank.cli import main
 
@@ -45,6 +47,64 @@ def test_rank_matches_golden_output(basic_dir, capsys, name, bidirectional):
     suffix = "_bidirectional" if bidirectional else ""
     want = (basic_dir / "expected" / f"rank_{name}{suffix}.tsv").read_bytes()
     assert capsys.readouterr().out.encode("utf-8") == want
+
+
+_URI = "http://dbpedia.org/resource/"
+
+
+def _uri(rid):
+    """``rid`` as a DBpedia-style URI; ``Museum`` gets 5000 ``_`` more, too
+    long for the graph reader's id table.  The shared prefix keeps the sort
+    order of the ids, so every score stays the same."""
+    return _URI + rid + "_" * 5000 * (rid == "Museum")
+
+
+def _uri_bundle(basic_dir, out):
+    """The basic fixture's rank inputs with every id rewritten by ``_uri``."""
+    def lines(name):
+        return (basic_dir / name).read_text(encoding="utf-8").splitlines()
+
+    def triple(line):
+        s, p, o = line.split("\t")
+        return f"{_uri(s)}\t{p}\t{_uri(o)}"
+
+    def result(line):
+        rank, doc, mentions = line.split("\t")
+        return f"{rank}\t{doc}\t{','.join(map(_uri, mentions.split(',')))}"
+
+    def text(line):
+        record = json.loads(line)
+        return json.dumps({**record, "id": _uri(record["id"])})
+
+    contents = {
+        "graph.tsv": [line if line.startswith("#") else triple(line)
+                      for line in lines("graph.tsv")],
+        "texts.jsonl": map(text, lines("texts.jsonl")),
+        "serp.tsv": map(result, lines("serp.tsv")),
+        "query.txt": map(_uri, lines("query.txt")),
+    }
+    for name, rows in contents.items():
+        (out / name).write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+    return [str(out / name) for name in contents]
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_rank_on_long_ids_matches_golden_output(basic_dir, tmp_path, capsys, name,
+                                                bidirectional):
+    extra = ["--bidirectional"] if bidirectional else []
+    rules = corpus_module._graph_chunk_ids
+    with mock.patch.object(corpus_module, "_graph_chunk_ids", wraps=rules) as seen:
+        assert main(["rank", *_uri_bundle(basic_dir, tmp_path), "--strategy", name, *extra]) == 0
+    suffix = "_bidirectional" if bidirectional else ""
+    want = (basic_dir / "expected" / f"rank_{name}{suffix}.tsv").read_text(encoding="utf-8")
+    rows = [line.split("\t") for line in want.splitlines()]
+    assert capsys.readouterr().out == "".join(f"{r}\t{_uri(i)}\t{x}\n" for r, i, x in rows)
+    # Only the comment line and the two lines that name the long id reach
+    # the line rules; the rest resolve in bulk.
+    lines = [c.args[2] for c in seen.call_args_list]
+    assert lines[0].startswith("#")
+    assert len(lines) == 3 and all(_uri("Museum") in line for line in lines[1:])
 
 
 def test_emit_priors_matches_golden_output(basic_dir, tmp_path, capsys):
@@ -302,6 +362,30 @@ def test_eval_requires_cutoffs(basic_dir, capsys):
     assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "0"]) == 1
     assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "x"]) == 1
     capsys.readouterr()
+
+
+# int() also reads "1_0" as 10 and "\u0663" as 3; a cutoff is ASCII digits,
+# as every integer of the input files is.
+@pytest.mark.parametrize("cutoffs", ["1_0", "\u0663", "1_0,\u0663, 2", "3,+4", "0x3"])
+def test_eval_cutoffs_must_be_ascii_digits(basic_dir, capsys, cutoffs):
+    assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", cutoffs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid cutoff list {cutoffs!r}" in captured.err
+
+
+@pytest.mark.parametrize("cutoffs, repeated", [("3,3", 3), ("1, 5,2,5,1", 5), ("2,02", 2)])
+def test_eval_rejects_a_repeated_cutoff(basic_dir, capsys, cutoffs, repeated):
+    assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", cutoffs]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cutoff {repeated} is given more than once" in captured.err
+
+
+def test_eval_cutoffs_may_be_spaced(basic_dir, capsys):
+    assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", " 1 , 3,,5 "]) == 0
+    want = (basic_dir / "expected" / "eval.tsv").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want.split("\n\n")[0] + "\n"
 
 
 def test_eval_bad_manifest(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -182,7 +183,7 @@ def test_clean_graph_chunks_are_taken_in_bulk(tmp_path):
         assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 3997
     # Only the lines that are not triples reach the line rules, one at a time.
     assert [c.args[1:3] for c in seen.call_args_list] == [
-        (1, ["# a comment"]), (2000, [""]), (3999, ["  # b"]),
+        (1, "# a comment"), (2000, ""), (3999, "  # b"),
     ]
 
 
@@ -199,6 +200,64 @@ def test_long_ids_that_share_their_ends_are_taken_in_bulk(tmp_path):
         bundle = load_bundle(*files)
     rank = {rid: k for k, rid in enumerate(sorted(ids))}
     assert bundle.graph_edges.tolist() == [[rank[ids[s]], rank[ids[o]]] for s, o in pairs]
+
+
+@pytest.mark.parametrize("rid, others", [
+    ("a", ["a\x00", "a\x00\x00", ""]),
+    ("a\x00", ["a", "a\x00\x00", ""]),
+    ("\x00", ["", "\x00\x00"]),
+])
+def test_id_table_finds_a_field_only_at_its_own_length(rid, others):
+    # The same words at other lengths.  With one id in four buckets, a field
+    # whose bucket comes before the id's reads the id's row, and only the
+    # length tells them apart.
+    fields = [rid, *others]
+    data = "\n".join(fields).encode("utf-8")
+    lengths = np.array([len(field.encode("utf-8")) for field in fields])
+    starts = np.cumsum(lengths + 1) - lengths - 1
+    found = corpus_module._IdTable({rid: 7}).find(corpus_module._words(data), starts, lengths)
+    assert found.tolist() == [7] + [-1] * len(others)
+
+
+def test_an_id_too_long_for_the_table_rows_goes_through_the_line_rules(tmp_path):
+    # 10k short ids and one of 1 MiB: rows as wide as the long id would
+    # take 10k x 1 MiB, so the long id has no row.
+    ids = [f"r{k}" for k in range(10_000)] + ["L" * (1 << 20)]
+    texts = "".join(f'{{"id": "{rid}", "text": "t"}}\n' for rid in ids)
+    n = len(ids)
+    long_pairs = [(n - 1, 3), (5, n - 1), (n - 1, n - 1)]
+    pairs = [(k, 7919 * k % (n - 1)) for k in range(n - 1)]
+    pairs[5000:5000] = long_pairs
+    graph = "".join(f"{ids[s]}\tp\t{ids[o]}\n" for s, o in pairs)
+    files = _bundle_files(tmp_path, graph=graph, texts=texts, serp="1\td1\tr1\n",
+                          query="r2\n")
+    rules = corpus_module._graph_chunk_ids
+    with mock.patch.object(corpus_module, "_graph_chunk_ids", wraps=rules) as seen:
+        bundle = load_bundle(*files)
+    rank = {rid: k for k, rid in enumerate(sorted(ids))}
+    assert bundle.graph_edges.tolist() == [[rank[ids[s]], rank[ids[o]]] for s, o in pairs]
+    assert [c.args[1] for c in seen.call_args_list] == [5001, 5002, 5003]
+
+    index = {rid: rank[rid] for rid in ids}
+    tracemalloc.start()
+    try:
+        table = corpus_module._IdTable(index)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The rows hold at most four times the ids' own words, and making them
+    # takes three arrays of that size.
+    words = 8 * sum((len(rid.encode()) + 7) // 8 for rid in ids)
+    assert table._rows.nbytes <= 4 * words
+    assert peak < 16 * words
+
+
+def test_an_empty_texts_file_leaves_every_graph_endpoint_dangling(tmp_path):
+    files = _bundle_files(tmp_path, graph="# c\n", texts="", serp="", query="")
+    assert load_bundle(*files).n == 0
+    files = _bundle_files(tmp_path, graph="# c\na\tp\tb\n", texts="", serp="", query="")
+    with pytest.raises(ValueError, match="graph subject 'a' has no entry in the texts table"):
+        load_bundle(*files)
 
 
 def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_dir, tmp_path):

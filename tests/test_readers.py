@@ -162,9 +162,9 @@ def _rows(count, fields, comments):
 # The ids of a texts file, which the graph reader resolves endpoints in:
 # every well-formed id of _FIELDS but "c", so most drawn files reach their
 # later lines, while "c" and the ids holding "," still dangle.  The rest
-# sit at the edges of the bulk path's key, its first and last 8 bytes and
-# its byte length: "a\x00" beside "a", and pairs of 8 to 17 bytes, or
-# longer, that differ only in a byte one part of the key covers alone.
+# sit at the edges of the bulk path's rows of 8-byte words: "a\x00" beside
+# "a", which differ only in length, pairs of 8 to 17 bytes, or longer, that
+# differ in one byte of one word, and "9" * 5000, too long for a row.
 _GRAPH_INDEX = {rid: k for k, rid in enumerate([
     "0", "1", "2", "3", "4", "-1", "-0", "007", "10", "9" * 5000, "1.5", "one",
     "a", "a#", "b", "d1", "p", "\xe9", "a\x00",
