@@ -94,12 +94,12 @@ def _rows(words, starts, lengths, width: int) -> np.ndarray:
 
 class _IdTable:
     """The ids of an index by their UTF-8 bytes: each a row of ``width``
-    words, zero past its end, with its length and value, in buckets by a hash
-    of both, two buckets per id, so a lookup reads about one row.  A field
-    matches a row only when its length and every word are equal.  ``width``
-    is the longest id in words, but at most ``_MAX_WIDTH`` and four times the
-    mean, so the rows hold at most four times the ids' words; a longer id
-    has no row, and the line rules resolve it."""
+    words, zero past its end, with its length and value, in buckets by a
+    hash of both, at least two buckets per id, so a lookup reads about one
+    row.  A field matches a row only when its length and every word are
+    equal.  ``width`` is the longest id in words, but at most ``_MAX_WIDTH``
+    and four times the mean, so the rows hold at most four times the ids'
+    words; a longer id has no row, and the line rules resolve it."""
 
     def __init__(self, index: dict[str, int]):
         encoded = [rid.encode("utf-8") for rid in index]
