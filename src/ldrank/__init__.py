@@ -18,7 +18,7 @@ from .evaluation import (
     dcg,
     ndcg,
 )
-from .graph import ResourceGraph, TransitionOperator, build_graph
+from .graph import ResourceGraph, build_graph
 from .judgments import (
     GradeDistance,
     JudgmentRecord,
@@ -31,7 +31,7 @@ from .judgments import (
     majority_vote,
 )
 from .lsa import (
-    ConvergenceError,
+    CscMatrix,
     ResourceTextMatrix,
     build_text_matrix,
     load_default_stopwords,
@@ -61,9 +61,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConsensusResult",
-    "ConvergenceError",
     "ConvergenceWarning",
     "CorpusBundle",
+    "CscMatrix",
     "Distribution",
     "GradeDistance",
     "InputFormatError",
@@ -78,7 +78,6 @@ __all__ = [
     "SerpContext",
     "StrategyComparison",
     "STRATEGIES",
-    "TransitionOperator",
     "assemble_bundle",
     "build_graph",
     "build_info_need",

@@ -32,7 +32,6 @@ from .judgments import (
     load_qrels,
     majority_vote,
 )
-from .lsa import ConvergenceError
 from .rank import STRATEGIES, Pipeline, PipelineParams
 from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows
 
@@ -51,13 +50,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """An integer flag value: ASCII digits only, as every integer of the
+    input files (``int`` would also take ``1_0`` and non-ASCII digits)."""
+    try:
+        return parse_int(text, "", 0, "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--alpha", type=float,
         help="walk damping: weight of the graph vs the teleport (default: %(default)s)",
     )
     parser.add_argument(
-        "--ndim", type=int,
+        "--ndim", type=_integer,
         help="latent dimensions kept by the truncated SVD (default: %(default)s)",
     )
     parser.add_argument(
@@ -83,11 +91,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
              "(default: %(default)s)",
     )
     parser.add_argument(
-        "--consensus-max-iters", type=int,
+        "--consensus-max-iters", type=_integer,
         help="consensus iteration cap (default: %(default)s)",
     )
     parser.add_argument(
-        "--max-iters", dest="power_max_iters", metavar="MAX_ITERS", type=int,
+        "--max-iters", dest="power_max_iters", metavar="MAX_ITERS", type=_integer,
         help="power iteration cap (default: %(default)s)",
     )
     parser.add_argument(
@@ -321,7 +329,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (OSError, ConvergenceError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,12 +1,9 @@
-"""Resource graph extraction and the row-stochastic transition operator.
+"""Resource graph extraction.
 
 The walk structure ignores predicates entirely: an edge is a distinct
 (subject, object) pair.  ``ResourceGraph`` holds the edges as one
-compressed-sparse-row adjacency over resource indices, with no ids.
-Dangling rows (no out-edges) are completed with a caller-supplied fill
-distribution at application time; the n-by-n stochastic matrix itself is
-never materialized densely.  scipy is imported only where the operator is
-built, so importing this module does not load it.
+compressed-sparse-row adjacency over resource indices, with no ids; the
+walk in ``rank.power_rank`` reads it as plain index arrays.
 """
 
 from __future__ import annotations
@@ -15,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import CorpusBundle, Distribution, integer_array
+from .types import CorpusBundle, compressed_pairs, integer_array
 
-__all__ = ["ResourceGraph", "TransitionOperator", "build_graph"]
+__all__ = ["ResourceGraph", "build_graph"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,47 +72,5 @@ def build_graph(bundle: CorpusBundle, bidirectional: bool = False) -> ResourceGr
     src, dst = bundle.graph_edges.T
     if bidirectional:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-    # Sort, then drop repeats: same result as np.unique, whose hash-table
-    # path (numpy >= 2.3) is many times slower on millions of distinct keys.
-    keys = np.sort(src * n + dst)
-    rows, cols = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
-    indptr = np.searchsorted(rows, np.arange(n + 1))
-    return ResourceGraph(indptr=indptr, indices=cols)
-
-
-class TransitionOperator:
-    """Matrix-free view of the dangling-completed row-stochastic matrix.
-
-    ``apply(x)`` computes ``x @ S`` where row i of S is uniform over the
-    successors of i, or the fill distribution if i has none.  Cost is
-    O(edges + n) per application.
-    """
-
-    def __init__(self, graph: ResourceGraph, dangling_fill: Distribution):
-        if len(dangling_fill) != graph.n:
-            raise ValueError(
-                f"fill distribution has length {len(dangling_fill)}, "
-                f"graph has {graph.n} resources"
-            )
-        import scipy.sparse as sp
-
-        n = graph.n
-        degree = np.diff(graph.indptr)
-        weights = np.repeat(1.0 / np.maximum(degree, 1), degree)
-        self._matrix = sp.csr_array((weights, graph.indices, graph.indptr), shape=(n, n))
-        self._dangling_mask = degree == 0
-        self._fill = dangling_fill.values
-        self.n = n
-
-    @property
-    def dangling_mask(self) -> np.ndarray:
-        return self._dangling_mask
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got {x.shape}")
-        out = x @ self._matrix
-        mass = float(x[self._dangling_mask].sum())
-        if mass:
-            out = out + mass * self._fill
-        return out
+    indptr, indices, _ = compressed_pairs(src, dst, n, n)
+    return ResourceGraph(indptr=indptr, indices=indices)

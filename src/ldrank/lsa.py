@@ -3,12 +3,12 @@
 Texts are tokenized (lowercase, split on non-alphanumeric runs), filtered
 against a stopword list plus a minimum length of 2, and stemmed; the stemmer
 is cached, so each distinct token is stemmed once.  The counts are built in
-one pass over token-id arrays, COO pairs summed into a sparse
-resources-by-stems matrix in compressed-column storage.  ``sparse_svd``
-returns its rank-k factors ``(u, s, vt)`` as plain arrays; the rows of
-``u * s`` are the resources' latent coordinates, whose lengths
-``priors.svd_prior`` compares.  scipy is imported inside the functions that
-use it, so importing this module does not load it.
+one pass over token-id arrays, the (stem, resource) pairs sorted and counted
+into a resources-by-stems ``CscMatrix``: plain compressed-column index
+arrays, as ``graph.ResourceGraph`` holds the graph.  ``sparse_svd``
+computes its rank-k factors ``(u, s, vt)`` from those arrays with numpy
+alone; the rows of ``u * s`` are the resources' latent coordinates, whose
+lengths ``priors.svd_prior`` compares.
 """
 
 from __future__ import annotations
@@ -16,19 +16,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .stemmer import stem
-from .types import CorpusBundle
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
+from .types import CorpusBundle, compressed_pairs
 
 __all__ = [
+    "CscMatrix",
     "ResourceTextMatrix",
-    "ConvergenceError",
     "tokenize",
     "load_default_stopwords",
     "build_text_matrix",
@@ -41,10 +37,6 @@ MIN_TOKEN_LENGTH = 2
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 _stopwords_cache: frozenset[str] | None = None
-
-
-class ConvergenceError(RuntimeError):
-    """The iterative SVD failed: out of iterations, or ARPACK gave up."""
 
 
 def load_default_stopwords() -> frozenset[str]:
@@ -79,14 +71,30 @@ def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
+class CscMatrix:
+    """A sparse matrix in compressed-column form: the entries of column j lie
+    in rows ``indices[indptr[j]:indptr[j + 1]]``, their values in the same
+    slice of ``data``."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+
+@dataclass(frozen=True, eq=False)
 class ResourceTextMatrix:
     """Sparse stem counts, resources as rows, stems as columns.
 
-    ``counts`` is compressed-column (CSC) with strictly positive entries;
-    ``stem_vocab`` maps each stem to its column, in lexicographic order.
+    ``counts`` is a ``CscMatrix`` of strictly positive counts, rows ascending
+    in each column; ``stem_vocab`` maps the sorted stems to columns 0, 1, ...
     """
 
-    counts: sp.csc_array
+    counts: CscMatrix
     stem_vocab: dict[str, int]
 
     def __post_init__(self):
@@ -109,11 +117,9 @@ def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
 
     ``tokenize`` stems each distinct token once (``stem`` is cached).  Each
     stem gets an id on first sight; one array pass maps the ids to columns
-    of the sorted vocabulary, and the duplicate (row, column) pairs of a
-    COO matrix are summed into canonical CSC counts.
+    of the sorted vocabulary, and each distinct (column, row) pair of the
+    token stream becomes one entry, counting its occurrences.
     """
-    import scipy.sparse as sp
-
     ids: dict[str, int] = {}
     token_ids: list[int] = []
     lengths: list[int] = []
@@ -125,46 +131,97 @@ def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
     column_of_id = np.array([stem_vocab[s] for s in ids], dtype=np.int64)
     cols = column_of_id[np.array(token_ids, dtype=np.int64)]
     rows = np.repeat(np.arange(bundle.n, dtype=np.int64), lengths)
-    matrix = sp.coo_array(
-        (np.ones(cols.size), (rows, cols)), shape=(bundle.n, len(stem_vocab))
-    ).tocsc()
-    matrix.sum_duplicates()
-    matrix.sort_indices()
+    shape = (bundle.n, len(stem_vocab))
+    indptr, indices, counts = compressed_pairs(cols, rows, shape[1], shape[0])
+    matrix = CscMatrix(shape, indptr, indices, counts.astype(np.float64))
     return ResourceTextMatrix(counts=matrix, stem_vocab=stem_vocab)
 
 
-def sparse_svd(counts: sp.sparray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Truncated SVD ``(u, s, vt)`` of a sparse count array at rank ``k``.
+def _extend(r: np.ndarray, basis: np.ndarray, tiny: float) -> tuple[float, np.ndarray]:
+    """``r`` orthogonalized twice against the orthonormal rows of ``basis``,
+    as a norm and a unit vector.  Below ``tiny`` (a breakdown) the norm is 0
+    and the vector the coordinate axis the basis covers least, orthogonalized.
+
+    The products are ``np.einsum``, not BLAS: a threaded BLAS sums in an
+    order that depends on its thread count, and so would the result."""
+    for _ in range(2):
+        r = r - np.einsum("ij,i->j", basis, np.einsum("ij,j->i", basis, r))
+    norm = float(np.sqrt(np.einsum("i,i->", r, r)))
+    if norm > tiny:
+        return norm, r / norm
+    axis = np.zeros(basis.shape[1])
+    axis[np.argmin(np.einsum("ij,ij->j", basis, basis))] = 1.0
+    return 0.0, _extend(axis, basis, 0.0)[1]
+
+
+def sparse_svd(counts: CscMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Truncated SVD ``(u, s, vt)`` of a sparse count matrix at rank ``k``.
 
     In numpy's convention: ``u`` is rows-by-k with orthonormal columns,
-    ``s`` holds the singular values sorted descending and clamped at 0, and
-    ``vt`` is k-by-columns with orthonormal rows.  Uses the Lanczos-style
-    iterative solver with a fixed start vector, so repeated calls on the
-    same array give identical results.  The solver requires k strictly
-    below min(shape); the boundary case falls back to a dense
-    factorization, which is exact.  Any ARPACK failure is raised as
-    ``ConvergenceError`` carrying ARPACK's message.
+    ``s`` holds the singular values sorted descending, and ``vt`` is
+    k-by-columns with orthonormal rows.  Golub-Kahan-Lanczos
+    bidiagonalization (Golub & Kahan 1965) with full reorthogonalization,
+    from a start fixed by the shape, so calls on one matrix give one result.
+    After j steps ``A V = U B``; with ``B = P S Q'`` triplet i is exact
+    within ``beta_j * |P[j-1, i]|``, and the iteration stops when that is at
+    the rounding level for the k leading triplets, or when B is the whole
+    matrix.  A repeated singular value shows up only after the basis
+    (nearly) spans an invariant subspace; past such a breakdown it stops
+    only at another, once B has captured all but less than sigma_k squared
+    of the squared Frobenius norm.
     """
-    import scipy.linalg
-    import scipy.sparse.linalg
-
     m, n = counts.shape
     limit = min(m, n)
     if not 1 <= k <= limit:
         raise ValueError(f"k must lie in 1..{limit} for a {m}x{n} matrix, got {k}")
 
-    a = counts.astype(np.float64)
-    if k == limit:
-        u, s, vt = scipy.linalg.svd(a.toarray(), full_matrices=False)
-        u, s, vt = u[:, :k], s[:k], vt[:k]
-    else:
-        v0 = np.ones(limit, dtype=np.float64)
-        try:
-            u, s, vt = scipy.sparse.linalg.svds(a, k=k, v0=v0, tol=0)
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise ConvergenceError(f"iterative SVD failed at k={k}: {exc}") from exc
-        order = np.argsort(s)[::-1]
-        u, s, vt = u[:, order], s[order], vt[order]
+    rows, data = counts.indices, np.asarray(counts.data, dtype=np.float64)
+    cols = np.repeat(np.arange(n), np.diff(counts.indptr))
+
+    def times(x):  # counts @ x
+        return np.bincount(rows, weights=data * x[cols], minlength=m)
+
+    def times_t(y):  # counts.T @ y
+        return np.bincount(cols, weights=data * y[rows], minlength=n)
+
+    # Started on the larger side, the Krylov space would keep a component in
+    # that side's null space.
+    if n > m:
+        times, times_t = times_t, times
+    short, long_ = sorted((m, n))
+    eps = np.finfo(np.float64).eps
+    norm = float(np.sqrt(np.einsum("i,i->", data, data)))  # Frobenius
+    tiny = 100 * eps * norm  # rounding noise
+
+    start = np.random.default_rng(0).standard_normal(short)
+    vs = (start / np.sqrt(np.einsum("i,i->", start, start)))[np.newaxis]  # orthonormal rows
+    us = np.empty((0, long_))
+    alphas, betas = [], []
+    beta, broken = 0.0, False
+    for j in range(short):
+        r = times(vs[j]) - beta * us[j - 1] if j else times(vs[j])
+        alpha, u = _extend(r, us, tiny)
+        us = np.vstack((us, u))
+        beta = 0.0
+        if j + 1 < short:
+            beta, v = _extend(times_t(u) - alpha * vs[j], vs, tiny)
+            vs = np.vstack((vs, v))
+        alphas.append(alpha)
+        betas.append(beta)
+        breakdown = min(alpha, beta) <= eps ** (1 / 3) * norm
+        if j + 1 < short and (j + 1 < k or broken and not breakdown):
+            continue
+        p, s, qt = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+        converged = np.all(beta * np.abs(p[-1, :k]) <= eps * s[0])
+        if breakdown:
+            rest = norm**2 - s @ s
+            converged &= rest < max(s[k - 1] ** 2 - tiny * norm, tiny * norm)
+        if converged or j + 1 == short:
+            break
+        broken |= breakdown
+    short_vectors = np.einsum("ji,kj->ik", vs[: len(alphas)], qt[:k])
+    long_vectors = np.einsum("ji,jk->ik", us, p[:, :k])
+    u, v = (short_vectors, long_vectors) if n > m else (long_vectors, short_vectors)
     # Row-major u keeps each resource's coordinates contiguous, so numpy
     # sums the squares of a row pairwise when taking its norm.
-    return np.ascontiguousarray(u), np.maximum(s, 0.0), vt
+    return np.ascontiguousarray(u), s[:k], np.ascontiguousarray(v.T)

@@ -18,6 +18,7 @@ evidence is entirely absent.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -120,9 +121,9 @@ def svd_prior(
 
     row_scale = np.ones(n, dtype=np.float64)
     row_scale[focus] = stress
-    # CSC stores row indices in .indices, so rows scale in place on the data.
-    stressed_counts = matrix.counts.copy()
-    stressed_counts.data = stressed_counts.data * row_scale[stressed_counts.indices]
+    # CSC stores row indices in .indices, so rows scale entry by entry.
+    counts = matrix.counts
+    stressed_counts = replace(counts, data=counts.data * row_scale[counts.indices])
     if not np.isfinite(stressed_counts.data @ stressed_counts.data):
         raise ValueError(
             f"stress {stress} is too large: the squared stressed counts overflow"
@@ -130,10 +131,10 @@ def svd_prior(
 
     drift = np.zeros(n)
     # A stress that leaves the matrix as it is (focus rows without stems, or
-    # stress 1) moves nothing; two solver runs would differ only by rounding.
-    if not np.array_equal(stressed_counts.data, matrix.counts.data):
+    # stress 1) moves nothing, so the solver need not run.
+    if not np.array_equal(stressed_counts.data, counts.data):
         grown = _coordinate_norms(stressed_counts, k)
-        drift = np.maximum(grown - _coordinate_norms(matrix.counts, k), 0.0)
+        drift = np.maximum(grown - _coordinate_norms(counts, k), 0.0)
     total = drift.sum()
     if total <= 0.0:
         warnings.warn(

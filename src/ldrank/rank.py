@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .consensus import ConsensusResult, consensual_pool
-from .graph import ResourceGraph, TransitionOperator, build_graph
+from .graph import ResourceGraph, build_graph
 from .lsa import build_text_matrix
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
 from .types import (
@@ -90,13 +90,28 @@ def power_rank(
     tolerance as well.  Hitting ``params.power_max_iters`` first returns
     the current iterate flagged (and warned) as non-converged.
     """
-    op = TransitionOperator(graph, teleport)
+    n = graph.n
+    if len(teleport) != n:
+        raise ValueError(
+            f"fill distribution has length {len(teleport)}, graph has {n} resources"
+        )
+    degree = np.diff(graph.indptr)
+    inv_degree = 1.0 / np.maximum(degree, 1)
+    dangling = degree == 0
     restart = (1.0 - params.alpha) * teleport.values
     x = teleport.values.copy()
     iterations = 0
     converged = False
     while iterations < params.power_max_iters:
-        x_next = params.alpha * op.apply(x) + restart
+        # x @ S: row i sends x[i] * (1 / degree[i]) to each successor, summed in row
+        # order; the last bits of the printed scores depend on that order.
+        step = np.bincount(
+            graph.indices, weights=np.repeat(x * inv_degree, degree), minlength=n
+        )
+        mass = float(x[dangling].sum())
+        if mass:
+            step = step + mass * teleport.values
+        x_next = params.alpha * step + restart
         diff = float(np.abs(x_next - x).sum())
         x = x_next
         iterations += 1

@@ -227,6 +227,19 @@ def integer_array(values, name: str) -> np.ndarray:
     return array.astype(np.int64, copy=False)
 
 
+def compressed_pairs(major, minor, n_major: int, n_minor: int):
+    """``indptr`` over ``n_major`` slots, the distinct minors of each slot in
+    ascending order, and how often each ``(major, minor)`` pair occurs.  The
+    keys are sorted and each run of equal ones kept once: ``np.unique``'s
+    hash-table path (numpy >= 2.3) is many times slower on millions of keys.
+    """
+    keys = np.sort(major * n_minor + minor)
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(first, append=keys.size)
+    majors, minors = np.divmod(keys[first], n_minor)
+    return np.searchsorted(majors, np.arange(n_major + 1)), minors, counts
+
+
 class ConvergenceWarning(UserWarning):
     """An iterative routine hit its iteration cap before reaching tolerance."""
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ldrank.judgments import JudgmentRecord
+from ldrank.lsa import CscMatrix
 from ldrank.types import InputFormatError, read_lines
 
 
@@ -30,6 +31,24 @@ def stem_counts_by_counter(texts, tokenize_fn):
         for s, c in counts.items():
             dense[i, col[s]] = c
     return vocab, dense
+
+
+def csc_from_dense(dense):
+    """The nonzero entries of a dense matrix as a ``CscMatrix``, column by
+    column with rows ascending, from ``np.nonzero`` of its transpose."""
+    dense = np.asarray(dense, dtype=float)
+    cols, rows = np.nonzero(dense.T)
+    indptr = np.searchsorted(cols, np.arange(dense.shape[1] + 1))
+    return CscMatrix(dense.shape, indptr, rows, dense[rows, cols])
+
+
+def dense_from_csc(matrix):
+    """The dense matrix of a ``CscMatrix``, one stored entry at a time."""
+    dense = np.zeros(matrix.shape)
+    for j in range(matrix.shape[1]):
+        for e in range(matrix.indptr[j], matrix.indptr[j + 1]):
+            dense[matrix.indices[e], j] += matrix.data[e]
+    return dense
 
 
 # ---------------------------------------------------------------- walks

@@ -36,7 +36,6 @@ from ldrank import (
     tokenize,
 )
 from ldrank.cli import main
-import scipy.sparse as sp
 
 
 def _random_graph(rng, n, edge_prob=0.3):
@@ -85,7 +84,7 @@ def test_criterion_02_truncated_svd_matches_gram_oracle():
     for trial in range(100):
         dense = rng.integers(1, 6, size=(8, 6)).astype(np.float64)
         dense *= rng.random((8, 6)) < 0.6
-        counts = sp.csc_array(dense)
+        counts = oracles.csc_from_dense(dense)
         gram_spectrum = oracles.singular_values_by_gram(dense)
         for k in range(1, 7):
             u, s, vt = sparse_svd(counts, k)
@@ -115,7 +114,7 @@ def test_criterion_03_full_rank_drift_follows_row_norm_law():
             int(i) for i in rng.choice(m, size=int(rng.integers(1, 4)), replace=False)
         )
         matrix = ResourceTextMatrix(
-            counts=sp.csc_array(dense),
+            counts=oracles.csc_from_dense(dense),
             stem_vocab={f"s{j:03d}": j for j in range(n)},
         )
 

@@ -248,6 +248,25 @@ def test_bad_flag_is_reported_before_any_file_is_read(tmp_path, capsys, flags, f
         assert "absent.tsv" not in err
 
 
+@pytest.mark.parametrize("flag", ["--ndim", "--consensus-max-iters", "--max-iters"])
+@pytest.mark.parametrize("value", ["1_0", "\u0663", "\u0661\u0660"])
+def test_integer_flags_must_be_ascii_digits(basic_dir, capsys, flag, value):
+    assert main(_rank_args(basic_dir, flag, value)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"ldrank rank: error: argument {flag}: invalid int value: {value!r}"]
+
+
+def test_integer_flags_take_ascii_digits(basic_dir, capsys):
+    args = _rank_args(basic_dir, "--ndim", "10", "--max-iters", "100",
+                      "--consensus-max-iters", "100")
+    assert main(args) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 6
+    assert "k=10 exceeds the rank bound" in captured.err
+
+
 def test_eval_rejects_strategy_flag(basic_dir, capsys):
     argv = ["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "1", "--strategy", "HIT"]
     assert main(argv) == 1
@@ -545,16 +564,20 @@ def test_module_entry_point(basic_dir):
     assert lines[0].count("\t") == 2
 
 
-def test_judgments_commands_never_import_scipy(basic_dir):
-    # scipy is imported only by the functions that build sparse matrices,
-    # so importing the CLI and running agg or alpha never pays for it.
+def test_judgments_commands_never_import_scipy(basic_dir, tmp_path):
+    # The runtime needs numpy alone: importing the CLI and running any
+    # command leaves scipy unloaded.
     judgments = str(basic_dir / "judgments.jsonl")
+    commands = [["alpha", judgments], ["agg", judgments]]
+    commands += [_rank_args(basic_dir, "--strategy", name) for name in STRATEGIES]
+    commands += [_rank_args(basic_dir, "--emit-priors", str(tmp_path / "priors.tsv")),
+                 ["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "1,3,5"]]
     script = f"""
 import contextlib, io, sys
 import ldrank.cli
 loaded = ["scipy" in sys.modules]
-with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["alpha", {judgments!r}], ["agg", {judgments!r}], {_rank_args(basic_dir)!r}):
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in {commands!r}:
         assert ldrank.cli.main(argv) == 0
         loaded.append("scipy" in sys.modules)
 print(loaded)
@@ -563,4 +586,4 @@ print(loaded)
         [sys.executable, "-c", script], capture_output=True, text=True, check=False
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[False, False, False, True]\n"
+    assert proc.stdout == f"{[False] * (len(commands) + 1)}\n"

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldrank import Distribution, ResourceGraph, TransitionOperator, build_graph
+from ldrank import Distribution, PipelineParams, ResourceGraph, build_graph, power_rank
 from ldrank.corpus import assemble_bundle
 
 import oracles
@@ -70,6 +73,30 @@ def test_build_graph_matches_out_list_oracle(triples, bidirectional):
     assert g.edge_count == len(pairs)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+    bidirectional=st.booleans(),
+)
+@example(n=1, pairs=[], bidirectional=False)
+@example(n=1, pairs=[(0, 0), (0, 0)], bidirectional=True)
+@example(n=5, pairs=[], bidirectional=True)
+def test_build_graph_matches_np_unique(n, pairs, bidirectional):
+    # Self-loops and repeated pairs are common on up to 12 nodes.
+    pairs = [(i % n, j % n) for i, j in pairs]
+    ids = [f"r{i:02d}" for i in range(n)]
+    bundle = _bundle([(ids[i], "p", ids[j]) for i, j in pairs], ids=ids)
+    g = build_graph(bundle, bidirectional=bidirectional)
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    if bidirectional:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    rows, cols = np.divmod(np.unique(src * n + dst), n)
+    assert np.array_equal(g.indptr, np.searchsorted(rows, np.arange(n + 1)))
+    assert np.array_equal(g.indices, cols)
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+
+
 @pytest.mark.parametrize(
     "indptr, indices, message",
     [
@@ -114,6 +141,18 @@ def test_resource_graph_rejects_non_integer_offsets(indptr, indices, field):
     assert g.indptr.dtype == np.int64 and g.successors(0).tolist() == [1]
 
 
+# The transition operator S (row i uniform over the successors of i, or the
+# fill if it has none) is applied inside power_rank, one step per iteration.
+
+
+def _walk(graph, teleport, steps, alpha=0.7):
+    """The scores after ``steps`` power-iteration steps, never converged."""
+    params = PipelineParams(alpha=alpha, tol=5e-324, power_max_iters=steps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the ConvergenceWarning
+        return power_rank(graph, teleport, params).scores.values
+
+
 def test_transition_operator_matches_dense():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -128,31 +167,36 @@ def test_transition_operator_matches_dense():
         bundle = _bundle(edges, ids=ids)
         g = build_graph(bundle)
         fill = Distribution.from_weights(rng.random(n) + 0.05)
-        op = TransitionOperator(g, fill)
         out_lists = [g.successors(i).tolist() for i in range(g.n)]
         dense = oracles.dense_transition(out_lists, fill.values)
-        x = rng.random(n)
-        assert np.allclose(op.apply(x), x @ dense, atol=1e-12)
+        # The same products summed in the same order as a CSR matvec, which
+        # the walk replaced, so it matches that route bit for bit.
+        degree = np.diff(g.indptr)
+        csr = sp.csr_array(
+            (np.repeat(1.0 / np.maximum(degree, 1), degree), g.indices, g.indptr), shape=(n, n)
+        )
+        x = y = fill.values
+        for steps in (1, 2, 3):  # from the second step on, x differs from the fill
+            x = 0.7 * (x @ dense) + (1 - 0.7) * fill.values
+            step = y @ csr
+            mass = float(y[degree == 0].sum())
+            if mass:
+                step = step + mass * fill.values
+            y = 0.7 * step + (1 - 0.7) * fill.values
+            got = _walk(g, fill, steps)
+            assert np.allclose(got, x, atol=1e-12)
+            assert np.array_equal(got, y)
 
 
 def test_operator_preserves_total_mass():
     bundle = _bundle([("a", "p", "b"), ("c", "p", "a")], ids=["a", "b", "c", "d"])
     g = build_graph(bundle)
-    op = TransitionOperator(g, Distribution.uniform(4))
-    x = np.array([0.1, 0.2, 0.3, 0.4])
-    assert op.apply(x).sum() == pytest.approx(x.sum(), abs=1e-12)
+    teleport = Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
+    for steps in (1, 2, 3):
+        assert _walk(g, teleport, steps).sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_operator_rejects_wrong_lengths():
     g = build_graph(_bundle([("a", "p", "b")]))
-    with pytest.raises(ValueError):
-        TransitionOperator(g, Distribution.uniform(3))
-    op = TransitionOperator(g, Distribution.uniform(2))
-    with pytest.raises(ValueError):
-        op.apply(np.zeros(5))
-
-
-def test_dangling_mask():
-    g = build_graph(_bundle([("a", "p", "b")]))
-    op = TransitionOperator(g, Distribution.uniform(2))
-    assert op.dangling_mask.tolist() == [False, True]
+    with pytest.raises(ValueError, match="fill distribution has length 3, graph has 2"):
+        power_rank(g, Distribution.uniform(3), PipelineParams())

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ldrank import (
-    ConvergenceError,
+    Pipeline,
     build_text_matrix,
     load_default_stopwords,
     sparse_svd,
@@ -18,7 +17,7 @@ import oracles
 
 
 def _counts(dense):
-    return sp.csc_array(np.asarray(dense, dtype=float))
+    return oracles.csc_from_dense(dense)
 
 
 # ----------------------------------------------------------- tokenizer
@@ -59,7 +58,7 @@ def test_build_text_matrix_counts(basic_bundle):
     assert m.n_resources == 6
     assert m.n_stems == len(m.stem_vocab)
     assert list(m.stem_vocab) == sorted(m.stem_vocab)
-    dense = m.counts.toarray()
+    dense = oracles.dense_from_csc(m.counts)
     # "city" appears once in Berlin's text and once in City's.
     j = m.stem_vocab["citi"]
     assert dense[0, j] == 1.0
@@ -76,7 +75,7 @@ def test_repeated_tokens_counted():
         set(),
     )
     m = build_text_matrix(bundle)
-    dense = m.counts.toarray()
+    dense = oracles.dense_from_csc(m.counts)
     # "running" and "runs" share a stem; "runner" keeps its own.
     assert dense[0, m.stem_vocab["run"]] == 2.0
     assert dense[0, m.stem_vocab["runner"]] == 1.0
@@ -85,7 +84,7 @@ def test_repeated_tokens_counted():
 def test_empty_texts_give_empty_rows():
     bundle = assemble_bundle([], {"x": "", "y": "words here"}, [], set())
     m = build_text_matrix(bundle)
-    assert m.counts.toarray()[0].sum() == 0.0
+    assert oracles.dense_from_csc(m.counts)[0].sum() == 0.0
 
 
 # Stopwords, one-letter tokens, mixed case, digits, underscores, non-ASCII
@@ -109,10 +108,9 @@ def test_text_matrix_matches_counter_oracle(texts):
     assert list(m.stem_vocab) == vocab
     assert m.stem_vocab == {s: j for j, s in enumerate(vocab)}
     assert m.counts.shape == (len(texts), len(vocab))
-    assert np.array_equal(m.counts.toarray(), dense)
+    assert np.array_equal(oracles.dense_from_csc(m.counts), dense)
     # Canonical CSC: row indices strictly increase within every column.
     c = m.counts
-    assert c.has_canonical_format and c.has_sorted_indices
     for j in range(c.shape[1]):
         assert np.all(np.diff(c.indices[c.indptr[j]:c.indptr[j + 1]]) > 0)
 
@@ -176,25 +174,86 @@ def test_sparse_svd_deterministic():
         assert np.array_equal(x, y)
 
 
+def test_sparse_svd_repeats_itself_on_a_rank_deficient_matrix():
+    # Rank 1 with a zero row: the second step breaks down, and at k=2 the
+    # second triplet (sigma 0) comes from the fixed restart.
+    counts = _counts([[0, 0, 0], [1, 1, 1], [1, 1, 1]])
+    for k in (1, 2):
+        results = {b"".join(a.tobytes() for a in sparse_svd(counts, k)) for _ in range(20)}
+        assert len(results) == 1, k
+    _, s, _ = sparse_svd(counts, 2)
+    assert np.allclose(s, [np.sqrt(6.0), 0.0], atol=1e-12)
+
+
+def test_pipeline_repeats_itself_on_a_rank_deficient_text_matrix():
+    bundle = assemble_bundle(
+        [("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")],
+        {"a": "", "b": "river stone cloud", "c": "river stone cloud"},
+        [],
+        {"b"},
+    )
+    runs = []
+    for _ in range(2):
+        with pytest.warns(UserWarning):  # the empty result page
+            runs.append(Pipeline(bundle).rank("LDRANK").scores.values.tobytes())
+    assert runs[0] == runs[1]
+
+
+# Small count matrices, many with zero rows and columns, repeated rows and
+# repeated singular values, so rank-deficient ones are common.
+_DENSE = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+    elements=st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_DENSE, st.data())
+@example(np.array([[0.0, 0, 0], [1, 1, 1], [1, 1, 1]]), None)
+@example(np.eye(5), None)
+@example(np.zeros((3, 4)), None)
+def test_sparse_svd_matches_dense_svd(dense, data):
+    limit = min(dense.shape)
+    ks = [data.draw(st.integers(1, limit)) if data else 1, limit]
+    _, want, _ = np.linalg.svd(dense)
+    tol = 1e-9 * max(want[0], 1.0)
+    for k in ks:
+        u, s, vt = sparse_svd(_counts(dense), k)
+        assert u.shape == (dense.shape[0], k) and vt.shape == (k, dense.shape[1])
+        assert np.allclose(s, want[:k], rtol=0, atol=tol), k
+        assert np.allclose(u.T @ u, np.eye(k), atol=1e-9), k
+        assert np.allclose(vt @ vt.T, np.eye(k), atol=1e-9), k
+        # The rank-k coordinates are unique unless sigma_k ties sigma_(k+1).
+        if k == limit or want[k - 1] <= tol or want[k - 1] - want[k] > 1e-6 * want[0]:
+            norms = np.linalg.norm(u * s, axis=1)
+            assert np.allclose(norms, oracles.coordinate_norms_by_dense_svd(dense, k),
+                               rtol=0, atol=1e-7 * max(want[0], 1.0)), k
+
+
+def test_sparse_svd_finds_every_copy_of_a_repeated_singular_value():
+    # Equal diagonal blocks repeat each singular value of the block, and
+    # extra rows tie the copies to the rest.  From one start vector only one
+    # copy of each is in reach until the basis nearly spans an invariant
+    # subspace; stopping on the residuals alone misses the others here.
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        block = rng.choice([0.0, 0, 0, 1, 2], size=(rng.integers(2, 6), rng.integers(2, 6)))
+        dense = np.kron(np.eye(rng.integers(2, 6)), block)
+        extra = rng.choice([0.0] * 6 + [1, 2, 3], size=(rng.integers(1, 10), dense.shape[1]))
+        dense = np.vstack([dense, extra])
+        _, want, _ = np.linalg.svd(dense)
+        for k in range(1, min(dense.shape) + 1):
+            _, s, _ = sparse_svd(_counts(dense), k)
+            assert np.allclose(s, want[:k], rtol=0, atol=1e-9 * want[0]), (seed, k)
+
+
 def test_sparse_svd_rank_bounds():
     counts = _counts([[1, 0], [0, 1], [1, 1]])
     with pytest.raises(ValueError):
         sparse_svd(counts, 0)
     with pytest.raises(ValueError):
         sparse_svd(counts, 3)
-
-
-@pytest.mark.parametrize("error", [
-    spla.ArpackError(-9999),
-    spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], []),
-])
-def test_sparse_svd_reports_any_arpack_failure(monkeypatch, error):
-    def fail(*_args, **_kwargs):
-        raise error
-
-    monkeypatch.setattr(spla, "svds", fail)
-    with pytest.raises(ConvergenceError, match="k=1: ARPACK error -"):
-        sparse_svd(_counts([[1, 0], [0, 1], [1, 1]]), 1)
 
 
 def test_sparse_svd_descending_order():
@@ -210,7 +269,7 @@ def test_sparse_svd_returns_row_major_u():
     # so the layout of u sets the last bits of the coordinate norms once
     # k reaches 8 (rank --ndim 8 and above).
     dense = np.random.default_rng(17).integers(0, 4, size=(12, 10)).astype(float)
-    for k in (9, 10):  # the iterative branch, then the dense one
+    for k in (9, 10):  # below min(shape), then at it
         u, _, _ = sparse_svd(_counts(dense), k)
         assert u.flags.c_contiguous, k
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from ldrank import (
     Distribution,
@@ -20,7 +19,7 @@ import oracles
 def _matrix_from_dense(dense):
     dense = np.asarray(dense, dtype=float)
     vocab = {f"s{j:03d}": j for j in range(dense.shape[1])}
-    return ResourceTextMatrix(counts=sp.csc_array(dense), stem_vocab=vocab)
+    return ResourceTextMatrix(counts=oracles.csc_from_dense(dense), stem_vocab=vocab)
 
 
 # ------------------------------------------------------------------ equi
