@@ -18,8 +18,9 @@ texts file; graph endpoints, result-page mentions and query entries must
 all resolve inside it.  A texts-file id holds no ``,`` either, since
 result pages separate mentions with it, so an endpoint or query entry
 with a ``,`` is a dangling reference.  ``load_bundle`` and
-``assemble_bundle`` resolve them once, into the index form of
-``CorpusBundle``; no later stage looks up an identifier.
+``assemble_bundle`` number the ids once (``_index``) and resolve the
+graph, then ``_assemble`` the query and the result page, into the index
+form of ``CorpusBundle``; no later stage looks up an identifier.
 
 The graph file holds millions of lines, so ``load_bundle`` resolves it a
 block of bytes at a time, with array operations on the block's UTF-8
@@ -29,8 +30,9 @@ and object in ``_IdTable``: the texts-file ids as rows of 8-byte words.  A
 line passes this test when both endpoints are found.  By the id rules
 above, no blank or comment line and no malformed or dangling id passes it,
 so each line that fails goes alone, in line order, through
-``_graph_chunk_ids``, the line rules.  They skip it or report its fault
-exactly as a line loop would, or resolve an id too long for the table.
+``_graph_line_ids``, the line rules: those of ``read_rows``, then the id
+checks.  They skip it or report its fault exactly as a line loop would,
+or resolve an id too long for the table.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .types import CorpusBundle, InputFormatError, SerpContext
-from .types import _blocks, chunk_rows, data_lines, parse_int, read_objects, read_rows
+from .types import _blocks, _fields, _is_data, data_lines, parse_int, read_objects, read_rows
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
 
@@ -161,7 +163,7 @@ def _graph_file_ids(path, index: dict[str, int]):
     subject and object indices of its triples, in turn.
 
     ``index`` maps texts-file ids only.  Each line that fails the array
-    test of the module docstring goes through ``_graph_chunk_ids`` on its
+    test of the module docstring goes through ``_graph_line_ids`` on its
     own, in line order.
     """
     table = _IdTable(index)
@@ -195,7 +197,7 @@ def _graph_block_ids(path, first_line_no: int, data: bytes, table: _IdTable,
         # endpoint too long for the table's rows, which they resolve.
         for k in np.flatnonzero(~ok).tolist():
             line = data[breaks[k] + 1:breaks[k + 1]].decode("utf-8")
-            ids = _graph_chunk_ids(path, first_line_no + k, line, index)
+            ids = _graph_line_ids(path, first_line_no + k, line, index)
             if ids is not None:
                 pairs[k] = ids
                 ok[k] = True
@@ -203,18 +205,19 @@ def _graph_block_ids(path, first_line_no: int, data: bytes, table: _IdTable,
     return pairs.ravel()
 
 
-def _graph_chunk_ids(path, line_no: int, line: str,
-                     index: dict[str, int]) -> tuple[int, int] | None:
+def _graph_line_ids(path, line_no: int, line: str,
+                    index: dict[str, int]) -> tuple[int, int] | None:
     """The line rules: the subject and object indices of one graph line, or
     ``None`` for a blank or comment line.  The line is checked, then its
     endpoints resolved, so a format fault is reported first."""
-    for _, (subject, predicate, obj) in chunk_rows(path, line_no, [line], 3):
-        _check_resource_id(subject, path, line_no, "subject")
-        _check_resource_id(obj, path, line_no, "object")
-        if not predicate:
-            raise InputFormatError(path, line_no, "empty predicate")
-        return _resolve(index, subject, "graph subject"), _resolve(index, obj, "graph object")
-    return None
+    if not _is_data(line):
+        return None
+    subject, predicate, obj = _fields(path, line_no, line, 3)
+    _check_resource_id(subject, path, line_no, "subject")
+    _check_resource_id(obj, path, line_no, "object")
+    if not predicate:
+        raise InputFormatError(path, line_no, "empty predicate")
+    return _resolve(index, subject, "graph subject"), _resolve(index, obj, "graph object")
 
 
 def _read_texts_file(path) -> dict[str, str]:
@@ -269,14 +272,18 @@ def _read_query_file(path) -> set[str]:
     }
 
 
-def _assemble(graph_edges, texts: dict[str, str], serp_docs, query) -> CorpusBundle:
-    """The bundle of ``texts``, with ``graph_edges(index)`` giving the
+def _index(texts: dict[str, str]) -> dict[str, int]:
+    """Each texts-file id's index: its position in sorted order."""
+    return {rid: i for i, rid in enumerate(sorted(texts))}
+
+
+def _assemble(index: dict[str, int], edges: np.ndarray, texts: dict[str, str],
+              serp_docs, query) -> CorpusBundle:
+    """The bundle of ``texts``, numbered by ``index``, with ``edges`` the
     ``(m, 2)`` int64 array of subject and object indices; query entries,
-    then result-page mentions, are resolved after it."""
-    resource_ids = tuple(sorted(texts))
-    index = {rid: i for i, rid in enumerate(resource_ids)}
-    edges = graph_edges(index)
-    query_idx = frozenset(_resolve(index, rid, "query resource") for rid in query)
+    in sorted order, then result-page mentions, are resolved here."""
+    resource_ids = tuple(index)
+    query_idx = frozenset(_resolve(index, rid, "query resource") for rid in sorted(query))
 
     occurrences: dict[int, set[int]] = {}
     docs = []
@@ -310,16 +317,13 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> Cor
     mentions.  ``load_bundle`` maps identifiers to indices by the same
     rules.
     """
-
-    def graph_ids(index):
-        for s, _p, o in graph_edges:
-            yield _resolve(index, s, "graph subject")
-            yield _resolve(index, o, "graph object")
-
-    def edges(index):
-        return np.fromiter(graph_ids(index), dtype=np.int64).reshape(-1, 2)
-
-    return _assemble(edges, texts, serp_docs, query)
+    index = _index(texts)
+    ids = []
+    for s, _p, o in graph_edges:
+        ids.append(_resolve(index, s, "graph subject"))
+        ids.append(_resolve(index, o, "graph object"))
+    edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
+    return _assemble(index, edges, texts, serp_docs, query)
 
 
 def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
@@ -336,12 +340,10 @@ def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     texts = _read_texts_file(texts_path)
     serp_docs = _read_serp_file(serp_path)
     query = _read_query_file(query_path)
-
-    def edges(index):
-        blocks = [np.empty(0, dtype=np.int32), *_graph_file_ids(graph_path, index)]
-        return np.concatenate(blocks, dtype=np.int64).reshape(-1, 2)
-
-    return _assemble(edges, texts, serp_docs, query)
+    index = _index(texts)
+    blocks = _graph_file_ids(graph_path, index)
+    edges = np.concatenate([np.empty(0, dtype=np.int32), *blocks], dtype=np.int64)
+    return _assemble(index, edges.reshape(-1, 2), texts, serp_docs, query)
 
 
 def build_resource_text(

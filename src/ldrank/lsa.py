@@ -13,6 +13,7 @@ lengths ``priors.svd_prior`` compares.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
@@ -36,22 +37,16 @@ MIN_TOKEN_LENGTH = 2
 # Alphanumeric runs; underscores separate tokens like any other punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
-_stopwords_cache: frozenset[str] | None = None
 
-
+@functools.cache
 def load_default_stopwords() -> frozenset[str]:
     """The packaged English stopword list (one lowercase word per line)."""
-    global _stopwords_cache
-    if _stopwords_cache is None:
-        text = (
-            importlib_resources.files("ldrank")
-            .joinpath("data/stopwords_en.txt")
-            .read_text(encoding="utf-8")
-        )
-        _stopwords_cache = frozenset(
-            w for w in (line.strip() for line in text.splitlines()) if w
-        )
-    return _stopwords_cache
+    text = (
+        importlib_resources.files("ldrank")
+        .joinpath("data/stopwords_en.txt")
+        .read_text(encoding="utf-8")
+    )
+    return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
 
 
 def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:

@@ -9,7 +9,9 @@ Three independent experts emit a prior each:
   latent coordinates (the rows of ``u * s`` from ``lsa.sparse_svd``) grow
   when the count rows of the resources under focus are amplified and the
   truncated SVD is recomputed; its dimension and stress come from
-  ``PipelineParams``, which checked their ranges.
+  ``PipelineParams``, which checked their ranges.  ``sparse_svd`` gives
+  one result per matrix, so a stress that leaves the counts as they are
+  (stress 1, or focus rows without stems) drifts by exactly zero.
 
 Each prior degrades to the uniform distribution (with a warning) when its
 evidence is entirely absent.
@@ -129,12 +131,8 @@ def svd_prior(
             f"stress {stress} is too large: the squared stressed counts overflow"
         )
 
-    drift = np.zeros(n)
-    # A stress that leaves the matrix as it is (focus rows without stems, or
-    # stress 1) moves nothing, so the solver need not run.
-    if not np.array_equal(stressed_counts.data, counts.data):
-        grown = _coordinate_norms(stressed_counts, k)
-        drift = np.maximum(grown - _coordinate_norms(counts, k), 0.0)
+    grown = _coordinate_norms(stressed_counts, k)
+    drift = np.maximum(grown - _coordinate_norms(counts, k), 0.0)
     total = drift.sum()
     if total <= 0.0:
         warnings.warn(

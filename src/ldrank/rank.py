@@ -87,8 +87,10 @@ def power_rank(
     no out-edges.  Stops when the L1 difference between successive iterates
     drops below ``params.tol``; the walk matrix is an ``alpha``-contraction
     in L1, so the stationarity residual of the returned vector is below
-    tolerance as well.  Hitting ``params.power_max_iters`` first returns
-    the current iterate flagged (and warned) as non-converged.
+    tolerance as well, up to float64 rounding of about n times its epsilon,
+    which a smaller ``tol`` cannot undercut.  Hitting
+    ``params.power_max_iters`` first returns the current iterate flagged
+    (and warned) as non-converged.
     """
     n = graph.n
     if len(teleport) != n:

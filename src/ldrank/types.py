@@ -5,12 +5,12 @@ Every line-format decision is made here.  ``_blocks`` is the only code
 that opens, decodes and numbers an input file: it reads fixed-size byte
 blocks, each cut after its last line break, with one ``read`` and one
 ``decode`` per block.  ``_chunks`` splits each block into lines;
-``read_rows`` reads the tab-separated files (serp, qrels, manifest),
-``read_objects`` the JSON Lines files (texts, judgments) and
-``data_lines`` the query file, each through it.  The graph file, millions
-of lines long, is resolved by ``corpus`` from the bytes of each block,
-with array operations; each line they cannot take goes alone through
-``chunk_rows``, the line loop of ``read_rows``.
+``data_lines`` keeps those that ``_is_data`` (the query file), ``read_rows``
+splits them by ``_fields``, the field rule (serp, qrels, manifest), and
+``read_objects`` parses JSON Lines (texts, judgments).  The graph file,
+millions of lines long, is resolved by ``corpus`` from the bytes of each
+block, with array operations; each line they cannot take goes alone
+through ``_is_data`` and ``_fields``.
 
 Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
@@ -112,35 +112,35 @@ def read_lines(path):
         yield from enumerate(lines, first_line_no)
 
 
+def _is_data(line: str) -> bool:
+    """Whether ``line`` is neither blank nor a comment (first non-blank ``#``)."""
+    head = line.lstrip()
+    return bool(head) and head[0] != "#"
+
+
 def data_lines(path):
     """Yield ``(line_no, line)`` for each line of a UTF-8 text file that is
-    neither blank nor a comment, whose first non-blank character is ``#``."""
+    neither blank nor a comment (``_is_data``)."""
     for line_no, line in read_lines(path):
-        head = line.lstrip()
-        if head and head[0] != "#":
+        if _is_data(line):
             yield line_no, line
 
 
+def _fields(path, line_no: int, line: str, count: int, noun: str = "fields") -> list[str]:
+    """The field rule: ``line`` split at tabs into exactly ``count`` fields,
+    or ``InputFormatError`` at ``path:line_no``."""
+    fields = line.split("\t")
+    if len(fields) != count:
+        reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
+        raise InputFormatError(path, line_no, reason)
+    return fields
+
+
 def read_rows(path, count: int, noun: str = "fields"):
-    """Yield ``(line_no, fields)`` for each line of ``data_lines(path)``; it
-    must split at tabs into exactly ``count`` fields, or this raises."""
-    for first_line_no, lines in _chunks(path):
-        yield from chunk_rows(path, first_line_no, lines, count, noun)
-
-
-def chunk_rows(path, first_line_no: int, lines: list[str], count: int,
-               noun: str = "fields"):
-    """``read_rows`` over one ``_chunks`` chunk of ``path``."""
-    # The loop of ``data_lines``, inlined.
-    for line_no, line in enumerate(lines, first_line_no):
-        head = line.lstrip()
-        if not head or head[0] == "#":
-            continue
-        fields = line.split("\t")
-        if len(fields) != count:
-            reason = f"expected {count} tab-separated {noun}, got {len(fields)}"
-            raise InputFormatError(path, line_no, reason)
-        yield line_no, fields
+    """Yield ``(line_no, fields)`` for each line of ``data_lines(path)``,
+    split by ``_fields``."""
+    for line_no, line in data_lines(path):
+        yield line_no, _fields(path, line_no, line, count, noun)
 
 
 _INTEGER = re.compile(r"-?[0-9]+")

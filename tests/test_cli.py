@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import math
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ldrank.corpus as corpus_module
 from ldrank import STRATEGIES, krippendorff_alpha, ldrank, load_judgments, strategy
@@ -93,8 +98,8 @@ def _uri_bundle(basic_dir, out):
 def test_rank_on_long_ids_matches_golden_output(basic_dir, tmp_path, capsys, name,
                                                 bidirectional):
     extra = ["--bidirectional"] if bidirectional else []
-    rules = corpus_module._graph_chunk_ids
-    with mock.patch.object(corpus_module, "_graph_chunk_ids", wraps=rules) as seen:
+    rules = corpus_module._graph_line_ids
+    with mock.patch.object(corpus_module, "_graph_line_ids", wraps=rules) as seen:
         assert main(["rank", *_uri_bundle(basic_dir, tmp_path), "--strategy", name, *extra]) == 0
     suffix = "_bidirectional" if bidirectional else ""
     want = (basic_dir / "expected" / f"rank_{name}{suffix}.tsv").read_text(encoding="utf-8")
@@ -315,6 +320,148 @@ def test_rank_malformed_input_exits_one(basic_dir, tmp_path, capsys):
     ])
     assert code == 1
     assert "bad.tsv" in capsys.readouterr().err
+
+
+# ``rank`` over the fixture with its graph, result page and query mutated:
+# lines that are blank or comments (with tabs), CRLF or lone CR line ends,
+# wrong field counts, an empty predicate, dangling ids, and an id too wide
+# for the graph reader's id table.  Each faulty line carries the error it
+# must raise: "format" for ``path:line: ...``, else the dangling reference.
+
+_GONE = "Atlantis"
+#: Appended to an id, makes it more than four times as wide as the mean id.
+_WIDE = "_" * 120
+_NO_ENTRY = "has no entry in the texts table"
+_FILLERS = ["", "  ", "\t", "\t\t", "# c\tp\to", "  #\tx\t", "#\t\t"]
+
+
+def _graph_faults(line):
+    s, p, o = line.split("\t")
+    return [
+        (f"{s}\t{o}", "format"),
+        (f"{line}\tx", "format"),
+        (f"{s}\t\t{o}", "format"),
+        (f"{_GONE}\t\t{o}", "format"),  # checked before it is resolved
+        (f"{_GONE}\t{p}\t{o}", f"graph subject {_GONE!r} {_NO_ENTRY}"),
+        (f"{s}\t{p}\t{_GONE}{_WIDE}", f"graph object {_GONE + _WIDE!r} {_NO_ENTRY}"),
+    ]
+
+
+def _serp_faults(line):
+    rank, doc, mentions = line.split("\t")
+    return [
+        (f"{rank}\t{doc}", "format"),
+        (f"{line}\tx", "format"),
+        (f"{line},{_GONE}", f"result-page resource {_GONE!r} {_NO_ENTRY}"),
+    ]
+
+
+def _query_faults(line):
+    return [(f"{line}\t{line}", "format"), (_GONE, f"query resource {_GONE!r} {_NO_ENTRY}")]
+
+
+@st.composite
+def _mutated(draw, lines, faults):
+    """``lines`` with filler lines inserted and, if drawn, one or two data
+    lines replaced by a fault: ``(text, numbered faults)``, where a fault's
+    line number counts ``\r\n``, ``\r`` and ``\n`` as one line break each."""
+    items = []
+    data = [k for k, line in enumerate(lines) if not line.startswith("#")]
+    # Half the files stay sound; the other half get format faults or
+    # dangling references, so every order of the checks is reached.
+    kind = draw(st.sampled_from([None, None, "format", "dangling"]))
+    faulty = draw(st.sampled_from([*([k] for k in data), data[:1] + data[-1:]])) if kind else []
+    for k, line in enumerate(lines):
+        items += [(filler, None) for filler in draw(st.lists(st.sampled_from(_FILLERS),
+                                                             max_size=2))]
+        if k in faulty:
+            line, fault = draw(st.sampled_from([
+                (text, fault) for text, fault in faults(line)
+                if (fault == "format") == (kind == "format")
+            ]))
+            items.append((line, fault))
+        else:
+            items.append((line, None))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(items), max_size=len(items)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text, numbered = "", []
+    for (line, fault), end in zip(items, ends):
+        if fault:
+            line_no = text.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+            numbered.append((line_no, fault))
+        text += line + end
+    return text, numbered
+
+
+def _expected_error(paths, faults):
+    """The start of the one error line that ``rank`` must print, or None.
+    The files are read, then resolved, in this order: format faults of the
+    result page, then of the query, then the graph's faults in line order,
+    then the query's and the result page's dangling references."""
+    def error(name, line_no, fault):
+        return f"error: {paths[name]}:{line_no}: " if fault == "format" else f"error: {fault}"
+
+    for name in ("serp", "query"):
+        for line_no, fault in faults[name]:
+            if fault == "format":
+                return error(name, line_no, fault)
+    for name in ("graph", "query", "serp"):
+        for line_no, fault in faults[name]:
+            return error(name, line_no, fault)
+    return None
+
+
+_MUTATED_FILES = {"graph": ("graph.tsv", _graph_faults), "serp": ("serp.tsv", _serp_faults),
+                  "query": ("query.txt", _query_faults)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    wide=st.booleans(),
+    name=st.sampled_from(["HIT", "LDRANK"]),
+    bidirectional=st.booleans(),
+)
+def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
+    basic_dir, tmp_path_factory, data, wide, name, bidirectional
+):
+    def lines(file):
+        text = (basic_dir / file).read_text(encoding="utf-8")
+        return text.replace("Museum", "Museum" + _WIDE).splitlines() if wide else text.splitlines()
+
+    out = tmp_path_factory.mktemp("mutated")
+    texts = lines("texts.jsonl")
+    (out / "texts.jsonl").write_text("".join(f"{line}\n" for line in texts), encoding="utf-8")
+    paths, faults = {"texts": str(out / "texts.jsonl")}, {}
+    for key, (file, mutations) in _MUTATED_FILES.items():
+        text, faults[key] = data.draw(_mutated(lines(file), mutations), label=key)
+        (out / file).write_bytes(text.encode("utf-8"))
+        paths[key] = str(out / file)
+
+    argv = ["rank", *(paths[key] for key in ("graph", "texts", "serp", "query"))]
+    argv += ["--strategy", name] + ["--bidirectional"] * bidirectional
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue().splitlines()
+    want = _expected_error(paths, faults)
+    if want is None:
+        assert code == 0, err
+        rows = [line.split("\t") for line in stdout.getvalue().splitlines()]
+        assert [int(r[0]) for r in rows] == list(range(1, len(texts) + 1))
+        assert sorted(r[1] for r in rows) == sorted(json.loads(t)["id"] for t in texts)
+        assert math.fsum(float(r[2]) for r in rows) == pytest.approx(1.0, rel=0, abs=1e-9)
+        # Fillers and line ends change nothing, nor does a wide id that
+        # keeps the ids' order.
+        suffix = "_bidirectional" if bidirectional else ""
+        assert stdout.getvalue() == "\n".join(lines(f"expected/rank_{name}{suffix}.tsv")) + "\n"
+    else:
+        assert code == 1
+        assert stdout.getvalue() == ""
+        assert [line for line in err if line.startswith("error:")] == err[-1:]
+        assert err[-1].startswith(want), (err[-1], want)
 
 
 def test_rank_strict_escalates_nonconvergence(basic_dir, capsys):

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldrank import (
     ConvergenceWarning,
@@ -91,6 +95,30 @@ def test_result_stays_in_convex_hull():
         hi = rows.max(axis=0) + 1e-12
         v = res.distribution.values
         assert np.all(v >= lo) and np.all(v <= hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experts=st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any),
+        min_size=1, max_size=4,
+    )),
+    damping=st.floats(0.0, 1.0, exclude_min=True),
+    epsilon=st.floats(0.0, 2.0, exclude_min=True),
+    max_iters=st.integers(1, 60),
+)
+def test_pooled_mean_lies_between_the_experts(experts, damping, epsilon, max_iters):
+    # Converged or not: every step mixes the experts, so no entry of the
+    # mean leaves the range the experts span.
+    pool = tuple(Distribution.from_weights(w) for w in experts)
+    params = PipelineParams(damping=damping, consensus_epsilon=epsilon,
+                            consensus_max_iters=max_iters)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        v = consensual_pool(pool, params).distribution.values
+    rows = np.stack([e.values for e in pool])
+    assert np.all(v >= rows.min(axis=0) - 1e-12)
+    assert np.all(v <= rows.max(axis=0) + 1e-12)
 
 
 def test_max_pairwise_distance_is_monotone():

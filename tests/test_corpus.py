@@ -174,12 +174,12 @@ def test_graph_fault_on_an_earlier_line_of_a_chunk_is_reported_first(
 
 def test_clean_graph_chunks_are_taken_in_bulk(tmp_path):
     files = _bundle_files(tmp_path, graph=_many_chunk_graph(4000, {}))
-    with mock.patch.object(corpus_module, "_graph_chunk_ids", side_effect=AssertionError):
+    with mock.patch.object(corpus_module, "_graph_line_ids", side_effect=AssertionError):
         assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 4000
     commented = _many_chunk_graph(4000, {1: "# a comment", 2000: "", 3999: "  # b"})
     files = _bundle_files(tmp_path, graph=commented)
-    rules = corpus_module._graph_chunk_ids
-    with mock.patch.object(corpus_module, "_graph_chunk_ids", wraps=rules) as seen:
+    rules = corpus_module._graph_line_ids
+    with mock.patch.object(corpus_module, "_graph_line_ids", wraps=rules) as seen:
         assert load_bundle(*files).graph_edges.tolist() == [[0, 1]] * 3997
     # Only the lines that are not triples reach the line rules, one at a time.
     assert [c.args[1:3] for c in seen.call_args_list] == [
@@ -196,7 +196,7 @@ def test_long_ids_that_share_their_ends_are_taken_in_bulk(tmp_path):
     graph = "".join(f"{ids[s]}\tp\t{ids[o]}\n" for s, o in pairs)
     files = _bundle_files(tmp_path, graph=graph, texts=texts,
                           serp=f"1\td1\t{ids[0]}\n", query=f"{ids[1]}\n")
-    with mock.patch.object(corpus_module, "_graph_chunk_ids", side_effect=AssertionError):
+    with mock.patch.object(corpus_module, "_graph_line_ids", side_effect=AssertionError):
         bundle = load_bundle(*files)
     rank = {rid: k for k, rid in enumerate(sorted(ids))}
     assert bundle.graph_edges.tolist() == [[rank[ids[s]], rank[ids[o]]] for s, o in pairs]
@@ -231,8 +231,8 @@ def test_an_id_too_long_for_the_table_rows_goes_through_the_line_rules(tmp_path)
     graph = "".join(f"{ids[s]}\tp\t{ids[o]}\n" for s, o in pairs)
     files = _bundle_files(tmp_path, graph=graph, texts=texts, serp="1\td1\tr1\n",
                           query="r2\n")
-    rules = corpus_module._graph_chunk_ids
-    with mock.patch.object(corpus_module, "_graph_chunk_ids", wraps=rules) as seen:
+    rules = corpus_module._graph_line_ids
+    with mock.patch.object(corpus_module, "_graph_line_ids", wraps=rules) as seen:
         bundle = load_bundle(*files)
     rank = {rid: k for k, rid in enumerate(sorted(ids))}
     assert bundle.graph_edges.tolist() == [[rank[ids[s]], rank[ids[o]]] for s, o in pairs]
@@ -267,7 +267,7 @@ def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_
     assert lines[0].startswith("#")
     graph = tmp_path / "graph.tsv"
     graph.write_text("".join(lines[1:]), encoding="utf-8")
-    with mock.patch.object(corpus_module, "_graph_chunk_ids", side_effect=AssertionError):
+    with mock.patch.object(corpus_module, "_graph_line_ids", side_effect=AssertionError):
         bulk = load_bundle(
             graph, basic_dir / "texts.jsonl", basic_dir / "serp.tsv", basic_dir / "query.txt"
         )
@@ -338,6 +338,15 @@ def test_texts_id_with_comma_is_rejected(tmp_path):
 def test_reference_with_comma_is_dangling(tmp_path, graph, query, role):
     files = _bundle_files(tmp_path, graph=graph, serp="", query=query)
     with pytest.raises(ValueError, match=f"^{role} 'a,b' has no entry in the texts table$"):
+        load_bundle(*files)
+
+
+def test_first_dangling_query_entry_in_id_order_is_reported(tmp_path):
+    # The query is a set, so its iteration order follows the string hash;
+    # the entries are resolved in id order, so one id is named in every run.
+    query = "".join(f"q{k:02d}\n" for k in range(20, 0, -1))
+    files = _bundle_files(tmp_path, query=query)
+    with pytest.raises(ValueError, match="^query resource 'q01' has no entry"):
         load_bundle(*files)
 
 

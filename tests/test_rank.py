@@ -87,6 +87,32 @@ def test_stationarity_residual_below_tolerance():
     assert residual < 1e-10
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       tol=st.floats(0.0, 1.0, exclude_min=True))
+def test_a_converged_walk_meets_its_residual_bound(data, n, alpha, tol):
+    # Dangling rows and zero teleport weights included.  The bound holds up
+    # to float64 rounding: at an exact fixed point of the step, whatever
+    # the tol, the dense residual still reads about 1e-16.
+    node = st.integers(0, n - 1)
+    edges = data.draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any))
+    ids = [f"r{i}" for i in range(n)]
+    g = _graph([(ids[s], "p", ids[o]) for s, o in edges], ids)
+    t = Distribution.from_weights(weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        res = power_rank(g, t, PipelineParams(alpha=alpha, tol=tol))
+    assume(res.converged)
+    dense = oracles.dense_walk_matrix(
+        [g.successors(i).tolist() for i in range(n)], alpha, t.values, t.values
+    )
+    x = res.scores.values
+    residual = np.abs(x - x @ dense).sum()
+    assert residual < tol + n * np.finfo(np.float64).eps
+
+
 def test_scores_form_distribution():
     g = _graph([("a", "p", "b"), ("c", "p", "b")], ["a", "b", "c", "d"])
     t = Distribution.uniform(4)
