@@ -185,24 +185,19 @@ def _cmd_eval(args) -> int:
     out = sys.stdout
     header = "strategy\t" + "\t".join(f"ndcg@{r}" for r in table.cutoffs)
     out.write(header + "\n")
-    for name in table.strategies:
-        if table.n_queries == 0:
-            break
-        cells = "\t".join(_fmt(table.mean_ndcg[name][r]) for r in table.cutoffs)
-        out.write(f"{name}\t{cells}\n")
-    if args.per_query and table.n_queries:
-        out.write("\n")
-        out.write("query\t" + header + "\n")
-        for qi, row in enumerate(table.per_query_ndcg, start=1):
-            for name in table.strategies:
-                cells = "\t".join(_fmt(row[name][r]) for r in table.cutoffs)
-                out.write(f"{qi}\t{name}\t{cells}\n")
-    for name in table.strategies:
-        if table.n_queries:
-            print(
-                f"timing: {name} mean {table.mean_seconds[name]:.6f}s",
-                file=sys.stderr,
-            )
+    if table.n_queries:
+        for name in STRATEGIES:
+            cells = "\t".join(_fmt(table.mean_ndcg[name][r]) for r in table.cutoffs)
+            out.write(f"{name}\t{cells}\n")
+        if args.per_query:
+            out.write("\n")
+            out.write("query\t" + header + "\n")
+            for qi, row in enumerate(table.per_query_ndcg, start=1):
+                for name in STRATEGIES:
+                    cells = "\t".join(_fmt(row[name][r]) for r in table.cutoffs)
+                    out.write(f"{qi}\t{name}\t{cells}\n")
+        for name in STRATEGIES:
+            print(f"timing: {name} mean {table.mean_seconds[name]:.6f}s", file=sys.stderr)
     if _drain_warnings(caught) and args.strict:
         return 2
     return 0

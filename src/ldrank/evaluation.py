@@ -4,6 +4,7 @@ The discounted gain of a ranked list counts the first grade at full value
 and divides the grade at position i >= 2 by log2(i).  NDCG divides by the
 gain of the ideal reordering of the same grades, so it stays in [0, 1].
 ``RelevanceJudgments.grades_of`` is the one place ids meet judgments.
+``compare_strategies`` scores every strategy, in ``STRATEGIES`` order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class RelevanceJudgments:
     """Item identifier -> relevance grade, an ``int`` on the 0..3 scale.
 
     Each identifier is a non-empty ``str`` that a qrels line can hold: no
-    tab or line break, and no ``#`` as its first non-blank character.
+    tab, line break or lone surrogate, and no ``#`` first after blanks.
     """
 
     grades: dict[str, int]
@@ -44,6 +45,10 @@ class RelevanceJudgments:
                 raise ValueError(f"item id {item!r} holds a tab or line break")
             if item.lstrip()[:1] == "#":
                 raise ValueError(f"item id {item!r} starts with '#'")
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                raise ValueError(f"item id {item!r} is not valid in UTF-8") from None
             if type(grade) is not int or grade not in VALID_GRADES:
                 raise ValueError(
                     f"grade for {item!r} must be one of {VALID_GRADES}, got {grade!r}"
@@ -97,14 +102,16 @@ def ndcg(grades, r: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class StrategyComparison:
-    """Mean NDCG per strategy and cutoff, plus mean wall-clock seconds."""
+    """NDCG per bundle, strategy and cutoff, its means, and mean seconds."""
 
-    strategies: tuple[str, ...]
     cutoffs: tuple[int, ...]
-    n_queries: int
     mean_ndcg: dict[str, dict[int, float]]
     mean_seconds: dict[str, float]
     per_query_ndcg: tuple[dict[str, dict[int, float]], ...]
+
+    @property
+    def n_queries(self) -> int:
+        return len(self.per_query_ndcg)
 
 
 def compare_strategies(
@@ -133,10 +140,9 @@ def compare_strategies(
     cutoffs = tuple(int(r) for r in cutoffs)
     if any(r < 1 for r in cutoffs):
         raise ValueError("cutoffs must be positive")
-    params = params or PipelineParams()
 
     if not bundles:
-        return StrategyComparison(STRATEGIES, cutoffs, 0, {}, {}, ())
+        return StrategyComparison(cutoffs, {}, {}, ())
 
     per_query: list[dict[str, dict[int, float]]] = []
     seconds: dict[str, list[float]] = {name: [] for name in STRATEGIES}
@@ -165,9 +171,7 @@ def compare_strategies(
     }
     mean_seconds = {name: sum(ts) / n for name, ts in seconds.items()}
     return StrategyComparison(
-        strategies=STRATEGIES,
         cutoffs=cutoffs,
-        n_queries=n,
         mean_ndcg=mean_ndcg,
         mean_seconds=mean_seconds,
         per_query_ndcg=tuple(per_query),

@@ -17,11 +17,12 @@ import functools
 import re
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
+from numbers import Integral
 
 import numpy as np
 
 from .stemmer import stem
-from .types import CorpusBundle, compressed_pairs
+from .types import CorpusBundle, compressed_pairs, integer_array
 
 __all__ = [
     "CscMatrix",
@@ -75,6 +76,29 @@ class CscMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        if len(self.shape) != 2 or any(
+            isinstance(d, bool) or not isinstance(d, Integral) or d < 0 for d in self.shape
+        ):
+            raise ValueError(f"shape must be two non-negative ints, got {self.shape!r}")
+        rows, cols = self.shape
+        indptr = integer_array(self.indptr, "indptr")
+        indices = integer_array(self.indices, "indices", rows)
+        data = np.asarray(self.data)
+        if (
+            indptr.shape != (cols + 1,)
+            or indptr[0] != 0
+            or (np.diff(indptr) < 0).any()
+            or indptr[-1] != indices.size
+        ):
+            raise ValueError(f"indptr must be {cols + 1} offsets rising from 0 to {indices.size}")
+        if indices.ndim != 1:
+            raise ValueError(f"indices must be a vector, got shape {indices.shape}")
+        if data.shape != indices.shape or data.dtype.kind != "f" or not np.isfinite(data).all():
+            raise ValueError(f"data must be a vector of {indices.size} finite floats")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     @property
     def nnz(self) -> int:

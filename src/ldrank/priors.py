@@ -25,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from .lsa import ResourceTextMatrix, sparse_svd
-from .types import Distribution, PipelineParams, SerpContext
+from .types import Distribution, PipelineParams, SerpContext, integer_array
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
@@ -69,14 +69,8 @@ def build_info_need(query, hit: Distribution) -> frozenset[int]:
     The top hit resource (ties broken toward the lowest index) is always
     included, whether or not the query set is empty.
     """
-    n = len(hit)
-    indices = set()
-    for idx in query:
-        if not 0 <= idx < n:
-            raise ValueError(f"query resource index {idx} outside 0..{n - 1}")
-        indices.add(int(idx))
-    indices.add(int(np.argmax(hit.values)))
-    return frozenset(indices)
+    query = integer_array(list(query), "query", len(hit)).tolist()
+    return frozenset([*query, int(np.argmax(hit.values))])
 
 
 def _coordinate_norms(counts, k: int) -> np.ndarray:
@@ -108,11 +102,9 @@ def svd_prior(
     stressed counts overflow float64 raises ``ValueError``.
     """
     n = matrix.n_resources
-    if not info_need:
+    focus = integer_array(list(info_need), "info_need", n)
+    if not focus.size:
         raise ValueError("info_need must contain at least one resource index")
-    focus = sorted(int(i) for i in info_need)
-    if focus[0] < 0 or focus[-1] >= n:
-        raise ValueError(f"info_need indices must lie in 0..{n - 1}")
     k, stress = params.ndim, params.stress
     if k > min(matrix.counts.shape):
         warnings.warn(
@@ -125,13 +117,13 @@ def svd_prior(
     row_scale[focus] = stress
     # CSC stores row indices in .indices, so rows scale entry by entry.
     counts = matrix.counts
-    stressed_counts = replace(counts, data=counts.data * row_scale[counts.indices])
-    if not np.isfinite(stressed_counts.data @ stressed_counts.data):
+    stressed = counts.data * row_scale[counts.indices]
+    if not np.isfinite(stressed @ stressed):
         raise ValueError(
             f"stress {stress} is too large: the squared stressed counts overflow"
         )
 
-    grown = _coordinate_norms(stressed_counts, k)
+    grown = _coordinate_norms(replace(counts, data=stressed), k)
     drift = np.maximum(grown - _coordinate_norms(counts, k), 0.0)
     total = drift.sum()
     if total <= 0.0:

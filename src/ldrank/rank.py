@@ -2,8 +2,9 @@
 
 ``power_rank`` runs the damped power iteration for the walk matrix
 ``alpha * S + (1 - alpha) * ones * teleport'`` without ever materializing
-the dense matrix: each step costs O(edges + n).  It ranks indices, score
-ties by ascending index, which is id order: the bundle sorts its ids.
+the dense matrix: each step costs O(edges + n).  Its ``RankingResult``
+holds the scores, and reads the ranking of indices off them: score ties
+by ascending index, which is id order, as the bundle sorts its ids.
 
 Every stage takes its settings from one ``PipelineParams`` (defined in
 ``types``), which has checked them when it was built.
@@ -34,7 +35,6 @@ from .types import (
     CorpusBundle,
     Distribution,
     PipelineParams,
-    integer_array,
 )
 
 __all__ = [
@@ -52,30 +52,22 @@ STRATEGIES = ("EQUI", "HIT", "SVD", "LDRANK")
 
 @dataclass(frozen=True, eq=False)
 class RankingResult:
-    """Stationary scores plus the induced ordering.
+    """Stationary scores and the walk that reached them.
 
     ``order`` holds resource indices sorted by descending score, ties broken
-    by ascending index, which is ascending resource id.
+    by ascending index, which is ascending resource id; it is read off the
+    scores on first use, read-only.
     """
 
     scores: Distribution
-    order: np.ndarray
     iterations: int
     converged: bool
 
-    def __post_init__(self):
-        order = integer_array(self.order, "order")
-        n = len(self.scores)
-        if (
-            order.shape != (n,)
-            or order.min() < 0
-            or order.max() >= n
-            or not (np.bincount(order, minlength=n) == 1).all()
-        ):
-            raise ValueError("order must be a permutation of the resource indices")
-        order = order.copy()
+    @cached_property
+    def order(self) -> np.ndarray:
+        order = np.argsort(-self.scores.values, kind="stable")
         order.setflags(write=False)
-        object.__setattr__(self, "order", order)
+        return order
 
 
 def power_rank(
@@ -125,12 +117,7 @@ def power_rank(
             f"power iteration still above tolerance after {iterations} iterations",
             ConvergenceWarning,
         )
-    return RankingResult(
-        scores=Distribution(x),
-        order=np.argsort(-x, kind="stable"),
-        iterations=iterations,
-        converged=converged,
-    )
+    return RankingResult(Distribution(x), iterations, converged)
 
 
 class Pipeline:

@@ -190,7 +190,7 @@ def _chunk_objects(path, first_line_no: int, lines: list[str]):
     ):
         try:
             objects = json.loads(f"[{text}]")
-        except ValueError:
+        except (ValueError, RecursionError):  # reported by the line-by-line path
             objects = None
         if objects is not None and len(objects) == n:
             if n == len(lines):
@@ -207,24 +207,29 @@ def _objects_by_line(path, numbered_lines):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise InputFormatError(path, line_no, f"invalid JSON ({reason})") from exc
         if not isinstance(obj, dict):
             raise InputFormatError(path, line_no, "expected a JSON object")
         yield line_no, obj
 
 
-def integer_array(values, name: str) -> np.ndarray:
+def integer_array(values, name: str, below: int | None = None) -> np.ndarray:
     """``values`` as an int64 array, or a ``ValueError`` naming ``name``.
 
-    Only the dtype is tested: integers and arrays of integer dtype pass,
-    bools, floats, strings and objects do not, so no value is rounded or
-    parsed on the way in.  Empty input passes whatever its dtype.
+    The dtype is tested: integers and arrays of integer dtype pass, bools,
+    floats, strings and objects do not, so no value is rounded or parsed on
+    the way in.  Empty input passes whatever its dtype.  With ``below``,
+    the values are indices and must lie in ``0..below-1``.
     """
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got {array.dtype} values")
-    return array.astype(np.int64, copy=False)
+    array = array.astype(np.int64, copy=False)
+    if below is not None and array.size and (array.min() < 0 or array.max() >= below):
+        raise ValueError(f"{name} hold an index outside 0..{below - 1}")
+    return array
 
 
 def compressed_pairs(major, minor, n_major: int, n_minor: int):
@@ -386,17 +391,13 @@ class CorpusBundle:
         if not all(map(operator.lt, ids, ids[1:])):  # strictly increasing
             raise ValueError("resource_ids must be sorted and free of duplicates")
         n = len(self.resource_ids)
-        edges = integer_array(self.graph_edges, "graph_edges")
+        edges = integer_array(self.graph_edges, "graph_edges", n)
         if edges.ndim != 2 or edges.shape[1] != 2:
             raise ValueError(f"graph_edges must have shape (m, 2), got {edges.shape}")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise ValueError(f"graph_edges hold an index outside 0..{n - 1}")
         texts = tuple(self.texts)
         if len(texts) != n:
             raise ValueError(f"{len(texts)} texts for {n} resources")
-        query = frozenset(integer_array(list(self.query), "query").tolist())
-        if any(not 0 <= i < n for i in query):
-            raise ValueError(f"query holds an index outside 0..{n - 1}")
+        query = frozenset(integer_array(list(self.query), "query", n).tolist())
         if any(i >= n for i in self.serp.occurrences):  # SerpContext rejects i < 0
             raise ValueError(f"serp occurrences hold an index outside 0..{n - 1}")
         object.__setattr__(self, "graph_edges", edges)

@@ -355,6 +355,12 @@ def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
 # One loop per file format, each reading and checking one line at a time.
 
 
+def _json_fault(exc):
+    """The reason for a line ``json.loads`` rejects: malformed, nested too
+    deep, or an integer with more digits than ``int`` converts."""
+    return f"invalid JSON ({exc.msg if isinstance(exc, json.JSONDecodeError) else exc})"
+
+
 def _records_by_line(path, numbered_lines):
     """Validate ``(line_no, line)`` pairs one line at a time.
 
@@ -366,8 +372,8 @@ def _records_by_line(path, numbered_lines):
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:
+            raise InputFormatError(path, line_no, _json_fault(exc)) from exc
         if not isinstance(obj, dict):
             raise InputFormatError(path, line_no, "expected a JSON object")
         item = obj.get("item")
@@ -411,8 +417,8 @@ def texts_by_line(path):
             continue
         try:
             record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise InputFormatError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:
+            raise InputFormatError(path, line_no, _json_fault(exc)) from exc
         if not isinstance(record, dict):
             raise InputFormatError(path, line_no, "expected a JSON object")
         rid = record.get("id")

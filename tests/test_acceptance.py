@@ -40,8 +40,7 @@ from ldrank.cli import main
 
 def _random_graph(rng, n, edge_prob=0.3):
     mask = rng.random((n, n)) < edge_prob
-    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
-    return ResourceGraph(indptr=indptr, indices=np.nonzero(mask)[1])
+    return ResourceGraph(n, *np.nonzero(mask))
 
 
 def _random_distribution(rng, n):

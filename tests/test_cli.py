@@ -281,13 +281,15 @@ def test_eval_rejects_strategy_flag(basic_dir, capsys):
 
 
 def test_overflowing_stress_is_input_error(basic_dir, capsys):
-    for stress in ("1e200", "1e300"):
+    # At 1e308 the stressed counts themselves overflow, not only their squares.
+    for stress in ("1e200", "1e300", "1e308"):
         proc = subprocess.run(
             [sys.executable, "-m", "ldrank", *_rank_args(basic_dir, "--stress", stress)],
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
         assert "error: stress" in proc.stderr
+        assert "is too large: the squared stressed counts overflow" in proc.stderr
         assert "Traceback" not in proc.stderr
     assert main(_rank_args(basic_dir, "--stress", "1e150")) == 0
     capsys.readouterr()
@@ -464,6 +466,155 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
         assert err[-1].startswith(want), (err[-1], want)
 
 
+_DEEP = "[" * 100_000
+#: Lines ``json`` cannot decode: nested too deep (alone, and inside one
+#: object, so the chunk's single parse fails too) and an integer with more
+#: digits than ``int`` converts.
+_UNDECODABLE = [_DEEP, '{"item": ' + _DEEP + "}", '{"id": "x", "text": ' + "1" * 5000 + "}"]
+
+
+@pytest.mark.parametrize("line", _UNDECODABLE)
+@pytest.mark.parametrize("command", ["rank", "agg"])
+def test_undecodable_json_line_names_its_path_and_line(
+    basic_dir, tmp_path, capsys, command, line
+):
+    name = "texts.jsonl" if command == "rank" else "judgments.jsonl"
+    lines = (basic_dir / name).read_text(encoding="utf-8").splitlines()
+    bad = tmp_path / name
+    bad.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n", encoding="utf-8")
+    if command == "rank":
+        argv = _rank_args(basic_dir)
+        argv[2] = str(bad)
+    else:
+        argv = ["agg", str(bad)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {bad}:3: invalid JSON (")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+# ``agg`` and ``alpha`` over the fixture's judgments with lines inserted,
+# copied or changed.  Each line that ``load_judgments`` must reject carries
+# the start of its reason; "utf-8" marks undecodable bytes.
+
+_JUDGMENT_FAULTS = [
+    *((line, "invalid JSON (") for line in _UNDECODABLE),
+    ('{"item": "a", "worker": "w", "grade": 1, "trust": NaN}',
+     "trust must lie in [0, 1], got nan"),
+    ('{"item": "a", "worker": "w", "grade": 1, "trust": -Infinity}',
+     "trust must lie in [0, 1], got -inf"),
+    ('{"item": "a", "worker": "w", "grade": 1, "trust": true}',
+     'field "trust" must be numeric'),
+    ('{"item": "a", "worker": "w", "grade": ' + "9" * 30 + "}",
+     "grade must be one of (0, 1, 2, 3), got 999"),
+    (b'{"item": "\xff", "worker": "w", "grade": 1}', "utf-8"),
+]
+
+#: The errors a well-formed judgments file may still end in: a threshold out
+#: of range, mean-trust ties without trust, and nothing to measure alpha on.
+_JUDGMENT_ERRORS = (
+    "error: threshold must lie in [0, 1], got ",
+    "error: mean-trust tie-breaking needs trust values; ",
+    "error: no item has two or more judgments; alpha is undefined",
+)
+
+
+_BAD_THRESHOLDS = ("1.5", "-0.25", "nan")
+
+
+@st.composite
+def _mutated_judgments(draw, lines):
+    """``(data, faults)``: the bytes of ``lines`` mutated, and per line
+    that ``load_judgments`` must reject, ``(line_no, reason)``, line 0 for a
+    repeated item-worker pair."""
+    items = [] if not draw(st.integers(0, 9)) else [(line, None) for line in lines]
+    if items and not draw(st.integers(0, 3)):  # a second grade for one item and worker
+        record = json.loads(draw(st.sampled_from(lines)))
+        record["grade"] = draw(st.integers(0, 3))
+        items.insert(draw(st.integers(0, len(items))), (json.dumps(record), "duplicate"))
+    if items and draw(st.booleans()):  # a record without trust
+        k = draw(st.integers(0, len(items) - 1))
+        record = json.loads(items[k][0])
+        del record["trust"]
+        items[k] = (json.dumps(record), items[k][1])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        items.insert(draw(st.integers(0, len(items))), draw(st.sampled_from(_JUDGMENT_FAULTS)))
+    for _ in range(draw(st.integers(0, 3))):
+        blank = draw(st.sampled_from(["", " ", "\t"]))
+        items.insert(draw(st.integers(0, len(items))), (blank, None))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(items), max_size=len(items)))
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    data, faults = b"", []
+    for (line, fault), end in zip(items, ends):
+        if fault:  # "\r" then "\n" is one line break
+            line_no = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+            faults.append((0 if fault == "duplicate" else line_no, fault))
+        data += (line if isinstance(line, bytes) else line.encode("utf-8")) + end.encode()
+    return data, faults
+
+
+def _first_judgment_fault(faults):
+    """``(line_no, reason)`` that ``load_judgments`` must report, or None.
+    The first line fault wins; undecodable bytes end the file, reported at
+    line 0; a repeated pair is found once the whole file is read."""
+    for line_no, fault in faults:
+        if fault == "utf-8":
+            return 0, "not valid UTF-8"
+        if line_no:
+            return line_no, fault
+    if faults:
+        return 0, "duplicate judgment for item "
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["agg", "alpha"]),
+    threshold=st.sampled_from([None, None, "", "0", "1", *_BAD_THRESHOLDS]),
+    mean_trust=st.booleans(),
+)
+def test_judgments_commands_on_mutated_files_report_the_first_fault(
+    basic_dir, tmp_path_factory, data, command, threshold, mean_trust
+):
+    lines = (basic_dir / "judgments.jsonl").read_text(encoding="utf-8").splitlines()
+    content, faults = data.draw(_mutated_judgments(lines))
+    path = tmp_path_factory.mktemp("judgments") / "judgments.jsonl"
+    path.write_bytes(content)
+    argv = [command, str(path)]
+    if threshold is not None:
+        argv += ["--filter-threshold", *([threshold] if threshold else [])]
+    if command == "agg" and mean_trust:
+        argv += ["--tie-break", "mean-trust"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue().splitlines()
+    want = _first_judgment_fault(faults)
+    if code == 1:
+        assert out == ""
+        assert [line for line in err if line.startswith("error:")] == err[-1:]
+        if want is not None:
+            assert err[-1].startswith(f"error: {path}:{want[0]}: {want[1]}"), (err[-1], want)
+        elif threshold in _BAD_THRESHOLDS:
+            assert err[-1].startswith(_JUDGMENT_ERRORS[0]), err[-1]
+        else:
+            assert err[-1].startswith(_JUDGMENT_ERRORS[1:]), err[-1]
+        return
+    assert code == 0 and want is None and threshold not in _BAD_THRESHOLDS, (code, err, want)
+    assert err == []
+    if command == "agg":
+        rows = [line.split("\t") for line in out.splitlines()]
+        assert all(len(row) == 2 and row[1] in ("0", "1", "2", "3") for row in rows)
+        assert [item for item, _ in rows] == sorted({item for item, _ in rows})
+    else:
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert math.isfinite(float(out)) and float(out) <= 1.0
+
+
 def test_rank_strict_escalates_nonconvergence(basic_dir, capsys):
     args = _rank_args(
         basic_dir, "--strategy", "EQUI", "--max-iters", "1", "--tol", "1e-30"
@@ -519,6 +670,15 @@ def test_eval_per_query(basic_dir, capsys):
     assert "query\tstrategy\tndcg@3" in out
     assert "\nLDRANK\t" in out  # mean table row
     assert "1\tLDRANK\t" in out  # per-query row
+
+
+@pytest.mark.parametrize("per_query", [False, True])
+def test_eval_without_bundles_prints_the_header_alone(tmp_path, capsys, per_query):
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("# no bundles yet\n", encoding="utf-8")
+    argv = ["eval", str(manifest), "--cutoffs", "1,3"] + ["--per-query"] * per_query
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("strategy\tndcg@1\tndcg@3\n", "")
 
 
 def test_eval_requires_cutoffs(basic_dir, capsys):

@@ -97,48 +97,69 @@ def test_build_graph_matches_np_unique(n, pairs, bidirectional):
     assert g.indptr.dtype == g.indices.dtype == np.int64
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+    dtype=st.sampled_from([np.int64, np.int32, np.uint16, None]),
+)
+@example(n=0, pairs=[], dtype=None)
+@example(n=1, pairs=[], dtype=np.int64)
+@example(n=1, pairs=[(0, 0), (0, 0)], dtype=np.int32)
+def test_resource_graph_matches_np_unique_of_its_pairs(n, pairs, dtype):
+    # Self-loops and parallel pairs are common on up to 12 nodes; a
+    # ``None`` dtype passes Python lists.
+    pairs = [(i % n, j % n) for i, j in pairs] if n else []
+    sources, targets = [s for s, _ in pairs], [t for _, t in pairs]
+    if dtype is not None:
+        sources, targets = np.array(sources, dtype=dtype), np.array(targets, dtype=dtype)
+    g = ResourceGraph(n, sources, targets)
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    width = max(n, 1)
+    rows, cols = np.divmod(np.unique(src * width + dst), width)
+    assert g.n == n
+    assert np.array_equal(g.indptr, np.searchsorted(rows, np.arange(n + 1)))
+    assert np.array_equal(g.indices, cols)
+    assert g.edge_count == len(set(pairs))
+    assert g.indptr.dtype == g.indices.dtype == np.int64
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
+
+
+_SHAPES = "sources and targets must be vectors of one length, "
+
+
 @pytest.mark.parametrize(
-    "indptr, indices, message",
+    "n, sources, targets, message",
     [
-        ([0, 1, 1], [2], "out of range for node 0"),
-        ([0, 0, 1], [-1], "out of range for node 1"),
-        ([0, 2, 2], [1, 0], "node 0 must be sorted and unique"),
-        ([0, 0, 2], [1, 1], "node 1 must be sorted and unique"),
-        ([], [], "indptr"),
-        ([0, 2, 1], [0], "indptr"),
-        ([1, 1, 1], [], "indptr"),
+        (3, [0, -1], [1, 2], "sources hold an index outside 0..2"),
+        (3, [0, 1], [1, 3], "targets hold an index outside 0..2"),
+        (0, [0], [0], "sources hold an index outside"),
+        (3, [0.0], [1], "sources must hold integers, got float64"),
+        (3, [0], [True], "targets must hold integers, got bool"),
+        (3, ["0"], [1], "sources must hold integers, got <U1"),
+        (3, [0, 1], [1], _SHAPES + r"got shapes \(2,\) and \(1,\)"),
+        (3, [[0, 1]], [[1, 2]], _SHAPES + r"got shapes \(1, 2\) and \(1, 2\)"),
+        (3, [0], np.zeros((1, 1), dtype=int), _SHAPES),
+        (-1, [], [], "n must be a non-negative int, got -1"),
+        (2.0, [], [], "n must be a non-negative int, got 2.0"),
+        (True, [], [], "n must be a non-negative int, got True"),
     ],
 )
-def test_resource_graph_rejects_malformed_adjacency(indptr, indices, message):
-    with pytest.raises(ValueError, match=message):
-        ResourceGraph(indptr=np.array(indptr), indices=np.array(indices))
+def test_resource_graph_rejects_bad_edge_pairs(n, sources, targets, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ResourceGraph(n, sources, targets)
 
 
-def test_resource_graph_rows_are_checked_independently():
-    # A descending step across a row boundary is fine.
-    g = ResourceGraph(indptr=np.array([0, 1, 2]), indices=np.array([1, 0]))
-    assert [g.successors(0).tolist(), g.successors(1).tolist()] == [[1], [0]]
-
-
-def test_resource_graph_node_count_comes_from_its_offsets():
-    assert ResourceGraph(indptr=[0], indices=[]).n == 0
-    assert ResourceGraph(indptr=[0, 1], indices=[0]).n == 1
-    assert ResourceGraph(indptr=[0, 1, 1, 1], indices=[2]).n == 3
-
-
-@pytest.mark.parametrize(
-    "indptr, indices, field",
-    [
-        ([0, 1.5, 1.0], [1], "indptr"),
-        ([0, 1, 1], [1.2], "indices"),
-        ([False, True, True], [1], "indptr"),
-    ],
-)
-def test_resource_graph_rejects_non_integer_offsets(indptr, indices, field):
-    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
-        ResourceGraph(indptr=indptr, indices=indices)
-    g = ResourceGraph(indptr=np.array([0, 1, 1], dtype=np.int32), indices=[1])
-    assert g.indptr.dtype == np.int64 and g.successors(0).tolist() == [1]
+def test_resource_graph_is_immutable():
+    g = ResourceGraph(np.int64(3), [2, 0, 2], [0, 1, 0])
+    assert g.n == 3 and type(g.n) is int
+    assert [g.successors(i).tolist() for i in range(3)] == [[1], [], [0]]
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(AttributeError):
+        g.indptr = np.zeros(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="read-only"):
+        g.indices[0] = 2
 
 
 # The transition operator S (row i uniform over the successors of i, or the

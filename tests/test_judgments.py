@@ -366,15 +366,17 @@ def test_qrels_round_trip(tmp_path):
     (5, "must be a non-empty string"),
     ("#a", "starts with '#'"),
     (" \x85#a", "starts with '#'"),
+    ("a\ud800", "is not valid in UTF-8"),
 ])
 def test_relevance_judgments_reject_an_id_no_qrels_line_holds(item, reason):
     with pytest.raises(ValueError, match=f"^item id {re.escape(repr(item))} {reason}$"):
         RelevanceJudgments(grades={"a": 1, item: 2})
 
 
-# Any text but surrogates, which UTF-8 cannot write.  "#" and blanks are
-# drawn often, and one key in ten may hold anything, "\t", "\n" and "\r"
-# included, so about half the dictionaries build.
+# Any text, lone surrogates too, which UTF-8 cannot write and so must not
+# build.  "#" and blanks are drawn often, and one key in ten may hold
+# anything, "\t", "\n" and "\r" included, so about half the dictionaries
+# build.
 _QRELS_ITEMS = st.integers(0, 9).flatmap(lambda k: st.text(
     st.one_of(st.sampled_from("# \x85\x1c,a" + ("\t\n\r" if k == 0 else "")),
               st.characters(exclude_characters="" if k == 0 else "\t\n\r")),
@@ -571,7 +573,7 @@ def _load_line_by_line(path):
 def _outcome(load, path):
     try:
         js = load(path)
-    except ValueError as exc:  # InputFormatError, or json's digit limit
+    except ValueError as exc:  # InputFormatError
         return type(exc), str(exc)
     return (
         js.item_ids, js.worker_ids, js.item_codes.tolist(), js.worker_codes.tolist(),
@@ -628,7 +630,7 @@ _LINES = _mostly(
             '{"item": "a",\x1c "worker": "w", "grade": 1}',
             '{"item": "a\x1cb", "worker": "w", "grade": 1}',
             _MERGED_A, _MERGED_B, _CUT_A, _CUT_B, _TWO,
-            "9" * 5000,
+            "9" * 5000, "[" * 100_000, '{"item": ' + "[" * 100_000 + "}",
         ]),
         st.tuples(_objects(), _objects()).map(", ".join),
     ),

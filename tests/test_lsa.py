@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ldrank import (
+    CscMatrix,
     Pipeline,
     build_text_matrix,
     load_default_stopwords,
@@ -246,6 +247,42 @@ def test_sparse_svd_finds_every_copy_of_a_repeated_singular_value():
         for k in range(1, min(dense.shape) + 1):
             _, s, _ = sparse_svd(_counts(dense), k)
             assert np.allclose(s, want[:k], rtol=0, atol=1e-9 * want[0]), (seed, k)
+
+
+_GOOD_CSC = {"shape": (2, 2), "indptr": [0, 1, 2], "indices": [0, 1], "data": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("shape", (2,)),
+    ("shape", (2, -1)),
+    ("shape", (2.0, 2)),
+    ("shape", (True, 2)),
+    ("indptr", [0, 1]),  # one offset short
+    ("indptr", [1, 1, 2]),  # not from 0
+    ("indptr", [0, 2, 1]),  # decreasing
+    ("indptr", [0, 1, 1]),  # not to indices.size
+    ("indptr", [0.0, 1.0, 2.0]),
+    ("indices", [0, 5]),
+    ("indices", [-1, 1]),
+    ("indices", [0.0, 1.0]),
+    ("indices", [[0, 1]]),
+    ("data", [1.0]),  # shorter than indices
+    ("data", [1.0, np.nan]),
+    ("data", [1.0, np.inf]),
+    ("data", [1, 2]),
+    ("data", [[1.0, 2.0]]),
+])
+def test_csc_matrix_rejects_a_malformed_field(field, value):
+    fields = {**_GOOD_CSC, field: value}
+    with pytest.raises(ValueError, match=f"^{field} "):
+        CscMatrix(fields["shape"], *(np.array(fields[f]) for f in ("indptr", "indices", "data")))
+
+
+def test_csc_matrix_holds_int64_offsets():
+    m = CscMatrix((np.int64(2), 2), np.array([0, 1, 2], dtype=np.int32), [0, 1], np.ones(2))
+    assert m.shape == (2, 2)
+    assert m.indptr.dtype == m.indices.dtype == np.int64
+    assert sparse_svd(m, 1)[1].tolist() == [1.0]
 
 
 def test_sparse_svd_rank_bounds():
