@@ -20,7 +20,6 @@ from .evaluation import (
 )
 from .graph import ResourceGraph, build_graph
 from .judgments import (
-    GradeDistance,
     JudgmentRecord,
     JudgmentSet,
     filter_workers,
@@ -34,7 +33,6 @@ from .lsa import (
     CscMatrix,
     ResourceTextMatrix,
     build_text_matrix,
-    load_default_stopwords,
     sparse_svd,
     tokenize,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "CorpusBundle",
     "CscMatrix",
     "Distribution",
-    "GradeDistance",
     "InputFormatError",
     "JudgmentRecord",
     "JudgmentSet",
@@ -93,7 +90,6 @@ __all__ = [
     "krippendorff_alpha",
     "ldrank",
     "load_bundle",
-    "load_default_stopwords",
     "load_judgments",
     "load_qrels",
     "majority_vote",

@@ -346,23 +346,21 @@ def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     return _assemble(index, edges.reshape(-1, 2), texts, serp_docs, query)
 
 
-def build_resource_text(
-    abstract: str,
-    page_text: str,
-    surface_offsets,
-    window: int = 300,
-) -> str:
+#: Characters of page text ``build_resource_text`` takes around each
+#: surface form, half before it and half from it on.
+TEXT_WINDOW = 300
+
+
+def build_resource_text(abstract: str, page_text: str, surface_offsets) -> str:
     """Concatenate the abstract with fixed windows around each surface form.
 
     Each offset contributes the slice of ``page_text`` centred on it:
-    ``window // 2`` characters before the offset and the remaining
-    ``window - window // 2`` from the offset on, clipped at the text
-    bounds.  Offsets are positions in the code-point sequence, so the
-    arithmetic is safe for any UTF-8 input.  Empty segments are dropped and
-    the rest are joined with single spaces.
+    ``TEXT_WINDOW // 2`` characters before the offset and as many from the
+    offset on, clipped at the text bounds.  Offsets are positions in the
+    code-point sequence, so the arithmetic is safe for any UTF-8 input.
+    Empty segments are dropped and the rest are joined with single spaces.
     """
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
+    half = TEXT_WINDOW // 2
     n = len(page_text)
     segments = [abstract]
     for offset in surface_offsets:
@@ -370,7 +368,5 @@ def build_resource_text(
             raise ValueError(
                 f"surface offset {offset} outside page text of length {n}"
             )
-        start = max(0, offset - window // 2)
-        end = min(n, offset + (window - window // 2))
-        segments.append(page_text[start:end])
+        segments.append(page_text[max(0, offset - half):offset + half])
     return " ".join(seg for seg in segments if seg)

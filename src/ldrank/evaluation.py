@@ -13,6 +13,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 from .rank import STRATEGIES, Pipeline, PipelineParams
 
@@ -65,14 +66,25 @@ class RelevanceJudgments:
         return [self.grades.get(rid, 0) for rid in resource_ids]
 
 
+def _cutoff(r) -> int:
+    """``r`` as an ``int`` of at least 1, or a ``ValueError`` naming it.
+
+    Python and numpy integers pass; a bool, float or str is not converted.
+    """
+    if isinstance(r, bool) or not isinstance(r, Integral):
+        raise ValueError(f"cutoff must be an integer, got {r!r}")
+    if r < 1:
+        raise ValueError(f"cutoff must be at least 1, got {r}")
+    return int(r)
+
+
 def dcg(grades, r: int) -> float:
     """Discounted cumulative gain of the first ``r`` positions.
 
     The grade at position 1 counts at full value; the grade at position
     i >= 2 is divided by log2(i).
     """
-    if r < 1:
-        raise ValueError(f"r must be at least 1, got {r}")
+    r = _cutoff(r)
     grades = list(grades)
     if not grades:
         raise ValueError("grades list must not be empty")
@@ -137,9 +149,7 @@ def compare_strategies(
         raise ValueError(
             f"{len(bundles)} bundles but {len(judgments)} judgment sets"
         )
-    cutoffs = tuple(int(r) for r in cutoffs)
-    if any(r < 1 for r in cutoffs):
-        raise ValueError("cutoffs must be positive")
+    cutoffs = tuple(map(_cutoff, cutoffs))
 
     if not bundles:
         return StrategyComparison(cutoffs, {}, {}, ())

@@ -13,11 +13,11 @@ types of the fields, ``JudgmentSet`` their values.  ``load_judgments``, a
 both run the two in turn, so they reject the same records with the same
 reasons.  ``JudgmentRecord`` has no rules.
 
-``krippendorff_alpha`` measures inter-rater reliability with a pluggable
-distance between grades; ``filter_workers`` drops workers who disagree too
-often with per-item majorities; ``majority_vote`` collapses the records to
-one grade per item.  All three work on the item-by-grade count matrix,
-built with one ``np.bincount``.
+``krippendorff_alpha`` measures inter-rater reliability with one fixed
+distance between grades, ``RELEVANCE_DISTANCE``; ``filter_workers`` drops
+workers who disagree too often with per-item majorities; ``majority_vote``
+collapses the records to one grade per item.  All three work on the
+item-by-grade count matrix, built with one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ __all__ = [
     "FILTER_THRESHOLD",
     "JudgmentRecord",
     "JudgmentSet",
-    "GradeDistance",
+    "RELEVANCE_DISTANCE",
     "krippendorff_alpha",
     "filter_workers",
     "majority_vote",
@@ -264,57 +264,20 @@ def _checked_columns(pairs, error):
     return *columns, None
 
 
-@dataclass(frozen=True, eq=False)
-class GradeDistance:
-    """Symmetric distance table over the four grades, zero on the diagonal."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
-        if t.shape != (4, 4):
-            raise ValueError(f"distance table must be 4x4, got {t.shape}")
-        if not np.isfinite(t).all():
-            raise ValueError("distances must be finite")
-        if not np.allclose(t, t.T):
-            raise ValueError("distance table must be symmetric")
-        if np.any(np.diag(t) != 0):
-            raise ValueError("distance table must be zero on the diagonal")
-        if t.min() < 0:
-            raise ValueError("distances must be non-negative")
-        t = t.copy()
-        t.setflags(write=False)
-        object.__setattr__(self, "table", t)
-
-    def __call__(self, a: int, b: int) -> float:
-        return float(self.table[a, b])
-
-    @classmethod
-    def relevance_scale(cls) -> "GradeDistance":
-        """Distance tuned to the 0..3 relevance scale.
-
-        Confusing irrelevant (0) with perfect (3) costs 1.0; adjacent
-        positive grades cost only 0.25.
-        """
-        t = np.zeros((4, 4))
-        t[0, 1] = t[1, 0] = 0.5
-        t[0, 2] = t[2, 0] = 0.75
-        t[0, 3] = t[3, 0] = 1.0
-        t[1, 2] = t[2, 1] = 0.25
-        t[1, 3] = t[3, 1] = 0.5
-        t[2, 3] = t[3, 2] = 0.25
-        return cls(table=t)
-
-    @classmethod
-    def nominal(cls) -> "GradeDistance":
-        """Plain disagreement: every distinct pair costs 1."""
-        return cls(table=np.ones((4, 4)) - np.eye(4))
+#: Distance between grades tuned to the 0..3 relevance scale, read-only:
+#: confusing irrelevant (0) with perfect (3) costs 1.0, adjacent positive
+#: grades only 0.25.  ``krippendorff_alpha`` weighs disagreements with it.
+RELEVANCE_DISTANCE = np.array([
+    [0.0, 0.5, 0.75, 1.0],
+    [0.5, 0.0, 0.25, 0.5],
+    [0.75, 0.25, 0.0, 0.25],
+    [1.0, 0.5, 0.25, 0.0],
+])
+RELEVANCE_DISTANCE.setflags(write=False)
 
 
-def krippendorff_alpha(
-    judgments: JudgmentSet, distance: GradeDistance | None = None
-) -> float:
-    """Inter-rater reliability with a custom grade distance.
+def krippendorff_alpha(judgments: JudgmentSet) -> float:
+    """Inter-rater reliability with the ``RELEVANCE_DISTANCE`` between grades.
 
     alpha = 1 - observed/expected disagreement, computed from the grade
     coincidences within items.  Items with fewer than two judgments carry
@@ -322,7 +285,6 @@ def krippendorff_alpha(
     set is unusable and this raises.  Perfect agreement gives exactly 1.0;
     zero expected disagreement (every pooled grade identical) does too.
     """
-    distance = distance or GradeDistance.relevance_scale()
     counts = judgments.grade_counts().astype(np.float64)
     m = counts.sum(axis=1)
     counts, m = counts[m >= 2], m[m >= 2]
@@ -339,8 +301,8 @@ def krippendorff_alpha(
 
     total = coincidence.sum()
     margins = coincidence.sum(axis=0)
-    observed = float((coincidence * distance.table).sum()) / total
-    expected = float((np.outer(margins, margins) * distance.table).sum()) / (
+    observed = float((coincidence * RELEVANCE_DISTANCE).sum()) / total
+    expected = float((np.outer(margins, margins) * RELEVANCE_DISTANCE).sum()) / (
         total * (total - 1.0)
     )
     if expected == 0.0:

@@ -1,14 +1,14 @@
 """Latent text analysis: stem-count matrix and its truncated SVD.
 
 Texts are tokenized (lowercase, split on non-alphanumeric runs), filtered
-against a stopword list plus a minimum length of 2, and stemmed; the stemmer
-is cached, so each distinct token is stemmed once.  The counts are built in
-one pass over token-id arrays, the (stem, resource) pairs sorted and counted
-into a resources-by-stems ``CscMatrix``: plain compressed-column index
-arrays, as ``graph.ResourceGraph`` holds the graph.  ``sparse_svd``
-computes its rank-k factors ``(u, s, vt)`` from those arrays with numpy
-alone; the rows of ``u * s`` are the resources' latent coordinates, whose
-lengths ``priors.svd_prior`` compares.
+against the packaged English stopword list plus a minimum length of 2, and
+stemmed; the stemmer is cached, so each distinct token is stemmed once.  The
+counts are built in one pass over token-id arrays, the (stem, resource)
+pairs sorted and counted into a resources-by-stems ``CscMatrix``: plain
+compressed-column index arrays, as ``graph.ResourceGraph`` holds the graph.
+``sparse_svd`` computes its rank-k factors ``(u, s, vt)`` from those arrays
+with numpy alone; the rows of ``u * s`` are the resources' latent
+coordinates, whose lengths ``priors.svd_prior`` compares.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "CscMatrix",
     "ResourceTextMatrix",
     "tokenize",
-    "load_default_stopwords",
     "build_text_matrix",
     "sparse_svd",
 ]
@@ -40,7 +39,7 @@ _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
 @functools.cache
-def load_default_stopwords() -> frozenset[str]:
+def _stopwords() -> frozenset[str]:
     """The packaged English stopword list (one lowercase word per line)."""
     text = (
         importlib_resources.files("ldrank")
@@ -50,14 +49,13 @@ def load_default_stopwords() -> frozenset[str]:
     return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
 
 
-def tokenize(text: str, stopwords: frozenset[str] | None = None) -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Lowercase, split, drop stopwords and short tokens, then stem.
 
     Stopwords and the length cutoff apply to the raw lowercased token,
     before stemming.
     """
-    if stopwords is None:
-        stopwords = load_default_stopwords()
+    stopwords = _stopwords()
     out = []
     for token in _TOKEN_RE.findall(text.lower()):
         if len(token) < MIN_TOKEN_LENGTH or token in stopwords:

@@ -346,7 +346,8 @@ class SerpContext:
 
     ``docs`` lists document identifiers in rank order (rank of ``docs[i]``
     is ``i + 1``).  ``occurrences`` maps a resource index to the set of
-    1-based ranks of the documents that mention it.
+    1-based ranks of the documents that mention it; indices and ranks are
+    Python or numpy integers, not bools.
     """
 
     docs: tuple[str, ...]
@@ -355,11 +356,17 @@ class SerpContext:
     def __post_init__(self):
         size = len(self.docs)
         for idx, ranks in self.occurrences.items():
+            if isinstance(idx, bool) or not isinstance(idx, Integral):
+                raise ValueError(f"resource index {idx!r} in occurrences must be an integer")
             if idx < 0:
                 raise ValueError(f"negative resource index {idx} in occurrences")
             if not ranks:
                 raise ValueError(f"resource index {idx} has an empty rank set")
             for r in ranks:
+                if isinstance(r, bool) or not isinstance(r, Integral):
+                    raise ValueError(
+                        f"rank {r!r} for resource index {idx} must be an integer"
+                    )
                 if not 1 <= r <= size:
                     raise ValueError(
                         f"rank {r} for resource index {idx} outside 1..{size}"

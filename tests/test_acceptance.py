@@ -16,7 +16,6 @@ import pytest
 import oracles
 from ldrank import (
     Distribution,
-    GradeDistance,
     JudgmentRecord,
     JudgmentSet,
     PipelineParams,
@@ -36,6 +35,7 @@ from ldrank import (
     tokenize,
 )
 from ldrank.cli import main
+from ldrank.judgments import RELEVANCE_DISTANCE
 
 
 def _random_graph(rng, n, edge_prob=0.3):
@@ -238,7 +238,6 @@ def test_criterion_07_agreement_matches_pair_enumeration():
     assert krippendorff_alpha(perfect) == 1.0
 
     rng = np.random.default_rng(707)
-    table = GradeDistance.relevance_scale().table
     for trial in range(100):
         records = []
         for k in range(int(rng.integers(3, 9))):
@@ -252,7 +251,7 @@ def test_criterion_07_agreement_matches_pair_enumeration():
         judgments = JudgmentSet.from_records(records)
         got = krippendorff_alpha(judgments)
         want = oracles.alpha_by_pair_enumeration(
-            oracles.records_to_item_grades(records), table
+            oracles.records_to_item_grades(records), RELEVANCE_DISTANCE
         )
         assert got == pytest.approx(want, abs=1e-10), f"trial {trial}"
 

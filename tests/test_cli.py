@@ -326,15 +326,23 @@ def test_rank_malformed_input_exits_one(basic_dir, tmp_path, capsys):
 
 # ``rank`` over the fixture with its graph, result page and query mutated:
 # lines that are blank or comments (with tabs), CRLF or lone CR line ends,
-# wrong field counts, an empty predicate, dangling ids, and an id too wide
-# for the graph reader's id table.  Each faulty line carries the error it
-# must raise: "format" for ``path:line: ...``, else the dangling reference.
+# wrong field counts, an empty predicate, a rank of 5,000 digits, bytes that
+# are not UTF-8, dangling ids, an id too wide for the graph reader's id
+# table, and files with no data line.  The texts file may hold a duplicate
+# id or undecodable bytes, or be empty, and a pipeline flag may lie at or
+# beyond the edge of its range.  Each faulty line carries the error it must
+# raise: "format" for ``path:line: ...``, "utf-8" for ``path:0: not valid
+# UTF-8``, else the dangling reference.
 
 _GONE = "Atlantis"
 #: Appended to an id, makes it more than four times as wide as the mean id.
 _WIDE = "_" * 120
 _NO_ENTRY = "has no entry in the texts table"
 _FILLERS = ["", "  ", "\t", "\t\t", "# c\tp\to", "  #\tx\t", "#\t\t"]
+#: Faults found while a file is read, before any id is resolved.
+_READ_FAULTS = ("format", "utf-8")
+#: An undecodable byte (0xff) in a ``str``, written with ``surrogateescape``.
+_BAD_BYTE = "\udcff"
 
 
 def _graph_faults(line):
@@ -344,6 +352,7 @@ def _graph_faults(line):
         (f"{line}\tx", "format"),
         (f"{s}\t\t{o}", "format"),
         (f"{_GONE}\t\t{o}", "format"),  # checked before it is resolved
+        (f"{s}\t{p}{_BAD_BYTE}\t{o}", "utf-8"),
         (f"{_GONE}\t{p}\t{o}", f"graph subject {_GONE!r} {_NO_ENTRY}"),
         (f"{s}\t{p}\t{_GONE}{_WIDE}", f"graph object {_GONE + _WIDE!r} {_NO_ENTRY}"),
     ]
@@ -354,80 +363,164 @@ def _serp_faults(line):
     return [
         (f"{rank}\t{doc}", "format"),
         (f"{line}\tx", "format"),
+        (f"{'1' * 5000}\t{doc}\t{mentions}", "format"),
+        (f"{rank}\t{_BAD_BYTE}{doc}\t{mentions}", "utf-8"),
         (f"{line},{_GONE}", f"result-page resource {_GONE!r} {_NO_ENTRY}"),
     ]
 
 
 def _query_faults(line):
-    return [(f"{line}\t{line}", "format"), (_GONE, f"query resource {_GONE!r} {_NO_ENTRY}")]
+    return [
+        (f"{line}\t{line}", "format"),
+        (line + _BAD_BYTE, "utf-8"),
+        (_GONE, f"query resource {_GONE!r} {_NO_ENTRY}"),
+    ]
+
+
+def _first_reference(name, line):
+    """The error for the first id of data ``line`` of file ``name`` when
+    the texts file holds no id at all, or None if the line names none."""
+    fields = line.split("\t")
+    if name == "graph":
+        return f"graph subject {fields[0]!r} {_NO_ENTRY}"
+    if name == "query":
+        return f"query resource {line.strip()!r} {_NO_ENTRY}"
+    mention = fields[2].split(",")[0]
+    return f"result-page resource {mention!r} {_NO_ENTRY}" if mention else None
 
 
 @st.composite
 def _mutated(draw, lines, faults):
     """``lines`` with filler lines inserted and, if drawn, one or two data
-    lines replaced by a fault: ``(text, numbered faults)``, where a fault's
-    line number counts ``\r\n``, ``\r`` and ``\n`` as one line break each."""
+    lines replaced by a fault, or every data line dropped: ``(text,
+    numbered)``, where ``numbered`` holds ``(line_no, line, fault)`` for each
+    data line left, ``fault`` None for a sound one, and a line number counts
+    ``\r\n``, ``\r`` and ``\n`` as one line break each."""
     items = []
     data = [k for k, line in enumerate(lines) if not line.startswith("#")]
-    # Half the files stay sound; the other half get format faults or
-    # dangling references, so every order of the checks is reached.
-    kind = draw(st.sampled_from([None, None, "format", "dangling"]))
-    faulty = draw(st.sampled_from([*([k] for k in data), data[:1] + data[-1:]])) if kind else []
+    # Half the files stay sound; the rest get format faults, dangling
+    # references or no data line, so every order of the checks is reached.
+    kind = draw(st.sampled_from([None, None, None, "format", "dangling", "empty"]))
+    faulty = (draw(st.sampled_from([*([k] for k in data), data[:1] + data[-1:]]))
+              if kind in ("format", "dangling") else [])
     for k, line in enumerate(lines):
-        items += [(filler, None) for filler in draw(st.lists(st.sampled_from(_FILLERS),
-                                                             max_size=2))]
-        if k in faulty:
+        items += [(filler, False, None) for filler in draw(st.lists(st.sampled_from(_FILLERS),
+                                                                    max_size=2))]
+        if k not in data:
+            items.append((line, False, None))
+        elif k in faulty:
             line, fault = draw(st.sampled_from([
                 (text, fault) for text, fault in faults(line)
-                if (fault == "format") == (kind == "format")
+                if (fault in _READ_FAULTS) == (kind == "format")
             ]))
-            items.append((line, fault))
-        else:
-            items.append((line, None))
+            items.append((line, True, fault))
+        elif kind != "empty":
+            items.append((line, True, None))
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
                          min_size=len(items), max_size=len(items)))
-    if draw(st.booleans()):
+    if ends and draw(st.booleans()):
         ends[-1] = ""
     text, numbered = "", []
-    for (line, fault), end in zip(items, ends):
-        if fault:
+    for (line, is_data, fault), end in zip(items, ends):
+        if is_data:
             line_no = text.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-            numbered.append((line_no, fault))
+            numbered.append((line_no, line, fault))
         text += line + end
     return text, numbered
 
 
-def _expected_error(paths, faults):
-    """The start of the one error line that ``rank`` must print, or None.
-    The files are read, then resolved, in this order: format faults of the
-    result page, then of the query, then the graph's faults in line order,
-    then the query's and the result page's dangling references."""
-    def error(name, line_no, fault):
-        return f"error: {paths[name]}:{line_no}: " if fault == "format" else f"error: {fault}"
+@st.composite
+def _mutated_texts(draw, lines):
+    """The texts file's ``lines``, sound or with one fault: ``(text, fault)``,
+    where ``fault`` is None, ``"empty"`` for a file with no object, or the
+    ``(line_no, reason)`` that reading it must raise."""
+    kind = draw(st.sampled_from([None, None, None, None, "duplicate", "utf-8", "empty"]))
+    fault = kind if kind == "empty" else None
+    lines = list(lines)
+    if kind == "empty":
+        lines = draw(st.lists(st.sampled_from(["", "  "]), max_size=2))
+    elif kind == "duplicate":
+        k = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(k + 1, len(lines)))
+        lines.insert(at, lines[k])
+        fault = (at + 1, f"duplicate resource id {json.loads(lines[k])['id']!r}")
+    elif kind == "utf-8":
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = _BAD_BYTE + lines[k]
+        fault = (0, "not valid UTF-8")
+    return "".join(f"{line}\n" for line in lines), fault
 
+
+#: Pipeline flags at or beyond the edges of their ranges: the first six are
+#: rejected before any file is read, the rest rank.  Three runs in four set
+#: no flag.
+_FLAGS = [
+    (["--alpha", "0"], "alpha must lie strictly inside (0, 1), got 0.0"),
+    (["--alpha", "1"], "alpha must lie strictly inside (0, 1), got 1.0"),
+    (["--ndim", "0"], "ndim must be at least 1 and an integer, got 0"),
+    (["--ndim", "-1"], "ndim must be at least 1 and an integer, got -1"),
+    (["--tol", "nan"], "tol must be positive and finite, got nan"),
+    (["--stress", "inf"], "stress must be positive and finite, got inf"),
+    (["--ndim", "1"], None),
+    (["--stress", "1e-300"], None),
+    (["--tol", "1e-300"], None),
+]
+
+
+def _expected_error(paths, files, texts_fault, flag_error):
+    """The start of the one error line that ``rank`` must print, or None.
+    The flags are checked, then the files read, then resolved, in this
+    order: the texts file, read faults of the result page, then of the
+    query, then the graph's faults in line order, then the query's and the
+    result page's dangling references.  Undecodable bytes end their file:
+    no line after them is read.  With no texts every id dangles, and with
+    no id anywhere either no resource is left to rank."""
+    def error(name, line_no, fault):
+        if fault == "format":
+            return f"error: {paths[name]}:{line_no}: "
+        if fault == "utf-8":
+            return f"error: {paths[name]}:0: not valid UTF-8"
+        return f"error: {fault}"
+
+    if flag_error:
+        return f"error: {flag_error}"
+    if texts_fault not in (None, "empty"):
+        line_no, reason = texts_fault
+        return f"error: {paths['texts']}:{line_no}: {reason}"
+    faults = {}
+    for name, numbered in files.items():
+        faults[name] = []
+        for line_no, line, fault in numbered:
+            if texts_fault == "empty" and fault not in _READ_FAULTS:
+                fault = _first_reference(name, line)
+            if fault:
+                faults[name].append((line_no, fault))
+            if fault == "utf-8":
+                break
     for name in ("serp", "query"):
         for line_no, fault in faults[name]:
-            if fault == "format":
+            if fault in _READ_FAULTS:
                 return error(name, line_no, fault)
     for name in ("graph", "query", "serp"):
         for line_no, fault in faults[name]:
             return error(name, line_no, fault)
-    return None
+    return "error: need at least one resource" if texts_fault == "empty" else None
 
 
 _MUTATED_FILES = {"graph": ("graph.tsv", _graph_faults), "serp": ("serp.tsv", _serp_faults),
                   "query": ("query.txt", _query_faults)}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
     wide=st.booleans(),
     name=st.sampled_from(["HIT", "LDRANK"]),
     bidirectional=st.booleans(),
+    flags=st.sampled_from([*[([], None)] * 3 * len(_FLAGS), *_FLAGS]),
 )
 def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
-    basic_dir, tmp_path_factory, data, wide, name, bidirectional
+    basic_dir, tmp_path_factory, data, wide, name, bidirectional, flags
 ):
     def lines(file):
         text = (basic_dir / file).read_text(encoding="utf-8")
@@ -435,20 +528,21 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
 
     out = tmp_path_factory.mktemp("mutated")
     texts = lines("texts.jsonl")
-    (out / "texts.jsonl").write_text("".join(f"{line}\n" for line in texts), encoding="utf-8")
-    paths, faults = {"texts": str(out / "texts.jsonl")}, {}
+    text, texts_fault = data.draw(_mutated_texts(texts), label="texts")
+    (out / "texts.jsonl").write_bytes(text.encode("utf-8", "surrogateescape"))
+    paths, files = {"texts": str(out / "texts.jsonl")}, {}
     for key, (file, mutations) in _MUTATED_FILES.items():
-        text, faults[key] = data.draw(_mutated(lines(file), mutations), label=key)
-        (out / file).write_bytes(text.encode("utf-8"))
+        text, files[key] = data.draw(_mutated(lines(file), mutations), label=key)
+        (out / file).write_bytes(text.encode("utf-8", "surrogateescape"))
         paths[key] = str(out / file)
 
     argv = ["rank", *(paths[key] for key in ("graph", "texts", "serp", "query"))]
-    argv += ["--strategy", name] + ["--bidirectional"] * bidirectional
+    argv += ["--strategy", name] + ["--bidirectional"] * bidirectional + flags[0]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     err = stderr.getvalue().splitlines()
-    want = _expected_error(paths, faults)
+    want = _expected_error(paths, files, texts_fault, flags[1])
     if want is None:
         assert code == 0, err
         rows = [line.split("\t") for line in stdout.getvalue().splitlines()]
@@ -458,7 +552,9 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
         # Fillers and line ends change nothing, nor does a wide id that
         # keeps the ids' order.
         suffix = "_bidirectional" if bidirectional else ""
-        assert stdout.getvalue() == "\n".join(lines(f"expected/rank_{name}{suffix}.tsv")) + "\n"
+        if not flags[0] and all(files.values()):
+            golden = "\n".join(lines(f"expected/rank_{name}{suffix}.tsv")) + "\n"
+            assert stdout.getvalue() == golden
     else:
         assert code == 1
         assert stdout.getvalue() == ""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ldrank.corpus as corpus_module
 from ldrank import CorpusBundle, InputFormatError, SerpContext, build_resource_text, load_bundle
-from ldrank.corpus import assemble_bundle
+from ldrank.corpus import TEXT_WINDOW, assemble_bundle
 
 
 def test_load_bundle_basic(basic_bundle):
@@ -498,8 +498,9 @@ def test_corpus_bundle_rejects_malformed_arrays(edges, texts, message):
 
 
 def test_build_resource_text_windows():
+    assert TEXT_WINDOW == 300
     page = "x" * 350 + "y" * 300 + "z" * 350
-    out = build_resource_text("ABSTRACT", page, [500], window=300)
+    out = build_resource_text("ABSTRACT", page, [500])
     # Window is [500-150, 500+150) over the page.
     assert out == "ABSTRACT " + page[350:650]
     assert len(out) == len("ABSTRACT") + 1 + 300
@@ -507,9 +508,9 @@ def test_build_resource_text_windows():
 
 def test_build_resource_text_clips_at_bounds():
     page = "abcdefghij" * 100  # 1000 chars
-    out = build_resource_text("A", page, [10], window=300)
+    out = build_resource_text("A", page, [10])
     assert out == "A " + page[0:160]
-    out_end = build_resource_text("A", page, [995], window=300)
+    out_end = build_resource_text("A", page, [995])
     assert out_end == "A " + page[845:1000]
 
 
@@ -518,18 +519,18 @@ def test_build_resource_text_abstract_only():
 
 
 def test_build_resource_text_empty_segments_dropped():
-    out = build_resource_text("", "hello world", [1], window=4)
+    out = build_resource_text("", "hello world", [1])
     # Empty abstract vanishes instead of leaving a stray leading space;
-    # the window is [1-2, 1+2) clipped to the page.
-    assert out == "hel"
+    # the window is [1-150, 1+150) clipped to the page.
+    assert out == "hello world"
 
 
 def test_build_resource_text_length_bound():
     page = "p" * 2000
     abstract = "a" * 57
     offsets = [0, 500, 1999, 1000]
-    out = build_resource_text(abstract, page, offsets, window=120)
-    assert len(out) <= len(abstract) + len(offsets) * (120 + 1)
+    out = build_resource_text(abstract, page, offsets)
+    assert len(out) <= len(abstract) + len(offsets) * (TEXT_WINDOW + 1)
 
 
 def test_build_resource_text_rejects_bad_offsets():
@@ -537,12 +538,10 @@ def test_build_resource_text_rejects_bad_offsets():
         build_resource_text("a", "page", [4])
     with pytest.raises(ValueError):
         build_resource_text("a", "page", [-1])
-    with pytest.raises(ValueError):
-        build_resource_text("a", "page", [0], window=0)
 
 
 def test_build_resource_text_offsets_are_code_points():
     # Multi-byte characters count as single positions.
-    page = "ééééé niño ñandú"
-    out = build_resource_text("A", page, [6], window=4)
-    assert out == "A " + page[4:8]
+    page = "é" * 200 + "ñ" * 200
+    out = build_resource_text("A", page, [200])
+    assert out == "A " + "é" * 150 + "ñ" * 150

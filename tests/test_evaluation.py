@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -154,3 +155,23 @@ def test_compare_strategies_validates_alignment(basic_bundle):
         compare_strategies([basic_bundle], [], [1])
     with pytest.raises(ValueError):
         compare_strategies([], [], [0])
+
+
+@pytest.mark.parametrize("cutoff", [2.7, 2.0, np.float64(3.0), "3", True, np.bool_(True)])
+def test_cutoffs_that_are_not_integers_are_rejected(basic_bundle, cutoff):
+    # Neither rounded nor parsed: each call names the cutoff it rejects.
+    message = f"^cutoff must be an integer, got {re.escape(repr(cutoff))}$"
+    judged = RelevanceJudgments(grades={"Berlin": 3})
+    with pytest.raises(ValueError, match=message):
+        compare_strategies([basic_bundle], [judged], [1, cutoff])
+    with pytest.raises(ValueError, match=message):
+        dcg([3, 2], cutoff)
+    with pytest.raises(ValueError, match=message):
+        ndcg([3, 2], cutoff)
+
+
+def test_numpy_integer_cutoffs_pass(basic_bundle):
+    judged = RelevanceJudgments(grades=dict.fromkeys(basic_bundle.resource_ids, 1))
+    table = compare_strategies([basic_bundle], [judged], [np.int32(1), np.int64(3)])
+    assert table.cutoffs == (1, 3) and all(type(r) is int for r in table.cutoffs)
+    assert dcg([3, 2], np.int64(2)) == dcg([3, 2], 2)

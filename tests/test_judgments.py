@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import ldrank.types as types_module
 from ldrank import (
-    GradeDistance,
     InputFormatError,
     JudgmentRecord,
     JudgmentSet,
@@ -21,6 +20,7 @@ from ldrank import (
     load_qrels,
     majority_vote,
 )
+from ldrank.judgments import RELEVANCE_DISTANCE
 from ldrank.types import read_lines
 
 import oracles
@@ -37,41 +37,18 @@ def _js(rows):
 
 
 def test_relevance_scale_distance_values():
-    d = GradeDistance.relevance_scale()
-    assert d(0, 1) == 0.5
-    assert d(0, 2) == 0.75
-    assert d(0, 3) == 1.0
-    assert d(1, 2) == 0.25
-    assert d(1, 3) == 0.5
-    assert d(2, 3) == 0.25
-    for g in range(4):
-        assert d(g, g) == 0.0
-    # Symmetry.
-    for a in range(4):
-        for b in range(4):
-            assert d(a, b) == d(b, a)
-
-
-def test_distance_validation():
-    with pytest.raises(ValueError):
-        GradeDistance(table=np.ones((4, 4)))  # non-zero diagonal
-    with pytest.raises(ValueError):
-        GradeDistance(table=np.zeros((3, 3)))
-    bad = np.zeros((4, 4))
-    bad[0, 1] = 0.3
-    with pytest.raises(ValueError):
-        GradeDistance(table=bad)  # asymmetric
-
-
-@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-def test_distance_table_must_be_finite(value):
-    table = GradeDistance.nominal().table.copy()
-    table[0, 3] = table[3, 0] = value
-    with pytest.raises(ValueError, match="^distances must be finite$"):
-        GradeDistance(table=table)
-    table[3, 0] = 1.0  # asymmetric as well: finiteness is checked first
-    with pytest.raises(ValueError, match="^distances must be finite$"):
-        GradeDistance(table=table)
+    d = RELEVANCE_DISTANCE
+    assert d[0, 1] == 0.5
+    assert d[0, 2] == 0.75
+    assert d[0, 3] == 1.0
+    assert d[1, 2] == 0.25
+    assert d[1, 3] == 0.5
+    assert d[2, 3] == 0.25
+    assert d.shape == (4, 4)
+    assert (np.diag(d) == 0.0).all()
+    assert (d == d.T).all()
+    with pytest.raises(ValueError, match="read-only"):
+        d[0, 1] = 0.0
 
 
 # ----------------------------------------------------------------- alpha
@@ -112,7 +89,6 @@ def test_alpha_no_pairable_items_raises():
 
 def test_alpha_matches_pair_enumeration_oracle():
     rng = np.random.default_rng(71)
-    table = GradeDistance.relevance_scale().table
     for trial in range(100):
         n_items = int(rng.integers(2, 7))
         n_workers = int(rng.integers(2, 6))
@@ -128,15 +104,17 @@ def test_alpha_matches_pair_enumeration_oracle():
         if not any(len(v) >= 2 for v in by_item.values()):
             continue
         got = krippendorff_alpha(_js(js_rows))
-        want = oracles.alpha_by_pair_enumeration(by_item, table)
+        want = oracles.alpha_by_pair_enumeration(by_item, RELEVANCE_DISTANCE)
         assert got == pytest.approx(want, abs=1e-10), trial
 
 
-def test_alpha_with_nominal_distance():
-    # Mix 0/1 and 2/3 confusions: nominal penalizes both equally, the
-    # graded table penalizes the 0/1 split twice as hard as the 2/3 one,
-    # so the coefficients must differ.  (A set with only two distinct
-    # grades would not discriminate: a single distance value cancels.)
+def test_alpha_closed_form_with_relevance_distance():
+    # Coincidences: o[0,0] = 2 and one each of (0,1), (1,0), (2,3), (3,2),
+    # so n = 6 with margins (3, 1, 1, 1).  Observed disagreement is
+    # (2 * 0.5 + 2 * 0.25) / 6 = 1/4; expected is
+    # 2 * (3 * (0.5 + 0.75 + 1.0) + 0.25 + 0.5 + 0.25) / (6 * 5) = 31/60,
+    # so alpha = 1 - (1/4) / (31/60) = 16/31.  The 0/1 split costs twice
+    # the 2/3 one, so the grades are weighed.
     js = _js(
         [
             ("i1", "w1", 0), ("i1", "w2", 1),
@@ -144,10 +122,7 @@ def test_alpha_with_nominal_distance():
             ("i3", "w1", 0), ("i3", "w2", 0),
         ]
     )
-    a_nominal = krippendorff_alpha(js, GradeDistance.nominal())
-    a_graded = krippendorff_alpha(js, GradeDistance.relevance_scale())
-    assert a_nominal != a_graded
-    assert a_nominal == pytest.approx(1.0 - (2.0 / 3.0) / 0.8, abs=1e-12)
+    assert krippendorff_alpha(js) == pytest.approx(16 / 31, abs=1e-12)
 
 
 def test_judgment_set_rejects_duplicates():
@@ -527,9 +502,8 @@ def test_alpha_matches_item_loop_oracle(records, threshold):
     if threshold is not None:
         judgments = filter_workers(judgments, threshold)
         records = oracles.kept_records_by_counter(records, threshold)
-    table = GradeDistance.relevance_scale().table
     try:
-        want = oracles.alpha_by_item_loop(records, table)
+        want = oracles.alpha_by_item_loop(records, RELEVANCE_DISTANCE)
     except ValueError:
         with pytest.raises(ValueError):
             krippendorff_alpha(judgments)

@@ -8,11 +8,11 @@ from ldrank import (
     CscMatrix,
     Pipeline,
     build_text_matrix,
-    load_default_stopwords,
     sparse_svd,
     tokenize,
 )
 from ldrank.corpus import assemble_bundle
+from ldrank.lsa import _stopwords
 
 import oracles
 
@@ -34,11 +34,9 @@ def test_tokenize_drops_stopwords_and_short_tokens():
 
 
 def test_stopword_test_happens_before_stemming():
-    # "having" stems to "have"; "this" is a stopword as written. A token
-    # whose *stem* would be a stopword still passes if the surface form
-    # is not in the list.
-    stops = frozenset({"have"})
-    assert tokenize("having", stops) == ["have"]
+    # "have" is on the packaged list and "haves" is not: a token whose
+    # *stem* is a stopword still passes if the surface form is not listed.
+    assert tokenize("haves have") == ["have"]
 
 
 def test_tokenize_splits_on_underscore_and_punctuation():
@@ -46,9 +44,9 @@ def test_tokenize_splits_on_underscore_and_punctuation():
 
 
 def test_default_stopwords_loaded_once():
-    stops = load_default_stopwords()
+    stops = _stopwords()
     assert "the" in stops and "and" in stops
-    assert stops is load_default_stopwords()
+    assert stops is _stopwords()
 
 
 # --------------------------------------------------------- count matrix

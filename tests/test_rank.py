@@ -19,6 +19,7 @@ from ldrank import (
     strategy,
 )
 from ldrank.corpus import assemble_bundle
+from ldrank.types import SUM_TOL
 
 import oracles
 
@@ -396,14 +397,26 @@ def test_bidirectional_leaves_symmetric_graph_unchanged(parts):
     plain, mirrored = build_graph(bundle), build_graph(bundle, bidirectional=True)
     assert np.array_equal(plain.indptr, mirrored.indptr)
     assert np.array_equal(plain.indices, mirrored.indices)
-    # Both walks take one LDRANK teleport: two runs of the SVD prior in one
-    # process can differ by rounding noise when ARPACK exhausts the Krylov
-    # space of a rank-deficient text matrix and restarts from its own
-    # random state.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         teleport = Pipeline(bundle).prior("LDRANK")
         a = power_rank(plain, teleport, PipelineParams())
-        b = power_rank(mirrored, teleport, PipelineParams(bidirectional=True))
+        b = Pipeline(bundle, PipelineParams(bidirectional=True)).rank("LDRANK")
     assert np.array_equal(a.scores.values, b.scores.values)
     assert np.array_equal(a.order, b.order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bundle_parts())
+def test_priors_and_scores_are_distributions_and_repeatable(parts):
+    bundle = _assemble(*parts, lambda i: f"r{i}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        first, second = Pipeline(bundle), Pipeline(bundle)
+        for name in STRATEGIES:
+            scores = first.rank(name).scores.values
+            for values in (first.prior(name).values, scores):
+                assert values.shape == (len(bundle.resource_ids),)
+                assert (values >= 0.0).all()
+                assert abs(values.sum() - 1.0) <= SUM_TOL
+            assert second.rank(name).scores.values.tobytes() == scores.tobytes()

@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ldrank import CorpusBundle, Distribution, PipelineParams, SerpContext
+from ldrank import CorpusBundle, Distribution, PipelineParams, SerpContext, hit_prior
 
 
 def test_distribution_accepts_valid_vector():
@@ -52,6 +53,28 @@ def test_serp_context_validates_ranks():
         SerpContext(docs=("d1",), occurrences={-1: frozenset({1})})
     with pytest.raises(ValueError):
         SerpContext(docs=("d1",), occurrences={0: frozenset()})
+
+
+@pytest.mark.parametrize(
+    "occurrences, message",
+    [
+        ({1.5: frozenset({1})}, "resource index 1.5 in occurrences must be an integer"),
+        ({1.0: frozenset({1})}, "resource index 1.0 in occurrences must be an integer"),
+        ({True: frozenset({1})}, "resource index True in occurrences must be an integer"),
+        ({0: frozenset({1.0})}, "rank 1.0 for resource index 0 must be an integer"),
+        ({0: frozenset({True})}, "rank True for resource index 0 must be an integer"),
+        ({0: frozenset({np.float64(1)})}, "for resource index 0 must be an integer"),
+    ],
+    ids=["index-1.5", "index-1.0", "index-True", "rank-1.0", "rank-True", "rank-float64"],
+)
+def test_serp_context_rejects_indices_and_ranks_that_are_not_integers(occurrences, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SerpContext(docs=("d",), occurrences=occurrences)
+
+
+def test_serp_context_takes_numpy_integers():
+    serp = SerpContext(docs=("d",), occurrences={np.int64(0): frozenset({np.int32(1)})})
+    assert hit_prior(serp, 1).values.tolist() == [1.0]
 
 
 def test_corpus_bundle_requires_sorted_unique_ids():
