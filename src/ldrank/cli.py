@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import load_bundle
-from .evaluation import compare_strategies
+from .evaluation import _cutoff, compare_strategies
 from .judgments import (
     FILTER_THRESHOLD,
     filter_workers,
@@ -164,10 +164,9 @@ def _cmd_eval(args) -> int:
         cutoffs = [parse_int(tok, "--cutoffs", 0, "cutoff") for tok in tokens]
     except ValueError:
         raise ValueError(f"invalid cutoff list {args.cutoffs!r}") from None
+    cutoffs = list(map(_cutoff, cutoffs))
     if not cutoffs:
         raise ValueError("at least one cutoff required")
-    if any(r < 1 for r in cutoffs):
-        raise ValueError("cutoffs must be positive")
     repeated = [r for k, r in enumerate(cutoffs) if r in cutoffs[:k]]
     if repeated:
         raise ValueError(f"cutoff {repeated[0]} is given more than once")

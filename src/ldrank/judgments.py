@@ -7,11 +7,12 @@ the records as columns: the distinct item and worker ids in order of first
 use, one item code, worker code, grade and trust per record in file order,
 with NaN for a missing trust.
 
-Each rule on the records has one home: ``_checked_columns`` checks the
-types of the fields, ``JudgmentSet`` their values.  ``load_judgments``, a
+Each record is checked once, as it is read: ``_Columns.extend`` checks
+its field types, then its grade and trust ranges, and ``_Columns.build``
+that no item-worker pair repeats.  ``load_judgments``, a
 ``types.read_objects`` chunk at a time, and ``JudgmentSet.from_records``
-both run the two in turn, so they reject the same records with the same
-reasons.  ``JudgmentRecord`` has no rules.
+both build through ``_Columns``, so they reject the same records with the
+same reasons.  ``JudgmentRecord`` has no rules.
 
 ``krippendorff_alpha`` measures inter-rater reliability with one fixed
 distance between grades, ``RELEVANCE_DISTANCE``; ``filter_workers`` drops
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .evaluation import VALID_GRADES, RelevanceJudgments
-from .types import InputFormatError, integer_array, parse_int, read_objects, read_rows
+from .types import InputFormatError, parse_int, read_objects, read_rows
 
 __all__ = [
     "FILTER_THRESHOLD",
@@ -61,15 +62,15 @@ class JudgmentRecord:
     trust: float | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JudgmentSet:
     """All records of one collection task; one record per item-worker pair.
 
     ``item_codes[r]`` and ``worker_codes[r]`` index ``item_ids`` and
     ``worker_ids``, which hold distinct non-empty strings; every id is used
-    by some record.  ``trust`` is NaN where a record has none.  The value
-    rules live here: construction checks the columns, each record with
-    ``_bad_record``, then that no item-worker pair repeats.
+    by some record.  ``trust`` is NaN where a record has none.  A set comes
+    from ``from_records`` or ``load_judgments``, which check each record as
+    they read it, or from ``subset``; the columns are read-only.
     """
 
     item_ids: tuple[str, ...]
@@ -79,59 +80,15 @@ class JudgmentSet:
     grades: np.ndarray
     trust: np.ndarray
 
-    def __post_init__(self):
-        columns = {
-            name: integer_array(getattr(self, name), name).astype(np.intp)
-            for name in ("item_codes", "worker_codes", "grades")
-        }
-        trust = np.asarray(self.trust)
-        if trust.size and trust.dtype.kind not in "iuf":
-            raise ValueError(f"trust must hold numbers, got {trust.dtype} values")
-        columns["trust"] = trust = trust.astype(np.float64)
-        n = columns["grades"].size
-        if any(col.shape != (n,) for col in columns.values()):
-            raise ValueError("record columns must be vectors of one length")
-        for what, ids, codes in (
-            ("item", self.item_ids, columns["item_codes"]),
-            ("worker", self.worker_ids, columns["worker_codes"]),
-        ):
-            for rid in ids:
-                if type(rid) is not str or not rid:
-                    raise ValueError(f"{what} id {rid!r} must be a non-empty string")
-            if len(set(ids)) != len(ids):
-                raise ValueError(f"{what} ids must be distinct")
-            if n and (codes.min() < 0 or codes.max() >= len(ids)):
-                raise ValueError(f"{what} codes must index the {what} ids")
-            if np.count_nonzero(np.bincount(codes, minlength=len(ids))) != len(ids):
-                raise ValueError(f"every {what} id must have a record")
-        bad = self._bad_record(columns["grades"], trust, ~np.isnan(trust))
-        if bad is not None:
-            raise ValueError(bad[1])
-
-        items, workers = columns["item_codes"], columns["worker_codes"]
-        _, first = np.unique(items * len(self.worker_ids) + workers, return_index=True)
-        if first.size < n:
-            r = np.setdiff1d(np.arange(n), first)[0]
-            raise ValueError(
-                f"duplicate judgment for item {self.item_ids[items[r]]!r} "
-                f"by worker {self.worker_ids[workers[r]]!r}"
-            )
-        for name, col in columns.items():
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
-
-    @staticmethod
-    def _bad_record(grades: np.ndarray, trust: np.ndarray, given: np.ndarray):
-        """The first record whose grade lies outside 0..3, or whose trust is
-        ``given`` and lies outside [0, 1], with the reason; else ``None``."""
-        bad_grade = (grades < VALID_GRADES[0]) | (grades > VALID_GRADES[-1])
-        bad = np.flatnonzero(bad_grade | (given & ~((trust >= 0.0) & (trust <= 1.0))))
-        if not bad.size:
-            return None
-        r = int(bad[0])
-        if bad_grade[r]:
-            return r, f"grade must be one of {VALID_GRADES}, got {int(grades[r])!r}"
-        return r, f"trust must lie in [0, 1], got {float(trust[r])}"
+    @classmethod
+    def _of(cls, *values) -> "JudgmentSet":
+        """The set of the checked ``values``, one per field in order."""
+        judgments = object.__new__(cls)
+        for field, value in zip(fields(cls), values):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(judgments, field.name, value)
+        return judgments
 
     @classmethod
     def from_records(cls, records: Iterable[JudgmentRecord]) -> "JudgmentSet":
@@ -164,7 +121,7 @@ class JudgmentSet:
         """The records where ``keep`` is true, ids recoded by first use."""
         item_ids, item_codes = _recode(self.item_ids, self.item_codes[keep])
         worker_ids, worker_codes = _recode(self.worker_ids, self.worker_codes[keep])
-        return JudgmentSet(
+        return JudgmentSet._of(
             item_ids, worker_ids, item_codes, worker_codes,
             self.grades[keep], self.trust[keep],
         )
@@ -196,47 +153,20 @@ class _Columns:
         self.parts: list[tuple[np.ndarray, ...]] = [(empty, empty, empty, np.zeros(0))]
 
     def extend(self, pairs, error) -> None:
-        """Append the records of ``(key, fields)`` pairs, or raise
+        """Append the records of ``(key, record)`` pairs, or raise
         ``error(key, reason)`` for the first bad record.
 
-        Values are checked on the records before the first type error, or
-        before a ``ValueError`` the pairs raise as they are read, so the
-        earliest bad record wins and, within a record, its type error.
+        A record's types are checked first: non-empty ``str`` item and
+        worker, ``int`` grade, and a ``trust`` absent or an ``int`` or
+        ``float`` that converts to a float; a bool is neither.  Then its
+        ranges: grade in 0..3, a given trust in [0, 1].
         """
-        keys, items, workers, grades, trusts, failure = _checked_columns(pairs, error)
-        try:
-            grades = np.array(grades, dtype=np.intp)
-        except OverflowError:  # a grade beyond int64, which _bad_record names
-            grades = np.array(grades, dtype=object)
-        trust = np.array(trusts, dtype=np.float64)  # None becomes NaN
-        given = np.array([t is not None for t in trusts], dtype=bool)
-        bad = JudgmentSet._bad_record(grades, trust, given)
-        if bad is not None:
-            raise error(keys[bad[0]], bad[1])
-        if failure is not None:
-            raise failure
-        items, workers = _codes(self.item_index, items), _codes(self.worker_index, workers)
-        self.parts.append((items, workers, grades, trust))
-
-    def build(self) -> JudgmentSet:
-        columns = map(np.concatenate, zip(*self.parts))
-        return JudgmentSet(tuple(self.item_index), tuple(self.worker_index), *columns)
-
-
-def _checked_columns(pairs, error):
-    """Keys, items, workers, grades and trusts of the ``(key, fields)``
-    pairs before the first with a field of the wrong type, then
-    ``error(key, reason)`` for that pair, or ``None``.  The types: non-empty
-    ``str`` item and worker, ``int`` grade, and a ``trust`` absent or an
-    ``int`` or ``float`` that converts to a float; a bool is neither.
-    """
-    columns = keys, items, workers, grades, trusts = [], [], [], [], []
-    try:
-        for key, fields in pairs:
-            item = fields.get("item")
-            worker = fields.get("worker")
-            grade = fields.get("grade")
-            trust = fields.get("trust")
+        items, workers, grades, trusts = [], [], [], []
+        for key, record in pairs:
+            item = record.get("item")
+            worker = record.get("worker")
+            grade = record.get("grade")
+            trust = record.get("trust")
             reason = None
             if type(item) is not str or not item:
                 reason = 'missing or invalid "item"'
@@ -252,16 +182,37 @@ def _checked_columns(pairs, error):
                         trust = float(trust)
                     except OverflowError:
                         reason = "trust must lie in [0, 1]"
+            if reason is None:
+                if grade not in VALID_GRADES:
+                    reason = f"grade must be one of {VALID_GRADES}, got {grade!r}"
+                elif trust is not None and not 0.0 <= trust <= 1.0:
+                    reason = f"trust must lie in [0, 1], got {trust}"
             if reason:
-                return *columns, error(key, reason)
-            keys.append(key)
+                raise error(key, reason)
             items.append(item)
             workers.append(worker)
             grades.append(grade)
             trusts.append(trust)
-    except ValueError as exc:  # a line that is not one JSON object
-        return *columns, exc
-    return *columns, None
+        self.parts.append((
+            _codes(self.item_index, items),
+            _codes(self.worker_index, workers),
+            np.array(grades, dtype=np.intp),
+            np.array(trusts, dtype=np.float64),  # None becomes NaN
+        ))
+
+    def build(self) -> JudgmentSet:
+        """The set of the records appended, or a ``ValueError`` naming the
+        first repeated item-worker pair."""
+        item_ids, worker_ids = tuple(self.item_index), tuple(self.worker_index)
+        items, workers, grades, trust = map(np.concatenate, zip(*self.parts))
+        _, first = np.unique(items * len(worker_ids) + workers, return_index=True)
+        if first.size < items.size:
+            r = np.setdiff1d(np.arange(items.size), first)[0]
+            raise ValueError(
+                f"duplicate judgment for item {item_ids[items[r]]!r} "
+                f"by worker {worker_ids[workers[r]]!r}"
+            )
+        return JudgmentSet._of(item_ids, worker_ids, items, workers, grades, trust)
 
 
 #: Distance between grades tuned to the 0..3 relevance scale, read-only:

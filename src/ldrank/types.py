@@ -147,13 +147,16 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def parse_int(text: str, path, line_no: int, what: str) -> int:
-    """``text`` as an integer: ASCII digits after an optional ``-``, nothing else."""
+    """``text`` as an integer: ASCII digits after an optional ``-``, nothing
+    else.  The error echoes a text of more than 40 characters by its first
+    40 and its length."""
     if _INTEGER.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than ``int`` converts
             pass
-    raise InputFormatError(path, line_no, f"{what} {text!r} is not an integer")
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+    raise InputFormatError(path, line_no, f"{what} {shown} is not an integer")
 
 
 _JSON_SPACE = " \t\n\r"

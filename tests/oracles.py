@@ -401,6 +401,14 @@ def _records_by_line(path, numbered_lines):
         yield JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
 
 
+def _shown(text):
+    """``text`` as an error echoes it: in full up to 40 characters, else its
+    first 40 and its length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _resource_id_by_split(token, path, line_no, what):
     if not token:
         raise InputFormatError(path, line_no, f"empty {what}")
@@ -472,7 +480,7 @@ def serp_by_line(path):
         try:
             rank = int(rank_text)
         except ValueError:
-            raise InputFormatError(path, line_no, f"rank {rank_text!r} is not an integer")
+            raise InputFormatError(path, line_no, f"rank {_shown(rank_text)} is not an integer")
         if rank < 1:
             raise InputFormatError(path, line_no, f"rank must be positive, got {rank}")
         if rank in rows:
@@ -519,7 +527,7 @@ def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
         try:
             grade = int(grade_text)
         except ValueError:
-            raise InputFormatError(path, line_no, f"grade {grade_text!r} is not an integer")
+            raise InputFormatError(path, line_no, f"grade {_shown(grade_text)} is not an integer")
         if grade not in valid_grades:
             raise InputFormatError(
                 path, line_no, f"grade must be one of {valid_grades}, got {grade}"

@@ -781,9 +781,12 @@ def test_eval_requires_cutoffs(basic_dir, capsys):
     assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", ""]) == 1
     err = capsys.readouterr().err
     assert "at least one cutoff" in err
-    assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "0"]) == 1
     assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "x"]) == 1
     capsys.readouterr()
+    # A cutoff below 1 is reported before any file is read.
+    for cutoffs in ("0", "3,0"):
+        assert main(["eval", str(basic_dir / "missing.tsv"), "--cutoffs", cutoffs]) == 1
+        assert capsys.readouterr() == ("", "error: cutoff must be at least 1, got 0\n")
 
 
 # int() also reads "1_0" as 10 and "\u0663" as 3; a cutoff is ASCII digits,
@@ -839,6 +842,124 @@ def test_empty_manifest_path_names_its_line(tmp_path, basic_dir, capsys):
     man.write_text("\n".join(text) + "\n", encoding="utf-8")
     assert main(["eval", str(man), "--cutoffs", "1"]) == 1
     assert capsys.readouterr().err == f"error: {man}:3: empty path\n"
+
+
+# ``eval`` over a manifest of one to three entries for the fixture bundle,
+# with the manifest, the qrels file and the cutoffs mutated.  Each fault
+# carries the error line it must end in.
+
+#: Cutoff lists and the error each must raise; the sound ones are drawn
+#: most often, so that the files are read.
+_CUTOFF_LISTS = [
+    ("1,3,5", None), ("3", None), (" 5 ,1,,2 ", None),
+    ("0", "cutoff must be at least 1, got 0"),
+    ("3,0", "cutoff must be at least 1, got 0"),
+    ("3,3", "cutoff 3 is given more than once"),
+    ("", "at least one cutoff required"),
+    ("1_0", "invalid cutoff list '1_0'"),
+]
+_QRELS_GRADES = [
+    ("9", "grade must be one of (0, 1, 2, 3), got 9"),
+    ("x", "grade 'x' is not an integer"),
+    ("\u0663", "grade '\u0663' is not an integer"),
+    ("1" * 5000, f"grade {'1' * 40!r}... (5000 characters) is not an integer"),
+]
+_MANIFEST_FILLERS = ["", "  ", "# bundles", "  # note", "\t# x\ty"]
+_BUNDLE_NAMES = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
+
+
+@st.composite
+def _eval_inputs(draw, fixture, out):
+    """Write a mutated qrels file and manifest to ``out``; return the
+    manifest's path and the error line ``eval`` must end in once its
+    cutoffs are read, or None."""
+    qrels = out / "qrels.tsv"
+    grades = (fixture / "qrels.tsv").read_text(encoding="utf-8").splitlines()
+    qrels_fault = None
+    kind = draw(st.sampled_from([None, "grade", "duplicate"]))
+    if kind == "grade":
+        k = draw(st.integers(0, len(grades) - 1))
+        grade, reason = draw(st.sampled_from(_QRELS_GRADES))
+        grades[k] = grades[k].split("\t")[0] + "\t" + grade
+        qrels_fault = f"error: {qrels}:{k + 1}: {reason}"
+    elif kind == "duplicate":
+        k = draw(st.integers(0, len(grades) - 1))
+        at = draw(st.integers(k + 1, len(grades)))
+        item = grades[k].split("\t")[0]
+        grades.insert(at, f"{item}\t{draw(st.integers(0, 3))}")
+        qrels_fault = f"error: {qrels}:{at + 1}: duplicate item {item!r}"
+    qrels.write_text("".join(line + "\n" for line in grades), encoding="utf-8")
+
+    # Per entry its five paths, and the error loading it must raise.  The
+    # first entry names the mutated qrels file.
+    entries = []
+    for k in range(draw(st.integers(1, 3))):
+        mutated = k == 0 or draw(st.booleans())
+        paths = [str(fixture / name) for name in _BUNDLE_NAMES]
+        paths.append(str(qrels if mutated else fixture / "qrels.tsv"))
+        entries.append((paths, qrels_fault if mutated else None))
+    fault = draw(st.sampled_from([None, None, "count", "empty", "missing"]))
+    j = draw(st.integers(0, len(entries) - 1))
+    paths, _ = entries[j]
+    k = draw(st.integers(0, 4))
+    if fault == "count":
+        paths[k:k + 1] = draw(st.sampled_from([[], [paths[k], paths[k]]]))
+    elif fault == "empty":
+        paths[k] = ""
+    elif fault == "missing":
+        paths[k] = str(out / "missing.tsv")
+        entries[j] = (paths, f"error: [Errno 2] No such file or directory: {paths[k]!r}")
+
+    lines, data = [], []
+    for paths, _ in entries:
+        lines += draw(st.lists(st.sampled_from(_MANIFEST_FILLERS), max_size=2))
+        data.append(len(lines))
+        lines.append("\t".join(paths))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    text, numbers = "", []
+    for line, end in zip(lines, ends):  # "\r" then "\n" is one line break
+        numbers.append(text.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1)
+        text += line + end
+    manifest = out / "manifest.tsv"
+    manifest.write_text(text, encoding="utf-8", newline="")
+
+    # The whole manifest is read before any bundle; then bundle by bundle.
+    if fault in ("count", "empty"):
+        paths = entries[j][0]
+        reason = ("empty path" if len(paths) == 5
+                  else f"expected 5 tab-separated paths, got {len(paths)}")
+        return manifest, f"error: {manifest}:{numbers[data[j]]}: {reason}"
+    return manifest, next((error for _, error in entries if error), None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       cutoffs=st.sampled_from([*[c for c in _CUTOFF_LISTS if not c[1]] * 5, *_CUTOFF_LISTS]))
+def test_eval_on_mutated_inputs_reports_the_first_fault(
+    basic_dir, tmp_path_factory, data, cutoffs
+):
+    manifest, want = data.draw(_eval_inputs(basic_dir, tmp_path_factory.mktemp("eval")))
+    if cutoffs[1]:
+        want = f"error: {cutoffs[1]}"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["eval", str(manifest), "--cutoffs", cutoffs[0]])
+    out, err = stdout.getvalue(), stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if want is not None:
+        assert code == 1 and out == ""
+        assert [line for line in err if line.startswith("error:")] == err[-1:] == [want]
+        return
+    assert code == 0, err
+    rows = [line.split("\t") for line in out.splitlines()]
+    ranks = [int(tok) for tok in cutoffs[0].split(",") if tok.strip()]
+    assert rows[0] == ["strategy", *(f"ndcg@{r}" for r in ranks)]
+    assert [row[0] for row in rows[1:]] == list(STRATEGIES)
+    assert all(len(row) == len(rows[0]) for row in rows)
+    assert all(0.0 <= float(cell) <= 1.0 for row in rows[1:] for cell in row[1:])
 
 
 def test_eval_warns_once_per_bundle_about_unjudged_resources(tmp_path, basic_dir, capsys):

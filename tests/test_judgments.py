@@ -130,23 +130,6 @@ def test_judgment_set_rejects_duplicates():
         _js([("i1", "w1", 2), ("i1", "w1", 3)])
 
 
-@pytest.mark.parametrize(
-    "item_codes, worker_codes, grades, field",
-    [
-        ([0], [0], [2.7], "grades"),
-        ([0], [0], ["3"], "grades"),
-        ([0], [0], [True], "grades"),
-        ([0], [0.9], [2], "worker_codes"),
-        ([0.0], [0], [2], "item_codes"),
-    ],
-)
-def test_judgment_set_rejects_non_integer_columns(item_codes, worker_codes, grades, field):
-    with pytest.raises(ValueError, match=f"^{field} must hold integers"):
-        JudgmentSet(("i",), ("w",), item_codes, worker_codes, grades, [np.nan])
-    empty = JudgmentSet((), (), [], [], [], [])
-    assert empty.grades.dtype == np.intp and empty.grades.size == 0
-
-
 def _one_record(**fields):
     return JudgmentSet.from_records([JudgmentRecord(**{"item": "i", "worker": "w", **fields})])
 
@@ -156,6 +139,13 @@ def test_judgment_record_validation():
         _one_record(grade=7)
     with pytest.raises(ValueError, match=r"^trust must lie in \[0, 1\], got 1.5$"):
         _one_record(grade=1, trust=1.5)
+    # A record's types are checked before its ranges; the first bad record wins.
+    with pytest.raises(ValueError, match='^field "trust" must be numeric$'):
+        _one_record(grade=7, trust="x")
+    with pytest.raises(ValueError, match=r"^trust must lie in \[0, 1\]$"):
+        _one_record(grade=7, trust=10**400)
+    with pytest.raises(ValueError, match=r"^grade must be one of \(0, 1, 2, 3\), got 7$"):
+        JudgmentSet.from_records([JudgmentRecord("a", "w", 7), JudgmentRecord("b", "w", 1, 1.5)])
 
 
 @pytest.mark.parametrize("grade", [2.0, True, False, "1"])
@@ -176,24 +166,6 @@ def test_judgment_record_rejects_a_trust_that_is_not_a_number(trust):
 def test_judgment_record_rejects_an_id_that_is_not_a_non_empty_string(field, value):
     with pytest.raises(ValueError, match=f'^missing or invalid "{field}"$'):
         _one_record(grade=1, **{field: value})
-
-
-@pytest.mark.parametrize("field, ids", [("item", (5,)), ("item", ("",)), ("item", (None,)),
-                                        ("worker", (("x",),)), ("worker", ("",))])
-def test_judgment_set_rejects_an_id_that_is_not_a_non_empty_string(field, ids):
-    columns = {"item_ids": ("i",), "worker_ids": ("w",), f"{field}_ids": ids}
-    with pytest.raises(ValueError, match=rf"^{field} id {re.escape(repr(ids[0]))} must be a "
-                                         "non-empty string$"):
-        JudgmentSet(**columns, item_codes=[0], worker_codes=[0], grades=[1], trust=[np.nan])
-
-
-@pytest.mark.parametrize("trust", [["0.5"], [True], np.array([None])])
-def test_judgment_set_rejects_a_trust_column_that_is_not_numeric(trust):
-    with pytest.raises(ValueError, match="^trust must hold numbers"):
-        JudgmentSet(("i",), ("w",), [0], [0], [1], trust)
-    # Integer and float columns of any width pass.
-    for ok in ([1], np.array([0.5], dtype=np.float32)):
-        assert JudgmentSet(("i",), ("w",), [0], [0], [1], ok).trust.dtype == np.float64
 
 
 # --------------------------------------------------------------- filter
@@ -524,6 +496,11 @@ def test_judgment_set_columns_round_trip():
     assert [tuple(vars(rec).values()) for rec in js.records] == rows
     with pytest.raises(ValueError):
         js.grades[0] = 2
+    empty = JudgmentSet.from_records([])
+    assert empty.item_ids == empty.worker_ids == ()
+    for col in (empty.item_codes, empty.worker_codes, empty.grades):
+        assert col.dtype == np.intp and col.size == 0
+    assert empty.trust.dtype == np.float64 and empty.trust.size == 0
 
 
 def test_judgment_set_duplicate_names_first_repeat():
@@ -630,6 +607,10 @@ _LINES = _mostly(
 # joined: two lines merge into one object while another splits in two.
 @example(lines=[_MERGED_A, _MERGED_B, _TWO], ends=["\n"] * 14, last_end=True, chunk=4096)
 @example(lines=[_CUT_A, _CUT_B, _TWO], ends=["\n"] * 14, last_end=True, chunk=4096)
+@example(  # a bad grade, then a line that is not JSON: the grade is reported
+    lines=['{"item": "a", "worker": "w", "grade": 7}', "not json"],
+    ends=["\n"] * 14, last_end=True, chunk=4096,
+)
 def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end, chunk):
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and not last_end:
@@ -650,6 +631,11 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
 @example([JudgmentRecord("a", "w", 1, True)])
 @example([JudgmentRecord("a", "w", 1), JudgmentRecord("b", "w", 9), JudgmentRecord("c", 7, 1)])
 @example([JudgmentRecord("a", "w", 1), JudgmentRecord("a", "w", 2)])
+# Within a record its types come first, then its ranges; across records
+# the first bad one wins.
+@example([JudgmentRecord("a", "w", 7, "x")])
+@example([JudgmentRecord("a", "w", 7, 10**400)])
+@example([JudgmentRecord("a", "w", 7), JudgmentRecord("b", "w", 1, 1.5)])
 def test_from_records_agrees_with_load_judgments(tmp_path_factory, records):
     # The same records in a file: the same columns, or the loader's reason
     # without its "path:line: " prefix.
