@@ -11,17 +11,11 @@ judgment handling (reliability, filtering, vote aggregation) ride along.
 
 from .consensus import ConsensusResult, consensual_pool
 from .corpus import assemble_bundle, build_resource_text, load_bundle
-from .evaluation import (
-    RelevanceJudgments,
-    StrategyComparison,
-    compare_strategies,
-    dcg,
-    ndcg,
-)
+from .evaluation import StrategyComparison, compare_strategies, dcg, ndcg
 from .graph import ResourceGraph, build_graph
 from .judgments import (
-    JudgmentRecord,
     JudgmentSet,
+    RelevanceJudgments,
     filter_workers,
     format_qrels,
     krippendorff_alpha,
@@ -64,7 +58,6 @@ __all__ = [
     "CscMatrix",
     "Distribution",
     "InputFormatError",
-    "JudgmentRecord",
     "JudgmentSet",
     "Pipeline",
     "PipelineParams",

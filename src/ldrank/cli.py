@@ -33,7 +33,7 @@ from .judgments import (
     majority_vote,
 )
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows
+from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows, shown
 
 __all__ = ["main"]
 
@@ -56,7 +56,7 @@ def _integer(text: str) -> int:
     try:
         return parse_int(text, "", 0, "")
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -146,14 +146,14 @@ def _cmd_rank(args) -> int:
 
 
 def _read_manifest(path):
-    """Bundle manifest: per line, five tab-separated paths (graph, texts,
-    serp, query, qrels), resolved relative to the manifest's directory."""
+    """Bundle manifest: per line, its number and five tab-separated paths
+    (graph, texts, serp, query, qrels) relative to the manifest's directory."""
     base = Path(path).parent
     entries = []
     for line_no, fields in read_rows(path, 5, "paths"):
         if "" in fields:
             raise InputFormatError(path, line_no, "empty path")
-        entries.append(tuple(base / f for f in fields))
+        entries.append((line_no, tuple(base / f for f in fields)))
     return entries
 
 
@@ -163,7 +163,7 @@ def _cmd_eval(args) -> int:
     try:  # ASCII digits only, as every integer of the input files
         cutoffs = [parse_int(tok, "--cutoffs", 0, "cutoff") for tok in tokens]
     except ValueError:
-        raise ValueError(f"invalid cutoff list {args.cutoffs!r}") from None
+        raise ValueError(f"invalid cutoff list {shown(args.cutoffs)}") from None
     cutoffs = list(map(_cutoff, cutoffs))
     if not cutoffs:
         raise ValueError("at least one cutoff required")
@@ -171,11 +171,16 @@ def _cmd_eval(args) -> int:
     if repeated:
         raise ValueError(f"cutoff {repeated[0]} is given more than once")
 
-    entries = _read_manifest(args.manifest)
     bundles, judgments = [], []
-    for graph, texts, serp, query, qrels in entries:
-        bundles.append(load_bundle(graph, texts, serp, query))
-        judgments.append(load_qrels(qrels))
+    for line_no, (graph, texts, serp, query, qrels) in _read_manifest(args.manifest):
+        try:
+            bundles.append(load_bundle(graph, texts, serp, query))
+            judgments.append(load_qrels(qrels))
+        except OSError as exc:  # a file the entry names cannot be opened
+            if exc.filename is None:
+                raise
+            reason = f"cannot open {exc.filename!r}: {exc.strerror}"
+            raise InputFormatError(args.manifest, line_no, reason) from exc
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -3,8 +3,8 @@
 The discounted gain of a ranked list counts the first grade at full value
 and divides the grade at position i >= 2 by log2(i).  NDCG divides by the
 gain of the ideal reordering of the same grades, so it stays in [0, 1].
-``RelevanceJudgments.grades_of`` is the one place ids meet judgments.
-``compare_strategies`` scores every strategy, in ``STRATEGIES`` order.
+``compare_strategies`` scores every strategy, in ``STRATEGIES`` order, by
+the grades that ``grades_of`` gives each bundle's resources.
 """
 
 from __future__ import annotations
@@ -18,53 +18,11 @@ from numbers import Integral
 from .rank import STRATEGIES, Pipeline, PipelineParams
 
 __all__ = [
-    "RelevanceJudgments",
     "StrategyComparison",
     "dcg",
     "ndcg",
     "compare_strategies",
 ]
-
-VALID_GRADES = (0, 1, 2, 3)
-
-
-@dataclass(frozen=True, eq=False)
-class RelevanceJudgments:
-    """Item identifier -> relevance grade, an ``int`` on the 0..3 scale.
-
-    Each identifier is a non-empty ``str`` that a qrels line can hold: no
-    tab, line break or lone surrogate, and no ``#`` first after blanks.
-    """
-
-    grades: dict[str, int]
-
-    def __post_init__(self):
-        for item, grade in self.grades.items():
-            if type(item) is not str or not item:
-                raise ValueError(f"item id {item!r} must be a non-empty string")
-            if "\t" in item or "\n" in item or "\r" in item:
-                raise ValueError(f"item id {item!r} holds a tab or line break")
-            if item.lstrip()[:1] == "#":
-                raise ValueError(f"item id {item!r} starts with '#'")
-            try:
-                item.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate
-                raise ValueError(f"item id {item!r} is not valid in UTF-8") from None
-            if type(grade) is not int or grade not in VALID_GRADES:
-                raise ValueError(
-                    f"grade for {item!r} must be one of {VALID_GRADES}, got {grade!r}"
-                )
-
-    def grades_of(self, resource_ids) -> list[int]:
-        """One grade per id, 0 for an unjudged one (warned once per call)."""
-        missing = [rid for rid in resource_ids if rid not in self.grades]
-        if missing:
-            warnings.warn(
-                f"{len(missing)} ranked resources have no judgment and count as grade 0 "
-                f"(first: {missing[0]!r})"
-            )
-        return [self.grades.get(rid, 0) for rid in resource_ids]
-
 
 def _cutoff(r) -> int:
     """``r`` as an ``int`` of at least 1, or a ``ValueError`` naming it.

@@ -1,43 +1,46 @@
 """Crowdsourced relevance judgments: reliability, filtering, aggregation.
 
-A judgment set is a flat list of (item, worker, grade) records, at most one
-per item-worker pair, with grades on the 0..3 relevance scale and an
-optional per-record worker trust value in [0, 1].  ``JudgmentSet`` holds
-the records as columns: the distinct item and worker ids in order of first
-use, one item code, worker code, grade and trust per record in file order,
-with NaN for a missing trust.
+A judgment set is a flat list of records, each a judgments line's mapping
+(``item``, ``worker``, ``grade`` and an optional ``trust``), at most one
+per item-worker pair, with grades on the 0..3 relevance scale and trust in
+[0, 1].  ``JudgmentSet`` holds the records as columns: the distinct item
+and worker ids in order of first use, one item code, worker code, grade
+and trust per record in file order, with NaN for a missing trust.
 
 Each record is checked once, as it is read: ``_Columns.extend`` checks
 its field types, then its grade and trust ranges, and ``_Columns.build``
 that no item-worker pair repeats.  ``load_judgments``, a
 ``types.read_objects`` chunk at a time, and ``JudgmentSet.from_records``
 both build through ``_Columns``, so they reject the same records with the
-same reasons.  ``JudgmentRecord`` has no rules.
+same reasons.
 
 ``krippendorff_alpha`` measures inter-rater reliability with one fixed
 distance between grades, ``RELEVANCE_DISTANCE``; ``filter_workers`` drops
 workers who disagree too often with per-item majorities; ``majority_vote``
 collapses the records to one grade per item.  All three work on the
 item-by-grade count matrix, built with one ``np.bincount``.
+
+``RelevanceJudgments`` holds one grade per item: what ``majority_vote``
+gives, ``load_qrels`` reads and ``format_qrels`` writes.  Its
+``grades_of`` is the one place resource ids meet judgments.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import warnings
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
-from functools import cached_property
 
 import numpy as np
 
-from .evaluation import VALID_GRADES, RelevanceJudgments
 from .types import InputFormatError, parse_int, read_objects, read_rows
 
 __all__ = [
     "FILTER_THRESHOLD",
-    "JudgmentRecord",
     "JudgmentSet",
     "RELEVANCE_DISTANCE",
+    "RelevanceJudgments",
     "krippendorff_alpha",
     "filter_workers",
     "majority_vote",
@@ -49,17 +52,46 @@ __all__ = [
 #: Default majority-disagreement rate above which ``filter_workers`` drops a worker.
 FILTER_THRESHOLD = 0.412
 
+VALID_GRADES = (0, 1, 2, 3)
 _N_GRADES = len(VALID_GRADES)
 
 
-@dataclass(frozen=True)
-class JudgmentRecord:
-    """One judgment; a plain record, checked by ``JudgmentSet.from_records``."""
+@dataclass(frozen=True, eq=False)
+class RelevanceJudgments:
+    """Item identifier -> relevance grade, an ``int`` on the 0..3 scale.
 
-    item: str
-    worker: str
-    grade: int
-    trust: float | None = None
+    Each identifier is a non-empty ``str`` that a qrels line can hold: no
+    tab, line break or lone surrogate, and no ``#`` first after blanks.
+    """
+
+    grades: dict[str, int]
+
+    def __post_init__(self):
+        for item, grade in self.grades.items():
+            if type(item) is not str or not item:
+                raise ValueError(f"item id {item!r} must be a non-empty string")
+            if "\t" in item or "\n" in item or "\r" in item:
+                raise ValueError(f"item id {item!r} holds a tab or line break")
+            if item.lstrip()[:1] == "#":
+                raise ValueError(f"item id {item!r} starts with '#'")
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:  # a lone surrogate
+                raise ValueError(f"item id {item!r} is not valid in UTF-8") from None
+            if type(grade) is not int or grade not in VALID_GRADES:
+                raise ValueError(
+                    f"grade for {item!r} must be one of {VALID_GRADES}, got {grade!r}"
+                )
+
+    def grades_of(self, resource_ids) -> list[int]:
+        """One grade per id, 0 for an unjudged one (warned once per call)."""
+        missing = [rid for rid in resource_ids if rid not in self.grades]
+        if missing:
+            warnings.warn(
+                f"{len(missing)} ranked resources have no judgment and count as grade 0 "
+                f"(first: {missing[0]!r})"
+            )
+        return [self.grades.get(rid, 0) for rid in resource_ids]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -91,24 +123,23 @@ class JudgmentSet:
         return judgments
 
     @classmethod
-    def from_records(cls, records: Iterable[JudgmentRecord]) -> "JudgmentSet":
+    def from_records(cls, records: Iterable[Mapping]) -> "JudgmentSet":
         """The set of ``records``, in their order; a bad record raises
-        ``ValueError`` with the reason ``load_judgments`` gives for it."""
+        ``ValueError`` with ``load_judgments``'s reason, or its position."""
         columns = _Columns()
-        columns.extend(enumerate(map(vars, records)), lambda _, reason: ValueError(reason))
+        columns.extend(_mappings(records), lambda _, reason: ValueError(reason))
         return columns.build()
 
-    @cached_property
-    def records(self) -> tuple[JudgmentRecord, ...]:
-        """One ``JudgmentRecord`` per record, built on first access."""
+    @property
+    def records(self) -> tuple[dict, ...]:
+        """One mapping per record, as ``from_records`` takes it, with
+        ``trust`` None where the record has none."""
         columns = (self.item_codes, self.worker_codes, self.grades, self.trust)
         return tuple(
-            JudgmentRecord(self.item_ids[i], self.worker_ids[w], g, None if math.isnan(t) else t)
+            {"item": self.item_ids[i], "worker": self.worker_ids[w], "grade": g,
+             "trust": None if math.isnan(t) else t}
             for i, w, g, t in zip(*(col.tolist() for col in columns))
         )
-
-    def workers(self) -> set[str]:
-        return set(self.worker_ids)
 
     def grade_counts(self) -> np.ndarray:
         """Items-by-grades matrix: how many records give item i grade g."""
@@ -125,6 +156,14 @@ class JudgmentSet:
             item_ids, worker_ids, item_codes, worker_codes,
             self.grades[keep], self.trust[keep],
         )
+
+
+def _mappings(records):
+    """``enumerate(records)``, with a ``ValueError`` at a non-mapping."""
+    for k, record in enumerate(records):
+        if not isinstance(record, Mapping):
+            raise ValueError(f"record {k}: expected a mapping, got {type(record).__name__}")
+        yield k, record
 
 
 def _codes(index: dict[str, int], names: list) -> np.ndarray:

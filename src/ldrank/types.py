@@ -146,17 +146,21 @@ def read_rows(path, count: int, noun: str = "fields"):
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
+def shown(text: str) -> str:
+    """``text`` as an error echoes it: whole up to 40 characters, else its
+    first 40 and its length."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_int(text: str, path, line_no: int, what: str) -> int:
     """``text`` as an integer: ASCII digits after an optional ``-``, nothing
-    else.  The error echoes a text of more than 40 characters by its first
-    40 and its length."""
+    else; the error echoes it as ``shown`` does."""
     if _INTEGER.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than ``int`` converts
             pass
-    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-    raise InputFormatError(path, line_no, f"{what} {shown} is not an integer")
+    raise InputFormatError(path, line_no, f"{what} {shown(text)} is not an integer")
 
 
 _JSON_SPACE = " \t\n\r"

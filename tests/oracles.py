@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ldrank.judgments import JudgmentRecord
 from ldrank.lsa import CscMatrix
 from ldrank.types import InputFormatError, read_lines
 
@@ -231,21 +230,21 @@ def alpha_by_pair_enumeration(item_grades, table):
 def records_to_item_grades(records):
     grouped = defaultdict(list)
     for rec in records:
-        grouped[rec.item].append(rec.grade)
+        grouped[rec["item"]].append(rec["grade"])
     return dict(grouped)
 
 
 def _records_by_item(records):
     grouped = defaultdict(list)
     for rec in records:
-        grouped[rec.item].append(rec)
+        grouped[rec["item"]].append(rec)
     return dict(grouped)
 
 
 def alpha_by_item_loop(records, table):
     """Agreement coefficient, one item's coincidences added at a time."""
     pairable = [
-        [rec.grade for rec in recs]
+        [rec["grade"] for rec in recs]
         for recs in _records_by_item(records).values()
         if len(recs) >= 2
     ]
@@ -272,23 +271,23 @@ def kept_records_by_counter(records, threshold):
     is at most ``threshold``, majorities taken over all records."""
     majority = {}
     for item, recs in _records_by_item(records).items():
-        top = Counter(rec.grade for rec in recs).most_common()
+        top = Counter(rec["grade"] for rec in recs).most_common()
         if len(top) == 1 or top[0][1] > top[1][1]:
             majority[item] = top[0][0]
     judged = defaultdict(int)
     against = defaultdict(int)
     for rec in records:
-        if rec.item not in majority:
+        if rec["item"] not in majority:
             continue
-        judged[rec.worker] += 1
-        if rec.grade != majority[rec.item]:
-            against[rec.worker] += 1
+        judged[rec["worker"]] += 1
+        if rec["grade"] != majority[rec["item"]]:
+            against[rec["worker"]] += 1
     dropped = {
         worker
-        for worker in {rec.worker for rec in records}
+        for worker in {rec["worker"] for rec in records}
         if judged[worker] and against[worker] / judged[worker] > threshold
     }
-    return [rec for rec in records if rec.worker not in dropped]
+    return [rec for rec in records if rec["worker"] not in dropped]
 
 
 def majority_grades_by_counter(records, tie_break):
@@ -296,21 +295,21 @@ def majority_grades_by_counter(records, tie_break):
     highest grade, or to the highest mean trust of the supporters."""
     if tie_break == "mean-trust":
         for rec in records:
-            if rec.trust is None:
+            if rec.get("trust") is None:
                 raise ValueError(
                     f"mean-trust tie-breaking needs trust values; record for item "
-                    f"{rec.item!r} by worker {rec.worker!r} has none"
+                    f"{rec['item']!r} by worker {rec['worker']!r} has none"
                 )
     grades = {}
     for item, recs in _records_by_item(records).items():
-        counts = Counter(rec.grade for rec in recs)
+        counts = Counter(rec["grade"] for rec in recs)
         best = max(counts.values())
         tied = sorted(g for g, c in counts.items() if c == best)
         if len(tied) == 1 or tie_break == "highest-value":
             grades[item] = tied[-1]
             continue
         mean_trust = {
-            g: float(np.mean([rec.trust for rec in recs if rec.grade == g]))
+            g: float(np.mean([rec["trust"] for rec in recs if rec["grade"] == g]))
             for g in tied
         }
         top_trust = max(mean_trust.values())
@@ -364,7 +363,7 @@ def _json_fault(exc):
 def _records_by_line(path, numbered_lines):
     """Validate ``(line_no, line)`` pairs one line at a time.
 
-    Yields one ``JudgmentRecord`` per non-blank line and raises
+    Yields one record mapping per non-blank line and raises
     ``InputFormatError`` at the first bad line.
     """
     for line_no, raw in numbered_lines:
@@ -398,7 +397,7 @@ def _records_by_line(path, numbered_lines):
             )
         if trust is not None and not 0.0 <= trust <= 1.0:
             raise InputFormatError(path, line_no, f"trust must lie in [0, 1], got {trust}")
-        yield JudgmentRecord(item=item, worker=worker, grade=grade, trust=trust)
+        yield {"item": item, "worker": worker, "grade": grade, "trust": trust}
 
 
 def _shown(text):
@@ -539,7 +538,8 @@ def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
 
 
 def manifest_by_line(path):
-    """Five paths per manifest line, relative to the manifest's directory."""
+    """Per manifest line, its number and five paths relative to the
+    manifest's directory."""
     base = Path(path).parent
     entries = []
     for line_no, line in read_lines(path):
@@ -550,5 +550,5 @@ def manifest_by_line(path):
             raise InputFormatError(
                 path, line_no, f"expected 5 tab-separated paths, got {len(fields)}"
             )
-        entries.append(tuple(base / f for f in fields))
+        entries.append((line_no, tuple(base / f for f in fields)))
     return entries

@@ -16,7 +16,6 @@ import pytest
 import oracles
 from ldrank import (
     Distribution,
-    JudgmentRecord,
     JudgmentSet,
     PipelineParams,
     RelevanceJudgments,
@@ -231,7 +230,7 @@ def test_criterion_07_agreement_matches_pair_enumeration():
     the coincidence-matrix route agrees with literal ordered-pair
     enumeration within 1e-10."""
     perfect = JudgmentSet.from_records(
-        JudgmentRecord(item=f"i{k}", worker=f"w{w}", grade=k % 4)
+        {"item": f"i{k}", "worker": f"w{w}", "grade": k % 4}
         for k in range(5)
         for w in range(3)
     )
@@ -244,9 +243,7 @@ def test_criterion_07_agreement_matches_pair_enumeration():
             raters = rng.choice(5, size=int(rng.integers(2, 6)), replace=False)
             for w in raters:
                 records.append(
-                    JudgmentRecord(
-                        item=f"i{k}", worker=f"w{w}", grade=int(rng.integers(0, 4))
-                    )
+                    {"item": f"i{k}", "worker": f"w{w}", "grade": int(rng.integers(0, 4))}
                 )
         judgments = JudgmentSet.from_records(records)
         got = krippendorff_alpha(judgments)

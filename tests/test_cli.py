@@ -272,6 +272,19 @@ def test_integer_flags_take_ascii_digits(basic_dir, capsys):
     assert "k=10 exceeds the rank bound" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--ndim", "--consensus-max-iters", "--max-iters"])
+@pytest.mark.parametrize("value", ["1" * 5000, "x" * 5000])
+def test_integer_flags_echo_a_long_value_by_its_head_and_length(basic_dir, capsys, flag,
+                                                                value):
+    assert main(_rank_args(basic_dir, flag, value)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"ldrank rank: error: argument {flag}: invalid int value: "
+        f"{value[:40]!r}... (5000 characters)"
+    )
+
+
 def test_eval_rejects_strategy_flag(basic_dir, capsys):
     argv = ["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", "1", "--strategy", "HIT"]
     assert main(argv) == 1
@@ -799,6 +812,14 @@ def test_eval_cutoffs_must_be_ascii_digits(basic_dir, capsys, cutoffs):
     assert f"invalid cutoff list {cutoffs!r}" in captured.err
 
 
+@pytest.mark.parametrize("cutoffs", ["9" * 5000, "1," * 2499 + "x_"])
+def test_eval_echoes_a_long_cutoff_list_by_its_head_and_length(basic_dir, capsys, cutoffs):
+    assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", cutoffs]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: invalid cutoff list {cutoffs[:40]!r}... (5000 characters)\n"
+    )
+
+
 @pytest.mark.parametrize("cutoffs, repeated", [("3,3", 3), ("1, 5,2,5,1", 5), ("2,02", 2)])
 def test_eval_rejects_a_repeated_cutoff(basic_dir, capsys, cutoffs, repeated):
     assert main(["eval", str(basic_dir / "manifest.tsv"), "--cutoffs", cutoffs]) == 1
@@ -842,6 +863,20 @@ def test_empty_manifest_path_names_its_line(tmp_path, basic_dir, capsys):
     man.write_text("\n".join(text) + "\n", encoding="utf-8")
     assert main(["eval", str(man), "--cutoffs", "1"]) == 1
     assert capsys.readouterr().err == f"error: {man}:3: empty path\n"
+
+
+@pytest.mark.parametrize("name, reason", [
+    ("nowhere.tsv", "No such file or directory"), ("", "Is a directory"),
+])
+def test_unopenable_bundle_file_is_named_by_its_manifest_line(tmp_path, basic_dir, capsys,
+                                                              name, reason):
+    man = _manifest(tmp_path, basic_dir, "# bundles", "{entry}", "{entry}")
+    text = man.read_text(encoding="utf-8").splitlines()
+    missing = str(tmp_path / name)  # the directory itself, for ""
+    text[2] = text[2].replace(str(basic_dir / "serp.tsv"), missing)
+    man.write_text("\n".join(text) + "\n", encoding="utf-8")
+    assert main(["eval", str(man), "--cutoffs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {man}:3: cannot open {missing!r}: {reason}\n")
 
 
 # ``eval`` over a manifest of one to three entries for the fixture bundle,
@@ -908,7 +943,6 @@ def _eval_inputs(draw, fixture, out):
         paths[k] = ""
     elif fault == "missing":
         paths[k] = str(out / "missing.tsv")
-        entries[j] = (paths, f"error: [Errno 2] No such file or directory: {paths[k]!r}")
 
     lines, data = [], []
     for paths, _ in entries:
@@ -926,12 +960,17 @@ def _eval_inputs(draw, fixture, out):
     manifest = out / "manifest.tsv"
     manifest.write_text(text, encoding="utf-8", newline="")
 
-    # The whole manifest is read before any bundle; then bundle by bundle.
+    # The whole manifest is read before any bundle; then bundle by bundle,
+    # a file that cannot be opened named by its manifest line.
+    at = f"error: {manifest}:{numbers[data[j]]}:"
     if fault in ("count", "empty"):
         paths = entries[j][0]
         reason = ("empty path" if len(paths) == 5
                   else f"expected 5 tab-separated paths, got {len(paths)}")
-        return manifest, f"error: {manifest}:{numbers[data[j]]}: {reason}"
+        return manifest, f"{at} {reason}"
+    if fault == "missing":
+        missing = str(out / "missing.tsv")
+        entries[j] = (entries[j][0], f"{at} cannot open {missing!r}: No such file or directory")
     return manifest, next((error for _, error in entries if error), None)
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import ldrank.types as types_module
 from ldrank import (
     InputFormatError,
-    JudgmentRecord,
     JudgmentSet,
     RelevanceJudgments,
     filter_workers,
@@ -26,11 +25,12 @@ from ldrank.types import read_lines
 import oracles
 
 
+def _record(item, worker, grade, trust=None):
+    return {"item": item, "worker": worker, "grade": grade, "trust": trust}
+
+
 def _js(rows):
-    return JudgmentSet.from_records(
-        JudgmentRecord(item=i, worker=w, grade=g, trust=t)
-        for i, w, g, t in (row if len(row) == 4 else (*row, None) for row in rows)
-    )
+    return JudgmentSet.from_records(_record(*row) for row in rows)
 
 
 # ------------------------------------------------------------- distances
@@ -131,7 +131,7 @@ def test_judgment_set_rejects_duplicates():
 
 
 def _one_record(**fields):
-    return JudgmentSet.from_records([JudgmentRecord(**{"item": "i", "worker": "w", **fields})])
+    return JudgmentSet.from_records([{"item": "i", "worker": "w", **fields}])
 
 
 def test_judgment_record_validation():
@@ -145,7 +145,7 @@ def test_judgment_record_validation():
     with pytest.raises(ValueError, match=r"^trust must lie in \[0, 1\]$"):
         _one_record(grade=7, trust=10**400)
     with pytest.raises(ValueError, match=r"^grade must be one of \(0, 1, 2, 3\), got 7$"):
-        JudgmentSet.from_records([JudgmentRecord("a", "w", 7), JudgmentRecord("b", "w", 1, 1.5)])
+        JudgmentSet.from_records([_record("a", "w", 7), _record("b", "w", 1, 1.5)])
 
 
 @pytest.mark.parametrize("grade", [2.0, True, False, "1"])
@@ -158,7 +158,7 @@ def test_judgment_record_rejects_a_grade_that_is_not_an_int(grade):
 def test_judgment_record_rejects_a_trust_that_is_not_a_number(trust):
     with pytest.raises(ValueError, match='^field "trust" must be numeric$'):
         _one_record(grade=1, trust=trust)
-    assert _one_record(grade=1, trust=1).records[0].trust == 1
+    assert _one_record(grade=1, trust=1).records[0]["trust"] == 1
 
 
 @pytest.mark.parametrize("field, value", [("item", 5), ("item", ""), ("item", None),
@@ -178,7 +178,7 @@ def test_filter_workers_drops_frequent_disagreer():
         ("i3", "good1", 0), ("i3", "good2", 0), ("i3", "bad", 0),
     ]
     filtered = filter_workers(_js(rows), threshold=0.412)
-    workers = {rec.worker for rec in filtered.records}
+    workers = {rec["worker"] for rec in filtered.records}
     assert workers == {"good1", "good2"}  # bad disagrees on 2/3 > 0.412
 
 
@@ -191,7 +191,7 @@ def test_filter_workers_rate_at_boundary_kept():
         rows.append((f"i{i}", "b", 1))
     edge = [(f"i{i}", "edge", 1 if i >= 2 else 3) for i in range(5)]
     filtered = filter_workers(_js(rows + edge), threshold=0.412)
-    assert "edge" in {rec.worker for rec in filtered.records}
+    assert "edge" in {rec["worker"] for rec in filtered.records}
 
 
 def test_filter_workers_tied_items_carry_no_signal():
@@ -201,7 +201,7 @@ def test_filter_workers_tied_items_carry_no_signal():
         ("i2", "w1", 1), ("i2", "w2", 1), ("i2", "w3", 1), ("i2", "w4", 1),
     ]
     filtered = filter_workers(_js(rows), threshold=0.0)
-    assert {rec.worker for rec in filtered.records} == {"w1", "w2", "w3", "w4"}
+    assert {rec["worker"] for rec in filtered.records} == {"w1", "w2", "w3", "w4"}
 
 
 def test_filter_workers_single_pass():
@@ -215,7 +215,7 @@ def test_filter_workers_single_pass():
     ]
     js = _js(rows)
     filtered = filter_workers(js, threshold=0.5)
-    workers = {rec.worker for rec in filtered.records}
+    workers = {rec["worker"] for rec in filtered.records}
     assert "w3" not in workers
     assert {"w1", "w2"} <= workers
 
@@ -276,8 +276,8 @@ def test_majority_vote_rejects_unknown_mode():
 def test_load_judgments_fixture(fixtures_dir):
     js = load_judgments(fixtures_dir / "judgments.jsonl")
     assert len(js.records) == 9
-    assert js.workers() == {"w1", "w2", "w3"}
-    assert js.records[0].trust == 0.9
+    assert set(js.worker_ids) == {"w1", "w2", "w3"}
+    assert js.records[0]["trust"] == 0.9
 
 
 def test_load_judgments_reports_bad_lines(tmp_path):
@@ -391,10 +391,7 @@ def _record_lists(draw):
         )
     )
     return [
-        JudgmentRecord(
-            item=f"i{i}", worker=f"w{w}",
-            grade=draw(st.integers(0, 3)), trust=draw(trust),
-        )
+        _record(f"i{i}", f"w{w}", draw(st.integers(0, 3)), draw(trust))
         for i, w in pairs
     ]
 
@@ -438,7 +435,7 @@ def test_filter_workers_rate_exactly_at_threshold_kept():
             js = _js(rows)
             threshold = against / judged
             filtered = filter_workers(js, threshold)
-            assert "x" in filtered.workers(), (against, judged)
+            assert "x" in filtered.worker_ids, (against, judged)
             assert filtered.records == tuple(
                 oracles.kept_records_by_counter(js.records, threshold)
             )
@@ -493,7 +490,7 @@ def test_judgment_set_columns_round_trip():
     assert js.grades.tolist() == [1, 3, 0]
     assert np.isnan(js.trust[1]) and js.trust[[0, 2]].tolist() == [0.5, 1.0]
     assert js.grade_counts().tolist() == [[1, 1, 0, 0], [0, 0, 0, 1]]
-    assert [tuple(vars(rec).values()) for rec in js.records] == rows
+    assert [tuple(rec.values()) for rec in js.records] == rows
     with pytest.raises(ValueError):
         js.grades[0] = 2
     empty = JudgmentSet.from_records([])
@@ -549,6 +546,10 @@ _GRADES = _mostly(
 _TRUST_VALUES = _mostly(
     st.sampled_from([0.0, 0.25, 0.5, 0.999, 1.0, 0, 1, None]),
     st.sampled_from([float("nan"), float("inf"), -0.5, 1.5, 10**400, "0.5", [0.5], True, False]),
+)
+# Record mappings, some with a bad field and some without a trust.
+_RECORDS = st.fixed_dictionaries(
+    {"item": _NAMES, "worker": _NAMES, "grade": _GRADES}, optional={"trust": _TRUST_VALUES}
 )
 
 
@@ -625,22 +626,22 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.builds(JudgmentRecord, _NAMES, _NAMES, _GRADES, _TRUST_VALUES), max_size=8))
-@example([JudgmentRecord("a", "w", 2.0)])
-@example([JudgmentRecord("a", "w", 1, "0.5")])
-@example([JudgmentRecord("a", "w", 1, True)])
-@example([JudgmentRecord("a", "w", 1), JudgmentRecord("b", "w", 9), JudgmentRecord("c", 7, 1)])
-@example([JudgmentRecord("a", "w", 1), JudgmentRecord("a", "w", 2)])
+@given(st.lists(_RECORDS, max_size=8))
+@example([_record("a", "w", 2.0)])
+@example([_record("a", "w", 1, "0.5")])
+@example([_record("a", "w", 1, True)])
+@example([_record("a", "w", 1), _record("b", "w", 9), _record("c", 7, 1)])
+@example([_record("a", "w", 1), _record("a", "w", 2)])
 # Within a record its types come first, then its ranges; across records
 # the first bad one wins.
-@example([JudgmentRecord("a", "w", 7, "x")])
-@example([JudgmentRecord("a", "w", 7, 10**400)])
-@example([JudgmentRecord("a", "w", 7), JudgmentRecord("b", "w", 1, 1.5)])
+@example([_record("a", "w", 7, "x")])
+@example([_record("a", "w", 7, 10**400)])
+@example([_record("a", "w", 7), _record("b", "w", 1, 1.5)])
 def test_from_records_agrees_with_load_judgments(tmp_path_factory, records):
     # The same records in a file: the same columns, or the loader's reason
     # without its "path:line: " prefix.
     path = tmp_path_factory.mktemp("judgments") / "j.jsonl"
-    path.write_text("".join(json.dumps(vars(rec)) + "\n" for rec in records))
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     try:
         loaded = load_judgments(path)
     except InputFormatError as exc:
@@ -650,6 +651,35 @@ def test_from_records_agrees_with_load_judgments(tmp_path_factory, records):
         return
     built = JudgmentSet.from_records(records)
     assert _outcome(lambda _: built, path) == _outcome(lambda _: loaded, path)
+
+
+def _columns_bytes(js):
+    columns = (js.item_codes, js.worker_codes, js.grades, js.trust)
+    return js.item_ids, js.worker_ids, [(col.dtype, col.tobytes()) for col in columns]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_RECORDS, max_size=8))
+def test_records_build_the_set_back(records):
+    try:
+        js = JudgmentSet.from_records(records)
+    except ValueError:
+        return
+    again = JudgmentSet.from_records(js.records)
+    assert _columns_bytes(again) == _columns_bytes(js)
+    assert again.records == js.records
+
+
+@pytest.mark.parametrize("record, kind", [
+    (("a", "w", 1), "tuple"), (None, "NoneType"), ('{"item": "a"}', "str"),
+])
+def test_from_records_rejects_a_record_that_is_not_a_mapping(record, kind):
+    records = [_record("a", "w", 1), record, _record("b", "w", 7)]
+    with pytest.raises(ValueError, match=f"^record 1: expected a mapping, got {kind}$"):
+        JudgmentSet.from_records(records)
+    # A bad record before it is reported first, as a file reports its first bad line.
+    with pytest.raises(ValueError, match=r"^grade must be one of \(0, 1, 2, 3\), got 7$"):
+        JudgmentSet.from_records(records[::-1])
 
 
 def test_chunked_parse_reports_format_error_before_bad_bytes(tmp_path):
