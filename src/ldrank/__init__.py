@@ -46,7 +46,6 @@ from .types import (
     CorpusBundle,
     Distribution,
     InputFormatError,
-    SerpContext,
 )
 
 __version__ = "0.1.0"
@@ -65,7 +64,6 @@ __all__ = [
     "RelevanceJudgments",
     "ResourceGraph",
     "ResourceTextMatrix",
-    "SerpContext",
     "StrategyComparison",
     "STRATEGIES",
     "assemble_bundle",

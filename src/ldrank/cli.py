@@ -59,9 +59,17 @@ def _integer(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {shown(text)}") from None
 
 
+def _real(text: str) -> float:
+    """A float flag value: what ``float`` takes, echoed by ``shown`` if not."""
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {shown(text)}") from None
+
+
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--alpha", type=float,
+        "--alpha", type=_real,
         help="walk damping: weight of the graph vs the teleport (default: %(default)s)",
     )
     parser.add_argument(
@@ -69,12 +77,12 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         help="latent dimensions kept by the truncated SVD (default: %(default)s)",
     )
     parser.add_argument(
-        "--stress", type=float,
+        "--stress", type=_real,
         help="row amplification applied to the resources under focus "
              "(default: %(default)s)",
     )
     parser.add_argument(
-        "--tol", type=float,
+        "--tol", type=_real,
         help="L1 convergence tolerance of the power iteration (default: %(default)s)",
     )
     parser.add_argument(
@@ -82,11 +90,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
         help="mirror every graph edge before walking",
     )
     parser.add_argument(
-        "--lambda", dest="damping", type=float,
+        "--lambda", dest="damping", type=_real,
         help="consensus step size in (0, 1] (default: %(default)s)",
     )
     parser.add_argument(
-        "--consensus-eps", dest="consensus_epsilon", metavar="CONSENSUS_EPS", type=float,
+        "--consensus-eps", dest="consensus_epsilon", metavar="CONSENSUS_EPS", type=_real,
         help="consensus stopping threshold on the largest pairwise distance "
              "(default: %(default)s)",
     )
@@ -290,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_agg.add_argument("judgments", help="JSON Lines judgments file")
     p_agg.add_argument(
-        "--filter-threshold", type=float, nargs="?", const=FILTER_THRESHOLD,
+        "--filter-threshold", type=_real, nargs="?", const=FILTER_THRESHOLD,
         help="drop workers whose majority-disagreement rate exceeds this "
              "(bare flag: %(const)s)",
     )
@@ -311,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_alpha.add_argument("judgments", help="JSON Lines judgments file")
     p_alpha.add_argument(
-        "--filter-threshold", type=float, nargs="?", const=FILTER_THRESHOLD,
+        "--filter-threshold", type=_real, nargs="?", const=FILTER_THRESHOLD,
         help="apply worker filtering before measuring agreement "
              "(bare flag: %(const)s)",
     )

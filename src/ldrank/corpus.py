@@ -8,7 +8,8 @@ texts     JSON Lines, one object per line with string fields ``id`` and
           ``text``.
 serp      tab-separated ``rank<TAB>doc-id<TAB>resources`` where ``resources``
           is a comma-separated list of resource identifiers (possibly empty);
-          ranks must be the contiguous range 1..N with no duplicates.
+          ranks must be the contiguous range 1..N with no duplicates.  The
+          doc id must be non-empty; nothing reads it, so it is not kept.
 query     one resource identifier per line; the file may be empty.
 
 The line rules shared by every input file are those of the ``types``
@@ -20,7 +21,9 @@ result pages separate mentions with it, so an endpoint or query entry
 with a ``,`` is a dangling reference.  ``load_bundle`` and
 ``assemble_bundle`` number the ids once (``_index``) and resolve the
 graph, then ``_assemble`` the query and the result page, into the index
-form of ``CorpusBundle``; no later stage looks up an identifier.
+form of ``CorpusBundle``: the result page becomes its size and one
+``(resource, rank)`` row per mention.  No later stage looks up an
+identifier.  An error echoes an id as ``types.shown`` does.
 
 The graph file holds millions of lines, so ``load_bundle`` resolves it a
 block of bytes at a time, with array operations on the block's UTF-8
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import CorpusBundle, InputFormatError, SerpContext
+from .types import CorpusBundle, InputFormatError, shown
 from .types import _blocks, _fields, _is_data, data_lines, parse_int, read_objects, read_rows
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
@@ -51,15 +54,15 @@ def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
     if not token:
         raise InputFormatError(path, line_no, f"empty {what}")
     if token.split() != [token]:
-        raise InputFormatError(path, line_no, f"{what} {token!r} contains whitespace")
-    raise InputFormatError(path, line_no, f"{what} {token!r} starts with '#'")
+        raise InputFormatError(path, line_no, f"{what} {shown(token)} contains whitespace")
+    raise InputFormatError(path, line_no, f"{what} {shown(token)} starts with '#'")
 
 
 def _resolve(index: dict[str, int], rid: str, role: str) -> int:
     try:
         return index[rid]
     except KeyError:
-        raise ValueError(f"{role} {rid!r} has no entry in the texts table") from None
+        raise ValueError(f"{role} {shown(rid)} has no entry in the texts table") from None
 
 
 #: ``_KEEP[k]`` keeps the low ``k`` bytes of a little-endian word.
@@ -209,7 +212,8 @@ def _graph_line_ids(path, line_no: int, line: str,
                     index: dict[str, int]) -> tuple[int, int] | None:
     """The line rules: the subject and object indices of one graph line, or
     ``None`` for a blank or comment line.  The line is checked, then its
-    endpoints resolved, so a format fault is reported first."""
+    endpoints resolved, so a format fault is reported first; either is
+    reported at ``path:line_no``."""
     if not _is_data(line):
         return None
     subject, predicate, obj = _fields(path, line_no, line, 3)
@@ -217,7 +221,10 @@ def _graph_line_ids(path, line_no: int, line: str,
     _check_resource_id(obj, path, line_no, "object")
     if not predicate:
         raise InputFormatError(path, line_no, "empty predicate")
-    return _resolve(index, subject, "graph subject"), _resolve(index, obj, "graph object")
+    try:
+        return _resolve(index, subject, "graph subject"), _resolve(index, obj, "graph object")
+    except ValueError as exc:
+        raise InputFormatError(path, line_no, str(exc)) from None
 
 
 def _read_texts_file(path) -> dict[str, str]:
@@ -232,15 +239,16 @@ def _read_texts_file(path) -> dict[str, str]:
                 )
             _check_resource_id(rid, path, line_no, "resource id")
             if "," in rid:  # result pages separate mentions with ","
-                raise InputFormatError(path, line_no, f"resource id {rid!r} contains ','")
+                raise InputFormatError(path, line_no, f"resource id {shown(rid)} contains ','")
             if rid in texts:
-                raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
+                raise InputFormatError(path, line_no, f"duplicate resource id {shown(rid)}")
             texts[rid] = text
     return texts
 
 
-def _read_serp_file(path) -> list[tuple[str, list[str]]]:
-    rows: dict[int, tuple[str, list[str]]] = {}
+def _read_serp_file(path) -> list[list[str]]:
+    """The mentioned resource ids of each result, in rank order."""
+    rows: dict[int, list[str]] = {}
     for line_no, (rank_text, doc_id, mention_text) in read_rows(path, 3):
         rank = parse_int(rank_text, path, line_no, "rank")
         if rank < 1:
@@ -249,13 +257,8 @@ def _read_serp_file(path) -> list[tuple[str, list[str]]]:
             raise InputFormatError(path, line_no, f"duplicate rank {rank}")
         if not doc_id:
             raise InputFormatError(path, line_no, "empty document id")
-        mentions = []
-        if mention_text:
-            for token in mention_text.split(","):
-                mentions.append(
-                    _check_resource_id(token, path, line_no, "resource id")
-                )
-        rows[rank] = (doc_id, mentions)
+        tokens = mention_text.split(",") if mention_text else []
+        rows[rank] = [_check_resource_id(t, path, line_no, "resource id") for t in tokens]
     expected = set(range(1, len(rows) + 1))
     if set(rows) != expected:
         missing = sorted(expected - set(rows))
@@ -278,44 +281,35 @@ def _index(texts: dict[str, str]) -> dict[str, int]:
 
 
 def _assemble(index: dict[str, int], edges: np.ndarray, texts: dict[str, str],
-              serp_docs, query) -> CorpusBundle:
+              serp, query) -> CorpusBundle:
     """The bundle of ``texts``, numbered by ``index``, with ``edges`` the
     ``(m, 2)`` int64 array of subject and object indices; query entries,
-    in sorted order, then result-page mentions, are resolved here."""
+    in sorted order, then result-page mentions, in rank order, are resolved
+    here."""
     resource_ids = tuple(index)
     query_idx = frozenset(_resolve(index, rid, "query resource") for rid in sorted(query))
-
-    occurrences: dict[int, set[int]] = {}
-    docs = []
-    for rank, (doc_id, mentions) in enumerate(serp_docs, start=1):
-        docs.append(doc_id)
-        for rid in mentions:
-            i = _resolve(index, rid, "result-page resource")
-            occurrences.setdefault(i, set()).add(rank)
-
-    serp = SerpContext(
-        docs=tuple(docs),
-        occurrences={i: frozenset(r) for i, r in occurrences.items()},
-    )
+    mentions = [(_resolve(index, rid, "result-page resource"), rank)
+                for rank, rids in enumerate(serp, start=1) for rid in rids]
     return CorpusBundle(
         resource_ids=resource_ids,
         graph_edges=edges,
         texts=tuple(map(texts.__getitem__, resource_ids)),
-        serp=serp,
+        serp_size=len(serp),
+        mentions=np.array(mentions, dtype=np.int64).reshape(-1, 2),
         query=query_idx,
     )
 
 
-def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> CorpusBundle:
+def assemble_bundle(graph_edges, texts: dict[str, str], serp, query) -> CorpusBundle:
     """Build a validated bundle from already-parsed primitives.
 
     ``graph_edges`` is an iterable of ``(subject, predicate, object)``
-    triples, consumed once (a generator works); ``serp_docs`` is a sequence
-    of ``(doc_id, [resource ids])`` in rank order.  An identifier with no
-    entry in the texts table raises ``ValueError`` naming it; graph
-    endpoints are resolved first, then query entries, then result-page
-    mentions.  ``load_bundle`` maps identifiers to indices by the same
-    rules.
+    triples, consumed once (a generator works); ``serp`` is a sequence
+    holding, per result in rank order, a list of the resource ids it
+    mentions.  An identifier with no entry in the texts table raises
+    ``ValueError`` naming it; graph endpoints are resolved first, then
+    query entries, then result-page mentions.  ``load_bundle`` maps
+    identifiers to indices by the same rules.
     """
     index = _index(texts)
     ids = []
@@ -323,27 +317,28 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp_docs, query) -> Cor
         ids.append(_resolve(index, s, "graph subject"))
         ids.append(_resolve(index, o, "graph object"))
     edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    return _assemble(index, edges, texts, serp_docs, query)
+    return _assemble(index, edges, texts, serp, query)
 
 
 def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     """Load, validate and assemble the four input files into one bundle.
 
-    Raises ``InputFormatError`` for malformed lines (with file and line
-    number), ``ValueError`` for dangling resource references, and the usual
-    ``OSError`` family if a file is missing.  The graph file is read last,
-    a block at a time, with its endpoints resolved as each block is read
-    and no triple held; so a dangling reference on one graph line
-    is reported before a format error on a later one.  Query entries, then
+    Raises ``InputFormatError`` for malformed lines and graph endpoints
+    with no entry in the texts table (with file and line number),
+    ``ValueError`` for such query entries and result-page mentions, and the
+    usual ``OSError`` family if a file is missing.  The graph file is read
+    last, a block at a time, with its endpoints resolved as each block is
+    read and no triple held; so a dangling reference on one graph line is
+    reported before a format error on a later one.  Query entries, then
     result-page mentions, are resolved after it, as in ``assemble_bundle``.
     """
     texts = _read_texts_file(texts_path)
-    serp_docs = _read_serp_file(serp_path)
+    serp = _read_serp_file(serp_path)
     query = _read_query_file(query_path)
     index = _index(texts)
     blocks = _graph_file_ids(graph_path, index)
     edges = np.concatenate([np.empty(0, dtype=np.int32), *blocks], dtype=np.int64)
-    return _assemble(index, edges.reshape(-1, 2), texts, serp_docs, query)
+    return _assemble(index, edges.reshape(-1, 2), texts, serp, query)
 
 
 #: Characters of page text ``build_resource_text`` takes around each

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .types import InputFormatError, parse_int, read_objects, read_rows
+from .types import InputFormatError, parse_int, read_objects, read_rows, shown
 
 __all__ = [
     "FILTER_THRESHOLD",
@@ -89,7 +89,7 @@ class RelevanceJudgments:
         if missing:
             warnings.warn(
                 f"{len(missing)} ranked resources have no judgment and count as grade 0 "
-                f"(first: {missing[0]!r})"
+                f"(first: {shown(missing[0])})"
             )
         return [self.grades.get(rid, 0) for rid in resource_ids]
 
@@ -248,8 +248,8 @@ class _Columns:
         if first.size < items.size:
             r = np.setdiff1d(np.arange(items.size), first)[0]
             raise ValueError(
-                f"duplicate judgment for item {item_ids[items[r]]!r} "
-                f"by worker {worker_ids[workers[r]]!r}"
+                f"duplicate judgment for item {shown(item_ids[items[r]])} "
+                f"by worker {shown(worker_ids[workers[r]])}"
             )
         return JudgmentSet._of(item_ids, worker_ids, items, workers, grades, trust)
 
@@ -351,8 +351,8 @@ def majority_vote(
             r = missing[0]
             raise ValueError(
                 f"mean-trust tie-breaking needs trust values; record for item "
-                f"{judgments.item_ids[judgments.item_codes[r]]!r} by worker "
-                f"{judgments.worker_ids[judgments.worker_codes[r]]!r} has none"
+                f"{shown(judgments.item_ids[judgments.item_codes[r]])} by worker "
+                f"{shown(judgments.worker_ids[judgments.worker_codes[r]])} has none"
             )
 
     counts = judgments.grade_counts()
@@ -405,7 +405,7 @@ def load_qrels(path) -> RelevanceJudgments:
                 path, line_no, f"grade must be one of {VALID_GRADES}, got {grade}"
             )
         if item in grades:
-            raise InputFormatError(path, line_no, f"duplicate item {item!r}")
+            raise InputFormatError(path, line_no, f"duplicate item {shown(item)}")
         grades[item] = grade
     return RelevanceJudgments(grades=grades)
 

@@ -135,7 +135,7 @@ def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
     ``tokenize`` stems each distinct token once (``stem`` is cached).  Each
     stem gets an id on first sight; one array pass maps the ids to columns
     of the sorted vocabulary, and each distinct (column, row) pair of the
-    token stream becomes one entry, counting its occurrences.
+    token stream becomes one entry, holding how often it occurs.
     """
     ids: dict[str, int] = {}
     token_ids: list[int] = []

@@ -3,8 +3,9 @@
 Three independent experts emit a prior each:
 
 * ``equi_prior``: indifference, the uniform distribution;
-* ``hit_prior``: visibility on the result page, where a mention in the
-  document at rank r is worth ``size + 1 - r`` points;
+* ``hit_prior``: visibility on the result page: the document at rank r
+  of ``serp_size`` gives each resource it mentions ``serp_size + 1 - r``
+  points, one ``np.bincount`` over the distinct mention rows;
 * ``svd_prior``: latent-text response, scoring each resource by how far its
   latent coordinates (the rows of ``u * s`` from ``lsa.sparse_svd``) grow
   when the count rows of the resources under focus are amplified and the
@@ -25,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .lsa import ResourceTextMatrix, sparse_svd
-from .types import Distribution, PipelineParams, SerpContext, integer_array
+from .types import CorpusBundle, Distribution, PipelineParams, integer_array, shown
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
@@ -38,21 +39,18 @@ def equi_prior(n: int) -> Distribution:
     return Distribution.uniform(n)
 
 
-def hit_prior(serp: SerpContext, n: int) -> Distribution:
+def hit_prior(bundle: CorpusBundle) -> Distribution:
     """Result-page visibility prior.
 
-    Every mention of a resource contributes ``size + 1 - rank`` where rank
-    is the 1-based position of the mentioning document.  If nothing is
-    mentioned at all, falls back to the uniform distribution with a warning.
+    The document at rank r gives each resource it mentions, however often,
+    ``serp_size + 1 - r`` points.  If nothing is mentioned at all, falls
+    back to the uniform distribution with a warning.
     """
+    n = bundle.n
     if n < 1:
         raise ValueError("need at least one resource")
-    scores = np.zeros(n, dtype=np.float64)
-    size = len(serp.docs)
-    for idx, ranks in serp.occurrences.items():
-        if idx >= n:
-            raise ValueError(f"occurrence index {idx} outside 0..{n - 1}")
-        scores[idx] = float(sum(size + 1 - r for r in ranks))
+    resources, ranks = np.unique(bundle.mentions, axis=0).T
+    scores = np.bincount(resources, weights=bundle.serp_size + 1 - ranks, minlength=n)
     total = scores.sum()
     if total <= 0.0:
         warnings.warn(
@@ -108,8 +106,8 @@ def svd_prior(
     k, stress = params.ndim, params.stress
     if k > min(matrix.counts.shape):
         warnings.warn(
-            f"k={k} exceeds the rank bound of the {n}x{matrix.n_stems} text matrix; "
-            "svd prior falls back to uniform"
+            f"k={shown(str(k))} exceeds the rank bound of the "
+            f"{n}x{matrix.n_stems} text matrix; svd prior falls back to uniform"
         )
         return equi_prior(n)
 

@@ -135,7 +135,7 @@ class Pipeline:
 
     @cached_property
     def hit(self) -> Distribution:
-        return hit_prior(self.bundle.serp, self.bundle.n)
+        return hit_prior(self.bundle)
 
     @cached_property
     def svd(self) -> Distribution:

@@ -1,5 +1,5 @@
 """Shared data model: input readers, pipeline settings, probability
-vectors, result-page context, corpus bundle.
+vectors, corpus bundle.
 
 Every line-format decision is made here.  ``_blocks`` is the only code
 that opens, decodes and numbers an input file: it reads fixed-size byte
@@ -216,6 +216,8 @@ def _objects_by_line(path, numbered_lines):
             obj = json.loads(line)
         except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
             reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            if type(exc) is ValueError:  # ``int``'s message runs to 130 characters
+                reason = "an integer with too many digits"
             raise InputFormatError(path, line_no, f"invalid JSON ({reason})") from exc
         if not isinstance(obj, dict):
             raise InputFormatError(path, line_no, "expected a JSON object")
@@ -348,39 +350,6 @@ class Distribution:
 
 
 @dataclass(frozen=True, eq=False)
-class SerpContext:
-    """A search-engine result page restricted to one query.
-
-    ``docs`` lists document identifiers in rank order (rank of ``docs[i]``
-    is ``i + 1``).  ``occurrences`` maps a resource index to the set of
-    1-based ranks of the documents that mention it; indices and ranks are
-    Python or numpy integers, not bools.
-    """
-
-    docs: tuple[str, ...]
-    occurrences: dict[int, frozenset[int]]
-
-    def __post_init__(self):
-        size = len(self.docs)
-        for idx, ranks in self.occurrences.items():
-            if isinstance(idx, bool) or not isinstance(idx, Integral):
-                raise ValueError(f"resource index {idx!r} in occurrences must be an integer")
-            if idx < 0:
-                raise ValueError(f"negative resource index {idx} in occurrences")
-            if not ranks:
-                raise ValueError(f"resource index {idx} has an empty rank set")
-            for r in ranks:
-                if isinstance(r, bool) or not isinstance(r, Integral):
-                    raise ValueError(
-                        f"rank {r!r} for resource index {idx} must be an integer"
-                    )
-                if not 1 <= r <= size:
-                    raise ValueError(
-                        f"rank {r} for resource index {idx} outside 1..{size}"
-                    )
-
-
-@dataclass(frozen=True, eq=False)
 class CorpusBundle:
     """Everything one ranking run needs, in index form.
 
@@ -389,7 +358,10 @@ class CorpusBundle:
     resources by that index only.  ``graph_edges`` is an ``(m, 2)`` int64
     array with one ``(subject, object)`` row per input triple, in input
     order (predicates dropped, parallel rows kept); ``texts`` holds one text
-    per resource; ``serp.occurrences`` and ``query`` index resources too.
+    per resource.  The result page has ``serp_size`` documents, and
+    ``mentions`` is an ``(m, 2)`` int64 array with one ``(resource, rank)``
+    row per mention of a resource by the document at that 1-based rank, in
+    input order (repeats kept).  ``query`` holds resource indices too.
     ``corpus.load_bundle`` and ``corpus.assemble_bundle`` build bundles
     from resource identifiers.
     """
@@ -397,7 +369,8 @@ class CorpusBundle:
     resource_ids: tuple[str, ...]
     graph_edges: np.ndarray
     texts: tuple[str, ...]
-    serp: SerpContext
+    serp_size: int
+    mentions: np.ndarray
     query: frozenset[int]
 
     def __post_init__(self):
@@ -405,17 +378,24 @@ class CorpusBundle:
         if not all(map(operator.lt, ids, ids[1:])):  # strictly increasing
             raise ValueError("resource_ids must be sorted and free of duplicates")
         n = len(self.resource_ids)
+        size = self.serp_size
+        if isinstance(size, bool) or not isinstance(size, Integral) or size < 0:
+            raise ValueError(f"serp_size must be a non-negative integer, got {size!r}")
         edges = integer_array(self.graph_edges, "graph_edges", n)
-        if edges.ndim != 2 or edges.shape[1] != 2:
-            raise ValueError(f"graph_edges must have shape (m, 2), got {edges.shape}")
+        mentions = integer_array(self.mentions, "mentions")
+        for name, rows in (("graph_edges", edges), ("mentions", mentions)):
+            if rows.ndim != 2 or rows.shape[1] != 2:
+                raise ValueError(f"{name} must have shape (m, 2), got {rows.shape}")
+        integer_array(mentions[:, 0], "mention resources", n)
+        integer_array(mentions[:, 1] - 1, "mention ranks - 1", size)
         texts = tuple(self.texts)
         if len(texts) != n:
             raise ValueError(f"{len(texts)} texts for {n} resources")
         query = frozenset(integer_array(list(self.query), "query", n).tolist())
-        if any(i >= n for i in self.serp.occurrences):  # SerpContext rejects i < 0
-            raise ValueError(f"serp occurrences hold an index outside 0..{n - 1}")
         object.__setattr__(self, "graph_edges", edges)
         object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "serp_size", int(size))
+        object.__setattr__(self, "mentions", mentions)
         object.__setattr__(self, "query", query)
 
     @property

@@ -319,11 +319,12 @@ def majority_grades_by_counter(records, tie_break):
 
 # ---------------------------------------------------------------- pipeline
 
-def hit_weights_by_loop(serp_docs_total, occurrences, n):
-    """Raw visibility weights: rank r on a page of N docs is worth N+1-r."""
+def hit_weights_by_loop(serp_size, mentions, n):
+    """Raw visibility weights: rank r on a page of N docs is worth N+1-r to
+    each resource it mentions, once however often it names it."""
     scores = np.zeros(n)
-    for idx, ranks in occurrences.items():
-        scores[idx] = float(sum(serp_docs_total + 1 - r for r in ranks))
+    for idx, rank in set(map(tuple, mentions.tolist())):
+        scores[idx] += serp_size + 1 - rank
     return scores
 
 
@@ -333,7 +334,7 @@ def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
     n = bundle.n
     equi = np.full(n, 1.0 / n)
 
-    raw = hit_weights_by_loop(len(bundle.serp.docs), bundle.serp.occurrences, n)
+    raw = hit_weights_by_loop(bundle.serp_size, bundle.mentions, n)
     hit = raw / raw.sum() if raw.sum() > 0 else equi.copy()
 
     info_need = set(bundle.query)
@@ -357,7 +358,11 @@ def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
 def _json_fault(exc):
     """The reason for a line ``json.loads`` rejects: malformed, nested too
     deep, or an integer with more digits than ``int`` converts."""
-    return f"invalid JSON ({exc.msg if isinstance(exc, json.JSONDecodeError) else exc})"
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON ({exc.msg})"
+    if isinstance(exc, RecursionError):
+        return f"invalid JSON ({exc})"
+    return "invalid JSON (an integer with too many digits)"
 
 
 def _records_by_line(path, numbered_lines):
@@ -400,7 +405,7 @@ def _records_by_line(path, numbered_lines):
         yield {"item": item, "worker": worker, "grade": grade, "trust": trust}
 
 
-def _shown(text):
+def shown(text):
     """``text`` as an error echoes it: in full up to 40 characters, else its
     first 40 and its length."""
     if len(text) <= 40:
@@ -412,7 +417,7 @@ def _resource_id_by_split(token, path, line_no, what):
     if not token:
         raise InputFormatError(path, line_no, f"empty {what}")
     if token.split() != [token]:
-        raise InputFormatError(path, line_no, f"{what} {token!r} contains whitespace")
+        raise InputFormatError(path, line_no, f"{what} {shown(token)} contains whitespace")
     return token
 
 
@@ -436,16 +441,16 @@ def texts_by_line(path):
             )
         _resource_id_by_split(rid, path, line_no, "resource id")
         if "," in rid:
-            raise InputFormatError(path, line_no, f"resource id {rid!r} contains ','")
+            raise InputFormatError(path, line_no, f"resource id {shown(rid)} contains ','")
         if rid in texts:
-            raise InputFormatError(path, line_no, f"duplicate resource id {rid!r}")
+            raise InputFormatError(path, line_no, f"duplicate resource id {shown(rid)}")
         texts[rid] = text
     return texts
 
 
 def graph_triples_by_line(path):
-    """Yield the ``(subject, predicate, object)`` triples of a graph file, each
-    as its line is checked."""
+    """Yield ``(line_no, subject, predicate, object)`` for each triple of a
+    graph file, as its line is checked."""
     for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -460,11 +465,11 @@ def graph_triples_by_line(path):
         _resource_id_by_split(obj, path, line_no, "object")
         if not predicate:
             raise InputFormatError(path, line_no, "empty predicate")
-        yield subject, predicate, obj
+        yield line_no, subject, predicate, obj
 
 
 def serp_by_line(path):
-    """``(doc_id, [resource ids])`` per result, in rank order."""
+    """The ``[resource ids]`` of each result, in rank order."""
     rows = {}
     for line_no, raw in read_lines(path):
         line = raw.strip()
@@ -479,7 +484,7 @@ def serp_by_line(path):
         try:
             rank = int(rank_text)
         except ValueError:
-            raise InputFormatError(path, line_no, f"rank {_shown(rank_text)} is not an integer")
+            raise InputFormatError(path, line_no, f"rank {shown(rank_text)} is not an integer")
         if rank < 1:
             raise InputFormatError(path, line_no, f"rank must be positive, got {rank}")
         if rank in rows:
@@ -490,7 +495,7 @@ def serp_by_line(path):
         if mention_text:
             for token in mention_text.split(","):
                 mentions.append(_resource_id_by_split(token, path, line_no, "resource id"))
-        rows[rank] = (doc_id, mentions)
+        rows[rank] = mentions
     expected = set(range(1, len(rows) + 1))
     if set(rows) != expected:
         missing = sorted(expected - set(rows))
@@ -526,13 +531,13 @@ def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
         try:
             grade = int(grade_text)
         except ValueError:
-            raise InputFormatError(path, line_no, f"grade {_shown(grade_text)} is not an integer")
+            raise InputFormatError(path, line_no, f"grade {shown(grade_text)} is not an integer")
         if grade not in valid_grades:
             raise InputFormatError(
                 path, line_no, f"grade must be one of {valid_grades}, got {grade}"
             )
         if item in grades:
-            raise InputFormatError(path, line_no, f"duplicate item {item!r}")
+            raise InputFormatError(path, line_no, f"duplicate item {shown(item)}")
         grades[item] = grade
     return grades
 

@@ -265,9 +265,9 @@ def _synthetic_bundle(n_resources=81, vocab_size=520, words_per_text=40):
         edges.append((ids[i], "linksTo", ids[(i + 1) % n_resources]))
         edges.append((ids[i], "linksTo", ids[(i * 7 + 3) % n_resources]))
     serp = []
-    for d in range(10):
+    for _ in range(10):
         picks = rng.choice(n_resources, size=3, replace=False)
-        serp.append((f"doc{d:02d}", [ids[int(p)] for p in picks]))
+        serp.append([ids[int(p)] for p in picks])
     return assemble_bundle(edges, texts, serp, {ids[0]})
 
 

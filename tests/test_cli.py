@@ -10,9 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ldrank.cli as cli_module
 import ldrank.corpus as corpus_module
 from ldrank import STRATEGIES, krippendorff_alpha, ldrank, load_judgments, strategy
 from ldrank.cli import main
+
+from oracles import shown
+
+#: The longest last stderr line any input may give, in bytes: an echoed
+#: value is cut to its first 40 characters and its length.
+_LINE_BYTES = 200
 
 
 def _rank_args(basic_dir, *extra):
@@ -269,7 +276,17 @@ def test_integer_flags_take_ascii_digits(basic_dir, capsys):
     assert main(args) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 6
-    assert "k=10 exceeds the rank bound" in captured.err
+    assert "k='10' exceeds the rank bound" in captured.err
+
+
+def test_a_huge_ndim_is_echoed_by_its_head_and_length(basic_dir, capsys):
+    # A valid --ndim of 301 digits exceeds the rank bound, and the warning
+    # that says so stays short.
+    assert main(_rank_args(basic_dir, "--ndim", "1" * 301)) == 0
+    captured = capsys.readouterr()
+    last = captured.err.splitlines()[-1]
+    assert last.startswith(f"warning: k={shown('1' * 301)} exceeds the rank bound")
+    assert len(last.encode("utf-8")) < _LINE_BYTES
 
 
 @pytest.mark.parametrize("flag", ["--ndim", "--consensus-max-iters", "--max-iters"])
@@ -283,6 +300,40 @@ def test_integer_flags_echo_a_long_value_by_its_head_and_length(basic_dir, capsy
         f"ldrank rank: error: argument {flag}: invalid int value: "
         f"{value[:40]!r}... (5000 characters)"
     )
+
+
+_FLOAT_FLAGS = ["--alpha", "--stress", "--tol", "--lambda", "--consensus-eps"]
+
+
+@pytest.mark.parametrize("flag", _FLOAT_FLAGS)
+@pytest.mark.parametrize("value", ["x" * 5000, "1" * 4999 + "x", "abc"])
+def test_float_flags_echo_a_long_value_by_its_head_and_length(basic_dir, capsys, flag, value):
+    assert main(_rank_args(basic_dir, flag, value)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last == f"ldrank rank: error: argument {flag}: invalid float value: {shown(value)}"
+    assert len(last.encode("utf-8")) < _LINE_BYTES
+
+
+@pytest.mark.parametrize("command", ["agg", "alpha"])
+def test_filter_threshold_echoes_a_long_value_by_its_head_and_length(fixtures_dir, capsys,
+                                                                     command):
+    value = "x" * 5000
+    argv = [command, str(fixtures_dir / "judgments.jsonl"), "--filter-threshold", value]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"ldrank {command}: error: argument --filter-threshold: invalid float value: "
+        f"{value[:40]!r}... (5000 characters)"
+    )
+
+
+@pytest.mark.parametrize("text", ["0.5", " 0.5\n", "5e-1", "0_5", "-0", "nan", "-Infinity",
+                                  "1e999", "\u0665"])
+def test_float_flags_take_what_float_takes(text):
+    assert repr(cli_module._real(text)) == repr(float(text))
 
 
 def test_eval_rejects_strategy_flag(basic_dir, capsys):
@@ -345,7 +396,7 @@ def test_rank_malformed_input_exits_one(basic_dir, tmp_path, capsys):
 # id or undecodable bytes, or be empty, and a pipeline flag may lie at or
 # beyond the edge of its range.  Each faulty line carries the error it must
 # raise: "format" for ``path:line: ...``, "utf-8" for ``path:0: not valid
-# UTF-8``, else the dangling reference.
+# UTF-8``, else the dangling reference, at ``path:line`` in the graph file.
 
 _GONE = "Atlantis"
 #: Appended to an id, makes it more than four times as wide as the mean id.
@@ -366,8 +417,8 @@ def _graph_faults(line):
         (f"{s}\t\t{o}", "format"),
         (f"{_GONE}\t\t{o}", "format"),  # checked before it is resolved
         (f"{s}\t{p}{_BAD_BYTE}\t{o}", "utf-8"),
-        (f"{_GONE}\t{p}\t{o}", f"graph subject {_GONE!r} {_NO_ENTRY}"),
-        (f"{s}\t{p}\t{_GONE}{_WIDE}", f"graph object {_GONE + _WIDE!r} {_NO_ENTRY}"),
+        (f"{_GONE}\t{p}\t{o}", f"graph subject {shown(_GONE)} {_NO_ENTRY}"),
+        (f"{s}\t{p}\t{_GONE}{_WIDE}", f"graph object {shown(_GONE + _WIDE)} {_NO_ENTRY}"),
     ]
 
 
@@ -378,7 +429,7 @@ def _serp_faults(line):
         (f"{line}\tx", "format"),
         (f"{'1' * 5000}\t{doc}\t{mentions}", "format"),
         (f"{rank}\t{_BAD_BYTE}{doc}\t{mentions}", "utf-8"),
-        (f"{line},{_GONE}", f"result-page resource {_GONE!r} {_NO_ENTRY}"),
+        (f"{line},{_GONE}", f"result-page resource {shown(_GONE)} {_NO_ENTRY}"),
     ]
 
 
@@ -386,7 +437,7 @@ def _query_faults(line):
     return [
         (f"{line}\t{line}", "format"),
         (line + _BAD_BYTE, "utf-8"),
-        (_GONE, f"query resource {_GONE!r} {_NO_ENTRY}"),
+        (_GONE, f"query resource {shown(_GONE)} {_NO_ENTRY}"),
     ]
 
 
@@ -395,11 +446,11 @@ def _first_reference(name, line):
     the texts file holds no id at all, or None if the line names none."""
     fields = line.split("\t")
     if name == "graph":
-        return f"graph subject {fields[0]!r} {_NO_ENTRY}"
+        return f"graph subject {shown(fields[0])} {_NO_ENTRY}"
     if name == "query":
-        return f"query resource {line.strip()!r} {_NO_ENTRY}"
+        return f"query resource {shown(line.strip())} {_NO_ENTRY}"
     mention = fields[2].split(",")[0]
-    return f"result-page resource {mention!r} {_NO_ENTRY}" if mention else None
+    return f"result-page resource {shown(mention)} {_NO_ENTRY}" if mention else None
 
 
 @st.composite
@@ -456,7 +507,7 @@ def _mutated_texts(draw, lines):
         k = draw(st.integers(0, len(lines) - 1))
         at = draw(st.integers(k + 1, len(lines)))
         lines.insert(at, lines[k])
-        fault = (at + 1, f"duplicate resource id {json.loads(lines[k])['id']!r}")
+        fault = (at + 1, f"duplicate resource id {shown(json.loads(lines[k])['id'])}")
     elif kind == "utf-8":
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = _BAD_BYTE + lines[k]
@@ -484,8 +535,9 @@ def _expected_error(paths, files, texts_fault, flag_error):
     """The start of the one error line that ``rank`` must print, or None.
     The flags are checked, then the files read, then resolved, in this
     order: the texts file, read faults of the result page, then of the
-    query, then the graph's faults in line order, then the query's and the
-    result page's dangling references.  Undecodable bytes end their file:
+    query, then the graph's faults in line order, a dangling endpoint named
+    by its line too, then the query's and the result page's dangling
+    references, named by id alone.  Undecodable bytes end their file:
     no line after them is read.  With no texts every id dangles, and with
     no id anywhere either no resource is left to rank."""
     def error(name, line_no, fault):
@@ -493,6 +545,8 @@ def _expected_error(paths, files, texts_fault, flag_error):
             return f"error: {paths[name]}:{line_no}: "
         if fault == "utf-8":
             return f"error: {paths[name]}:0: not valid UTF-8"
+        if name == "graph":  # a dangling endpoint, found as its line is read
+            return f"error: {paths[name]}:{line_no}: {fault}"
         return f"error: {fault}"
 
     if flag_error:
@@ -573,6 +627,34 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
         assert stdout.getvalue() == ""
         assert [line for line in err if line.startswith("error:")] == err[-1:]
         assert err[-1].startswith(want), (err[-1], want)
+        assert len(err[-1].encode("utf-8")) < _LINE_BYTES, err[-1]
+
+
+#: A resource id of 5,000 characters that the fixture's texts do not hold.
+_LONG_ID = "Atlantis" * 625
+
+
+@pytest.mark.parametrize("name, line, at_line, reason", [
+    ("query.txt", _LONG_ID, False, f"query resource {shown(_LONG_ID)} {_NO_ENTRY}"),
+    ("query.txt", _LONG_ID[:2500] + " " + _LONG_ID[2500:], True,
+     f"resource id {shown(_LONG_ID[:2500] + ' ' + _LONG_ID[2500:])} contains whitespace"),
+    ("serp.tsv", f"4\td\t{_LONG_ID}", False,
+     f"result-page resource {shown(_LONG_ID)} {_NO_ENTRY}"),
+    ("graph.tsv", f"Berlin\tp\t{_LONG_ID}", True, f"graph object {shown(_LONG_ID)} {_NO_ENTRY}"),
+], ids=["query", "query-spaced", "serp", "graph"])
+def test_a_long_dangling_id_is_echoed_by_its_head_and_length(basic_dir, tmp_path, capsys,
+                                                             name, line, at_line, reason):
+    lines = (basic_dir / name).read_text(encoding="utf-8").splitlines() + [line]
+    path = tmp_path / name
+    path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
+    argv = _rank_args(basic_dir)
+    argv[1 + ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt").index(name)] = str(path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    where = f"{path}:{len(lines)}: " if at_line else ""
+    assert captured.err.splitlines() == [f"error: {where}{reason}"]
+    assert len(captured.err.encode("utf-8")) < _LINE_BYTES
 
 
 _DEEP = "[" * 100_000
@@ -706,6 +788,7 @@ def test_judgments_commands_on_mutated_files_report_the_first_fault(
     if code == 1:
         assert out == ""
         assert [line for line in err if line.startswith("error:")] == err[-1:]
+        assert len(err[-1].encode("utf-8")) < _LINE_BYTES, err[-1]
         if want is not None:
             assert err[-1].startswith(f"error: {path}:{want[0]}: {want[1]}"), (err[-1], want)
         elif threshold in _BAD_THRESHOLDS:
@@ -922,7 +1005,7 @@ def _eval_inputs(draw, fixture, out):
         at = draw(st.integers(k + 1, len(grades)))
         item = grades[k].split("\t")[0]
         grades.insert(at, f"{item}\t{draw(st.integers(0, 3))}")
-        qrels_fault = f"error: {qrels}:{at + 1}: duplicate item {item!r}"
+        qrels_fault = f"error: {qrels}:{at + 1}: duplicate item {shown(item)}"
     qrels.write_text("".join(line + "\n" for line in grades), encoding="utf-8")
 
     # Per entry its five paths, and the error loading it must raise.  The
@@ -991,6 +1074,7 @@ def test_eval_on_mutated_inputs_reports_the_first_fault(
     if want is not None:
         assert code == 1 and out == ""
         assert [line for line in err if line.startswith("error:")] == err[-1:] == [want]
+        assert len(err[-1].encode("utf-8")) < _LINE_BYTES, err[-1]
         return
     assert code == 0, err
     rows = [line.split("\t") for line in out.splitlines()]

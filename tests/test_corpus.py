@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldrank.corpus as corpus_module
-from ldrank import CorpusBundle, InputFormatError, SerpContext, build_resource_text, load_bundle
+from ldrank import CorpusBundle, InputFormatError, build_resource_text, load_bundle
 from ldrank.corpus import TEXT_WINDOW, assemble_bundle
 
 
@@ -18,9 +18,9 @@ def test_load_bundle_basic(basic_bundle):
     assert b.n == 6
     # 9 triple lines survive as edges; the walk layer dedups pairs later.
     assert len(b.graph_edges) == 9
-    assert b.serp.docs == ("doc-a", "doc-b", "doc-c")
+    assert b.serp_size == 3
     # Berlin is mentioned by the documents at ranks 1 and 2.
-    assert b.serp.occurrences[0] == frozenset({1, 2})
+    assert [rank for i, rank in b.mentions.tolist() if i == 0] == [1, 2]
     assert {b.resource_ids[i] for i in b.query} == {"Germany"}
 
 
@@ -36,8 +36,8 @@ def test_load_bundle_is_deterministic(basic_dir):
     assert a.resource_ids == b.resource_ids
     assert np.array_equal(a.graph_edges, b.graph_edges)
     assert a.texts == b.texts
-    assert a.serp.docs == b.serp.docs
-    assert a.serp.occurrences == b.serp.occurrences
+    assert a.serp_size == b.serp_size
+    assert np.array_equal(a.mentions, b.mentions)
     assert a.query == b.query
 
 
@@ -121,7 +121,8 @@ def test_serp_gap_in_ranks_rejected(tmp_path):
 def test_serp_empty_mention_list_ok(tmp_path):
     files = _bundle_files(tmp_path, serp="1\td1\t\n2\td2\ta\n")
     bundle = load_bundle(*files)
-    assert bundle.serp.occurrences == {0: frozenset({2})}
+    assert bundle.serp_size == 2
+    assert bundle.mentions.tolist() == [[0, 2]]
 
 
 def test_dangling_references_rejected(tmp_path):
@@ -154,12 +155,12 @@ def _many_chunk_graph(n_lines, bad):
 
 # Line 3500 lies in the fourth block of 1024 lines, with line 3501.
 @pytest.mark.parametrize("bad, error, message", [
-    ({3500: "a\tp\tzzz", 3501: "a\tp"}, ValueError,
-     "graph object 'zzz' has no entry in the texts table"),
+    ({3500: "a\tp\tzzz", 3501: "a\tp"}, InputFormatError,
+     ":3500: graph object 'zzz' has no entry in the texts table"),
     ({3500: "a\tp", 3501: "a\tp\tzzz"}, InputFormatError,
      ":3500: expected 3 tab-separated fields, got 2"),
-    ({3500: "zzz\tp\tb", 3501: "a\t\tb"}, ValueError,
-     "graph subject 'zzz' has no entry in the texts table"),
+    ({3500: "zzz\tp\tb", 3501: "a\t\tb"}, InputFormatError,
+     ":3500: graph subject 'zzz' has no entry in the texts table"),
     ({3500: "a\t\tb", 3501: "zzz\tp\tb"}, InputFormatError, ":3500: empty predicate"),
 ])
 def test_graph_fault_on_an_earlier_line_of_a_chunk_is_reported_first(
@@ -275,8 +276,8 @@ def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_
     assert bulk.graph_edges.dtype == basic_bundle.graph_edges.dtype
     assert np.array_equal(bulk.graph_edges, basic_bundle.graph_edges)
     assert bulk.texts == basic_bundle.texts
-    assert bulk.serp.docs == basic_bundle.serp.docs
-    assert bulk.serp.occurrences == basic_bundle.serp.occurrences
+    assert bulk.serp_size == basic_bundle.serp_size
+    assert np.array_equal(bulk.mentions, basic_bundle.mentions)
     assert bulk.query == basic_bundle.query
 
 
@@ -337,7 +338,10 @@ def test_texts_id_with_comma_is_rejected(tmp_path):
 ])
 def test_reference_with_comma_is_dangling(tmp_path, graph, query, role):
     files = _bundle_files(tmp_path, graph=graph, serp="", query=query)
-    with pytest.raises(ValueError, match=f"^{role} 'a,b' has no entry in the texts table$"):
+    # A graph endpoint is reported at its line; a query entry, resolved
+    # after the files are read, by itself.
+    where = r".*g\.tsv:1: " if role.startswith("graph") else ""
+    with pytest.raises(ValueError, match=f"^{where}{role} 'a,b' has no entry in the texts table$"):
         load_bundle(*files)
 
 
@@ -375,11 +379,12 @@ def test_assemble_orders_ids_lexicographically():
     bundle = assemble_bundle(
         [("z", "p", "m")],
         {"z": "", "m": "", "a": ""},
-        [("d1", ["m"])],
+        [["m"]],
         set(),
     )
     assert bundle.resource_ids == ("a", "m", "z")
-    assert bundle.serp.occurrences == {1: frozenset({1})}
+    assert bundle.serp_size == 1
+    assert bundle.mentions.tolist() == [[1, 1]]
 
 
 # ------------------------------------------------- index-form properties
@@ -394,7 +399,7 @@ def _parsed_bundles(draw):
     known = st.sampled_from(ids)
     triples = draw(st.lists(st.tuples(known, st.sampled_from(("p", "q")), known), max_size=12))
     texts = {rid: draw(st.text(alphabet="xyz ", max_size=8)) for rid in ids}
-    serp = draw(st.lists(st.tuples(st.just("d"), st.lists(known, max_size=3)), max_size=4))
+    serp = draw(st.lists(st.lists(known, max_size=3), max_size=4))
     query = draw(st.sets(known))
     return triples, texts, serp, query
 
@@ -411,8 +416,10 @@ def test_assemble_bundle_maps_every_id_to_its_index(parsed):
     for i, rid in enumerate(ids):
         assert bundle.texts[i] == texts[rid]
     assert {ids[i] for i in bundle.query} == set(query)
-    mentioned = {(ids[i], r) for i, ranks in bundle.serp.occurrences.items() for r in ranks}
-    assert mentioned == {(rid, r) for r, (_d, rids) in enumerate(serp, start=1) for rid in rids}
+    assert bundle.serp_size == len(serp)
+    assert bundle.mentions.shape == (sum(map(len, serp)), 2)
+    mentioned = [(ids[i], r) for i, r in bundle.mentions.tolist()]
+    assert mentioned == [(rid, r) for r, rids in enumerate(serp, start=1) for rid in rids]
 
 
 @settings(max_examples=200, deadline=None)
@@ -432,7 +439,7 @@ def test_assemble_bundle_names_an_unknown_id_in_any_role(parsed, role, at, unkno
     elif role == "query":
         query.add(unknown)
     else:
-        serp.insert(at % (len(serp) + 1), ("d", [unknown]))
+        serp.insert(at % (len(serp) + 1), [unknown])
     with pytest.raises(ValueError, match=repr(unknown)):
         assemble_bundle(triples, texts, serp, query)
 
@@ -442,14 +449,20 @@ def test_assemble_bundle_names_an_unknown_id_in_any_role(parsed, role, at, unkno
     n=st.integers(min_value=1, max_value=5),
     offset=st.integers(min_value=0, max_value=2**40),
     below=st.booleans(),
-    field=st.sampled_from(("subject", "object", "query")),
+    field=st.sampled_from(("subject", "object", "query", "mentioned", "rank")),
 )
 def test_corpus_bundle_rejects_out_of_range_indices(n, offset, below, field):
+    # n resources, and a result page of n documents, ranked 1..n.
     bad = -1 - offset if below else n + offset
     edges = [[0, 0]]
     query = {0}
+    mentions = [[0, 1]]
     if field == "query":
         query = {bad}
+    elif field == "mentioned":
+        mentions = [[bad, 1]]
+    elif field == "rank":
+        mentions = [[0, bad + 1]]
     else:
         edges = [[bad, 0]] if field == "subject" else [[0, bad]]
     with pytest.raises(ValueError, match="outside"):
@@ -457,19 +470,21 @@ def test_corpus_bundle_rejects_out_of_range_indices(n, offset, below, field):
             resource_ids=tuple(f"r{i}" for i in range(n)),
             graph_edges=np.array(edges, dtype=np.int64),
             texts=("",) * n,
-            serp=SerpContext(docs=(), occurrences={}),
+            serp_size=n,
+            mentions=np.array(mentions, dtype=np.int64),
             query=frozenset(query),
         )
 
 
 @pytest.mark.parametrize("index", [3, 99])
 def test_corpus_bundle_rejects_out_of_range_serp_index(index):
-    with pytest.raises(ValueError, match=r"^serp occurrences hold an index outside 0\.\.2$"):
+    with pytest.raises(ValueError, match=r"^mention resources hold an index outside 0\.\.2$"):
         CorpusBundle(
             resource_ids=("a", "b", "c"),
             graph_edges=np.zeros((0, 2), dtype=np.int64),
             texts=("", "", ""),
-            serp=SerpContext(docs=("d1",), occurrences={0: frozenset({1}), index: frozenset({1})}),
+            serp_size=1,
+            mentions=[[0, 1], [index, 1]],
             query=frozenset(),
         )
 
@@ -489,7 +504,8 @@ def test_corpus_bundle_rejects_malformed_arrays(edges, texts, message):
             resource_ids=("a", "b"),
             graph_edges=edges,
             texts=texts,
-            serp=SerpContext(docs=(), occurrences={}),
+            serp_size=0,
+            mentions=np.zeros((0, 2), dtype=np.int64),
             query=frozenset(),
         )
 

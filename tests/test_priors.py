@@ -1,14 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldrank import (
+    CorpusBundle,
     Distribution,
     PipelineParams,
-    SerpContext,
     build_info_need,
     build_text_matrix,
     equi_prior,
     hit_prior,
+    load_bundle,
     svd_prior,
 )
 from ldrank.lsa import ResourceTextMatrix
@@ -35,35 +40,79 @@ def test_equi_prior_uniform():
 # ------------------------------------------------------------------- hit
 
 
+def _page(n, serp_size, mentions):
+    """A bundle of ``n`` resources whose result page has ``serp_size``
+    documents and the given ``(resource, rank)`` mention rows."""
+    return CorpusBundle(
+        tuple(f"r{i}" for i in range(n)), np.empty((0, 2), dtype=np.int64), ("",) * n,
+        serp_size, np.array(mentions, dtype=np.int64).reshape(-1, 2), frozenset(),
+    )
+
+
 def test_hit_prior_rank_weighting():
     # Three documents: rank 1 is worth 3, rank 2 worth 2, rank 3 worth 1.
-    serp = SerpContext(
-        docs=("d1", "d2", "d3"),
-        occurrences={0: frozenset({1, 2}), 2: frozenset({3})},
-    )
-    p = hit_prior(serp, 4)
+    p = hit_prior(_page(4, 3, [[0, 1], [0, 2], [2, 3]]))
     assert np.allclose(p.values, np.array([5.0, 0.0, 1.0, 0.0]) / 6.0)
 
 
 def test_hit_prior_matches_loop_oracle(basic_bundle):
-    p = hit_prior(basic_bundle.serp, basic_bundle.n)
+    p = hit_prior(basic_bundle)
     raw = oracles.hit_weights_by_loop(
-        len(basic_bundle.serp.docs), basic_bundle.serp.occurrences, basic_bundle.n
+        basic_bundle.serp_size, basic_bundle.mentions, basic_bundle.n
     )
-    assert np.allclose(p.values, raw / raw.sum(), atol=1e-12)
+    assert np.array_equal(p.values, raw / raw.sum())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    serp_size=st.integers(0, 6),
+    rows=st.lists(st.tuples(st.integers(0, 4), st.integers(1, 6)), max_size=12),
+)
+def test_hit_prior_matches_loop_oracle_on_random_pages(n, serp_size, rows):
+    # Repeated rows, which a document naming a resource twice gives, count once.
+    mentions = [(i % n, (r - 1) % serp_size + 1) for i, r in rows] if serp_size else []
+    bundle = _page(n, serp_size, mentions)
+    raw = oracles.hit_weights_by_loop(serp_size, bundle.mentions, n)
+    if raw.sum():
+        assert np.array_equal(hit_prior(bundle).values, raw / raw.sum())
+    else:
+        with pytest.warns(UserWarning, match="hit prior falls back to uniform"):
+            assert np.array_equal(hit_prior(bundle).values, np.full(n, 1.0 / n))
+
+
+def test_hit_prior_counts_a_resource_named_twice_by_one_document_once(basic_dir, tmp_path):
+    serp = tmp_path / "serp.tsv"
+    serp.write_text("1\td\tBerlin,Berlin\n", encoding="utf-8")
+    bundle = load_bundle(basic_dir / "graph.tsv", basic_dir / "texts.jsonl", serp,
+                         basic_dir / "query.txt")
+    assert bundle.mentions.tolist() == [[0, 1], [0, 1]]
+    assert hit_prior(bundle).values.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_hit_prior_empty_page_falls_back_to_uniform():
-    serp = SerpContext(docs=(), occurrences={})
     with pytest.warns(UserWarning):
-        p = hit_prior(serp, 3)
+        p = hit_prior(_page(3, 0, []))
     assert np.allclose(p.values, 1.0 / 3.0)
+    # A page whose documents mention nothing falls back too.
+    with pytest.warns(UserWarning, match="hit prior falls back to uniform"):
+        p = hit_prior(_page(3, 4, []))
+    assert np.array_equal(p.values, np.full(3, 1.0 / 3.0))
+
+
+def test_hit_prior_needs_a_resource_before_it_warns():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^need at least one resource$"):
+            hit_prior(_page(0, 0, []))
 
 
 def test_hit_prior_rejects_out_of_range_index():
-    serp = SerpContext(docs=("d1",), occurrences={5: frozenset({1})})
-    with pytest.raises(ValueError):
-        hit_prior(serp, 3)
+    # The bundle checks the mention rows hit_prior reads, once, when it is built.
+    with pytest.raises(ValueError, match="^mention resources hold an index outside 0..2$"):
+        _page(3, 1, [[5, 1]])
+    with pytest.raises(ValueError, match="^mention ranks - 1 hold an index outside 0..0$"):
+        _page(3, 1, [[0, 2]])
 
 
 # ------------------------------------------------------------- info need
@@ -175,7 +224,7 @@ def test_svd_prior_rank_above_matrix_falls_back_to_uniform():
 
 def test_svd_prior_on_fixture_is_query_biased(basic_bundle):
     matrix = build_text_matrix(basic_bundle)
-    hit = hit_prior(basic_bundle.serp, basic_bundle.n)
+    hit = hit_prior(basic_bundle)
     info_need = build_info_need(basic_bundle.query, hit)
     p = svd_prior(matrix, info_need, PipelineParams(ndim=1, stress=1000.0))
     # Germany (index 3) is the query resource; Berlin (0) the top hit.

@@ -365,7 +365,7 @@ def _assemble(texts, edges, serp, query, name):
     return assemble_bundle(
         [(name(s), "p", name(o)) for s, o in edges],
         {name(i): text for i, text in enumerate(texts)},
-        [(f"d{r}", [name(i) for i in mentions]) for r, mentions in enumerate(serp)],
+        [[name(i) for i in mentions] for mentions in serp],
         {name(i) for i in query},
     )
 

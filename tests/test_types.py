@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ldrank import CorpusBundle, Distribution, PipelineParams, SerpContext, hit_prior
+from ldrank import CorpusBundle, Distribution, PipelineParams, hit_prior
 
 
 def test_distribution_accepts_valid_vector():
@@ -43,48 +43,78 @@ def test_distribution_uniform_and_weights():
         Distribution.uniform(0)
 
 
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
+_NO_MENTIONS = np.empty((0, 2), dtype=np.int64)
+
+
+def _bundle(n=1, serp_size=1, mentions=_NO_MENTIONS):
+    """A bundle of ``n`` resources without edges or query, with the given
+    result page."""
+    ids = tuple(f"r{i}" for i in range(n))
+    return CorpusBundle(ids, _NO_EDGES, ("",) * n, serp_size, mentions, frozenset())
+
+
 def test_serp_context_validates_ranks():
-    SerpContext(docs=("d1", "d2"), occurrences={0: frozenset({1, 2})})
-    with pytest.raises(ValueError):
-        SerpContext(docs=("d1",), occurrences={0: frozenset({2})})
-    with pytest.raises(ValueError):
-        SerpContext(docs=("d1",), occurrences={0: frozenset({0})})
-    with pytest.raises(ValueError):
-        SerpContext(docs=("d1",), occurrences={-1: frozenset({1})})
-    with pytest.raises(ValueError):
-        SerpContext(docs=("d1",), occurrences={0: frozenset()})
+    # The result page's mention rows: resources in 0..n-1, ranks in
+    # 1..serp_size.
+    bundle = _bundle(n=1, serp_size=2, mentions=[[0, 1], [0, 2], [0, 2]])
+    assert bundle.mentions.dtype == np.int64
+    assert bundle.mentions.tolist() == [[0, 1], [0, 2], [0, 2]]  # repeats kept
+    with pytest.raises(ValueError, match=r"^mention ranks - 1 hold an index outside 0\.\.0$"):
+        _bundle(serp_size=1, mentions=[[0, 2]])
+    with pytest.raises(ValueError, match=r"^mention ranks - 1 hold an index outside 0\.\.0$"):
+        _bundle(serp_size=1, mentions=[[0, 0]])
+    with pytest.raises(ValueError, match=r"^mention resources hold an index outside 0\.\.0$"):
+        _bundle(serp_size=1, mentions=[[-1, 1]])
+    with pytest.raises(ValueError, match="^mention ranks - 1 hold an index outside"):
+        _bundle(serp_size=0, mentions=[[0, 1]])  # an empty page has no rank
 
 
 @pytest.mark.parametrize(
-    "occurrences, message",
+    "mentions, message",
     [
-        ({1.5: frozenset({1})}, "resource index 1.5 in occurrences must be an integer"),
-        ({1.0: frozenset({1})}, "resource index 1.0 in occurrences must be an integer"),
-        ({True: frozenset({1})}, "resource index True in occurrences must be an integer"),
-        ({0: frozenset({1.0})}, "rank 1.0 for resource index 0 must be an integer"),
-        ({0: frozenset({True})}, "rank True for resource index 0 must be an integer"),
-        ({0: frozenset({np.float64(1)})}, "for resource index 0 must be an integer"),
+        ([[1.5, 1]], "mentions must hold integers, got float64 values"),
+        ([[1.0, 1]], "mentions must hold integers, got float64 values"),
+        ([[True, True]], "mentions must hold integers, got bool values"),
+        ([[0, 1.0]], "mentions must hold integers, got float64 values"),
+        (np.array([[0, 1]], dtype=bool), "mentions must hold integers, got bool values"),
+        (np.array([[0, 1]], dtype=np.float64), "mentions must hold integers, got float64"),
     ],
     ids=["index-1.5", "index-1.0", "index-True", "rank-1.0", "rank-True", "rank-float64"],
 )
-def test_serp_context_rejects_indices_and_ranks_that_are_not_integers(occurrences, message):
+def test_serp_context_rejects_indices_and_ranks_that_are_not_integers(mentions, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        SerpContext(docs=("d",), occurrences=occurrences)
+        _bundle(n=2, serp_size=1, mentions=mentions)
 
 
 def test_serp_context_takes_numpy_integers():
-    serp = SerpContext(docs=("d",), occurrences={np.int64(0): frozenset({np.int32(1)})})
-    assert hit_prior(serp, 1).values.tolist() == [1.0]
+    bundle = _bundle(serp_size=np.int64(1), mentions=np.array([[0, 1]], dtype=np.int32))
+    assert type(bundle.serp_size) is int and bundle.mentions.dtype == np.int64
+    assert hit_prior(bundle).values.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("size", [-1, True, 1.0, "1", None])
+def test_corpus_bundle_rejects_a_serp_size_that_is_not_a_count(size):
+    message = f"^serp_size must be a non-negative integer, got {re.escape(repr(size))}$"
+    with pytest.raises(ValueError, match=message):
+        _bundle(serp_size=size)
+
+
+@pytest.mark.parametrize("mentions", [np.zeros((1, 3), dtype=np.int64), np.zeros(2, dtype=np.int64),
+                                      []])
+def test_corpus_bundle_rejects_mentions_of_another_shape(mentions):
+    with pytest.raises(ValueError, match=r"^mentions must have shape \(m, 2\)"):
+        _bundle(mentions=mentions)
 
 
 def test_corpus_bundle_requires_sorted_unique_ids():
-    serp = SerpContext(docs=(), occurrences={})
     with pytest.raises(ValueError):
         CorpusBundle(
             resource_ids=("b", "a"),
-            graph_edges=np.empty((0, 2), dtype=np.int64),
+            graph_edges=_NO_EDGES,
             texts=("", ""),
-            serp=serp,
+            serp_size=0,
+            mentions=_NO_MENTIONS,
             query=frozenset(),
         )
 
@@ -94,25 +124,27 @@ def test_corpus_bundle_names_unsorted_or_repeated_ids(ids):
     with pytest.raises(ValueError, match="^resource_ids must be sorted and free of duplicates$"):
         CorpusBundle(
             resource_ids=ids,
-            graph_edges=np.empty((0, 2), dtype=np.int64),
+            graph_edges=_NO_EDGES,
             texts=("",) * len(ids),
-            serp=SerpContext(docs=(), occurrences={}),
+            serp_size=0,
+            mentions=_NO_MENTIONS,
             query=frozenset(),
         )
 
 
 def test_corpus_bundle_index_is_positional():
-    serp = SerpContext(docs=(), occurrences={})
     bundle = CorpusBundle(
         resource_ids=("a", "b", "c"),
         graph_edges=[[2, 0]],
         texts=["", "", ""],
-        serp=serp,
+        serp_size=2,
+        mentions=[[1, 2]],
         query=[1],
     )
     assert bundle.graph_edges.dtype == np.int64
     assert bundle.graph_edges.tolist() == [[2, 0]]
     assert bundle.texts == ("", "", "")
+    assert bundle.mentions.tolist() == [[1, 2]]
     assert bundle.query == frozenset({1})
     assert bundle.n == 3
 
@@ -128,14 +160,14 @@ def test_corpus_bundle_index_is_positional():
     ],
 )
 def test_corpus_bundle_rejects_non_integer_indices(edges, query, field):
-    serp = SerpContext(docs=(), occurrences={})
     with pytest.raises(ValueError, match=f"^{field} must hold integers"):
-        CorpusBundle(("a", "b"), edges, ("", ""), serp, query)
+        CorpusBundle(("a", "b"), edges, ("", ""), 0, _NO_MENTIONS, query)
     # Empty input of any dtype, and integer arrays of any width, pass.
     bundle = CorpusBundle(
-        ("a", "b"), np.empty((0, 2)), ("", ""), serp, np.array([1], dtype=np.uint8)
+        ("a", "b"), np.empty((0, 2)), ("", ""), 0, np.empty((0, 2)), np.array([1], dtype=np.uint8)
     )
     assert bundle.graph_edges.dtype == np.int64 and bundle.query == {1}
+    assert bundle.mentions.dtype == np.int64
 
 
 _NUMERIC_PARAMS = [f.name for f in fields(PipelineParams) if f.name != "bidirectional"]
