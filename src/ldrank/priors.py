@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .lsa import ResourceTextMatrix, sparse_svd
-from .types import CorpusBundle, Distribution, PipelineParams, integer_array, shown
+from .types import CorpusBundle, Distribution, PipelineParams, integer_array
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
@@ -105,8 +105,11 @@ def svd_prior(
         raise ValueError("info_need must contain at least one resource index")
     k, stress = params.ndim, params.stress
     if k > min(matrix.counts.shape):
+        digits = str(k)
+        if len(digits) > 40:
+            digits = f"{digits[:40]}... ({len(digits)} digits)"
         warnings.warn(
-            f"k={shown(str(k))} exceeds the rank bound of the "
+            f"k={digits} exceeds the rank bound of the "
             f"{n}x{matrix.n_stems} text matrix; svd prior falls back to uniform"
         )
         return equi_prior(n)

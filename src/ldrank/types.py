@@ -229,12 +229,17 @@ def integer_array(values, name: str, below: int | None = None) -> np.ndarray:
 
     The dtype is tested: integers and arrays of integer dtype pass, bools,
     floats, strings and objects do not, so no value is rounded or parsed on
-    the way in.  Empty input passes whatever its dtype.  With ``below``,
-    the values are indices and must lie in ``0..below-1``.
+    the way in.  A bool beside ints in a list fails too, although numpy
+    would read it as an int.  Empty input passes whatever its dtype.  With
+    ``below``, the values are indices and must lie in ``0..below-1``.
     """
     array = np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise ValueError(f"{name} must hold integers, got {array.dtype} values")
+    if array.size and not isinstance(values, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat
+    ):
+        raise ValueError(f"{name} must hold integers, got bool values")
     array = array.astype(np.int64, copy=False)
     if below is not None and array.size and (array.min() < 0 or array.max() >= below):
         raise ValueError(f"{name} hold an index outside 0..{below - 1}")
@@ -387,7 +392,9 @@ class CorpusBundle:
             if rows.ndim != 2 or rows.shape[1] != 2:
                 raise ValueError(f"{name} must have shape (m, 2), got {rows.shape}")
         integer_array(mentions[:, 0], "mention resources", n)
-        integer_array(mentions[:, 1] - 1, "mention ranks - 1", size)
+        ranks = mentions[:, 1]
+        if ranks.size and (ranks.min() < 1 or ranks.max() > size):
+            raise ValueError(f"mention ranks lie outside 1..{size}")
         texts = tuple(self.texts)
         if len(texts) != n:
             raise ValueError(f"{len(texts)} texts for {n} resources")

@@ -276,7 +276,7 @@ def test_integer_flags_take_ascii_digits(basic_dir, capsys):
     assert main(args) == 0
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 6
-    assert "k='10' exceeds the rank bound" in captured.err
+    assert "k=10 exceeds the rank bound" in captured.err
 
 
 def test_a_huge_ndim_is_echoed_by_its_head_and_length(basic_dir, capsys):
@@ -285,7 +285,7 @@ def test_a_huge_ndim_is_echoed_by_its_head_and_length(basic_dir, capsys):
     assert main(_rank_args(basic_dir, "--ndim", "1" * 301)) == 0
     captured = capsys.readouterr()
     last = captured.err.splitlines()[-1]
-    assert last.startswith(f"warning: k={shown('1' * 301)} exceeds the rank bound")
+    assert last.startswith(f"warning: k={'1' * 40}... (301 digits) exceeds the rank bound")
     assert len(last.encode("utf-8")) < _LINE_BYTES
 
 

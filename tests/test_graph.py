@@ -143,6 +143,7 @@ _SHAPES = "sources and targets must be vectors of one length, "
         (-1, [], [], "n must be a non-negative int, got -1"),
         (2.0, [], [], "n must be a non-negative int, got 2.0"),
         (True, [], [], "n must be a non-negative int, got True"),
+        (3, [True, 0], [1, 1], "sources must hold integers, got bool"),
     ],
 )
 def test_resource_graph_rejects_bad_edge_pairs(n, sources, targets, message):

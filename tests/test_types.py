@@ -60,13 +60,13 @@ def test_serp_context_validates_ranks():
     bundle = _bundle(n=1, serp_size=2, mentions=[[0, 1], [0, 2], [0, 2]])
     assert bundle.mentions.dtype == np.int64
     assert bundle.mentions.tolist() == [[0, 1], [0, 2], [0, 2]]  # repeats kept
-    with pytest.raises(ValueError, match=r"^mention ranks - 1 hold an index outside 0\.\.0$"):
+    with pytest.raises(ValueError, match=r"^mention ranks lie outside 1\.\.1$"):
         _bundle(serp_size=1, mentions=[[0, 2]])
-    with pytest.raises(ValueError, match=r"^mention ranks - 1 hold an index outside 0\.\.0$"):
+    with pytest.raises(ValueError, match=r"^mention ranks lie outside 1\.\.1$"):
         _bundle(serp_size=1, mentions=[[0, 0]])
     with pytest.raises(ValueError, match=r"^mention resources hold an index outside 0\.\.0$"):
         _bundle(serp_size=1, mentions=[[-1, 1]])
-    with pytest.raises(ValueError, match="^mention ranks - 1 hold an index outside"):
+    with pytest.raises(ValueError, match=r"^mention ranks lie outside 1\.\.0$"):
         _bundle(serp_size=0, mentions=[[0, 1]])  # an empty page has no rank
 
 
@@ -75,12 +75,15 @@ def test_serp_context_validates_ranks():
     [
         ([[1.5, 1]], "mentions must hold integers, got float64 values"),
         ([[1.0, 1]], "mentions must hold integers, got float64 values"),
-        ([[True, True]], "mentions must hold integers, got bool values"),
+        ([[True, 1]], "mentions must hold integers, got bool values"),
         ([[0, 1.0]], "mentions must hold integers, got float64 values"),
-        (np.array([[0, 1]], dtype=bool), "mentions must hold integers, got bool values"),
+        ([[0, True]], "mentions must hold integers, got bool values"),
         (np.array([[0, 1]], dtype=np.float64), "mentions must hold integers, got float64"),
+        (np.array([[0, 1]], dtype=bool), "mentions must hold integers, got bool values"),
+        ([[0, np.True_]], "mentions must hold integers, got bool values"),
     ],
-    ids=["index-1.5", "index-1.0", "index-True", "rank-1.0", "rank-True", "rank-float64"],
+    ids=["index-1.5", "index-1.0", "index-True", "rank-1.0", "rank-True", "rank-float64",
+         "bool-array", "rank-numpy-True"],
 )
 def test_serp_context_rejects_indices_and_ranks_that_are_not_integers(mentions, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -157,6 +160,8 @@ def test_corpus_bundle_index_is_positional():
         ([["0", "1"]], set(), "graph_edges"),
         ([[0, 1]], {0.7}, "query"),
         ([[0, 1]], {True}, "query"),
+        ([[True, 1]], set(), "graph_edges"),
+        ([[0, 1]], {0, True}, "query"),
     ],
 )
 def test_corpus_bundle_rejects_non_integer_indices(edges, query, field):
