@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import CorpusBundle, InputFormatError, shown
+from .types import CorpusBundle, InputFormatError, shown, shown_int
 from .types import _blocks, _fields, _is_data, data_lines, parse_int, read_objects, read_rows
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
@@ -58,11 +58,14 @@ def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
     raise InputFormatError(path, line_no, f"{what} {shown(token)} starts with '#'")
 
 
-def _resolve(index: dict[str, int], rid: str, role: str) -> int:
+def _resolve(index: dict[str, int], rid: str, role: str, path=None, line_no: int = 0) -> int:
+    """``rid``'s index, else ``InputFormatError`` at ``path:line_no``, or
+    ``ValueError`` with no ``path``."""
     try:
         return index[rid]
     except KeyError:
-        raise ValueError(f"{role} {shown(rid)} has no entry in the texts table") from None
+        reason = f"{role} {shown(rid)} has no entry in the texts table"
+    raise ValueError(reason) if path is None else InputFormatError(path, line_no, reason)
 
 
 #: ``_KEEP[k]`` keeps the low ``k`` bytes of a little-endian word.
@@ -221,10 +224,8 @@ def _graph_line_ids(path, line_no: int, line: str,
     _check_resource_id(obj, path, line_no, "object")
     if not predicate:
         raise InputFormatError(path, line_no, "empty predicate")
-    try:
-        return _resolve(index, subject, "graph subject"), _resolve(index, obj, "graph object")
-    except ValueError as exc:
-        raise InputFormatError(path, line_no, str(exc)) from None
+    return (_resolve(index, subject, "graph subject", path, line_no),
+            _resolve(index, obj, "graph object", path, line_no))
 
 
 def _read_texts_file(path) -> dict[str, str]:
@@ -246,19 +247,20 @@ def _read_texts_file(path) -> dict[str, str]:
     return texts
 
 
-def _read_serp_file(path) -> list[list[str]]:
-    """The mentioned resource ids of each result, in rank order."""
-    rows: dict[int, list[str]] = {}
+def _read_serp_file(path) -> list[tuple[int, list[str]]]:
+    """Each result's line number and mentioned resource ids, in rank order."""
+    rows: dict[int, tuple[int, list[str]]] = {}
     for line_no, (rank_text, doc_id, mention_text) in read_rows(path, 3):
         rank = parse_int(rank_text, path, line_no, "rank")
         if rank < 1:
-            raise InputFormatError(path, line_no, f"rank must be positive, got {rank}")
+            raise InputFormatError(path, line_no, f"rank must be positive, got {shown_int(rank)}")
         if rank in rows:
-            raise InputFormatError(path, line_no, f"duplicate rank {rank}")
+            raise InputFormatError(path, line_no, f"duplicate rank {shown_int(rank)}")
         if not doc_id:
             raise InputFormatError(path, line_no, "empty document id")
         tokens = mention_text.split(",") if mention_text else []
-        rows[rank] = [_check_resource_id(t, path, line_no, "resource id") for t in tokens]
+        rows[rank] = line_no, [_check_resource_id(t, path, line_no, "resource id")
+                               for t in tokens]
     expected = set(range(1, len(rows) + 1))
     if set(rows) != expected:
         missing = sorted(expected - set(rows))
@@ -268,11 +270,13 @@ def _read_serp_file(path) -> list[list[str]]:
     return [rows[r] for r in sorted(rows)]
 
 
-def _read_query_file(path) -> set[str]:
-    return {
-        _check_resource_id(line.strip(), path, line_no, "resource id")
-        for line_no, line in data_lines(path)
-    }
+def _read_query_file(path) -> dict[str, int]:
+    """Each resource id of a query file, with the line it is first on."""
+    query: dict[str, int] = {}
+    for line_no, line in data_lines(path):
+        rid = _check_resource_id(line.strip(), path, line_no, "resource id")
+        query.setdefault(rid, line_no)
+    return query
 
 
 def _index(texts: dict[str, str]) -> dict[str, int]:
@@ -281,15 +285,17 @@ def _index(texts: dict[str, str]) -> dict[str, int]:
 
 
 def _assemble(index: dict[str, int], edges: np.ndarray, texts: dict[str, str],
-              serp, query) -> CorpusBundle:
+              serp, query, serp_path=None, query_path=None) -> CorpusBundle:
     """The bundle of ``texts``, numbered by ``index``, with ``edges`` the
     ``(m, 2)`` int64 array of subject and object indices; query entries,
     in sorted order, then result-page mentions, in rank order, are resolved
-    here."""
+    here, each at its line (``_read_serp_file`` and ``_read_query_file``
+    give the shapes) in its file, if one is given."""
     resource_ids = tuple(index)
-    query_idx = frozenset(_resolve(index, rid, "query resource") for rid in sorted(query))
-    mentions = [(_resolve(index, rid, "result-page resource"), rank)
-                for rank, rids in enumerate(serp, start=1) for rid in rids]
+    query_idx = frozenset(_resolve(index, rid, "query resource", query_path, line_no)
+                          for rid, line_no in sorted(query.items()))
+    mentions = [(_resolve(index, rid, "result-page resource", serp_path, line_no), rank)
+                for rank, (line_no, rids) in enumerate(serp, start=1) for rid in rids]
     return CorpusBundle(
         resource_ids=resource_ids,
         graph_edges=edges,
@@ -317,18 +323,17 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp, query) -> CorpusBu
         ids.append(_resolve(index, s, "graph subject"))
         ids.append(_resolve(index, o, "graph object"))
     edges = np.array(ids, dtype=np.int64).reshape(-1, 2)
-    return _assemble(index, edges, texts, serp, query)
+    return _assemble(index, edges, texts, [(0, rids) for rids in serp], dict.fromkeys(query, 0))
 
 
 def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     """Load, validate and assemble the four input files into one bundle.
 
-    Raises ``InputFormatError`` for malformed lines and graph endpoints
-    with no entry in the texts table (with file and line number),
-    ``ValueError`` for such query entries and result-page mentions, and the
-    usual ``OSError`` family if a file is missing.  The graph file is read
-    last, a block at a time, with its endpoints resolved as each block is
-    read and no triple held; so a dangling reference on one graph line is
+    Raises ``InputFormatError`` for malformed lines and for ids with no
+    entry in the texts table (with file and line number), and the usual
+    ``OSError`` family if a file is missing.  The graph file is read last,
+    a block at a time, with its endpoints resolved as each block is read
+    and no triple held; so a dangling reference on one graph line is
     reported before a format error on a later one.  Query entries, then
     result-page mentions, are resolved after it, as in ``assemble_bundle``.
     """
@@ -338,7 +343,7 @@ def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     index = _index(texts)
     blocks = _graph_file_ids(graph_path, index)
     edges = np.concatenate([np.empty(0, dtype=np.int32), *blocks], dtype=np.int64)
-    return _assemble(index, edges.reshape(-1, 2), texts, serp, query)
+    return _assemble(index, edges.reshape(-1, 2), texts, serp, query, serp_path, query_path)
 
 
 #: Characters of page text ``build_resource_text`` takes around each

@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .types import InputFormatError, parse_int, read_objects, read_rows, shown
+from .types import InputFormatError, parse_int, read_objects, read_rows, shown, shown_int
 
 __all__ = [
     "FILTER_THRESHOLD",
@@ -79,9 +79,8 @@ class RelevanceJudgments:
             except UnicodeEncodeError:  # a lone surrogate
                 raise ValueError(f"item id {item!r} is not valid in UTF-8") from None
             if type(grade) is not int or grade not in VALID_GRADES:
-                raise ValueError(
-                    f"grade for {item!r} must be one of {VALID_GRADES}, got {grade!r}"
-                )
+                got = shown_int(grade) if type(grade) is int else repr(grade)
+                raise ValueError(f"grade for {item!r} must be one of {VALID_GRADES}, got {got}")
 
     def grades_of(self, resource_ids) -> list[int]:
         """One grade per id, 0 for an unjudged one (warned once per call)."""
@@ -223,7 +222,7 @@ class _Columns:
                         reason = "trust must lie in [0, 1]"
             if reason is None:
                 if grade not in VALID_GRADES:
-                    reason = f"grade must be one of {VALID_GRADES}, got {grade!r}"
+                    reason = f"grade must be one of {VALID_GRADES}, got {shown_int(grade)}"
                 elif trust is not None and not 0.0 <= trust <= 1.0:
                     reason = f"trust must lie in [0, 1], got {trust}"
             if reason:
@@ -402,7 +401,7 @@ def load_qrels(path) -> RelevanceJudgments:
         grade = parse_int(grade_text, path, line_no, "grade")
         if grade not in VALID_GRADES:
             raise InputFormatError(
-                path, line_no, f"grade must be one of {VALID_GRADES}, got {grade}"
+                path, line_no, f"grade must be one of {VALID_GRADES}, got {shown_int(grade)}"
             )
         if item in grades:
             raise InputFormatError(path, line_no, f"duplicate item {shown(item)}")

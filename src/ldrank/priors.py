@@ -14,8 +14,11 @@ Three independent experts emit a prior each:
   one result per matrix, so a stress that leaves the counts as they are
   (stress 1, or focus rows without stems) drifts by exactly zero.
 
-Each prior degrades to the uniform distribution (with a warning) when its
-evidence is entirely absent.
+One rule, ``_normalized``, turns evidence weights into a prior: they are
+divided by their total, or, when no weight is positive, the prior falls
+back to ``equi_prior`` with a warning naming the prior and the reason.
+Every fallback goes through it, and a bundle with no resource raises
+there before any warning.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import replace
 import numpy as np
 
 from .lsa import ResourceTextMatrix, sparse_svd
-from .types import CorpusBundle, Distribution, PipelineParams, integer_array
+from .types import CorpusBundle, Distribution, PipelineParams, integer_array, shown_int
 
 __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
@@ -36,7 +39,20 @@ TIE_RTOL = 1e-9
 
 def equi_prior(n: int) -> Distribution:
     """Uniform distribution over ``n`` resources."""
-    return Distribution.uniform(n)
+    if n < 1:
+        raise ValueError("need at least one resource")
+    return Distribution(np.full(n, 1.0 / n))
+
+
+def _normalized(weights: np.ndarray, fallback: str) -> Distribution:
+    """``weights`` divided by their total, or, when no weight is positive,
+    ``equi_prior`` after the warning ``fallback``."""
+    total = weights.sum()
+    if total <= 0.0:
+        uniform = equi_prior(weights.size)  # no resource raises first
+        warnings.warn(fallback)
+        return uniform
+    return Distribution(weights / total)
 
 
 def hit_prior(bundle: CorpusBundle) -> Distribution:
@@ -46,19 +62,12 @@ def hit_prior(bundle: CorpusBundle) -> Distribution:
     ``serp_size + 1 - r`` points.  If nothing is mentioned at all, falls
     back to the uniform distribution with a warning.
     """
-    n = bundle.n
-    if n < 1:
-        raise ValueError("need at least one resource")
     resources, ranks = np.unique(bundle.mentions, axis=0).T
-    scores = np.bincount(resources, weights=bundle.serp_size + 1 - ranks, minlength=n)
-    total = scores.sum()
-    if total <= 0.0:
-        warnings.warn(
-            "no resource occurs in any result-page document; "
-            "hit prior falls back to uniform"
-        )
-        return equi_prior(n)
-    return Distribution(scores / total)
+    scores = np.bincount(resources, weights=bundle.serp_size + 1 - ranks, minlength=bundle.n)
+    return _normalized(
+        scores,
+        "no resource occurs in any result-page document; hit prior falls back to uniform",
+    )
 
 
 def build_info_need(query, hit: Distribution) -> frozenset[int]:
@@ -105,14 +114,10 @@ def svd_prior(
         raise ValueError("info_need must contain at least one resource index")
     k, stress = params.ndim, params.stress
     if k > min(matrix.counts.shape):
-        digits = str(k)
-        if len(digits) > 40:
-            digits = f"{digits[:40]}... ({len(digits)} digits)"
-        warnings.warn(
-            f"k={digits} exceeds the rank bound of the "
+        return _normalized(np.zeros(n), (
+            f"k={shown_int(k)} exceeds the rank bound of the "
             f"{n}x{matrix.n_stems} text matrix; svd prior falls back to uniform"
-        )
-        return equi_prior(n)
+        ))
 
     row_scale = np.ones(n, dtype=np.float64)
     row_scale[focus] = stress
@@ -126,11 +131,7 @@ def svd_prior(
 
     grown = _coordinate_norms(replace(counts, data=stressed), k)
     drift = np.maximum(grown - _coordinate_norms(counts, k), 0.0)
-    total = drift.sum()
-    if total <= 0.0:
-        warnings.warn(
-            "latent coordinates did not grow for any resource; "
-            "svd prior falls back to uniform"
-        )
-        return equi_prior(n)
-    return Distribution(drift / total)
+    return _normalized(
+        drift,
+        "latent coordinates did not grow for any resource; svd prior falls back to uniform",
+    )

@@ -152,6 +152,15 @@ def shown(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
+def shown_int(value: int) -> str:
+    """``value`` as an error echoes an integer: unquoted, whole up to 40
+    digits, else its sign, its first 40 digits and its digit count."""
+    sign, digits = "-" * (value < 0), str(abs(value))
+    if len(digits) <= 40:
+        return sign + digits
+    return f"{sign}{digits[:40]}... ({len(digits)} digits)"
+
+
 def parse_int(text: str, path, line_no: int, what: str) -> int:
     """``text`` as an integer: ASCII digits after an optional ``-``, nothing
     else; the error echoes it as ``shown`` does."""
@@ -337,21 +346,6 @@ class Distribution:
 
     def __len__(self) -> int:
         return self.values.size
-
-    @staticmethod
-    def uniform(n: int) -> "Distribution":
-        if n < 1:
-            raise ValueError("need at least one resource")
-        return Distribution(np.full(n, 1.0 / n))
-
-    @staticmethod
-    def from_weights(weights) -> "Distribution":
-        """Normalize a vector of non-negative weights; errors if all zero."""
-        w = np.asarray(weights, dtype=np.float64)
-        total = float(w.sum())
-        if total <= 0.0:
-            raise ValueError("weights sum to zero; cannot normalize")
-        return Distribution(w / total)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from ldrank.lsa import CscMatrix
-from ldrank.types import InputFormatError, read_lines
+from ldrank.types import Distribution, InputFormatError, read_lines
+
+
+def normalized(weights):
+    """The distribution proportional to non-negative ``weights``, not all zero."""
+    w = np.asarray(weights, dtype=np.float64)
+    return Distribution(w / w.sum())
 
 
 # ---------------------------------------------------------------- texts
@@ -398,7 +404,7 @@ def _records_by_line(path, numbered_lines):
             raise InputFormatError(path, line_no, "trust must lie in [0, 1]") from exc
         if grade not in (0, 1, 2, 3):
             raise InputFormatError(
-                path, line_no, f"grade must be one of (0, 1, 2, 3), got {grade!r}"
+                path, line_no, f"grade must be one of (0, 1, 2, 3), got {shown_int(grade)}"
             )
         if trust is not None and not 0.0 <= trust <= 1.0:
             raise InputFormatError(path, line_no, f"trust must lie in [0, 1], got {trust}")
@@ -411,6 +417,16 @@ def shown(text):
     if len(text) <= 40:
         return repr(text)
     return f"{text[:40]!r}... ({len(text)} characters)"
+
+
+def shown_int(value):
+    """An integer as an error echoes it: in full up to 40 digits, else its
+    sign, first 40 digits and digit count."""
+    text = str(value)
+    digits = text.lstrip("-")
+    if len(digits) <= 40:
+        return text
+    return f"{text[:len(text) - len(digits) + 40]}... ({len(digits)} digits)"
 
 
 def _resource_id_by_split(token, path, line_no, what):
@@ -469,7 +485,7 @@ def graph_triples_by_line(path):
 
 
 def serp_by_line(path):
-    """The ``[resource ids]`` of each result, in rank order."""
+    """The ``(line_no, [resource ids])`` of each result, in rank order."""
     rows = {}
     for line_no, raw in read_lines(path):
         line = raw.strip()
@@ -486,16 +502,16 @@ def serp_by_line(path):
         except ValueError:
             raise InputFormatError(path, line_no, f"rank {shown(rank_text)} is not an integer")
         if rank < 1:
-            raise InputFormatError(path, line_no, f"rank must be positive, got {rank}")
+            raise InputFormatError(path, line_no, f"rank must be positive, got {shown_int(rank)}")
         if rank in rows:
-            raise InputFormatError(path, line_no, f"duplicate rank {rank}")
+            raise InputFormatError(path, line_no, f"duplicate rank {shown_int(rank)}")
         if not doc_id:
             raise InputFormatError(path, line_no, "empty document id")
         mentions = []
         if mention_text:
             for token in mention_text.split(","):
                 mentions.append(_resource_id_by_split(token, path, line_no, "resource id"))
-        rows[rank] = mentions
+        rows[rank] = (line_no, mentions)
     expected = set(range(1, len(rows) + 1))
     if set(rows) != expected:
         missing = sorted(expected - set(rows))
@@ -504,13 +520,15 @@ def serp_by_line(path):
 
 
 def query_by_line(path):
-    """The set of resource ids of a query file."""
-    resources = set()
+    """The resource ids of a query file, each with the first line it is on."""
+    resources = {}
     for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line:
             continue
-        resources.add(_resource_id_by_split(line, path, line_no, "resource id"))
+        rid = _resource_id_by_split(line, path, line_no, "resource id")
+        if rid not in resources:
+            resources[rid] = line_no
     return resources
 
 
@@ -534,7 +552,7 @@ def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
             raise InputFormatError(path, line_no, f"grade {shown(grade_text)} is not an integer")
         if grade not in valid_grades:
             raise InputFormatError(
-                path, line_no, f"grade must be one of {valid_grades}, got {grade}"
+                path, line_no, f"grade must be one of {valid_grades}, got {shown_int(grade)}"
             )
         if item in grades:
             raise InputFormatError(path, line_no, f"duplicate item {shown(item)}")

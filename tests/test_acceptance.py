@@ -210,7 +210,7 @@ def test_criterion_06_discounted_gain_worked_example():
     for trial in range(1000):
         n = int(rng.integers(1, 9))
         ids = tuple(f"x{i}" for i in range(n))
-        scores = Distribution.from_weights(rng.random(n) + 1e-3)
+        scores = oracles.normalized(rng.random(n) + 1e-3)
         order = np.lexsort((np.array(ids), -scores.values))
         # Judge a random subset so the grade-0 default path is exercised.
         graded_ids = [rid for rid in ids if rng.random() < 0.8]

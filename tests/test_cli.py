@@ -396,7 +396,7 @@ def test_rank_malformed_input_exits_one(basic_dir, tmp_path, capsys):
 # id or undecodable bytes, or be empty, and a pipeline flag may lie at or
 # beyond the edge of its range.  Each faulty line carries the error it must
 # raise: "format" for ``path:line: ...``, "utf-8" for ``path:0: not valid
-# UTF-8``, else the dangling reference, at ``path:line`` in the graph file.
+# UTF-8``, else the dangling reference, at its ``path:line``.
 
 _GONE = "Atlantis"
 #: Appended to an id, makes it more than four times as wide as the mean id.
@@ -428,6 +428,7 @@ def _serp_faults(line):
         (f"{rank}\t{doc}", "format"),
         (f"{line}\tx", "format"),
         (f"{'1' * 5000}\t{doc}\t{mentions}", "format"),
+        (f"-{_DIGITS}\t{doc}\t{mentions}", "format"),  # parsed, then echoed
         (f"{rank}\t{_BAD_BYTE}{doc}\t{mentions}", "utf-8"),
         (f"{line},{_GONE}", f"result-page resource {shown(_GONE)} {_NO_ENTRY}"),
     ]
@@ -535,19 +536,16 @@ def _expected_error(paths, files, texts_fault, flag_error):
     """The start of the one error line that ``rank`` must print, or None.
     The flags are checked, then the files read, then resolved, in this
     order: the texts file, read faults of the result page, then of the
-    query, then the graph's faults in line order, a dangling endpoint named
-    by its line too, then the query's and the result page's dangling
-    references, named by id alone.  Undecodable bytes end their file:
-    no line after them is read.  With no texts every id dangles, and with
-    no id anywhere either no resource is left to rank."""
+    query, then the graph's faults in line order, then the query's and the
+    result page's dangling references, each named by its file and line.
+    Undecodable bytes end their file: no line after them is read.  With no
+    texts every id dangles, and with no id anywhere either no resource is
+    left to rank."""
     def error(name, line_no, fault):
-        if fault == "format":
-            return f"error: {paths[name]}:{line_no}: "
         if fault == "utf-8":
             return f"error: {paths[name]}:0: not valid UTF-8"
-        if name == "graph":  # a dangling endpoint, found as its line is read
-            return f"error: {paths[name]}:{line_no}: {fault}"
-        return f"error: {fault}"
+        reason = "" if fault == "format" else fault  # else a dangling reference
+        return f"error: {paths[name]}:{line_no}: {reason}"
 
     if flag_error:
         return f"error: {flag_error}"
@@ -634,16 +632,15 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
 _LONG_ID = "Atlantis" * 625
 
 
-@pytest.mark.parametrize("name, line, at_line, reason", [
-    ("query.txt", _LONG_ID, False, f"query resource {shown(_LONG_ID)} {_NO_ENTRY}"),
-    ("query.txt", _LONG_ID[:2500] + " " + _LONG_ID[2500:], True,
+@pytest.mark.parametrize("name, line, reason", [
+    ("query.txt", _LONG_ID, f"query resource {shown(_LONG_ID)} {_NO_ENTRY}"),
+    ("query.txt", _LONG_ID[:2500] + " " + _LONG_ID[2500:],
      f"resource id {shown(_LONG_ID[:2500] + ' ' + _LONG_ID[2500:])} contains whitespace"),
-    ("serp.tsv", f"4\td\t{_LONG_ID}", False,
-     f"result-page resource {shown(_LONG_ID)} {_NO_ENTRY}"),
-    ("graph.tsv", f"Berlin\tp\t{_LONG_ID}", True, f"graph object {shown(_LONG_ID)} {_NO_ENTRY}"),
+    ("serp.tsv", f"4\td\t{_LONG_ID}", f"result-page resource {shown(_LONG_ID)} {_NO_ENTRY}"),
+    ("graph.tsv", f"Berlin\tp\t{_LONG_ID}", f"graph object {shown(_LONG_ID)} {_NO_ENTRY}"),
 ], ids=["query", "query-spaced", "serp", "graph"])
 def test_a_long_dangling_id_is_echoed_by_its_head_and_length(basic_dir, tmp_path, capsys,
-                                                             name, line, at_line, reason):
+                                                             name, line, reason):
     lines = (basic_dir / name).read_text(encoding="utf-8").splitlines() + [line]
     path = tmp_path / name
     path.write_text("".join(f"{x}\n" for x in lines), encoding="utf-8")
@@ -652,9 +649,46 @@ def test_a_long_dangling_id_is_echoed_by_its_head_and_length(basic_dir, tmp_path
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    where = f"{path}:{len(lines)}: " if at_line else ""
-    assert captured.err.splitlines() == [f"error: {where}{reason}"]
+    assert captured.err.splitlines() == [f"error: {path}:{len(lines)}: {reason}"]
     assert len(captured.err.encode("utf-8")) < _LINE_BYTES
+
+
+_DIGITS = "1" * 4000
+#: 40 digits of ``_DIGITS`` and its digit count, as an error echoes it.
+_SHOWN_DIGITS = f"{_DIGITS[:40]}... (4000 digits)"
+_GRADES = "grade must be one of (0, 1, 2, 3), got"
+
+
+@pytest.mark.parametrize("name, lines, reason", [
+    ("serp.tsv", [f"-{_DIGITS}\td\tBerlin"], f"rank must be positive, got -{_SHOWN_DIGITS}"),
+    ("serp.tsv", [f"{_DIGITS}\td\tBerlin"] * 2, f"duplicate rank {_SHOWN_DIGITS}"),
+    ("qrels.tsv", [f"Museum\t{_DIGITS}"], f"{_GRADES} {_SHOWN_DIGITS}"),
+    ("judgments.jsonl", ['{"item": "Museum", "worker": "w9", "grade": ' + _DIGITS + "}"],
+     f"{_GRADES} {_SHOWN_DIGITS}"),
+], ids=["serp-negative-rank", "serp-duplicate-rank", "qrels-grade", "judgments-grade"])
+def test_a_long_integer_is_echoed_by_its_head_and_digit_count(basic_dir, tmp_path, capsys,
+                                                              name, lines, reason):
+    # Each integer parses, so the message that rejects it echoes its value.
+    old = (basic_dir / name).read_text(encoding="utf-8").splitlines()
+    path = tmp_path / name
+    path.write_text("".join(f"{x}\n" for x in old + lines), encoding="utf-8")
+    if name == "serp.tsv":
+        argv = _rank_args(basic_dir)
+        argv[3] = str(path)
+    elif name == "qrels.tsv":
+        manifest = tmp_path / "manifest.tsv"
+        bundle = [str(basic_dir / b) for b in ("graph.tsv", "texts.jsonl", "serp.tsv",
+                                                "query.txt")]
+        manifest.write_text("\t".join([*bundle, str(path)]) + "\n", encoding="utf-8")
+        argv = ["eval", str(manifest), "--cutoffs", "1"]
+    else:
+        argv = ["agg", str(path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last == f"error: {path}:{len(old) + len(lines)}: {reason}"
+    assert len(last.encode("utf-8")) < _LINE_BYTES
 
 
 _DEEP = "[" * 100_000
@@ -699,6 +733,7 @@ _JUDGMENT_FAULTS = [
      'field "trust" must be numeric'),
     ('{"item": "a", "worker": "w", "grade": ' + "9" * 30 + "}",
      "grade must be one of (0, 1, 2, 3), got 999"),
+    ('{"item": "a", "worker": "w", "grade": ' + _DIGITS + "}", f"{_GRADES} {_SHOWN_DIGITS}"),
     (b'{"item": "\xff", "worker": "w", "grade": 1}', "utf-8"),
 ]
 
@@ -978,6 +1013,7 @@ _CUTOFF_LISTS = [
 ]
 _QRELS_GRADES = [
     ("9", "grade must be one of (0, 1, 2, 3), got 9"),
+    (_DIGITS, f"{_GRADES} {_SHOWN_DIGITS}"),
     ("x", "grade 'x' is not an integer"),
     ("\u0663", "grade '\u0663' is not an integer"),
     ("1" * 5000, f"grade {'1' * 40!r}... (5000 characters) is not an integer"),

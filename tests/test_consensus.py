@@ -37,8 +37,8 @@ def test_pairwise_distance_properties():
     rng = np.random.default_rng(31)
     for _ in range(200):
         n = int(rng.integers(2, 7))
-        p = Distribution.from_weights(rng.random(n) + 1e-9)
-        q = Distribution.from_weights(rng.random(n) + 1e-9)
+        p = oracles.normalized(rng.random(n) + 1e-9)
+        q = oracles.normalized(rng.random(n) + 1e-9)
         d = _tv(p, q)
         assert 0.0 <= d <= 1.0
         assert d == pytest.approx(_tv(q, p))
@@ -86,7 +86,7 @@ def test_result_stays_in_convex_hull():
         n = int(rng.integers(2, 6))
         m = int(rng.integers(2, 5))
         experts = tuple(
-            Distribution.from_weights(rng.random(n) + 1e-12) for _ in range(m)
+            oracles.normalized(rng.random(n) + 1e-12) for _ in range(m)
         )
         res = consensual_pool(experts, PipelineParams())
         assert res.converged
@@ -110,7 +110,7 @@ def test_result_stays_in_convex_hull():
 def test_pooled_mean_lies_between_the_experts(experts, damping, epsilon, max_iters):
     # Converged or not: every step mixes the experts, so no entry of the
     # mean leaves the range the experts span.
-    pool = tuple(Distribution.from_weights(w) for w in experts)
+    pool = tuple(oracles.normalized(w) for w in experts)
     params = PipelineParams(damping=damping, consensus_epsilon=epsilon,
                             consensus_max_iters=max_iters)
     with warnings.catch_warnings():
@@ -124,7 +124,7 @@ def test_pooled_mean_lies_between_the_experts(experts, damping, epsilon, max_ite
 def test_max_pairwise_distance_is_monotone():
     rng = np.random.default_rng(41)
     rows = np.stack(
-        [Distribution.from_weights(rng.random(4) + 1e-9).values for _ in range(4)]
+        [oracles.normalized(rng.random(4) + 1e-9).values for _ in range(4)]
     )
     dist = _pairwise_tv(rows)
     prev = dist.max()
@@ -142,7 +142,7 @@ def test_matches_pure_python_reference():
         n = int(rng.integers(2, 5))
         m = int(rng.integers(2, 5))
         experts = tuple(
-            Distribution.from_weights(rng.random(n) + 1e-9) for _ in range(m)
+            oracles.normalized(rng.random(n) + 1e-9) for _ in range(m)
         )
         res = consensual_pool(experts, PipelineParams())
         want = oracles.consensus_mean_by_loops([e.values for e in experts])
@@ -181,7 +181,7 @@ def test_mean_is_valid_distribution():
     rng = np.random.default_rng(47)
     for _ in range(50):
         experts = tuple(
-            Distribution.from_weights(rng.random(3) + 1e-9) for _ in range(3)
+            oracles.normalized(rng.random(3) + 1e-9) for _ in range(3)
         )
         res = consensual_pool(experts, PipelineParams())
         v = res.distribution.values

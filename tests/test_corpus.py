@@ -338,9 +338,8 @@ def test_texts_id_with_comma_is_rejected(tmp_path):
 ])
 def test_reference_with_comma_is_dangling(tmp_path, graph, query, role):
     files = _bundle_files(tmp_path, graph=graph, serp="", query=query)
-    # A graph endpoint is reported at its line; a query entry, resolved
-    # after the files are read, by itself.
-    where = r".*g\.tsv:1: " if role.startswith("graph") else ""
+    # A graph endpoint and a query entry are each reported at their line.
+    where = r".*g\.tsv:1: " if role.startswith("graph") else r".*q\.txt:1: "
     with pytest.raises(ValueError, match=f"^{where}{role} 'a,b' has no entry in the texts table$"):
         load_bundle(*files)
 
@@ -350,7 +349,19 @@ def test_first_dangling_query_entry_in_id_order_is_reported(tmp_path):
     # the entries are resolved in id order, so one id is named in every run.
     query = "".join(f"q{k:02d}\n" for k in range(20, 0, -1))
     files = _bundle_files(tmp_path, query=query)
-    with pytest.raises(ValueError, match="^query resource 'q01' has no entry"):
+    with pytest.raises(InputFormatError, match=r"q\.txt:20: query resource 'q01' has no entry"):
+        load_bundle(*files)
+
+
+@pytest.mark.parametrize("serp, query, where", [
+    ("1\td1\ta\n# c\n2\td2\tb,zz\n", "b\n", r"s\.tsv:3: result-page resource 'zz'"),
+    ("2\td2\tzz\n1\td1\tyy\n", "b\n", r"s\.tsv:2: result-page resource 'yy'"),
+    ("1\td1\ta\n", "b\n\nzz\nzz\n", r"q\.txt:3: query resource 'zz'"),
+    ("1\td1\tzz\n", "yy\n", r"q\.txt:1: query resource 'yy'"),
+], ids=["mention", "mention-in-rank-order", "query-first-line", "query-before-mentions"])
+def test_dangling_query_entry_or_mention_is_reported_at_its_line(tmp_path, serp, query, where):
+    files = _bundle_files(tmp_path, serp=serp, query=query)
+    with pytest.raises(InputFormatError, match=f"^.*{where} has no entry in the texts table$"):
         load_bundle(*files)
 
 
@@ -440,8 +451,13 @@ def test_assemble_bundle_names_an_unknown_id_in_any_role(parsed, role, at, unkno
         query.add(unknown)
     else:
         serp.insert(at % (len(serp) + 1), [unknown])
-    with pytest.raises(ValueError, match=repr(unknown)):
+    # With no file to point at, the error names the id alone.
+    what = {"subject": "graph subject", "object": "graph object", "query": "query resource",
+            "serp": "result-page resource"}[role]
+    with pytest.raises(ValueError) as exc:
         assemble_bundle(triples, texts, serp, query)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == f"{what} {unknown!r} has no entry in the texts table"
 
 
 @settings(max_examples=100, deadline=None)

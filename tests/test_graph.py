@@ -6,7 +6,14 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldrank import Distribution, PipelineParams, ResourceGraph, build_graph, power_rank
+from ldrank import (
+    Distribution,
+    PipelineParams,
+    ResourceGraph,
+    build_graph,
+    equi_prior,
+    power_rank,
+)
 from ldrank.corpus import assemble_bundle
 
 import oracles
@@ -188,7 +195,7 @@ def test_transition_operator_matches_dense():
         ]
         bundle = _bundle(edges, ids=ids)
         g = build_graph(bundle)
-        fill = Distribution.from_weights(rng.random(n) + 0.05)
+        fill = oracles.normalized(rng.random(n) + 0.05)
         out_lists = [g.successors(i).tolist() for i in range(g.n)]
         dense = oracles.dense_transition(out_lists, fill.values)
         # The same products summed in the same order as a CSR matvec, which
@@ -221,4 +228,4 @@ def test_operator_preserves_total_mass():
 def test_operator_rejects_wrong_lengths():
     g = build_graph(_bundle([("a", "p", "b")]))
     with pytest.raises(ValueError, match="fill distribution has length 3, graph has 2"):
-        power_rank(g, Distribution.uniform(3), PipelineParams())
+        power_rank(g, equi_prior(3), PipelineParams())

@@ -13,6 +13,7 @@ from ldrank import (
     PipelineParams,
     RankingResult,
     build_graph,
+    equi_prior,
     ldrank,
     load_bundle,
     power_rank,
@@ -35,7 +36,7 @@ def _graph(edges, ids, bidirectional=False):
 def test_two_node_chain_against_dense_oracle():
     # a -> b, b dangling; teleport and fill both uniform.
     g = _graph([("a", "p", "b")], ["a", "b"])
-    t = Distribution.uniform(2)
+    t = equi_prior(2)
     res = power_rank(g, t, PipelineParams(alpha=0.8))
     want = oracles.stationary_by_eig(
         oracles.dense_walk_matrix([[1], []], 0.8, t.values, t.values)
@@ -67,7 +68,7 @@ def test_matches_dense_eig_on_random_graphs():
             for j in range(n)
             if rng.random() < 0.3
         ]
-        t = Distribution.from_weights(rng.random(n) + 0.05)
+        t = oracles.normalized(rng.random(n) + 0.05)
         alpha = rng.choice([0.6, 0.7, 0.8])
         g = _graph(edges, ids)
         res = power_rank(g, t, PipelineParams(alpha=float(alpha)))
@@ -101,7 +102,7 @@ def test_a_converged_walk_meets_its_residual_bound(data, n, alpha, tol):
     weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(any))
     ids = [f"r{i}" for i in range(n)]
     g = _graph([(ids[s], "p", ids[o]) for s, o in edges], ids)
-    t = Distribution.from_weights(weights)
+    t = oracles.normalized(weights)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
         res = power_rank(g, t, PipelineParams(alpha=alpha, tol=tol))
@@ -116,7 +117,7 @@ def test_a_converged_walk_meets_its_residual_bound(data, n, alpha, tol):
 
 def test_scores_form_distribution():
     g = _graph([("a", "p", "b"), ("c", "p", "b")], ["a", "b", "c", "d"])
-    t = Distribution.uniform(4)
+    t = equi_prior(4)
     res = power_rank(g, t, PipelineParams())
     v = res.scores.values
     assert v.min() >= 0
@@ -126,7 +127,7 @@ def test_scores_form_distribution():
 def test_order_breaks_ties_by_resource_id():
     # Symmetric two-cycle: both nodes share the same score exactly.
     bundle = _bundle([("b", "p", "a"), ("a", "p", "b")], ["a", "b"])
-    t = Distribution.uniform(2)
+    t = equi_prior(2)
     res = power_rank(build_graph(bundle), t, PipelineParams())
     assert res.scores.values[0] == pytest.approx(res.scores.values[1])
     assert [bundle.resource_ids[i] for i in res.order] == ["a", "b"]
@@ -149,7 +150,7 @@ def test_order_breaks_ties_as_the_id_lexsort(ids, data):
     weights = data.draw(st.lists(st.sampled_from([1, 2]), min_size=len(ids),
                                  max_size=len(ids)))
     bundle = _bundle([(s, "p", o) for s, o in edges], ids)
-    res = power_rank(build_graph(bundle), Distribution.from_weights(weights),
+    res = power_rank(build_graph(bundle), oracles.normalized(weights),
                      PipelineParams())
     scores = res.scores.values
     assume(np.unique(scores).size < scores.size)
@@ -161,7 +162,7 @@ def test_order_sorted_by_score():
     rng = np.random.default_rng(59)
     ids = [f"r{i}" for i in range(6)]
     edges = [(ids[i], "p", ids[j]) for i in range(6) for j in range(6) if i != j and rng.random() < 0.4]
-    t = Distribution.from_weights(rng.random(6) + 0.01)
+    t = oracles.normalized(rng.random(6) + 0.01)
     res = power_rank(_graph(edges, ids), t, PipelineParams())
     ranked_scores = res.scores.values[res.order]
     assert np.all(np.diff(ranked_scores) <= 1e-15)
@@ -185,7 +186,7 @@ def test_config_validation():
         PipelineParams(tol=0.0)
     g = _graph([("a", "p", "b")], ["a", "b"])
     with pytest.raises(ValueError):
-        power_rank(g, Distribution.uniform(3), PipelineParams())
+        power_rank(g, equi_prior(3), PipelineParams())
 
 
 # ------------------------------------------------------------- settings
@@ -325,7 +326,7 @@ def test_ranking_result_orders_by_its_scores():
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any))
 def test_ranking_result_order_sorts_scores_with_ties_by_index(weights):
     # Four weight levels over up to 12 resources force ties, zeros included.
-    scores = Distribution.from_weights(weights).values
+    scores = oracles.normalized(weights).values
     order = RankingResult(Distribution(scores), 1, True).order
     assert sorted(order.tolist()) == list(range(len(weights)))
     ranked = scores[order]

@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from ldrank import CorpusBundle, Distribution, PipelineParams, hit_prior
+from ldrank import CorpusBundle, Distribution, PipelineParams, equi_prior, hit_prior
 
 
 def test_distribution_accepts_valid_vector():
@@ -33,14 +33,12 @@ def test_distribution_rejects_bad_input():
 
 
 def test_distribution_uniform_and_weights():
-    u = Distribution.uniform(4)
+    u = equi_prior(4)
     assert np.allclose(u.values, 0.25)
-    w = Distribution.from_weights([2.0, 0.0, 6.0])
-    assert np.allclose(w.values, [0.25, 0.0, 0.75])
+    w = np.array([2.0, 0.0, 6.0])
+    assert np.allclose(Distribution(w / w.sum()).values, [0.25, 0.0, 0.75])
     with pytest.raises(ValueError):
-        Distribution.from_weights([0.0, 0.0])
-    with pytest.raises(ValueError):
-        Distribution.uniform(0)
+        equi_prior(0)
 
 
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
