@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .corpus import load_bundle
-from .evaluation import _cutoff, compare_strategies
+from .evaluation import compare_strategies
 from .judgments import (
     FILTER_THRESHOLD,
     filter_workers,
@@ -33,7 +33,8 @@ from .judgments import (
     majority_vote,
 )
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows, shown
+from .types import ConvergenceWarning, InputFormatError, integer, parse_int, read_rows
+from .types import shown, shown_int
 
 __all__ = ["main"]
 
@@ -118,39 +119,23 @@ def _params_from(args) -> PipelineParams:
     return PipelineParams(**{f.name: getattr(args, f.name) for f in fields(PipelineParams)})
 
 
-def _drain_warnings(caught) -> bool:
-    """Echo captured warnings to stderr; report whether any was a
-    convergence failure."""
-    nonconverged = False
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-        if issubclass(w.category, ConvergenceWarning):
-            nonconverged = True
-    return nonconverged
-
-
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     params = _params_from(args)
     bundle = load_bundle(args.graph, args.texts, args.serp, args.query)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        pipeline = Pipeline(bundle, params)
-        result = pipeline.rank(args.strategy)
-        if args.emit_priors:
-            priors = [pipeline.prior(name).values for name in STRATEGIES]
-            with open(args.emit_priors, "w", encoding="utf-8") as fh:
-                fh.write("resource\tequi\thit\tsvd\tfinal\n")
-                for i, rid in enumerate(bundle.resource_ids):
-                    fh.write(rid + "".join(f"\t{_fmt(p[i])}" for p in priors) + "\n")
+    pipeline = Pipeline(bundle, params)
+    result = pipeline.rank(args.strategy)
+    if args.emit_priors:
+        priors = [pipeline.prior(name).values for name in STRATEGIES]
+        with open(args.emit_priors, "w", encoding="utf-8") as fh:
+            fh.write("resource\tequi\thit\tsvd\tfinal\n")
+            for i, rid in enumerate(bundle.resource_ids):
+                fh.write(rid + "".join(f"\t{_fmt(p[i])}" for p in priors) + "\n")
     ids = bundle.resource_ids
     scores = result.scores.values[result.order].tolist()
     sys.stdout.write("".join(
         f"{pos}\t{ids[idx]}\t{_fmt(score)}\n"
         for pos, (idx, score) in enumerate(zip(result.order.tolist(), scores), start=1)
     ))
-    if _drain_warnings(caught) and args.strict:
-        return 2
-    return 0
 
 
 def _read_manifest(path):
@@ -165,19 +150,19 @@ def _read_manifest(path):
     return entries
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     params = _params_from(args)
     tokens = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
     try:  # ASCII digits only, as every integer of the input files
         cutoffs = [parse_int(tok, "--cutoffs", 0, "cutoff") for tok in tokens]
     except ValueError:
         raise ValueError(f"invalid cutoff list {shown(args.cutoffs)}") from None
-    cutoffs = list(map(_cutoff, cutoffs))
+    cutoffs = [integer(r, "cutoff", 1) for r in cutoffs]
     if not cutoffs:
         raise ValueError("at least one cutoff required")
     repeated = [r for k, r in enumerate(cutoffs) if r in cutoffs[:k]]
     if repeated:
-        raise ValueError(f"cutoff {repeated[0]} is given more than once")
+        raise ValueError(f"cutoff {shown_int(repeated[0])} is given more than once")
 
     bundles, judgments = [], []
     for line_no, (graph, texts, serp, query, qrels) in _read_manifest(args.manifest):
@@ -190,10 +175,7 @@ def _cmd_eval(args) -> int:
             reason = f"cannot open {exc.filename!r}: {exc.strerror}"
             raise InputFormatError(args.manifest, line_no, reason) from exc
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = compare_strategies(bundles, judgments, cutoffs, params)
-
+    table = compare_strategies(bundles, judgments, cutoffs, params)
     out = sys.stdout
     header = "strategy\t" + "\t".join(f"ndcg@{r}" for r in table.cutoffs)
     out.write(header + "\n")
@@ -210,26 +192,23 @@ def _cmd_eval(args) -> int:
                     out.write(f"{qi}\t{name}\t{cells}\n")
         for name in STRATEGIES:
             print(f"timing: {name} mean {table.mean_seconds[name]:.6f}s", file=sys.stderr)
-    if _drain_warnings(caught) and args.strict:
-        return 2
-    return 0
 
 
-def _cmd_agg(args) -> int:
+def _judgments(args):
+    """The judgments file, less the workers ``--filter-threshold`` drops."""
     judgments = load_judgments(args.judgments)
     if args.filter_threshold is not None:
         judgments = filter_workers(judgments, args.filter_threshold)
-    graded = majority_vote(judgments, tie_break=args.tie_break)
+    return judgments
+
+
+def _cmd_agg(args) -> None:
+    graded = majority_vote(_judgments(args), tie_break=args.tie_break)
     sys.stdout.write(format_qrels(graded))
-    return 0
 
 
-def _cmd_alpha(args) -> int:
-    judgments = load_judgments(args.judgments)
-    if args.filter_threshold is not None:
-        judgments = filter_workers(judgments, args.filter_threshold)
-    print(_fmt(krippendorff_alpha(judgments)))
-    return 0
+def _cmd_alpha(args) -> None:
+    print(_fmt(krippendorff_alpha(_judgments(args))))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -329,16 +308,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; its warnings follow its output unless an error ends it."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args.func(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    nonconverged = any(issubclass(w.category, ConvergenceWarning) for w in caught)
+    return 2 if nonconverged and getattr(args, "strict", False) else 0
 
 
 if __name__ == "__main__":

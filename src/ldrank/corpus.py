@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import CorpusBundle, InputFormatError, shown, shown_int
+from .types import CorpusBundle, InputFormatError, integer, shown, shown_int
 from .types import _blocks, _fields, _is_data, data_lines, parse_int, read_objects, read_rows
 
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
@@ -356,7 +356,8 @@ def build_resource_text(abstract: str, page_text: str, surface_offsets) -> str:
 
     Each offset contributes the slice of ``page_text`` centred on it:
     ``TEXT_WINDOW // 2`` characters before the offset and as many from the
-    offset on, clipped at the text bounds.  Offsets are positions in the
+    offset on, clipped at the text bounds.  Offsets are integers in
+    ``0..len(page_text) - 1`` (an empty text takes none), positions in the
     code-point sequence, so the arithmetic is safe for any UTF-8 input.
     Empty segments are dropped and the rest are joined with single spaces.
     """
@@ -364,9 +365,8 @@ def build_resource_text(abstract: str, page_text: str, surface_offsets) -> str:
     n = len(page_text)
     segments = [abstract]
     for offset in surface_offsets:
-        if not 0 <= offset < n:
-            raise ValueError(
-                f"surface offset {offset} outside page text of length {n}"
-            )
+        if not n:
+            raise ValueError("surface offset given for an empty page text")
+        offset = integer(offset, "surface offset", 0, n - 1)
         segments.append(page_text[max(0, offset - half):offset + half])
     return " ".join(seg for seg in segments if seg)

@@ -4,7 +4,8 @@ The discounted gain of a ranked list counts the first grade at full value
 and divides the grade at position i >= 2 by log2(i).  NDCG divides by the
 gain of the ideal reordering of the same grades, so it stays in [0, 1].
 ``compare_strategies`` scores every strategy, in ``STRATEGIES`` order, by
-the grades that ``grades_of`` gives each bundle's resources.
+the grades that ``grades_of`` gives each bundle's resources.  A cutoff is
+an integer of at least 1 by the one rule of ``types.integer``.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
 
 from .rank import STRATEGIES, Pipeline, PipelineParams
+from .types import integer
 
 __all__ = [
     "StrategyComparison",
@@ -24,17 +25,6 @@ __all__ = [
     "compare_strategies",
 ]
 
-def _cutoff(r) -> int:
-    """``r`` as an ``int`` of at least 1, or a ``ValueError`` naming it.
-
-    Python and numpy integers pass; a bool, float or str is not converted.
-    """
-    if isinstance(r, bool) or not isinstance(r, Integral):
-        raise ValueError(f"cutoff must be an integer, got {r!r}")
-    if r < 1:
-        raise ValueError(f"cutoff must be at least 1, got {r}")
-    return int(r)
-
 
 def dcg(grades, r: int) -> float:
     """Discounted cumulative gain of the first ``r`` positions.
@@ -42,7 +32,7 @@ def dcg(grades, r: int) -> float:
     The grade at position 1 counts at full value; the grade at position
     i >= 2 is divided by log2(i).
     """
-    r = _cutoff(r)
+    r = integer(r, "cutoff", 1)
     grades = list(grades)
     if not grades:
         raise ValueError("grades list must not be empty")
@@ -107,7 +97,7 @@ def compare_strategies(
         raise ValueError(
             f"{len(bundles)} bundles but {len(judgments)} judgment sets"
         )
-    cutoffs = tuple(map(_cutoff, cutoffs))
+    cutoffs = tuple(integer(r, "cutoff", 1) for r in cutoffs)
 
     if not bundles:
         return StrategyComparison(cutoffs, {}, {}, ())

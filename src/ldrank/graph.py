@@ -9,11 +9,10 @@ walk in ``rank.power_rank`` reads it as plain index arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .types import CorpusBundle, compressed_pairs, integer_array
+from .types import CorpusBundle, compressed_pairs, integer, integer_array
 
 __all__ = ["ResourceGraph", "build_graph"]
 
@@ -33,8 +32,7 @@ class ResourceGraph:
     indices: np.ndarray
 
     def __init__(self, n: int, sources, targets):
-        if isinstance(n, bool) or not isinstance(n, Integral) or n < 0:
-            raise ValueError(f"n must be a non-negative int, got {n!r}")
+        n = integer(n, "n", 0)
         sources = integer_array(sources, "sources", n)
         targets = integer_array(targets, "targets", n)
         if sources.ndim != 1 or sources.shape != targets.shape:
@@ -45,7 +43,7 @@ class ResourceGraph:
         indptr, indices, _ = compressed_pairs(sources, targets, n, n)
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 

@@ -34,7 +34,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .types import InputFormatError, parse_int, read_objects, read_rows, shown, shown_int
+from .types import InputFormatError, integer, number, parse_int, read_objects, read_rows
+from .types import shown, shown_int
 
 __all__ = [
     "FILTER_THRESHOLD",
@@ -67,20 +68,22 @@ class RelevanceJudgments:
     grades: dict[str, int]
 
     def __post_init__(self):
+        grades = {}
         for item, grade in self.grades.items():
             if type(item) is not str or not item:
-                raise ValueError(f"item id {item!r} must be a non-empty string")
+                raise ValueError(f"item id must be a non-empty string, got {shown(item)}")
             if "\t" in item or "\n" in item or "\r" in item:
-                raise ValueError(f"item id {item!r} holds a tab or line break")
+                raise ValueError(f"item id {shown(item)} holds a tab or line break")
             if item.lstrip()[:1] == "#":
-                raise ValueError(f"item id {item!r} starts with '#'")
+                raise ValueError(f"item id {shown(item)} starts with '#'")
             try:
                 item.encode("utf-8")
             except UnicodeEncodeError:  # a lone surrogate
-                raise ValueError(f"item id {item!r} is not valid in UTF-8") from None
-            if type(grade) is not int or grade not in VALID_GRADES:
-                got = shown_int(grade) if type(grade) is int else repr(grade)
-                raise ValueError(f"grade for {item!r} must be one of {VALID_GRADES}, got {got}")
+                raise ValueError(f"item id {shown(item)} is not valid in UTF-8") from None
+            if type(grade) is not int or grade not in VALID_GRADES:  # `integer` rules on a miss
+                grade = integer(grade, f"grade for {shown(item)}", 0, VALID_GRADES[-1])
+            grades[item] = grade
+        object.__setattr__(self, "grades", grades)
 
     def grades_of(self, resource_ids) -> list[int]:
         """One grade per id, 0 for an unjudged one (warned once per call)."""
@@ -313,8 +316,7 @@ def filter_workers(judgments: JudgmentSet, threshold: float = FILTER_THRESHOLD) 
     having a strict majority); workers with rate strictly above the
     threshold are removed in a single pass.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+    number(threshold, "threshold", "must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
     counts = judgments.grade_counts()
     has_majority = _tied_top_grades(counts).sum(axis=1) == 1
@@ -341,7 +343,7 @@ def majority_vote(
     """
     if tie_break not in ("highest-value", "mean-trust"):
         raise ValueError(
-            f'tie_break must be "highest-value" or "mean-trust", got {tie_break!r}'
+            f'tie_break must be "highest-value" or "mean-trust", got {shown(tie_break)}'
         )
     trust = judgments.trust
     if tie_break == "mean-trust":

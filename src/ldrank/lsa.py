@@ -17,12 +17,11 @@ import functools
 import re
 from dataclasses import dataclass
 from importlib import resources as importlib_resources
-from numbers import Integral
 
 import numpy as np
 
 from .stemmer import stem
-from .types import CorpusBundle, compressed_pairs, integer_array
+from .types import CorpusBundle, compressed_pairs, integer, integer_array
 
 __all__ = [
     "CscMatrix",
@@ -76,11 +75,9 @@ class CscMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        if len(self.shape) != 2 or any(
-            isinstance(d, bool) or not isinstance(d, Integral) or d < 0 for d in self.shape
-        ):
-            raise ValueError(f"shape must be two non-negative ints, got {self.shape!r}")
-        rows, cols = self.shape
+        if len(self.shape) != 2:
+            raise ValueError(f"shape must hold 2 sizes, got {len(self.shape)}")
+        rows, cols = (integer(d, "shape", 0) for d in self.shape)
         indptr = integer_array(self.indptr, "indptr")
         indices = integer_array(self.indices, "indices", rows)
         data = np.asarray(self.data)
@@ -95,6 +92,7 @@ class CscMatrix:
             raise ValueError(f"indices must be a vector, got shape {indices.shape}")
         if data.shape != indices.shape or data.dtype.kind != "f" or not np.isfinite(data).all():
             raise ValueError(f"data must be a vector of {indices.size} finite floats")
+        object.__setattr__(self, "shape", (rows, cols))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
@@ -188,9 +186,7 @@ def sparse_svd(counts: CscMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     of the squared Frobenius norm.
     """
     m, n = counts.shape
-    limit = min(m, n)
-    if not 1 <= k <= limit:
-        raise ValueError(f"k must lie in 1..{limit} for a {m}x{n} matrix, got {k}")
+    k = integer(k, f"k for a {m}x{n} matrix", 1, min(m, n))
 
     rows, data = counts.indices, np.asarray(counts.data, dtype=np.float64)
     cols = np.repeat(np.arange(n), np.diff(counts.indptr))

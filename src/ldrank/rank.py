@@ -35,6 +35,7 @@ from .types import (
     CorpusBundle,
     Distribution,
     PipelineParams,
+    shown,
 )
 
 __all__ = [
@@ -161,7 +162,7 @@ class Pipeline:
             return self.svd
         if name == "LDRANK":
             return self.consensus.distribution
-        raise ValueError(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
+        raise ValueError(f"unknown strategy {shown(name)}; expected one of {STRATEGIES}")
 
     def rank(self, name: str) -> RankingResult:
         """Walk with the prior of strategy ``name`` as teleport and dangling fill."""

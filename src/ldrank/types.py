@@ -25,7 +25,8 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from numbers import Integral, Real
+from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -146,19 +147,50 @@ def read_rows(path, count: int, noun: str = "fields"):
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
-def shown(text: str) -> str:
+def shown(text: object) -> str:
     """``text`` as an error echoes it: whole up to 40 characters, else its
-    first 40 and its length."""
+    first 40 and its length; a value that is not a ``str``, by its type."""
+    if not isinstance(text, str):
+        return type(text).__name__
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
 def shown_int(value: int) -> str:
     """``value`` as an error echoes an integer: unquoted, whole up to 40
-    digits, else its sign, its first 40 digits and its digit count."""
-    sign, digits = "-" * (value < 0), str(abs(value))
-    if len(digits) <= 40:
-        return sign + digits
-    return f"{sign}{digits[:40]}... ({len(digits)} digits)"
+    digits, else its sign, its first 40 digits and its digit count.  Only
+    40 digits become text, so ``int``'s 4300-digit limit never applies."""
+    sign, magnitude = "-" if value < 0 else "", abs(int(value))
+    if magnitude < 10**40:
+        return sign + str(magnitude)
+    # log10(2) digits per bit, rounded down, never exceeds the count.
+    digits = int(magnitude.bit_length() * math.log10(2))
+    while 10**digits <= magnitude:
+        digits += 1
+    return f"{sign}{magnitude // 10 ** (digits - 40)}... ({digits} digits)"
+
+
+def integer(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` in ``low..high`` (``high`` None: no bound), or a
+    ``ValueError`` naming ``name``: ``integer_array``'s scalar twin.  Python
+    and numpy integers pass; a bool, float, str or None is echoed by ``shown``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    value = int(value)
+    if value < low or (high is not None and value > high):
+        bound = f"be at least {low}" if high is None else f"lie in {low}..{high}"
+        raise ValueError(f"{name} must {bound}, got {shown_int(value)}")
+    return value
+
+
+def number(value, name: str, rule: str, ok) -> Real:
+    """``value`` if it is a real number that ``ok`` accepts, else a ``ValueError``
+    naming ``name`` and ``rule``; a bool, str or None is echoed by ``shown``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {shown(value)}")
+    if not ok(value):
+        got = shown_int(value) if isinstance(value, (int, np.integer)) else value
+        raise ValueError(f"{name} {rule}, got {got}")
+    return value
 
 
 def parse_int(text: str, path, line_no: int, what: str) -> int:
@@ -272,14 +304,14 @@ class ConvergenceWarning(UserWarning):
     """An iterative routine hit its iteration cap before reaching tolerance."""
 
 
-_POSITIVE = ("must be positive and finite", lambda v: 0.0 < v < math.inf)
-_COUNT = ("must be at least 1 and an integer", lambda v: isinstance(v, Integral) and v >= 1)
+_POSITIVE = partial(number, rule="must be positive and finite", ok=lambda v: 0.0 < v < math.inf)
+_COUNT = partial(integer, low=1)
 _PARAM_RANGES = {
-    "alpha": ("must lie strictly inside (0, 1)", lambda v: 0.0 < v < 1.0),
+    "alpha": partial(number, rule="must lie strictly inside (0, 1)", ok=lambda v: 0.0 < v < 1.0),
     "ndim": _COUNT,
     "stress": _POSITIVE,
     "tol": _POSITIVE,
-    "damping": ("must lie in (0, 1]", lambda v: 0.0 < v <= 1.0),
+    "damping": partial(number, rule="must lie in (0, 1]", ok=lambda v: 0.0 < v <= 1.0),
     "consensus_epsilon": _POSITIVE,
     "consensus_max_iters": _COUNT,
     "power_max_iters": _COUNT,
@@ -309,12 +341,8 @@ class PipelineParams:
     power_max_iters: int = 1000
 
     def __post_init__(self):
-        for name, (rule, ok) in _PARAM_RANGES.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not ok(value):
-                raise ValueError(f"{name} {rule}, got {value}")
+        for name, check in _PARAM_RANGES.items():
+            object.__setattr__(self, name, check(getattr(self, name), name))
         if type(self.bidirectional) is not bool:
             raise ValueError(f"bidirectional must be a bool, got {self.bidirectional!r}")
 
@@ -377,9 +405,7 @@ class CorpusBundle:
         if not all(map(operator.lt, ids, ids[1:])):  # strictly increasing
             raise ValueError("resource_ids must be sorted and free of duplicates")
         n = len(self.resource_ids)
-        size = self.serp_size
-        if isinstance(size, bool) or not isinstance(size, Integral) or size < 0:
-            raise ValueError(f"serp_size must be a non-negative integer, got {size!r}")
+        size = integer(self.serp_size, "serp_size", 0)
         edges = integer_array(self.graph_edges, "graph_edges", n)
         mentions = integer_array(self.mentions, "mentions")
         for name, rows in (("graph_edges", edges), ("mentions", mentions)):
@@ -395,7 +421,7 @@ class CorpusBundle:
         query = frozenset(integer_array(list(self.query), "query", n).tolist())
         object.__setattr__(self, "graph_edges", edges)
         object.__setattr__(self, "texts", texts)
-        object.__setattr__(self, "serp_size", int(size))
+        object.__setattr__(self, "serp_size", size)
         object.__setattr__(self, "mentions", mentions)
         object.__setattr__(self, "query", query)
 

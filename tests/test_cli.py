@@ -522,8 +522,8 @@ def _mutated_texts(draw, lines):
 _FLAGS = [
     (["--alpha", "0"], "alpha must lie strictly inside (0, 1), got 0.0"),
     (["--alpha", "1"], "alpha must lie strictly inside (0, 1), got 1.0"),
-    (["--ndim", "0"], "ndim must be at least 1 and an integer, got 0"),
-    (["--ndim", "-1"], "ndim must be at least 1 and an integer, got -1"),
+    (["--ndim", "0"], "ndim must be at least 1, got 0"),
+    (["--ndim", "-1"], "ndim must be at least 1, got -1"),
     (["--tol", "nan"], "tol must be positive and finite, got nan"),
     (["--stress", "inf"], "stress must be positive and finite, got inf"),
     (["--ndim", "1"], None),

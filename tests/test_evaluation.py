@@ -119,9 +119,9 @@ def test_relevance_judgments_validation():
         RelevanceJudgments(grades={"a": -1})
 
 
-@pytest.mark.parametrize("grade", [True, False, 2.0, np.int64(2), "2"])
+@pytest.mark.parametrize("grade", [True, False, 2.0, "2"])
 def test_relevance_judgments_reject_a_grade_that_is_not_an_int(grade):
-    with pytest.raises(ValueError, match="^grade for 'a' must be one of"):
+    with pytest.raises(ValueError, match="^grade for 'a' must be an integer, got "):
         RelevanceJudgments(grades={"a": grade})
 
 
@@ -157,10 +157,13 @@ def test_compare_strategies_validates_alignment(basic_bundle):
         compare_strategies([], [], [0])
 
 
-@pytest.mark.parametrize("cutoff", [2.7, 2.0, np.float64(3.0), "3", True, np.bool_(True)])
-def test_cutoffs_that_are_not_integers_are_rejected(basic_bundle, cutoff):
+@pytest.mark.parametrize("cutoff, got", [
+    (2.7, "float"), (2.0, "float"), (np.float64(3.0), "float64"), ("3", "'3'"), (True, "bool"),
+    (np.bool_(True), "bool"),
+])
+def test_cutoffs_that_are_not_integers_are_rejected(basic_bundle, cutoff, got):
     # Neither rounded nor parsed: each call names the cutoff it rejects.
-    message = f"^cutoff must be an integer, got {re.escape(repr(cutoff))}$"
+    message = f"^cutoff must be an integer, got {re.escape(got)}$"
     judged = RelevanceJudgments(grades={"Berlin": 3})
     with pytest.raises(ValueError, match=message):
         compare_strategies([basic_bundle], [judged], [1, cutoff])

@@ -147,9 +147,9 @@ _SHAPES = "sources and targets must be vectors of one length, "
         (3, [0, 1], [1], _SHAPES + r"got shapes \(2,\) and \(1,\)"),
         (3, [[0, 1]], [[1, 2]], _SHAPES + r"got shapes \(1, 2\) and \(1, 2\)"),
         (3, [0], np.zeros((1, 1), dtype=int), _SHAPES),
-        (-1, [], [], "n must be a non-negative int, got -1"),
-        (2.0, [], [], "n must be a non-negative int, got 2.0"),
-        (True, [], [], "n must be a non-negative int, got True"),
+        (-1, [], [], "n must be at least 0, got -1"),
+        (2.0, [], [], "n must be an integer, got float"),
+        (True, [], [], "n must be an integer, got bool"),
         (3, [True, 0], [1, 1], "sources must hold integers, got bool"),
     ],
 )

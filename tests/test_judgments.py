@@ -225,6 +225,12 @@ def test_filter_workers_threshold_validation():
         filter_workers(_js([("i", "w", 1)]), threshold=1.5)
     with pytest.raises(ValueError):
         filter_workers(_js([("i", "w", 1)]), threshold=-0.1)
+    for value, got in [("0.5", "'0.5'"), (True, "bool"), (None, "NoneType")]:
+        with pytest.raises(ValueError, match=f"^threshold must be a number, got {got}$"):
+            filter_workers(_js([("i", "w", 1)]), threshold=value)
+    big = f"1{'0' * 39}... (5001 digits)"  # past int's 4300-digit text limit
+    with pytest.raises(ValueError, match=re.escape(f"threshold must lie in [0, 1], got {big}")):
+        filter_workers(_js([("i", "w", 1)]), threshold=10**5000)
 
 
 # ------------------------------------------------------------------ vote
@@ -309,8 +315,6 @@ def test_qrels_round_trip(tmp_path):
     ("a\tb", "holds a tab or line break"),
     ("a\nb", "holds a tab or line break"),
     ("a\r", "holds a tab or line break"),
-    ("", "must be a non-empty string"),
-    (5, "must be a non-empty string"),
     ("#a", "starts with '#'"),
     (" \x85#a", "starts with '#'"),
     ("a\ud800", "is not valid in UTF-8"),
@@ -318,6 +322,24 @@ def test_qrels_round_trip(tmp_path):
 def test_relevance_judgments_reject_an_id_no_qrels_line_holds(item, reason):
     with pytest.raises(ValueError, match=f"^item id {re.escape(repr(item))} {reason}$"):
         RelevanceJudgments(grades={"a": 1, item: 2})
+    # A long id is echoed by its first 40 characters and its length.
+    long_item = item + "x" * 5000
+    message = f"item id {long_item[:40]!r}... ({len(long_item)} characters) {reason}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RelevanceJudgments(grades={long_item: 2})
+
+
+@pytest.mark.parametrize("item, got", [("", "''"), (5, "int"), (None, "NoneType")])
+def test_relevance_judgments_reject_an_empty_or_non_string_id(item, got):
+    with pytest.raises(ValueError, match=f"^item id must be a non-empty string, got {got}$"):
+        RelevanceJudgments(grades={"a": 1, item: 2})
+
+
+def test_relevance_judgments_echo_a_long_id_of_a_bad_grade_by_its_head():
+    item = "x" * 5000
+    message = f"grade for {item[:40]!r}... (5000 characters) must lie in 0..3, got 7"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RelevanceJudgments(grades={item: 7})
 
 
 # Any text, lone surrogates too, which UTF-8 cannot write and so must not

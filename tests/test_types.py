@@ -1,10 +1,28 @@
 import re
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from ldrank import CorpusBundle, Distribution, PipelineParams, equi_prior, hit_prior
+from ldrank import (
+    CorpusBundle,
+    CscMatrix,
+    Distribution,
+    PipelineParams,
+    RelevanceJudgments,
+    ResourceGraph,
+    build_resource_text,
+    compare_strategies,
+    dcg,
+    equi_prior,
+    hit_prior,
+    ndcg,
+    sparse_svd,
+)
+from ldrank.types import shown_int
+
+import oracles
 
 
 def test_distribution_accepts_valid_vector():
@@ -94,10 +112,13 @@ def test_serp_context_takes_numpy_integers():
     assert hit_prior(bundle).values.tolist() == [1.0]
 
 
-@pytest.mark.parametrize("size", [-1, True, 1.0, "1", None])
-def test_corpus_bundle_rejects_a_serp_size_that_is_not_a_count(size):
-    message = f"^serp_size must be a non-negative integer, got {re.escape(repr(size))}$"
-    with pytest.raises(ValueError, match=message):
+@pytest.mark.parametrize("size, got", [
+    (-1, "be at least 0, got -1"), (True, "be an integer, got bool"),
+    (1.0, "be an integer, got float"), ("1", "be an integer, got '1'"),
+    (None, "be an integer, got NoneType"),
+])
+def test_corpus_bundle_rejects_a_serp_size_that_is_not_a_count(size, got):
+    with pytest.raises(ValueError, match=f"^serp_size must {re.escape(got)}$"):
         _bundle(serp_size=size)
 
 
@@ -174,13 +195,27 @@ def test_corpus_bundle_rejects_non_integer_indices(edges, query, field):
 
 
 _NUMERIC_PARAMS = [f.name for f in fields(PipelineParams) if f.name != "bidirectional"]
+_COUNT_PARAMS = {f.name for f in fields(PipelineParams) if f.type == "int"}
 
 
 @pytest.mark.parametrize("name", _NUMERIC_PARAMS)
-@pytest.mark.parametrize("value", [True, False, "1", None])
-def test_pipeline_params_reject_a_numeric_field_that_is_not_a_number(name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be a number, got {value!r}$"):
+@pytest.mark.parametrize("value, got", [
+    (True, "bool"), (False, "bool"), ("1", "'1'"), (None, "NoneType"),
+])
+def test_pipeline_params_reject_a_numeric_field_that_is_not_a_number(name, value, got):
+    kind = "an integer" if name in _COUNT_PARAMS else "a number"
+    with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {re.escape(got)}$"):
         PipelineParams(**{name: value})
+
+
+@pytest.mark.parametrize("name", sorted(set(_NUMERIC_PARAMS) - _COUNT_PARAMS))
+def test_pipeline_params_keep_a_long_real_field_short(name):
+    # A real field out of range echoes an int by its head, past int's
+    # 4300-digit text limit, and a long string by its first 40 characters.
+    for value, got in [(-(10**5000), f"-1{'0' * 39}... (5001 digits)"),
+                       ("x" * 5000, f"{'x' * 40!r}... (5000 characters)")]:
+        with pytest.raises(ValueError, match=f"^{name} must .*, got {re.escape(got)}$"):
+            PipelineParams(**{name: value})
 
 
 @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
@@ -190,3 +225,119 @@ def test_pipeline_params_reject_a_bidirectional_that_is_not_a_bool(value):
     assert PipelineParams(bidirectional=True).bidirectional is True
     # numpy scalars are numbers.
     assert PipelineParams(ndim=np.int64(2), alpha=np.float64(0.5)).ndim == 2
+
+
+def test_build_resource_text_rejects_any_offset_into_an_empty_page_text():
+    assert build_resource_text("abstract", "", []) == "abstract"
+    for value in (0, 1, 1.5):
+        with pytest.raises(ValueError, match="^surface offset given for an empty page text$"):
+            build_resource_text("abstract", "", [value])
+
+
+# One rule for every scalar integer argument, ``types.integer``.  Per site:
+# a call that gives back what the site stored (None where it stores
+# nothing), the field name its errors start with, and its bounds.
+def _dcg(value):
+    dcg([3, 2], value)
+
+
+def _ndcg(value):
+    ndcg([3, 2], value)
+
+
+def _offset(value):
+    build_resource_text("", "abcd", [value])
+
+
+def _svd(value):
+    sparse_svd(CscMatrix((2, 2), [0, 1, 2], [0, 1], np.ones(2)), value)
+
+
+_INTEGER_SITES = [
+    pytest.param(lambda v: ResourceGraph(v, [], []).n, "n", 0, None, id="ResourceGraph.n"),
+    pytest.param(lambda v: CscMatrix((v, 2), [0, 0, 0], [], np.zeros(0)).shape[0], "shape", 0,
+                 None, id="CscMatrix.shape"),
+    pytest.param(lambda v: _bundle(serp_size=v).serp_size, "serp_size", 0, None,
+                 id="CorpusBundle.serp_size"),
+    pytest.param(_dcg, "cutoff", 1, None, id="dcg"),
+    pytest.param(_ndcg, "cutoff", 1, None, id="ndcg"),
+    pytest.param(lambda v: compare_strategies([], [], [v]).cutoffs[0], "cutoff", 1, None,
+                 id="compare_strategies"),
+    *(pytest.param(lambda v, name=name: getattr(PipelineParams(**{name: v}), name), name, 1,
+                   None, id=f"PipelineParams.{name}")
+      for name in ("ndim", "consensus_max_iters", "power_max_iters")),
+    pytest.param(lambda v: RelevanceJudgments({"a": v}).grades["a"], "grade for 'a'", 0, 3,
+                 id="RelevanceJudgments"),
+    pytest.param(_offset, "surface offset", 0, 3, id="build_resource_text"),
+    pytest.param(_svd, "k for a 2x2 matrix", 1, 2, id="sparse_svd"),
+]
+
+
+@pytest.mark.parametrize("call, name, low, high", _INTEGER_SITES)
+def test_an_integer_site_takes_python_and_numpy_ints_and_stores_an_int(call, name, low, high):
+    for value in (2, np.int64(2), np.int32(2), np.uint8(2)):
+        stored = call(value)
+        assert stored is None or (type(stored) is int and stored == 2)
+
+
+@pytest.mark.parametrize("value, got", [
+    (True, "bool"), (np.bool_(False), "bool"), (2.0, "float"), (np.float64(2), "float64"),
+    ("2", "'2'"), (None, "NoneType"),
+])
+@pytest.mark.parametrize("call, name, low, high", _INTEGER_SITES)
+def test_an_integer_site_rejects_a_value_of_another_type(call, name, low, high, value, got):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be an integer, got {got}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, name, low, high", _INTEGER_SITES)
+def test_an_integer_site_names_its_range(call, name, low, high):
+    bound = f"be at least {low}" if high is None else f"lie in {low}..{high}"
+    for value in [low - 1] + ([] if high is None else [high + 1]):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must {bound}, got {value}$"):
+            call(value)
+
+
+@pytest.mark.parametrize("call, name, low, high", _INTEGER_SITES)
+def test_an_integer_site_keeps_its_error_short_for_a_long_value(call, name, low, high):
+    # An integer past int's 4300-digit text limit, or a long string, is
+    # echoed by its head: the message stays short and names the field.
+    for value in [-(10**5000), "x" * 5000] + ([] if high is None else [10**5000]):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must ") as caught:
+            call(value)
+        assert len(str(caught.value)) < 200
+
+
+def _shown_int_by_text(value):
+    """``oracles.shown_int``, from the whole text of ``value``, with
+    ``int``'s limit on conversions lifted where the Python has one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return oracles.shown_int(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("value, want", [
+    (10**5000, f"1{'0' * 39}... (5001 digits)"),
+    (-(10**5000), f"-1{'0' * 39}... (5001 digits)"),
+    (10**4299, f"1{'0' * 39}... (4300 digits)"),
+    (10**4300 - 1, f"{'9' * 40}... (4300 digits)"),
+    (-(10**4300), f"-1{'0' * 39}... (4301 digits)"),
+    (-(10**4301 - 1), f"-{'9' * 40}... (4301 digits)"),
+    (np.int64(-(2**63)), "-9223372036854775808"),
+    (10**40 - 1, "9" * 40),
+    (10**40, f"1{'0' * 39}... (41 digits)"),
+], ids=["+5001", "-5001", "+4300", "9x4300", "-4301", "-9x4301", "int64 min", "9x40", "+41"])
+def test_shown_int_gives_the_head_and_digit_count_past_the_text_limit(value, want):
+    assert shown_int(value) == want == _shown_int_by_text(value)
+
+
+def test_shown_int_agrees_with_the_whole_text_at_every_length():
+    for bits in range(1, 20000, 53):
+        for value in (2**bits - 1, 2**bits, 10 ** (bits // 3), 10 ** (bits // 3) - 1, 3**bits):
+            assert shown_int(value) == _shown_int_by_text(value), bits
+            assert shown_int(-value) == _shown_int_by_text(-value), bits
