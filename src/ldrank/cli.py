@@ -33,8 +33,7 @@ from .judgments import (
     majority_vote,
 )
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import ConvergenceWarning, InputFormatError, integer, parse_int, read_rows
-from .types import shown, shown_int
+from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows, shown
 
 __all__ = ["main"]
 
@@ -150,6 +149,19 @@ def _read_manifest(path):
     return entries
 
 
+def _manifest_pairs(path):
+    """Each manifest entry's ``(bundle, judgments)``: the whole manifest is
+    read first, then each entry loaded as it is reached."""
+    for line_no, (graph, texts, serp, query, qrels) in _read_manifest(path):
+        try:
+            yield load_bundle(graph, texts, serp, query), load_qrels(qrels)
+        except OSError as exc:  # a file the entry names cannot be opened
+            if exc.filename is None:
+                raise
+            reason = f"cannot open {exc.filename!r}: {exc.strerror}"
+            raise InputFormatError(path, line_no, reason) from exc
+
+
 def _cmd_eval(args) -> None:
     params = _params_from(args)
     tokens = [tok.strip() for tok in args.cutoffs.split(",") if tok.strip()]
@@ -157,25 +169,7 @@ def _cmd_eval(args) -> None:
         cutoffs = [parse_int(tok, "--cutoffs", 0, "cutoff") for tok in tokens]
     except ValueError:
         raise ValueError(f"invalid cutoff list {shown(args.cutoffs)}") from None
-    cutoffs = [integer(r, "cutoff", 1) for r in cutoffs]
-    if not cutoffs:
-        raise ValueError("at least one cutoff required")
-    repeated = [r for k, r in enumerate(cutoffs) if r in cutoffs[:k]]
-    if repeated:
-        raise ValueError(f"cutoff {shown_int(repeated[0])} is given more than once")
-
-    bundles, judgments = [], []
-    for line_no, (graph, texts, serp, query, qrels) in _read_manifest(args.manifest):
-        try:
-            bundles.append(load_bundle(graph, texts, serp, query))
-            judgments.append(load_qrels(qrels))
-        except OSError as exc:  # a file the entry names cannot be opened
-            if exc.filename is None:
-                raise
-            reason = f"cannot open {exc.filename!r}: {exc.strerror}"
-            raise InputFormatError(args.manifest, line_no, reason) from exc
-
-    table = compare_strategies(bundles, judgments, cutoffs, params)
+    table = compare_strategies(_manifest_pairs(args.manifest), cutoffs, params)
     out = sys.stdout
     header = "strategy\t" + "\t".join(f"ndcg@{r}" for r in table.cutoffs)
     out.write(header + "\n")

@@ -336,6 +336,8 @@ def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     and no triple held; so a dangling reference on one graph line is
     reported before a format error on a later one.  Query entries, then
     result-page mentions, are resolved after it, as in ``assemble_bundle``.
+    Last, a texts file with no record, and so no id in any file, is
+    reported at ``texts_path:0``: a bundle needs at least one resource.
     """
     texts = _read_texts_file(texts_path)
     serp = _read_serp_file(serp_path)
@@ -343,7 +345,10 @@ def load_bundle(graph_path, texts_path, serp_path, query_path) -> CorpusBundle:
     index = _index(texts)
     blocks = _graph_file_ids(graph_path, index)
     edges = np.concatenate([np.empty(0, dtype=np.int32), *blocks], dtype=np.int64)
-    return _assemble(index, edges.reshape(-1, 2), texts, serp, query, serp_path, query_path)
+    bundle = _assemble(index, edges.reshape(-1, 2), texts, serp, query, serp_path, query_path)
+    if not bundle.n:
+        raise InputFormatError(texts_path, 0, "need at least one resource")
+    return bundle
 
 
 #: Characters of page text ``build_resource_text`` takes around each

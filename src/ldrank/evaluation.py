@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .rank import STRATEGIES, Pipeline, PipelineParams
-from .types import integer
+from .types import integer, shown_int
 
 __all__ = [
     "StrategyComparison",
@@ -36,11 +36,16 @@ def dcg(grades, r: int) -> float:
     grades = list(grades)
     if not grades:
         raise ValueError("grades list must not be empty")
-    end = min(r, len(grades))
-    total = float(grades[0])
-    for i in range(2, end + 1):
-        total += grades[i - 1] / math.log2(i)
-    return total
+    return _gains(grades, (r,))[0]
+
+
+def _gains(grades: list, cutoffs: tuple[int, ...]) -> list[float]:
+    """``dcg(grades, r)`` for each ``r`` of ``cutoffs`` (0.0 for no grades),
+    from one left-to-right sum, of which each cutoff takes a prefix."""
+    sums = [0.0]  # sums[k]: the gain of the first k positions
+    for i, grade in enumerate(grades[:max(cutoffs)], start=1):
+        sums.append(float(grade) if i == 1 else sums[-1] + grade / math.log2(i))
+    return [sums[min(r, len(sums) - 1)] for r in cutoffs]
 
 
 _ZERO_GAIN = "ideal ranking has zero gain; returning 1.0"
@@ -75,54 +80,49 @@ class StrategyComparison:
 
 
 def compare_strategies(
-    bundles,
-    judgments,
+    pairs,
     cutoffs,
     params: PipelineParams | None = None,
 ) -> StrategyComparison:
-    """Run every strategy over aligned (bundle, judgments) pairs.
+    """Run every strategy over ``(bundle, judgments)`` pairs, drawn one at
+    a time once the cutoff list (at least one, none twice) is checked.
 
     Each bundle gets one ``Pipeline``, from which every strategy is ranked,
-    and one ``grades_of`` call, by whose grades every ranking is scored at
-    every cutoff by ``ndcg``.  A bundle whose grades are all 0 scores 1.0
-    everywhere, with one warning instead of one per ``ndcg`` call.  The
+    and one ``grades_of`` call, whose grades are sorted once for the ideal
+    gains.  A ranking's gains at all cutoffs come from one pass; a zero
+    ideal gain (every grade 0) scores 1.0, with one warning per bundle.  The
     seconds are marginal, measured with a monotonic clock: a stage shared
     by several strategies is charged to the first one that needs it, in
-    ``STRATEGIES`` order.  Means are arithmetic over the bundles; an empty
-    bundle list yields an empty comparison.
+    ``STRATEGIES`` order.  Means are arithmetic over the bundles; no pairs
+    yield an empty comparison.
     """
-    bundles = list(bundles)
-    judgments = list(judgments)
-    if len(bundles) != len(judgments):
-        raise ValueError(
-            f"{len(bundles)} bundles but {len(judgments)} judgment sets"
-        )
     cutoffs = tuple(integer(r, "cutoff", 1) for r in cutoffs)
-
-    if not bundles:
-        return StrategyComparison(cutoffs, {}, {}, ())
-
+    if not cutoffs:
+        raise ValueError("at least one cutoff required")
+    repeated = [r for k, r in enumerate(cutoffs) if r in cutoffs[:k]]
+    if repeated:
+        raise ValueError(f"cutoff {shown_int(repeated[0])} is given more than once")
     per_query: list[dict[str, dict[int, float]]] = []
     seconds: dict[str, list[float]] = {name: [] for name in STRATEGIES}
-    for bundle, judged in zip(bundles, judgments):
+    for bundle, judged in pairs:
         pipeline = Pipeline(bundle, params)
         grades = judged.grades_of(bundle.resource_ids)
-        judged_any = any(grades)
-        if not judged_any:  # every ideal gain is 0: warn once, not per ndcg call
+        ideal = _gains(sorted(grades, reverse=True), cutoffs)
+        if 0.0 in ideal:  # no grade is negative, so every grade is 0
             warnings.warn(_ZERO_GAIN)
         row: dict[str, dict[int, float]] = {}
         for name in STRATEGIES:
             start = time.perf_counter()
             result = pipeline.rank(name)
             seconds[name].append(time.perf_counter() - start)
-            if judged_any:
-                ranked = [grades[i] for i in result.order.tolist()]
-                row[name] = {r: ndcg(ranked, r) for r in cutoffs}
-            else:
-                row[name] = dict.fromkeys(cutoffs, 1.0)
+            gains = _gains([grades[i] for i in result.order.tolist()], cutoffs)
+            row[name] = {r: 1.0 if best == 0.0 else gain / best
+                         for r, gain, best in zip(cutoffs, gains, ideal)}
         per_query.append(row)
 
-    n = len(bundles)
+    if not per_query:
+        return StrategyComparison(cutoffs, {}, {}, ())
+    n = len(per_query)
     mean_ndcg = {
         name: {r: sum(row[name][r] for row in per_query) / n for r in cutoffs}
         for name in STRATEGIES

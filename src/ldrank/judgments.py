@@ -8,9 +8,10 @@ and worker ids in order of first use, one item code, worker code, grade
 and trust per record in file order, with NaN for a missing trust.
 
 Each record is checked once, as it is read: ``_Columns.extend`` checks
-its field types, then its grade and trust ranges, and ``_Columns.build``
-that no item-worker pair repeats.  ``load_judgments``, a
-``types.read_objects`` chunk at a time, and ``JudgmentSet.from_records``
+its field types, then its grade and trust ranges, then, on the first
+record naming an item, the item id rule of ``RelevanceJudgments``; and
+``_Columns.build`` that no item-worker pair repeats.  ``load_judgments``,
+a ``types.read_objects`` chunk at a time, and ``JudgmentSet.from_records``
 both build through ``_Columns``, so they reject the same records with the
 same reasons.
 
@@ -57,6 +58,22 @@ VALID_GRADES = (0, 1, 2, 3)
 _N_GRADES = len(VALID_GRADES)
 
 
+def _item_fault(item) -> str | None:
+    """Why ``item`` is no item id, or None: the item id rule of
+    ``RelevanceJudgments`` and of each judgments record."""
+    if type(item) is not str or not item:
+        return f"item id must be a non-empty string, got {shown(item)}"
+    if "\t" in item or "\n" in item or "\r" in item:
+        return f"item id {shown(item)} holds a tab or line break"
+    if item.lstrip()[:1] == "#":
+        return f"item id {shown(item)} starts with '#'"
+    try:
+        item.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return f"item id {shown(item)} is not valid in UTF-8"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class RelevanceJudgments:
     """Item identifier -> relevance grade, an ``int`` on the 0..3 scale.
@@ -70,16 +87,9 @@ class RelevanceJudgments:
     def __post_init__(self):
         grades = {}
         for item, grade in self.grades.items():
-            if type(item) is not str or not item:
-                raise ValueError(f"item id must be a non-empty string, got {shown(item)}")
-            if "\t" in item or "\n" in item or "\r" in item:
-                raise ValueError(f"item id {shown(item)} holds a tab or line break")
-            if item.lstrip()[:1] == "#":
-                raise ValueError(f"item id {shown(item)} starts with '#'")
-            try:
-                item.encode("utf-8")
-            except UnicodeEncodeError:  # a lone surrogate
-                raise ValueError(f"item id {shown(item)} is not valid in UTF-8") from None
+            fault = _item_fault(item)
+            if fault:
+                raise ValueError(fault)
             if type(grade) is not int or grade not in VALID_GRADES:  # `integer` rules on a miss
                 grade = integer(grade, f"grade for {shown(item)}", 0, VALID_GRADES[-1])
             grades[item] = grade
@@ -200,9 +210,12 @@ class _Columns:
         A record's types are checked first: non-empty ``str`` item and
         worker, ``int`` grade, and a ``trust`` absent or an ``int`` or
         ``float`` that converts to a float; a bool is neither.  Then its
-        ranges: grade in 0..3, a given trust in [0, 1].
+        ranges: grade in 0..3, a given trust in [0, 1].  Then, on the first
+        record that names an item, the item id rule, ``_item_fault``: once
+        per distinct item, not once per record.
         """
         items, workers, grades, trusts = [], [], [], []
+        item_index = self.item_index
         for key, record in pairs:
             item = record.get("item")
             worker = record.get("worker")
@@ -228,14 +241,19 @@ class _Columns:
                     reason = f"grade must be one of {VALID_GRADES}, got {shown_int(grade)}"
                 elif trust is not None and not 0.0 <= trust <= 1.0:
                     reason = f"trust must lie in [0, 1], got {trust}"
+                else:
+                    code = item_index.get(item)
+                    if code is None:  # the item's first record
+                        reason = _item_fault(item)
+                        code = item_index[item] = len(item_index)
             if reason:
                 raise error(key, reason)
-            items.append(item)
+            items.append(code)
             workers.append(worker)
             grades.append(grade)
             trusts.append(trust)
         self.parts.append((
-            _codes(self.item_index, items),
+            np.array(items, dtype=np.intp),
             _codes(self.worker_index, workers),
             np.array(grades, dtype=np.intp),
             np.array(trusts, dtype=np.float64),  # None becomes NaN

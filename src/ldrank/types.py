@@ -193,6 +193,14 @@ def number(value, name: str, rule: str, ok) -> Real:
     return value
 
 
+def boolean(value, name: str) -> bool:
+    """``value`` as a ``bool``, or a ``ValueError`` naming ``name``: Python and
+    numpy bools pass; anything else is echoed by ``shown``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {shown(value)}")
+    return bool(value)
+
+
 def parse_int(text: str, path, line_no: int, what: str) -> int:
     """``text`` as an integer: ASCII digits after an optional ``-``, nothing
     else; the error echoes it as ``shown`` does."""
@@ -306,7 +314,7 @@ class ConvergenceWarning(UserWarning):
 
 _POSITIVE = partial(number, rule="must be positive and finite", ok=lambda v: 0.0 < v < math.inf)
 _COUNT = partial(integer, low=1)
-_PARAM_RANGES = {
+_PARAM_RULES = {
     "alpha": partial(number, rule="must lie strictly inside (0, 1)", ok=lambda v: 0.0 < v < 1.0),
     "ndim": _COUNT,
     "stress": _POSITIVE,
@@ -315,6 +323,7 @@ _PARAM_RANGES = {
     "consensus_epsilon": _POSITIVE,
     "consensus_max_iters": _COUNT,
     "power_max_iters": _COUNT,
+    "bidirectional": boolean,
 }
 
 
@@ -341,10 +350,8 @@ class PipelineParams:
     power_max_iters: int = 1000
 
     def __post_init__(self):
-        for name, check in _PARAM_RANGES.items():
+        for name, check in _PARAM_RULES.items():
             object.__setattr__(self, name, check(getattr(self, name), name))
-        if type(self.bidirectional) is not bool:
-            raise ValueError(f"bidirectional must be a bool, got {self.bidirectional!r}")
 
 
 @dataclass(frozen=True, eq=False)

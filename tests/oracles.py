@@ -8,6 +8,7 @@ one reading loop per input file instead of the shared chunked readers.
 """
 
 import json
+import math
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -187,11 +188,12 @@ def consensus_mean_by_loops(experts, damping=0.5, epsilon=1e-9, max_iters=10000)
 # ---------------------------------------------------------------- metrics
 
 def gain_by_direct_formula(grades, r):
-    """First grade at full value, grade at position i >= 2 over log2(i)."""
+    """First grade at full value, grade at position i >= 2 over log2(i),
+    added in position order: the float64 sum of one cutoff alone."""
     grades = list(grades)[: min(r, len(grades))]
     total = float(grades[0])
     for pos in range(2, len(grades) + 1):
-        total += grades[pos - 1] / np.log2(pos)
+        total += grades[pos - 1] / math.log2(pos)
     return total
 
 
@@ -375,8 +377,10 @@ def _records_by_line(path, numbered_lines):
     """Validate ``(line_no, line)`` pairs one line at a time.
 
     Yields one record mapping per non-blank line and raises
-    ``InputFormatError`` at the first bad line.
+    ``InputFormatError`` at the first bad line; an item id at fault is
+    bad on the first line that names it.
     """
+    seen = set()
     for line_no, raw in numbered_lines:
         if not raw.strip():
             continue
@@ -408,7 +412,24 @@ def _records_by_line(path, numbered_lines):
             )
         if trust is not None and not 0.0 <= trust <= 1.0:
             raise InputFormatError(path, line_no, f"trust must lie in [0, 1], got {trust}")
+        if item not in seen:
+            seen.add(item)
+            fault = item_id_fault(item)
+            if fault:
+                raise InputFormatError(path, line_no, fault)
         yield {"item": item, "worker": worker, "grade": grade, "trust": trust}
+
+
+def item_id_fault(item):
+    """Why a non-empty ``str`` cannot be an item id, character by
+    character, or None: a qrels line cannot hold it."""
+    if any(ch in "\t\n\r" for ch in item):
+        return f"item id {shown(item)} holds a tab or line break"
+    if item.lstrip().startswith("#"):
+        return f"item id {shown(item)} starts with '#'"
+    if any("\ud800" <= ch <= "\udfff" for ch in item):
+        return f"item id {shown(item)} is not valid in UTF-8"
+    return None
 
 
 def shown(text):

@@ -539,8 +539,8 @@ def _expected_error(paths, files, texts_fault, flag_error):
     query, then the graph's faults in line order, then the query's and the
     result page's dangling references, each named by its file and line.
     Undecodable bytes end their file: no line after them is read.  With no
-    texts every id dangles, and with no id anywhere either no resource is
-    left to rank."""
+    texts every id dangles, and with no id anywhere either the texts file
+    is reported at line 0: no resource is left to rank."""
     def error(name, line_no, fault):
         if fault == "utf-8":
             return f"error: {paths[name]}:0: not valid UTF-8"
@@ -569,7 +569,9 @@ def _expected_error(paths, files, texts_fault, flag_error):
     for name in ("graph", "query", "serp"):
         for line_no, fault in faults[name]:
             return error(name, line_no, fault)
-    return "error: need at least one resource" if texts_fault == "empty" else None
+    if texts_fault == "empty":
+        return f"error: {paths['texts']}:0: need at least one resource"
+    return None
 
 
 _MUTATED_FILES = {"graph": ("graph.tsv", _graph_faults), "serp": ("serp.tsv", _serp_faults),
@@ -735,6 +737,10 @@ _JUDGMENT_FAULTS = [
      "grade must be one of (0, 1, 2, 3), got 999"),
     ('{"item": "a", "worker": "w", "grade": ' + _DIGITS + "}", f"{_GRADES} {_SHOWN_DIGITS}"),
     (b'{"item": "\xff", "worker": "w", "grade": 1}', "utf-8"),
+    # The item id rule, applied on the first record that names an item.
+    ('{"item": "a\\tb", "worker": "w", "grade": 1}', "item id 'a\\tb' holds a tab or line break"),
+    ('{"item": " #a", "worker": "w", "grade": 1}', "item id ' #a' starts with '#'"),
+    ('{"item": "a\\ud800", "worker": "w", "grade": 1}', "item id 'a\\ud800' is not valid in UTF-8"),
 ]
 
 #: The errors a well-formed judgments file may still end in: a threshold out
@@ -840,6 +846,18 @@ def test_judgments_commands_on_mutated_files_report_the_first_fault(
     else:
         assert out.endswith("\n") and out.count("\n") == 1
         assert math.isfinite(float(out)) and float(out) <= 1.0
+
+
+@pytest.mark.parametrize("command", ["agg", "alpha"])
+def test_judgments_commands_name_a_bad_item_id_at_its_first_line(tmp_path, capsys, command):
+    path = tmp_path / "judgments.jsonl"
+    bad = '{"item": "a\\tb", "worker": "%s", "grade": 1}\n'
+    path.write_text('{"item": "c", "worker": "w1", "grade": 2}\n\n' + bad % "w1" + bad % "w2",
+                    encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}:3: item id 'a\\tb' holds a tab or line break\n"
+    )
 
 
 def test_rank_strict_escalates_nonconvergence(basic_dir, capsys):
@@ -997,6 +1015,36 @@ def test_unopenable_bundle_file_is_named_by_its_manifest_line(tmp_path, basic_di
     assert capsys.readouterr() == ("", f"error: {man}:3: cannot open {missing!r}: {reason}\n")
 
 
+def test_eval_reports_the_first_fault_in_manifest_order_ranking_included(tmp_path, basic_dir,
+                                                                        capsys):
+    # Each entry is loaded and ranked before the next is read, so the first
+    # entry's ranking fault comes before the second entry's missing file.
+    man = _manifest(tmp_path, basic_dir, "{entry}", "{entry}")
+    missing = str(tmp_path / "missing.tsv")
+    text = man.read_text(encoding="utf-8").splitlines()
+    text[1] = text[1].replace(str(basic_dir / "serp.tsv"), missing)
+    man.write_text("\n".join(text) + "\n", encoding="utf-8")
+    assert main(["eval", str(man), "--cutoffs", "1", "--stress", "1e300"]) == 1
+    assert capsys.readouterr() == (
+        "", "error: stress 1e+300 is too large: the squared stressed counts overflow\n"
+    )
+    assert main(["eval", str(man), "--cutoffs", "1"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {man}:2: cannot open {missing!r}: No such file or directory\n"
+    )
+
+
+def test_eval_names_an_entry_with_an_empty_texts_file_by_that_file(tmp_path, basic_dir,
+                                                                   capsys):
+    empty = {name: tmp_path / name for name in ("g.tsv", "t.jsonl", "s.tsv", "q.txt")}
+    for path in empty.values():
+        path.write_text("", encoding="utf-8")
+    entry = "\t".join([*map(str, empty.values()), str(basic_dir / "qrels.tsv")])
+    man = _manifest(tmp_path, basic_dir, "{entry}", entry, "{entry}")
+    assert main(["eval", str(man), "--cutoffs", "1"]) == 1
+    assert capsys.readouterr() == ("", f"error: {empty['t.jsonl']}:0: need at least one resource\n")
+
+
 # ``eval`` over a manifest of one to three entries for the fixture bundle,
 # with the manifest, the qrels file and the cutoffs mutated.  Each fault
 # carries the error line it must end in.
@@ -1025,8 +1073,9 @@ _BUNDLE_NAMES = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
 @st.composite
 def _eval_inputs(draw, fixture, out):
     """Write a mutated qrels file and manifest to ``out``; return the
-    manifest's path and the error line ``eval`` must end in once its
-    cutoffs are read, or None."""
+    manifest's path and the error lines ``eval`` meets once its cutoffs are
+    read: the manifest's own, alone, or else each entry's load error or
+    None, in manifest order."""
     qrels = out / "qrels.tsv"
     grades = (fixture / "qrels.tsv").read_text(encoding="utf-8").splitlines()
     qrels_fault = None
@@ -1086,25 +1135,37 @@ def _eval_inputs(draw, fixture, out):
         paths = entries[j][0]
         reason = ("empty path" if len(paths) == 5
                   else f"expected 5 tab-separated paths, got {len(paths)}")
-        return manifest, f"{at} {reason}"
+        return manifest, [f"{at} {reason}"]
     if fault == "missing":
         missing = str(out / "missing.tsv")
         entries[j] = (entries[j][0], f"{at} cannot open {missing!r}: No such file or directory")
-    return manifest, next((error for _, error in entries if error), None)
+    return manifest, [error for _, error in entries]
+
+
+#: A ranking fault: the stressed counts of the fixture overflow.
+_STRESS = ("--stress", "1e300")
+_STRESS_ERROR = "error: stress 1e+300 is too large: the squared stressed counts overflow"
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(),
-       cutoffs=st.sampled_from([*[c for c in _CUTOFF_LISTS if not c[1]] * 5, *_CUTOFF_LISTS]))
+       cutoffs=st.sampled_from([*[c for c in _CUTOFF_LISTS if not c[1]] * 5, *_CUTOFF_LISTS]),
+       stress=st.sampled_from([False, False, False, True]))
 def test_eval_on_mutated_inputs_reports_the_first_fault(
-    basic_dir, tmp_path_factory, data, cutoffs
+    basic_dir, tmp_path_factory, data, cutoffs, stress
 ):
-    manifest, want = data.draw(_eval_inputs(basic_dir, tmp_path_factory.mktemp("eval")))
+    manifest, errors = data.draw(_eval_inputs(basic_dir, tmp_path_factory.mktemp("eval")))
+    # The cutoffs are checked first; then each entry is loaded and ranked
+    # before the next, so a ranking fault ends the first entry that loads.
     if cutoffs[1]:
         want = f"error: {cutoffs[1]}"
+    elif stress:
+        want = errors[0] or _STRESS_ERROR
+    else:
+        want = next((error for error in errors if error), None)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["eval", str(manifest), "--cutoffs", cutoffs[0]])
+        code = main(["eval", str(manifest), "--cutoffs", cutoffs[0], *_STRESS * stress])
     out, err = stdout.getvalue(), stderr.getvalue().splitlines()
     assert code in (0, 1, 2)
     if want is not None:

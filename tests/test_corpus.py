@@ -254,8 +254,11 @@ def test_an_id_too_long_for_the_table_rows_goes_through_the_line_rules(tmp_path)
 
 
 def test_an_empty_texts_file_leaves_every_graph_endpoint_dangling(tmp_path):
-    files = _bundle_files(tmp_path, graph="# c\n", texts="", serp="", query="")
-    assert load_bundle(*files).n == 0
+    # With no id in any file either, the texts file names itself at line 0.
+    files = _bundle_files(tmp_path, graph="# c\n", texts="\n", serp="", query="# q\n")
+    message = f"{files[1]}:0: need at least one resource"
+    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
+        load_bundle(*files)
     files = _bundle_files(tmp_path, graph="# c\na\tp\tb\n", texts="", serp="", query="")
     with pytest.raises(ValueError, match="graph subject 'a' has no entry in the texts table"):
         load_bundle(*files)

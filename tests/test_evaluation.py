@@ -3,14 +3,19 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldrank import (
     STRATEGIES,
+    Pipeline,
     RelevanceJudgments,
     compare_strategies,
     dcg,
+    load_bundle,
     ndcg,
 )
+from ldrank.evaluation import _gains
 
 import oracles
 
@@ -51,6 +56,21 @@ def test_dcg_matches_direct_formula_on_random_lists():
         assert dcg(grades, r) == pytest.approx(
             oracles.gain_by_direct_formula(grades, r), abs=1e-12
         )
+
+
+_GRADE_LISTS = st.lists(st.integers(0, 3), min_size=1, max_size=40)
+_CUTOFF_SETS = st.lists(st.integers(1, 50), min_size=1, max_size=6, unique=True).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grades=_GRADE_LISTS, cutoffs=_CUTOFF_SETS)
+def test_one_pass_gains_equal_dcg_bit_for_bit_at_every_cutoff(grades, cutoffs):
+    # Each cutoff's value is a prefix of one sum, which adds the same terms
+    # in the same order as a sum cut at that cutoff alone.
+    gains = _gains(grades, cutoffs)
+    for r, gain in zip(cutoffs, gains):
+        want = oracles.gain_by_direct_formula(grades, r)
+        assert gain.hex() == dcg(grades, r).hex() == want.hex(), r
 
 
 def test_dcg_rejects_bad_input():
@@ -132,7 +152,7 @@ def test_compare_strategies_on_fixture(basic_bundle):
     judged = RelevanceJudgments(
         grades={"Berlin": 3, "City": 0, "Europe": 1, "Germany": 3, "Museum": 1, "River": 2}
     )
-    table = compare_strategies([basic_bundle], [judged], [1, 3, 5])
+    table = compare_strategies([(basic_bundle, judged)], [1, 3, 5])
     assert table.n_queries == 1
     assert table.cutoffs == (1, 3, 5)
     assert set(table.mean_ndcg) == {"EQUI", "HIT", "SVD", "LDRANK"}
@@ -143,18 +163,55 @@ def test_compare_strategies_on_fixture(basic_bundle):
     assert len(table.per_query_ndcg) == 1
 
 
+@settings(max_examples=100, deadline=None)
+@given(grades=st.lists(st.integers(0, 3), min_size=6, max_size=6), cutoffs=_CUTOFF_SETS)
+def test_compare_strategies_scores_equal_ndcg_bit_for_bit_at_every_cutoff(
+    basic_dir, grades, cutoffs
+):
+    names = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
+    bundle = load_bundle(*(basic_dir / name for name in names))
+    judged = RelevanceJudgments(grades=dict(zip(bundle.resource_ids, grades)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = compare_strategies([(bundle, judged)], cutoffs)
+        pipeline = Pipeline(bundle)
+        for name in STRATEGIES:
+            ranked = [grades[i] for i in pipeline.rank(name).order.tolist()]
+            for r in cutoffs:
+                got, want = table.per_query_ndcg[0][name][r], ndcg(ranked, r)
+                assert got.hex() == want.hex(), (name, r)
+    # A bundle whose grades are all 0 scores 1.0 with one warning, where
+    # each ndcg call warns.
+    zero_gain = [w for w in caught if str(w.message).startswith("ideal ranking has zero gain")]
+    assert len(zero_gain) == (0 if any(grades) else 1 + len(STRATEGIES) * len(cutoffs))
+
+
 def test_compare_strategies_empty_input():
-    table = compare_strategies([], [], [1, 3])
+    table = compare_strategies([], [1, 3])
     assert table.n_queries == 0
     assert table.mean_ndcg == {}
     assert table.per_query_ndcg == ()
 
 
-def test_compare_strategies_validates_alignment(basic_bundle):
-    with pytest.raises(ValueError):
-        compare_strategies([basic_bundle], [], [1])
-    with pytest.raises(ValueError):
-        compare_strategies([], [], [0])
+@pytest.mark.parametrize("cutoffs, message", [
+    ((1, 1), "cutoff 1 is given more than once"),
+    ([5, 2, np.int64(5)], "cutoff 5 is given more than once"),
+    ((), "at least one cutoff required"),
+    ([0], "cutoff must be at least 1, got 0"),
+    ([3, 3, 0], "cutoff must be at least 1, got 0"),
+])
+def test_compare_strategies_checks_the_cutoff_list_before_drawing_a_pair(
+    basic_bundle, cutoffs, message
+):
+    drawn = []
+
+    def pairs():
+        drawn.append(True)
+        yield basic_bundle, RelevanceJudgments(grades={"Berlin": 3})
+
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compare_strategies(pairs(), cutoffs)
+    assert drawn == []
 
 
 @pytest.mark.parametrize("cutoff, got", [
@@ -166,7 +223,7 @@ def test_cutoffs_that_are_not_integers_are_rejected(basic_bundle, cutoff, got):
     message = f"^cutoff must be an integer, got {re.escape(got)}$"
     judged = RelevanceJudgments(grades={"Berlin": 3})
     with pytest.raises(ValueError, match=message):
-        compare_strategies([basic_bundle], [judged], [1, cutoff])
+        compare_strategies([(basic_bundle, judged)], [1, cutoff])
     with pytest.raises(ValueError, match=message):
         dcg([3, 2], cutoff)
     with pytest.raises(ValueError, match=message):
@@ -175,6 +232,6 @@ def test_cutoffs_that_are_not_integers_are_rejected(basic_bundle, cutoff, got):
 
 def test_numpy_integer_cutoffs_pass(basic_bundle):
     judged = RelevanceJudgments(grades=dict.fromkeys(basic_bundle.resource_ids, 1))
-    table = compare_strategies([basic_bundle], [judged], [np.int32(1), np.int64(3)])
+    table = compare_strategies([(basic_bundle, judged)], [np.int32(1), np.int64(3)])
     assert table.cutoffs == (1, 3) and all(type(r) is int for r in table.cutoffs)
     assert dcg([3, 2], np.int64(2)) == dcg([3, 2], 2)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ldrank.judgments as judgments_module
 import ldrank.types as types_module
 from ldrank import (
     InputFormatError,
@@ -329,6 +330,18 @@ def test_relevance_judgments_reject_an_id_no_qrels_line_holds(item, reason):
         RelevanceJudgments(grades={long_item: 2})
 
 
+def test_load_judgments_applies_the_item_id_rule_once_per_distinct_item(tmp_path):
+    path = tmp_path / "j.jsonl"
+    path.write_text("".join(json.dumps(_record(item, f"w{k}", 1)) + "\n"
+                            for k, item in enumerate("abab" * 6)), encoding="utf-8")
+    rule = judgments_module._item_fault
+    # Blocks of 64 bytes hold one record each, so each item spans many.
+    with mock.patch.object(judgments_module, "_item_fault", side_effect=rule) as fault, \
+            mock.patch.object(types_module, "_CHUNK_BYTES", 64):
+        assert load_judgments(path).item_ids == ("a", "b")
+    assert [c.args for c in fault.call_args_list] == [("a",), ("b",)]
+
+
 @pytest.mark.parametrize("item, got", [("", "''"), (5, "int"), (None, "NoneType")])
 def test_relevance_judgments_reject_an_empty_or_non_string_id(item, got):
     with pytest.raises(ValueError, match=f"^item id must be a non-empty string, got {got}$"):
@@ -559,7 +572,7 @@ def _mostly(valid, flawed):
 
 _NAMES = _mostly(
     st.sampled_from(["a", "b", "c", "a\x85b", "p\u2028q", "x y"]),
-    st.sampled_from(["", 7, None, True, "{b}", "[c]", "e\x1cf"]),
+    st.sampled_from(["", 7, None, True, "{b}", "[c]", "e\x1cf", "a\tb", " #c"]),
 )
 _GRADES = _mostly(
     st.sampled_from([0, 1, 2, 3]),
@@ -659,6 +672,9 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
 @example([_record("a", "w", 7, "x")])
 @example([_record("a", "w", 7, 10**400)])
 @example([_record("a", "w", 7), _record("b", "w", 1, 1.5)])
+# An item id at fault is reported at the first record that names it.
+@example([_record("a", "w", 1), _record("a\ud800", "w", 1), _record("b", "w", 7)])
+@example([_record("b", "w", 7, "x"), _record(" #c", "w", 1)])
 def test_from_records_agrees_with_load_judgments(tmp_path_factory, records):
     # The same records in a file: the same columns, or the loader's reason
     # without its "path:line: " prefix.

@@ -42,7 +42,7 @@ def _per_bundle(text_matrix, svd, graph, pool, bundles=1):
 
 def test_compare_strategies_runs_each_stage_once_per_bundle(basic_bundle, basic_dir, stage_calls):
     judged = load_qrels(basic_dir / "qrels.tsv")
-    table = compare_strategies([basic_bundle] * 3, [judged] * 3, (1, 3))
+    table = compare_strategies([(basic_bundle, judged)] * 3, (1, 3))
     assert table.n_queries == 3
     assert dict(stage_calls) == _per_bundle(1, 2, 1, 1, bundles=3)
 

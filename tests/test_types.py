@@ -218,13 +218,21 @@ def test_pipeline_params_keep_a_long_real_field_short(name):
             PipelineParams(**{name: value})
 
 
-@pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
-def test_pipeline_params_reject_a_bidirectional_that_is_not_a_bool(value):
-    with pytest.raises(ValueError, match=f"^bidirectional must be a bool, got {value!r}$"):
+@pytest.mark.parametrize("value, got", [
+    ("no", "'no'"), (0, "int"), (1, "int"), (None, "NoneType"), (np.int64(1), "int64"),
+    ("x" * 5000, f"{'x' * 40!r}... (5000 characters)"),
+])
+def test_pipeline_params_reject_a_bidirectional_that_is_not_a_bool(value, got):
+    with pytest.raises(ValueError, match=f"^bidirectional must be a bool, got {re.escape(got)}$"):
         PipelineParams(bidirectional=value)
-    assert PipelineParams(bidirectional=True).bidirectional is True
     # numpy scalars are numbers.
     assert PipelineParams(ndim=np.int64(2), alpha=np.float64(0.5)).ndim == 2
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+def test_pipeline_params_store_a_python_or_numpy_bool_as_a_bool(value):
+    stored = PipelineParams(bidirectional=value).bidirectional
+    assert type(stored) is bool and stored == bool(value)
 
 
 def test_build_resource_text_rejects_any_offset_into_an_empty_page_text():
@@ -261,7 +269,7 @@ _INTEGER_SITES = [
                  id="CorpusBundle.serp_size"),
     pytest.param(_dcg, "cutoff", 1, None, id="dcg"),
     pytest.param(_ndcg, "cutoff", 1, None, id="ndcg"),
-    pytest.param(lambda v: compare_strategies([], [], [v]).cutoffs[0], "cutoff", 1, None,
+    pytest.param(lambda v: compare_strategies([], [v]).cutoffs[0], "cutoff", 1, None,
                  id="compare_strategies"),
     *(pytest.param(lambda v, name=name: getattr(PipelineParams(**{name: v}), name), name, 1,
                    None, id=f"PipelineParams.{name}")
