@@ -12,7 +12,7 @@ judgment handling (reliability, filtering, vote aggregation) ride along.
 from .consensus import ConsensusResult, consensual_pool
 from .corpus import assemble_bundle, build_resource_text, load_bundle
 from .evaluation import StrategyComparison, compare_strategies, dcg, ndcg
-from .graph import ResourceGraph, build_graph
+from .graph import build_graph
 from .judgments import (
     JudgmentSet,
     RelevanceJudgments,
@@ -23,13 +23,7 @@ from .judgments import (
     load_qrels,
     majority_vote,
 )
-from .lsa import (
-    CscMatrix,
-    ResourceTextMatrix,
-    build_text_matrix,
-    sparse_svd,
-    tokenize,
-)
+from .lsa import ResourceTextMatrix, build_text_matrix, sparse_svd, tokenize
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
 from .rank import (
     STRATEGIES,
@@ -46,6 +40,7 @@ from .types import (
     CorpusBundle,
     Distribution,
     InputFormatError,
+    SparseMatrix,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +49,6 @@ __all__ = [
     "ConsensusResult",
     "ConvergenceWarning",
     "CorpusBundle",
-    "CscMatrix",
     "Distribution",
     "InputFormatError",
     "JudgmentSet",
@@ -62,8 +56,8 @@ __all__ = [
     "PipelineParams",
     "RankingResult",
     "RelevanceJudgments",
-    "ResourceGraph",
     "ResourceTextMatrix",
+    "SparseMatrix",
     "StrategyComparison",
     "STRATEGIES",
     "assemble_bundle",

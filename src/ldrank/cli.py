@@ -202,7 +202,12 @@ def _cmd_agg(args) -> None:
 
 
 def _cmd_alpha(args) -> None:
-    print(_fmt(krippendorff_alpha(_judgments(args))))
+    judgments = _judgments(args)
+    try:
+        alpha = krippendorff_alpha(judgments)
+    except ValueError as exc:  # a fault of the file as a whole
+        raise InputFormatError(args.judgments, 0, str(exc)) from exc
+    print(_fmt(alpha))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -79,6 +79,25 @@ class StrategyComparison:
         return len(self.per_query_ndcg)
 
 
+def _scores(bundle, judged, cutoffs, params, seconds) -> dict[str, dict[int, float]]:
+    """NDCG per strategy and cutoff on one bundle, each strategy's seconds
+    appended to ``seconds``; the pipeline and rankings die with the call."""
+    pipeline = Pipeline(bundle, params)
+    grades = judged.grades_of(bundle.resource_ids)
+    ideal = _gains(sorted(grades, reverse=True), cutoffs)
+    if 0.0 in ideal:  # no grade is negative, so every grade is 0
+        warnings.warn(_ZERO_GAIN)
+    row: dict[str, dict[int, float]] = {}
+    for name in STRATEGIES:
+        start = time.perf_counter()
+        result = pipeline.rank(name)
+        seconds[name].append(time.perf_counter() - start)
+        gains = _gains([grades[i] for i in result.order.tolist()], cutoffs)
+        row[name] = {r: 1.0 if best == 0.0 else gain / best
+                     for r, gain, best in zip(cutoffs, gains, ideal)}
+    return row
+
+
 def compare_strategies(
     pairs,
     cutoffs,
@@ -105,20 +124,8 @@ def compare_strategies(
     per_query: list[dict[str, dict[int, float]]] = []
     seconds: dict[str, list[float]] = {name: [] for name in STRATEGIES}
     for bundle, judged in pairs:
-        pipeline = Pipeline(bundle, params)
-        grades = judged.grades_of(bundle.resource_ids)
-        ideal = _gains(sorted(grades, reverse=True), cutoffs)
-        if 0.0 in ideal:  # no grade is negative, so every grade is 0
-            warnings.warn(_ZERO_GAIN)
-        row: dict[str, dict[int, float]] = {}
-        for name in STRATEGIES:
-            start = time.perf_counter()
-            result = pipeline.rank(name)
-            seconds[name].append(time.perf_counter() - start)
-            gains = _gains([grades[i] for i in result.order.tolist()], cutoffs)
-            row[name] = {r: 1.0 if best == 0.0 else gain / best
-                         for r, gain, best in zip(cutoffs, gains, ideal)}
-        per_query.append(row)
+        per_query.append(_scores(bundle, judged, cutoffs, params, seconds))
+        del bundle, judged  # so one entry is held while the next is drawn
 
     if not per_query:
         return StrategyComparison(cutoffs, {}, {}, ())

@@ -32,10 +32,12 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
-from .types import InputFormatError, integer, number, parse_int, read_objects, read_rows
+from .types import InputFormatError, integer, number, parse_int, read_lines, read_objects
+from .types import read_rows
 from .types import shown, shown_int
 
 __all__ = [
@@ -140,7 +142,7 @@ class JudgmentSet:
         ``ValueError`` with ``load_judgments``'s reason, or its position."""
         columns = _Columns()
         columns.extend(_mappings(records), lambda _, reason: ValueError(reason))
-        return columns.build()
+        return columns.build(lambda _, reason: ValueError(reason))
 
     @property
     def records(self) -> tuple[dict, ...]:
@@ -259,18 +261,18 @@ class _Columns:
             np.array(trusts, dtype=np.float64),  # None becomes NaN
         ))
 
-    def build(self) -> JudgmentSet:
-        """The set of the records appended, or a ``ValueError`` naming the
-        first repeated item-worker pair."""
+    def build(self, error) -> JudgmentSet:
+        """The set of the records appended, or ``error(r, reason)`` for the
+        first record r that repeats an earlier record's item-worker pair."""
         item_ids, worker_ids = tuple(self.item_index), tuple(self.worker_index)
         items, workers, grades, trust = map(np.concatenate, zip(*self.parts))
         _, first = np.unique(items * len(worker_ids) + workers, return_index=True)
         if first.size < items.size:
-            r = np.setdiff1d(np.arange(items.size), first)[0]
-            raise ValueError(
+            r = int(np.setdiff1d(np.arange(items.size), first)[0])
+            raise error(r, (
                 f"duplicate judgment for item {shown(item_ids[items[r]])} "
                 f"by worker {shown(worker_ids[workers[r]])}"
-            )
+            ))
         return JudgmentSet._of(item_ids, worker_ids, items, workers, grades, trust)
 
 
@@ -399,17 +401,22 @@ def load_judgments(path) -> JudgmentSet:
 
     Each line is an object with string ``item`` and ``worker``, integer
     ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].  The first
-    bad object is reported as ``path:line: reason``, a repeated
-    item-worker pair at line 0.
+    bad object is reported as ``path:line: reason``.  A repeated item-worker
+    pair is found once the whole file is read, and reported at the line of
+    its second record, which only then is looked up.
     """
     columns = _Columns()
     # A call per chunk, so that chunk's lists are freed before the next is read.
     for pairs in read_objects(path):
         columns.extend(pairs, lambda line_no, reason: InputFormatError(path, line_no, reason))
-    try:
-        return columns.build()
-    except ValueError as exc:
-        raise InputFormatError(path, 0, str(exc)) from exc
+    return columns.build(lambda r, reason: InputFormatError(path, _record_line(path, r), reason))
+
+
+def _record_line(path, r: int) -> int:
+    """The line of record ``r`` (from 0) of a judgments file read whole: its
+    non-blank line ``r + 1``, as ``read_objects`` numbers the objects."""
+    numbers = (line_no for line_no, line in read_lines(path) if line.strip())
+    return next(islice(numbers, r, None))
 
 
 def load_qrels(path) -> RelevanceJudgments:

@@ -4,11 +4,11 @@ Texts are tokenized (lowercase, split on non-alphanumeric runs), filtered
 against the packaged English stopword list plus a minimum length of 2, and
 stemmed; the stemmer is cached, so each distinct token is stemmed once.  The
 counts are built in one pass over token-id arrays, the (stem, resource)
-pairs sorted and counted into a resources-by-stems ``CscMatrix``: plain
-compressed-column index arrays, as ``graph.ResourceGraph`` holds the graph.
-``sparse_svd`` computes its rank-k factors ``(u, s, vt)`` from those arrays
-with numpy alone; the rows of ``u * s`` are the resources' latent
-coordinates, whose lengths ``priors.svd_prior`` compares.
+pairs sorted and counted by ``types.count_pairs`` into a resources-by-stems
+``types.SparseMatrix``, the type that also holds the walk matrix.
+``sparse_svd`` computes its rank-k factors ``(u, s, vt)`` from the
+matrix's two products with numpy alone; the rows of ``u * s`` are the
+resources' latent coordinates, whose lengths ``priors.svd_prior`` compares.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from importlib import resources as importlib_resources
 import numpy as np
 
 from .stemmer import stem
-from .types import CorpusBundle, compressed_pairs, integer, integer_array
+from .types import CorpusBundle, SparseMatrix, count_pairs, integer
 
 __all__ = [
-    "CscMatrix",
     "ResourceTextMatrix",
     "tokenize",
     "build_text_matrix",
@@ -64,52 +63,15 @@ def tokenize(text: str) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class CscMatrix:
-    """A sparse matrix in compressed-column form: the entries of column j lie
-    in rows ``indices[indptr[j]:indptr[j + 1]]``, their values in the same
-    slice of ``data``."""
-
-    shape: tuple[int, int]
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-
-    def __post_init__(self):
-        if len(self.shape) != 2:
-            raise ValueError(f"shape must hold 2 sizes, got {len(self.shape)}")
-        rows, cols = (integer(d, "shape", 0) for d in self.shape)
-        indptr = integer_array(self.indptr, "indptr")
-        indices = integer_array(self.indices, "indices", rows)
-        data = np.asarray(self.data)
-        if (
-            indptr.shape != (cols + 1,)
-            or indptr[0] != 0
-            or (np.diff(indptr) < 0).any()
-            or indptr[-1] != indices.size
-        ):
-            raise ValueError(f"indptr must be {cols + 1} offsets rising from 0 to {indices.size}")
-        if indices.ndim != 1:
-            raise ValueError(f"indices must be a vector, got shape {indices.shape}")
-        if data.shape != indices.shape or data.dtype.kind != "f" or not np.isfinite(data).all():
-            raise ValueError(f"data must be a vector of {indices.size} finite floats")
-        object.__setattr__(self, "shape", (rows, cols))
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
-@dataclass(frozen=True, eq=False)
 class ResourceTextMatrix:
     """Sparse stem counts, resources as rows, stems as columns.
 
-    ``counts`` is a ``CscMatrix`` of strictly positive counts, rows ascending
-    in each column; ``stem_vocab`` maps the sorted stems to columns 0, 1, ...
+    ``counts`` is a ``SparseMatrix`` of strictly positive counts, one entry
+    per distinct position, ordered by stem column, then resource row;
+    ``stem_vocab`` maps the sorted stems to columns 0, 1, ...
     """
 
-    counts: CscMatrix
+    counts: SparseMatrix
     stem_vocab: dict[str, int]
 
     def __post_init__(self):
@@ -146,9 +108,8 @@ def build_text_matrix(bundle: CorpusBundle) -> ResourceTextMatrix:
     column_of_id = np.array([stem_vocab[s] for s in ids], dtype=np.int64)
     cols = column_of_id[np.array(token_ids, dtype=np.int64)]
     rows = np.repeat(np.arange(bundle.n, dtype=np.int64), lengths)
-    shape = (bundle.n, len(stem_vocab))
-    indptr, indices, counts = compressed_pairs(cols, rows, shape[1], shape[0])
-    matrix = CscMatrix(shape, indptr, indices, counts.astype(np.float64))
+    cols, rows, counts = count_pairs(cols, rows, bundle.n)
+    matrix = SparseMatrix((bundle.n, len(stem_vocab)), rows, cols, counts.astype(np.float64))
     return ResourceTextMatrix(counts=matrix, stem_vocab=stem_vocab)
 
 
@@ -169,7 +130,7 @@ def _extend(r: np.ndarray, basis: np.ndarray, tiny: float) -> tuple[float, np.nd
     return 0.0, _extend(axis, basis, 0.0)[1]
 
 
-def sparse_svd(counts: CscMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def sparse_svd(counts: SparseMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Truncated SVD ``(u, s, vt)`` of a sparse count matrix at rank ``k``.
 
     In numpy's convention: ``u`` is rows-by-k with orthonormal columns,
@@ -183,19 +144,13 @@ def sparse_svd(counts: CscMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
     matrix.  A repeated singular value shows up only after the basis
     (nearly) spans an invariant subspace; past such a breakdown it stops
     only at another, once B has captured all but less than sigma_k squared
-    of the squared Frobenius norm.
+    of the squared Frobenius norm, which it reads off ``counts.data``: one
+    entry per position, as ``build_text_matrix`` stores them.
     """
     m, n = counts.shape
     k = integer(k, f"k for a {m}x{n} matrix", 1, min(m, n))
 
-    rows, data = counts.indices, np.asarray(counts.data, dtype=np.float64)
-    cols = np.repeat(np.arange(n), np.diff(counts.indptr))
-
-    def times(x):  # counts @ x
-        return np.bincount(rows, weights=data * x[cols], minlength=m)
-
-    def times_t(y):  # counts.T @ y
-        return np.bincount(cols, weights=data * y[rows], minlength=n)
+    times, times_t = counts.__matmul__, counts.__rmatmul__  # A @ x, A.T @ y
 
     # Started on the larger side, the Krylov space would keep a component in
     # that side's null space.
@@ -203,7 +158,7 @@ def sparse_svd(counts: CscMatrix, k: int) -> tuple[np.ndarray, np.ndarray, np.nd
         times, times_t = times_t, times
     short, long_ = sorted((m, n))
     eps = np.finfo(np.float64).eps
-    norm = float(np.sqrt(np.einsum("i,i->", data, data)))  # Frobenius
+    norm = float(np.sqrt(np.einsum("i,i->", counts.data, counts.data)))  # Frobenius
     tiny = 100 * eps * norm  # rounding noise
 
     start = np.random.default_rng(0).standard_normal(short)

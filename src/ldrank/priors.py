@@ -8,7 +8,8 @@ Three independent experts emit a prior each:
   points, one ``np.bincount`` over the distinct mention rows;
 * ``svd_prior``: latent-text response, scoring each resource by how far its
   latent coordinates (the rows of ``u * s`` from ``lsa.sparse_svd``) grow
-  when the count rows of the resources under focus are amplified and the
+  when the count rows of the resources under focus are amplified (each
+  entry of the ``SparseMatrix`` of counts scaled by its row) and the
   truncated SVD is recomputed; its dimension and stress come from
   ``PipelineParams``, which checked their ranges.  ``sparse_svd`` gives
   one result per matrix, so a stress that leaves the counts as they are
@@ -121,9 +122,9 @@ def svd_prior(
 
     row_scale = np.ones(n, dtype=np.float64)
     row_scale[focus] = stress
-    # CSC stores row indices in .indices, so rows scale entry by entry.
+    # Each entry names its row, so rows scale entry by entry.
     counts = matrix.counts
-    stressed = counts.data * row_scale[counts.indices]
+    stressed = counts.data * row_scale[counts.rows]
     if not np.isfinite(stressed @ stressed):
         raise ValueError(
             f"stress {stress} is too large: the squared stressed counts overflow"

@@ -2,9 +2,10 @@
 
 ``power_rank`` runs the damped power iteration for the walk matrix
 ``alpha * S + (1 - alpha) * ones * teleport'`` without ever materializing
-the dense matrix: each step costs O(edges + n).  Its ``RankingResult``
-holds the scores, and reads the ranking of indices off them: score ties
-by ascending index, which is id order, as the bundle sorts its ids.
+the dense matrix: each step is one product ``x @ S`` with the sparse S of
+``graph.build_graph``, at O(edges + n).  Its ``RankingResult`` holds the
+scores, and reads the ranking of indices off them: score ties by
+ascending index, which is id order, as the bundle sorts its ids.
 
 Every stage takes its settings from one ``PipelineParams`` (defined in
 ``types``), which has checked them when it was built.
@@ -12,7 +13,7 @@ Every stage takes its settings from one ``PipelineParams`` (defined in
 ``Pipeline`` holds the staged computation for one bundle: hit prior from
 the result page, amplification set from the query plus the top hit,
 latent-drift prior from the stressed SVD, consensus pooling of the three
-priors, and the resource graph.  Each stage runs at most once, and every
+priors, and the walk matrix S.  Each stage runs at most once, and every
 strategy walks from the same stages, with its prior used both as teleport
 vector and as dangling-row fill.  ``ldrank`` and ``strategy`` rank one
 strategy from a fresh pipeline.
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .consensus import ConsensusResult, consensual_pool
-from .graph import ResourceGraph, build_graph
+from .graph import build_graph
 from .lsa import build_text_matrix
 from .priors import build_info_need, equi_prior, hit_prior, svd_prior
 from .types import (
@@ -35,6 +36,7 @@ from .types import (
     CorpusBundle,
     Distribution,
     PipelineParams,
+    SparseMatrix,
     shown,
 )
 
@@ -72,37 +74,32 @@ class RankingResult:
 
 
 def power_rank(
-    graph: ResourceGraph, teleport: Distribution, params: PipelineParams
+    graph: SparseMatrix, teleport: Distribution, params: PipelineParams
 ) -> RankingResult:
     """Power iteration from the teleport vector to the stationary scores.
 
-    ``teleport`` is the restart distribution and also fills the rows with
-    no out-edges.  Stops when the L1 difference between successive iterates
-    drops below ``params.tol``; the walk matrix is an ``alpha``-contraction
-    in L1, so the stationarity residual of the returned vector is below
-    tolerance as well, up to float64 rounding of about n times its epsilon,
-    which a smaller ``tol`` cannot undercut.  Hitting
-    ``params.power_max_iters`` first returns the current iterate flagged
-    (and warned) as non-converged.
+    ``graph`` is the walk matrix S, n-by-n with each non-empty row summing
+    to one, as ``graph.build_graph`` gives it.  ``teleport`` is the restart
+    distribution and also fills the empty rows.  Stops when the L1
+    difference between successive iterates drops below ``params.tol``; the
+    walk matrix is an ``alpha``-contraction in L1, so the stationarity
+    residual of the returned vector is below tolerance as well, up to
+    float64 rounding of about n times its epsilon, which a smaller ``tol``
+    cannot undercut.  Hitting ``params.power_max_iters`` first returns the
+    current iterate flagged (and warned) as non-converged.
     """
-    n = graph.n
-    if len(teleport) != n:
-        raise ValueError(
-            f"fill distribution has length {len(teleport)}, graph has {n} resources"
-        )
-    degree = np.diff(graph.indptr)
-    inv_degree = 1.0 / np.maximum(degree, 1)
-    dangling = degree == 0
+    n = len(teleport)
+    if graph.shape != (n, n):
+        raise ValueError(f"fill distribution has length {n}, graph has shape {graph.shape}")
+    dangling = np.bincount(graph.rows, minlength=n) == 0
     restart = (1.0 - params.alpha) * teleport.values
     x = teleport.values.copy()
     iterations = 0
     converged = False
     while iterations < params.power_max_iters:
-        # x @ S: row i sends x[i] * (1 / degree[i]) to each successor, summed in row
+        # Row i sends x[i] / degree(i) to each successor, summed in entry
         # order; the last bits of the printed scores depend on that order.
-        step = np.bincount(
-            graph.indices, weights=np.repeat(x * inv_degree, degree), minlength=n
-        )
+        step = x @ graph
         mass = float(x[dangling].sum())
         if mass:
             step = step + mass * teleport.values
@@ -149,7 +146,7 @@ class Pipeline:
         return consensual_pool(experts, self.params)
 
     @cached_property
-    def graph(self) -> ResourceGraph:
+    def graph(self) -> SparseMatrix:
         return build_graph(self.bundle, bidirectional=self.params.bidirectional)
 
     def prior(self, name: str) -> Distribution:

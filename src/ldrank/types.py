@@ -1,5 +1,5 @@
 """Shared data model: input readers, pipeline settings, probability
-vectors, corpus bundle.
+vectors, corpus bundle, and the one sparse matrix type.
 
 Every line-format decision is made here.  ``_blocks`` is the only code
 that opens, decodes and numbers an input file: it reads fixed-size byte
@@ -16,6 +16,9 @@ Everything downstream indexes resources by position in the lexicographically
 sorted list of resource identifiers.  The bundle fixes that order once and
 holds its graph, texts, result page and query in index form, so no stage
 after ``corpus`` builds it looks up an identifier.
+
+``SparseMatrix`` holds both the walk matrix and the stem counts as entry
+arrays, which ``count_pairs`` builds from index pairs.
 """
 
 from __future__ import annotations
@@ -295,17 +298,79 @@ def integer_array(values, name: str, below: int | None = None) -> np.ndarray:
     return array
 
 
-def compressed_pairs(major, minor, n_major: int, n_minor: int):
-    """``indptr`` over ``n_major`` slots, the distinct minors of each slot in
-    ascending order, and how often each ``(major, minor)`` pair occurs.  The
-    keys are sorted and each run of equal ones kept once: ``np.unique``'s
-    hash-table path (numpy >= 2.3) is many times slower on millions of keys.
-    """
-    keys = np.sort(major * n_minor + minor)
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    counts = np.diff(first, append=keys.size)
-    majors, minors = np.divmod(keys[first], n_minor)
-    return np.searchsorted(majors, np.arange(n_major + 1)), minors, counts
+def count_pairs(major: np.ndarray, minor: np.ndarray, n_minor: int, mirror: bool = False):
+    """The distinct ``(major, minor)`` pairs of two int64 index vectors in
+    ascending order, as two vectors, and how often each occurs; with
+    ``mirror``, each pair counts as ``(minor, major)`` too.  The keys
+    ``major * n_minor + minor`` fill one array, sorted in place, and each run
+    of equal keys is kept once: ``np.unique`` would copy them, and its hash
+    path (numpy >= 2.3) is many times slower on millions of keys."""
+    size = major.size
+    keys = np.empty(2 * size if mirror else size, dtype=np.int64)
+    for k, (a, b) in enumerate(((major, minor), (minor, major))[: 1 + mirror]):
+        np.multiply(a, n_minor, out=keys[k * size : (k + 1) * size])
+        keys[k * size : (k + 1) * size] += b
+    keys.sort()
+    starts = np.empty(keys.size, dtype=bool)
+    starts[:1] = True  # an empty key list has no first key
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    keys = keys[starts]  # frees the sorted keys before the counts are taken
+    counts = np.diff(np.flatnonzero(starts), append=starts.size)
+    minors = keys % n_minor
+    keys //= n_minor
+    return keys, minors, counts
+
+
+@dataclass(frozen=True, eq=False)
+class SparseMatrix:
+    """A sparse matrix as its ``nnz`` entries: ``data[e]`` at row ``rows[e]``
+    and column ``cols[e]``, read-only int64 indices inside ``shape`` and
+    finite float64 values; entries at one position add up.  ``A @ x`` and
+    ``y @ A`` (``A.T @ y``) are one ``np.bincount`` each, in entry order."""
+
+    shape: tuple[int, int]
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+
+    __array_ufunc__ = None  # ``ndarray @ SparseMatrix`` calls ``__rmatmul__``
+
+    def __post_init__(self):
+        if len(self.shape) != 2:
+            raise ValueError(f"shape must hold 2 sizes, got {len(self.shape)}")
+        m, n = (integer(d, "shape", 0) for d in self.shape)
+        rows = integer_array(self.rows, "rows", m)
+        cols = integer_array(self.cols, "cols", n)
+        data = np.asarray(self.data)
+        if rows.ndim != 1 or rows.shape != cols.shape:
+            raise ValueError(
+                "rows and cols must be vectors of one length, "
+                f"got shapes {rows.shape} and {cols.shape}"
+            )
+        if data.shape != rows.shape or data.dtype.kind != "f" or not np.isfinite(data).all():
+            raise ValueError(f"data must be a vector of {rows.size} finite floats")
+        object.__setattr__(self, "shape", (m, n))
+        data = data.astype(np.float64, copy=False)
+        for name, array in (("rows", rows), ("cols", cols), ("data", data)):
+            array = array.view()  # read-only, while the caller's array stays writable
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.rows.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self._sum(x, self.cols, self.rows, self.shape[0])
+
+    def __rmatmul__(self, y: np.ndarray) -> np.ndarray:
+        return self._sum(y, self.rows, self.cols, self.shape[1])
+
+    def _sum(self, v, take, into, size):
+        """``data[e] * v[take[e]]`` summed into ``into[e]`` in entry order."""
+        weights = np.asarray(v, dtype=np.float64)[take]
+        weights *= self.data
+        return np.bincount(into, weights=weights, minlength=size)
 
 
 class ConvergenceWarning(UserWarning):

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ldrank.lsa import CscMatrix
-from ldrank.types import Distribution, InputFormatError, read_lines
+from ldrank.types import Distribution, InputFormatError, SparseMatrix, read_lines
 
 
 def normalized(weights):
@@ -39,21 +38,19 @@ def stem_counts_by_counter(texts, tokenize_fn):
     return vocab, dense
 
 
-def csc_from_dense(dense):
-    """The nonzero entries of a dense matrix as a ``CscMatrix``, column by
-    column with rows ascending, from ``np.nonzero`` of its transpose."""
+def sparse_from_dense(dense):
+    """The nonzero entries of a dense matrix as a ``SparseMatrix``, column
+    by column with rows ascending, from ``np.nonzero`` of its transpose."""
     dense = np.asarray(dense, dtype=float)
     cols, rows = np.nonzero(dense.T)
-    indptr = np.searchsorted(cols, np.arange(dense.shape[1] + 1))
-    return CscMatrix(dense.shape, indptr, rows, dense[rows, cols])
+    return SparseMatrix(dense.shape, rows, cols, dense[rows, cols])
 
 
-def dense_from_csc(matrix):
-    """The dense matrix of a ``CscMatrix``, one stored entry at a time."""
+def dense_from_sparse(matrix):
+    """The dense matrix of a ``SparseMatrix``, one stored entry at a time."""
     dense = np.zeros(matrix.shape)
-    for j in range(matrix.shape[1]):
-        for e in range(matrix.indptr[j], matrix.indptr[j + 1]):
-            dense[matrix.indices[e], j] += matrix.data[e]
+    for i, j, value in zip(matrix.rows.tolist(), matrix.cols.tolist(), matrix.data.tolist()):
+        dense[i, j] += value
     return dense
 
 
@@ -90,6 +87,23 @@ def stationary_by_eig(walk_matrix):
 def order_by_score_then_id(scores, resource_ids):
     """Indices by descending score, ties by ascending resource id."""
     return np.lexsort((np.array(resource_ids), -np.asarray(scores)))
+
+
+def successor_lists(matrix):
+    """Per row of a sparse matrix, the columns of its entries in stored
+    order, one entry at a time."""
+    out = [[] for _ in range(matrix.shape[0])]
+    for i, j in zip(matrix.rows.tolist(), matrix.cols.tolist()):
+        out[i].append(j)
+    return out
+
+
+def walk_matrix_from_mask(mask):
+    """The walk matrix S of a dense 0/1 adjacency: each row's entries
+    1 / its count, from ``np.nonzero`` of the mask."""
+    mask = np.asarray(mask, dtype=bool)
+    rows, cols = np.nonzero(mask)
+    return SparseMatrix(mask.shape, rows, cols, 1.0 / mask.sum(axis=1)[rows])
 
 
 def edges_to_out_lists(n, pairs):

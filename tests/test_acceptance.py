@@ -19,7 +19,6 @@ from ldrank import (
     JudgmentSet,
     PipelineParams,
     RelevanceJudgments,
-    ResourceGraph,
     ResourceTextMatrix,
     assemble_bundle,
     consensual_pool,
@@ -38,8 +37,7 @@ from ldrank.judgments import RELEVANCE_DISTANCE
 
 
 def _random_graph(rng, n, edge_prob=0.3):
-    mask = rng.random((n, n)) < edge_prob
-    return ResourceGraph(n, *np.nonzero(mask))
+    return oracles.walk_matrix_from_mask(rng.random((n, n)) < edge_prob)
 
 
 def _random_distribution(rng, n):
@@ -65,7 +63,7 @@ def test_criterion_01_stationary_walk_matches_dense_eigenvector():
         assert result.converged
 
         walk = oracles.dense_walk_matrix(
-            [graph.successors(i).tolist() for i in range(n)], alpha,
+            oracles.successor_lists(graph), alpha,
             teleport.values, teleport.values,
         )
         expected = oracles.stationary_by_eig(walk)
@@ -82,7 +80,7 @@ def test_criterion_02_truncated_svd_matches_gram_oracle():
     for trial in range(100):
         dense = rng.integers(1, 6, size=(8, 6)).astype(np.float64)
         dense *= rng.random((8, 6)) < 0.6
-        counts = oracles.csc_from_dense(dense)
+        counts = oracles.sparse_from_dense(dense)
         gram_spectrum = oracles.singular_values_by_gram(dense)
         for k in range(1, 7):
             u, s, vt = sparse_svd(counts, k)
@@ -112,7 +110,7 @@ def test_criterion_03_full_rank_drift_follows_row_norm_law():
             int(i) for i in rng.choice(m, size=int(rng.integers(1, 4)), replace=False)
         )
         matrix = ResourceTextMatrix(
-            counts=oracles.csc_from_dense(dense),
+            counts=oracles.sparse_from_dense(dense),
             stem_vocab={f"s{j:03d}": j for j in range(n)},
         )
 

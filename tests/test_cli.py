@@ -744,11 +744,12 @@ _JUDGMENT_FAULTS = [
 ]
 
 #: The errors a well-formed judgments file may still end in: a threshold out
-#: of range, mean-trust ties without trust, and nothing to measure alpha on.
+#: of range, mean-trust ties without trust, and nothing to measure alpha on,
+#: a fault of the whole file.
 _JUDGMENT_ERRORS = (
     "error: threshold must lie in [0, 1], got ",
     "error: mean-trust tie-breaking needs trust values; ",
-    "error: no item has two or more judgments; alpha is undefined",
+    "error: {path}:0: no item has two or more judgments; alpha is undefined",
 )
 
 
@@ -758,8 +759,8 @@ _BAD_THRESHOLDS = ("1.5", "-0.25", "nan")
 @st.composite
 def _mutated_judgments(draw, lines):
     """``(data, faults)``: the bytes of ``lines`` mutated, and per line
-    that ``load_judgments`` must reject, ``(line_no, reason)``, line 0 for a
-    repeated item-worker pair."""
+    that ``load_judgments`` must reject, ``(line_no, reason)``, with the
+    reason ``"duplicate"`` on the line where an item-worker pair repeats."""
     items = [] if not draw(st.integers(0, 9)) else [(line, None) for line in lines]
     if items and not draw(st.integers(0, 3)):  # a second grade for one item and worker
         record = json.loads(draw(st.sampled_from(lines)))
@@ -779,11 +780,17 @@ def _mutated_judgments(draw, lines):
                          min_size=len(items), max_size=len(items)))
     if ends and draw(st.booleans()):
         ends[-1] = ""
-    data, faults = b"", []
+    data, faults, pairs = b"", [], set()
     for (line, fault), end in zip(items, ends):
-        if fault:  # "\r" then "\n" is one line break
-            line_no = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
-            faults.append((0 if fault == "duplicate" else line_no, fault))
+        # "\r" then "\n" is one line break.
+        line_no = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        if fault in (None, "duplicate") and line.strip():  # a record
+            record = json.loads(line)
+            pair = record["item"], record["worker"]
+            fault = "duplicate" if pair in pairs else None
+            pairs.add(pair)
+        if fault:
+            faults.append((line_no, fault))
         data += (line if isinstance(line, bytes) else line.encode("utf-8")) + end.encode()
     return data, faults
 
@@ -791,14 +798,15 @@ def _mutated_judgments(draw, lines):
 def _first_judgment_fault(faults):
     """``(line_no, reason)`` that ``load_judgments`` must report, or None.
     The first line fault wins; undecodable bytes end the file, reported at
-    line 0; a repeated pair is found once the whole file is read."""
+    line 0; a repeated pair is found once the whole file is read, and
+    reported at the first line that repeats one."""
     for line_no, fault in faults:
         if fault == "utf-8":
             return 0, "not valid UTF-8"
-        if line_no:
+        if fault != "duplicate":
             return line_no, fault
     if faults:
-        return 0, "duplicate judgment for item "
+        return faults[0][0], "duplicate judgment for item "
     return None
 
 
@@ -835,7 +843,8 @@ def test_judgments_commands_on_mutated_files_report_the_first_fault(
         elif threshold in _BAD_THRESHOLDS:
             assert err[-1].startswith(_JUDGMENT_ERRORS[0]), err[-1]
         else:
-            assert err[-1].startswith(_JUDGMENT_ERRORS[1:]), err[-1]
+            wants = tuple(e.format(path=path) for e in _JUDGMENT_ERRORS[1:])
+            assert err[-1].startswith(wants), err[-1]
         return
     assert code == 0 and want is None and threshold not in _BAD_THRESHOLDS, (code, err, want)
     assert err == []
@@ -857,6 +866,30 @@ def test_judgments_commands_name_a_bad_item_id_at_its_first_line(tmp_path, capsy
     assert main([command, str(path)]) == 1
     assert capsys.readouterr() == (
         "", f"error: {path}:3: item id 'a\\tb' holds a tab or line break\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["agg", "alpha"])
+@pytest.mark.parametrize("blank", ["", "\n \n"])
+def test_judgments_commands_name_a_repeated_pair_at_its_second_line(
+    tmp_path, capsys, command, blank
+):
+    path = tmp_path / "j.jsonl"
+    record = '{"item": "a", "worker": "w", "grade": %d}\n'
+    path.write_text(record % 1 + blank + record % 2, encoding="utf-8")
+    assert main([command, str(path)]) == 1
+    line = 2 + blank.count("\n")
+    assert capsys.readouterr() == (
+        "", f"error: {path}:{line}: duplicate judgment for item 'a' by worker 'w'\n"
+    )
+
+
+def test_alpha_names_the_file_that_has_no_item_judged_twice(tmp_path, capsys):
+    path = tmp_path / "j.jsonl"
+    path.write_text('{"item": "a", "worker": "w", "grade": 1}\n', encoding="utf-8")
+    assert main(["alpha", str(path)]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {path}:0: no item has two or more judgments; alpha is undefined\n"
     )
 
 

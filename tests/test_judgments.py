@@ -545,12 +545,20 @@ def test_judgment_set_duplicate_names_first_repeat():
 
 def _load_line_by_line(path):
     """The per-line loop over the whole file, as ``load_judgments`` ran it
-    before chunking."""
+    before chunking; a repeated pair is reported at the first line that
+    repeats one."""
     records = list(oracles._records_by_line(path, read_lines(path)))
     try:
         return JudgmentSet.from_records(records)
     except ValueError as exc:
-        raise InputFormatError(path, 0, str(exc)) from exc
+        seen = set()
+        numbers = (line_no for line_no, line in read_lines(path) if line.strip())
+        for line_no, record in zip(numbers, records):
+            pair = record["item"], record["worker"]
+            if pair in seen:
+                raise InputFormatError(path, line_no, str(exc)) from exc
+            seen.add(pair)
+        raise
 
 
 def _outcome(load, path):
@@ -638,6 +646,14 @@ _LINES = _mostly(
         '{"item": "b", "worker": "w", "grade": 7}',
     ],
     ends=["\n"] * 14, last_end=True, chunk=4096,
+)
+@example(  # a duplicate pair after blank lines: reported at its second line
+    lines=[
+        '{"item": "a", "worker": "w", "grade": 1}', "", " \x85",
+        '{"item": "b", "worker": "w", "grade": 1}',
+        '{"item": "a", "worker": "w", "grade": 2}',
+    ],
+    ends=["\r\n"] * 14, last_end=False, chunk=3,
 )
 # Lines that are no object alone, but parse to one object per line when
 # joined: two lines merge into one object while another splits in two.

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ldrank import (
-    CscMatrix,
     Pipeline,
+    PipelineParams,
+    SparseMatrix,
     build_text_matrix,
     sparse_svd,
     tokenize,
@@ -18,7 +19,7 @@ import oracles
 
 
 def _counts(dense):
-    return oracles.csc_from_dense(dense)
+    return oracles.sparse_from_dense(dense)
 
 
 # ----------------------------------------------------------- tokenizer
@@ -57,7 +58,7 @@ def test_build_text_matrix_counts(basic_bundle):
     assert m.n_resources == 6
     assert m.n_stems == len(m.stem_vocab)
     assert list(m.stem_vocab) == sorted(m.stem_vocab)
-    dense = oracles.dense_from_csc(m.counts)
+    dense = oracles.dense_from_sparse(m.counts)
     # "city" appears once in Berlin's text and once in City's.
     j = m.stem_vocab["citi"]
     assert dense[0, j] == 1.0
@@ -74,7 +75,7 @@ def test_repeated_tokens_counted():
         set(),
     )
     m = build_text_matrix(bundle)
-    dense = oracles.dense_from_csc(m.counts)
+    dense = oracles.dense_from_sparse(m.counts)
     # "running" and "runs" share a stem; "runner" keeps its own.
     assert dense[0, m.stem_vocab["run"]] == 2.0
     assert dense[0, m.stem_vocab["runner"]] == 1.0
@@ -83,7 +84,7 @@ def test_repeated_tokens_counted():
 def test_empty_texts_give_empty_rows():
     bundle = assemble_bundle([], {"x": "", "y": "words here"}, [], set())
     m = build_text_matrix(bundle)
-    assert oracles.dense_from_csc(m.counts)[0].sum() == 0.0
+    assert oracles.dense_from_sparse(m.counts)[0].sum() == 0.0
 
 
 # Stopwords, one-letter tokens, mixed case, digits, underscores, non-ASCII
@@ -107,11 +108,26 @@ def test_text_matrix_matches_counter_oracle(texts):
     assert list(m.stem_vocab) == vocab
     assert m.stem_vocab == {s: j for j, s in enumerate(vocab)}
     assert m.counts.shape == (len(texts), len(vocab))
-    assert np.array_equal(oracles.dense_from_csc(m.counts), dense)
-    # Canonical CSC: row indices strictly increase within every column.
+    assert np.array_equal(oracles.dense_from_sparse(m.counts), dense)
+    # Column by column: row indices strictly increase within every column.
     c = m.counts
+    assert np.all(np.diff(c.cols) >= 0)
     for j in range(c.shape[1]):
-        assert np.all(np.diff(c.indices[c.indptr[j]:c.indptr[j + 1]]) > 0)
+        assert np.all(np.diff(c.rows[c.cols == j]) > 0)
+
+
+@pytest.mark.parametrize("texts", [["the and of", "a x I"], ["", "the"], [""]])
+def test_all_stopword_texts_give_an_empty_vocabulary(texts):
+    bundle = assemble_bundle([], {f"r{i}": t for i, t in enumerate(texts)}, [], {"r0"})
+    m = build_text_matrix(bundle)
+    assert m.stem_vocab == {} and m.counts.shape == (len(texts), 0) and m.counts.nnz == 0
+    assert m.counts.rows.dtype == m.counts.cols.dtype == np.int64
+    pipeline = Pipeline(bundle, PipelineParams(ndim=1))
+    with pytest.warns(UserWarning, match="hit prior falls back"):  # the empty result page
+        pipeline.hit
+    with pytest.warns(UserWarning, match=rf"^k=1 exceeds the rank bound of the {len(texts)}x0 "):
+        svd = pipeline.svd
+    assert np.array_equal(svd.values, np.full(len(texts), 1.0 / len(texts)))
 
 
 # ------------------------------------------------------------------ SVD
@@ -247,39 +263,10 @@ def test_sparse_svd_finds_every_copy_of_a_repeated_singular_value():
             assert np.allclose(s, want[:k], rtol=0, atol=1e-9 * want[0]), (seed, k)
 
 
-_GOOD_CSC = {"shape": (2, 2), "indptr": [0, 1, 2], "indices": [0, 1], "data": [1.0, 2.0]}
-
-
-@pytest.mark.parametrize("field, value", [
-    ("shape", (2,)),
-    ("shape", (2, -1)),
-    ("shape", (2.0, 2)),
-    ("shape", (True, 2)),
-    ("indptr", [0, 1]),  # one offset short
-    ("indptr", [1, 1, 2]),  # not from 0
-    ("indptr", [0, 2, 1]),  # decreasing
-    ("indptr", [0, 1, 1]),  # not to indices.size
-    ("indptr", [0.0, 1.0, 2.0]),
-    ("indices", [0, 5]),
-    ("indices", [-1, 1]),
-    ("indices", [0.0, 1.0]),
-    ("indices", [[0, 1]]),
-    ("data", [1.0]),  # shorter than indices
-    ("data", [1.0, np.nan]),
-    ("data", [1.0, np.inf]),
-    ("data", [1, 2]),
-    ("data", [[1.0, 2.0]]),
-])
-def test_csc_matrix_rejects_a_malformed_field(field, value):
-    fields = {**_GOOD_CSC, field: value}
-    with pytest.raises(ValueError, match=f"^{field} "):
-        CscMatrix(fields["shape"], *(np.array(fields[f]) for f in ("indptr", "indices", "data")))
-
-
-def test_csc_matrix_holds_int64_offsets():
-    m = CscMatrix((np.int64(2), 2), np.array([0, 1, 2], dtype=np.int32), [0, 1], np.ones(2))
+def test_sparse_svd_takes_entries_of_any_integer_dtype():
+    m = SparseMatrix((np.int64(2), 2), np.array([0, 1], dtype=np.int32), [0, 1], np.ones(2))
     assert m.shape == (2, 2)
-    assert m.indptr.dtype == m.indices.dtype == np.int64
+    assert m.rows.dtype == m.cols.dtype == np.int64
     assert sparse_svd(m, 1)[1].tolist() == [1.0]
 
 

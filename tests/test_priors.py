@@ -24,7 +24,7 @@ import oracles
 def _matrix_from_dense(dense):
     dense = np.asarray(dense, dtype=float)
     vocab = {f"s{j:03d}": j for j in range(dense.shape[1])}
-    return ResourceTextMatrix(counts=oracles.csc_from_dense(dense), stem_vocab=vocab)
+    return ResourceTextMatrix(counts=oracles.sparse_from_dense(dense), stem_vocab=vocab)
 
 
 # ------------------------------------------------------------------ equi

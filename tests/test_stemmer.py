@@ -124,7 +124,7 @@ def test_text_matrix_same_bytes_with_cold_and_warm_cache(basic_bundle):
         m = build_text_matrix(basic_bundle)
         c = m.counts
         return list(m.stem_vocab.items()), [
-            (a.dtype, a.tobytes()) for a in (c.data, c.indices, c.indptr)]
+            (a.dtype, a.tobytes()) for a in (c.data, c.rows, c.cols)]
 
     stem.cache_clear()
     cold = arrays()

@@ -4,14 +4,15 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ldrank import (
     CorpusBundle,
-    CscMatrix,
     Distribution,
     PipelineParams,
     RelevanceJudgments,
-    ResourceGraph,
+    SparseMatrix,
     build_resource_text,
     compare_strategies,
     dcg,
@@ -20,7 +21,7 @@ from ldrank import (
     ndcg,
     sparse_svd,
 )
-from ldrank.types import shown_int
+from ldrank.types import count_pairs, shown_int
 
 import oracles
 
@@ -57,6 +58,150 @@ def test_distribution_uniform_and_weights():
     assert np.allclose(Distribution(w / w.sum()).values, [0.25, 0.0, 0.75])
     with pytest.raises(ValueError):
         equi_prior(0)
+
+
+# ------------------------------------------------------- sparse matrix
+
+_GOOD_ENTRIES = {"shape": (2, 3), "rows": [0, 1], "cols": [2, 0], "data": [1.0, 2.0]}
+_LENGTHS = "rows and cols must be vectors of one length, "
+_DATA = "data must be a vector of 2 finite floats"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("shape", (2,), "shape must hold 2 sizes, got 1"),
+    ("shape", (2, -1), "shape must be at least 0, got -1"),
+    ("shape", (-1, 3), "shape must be at least 0, got -1"),
+    ("shape", (2.0, 3), "shape must be an integer, got float"),
+    ("shape", (True, 3), "shape must be an integer, got bool"),
+    ("shape", (0, 3), "rows hold an index outside"),
+    ("rows", [0, -1], r"rows hold an index outside 0\.\.1"),
+    ("rows", [0, 2], r"rows hold an index outside 0\.\.1"),
+    ("cols", [2, 3], r"cols hold an index outside 0\.\.2"),
+    ("cols", [-1, 0], r"cols hold an index outside 0\.\.2"),
+    ("rows", [0.0, 1.0], "rows must hold integers, got float64"),
+    ("rows", np.array([0.0, 1.0]), "rows must hold integers, got float64"),
+    ("cols", [2, True], "cols must hold integers, got bool"),
+    ("rows", [True, 0], "rows must hold integers, got bool"),
+    ("rows", ["0", "1"], "rows must hold integers, got <U1"),
+    ("rows", [0], _LENGTHS + r"got shapes \(1,\) and \(2,\)"),
+    ("cols", [2, 0, 1], _LENGTHS + r"got shapes \(2,\) and \(3,\)"),
+    ("rows", [[0, 1]], _LENGTHS + r"got shapes \(1, 2\) and \(2,\)"),
+    ("cols", np.zeros((2, 1), dtype=int), _LENGTHS),
+    ("data", [1.0], _DATA),  # shorter than the entries
+    ("data", [1.0, 2.0, 3.0], _DATA),
+    ("data", [1.0, np.nan], _DATA),
+    ("data", [1.0, np.inf], _DATA),
+    ("data", [1.0, -np.inf], _DATA),
+    ("data", [1, 2], _DATA),
+    ("data", [1 + 0j, 2], _DATA),
+    ("data", [[1.0, 2.0]], _DATA),
+])
+def test_sparse_matrix_rejects_a_malformed_field(field, value, message):
+    entries = {**_GOOD_ENTRIES, field: value}
+    with pytest.raises(ValueError, match=f"^{message}"):
+        SparseMatrix(entries["shape"], entries["rows"], entries["cols"], entries["data"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(-9, 9)),
+                     max_size=20),
+    dtype=st.sampled_from([np.int64, np.int32, np.uint16, None]),
+    float32=st.booleans(),
+)
+@example(shape=(0, 0), entries=[], dtype=None, float32=False)
+@example(shape=(1, 1), entries=[(0, 0, 1.0), (0, 0, 2.0)], dtype=np.int32, float32=True)
+def test_sparse_matrix_stores_read_only_int64_and_float64_entries(shape, entries, dtype, float32):
+    # Repeated positions are common; a ``None`` dtype passes Python lists.
+    m, n = shape
+    entries = [(i % m, j % n, v) for i, j, v in entries] if m and n else []
+    rows, cols = [i for i, _, _ in entries], [j for _, j, _ in entries]
+    data = np.array([v for _, _, v in entries], dtype=np.float32 if float32 else np.float64)
+    if dtype is not None:
+        rows, cols = np.array(rows, dtype=dtype), np.array(cols, dtype=dtype)
+    a = SparseMatrix(shape, rows, cols, data)
+    assert a.shape == shape and a.nnz == len(entries)
+    assert a.rows.tolist() == [i for i, _, _ in entries]
+    assert a.cols.tolist() == [j for _, j, _ in entries]
+    assert np.array_equal(a.data, data.astype(np.float64))
+    assert a.rows.dtype == a.cols.dtype == np.int64 and a.data.dtype == np.float64
+    assert not any(x.flags.writeable for x in (a.rows, a.cols, a.data))
+    # The arrays given stay writable.
+    assert data.flags.writeable and (dtype is None or rows.flags.writeable)
+
+
+def _products_entry_by_entry(a, x, y):
+    """``a @ x`` and ``y @ a``, one entry at a time in stored order."""
+    left, right = np.zeros(a.shape[0]), np.zeros(a.shape[1])
+    for i, j, value in zip(a.rows.tolist(), a.cols.tolist(), a.data.tolist()):
+        left[i] += value * x[j]
+        right[j] += value * y[i]
+    return left, right
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    entries=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), st.floats(-9, 9)),
+                     max_size=20),
+    data=st.data(),
+)
+def test_sparse_matrix_products_sum_entry_by_entry(shape, entries, data):
+    m, n = shape
+    entries = [(i % m, j % n, v) for i, j, v in entries]
+    a = SparseMatrix(shape, [e[0] for e in entries], [e[1] for e in entries],
+                     np.array([e[2] for e in entries], dtype=np.float64))
+    x = np.array(data.draw(st.lists(st.floats(-9, 9), min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(st.floats(-9, 9), min_size=m, max_size=m)))
+    left, right = _products_entry_by_entry(a, x, y)
+    assert np.array_equal(a @ x, left) and np.array_equal(y @ a, right)
+    dense = oracles.dense_from_sparse(a)
+    assert np.allclose(a @ x, dense @ x) and np.allclose(y @ a, y @ dense)
+
+
+def test_sparse_matrix_is_immutable():
+    rows = np.array([1, 0, 1])
+    a = SparseMatrix((np.int64(2), 3), rows, [0, 2, 0], np.ones(3))
+    assert a.shape == (2, 3) and all(type(d) is int for d in a.shape)
+    with pytest.raises(AttributeError):
+        a.shape = (3, 3)
+    with pytest.raises(AttributeError):
+        a.rows = np.zeros(3, dtype=np.int64)
+    for array in (a.rows, a.cols, a.data):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_major=st.integers(1, 12),
+    n_minor=st.integers(1, 12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+    mirror=st.booleans(),
+)
+@example(n_major=5, n_minor=5, pairs=[], mirror=False)  # no first key to keep
+@example(n_major=5, n_minor=5, pairs=[], mirror=True)
+@example(n_major=1, n_minor=1, pairs=[(0, 0)] * 4, mirror=True)  # n = 1
+@example(n_major=1, n_minor=7, pairs=[(0, 6), (0, 0), (0, 6)], mirror=False)
+@example(n_major=9, n_minor=9, pairs=[(3, 4)] * 30, mirror=False)  # all pairs equal
+@example(n_major=9, n_minor=9, pairs=[(3, 4)] * 30, mirror=True)
+def test_count_pairs_matches_np_unique(n_major, n_minor, pairs, mirror):
+    if mirror:  # both directions index one range
+        n_major = n_minor = max(n_major, n_minor)
+    pairs = [(i % n_major, j % n_minor) for i, j in pairs]
+    major, minor = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    keys = major * n_minor + minor
+    if mirror:
+        keys = np.concatenate((keys, minor * n_minor + major))
+    want, want_counts = np.unique(keys, return_counts=True)
+    before = (major.copy(), minor.copy())
+    got_major, got_minor, counts = count_pairs(major, minor, n_minor, mirror)
+    assert np.array_equal(got_major, want // n_minor)
+    assert np.array_equal(got_minor, want % n_minor)
+    assert np.array_equal(counts, want_counts)
+    assert got_major.dtype == got_minor.dtype == counts.dtype == np.int64
+    assert np.array_equal(major, before[0]) and np.array_equal(minor, before[1])
 
 
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
@@ -258,13 +403,14 @@ def _offset(value):
 
 
 def _svd(value):
-    sparse_svd(CscMatrix((2, 2), [0, 1, 2], [0, 1], np.ones(2)), value)
+    sparse_svd(SparseMatrix((2, 2), [0, 1], [0, 1], np.ones(2)), value)
 
 
 _INTEGER_SITES = [
-    pytest.param(lambda v: ResourceGraph(v, [], []).n, "n", 0, None, id="ResourceGraph.n"),
-    pytest.param(lambda v: CscMatrix((v, 2), [0, 0, 0], [], np.zeros(0)).shape[0], "shape", 0,
-                 None, id="CscMatrix.shape"),
+    pytest.param(lambda v: SparseMatrix((v, 2), [], [], np.zeros(0)).shape[0], "shape", 0,
+                 None, id="SparseMatrix.shape[0]"),
+    pytest.param(lambda v: SparseMatrix((2, v), [], [], np.zeros(0)).shape[1], "shape", 0,
+                 None, id="SparseMatrix.shape[1]"),
     pytest.param(lambda v: _bundle(serp_size=v).serp_size, "serp_size", 0, None,
                  id="CorpusBundle.serp_size"),
     pytest.param(_dcg, "cutoff", 1, None, id="dcg"),
