@@ -38,6 +38,11 @@ from .types import ConvergenceWarning, InputFormatError, parse_int, read_rows, s
 __all__ = ["main"]
 
 
+#: Ranking lines ``rank`` formats and writes at a time, so that it never
+#: holds the text of a whole large ranking.
+_RANK_CHUNK_LINES = 4096
+
+
 def _fmt(x: float) -> str:
     return format(x, ".12g")
 
@@ -129,12 +134,14 @@ def _cmd_rank(args) -> None:
             fh.write("resource\tequi\thit\tsvd\tfinal\n")
             for i, rid in enumerate(bundle.resource_ids):
                 fh.write(rid + "".join(f"\t{_fmt(p[i])}" for p in priors) + "\n")
-    ids = bundle.resource_ids
-    scores = result.scores.values[result.order].tolist()
-    sys.stdout.write("".join(
-        f"{pos}\t{ids[idx]}\t{_fmt(score)}\n"
-        for pos, (idx, score) in enumerate(zip(result.order.tolist(), scores), start=1)
-    ))
+    ids, values = bundle.resource_ids, result.scores.values
+    for start in range(0, len(result.order), _RANK_CHUNK_LINES):
+        order = result.order[start:start + _RANK_CHUNK_LINES]
+        rows = zip(order.tolist(), values[order].tolist())
+        sys.stdout.write("".join(
+            f"{pos}\t{ids[idx]}\t{_fmt(score)}\n"
+            for pos, (idx, score) in enumerate(rows, start=start + 1)
+        ))
 
 
 def _read_manifest(path):

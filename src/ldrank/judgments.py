@@ -180,13 +180,6 @@ def _mappings(records):
         yield k, record
 
 
-def _codes(index: dict[str, int], names: list) -> np.ndarray:
-    """Codes of ``names`` in ``index``, adding new names in order of first use."""
-    for name in dict.fromkeys(names):
-        index.setdefault(name, len(index))
-    return np.fromiter(map(index.__getitem__, names), dtype=np.intp, count=len(names))
-
-
 def _recode(ids: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
     """Drop the ids ``codes`` does not use; renumber the rest by first use."""
     used, first = np.unique(codes, return_index=True)
@@ -217,7 +210,7 @@ class _Columns:
         per distinct item, not once per record.
         """
         items, workers, grades, trusts = [], [], [], []
-        item_index = self.item_index
+        item_index, worker_index = self.item_index, self.worker_index
         for key, record in pairs:
             item = record.get("item")
             worker = record.get("worker")
@@ -251,12 +244,12 @@ class _Columns:
             if reason:
                 raise error(key, reason)
             items.append(code)
-            workers.append(worker)
+            workers.append(worker_index.setdefault(worker, len(worker_index)))
             grades.append(grade)
             trusts.append(trust)
         self.parts.append((
             np.array(items, dtype=np.intp),
-            _codes(self.worker_index, workers),
+            np.array(workers, dtype=np.intp),
             np.array(grades, dtype=np.intp),
             np.array(trusts, dtype=np.float64),  # None becomes NaN
         ))
