@@ -16,6 +16,7 @@ go to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -144,6 +145,12 @@ def _cmd_rank(args) -> None:
         ))
 
 
+def _cannot_open(exc: OSError) -> str:
+    """The reason for a file that cannot be opened: its name, echoed by
+    ``shown``, and the system's reason."""
+    return f"cannot open {shown(os.fsdecode(exc.filename))}: {exc.strerror}"
+
+
 def _read_manifest(path):
     """Bundle manifest: per line, its number and five tab-separated paths
     (graph, texts, serp, query, qrels) relative to the manifest's directory."""
@@ -165,8 +172,7 @@ def _manifest_pairs(path):
         except OSError as exc:  # a file the entry names cannot be opened
             if exc.filename is None:
                 raise
-            reason = f"cannot open {exc.filename!r}: {exc.strerror}"
-            raise InputFormatError(path, line_no, reason) from exc
+            raise InputFormatError(path, line_no, _cannot_open(exc)) from exc
 
 
 def _cmd_eval(args) -> None:
@@ -325,7 +331,8 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             args.func(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        named = getattr(exc, "filename", None) is not None  # a file that cannot be opened
+        print(f"error: {_cannot_open(exc) if named else exc}", file=sys.stderr)
         return 1
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)

@@ -206,13 +206,15 @@ def boolean(value, name: str) -> bool:
 
 def parse_int(text: str, path, line_no: int, what: str) -> int:
     """``text`` as an integer: ASCII digits after an optional ``-``, nothing
-    else; the error echoes it as ``shown`` does."""
-    if _INTEGER.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than ``int`` converts
-            pass
-    raise InputFormatError(path, line_no, f"{what} {shown(text)} is not an integer")
+    else; the error echoes it as ``shown`` does.  Digits past ``int``'s
+    limit make an integer with too many digits, as the JSON reader says."""
+    if not _INTEGER.fullmatch(text):
+        raise InputFormatError(path, line_no, f"{what} {shown(text)} is not an integer")
+    try:
+        return int(text)
+    except ValueError:  # more digits than ``int`` converts
+        reason = f"{what} {shown(text)} is an integer with too many digits"
+        raise InputFormatError(path, line_no, reason) from None
 
 
 _JSON_SPACE = " \t\n\r"

@@ -464,6 +464,17 @@ def shown_int(value):
     return f"{text[:len(text) - len(digits) + 40]}... ({len(digits)} digits)"
 
 
+def int_by_builtin(text, path, line_no, what):
+    """``text`` as ``int`` reads it.  Digits that ``int`` refuses are refused
+    for their number alone: an integer with too many digits."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[text.startswith("-"):].isdigit()
+        reason = "is an integer with too many digits" if digits else "is not an integer"
+        raise InputFormatError(path, line_no, f"{what} {shown(text)} {reason}") from None
+
+
 def _resource_id_by_split(token, path, line_no, what):
     if not token:
         raise InputFormatError(path, line_no, f"empty {what}")
@@ -532,10 +543,7 @@ def serp_by_line(path):
                 path, line_no, f"expected 3 tab-separated fields, got {len(fields)}"
             )
         rank_text, doc_id, mention_text = fields
-        try:
-            rank = int(rank_text)
-        except ValueError:
-            raise InputFormatError(path, line_no, f"rank {shown(rank_text)} is not an integer")
+        rank = int_by_builtin(rank_text, path, line_no, "rank")
         if rank < 1:
             raise InputFormatError(path, line_no, f"rank must be positive, got {shown_int(rank)}")
         if rank in rows:
@@ -581,10 +589,7 @@ def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
         item, grade_text = fields
         if not item:
             raise InputFormatError(path, line_no, "empty item id")
-        try:
-            grade = int(grade_text)
-        except ValueError:
-            raise InputFormatError(path, line_no, f"grade {shown(grade_text)} is not an integer")
+        grade = int_by_builtin(grade_text, path, line_no, "grade")
         if grade not in valid_grades:
             raise InputFormatError(
                 path, line_no, f"grade must be one of {valid_grades}, got {shown_int(grade)}"

@@ -1,31 +1,46 @@
-"""The CLI's error lines, pinned in one table and run by two runners.
+"""Every pinned CLI run, in one table run by two runners.
 
 Each row runs one command in a fresh directory that holds a copy of the
 basic fixture and is the working directory, so every file is named by a
 relative path.  A row may first write files there whole: a fixture file
-with one line inserted or replaced, or a file of its own.  The command
-must exit with the row's code, print nothing on stdout and end stderr
-with the row's line, or with a line that starts with it for a prefix
+with one line inserted or replaced or every id rewritten, or a file of
+its own.
+
+A success row (exit code 0) must print its stdout byte for byte: a golden
+output under ``fixtures/basic/expected/``, that golden with each id
+rewritten as the row's inputs were, or a literal.  It must write each of
+its files with the given bytes and print exactly its stderr lines, a
+``timing:`` line's seconds aside, none of which says ``error:``.
+
+An error row must exit with its code, print nothing on stdout and end
+stderr with its line, or with a line that starts with it for a prefix
 row, under 200 bytes.  Only that line says ``error:``; a bare ``error:``
 line is all of stderr, and argparse's ``ldrank ...: error:`` line follows
 its usage.
 
-``test_error_line_in_process`` runs each row through ``cli.main``;
-``test_error_lines_through_the_installed_script`` runs the whole table
+``test_cli_run_in_process`` runs each row through ``cli.main``;
+``test_cli_runs_through_the_installed_script`` runs the whole table
 through the ``ldrank`` script on PATH, outside any ``PYTHONPATH``, and
-skips when there is none.
+skips when there is none.  ``test_no_command_imports_scipy`` runs every
+success row once more in one fresh interpreter.
 """
 
 import contextlib
 import io
+import json
 import os
+import re
 import shutil
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import ldrank.corpus as corpus_module
+from ldrank import STRATEGIES
 from ldrank.cli import main
 
 from oracles import shown
@@ -39,25 +54,75 @@ LINE_BYTES = 200
 class Row:
     id: str
     argv: tuple
-    line: str  # the last stderr line, or its start if ``prefix``
+    line: str = ""  # the last stderr line of an error row, or its start if ``prefix``
     files: dict = field(default_factory=dict)  # name -> text or bytes, written whole
     code: int = 1
     prefix: bool = False
+    out: bytes = b""  # stdout, byte for byte
+    written: dict = field(default_factory=dict)  # name -> the bytes the command writes
+    err: tuple = ()  # every stderr line of a success row, a timing line's seconds as "*"
 
 
 def _text(lines):
     return "".join(f"{line}\n" for line in lines)
 
 
+def _lines(name):
+    return (FIXTURE / name).read_text(encoding="utf-8").splitlines()
+
+
 def inserted(name, at, line):
     """Fixture file ``name`` with ``line`` inserted as its line ``at``."""
-    old = (FIXTURE / name).read_text(encoding="utf-8").splitlines()
+    old = _lines(name)
     return _text(old[:at - 1] + [line] + old[at - 1:])
 
 
 def appended(name, *lines):
     """Fixture file ``name`` with ``lines`` after its last line."""
     return (FIXTURE / name).read_text(encoding="utf-8") + _text(lines)
+
+
+def golden(name):
+    """The bytes of golden output ``name``."""
+    return (FIXTURE / "expected" / name).read_bytes()
+
+
+def uri(rid):
+    """``rid`` as a DBpedia-style URI; ``Museum`` gets 5000 ``_`` more, too
+    long for the graph reader's id table.  The shared prefix keeps the sort
+    order of the ids, so every score stays the same."""
+    return "http://dbpedia.org/resource/" + rid + "_" * 5000 * (rid == "Museum")
+
+
+def uri_golden(name):
+    """Golden ranking ``name`` with each id rewritten by ``uri``."""
+    rows = [line.split("\t") for line in golden(name).decode("utf-8").splitlines()]
+    return _text(f"{r}\t{uri(i)}\t{x}" for r, i, x in rows).encode("utf-8")
+
+
+def _uri_triple(line):
+    s, p, o = line.split("\t")
+    return f"{uri(s)}\t{p}\t{uri(o)}"
+
+
+def _uri_result(line):
+    rank, doc, mentions = line.split("\t")
+    return f"{rank}\t{doc}\t{','.join(map(uri, mentions.split(',')))}"
+
+
+def _uri_text(line):
+    record = json.loads(line)
+    return json.dumps({**record, "id": uri(record["id"])})
+
+
+#: The rank inputs with every id rewritten by ``uri``.
+URI_FILES = {
+    "graph.tsv": _text(line if line.startswith("#") else _uri_triple(line)
+                       for line in _lines("graph.tsv")),
+    "texts.jsonl": _text(map(_uri_text, _lines("texts.jsonl"))),
+    "serp.tsv": _text(map(_uri_result, _lines("serp.tsv"))),
+    "query.txt": _text(map(uri, _lines("query.txt"))),
+}
 
 
 RANK = ("rank", "graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
@@ -83,6 +148,14 @@ INT_FLAGS = ("--ndim", "--consensus-max-iters", "--max-iters")
 FLOAT_FLAGS = ("--alpha", "--stress", "--tol", "--lambda", "--consensus-eps")
 JUDGMENT = '{"item": "%s", "worker": "%s", "grade": %s}'
 MISSING = "No such file or directory"
+LONG_PATH = "d/" * 1496 + "serp.tsv"  # 3,000 characters
+EDGES = [("", ()), ("-bidirectional", ("--bidirectional",))]
+EVAL_TABLE = golden("eval.tsv").split(b"\n\n")[0] + b"\n"  # the table without --per-query
+TIMINGS = tuple(f"timing: {name} mean *s" for name in STRATEGIES)
+#: A second judgments file: Museum splits 1 vs 2, and its grade-1 judge
+#: carries more trust (0.9 vs 0.6); w2 disagrees with the City majority on
+#: 1 of its 2 counted items, so the 0.412 filter threshold drops it.
+SMALL = {"small.jsonl": (FIXTURE.parent / "judgments.jsonl").read_text(encoding="utf-8")}
 STRESS_ERROR = "error: stress {} is too large: the squared stressed counts overflow"
 
 ROWS = [
@@ -123,9 +196,18 @@ ROWS = [
     *(Row(f"cutoffs-{cutoffs}-repeat", (*EVAL, cutoffs),
           f"error: cutoff {repeated} is given more than once")
       for cutoffs, repeated in [("3,3", 3), ("1, 5,2,5,1", 5), ("2,02", 2)]),
+    # Files that cannot be opened, to read or to write.
+    *(Row(id, (*head, name, *tail), f"error: cannot open {shown(name)}: {MISSING}")
+      for id, head, name, tail in [
+          ("rank-missing-graph", ("rank",), "absent.tsv", RANK[2:]),
+          ("rank-missing-200-character-graph", ("rank",), "g" * 196 + ".tsv", RANK[2:]),
+          ("rank-emit-priors-into-a-missing-directory", (*RANK, "--emit-priors"), "nodir/p.tsv",
+           ()),
+          ("eval-missing-manifest", ("eval",), "absent.tsv", ("--cutoffs", "1")),
+          ("agg-missing-file", ("agg",), "absent.jsonl", ()),
+          ("alpha-missing-file", ("alpha",), "absent.jsonl", ()),
+      ]),
     # Bundle files: each fault named at its path and line.
-    Row("rank-missing-graph", ("rank", "absent.tsv", *RANK[2:]),
-        f"error: [Errno 2] {MISSING}: 'absent.tsv'"),
     Row("rank-two-field-graph", ("rank", "bad.tsv", *RANK[2:]),
         "error: bad.tsv:1: expected 3 tab-separated fields, got 2",
         {"bad.tsv": "only-two\tfields\n"}),
@@ -159,7 +241,7 @@ ROWS = [
     *(Row(f"serp-{n}-digit-rank", (*RANK[:3], "serp_long.tsv", "query.txt"),
           f"error: serp_long.tsv:2: {reason}",
           {"serp_long.tsv": f"1\td\tBerlin\n-{DIGITS[:n]}\td\tCity\n"})
-      for n, reason in [(5000, f"rank {shown('-' + DIGITS)} is not an integer"),
+      for n, reason in [(5000, f"rank {shown('-' + DIGITS)} is an integer with too many digits"),
                         (4000, f"rank must be positive, got -{SHOWN_4000}")]),
     *(Row(f"texts-undecodable-{label}", RANK, "error: texts.jsonl:3: invalid JSON (",
           {"texts.jsonl": inserted("texts.jsonl", 3, line)}, prefix=True)
@@ -214,10 +296,11 @@ ROWS = [
         f"error: manifest.tsv:2: cannot open 'missing.tsv': {MISSING}",
         {"manifest.tsv": _text([ENTRY, ENTRY.replace("qrels.tsv", "missing.tsv")])}),
     *(Row(f"manifest-unopenable-serp-{label}", ("eval", "m.tsv", "--cutoffs", "1"),
-          f"error: m.tsv:3: cannot open {name!r}: {reason}",
+          f"error: m.tsv:3: cannot open {shown(name)}: {reason}",
           {"m.tsv": _text(["# bundles", ENTRY, ENTRY.replace("serp.tsv", name)])})
       for label, name, reason in [("missing", "nowhere.tsv", MISSING),
-                                  ("directory", ".", "Is a directory")]),
+                                  ("directory", ".", "Is a directory"),
+                                  ("3000-characters", LONG_PATH, MISSING)]),
     # The first entry is ranked before the second is loaded.
     *(Row(f"manifest-ranking-fault-first{label}", ("eval", "m.tsv", "--cutoffs", "1", *flags),
           line, {"m.tsv": _text([ENTRY, ENTRY.replace("serp.tsv", "missing.tsv")])})
@@ -232,6 +315,61 @@ ROWS = [
     Row("qrels-4000-digit-grade", (*EVAL, "1"), f"error: qrels.tsv:7: {GRADES} {SHOWN_4000}",
         {"qrels.tsv": appended("qrels.tsv", f"Museum\t{DIGITS[:4000]}")}),
     Row("qrels-not-utf-8", (*EVAL, "1"), f"error: qrels.tsv:{UTF8_FAULT}", {"qrels.tsv": NOT_UTF8}),
+    # Success runs: rank, every strategy with and without --bidirectional,
+    # on the fixture and on its ids rewritten as long URIs.
+    *(Row(f"rank-{name}{label}", (*RANK, "--strategy", name, *flags), code=0,
+          out=golden(f"rank_{name}{label.replace('-', '_')}.tsv"))
+      for name in STRATEGIES for label, flags in EDGES),
+    *(Row(f"rank-uri-{name}{label}", (*RANK, "--strategy", name, *flags), files=URI_FILES,
+          code=0, out=uri_golden(f"rank_{name}{label.replace('-', '_')}.tsv"))
+      for name in STRATEGIES for label, flags in EDGES),
+    # CRLF line ends and a comment line after every graph line change nothing.
+    Row("rank-HIT-bidirectional-crlf-comments", (*RANK, "--strategy", "HIT", "--bidirectional"),
+        files={"graph.tsv": "".join(f"{line}\r\n# comment\r\n" for line in _lines("graph.tsv"))},
+        code=0, out=golden("rank_HIT_bidirectional.tsv")),
+    Row("rank-emit-priors", (*RANK, "--emit-priors", "priors.tsv"), code=0,
+        out=golden("rank_LDRANK.tsv"), written={"priors.tsv": golden("priors.tsv")}),
+    # An --ndim above the text matrix's rank leaves the SVD prior uniform.
+    Row("rank-SVD-ndim-50", (*RANK, "--strategy", "SVD", "--ndim", "50"), code=0,
+        out=golden("rank_EQUI.tsv"),
+        err=("warning: k=50 exceeds the rank bound of the 6x31 text matrix; "
+             "svd prior falls back to uniform",)),
+    # eval: the per-query golden, its first table, and manifests without bundles.
+    Row("eval-per-query", (*EVAL, "1,3,5", "--per-query"), code=0, out=golden("eval.tsv"),
+        err=TIMINGS),
+    Row("eval-spaced-cutoffs", (*EVAL, " 1 , 3,,5 "), code=0, out=EVAL_TABLE, err=TIMINGS),
+    Row("eval-indented-comment", ("eval", "m.tsv", "--cutoffs", "1,3,5"),
+        files={"m.tsv": _text(["  # note", ENTRY])}, code=0, out=EVAL_TABLE, err=TIMINGS),
+    *(Row(f"eval-no-bundles{label}", ("eval", "m.tsv", "--cutoffs", "1,3", *flags),
+          files={"m.tsv": "# no bundles yet\n"}, code=0, out=b"strategy\tndcg@1\tndcg@3\n")
+      for label, flags in [("", ()), ("-per-query", ("--per-query",))]),
+    Row("eval-zero-ideal-gain", ("eval", "m.tsv", "--cutoffs", "1,3,5"),
+        files={"zero.tsv": _text(line.split("\t")[0] + "\t0" for line in _lines("qrels.tsv")),
+               "m.tsv": _text([ENTRY.replace("qrels.tsv", "zero.tsv")] * 2)},
+        code=0, out=_text(["strategy\tndcg@1\tndcg@3\tndcg@5",
+                           *(f"{name}\t1\t1\t1" for name in STRATEGIES)]).encode(),
+        err=(*TIMINGS, *["warning: ideal ranking has zero gain; returning 1.0"] * 2)),
+    # agg and alpha: the judgments fixture has a split vote that trust
+    # decides (Museum), a mean-trust tie (City), a worker above the 0.412
+    # filter threshold (w4) and a single-judgment item (Europe).
+    *(Row(f"{command}{label}", (command, "judgments.jsonl", *flags), code=0, out=golden(name))
+      for command, label, flags, name in [
+          ("agg", "", (), "agg.tsv"),
+          ("agg", "-filter-mean-trust", ("--filter-threshold", "--tie-break", "mean-trust"),
+           "agg_filter_mean_trust.tsv"),
+          ("alpha", "", (), "alpha.txt"),
+          ("alpha", "-filter", ("--filter-threshold",), "alpha_filter.txt"),
+      ]),
+    *(Row(f"{command}-small{label}", (command, "small.jsonl", *flags), files=SMALL, code=0,
+          out=out)
+      for command, label, flags, out in [
+          ("agg", "", (), b"Berlin\t3\nCity\t0\nMuseum\t2\nRiver\t2\n"),
+          ("agg", "-mean-trust", ("--tie-break", "mean-trust"),
+           b"Berlin\t3\nCity\t0\nMuseum\t1\nRiver\t2\n"),
+          ("agg", "-filter", ("--filter-threshold",), b"Berlin\t3\nCity\t0\nMuseum\t1\nRiver\t2\n"),
+          ("alpha", "", (), b"0.461538461538\n"),
+          ("alpha", "-filter", ("--filter-threshold",), b"0.8\n"),
+      ]),
 ]
 
 
@@ -248,12 +386,23 @@ def _set_up(row, directory):
             (directory / name).write_text(content, encoding="utf-8")
 
 
-def _mismatch(row, code, out, err):
-    """How the run's exit code, stdout and stderr miss the row, or None."""
+def _mismatch(row, directory, code, out, err):
+    """How a run in ``directory`` misses the row, or None; ``out`` is the
+    stdout bytes."""
     lines = err.splitlines()
     last = lines[-1] if lines else ""
-    if code != row.code or out:
+    if code != row.code or out != row.out:
         return f"exit {code}, stdout {out[:80]!r}, last stderr line {last!r}"
+    if row.code == 0:
+        if any("error:" in line for line in lines):
+            return f"stderr says error: {err[:300]!r}"
+        seen = [re.sub(r" mean \d+\.\d{6}s$", " mean *s", line) for line in lines]
+        if seen != list(row.err):
+            return f"stderr lines {seen!r}, want {list(row.err)!r}"
+        for name, want in row.written.items():
+            if (directory / name).read_bytes() != want:
+                return f"{name} differs from its golden"
+        return None
     if not (last.startswith(row.line) if row.prefix else last == row.line):
         return f"last stderr line {last!r}, want {row.line!r}"
     if len(last.encode("utf-8")) >= LINE_BYTES:
@@ -265,28 +414,79 @@ def _mismatch(row, code, out, err):
 
 
 @pytest.mark.parametrize("row", ROWS, ids=[row.id for row in ROWS])
-def test_error_line_in_process(row, tmp_path, monkeypatch):
+def test_cli_run_in_process(row, tmp_path, monkeypatch):
     _set_up(row, tmp_path)
     monkeypatch.chdir(tmp_path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(row.argv))
-    mismatch = _mismatch(row, code, out.getvalue(), err.getvalue())
+    mismatch = _mismatch(row, tmp_path, code, out.getvalue().encode("utf-8"), err.getvalue())
     assert mismatch is None, mismatch
 
 
-def test_error_lines_through_the_installed_script(tmp_path):
+def test_cli_runs_through_the_installed_script(tmp_path):
     script = shutil.which("ldrank")
     if script is None:
         pytest.skip("no ldrank script on PATH")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     failures = []
     for k, row in enumerate(ROWS):
-        _set_up(row, tmp_path / str(k))
-        proc = subprocess.run([script, *row.argv], cwd=tmp_path / str(k), env=env,
-                              capture_output=True, encoding="utf-8", errors="replace",
+        directory = tmp_path / str(k)
+        _set_up(row, directory)
+        proc = subprocess.run([script, *row.argv], cwd=directory, env=env, capture_output=True,
                               timeout=120, check=False)
-        mismatch = _mismatch(row, proc.returncode, proc.stdout, proc.stderr)
+        err = proc.stderr.decode("utf-8", errors="replace")
+        mismatch = _mismatch(row, directory, proc.returncode, proc.stdout, err)
         if mismatch:
             failures.append(f"{row.id}: {mismatch}")
     assert not failures, "\n".join(failures)
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # The runtime needs numpy alone: importing the CLI and running every
+    # success row leaves scipy unloaded, and each row still passes.  So a
+    # run with scipy made unimportable is this run.
+    rows = [row for row in ROWS if row.code == 0]
+    directories = [tmp_path / str(k) for k in range(len(rows))]
+    for row, directory in zip(rows, directories):
+        _set_up(row, directory)
+    runs = [(str(directory), list(row.argv)) for row, directory in zip(rows, directories)]
+    script = f"""
+import contextlib, io, json, os, sys
+import ldrank.cli
+loaded, results = ["scipy" in sys.modules], []
+for directory, argv in {runs!r}:
+    os.chdir(directory)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = ldrank.cli.main(argv)
+    loaded.append("scipy" in sys.modules)
+    results.append((code, out.getvalue(), err.getvalue()))
+print(json.dumps([loaded, results]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    loaded, results = json.loads(proc.stdout)
+    assert loaded == [False] * (len(rows) + 1)
+    failures = []
+    for row, directory, (code, out, err) in zip(rows, directories, results):
+        mismatch = _mismatch(row, directory, code, out.encode("utf-8"), err)
+        if mismatch:
+            failures.append(f"{row.id}: {mismatch}")
+    assert not failures, "\n".join(failures)
+
+
+def test_graph_line_rules_see_only_the_lines_that_need_them(tmp_path, monkeypatch):
+    # Over the long-URI inputs only the comment line and the two lines that
+    # name the long id reach the line rules; the rest resolve in bulk.
+    row = next(row for row in ROWS if row.id == "rank-uri-LDRANK")
+    _set_up(row, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    rules = corpus_module._graph_line_ids
+    with mock.patch.object(corpus_module, "_graph_line_ids", wraps=rules) as seen:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(row.argv)) == 0
+    lines = [call.args[2] for call in seen.call_args_list]
+    assert lines[0].startswith("#")
+    assert len(lines) == 3 and all(uri("Museum") in line for line in lines[1:])
