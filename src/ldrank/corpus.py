@@ -239,6 +239,13 @@ def _read_texts_file(path) -> dict[str, str]:
                     path, line_no, 'expected string fields "id" and "text"'
                 )
             _check_resource_id(rid, path, line_no, "resource id")
+            if not rid.isascii():  # a flag read; JSON may spell a lone surrogate
+                try:
+                    rid.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InputFormatError(
+                        path, line_no, f"resource id {shown(rid)} is not valid in UTF-8"
+                    ) from None
             if "," in rid:  # result pages separate mentions with ","
                 raise InputFormatError(path, line_no, f"resource id {shown(rid)} contains ','")
             if rid in texts:

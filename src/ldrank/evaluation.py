@@ -32,11 +32,17 @@ def dcg(grades, r: int) -> float:
     The grade at position 1 counts at full value; the grade at position
     i >= 2 is divided by log2(i).
     """
+    grades, r = _checked(grades, r)
+    return _gains(grades, (r,))[0]
+
+
+def _checked(grades, r: int) -> tuple[list, int]:
+    """``grades`` as a non-empty list, and ``r`` a cutoff of at least 1."""
     r = integer(r, "cutoff", 1)
     grades = list(grades)
     if not grades:
         raise ValueError("grades list must not be empty")
-    return _gains(grades, (r,))[0]
+    return grades, r
 
 
 def _gains(grades: list, cutoffs: tuple[int, ...]) -> list[float]:
@@ -57,12 +63,21 @@ def ndcg(grades, r: int) -> float:
     If even the ideal ordering has zero gain there is nothing to normalize
     by; that degenerate case scores 1.0, with a warning.
     """
-    ideal = sorted(grades, reverse=True)
-    ideal_gain = dcg(ideal, r)
-    if ideal_gain == 0.0:
+    grades, r = _checked(grades, r)
+    return next(_ndcgs(grades, [grades], (r,)))[r]
+
+
+def _ndcgs(grades: list, rankings, cutoffs: tuple[int, ...]):
+    """Yield, per ranking of ``rankings`` (each ``grades`` reordered), its
+    NDCG at each cutoff.  A zero ideal gain leaves nothing to normalize by:
+    it scores 1.0, with one warning before the first ranking is drawn."""
+    ideal = _gains(sorted(grades, reverse=True), cutoffs)
+    if 0.0 in ideal:
         warnings.warn(_ZERO_GAIN)
-        return 1.0
-    return dcg(grades, r) / ideal_gain
+    for ranked in rankings:
+        gains = _gains(ranked, cutoffs)
+        yield {r: 1.0 if best == 0.0 else gain / best
+               for r, gain, best in zip(cutoffs, gains, ideal)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,18 +99,15 @@ def _scores(bundle, judged, cutoffs, params, seconds) -> dict[str, dict[int, flo
     appended to ``seconds``; the pipeline and rankings die with the call."""
     pipeline = Pipeline(bundle, params)
     grades = judged.grades_of(bundle.resource_ids)
-    ideal = _gains(sorted(grades, reverse=True), cutoffs)
-    if 0.0 in ideal:  # no grade is negative, so every grade is 0
-        warnings.warn(_ZERO_GAIN)
-    row: dict[str, dict[int, float]] = {}
-    for name in STRATEGIES:
-        start = time.perf_counter()
-        result = pipeline.rank(name)
-        seconds[name].append(time.perf_counter() - start)
-        gains = _gains([grades[i] for i in result.order.tolist()], cutoffs)
-        row[name] = {r: 1.0 if best == 0.0 else gain / best
-                     for r, gain, best in zip(cutoffs, gains, ideal)}
-    return row
+
+    def rankings():
+        for name in STRATEGIES:
+            start = time.perf_counter()
+            result = pipeline.rank(name)
+            seconds[name].append(time.perf_counter() - start)
+            yield [grades[i] for i in result.order.tolist()]
+
+    return dict(zip(STRATEGIES, _ndcgs(grades, rankings(), cutoffs)))
 
 
 def compare_strategies(

@@ -502,6 +502,11 @@ def texts_by_line(path):
                 path, line_no, 'expected string fields "id" and "text"'
             )
         _resource_id_by_split(rid, path, line_no, "resource id")
+        try:
+            rid.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputFormatError(path, line_no,
+                                   f"resource id {shown(rid)} is not valid in UTF-8") from None
         if "," in rid:
             raise InputFormatError(path, line_no, f"resource id {shown(rid)} contains ','")
         if rid in texts:

@@ -10,14 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ldrank.cli as cli_module
-from ldrank import STRATEGIES, ldrank, strategy
+from ldrank import STRATEGIES, strategy
 from ldrank.cli import main
 
 from oracles import shown
-
-#: The longest last stderr line any input may give, in bytes: an echoed
-#: value is cut to its first 40 characters and its length.
-_LINE_BYTES = 200
+from test_cli_runs import Row, _mismatch
 
 
 def _rank_args(basic_dir, *extra):
@@ -31,10 +28,11 @@ def _rank_args(basic_dir, *extra):
     ]
 
 
-def test_rank_output_matches_library(basic_dir, basic_bundle, capsys):
-    assert main(_rank_args(basic_dir)) == 0
+@pytest.mark.parametrize("name", STRATEGIES)
+def test_rank_output_matches_library(basic_dir, basic_bundle, capsys, name):
+    assert main(_rank_args(basic_dir, "--strategy", name)) == 0
     out = capsys.readouterr().out
-    result = ldrank(basic_bundle)
+    result = strategy(name, basic_bundle)
     lines = out.splitlines()
     assert len(lines) == basic_bundle.n
     for pos, line in enumerate(lines, start=1):
@@ -43,104 +41,6 @@ def test_rank_output_matches_library(basic_dir, basic_bundle, capsys):
         assert int(rank_s) == pos
         assert rid == basic_bundle.resource_ids[idx]
         assert score_s == format(result.scores.values[idx], ".12g")
-
-
-def test_rank_strategy_flag(basic_dir, basic_bundle, capsys):
-    assert main(_rank_args(basic_dir, "--strategy", "HIT")) == 0
-    out = capsys.readouterr().out
-    want = strategy("HIT", basic_bundle)
-    top_id = out.splitlines()[0].split("\t")[1]
-    assert top_id == basic_bundle.resource_ids[want.order[0]]
-
-
-def _stopword_texts(basic_dir, tmp_path):
-    """The basic bundle with every text empty or stopwords only."""
-    texts = tmp_path / "texts.jsonl"
-    lines = (basic_dir / "texts.jsonl").read_text().splitlines()
-    ids = [json.loads(line)["id"] for line in lines]
-    texts.write_text("".join(
-        json.dumps({"id": rid, "text": "the of and" if i % 2 else ""}) + "\n"
-        for i, rid in enumerate(ids)
-    ))
-    return [
-        "rank",
-        str(basic_dir / "graph.tsv"),
-        str(texts),
-        str(basic_dir / "serp.tsv"),
-        str(basic_dir / "query.txt"),
-    ]
-
-
-@pytest.mark.parametrize("name", ["SVD", "LDRANK"])
-def test_rank_without_vocabulary_falls_back_to_uniform(basic_dir, tmp_path, capsys, name):
-    assert main(_stopword_texts(basic_dir, tmp_path) + ["--strategy", name]) == 0
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 6
-    assert "svd prior falls back to uniform" in captured.err
-
-
-def test_rank_svd_without_vocabulary_ranks_like_equi(basic_dir, tmp_path, capsys):
-    args = _stopword_texts(basic_dir, tmp_path)
-    assert main(args + ["--strategy", "SVD"]) == 0
-    svd = capsys.readouterr().out
-    assert main(args + ["--strategy", "EQUI"]) == 0
-    assert svd == capsys.readouterr().out
-
-
-def test_rank_hit_emit_priors_without_vocabulary(basic_dir, tmp_path, capsys):
-    dump = tmp_path / "priors.tsv"
-    args = _stopword_texts(basic_dir, tmp_path)
-    assert main(args + ["--strategy", "HIT", "--emit-priors", str(dump)]) == 0
-    capsys.readouterr()
-    rows = [line.split("\t") for line in dump.read_text().splitlines()[1:]]
-    assert [row[3] for row in rows] == [row[1] for row in rows]  # svd == equi
-
-
-def test_stress_below_the_overflow_ranks(basic_dir, capsys):
-    # From 1e200 the squared stressed counts overflow: an input error
-    # (tests/test_cli_runs.py).
-    assert main(_rank_args(basic_dir, "--stress", "1e150")) == 0
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("flags, field", [
-    (("--strategy", "HIT", "--stress", "-5"), "stress"),
-    (("--strategy", "EQUI", "--ndim", "0"), "ndim"),
-    (("--strategy", "HIT", "--lambda", "7"), "damping"),
-    (("--tol", "nan"), "tol"),
-    (("--consensus-eps", "nan"), "consensus_epsilon"),
-    (("--max-iters", "0"), "power_max_iters"),
-    (("--consensus-max-iters", "0"), "consensus_max_iters"),
-])
-def test_bad_flag_is_reported_before_any_file_is_read(tmp_path, capsys, flags, field):
-    absent = str(tmp_path / "absent.tsv")
-    # eval runs every strategy and takes no --strategy.
-    eval_flags = flags[2:] if flags[0] == "--strategy" else flags
-    for argv in (["rank", absent, absent, absent, absent, *flags],
-                 ["eval", absent, "--cutoffs", "1", *eval_flags]):
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert f"error: {field} " in err
-        assert "absent.tsv" not in err
-
-
-def test_integer_flags_take_ascii_digits(basic_dir, capsys):
-    args = _rank_args(basic_dir, "--ndim", "10", "--max-iters", "100",
-                      "--consensus-max-iters", "100")
-    assert main(args) == 0
-    captured = capsys.readouterr()
-    assert len(captured.out.splitlines()) == 6
-    assert "k=10 exceeds the rank bound" in captured.err
-
-
-def test_a_huge_ndim_is_echoed_by_its_head_and_length(basic_dir, capsys):
-    # A valid --ndim of 301 digits exceeds the rank bound, and the warning
-    # that says so stays short.
-    assert main(_rank_args(basic_dir, "--ndim", "1" * 301)) == 0
-    captured = capsys.readouterr()
-    last = captured.err.splitlines()[-1]
-    assert last.startswith(f"warning: k={'1' * 40}... (301 digits) exceeds the rank bound")
-    assert len(last.encode("utf-8")) < _LINE_BYTES
 
 
 @pytest.mark.parametrize("text", ["0.5", " 0.5\n", "5e-1", "0_5", "-0", "nan", "-Infinity",
@@ -369,10 +269,9 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    err = stderr.getvalue().splitlines()
     want = _expected_error(paths, files, texts_fault, flags[1])
     if want is None:
-        assert code == 0, err
+        assert code == 0, stderr.getvalue()
         rows = [line.split("\t") for line in stdout.getvalue().splitlines()]
         assert [int(r[0]) for r in rows] == list(range(1, len(texts) + 1))
         assert sorted(r[1] for r in rows) == sorted(json.loads(t)["id"] for t in texts)
@@ -384,11 +283,9 @@ def test_rank_on_mutated_bundles_ranks_or_reports_the_first_fault(
             golden = "\n".join(lines(f"expected/rank_{name}{suffix}.tsv")) + "\n"
             assert stdout.getvalue() == golden
     else:
-        assert code == 1
-        assert stdout.getvalue() == ""
-        assert [line for line in err if line.startswith("error:")] == err[-1:]
-        assert err[-1].startswith(want), (err[-1], want)
-        assert len(err[-1].encode("utf-8")) < _LINE_BYTES, err[-1]
+        row = Row("rank", tuple(argv), want, prefix=True)
+        mismatch = _mismatch(row, out, code, stdout.getvalue().encode("utf-8"), stderr.getvalue())
+        assert mismatch is None, mismatch
 
 
 _DIGITS = "1" * 4000
@@ -427,13 +324,13 @@ _JUDGMENT_FAULTS = [
 ]
 
 #: The errors a well-formed judgments file may still end in: a threshold out
-#: of range, mean-trust ties without trust, and nothing to measure alpha on,
-#: a fault of the whole file.
-_JUDGMENT_ERRORS = (
-    "error: threshold must lie in [0, 1], got ",
-    "error: mean-trust tie-breaking needs trust values; ",
-    "error: {path}:0: no item has two or more judgments; alpha is undefined",
-)
+#: of range, and per command, mean-trust ties without trust (``agg``) or
+#: nothing to measure alpha on, a fault of the whole file (``alpha``).
+_BAD_THRESHOLD_ERROR = "error: threshold must lie in [0, 1], got "
+_FILE_ERRORS = {
+    "agg": "error: mean-trust tie-breaking needs trust values; ",
+    "alpha": "error: {path}:0: no item has two or more judgments; alpha is undefined",
+}
 
 
 _BAD_THRESHOLDS = ("1.5", "-0.25", "nan")
@@ -515,22 +412,21 @@ def test_judgments_commands_on_mutated_files_report_the_first_fault(
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
-    out, err = stdout.getvalue(), stderr.getvalue().splitlines()
+    out, err = stdout.getvalue(), stderr.getvalue()
     want = _first_judgment_fault(faults)
     if code == 1:
-        assert out == ""
-        assert [line for line in err if line.startswith("error:")] == err[-1:]
-        assert len(err[-1].encode("utf-8")) < _LINE_BYTES, err[-1]
         if want is not None:
-            assert err[-1].startswith(f"error: {path}:{want[0]}: {want[1]}"), (err[-1], want)
+            line = f"error: {path}:{want[0]}: {want[1]}"
         elif threshold in _BAD_THRESHOLDS:
-            assert err[-1].startswith(_JUDGMENT_ERRORS[0]), err[-1]
+            line = _BAD_THRESHOLD_ERROR
         else:
-            wants = tuple(e.format(path=path) for e in _JUDGMENT_ERRORS[1:])
-            assert err[-1].startswith(wants), err[-1]
+            line = _FILE_ERRORS[command].format(path=path)
+        row = Row(command, tuple(argv), line, prefix=True)
+        mismatch = _mismatch(row, path.parent, code, out.encode("utf-8"), err)
+        assert mismatch is None, mismatch
         return
     assert code == 0 and want is None and threshold not in _BAD_THRESHOLDS, (code, err, want)
-    assert err == []
+    assert err == ""
     if command == "agg":
         rows = [line.split("\t") for line in out.splitlines()]
         assert all(len(row) == 2 and row[1] in ("0", "1", "2", "3") for row in rows)
@@ -538,23 +434,6 @@ def test_judgments_commands_on_mutated_files_report_the_first_fault(
     else:
         assert out.endswith("\n") and out.count("\n") == 1
         assert math.isfinite(float(out)) and float(out) <= 1.0
-
-
-def test_rank_strict_escalates_nonconvergence(basic_dir, capsys):
-    args = _rank_args(
-        basic_dir, "--strategy", "EQUI", "--max-iters", "1", "--tol", "1e-30"
-    )
-    assert main(args) == 0  # warning only
-    capsys.readouterr()
-    assert main(args + ["--strict"]) == 2
-    err = capsys.readouterr().err
-    assert "warning:" in err
-
-
-def test_usage_error_exits_one(capsys):
-    assert main(["rank"]) == 1
-    assert main(["frobnicate"]) == 1
-    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):
@@ -682,46 +561,23 @@ def test_eval_on_mutated_inputs_reports_the_first_fault(
         want = errors[0] or _STRESS_ERROR
     else:
         want = next((error for error in errors if error), None)
+    argv = ["eval", str(manifest), "--cutoffs", cutoffs[0], *_STRESS * stress]
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(["eval", str(manifest), "--cutoffs", cutoffs[0], *_STRESS * stress])
-    out, err = stdout.getvalue(), stderr.getvalue().splitlines()
-    assert code in (0, 1, 2)
+        code = main(argv)
+    out = stdout.getvalue()
     if want is not None:
-        assert code == 1 and out == ""
-        assert [line for line in err if line.startswith("error:")] == err[-1:] == [want]
-        assert len(err[-1].encode("utf-8")) < _LINE_BYTES, err[-1]
+        mismatch = _mismatch(Row("eval", tuple(argv), want), manifest.parent, code,
+                             out.encode("utf-8"), stderr.getvalue())
+        assert mismatch is None, mismatch
         return
-    assert code == 0, err
+    assert code == 0, stderr.getvalue()
     rows = [line.split("\t") for line in out.splitlines()]
     ranks = [int(tok) for tok in cutoffs[0].split(",") if tok.strip()]
     assert rows[0] == ["strategy", *(f"ndcg@{r}" for r in ranks)]
     assert [row[0] for row in rows[1:]] == list(STRATEGIES)
     assert all(len(row) == len(rows[0]) for row in rows)
     assert all(0.0 <= float(cell) <= 1.0 for row in rows[1:] for cell in row[1:])
-
-
-def test_eval_warns_once_per_bundle_about_unjudged_resources(tmp_path, basic_dir, capsys):
-    # Three resources left out of the qrels score as if judged grade 0.
-    names = ("graph.tsv", "texts.jsonl", "serp.tsv", "query.txt")
-    entry = "\t".join(str(basic_dir / name) for name in names)
-    grades = (basic_dir / "qrels.tsv").read_text(encoding="utf-8").splitlines()
-    zeroed = [line.split("\t")[0] + "\t0" for line in grades[:3]]
-    outputs = []
-    for qrels, lines in (("missing.tsv", grades[3:]), ("zero.tsv", zeroed + grades[3:])):
-        (tmp_path / qrels).write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-        man = tmp_path / f"{qrels}.manifest"
-        man.write_text(f"{entry}\t{tmp_path / qrels}\n", encoding="utf-8")
-        assert main(["eval", str(man), "--cutoffs", "1,3,5", "--per-query"]) == 0
-        outputs.append(capsys.readouterr())
-    missing, zero = outputs
-    assert missing.out == zero.out
-    warned = [l for l in missing.err.splitlines() if l.startswith("warning:")]
-    assert warned == [
-        "warning: 3 ranked resources have no judgment and count as grade 0 "
-        "(first: 'Berlin')"
-    ]
-    assert "warning:" not in zero.err
 
 
 def test_module_entry_point(basic_dir):

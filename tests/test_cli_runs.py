@@ -6,23 +6,25 @@ relative path.  A row may first write files there whole: a fixture file
 with one line inserted or replaced or every id rewritten, or a file of
 its own.
 
-A success row (exit code 0) must print its stdout byte for byte: a golden
-output under ``fixtures/basic/expected/``, that golden with each id
-rewritten as the row's inputs were, or a literal.  It must write each of
-its files with the given bytes and print exactly its stderr lines, a
-``timing:`` line's seconds aside, none of which says ``error:``.
+A success row (exit code 0), or a ``--strict`` row that exits 2, must
+print its stdout byte for byte: a golden output under
+``fixtures/basic/expected/``, that golden with each id rewritten as the
+row's inputs were, or a literal.  It must write each of its files with the
+given bytes and print exactly its stderr lines, a ``timing:`` line's
+seconds aside, none of which says ``error:``.
 
-An error row must exit with its code, print nothing on stdout and end
-stderr with its line, or with a line that starts with it for a prefix
-row, under 200 bytes.  Only that line says ``error:``; a bare ``error:``
-line is all of stderr, and argparse's ``ldrank ...: error:`` line follows
-its usage.
+An error row (exit code 1) must print nothing on stdout and end stderr
+with its line, or with a line that starts with it for a prefix row, under
+200 bytes.  Only that line says ``error:``; a bare ``error:`` line is all
+of stderr, and argparse's ``ldrank ...: error:`` line follows its usage.
+The properties of ``test_cli.py`` check their error runs with the same
+``_mismatch``.
 
 ``test_cli_run_in_process`` runs each row through ``cli.main``;
 ``test_cli_runs_through_the_installed_script`` runs the whole table
 through the ``ldrank`` script on PATH, outside any ``PYTHONPATH``, and
 skips when there is none.  ``test_no_command_imports_scipy`` runs every
-success row once more in one fresh interpreter.
+row that does not exit 1 once more in one fresh interpreter.
 """
 
 import contextlib
@@ -60,7 +62,7 @@ class Row:
     prefix: bool = False
     out: bytes = b""  # stdout, byte for byte
     written: dict = field(default_factory=dict)  # name -> the bytes the command writes
-    err: tuple = ()  # every stderr line of a success row, a timing line's seconds as "*"
+    err: tuple = ()  # every stderr line of a row that exits 0 or 2, a timing's seconds as "*"
 
 
 def _text(lines):
@@ -157,6 +159,48 @@ TIMINGS = tuple(f"timing: {name} mean *s" for name in STRATEGIES)
 #: 1 of its 2 counted items, so the 0.412 filter threshold drops it.
 SMALL = {"small.jsonl": (FIXTURE.parent / "judgments.jsonl").read_text(encoding="utf-8")}
 STRESS_ERROR = "error: stress {} is too large: the squared stressed counts overflow"
+#: The fixture's texts, each empty or stopwords only: the text matrix has no
+#: column, so the SVD prior is uniform.
+STOPWORD_TEXTS = {"texts.jsonl": _text(
+    json.dumps({"id": json.loads(line)["id"], "text": "the of and" if k % 2 else ""})
+    for k, line in enumerate(_lines("texts.jsonl")))}
+#: The priors ``--emit-priors`` writes over ``STOPWORD_TEXTS``: svd is equi.
+STOPWORD_PRIORS = _text([
+    "resource\tequi\thit\tsvd\tfinal",
+    *(f"{rid}\t0.166666666667\t{hit}\t0.166666666667\t{final}" for rid, hit, final in [
+        ("Berlin", "0.357142857143", "0.261904761905"),
+        ("City", "0.0714285714286", "0.119047619048"),
+        ("Europe", "0.0714285714286", "0.119047619048"),
+        ("Germany", "0.214285714286", "0.190476190476"),
+        ("Museum", "0.142857142857", "0.154761904762"),
+        ("River", "0.142857142857", "0.154761904762"),
+    ])]).encode()
+
+
+def uniform_svd_warning(k, shape="6x31"):
+    """The warning of an SVD prior left uniform: ``k`` is --ndim as echoed."""
+    return (f"warning: k={k} exceeds the rank bound of the {shape} text matrix; "
+            "svd prior falls back to uniform")
+
+
+def ranking(*rows):
+    """The ``rank`` output of ``(id, score)`` rows, ranked in order."""
+    return _text(f"{k}\t{rid}\t{score}" for k, (rid, score) in enumerate(rows, 1)).encode()
+
+
+#: LDRANK on the fixture with the SVD prior uniform.
+LDRANK_UNIFORM_SVD = ranking(
+    ("Germany", "0.314878863193"), ("Europe", "0.263247603304"), ("Berlin", "0.182506975196"),
+    ("Museum", "0.0982670796324"), ("City", "0.0854173599201"), ("River", "0.0556821187533"))
+#: ``eval --per-query`` with Berlin, City and Europe graded 0, or not judged:
+#: SVD scores as EQUI does, and LDRANK as HIT.
+UNJUDGED_NDCG = dict(zip(STRATEGIES, ["1\t0.532771696912\t0.609255790466",
+                                      "1\t0.532771696912\t0.62156697973"] * 2))
+UNJUDGED_EVAL = _text([
+    "strategy\tndcg@1\tndcg@3\tndcg@5", *(f"{n}\t{x}" for n, x in UNJUDGED_NDCG.items()), "",
+    "query\tstrategy\tndcg@1\tndcg@3\tndcg@5",
+    *(f"1\t{n}\t{x}" for n, x in UNJUDGED_NDCG.items()),
+]).encode()
 
 ROWS = [
     # Flags, each checked before any file is read.
@@ -182,6 +226,26 @@ ROWS = [
     *(Row(f"stress-{stress}", (*RANK, "--stress", stress),
           STRESS_ERROR.format(float(stress)))
       for stress in ("1e200", "1e300", "1e308")),
+    # A value out of range fails before the files, absent here, are read,
+    # whether or not the strategy uses it; eval runs every strategy.
+    *(Row(f"{command}-{flag[2:]}-{value}-before-any-file",
+          (*argv, *strategy * (command == "rank"), flag, value), f"error: {reason}")
+      for strategy, flag, value, reason in [
+          (("--strategy", "HIT"), "--stress", "-5", "stress must be positive and finite, got -5.0"),
+          (("--strategy", "EQUI"), "--ndim", "0", "ndim must be at least 1, got 0"),
+          (("--strategy", "HIT"), "--lambda", "7", "damping must lie in (0, 1], got 7.0"),
+          ((), "--tol", "nan", "tol must be positive and finite, got nan"),
+          ((), "--consensus-eps", "nan", "consensus_epsilon must be positive and finite, got nan"),
+          ((), "--max-iters", "0", "power_max_iters must be at least 1, got 0"),
+          ((), "--consensus-max-iters", "0", "consensus_max_iters must be at least 1, got 0"),
+      ]
+      for command, argv in [("rank", ("rank", *["absent.tsv"] * 4)),
+                            ("eval", ("eval", "absent.tsv", "--cutoffs", "1"))]),
+    # Usage errors; how argparse lists the choices differs across versions.
+    Row("rank-without-files", ("rank",),
+        "ldrank rank: error: the following arguments are required: graph, texts, serp, query"),
+    Row("unknown-command", ("frobnicate",),
+        "ldrank: error: argument command: invalid choice: 'frobnicate'", prefix=True),
     # Cutoff lists, checked before the manifest is read.
     Row("cutoffs-empty", (*EVAL, ""), "error: at least one cutoff required"),
     *(Row(f"cutoffs-{label}", (*EVAL, cutoffs), f"error: invalid cutoff list {shown(cutoffs)}")
@@ -243,6 +307,9 @@ ROWS = [
           {"serp_long.tsv": f"1\td\tBerlin\n-{DIGITS[:n]}\td\tCity\n"})
       for n, reason in [(5000, f"rank {shown('-' + DIGITS)} is an integer with too many digits"),
                         (4000, f"rank must be positive, got -{SHOWN_4000}")]),
+    Row("texts-id-lone-surrogate", RANK,
+        f"error: texts.jsonl:7: resource id {shown('Zed' + chr(0xD800))} is not valid in UTF-8",
+        {"texts.jsonl": appended("texts.jsonl", '{"id": "Zed\\ud800", "text": "x"}')}),
     *(Row(f"texts-undecodable-{label}", RANK, "error: texts.jsonl:3: invalid JSON (",
           {"texts.jsonl": inserted("texts.jsonl", 3, line)}, prefix=True)
       for label, line in UNDECODABLE.items()),
@@ -329,11 +396,38 @@ ROWS = [
         code=0, out=golden("rank_HIT_bidirectional.tsv")),
     Row("rank-emit-priors", (*RANK, "--emit-priors", "priors.tsv"), code=0,
         out=golden("rank_LDRANK.tsv"), written={"priors.tsv": golden("priors.tsv")}),
-    # An --ndim above the text matrix's rank leaves the SVD prior uniform.
+    # An --ndim above the text matrix's rank, or texts of stopwords only,
+    # leave the SVD prior uniform: SVD ranks like EQUI.
     Row("rank-SVD-ndim-50", (*RANK, "--strategy", "SVD", "--ndim", "50"), code=0,
-        out=golden("rank_EQUI.tsv"),
-        err=("warning: k=50 exceeds the rank bound of the 6x31 text matrix; "
-             "svd prior falls back to uniform",)),
+        out=golden("rank_EQUI.tsv"), err=(uniform_svd_warning(50),)),
+    *(Row(f"rank-{label}", (*RANK, *flags), code=0, out=LDRANK_UNIFORM_SVD,
+          err=(uniform_svd_warning(k),))
+      for label, flags, k in [
+          ("ascii-digit-flags", ("--ndim", "10", "--max-iters", "100",
+                                 "--consensus-max-iters", "100"), 10),
+          ("ndim-301-digits", ("--ndim", "1" * 301), f"{'1' * 40}... (301 digits)"),
+      ]),
+    *(Row(f"rank-stopword-texts-{name}", (*RANK, "--strategy", name), files=STOPWORD_TEXTS,
+          code=0, out=out, err=(uniform_svd_warning(1, "6x0"),))
+      for name, out in [("SVD", golden("rank_EQUI.tsv")), ("LDRANK", LDRANK_UNIFORM_SVD)]),
+    Row("rank-stopword-texts-HIT-emit-priors",
+        (*RANK, "--strategy", "HIT", "--emit-priors", "priors.tsv"), files=STOPWORD_TEXTS,
+        code=0, out=golden("rank_HIT.tsv"), written={"priors.tsv": STOPWORD_PRIORS},
+        err=(uniform_svd_warning(1, "6x0"),)),
+    # The largest --stress below the overflow (from 1e200, an error row).
+    Row("rank-stress-1e150", (*RANK, "--stress", "1e150"), code=0, out=ranking(
+        ("Germany", "0.357834210775"), ("Europe", "0.276789095843"),
+        ("Berlin", "0.186628896002"), ("Museum", "0.0762213245237"),
+        ("City", "0.0698518907327"), ("River", "0.0326745821234"))),
+    # A walk cut off before it converges warns, and with --strict exits 2.
+    *(Row(f"rank-EQUI-one-iteration{label}",
+          (*RANK, "--strategy", "EQUI", "--max-iters", "1", "--tol", "1e-30", *flags),
+          code=code, out=ranking(
+              ("Germany", "0.283333333333"), ("Berlin", "0.244444444444"),
+              ("Europe", "0.186111111111"), ("City", "0.108333333333"),
+              ("Museum", "0.108333333333"), ("River", "0.0694444444444")),
+          err=("warning: power iteration still above tolerance after 1 iterations",))
+      for label, flags, code in [("", (), 0), ("-strict", ("--strict",), 2)]),
     # eval: the per-query golden, its first table, and manifests without bundles.
     Row("eval-per-query", (*EVAL, "1,3,5", "--per-query"), code=0, out=golden("eval.tsv"),
         err=TIMINGS),
@@ -349,6 +443,18 @@ ROWS = [
         code=0, out=_text(["strategy\tndcg@1\tndcg@3\tndcg@5",
                            *(f"{name}\t1\t1\t1" for name in STRATEGIES)]).encode(),
         err=(*TIMINGS, *["warning: ideal ranking has zero gain; returning 1.0"] * 2)),
+    # Resources left out of the qrels score as if judged grade 0, with one
+    # warning per bundle.
+    *(Row(f"eval-{label}", ("eval", "m.tsv", "--cutoffs", "1,3,5", "--per-query"),
+          files={"q.tsv": _text(grades + _lines("qrels.tsv")[3:]),
+                 "m.tsv": _text([ENTRY.replace("qrels.tsv", "q.tsv")])},
+          code=0, out=UNJUDGED_EVAL, err=(*TIMINGS, *warned))
+      for label, grades, warned in [
+          ("unjudged-resources", [], ["warning: 3 ranked resources have no judgment and count "
+                                      "as grade 0 (first: 'Berlin')"]),
+          ("resources-graded-0", [line.split("\t")[0] + "\t0" for line in _lines("qrels.tsv")[:3]],
+           []),
+      ]),
     # agg and alpha: the judgments fixture has a split vote that trust
     # decides (Museum), a mean-trust tie (City), a worker above the 0.412
     # filter threshold (w4) and a single-judgment item (Europe).
@@ -393,7 +499,7 @@ def _mismatch(row, directory, code, out, err):
     last = lines[-1] if lines else ""
     if code != row.code or out != row.out:
         return f"exit {code}, stdout {out[:80]!r}, last stderr line {last!r}"
-    if row.code == 0:
+    if row.code != 1:
         if any("error:" in line for line in lines):
             return f"stderr says error: {err[:300]!r}"
         seen = [re.sub(r" mean \d+\.\d{6}s$", " mean *s", line) for line in lines]
@@ -444,9 +550,9 @@ def test_cli_runs_through_the_installed_script(tmp_path):
 
 def test_no_command_imports_scipy(tmp_path):
     # The runtime needs numpy alone: importing the CLI and running every
-    # success row leaves scipy unloaded, and each row still passes.  So a
-    # run with scipy made unimportable is this run.
-    rows = [row for row in ROWS if row.code == 0]
+    # row that does not exit 1 leaves scipy unloaded, and each row still
+    # passes.  So a run with scipy made unimportable is this run.
+    rows = [row for row in ROWS if row.code != 1]
     directories = [tmp_path / str(k) for k in range(len(rows))]
     for row, directory in zip(rows, directories):
         _set_up(row, directory)

@@ -106,6 +106,11 @@ _TEXT_LINES = _mostly(
     lines=['{"id": "a", "text": "x"}', "{oops", '{"id": "b", "text": "y"}'],
     ends=["\n"] * 14, last_end=True, bad_bytes=True, chunk=2,
 )
+@example(  # an id that JSON spells with a lone surrogate, then a duplicate id
+    lines=['{"id": "a", "text": "x"}', '{"id": "Zed\\ud800", "text": "x"}',
+           '{"id": "a", "text": "y"}'],
+    ends=["\n"] * 14, last_end=True, bad_bytes=False, chunk=4096,
+)
 @example(lines=[_MERGED_A, _MERGED_B, _TWO], ends=["\n"] * 14, last_end=True,
          bad_bytes=False, chunk=4096)
 @example(lines=[_CUT_A, _CUT_B, _TWO], ends=["\n"] * 14, last_end=True,

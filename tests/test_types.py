@@ -51,7 +51,7 @@ def test_distribution_rejects_bad_input():
         Distribution(np.array([np.nan, 1.0]))
 
 
-def test_distribution_uniform_and_weights():
+def test_equi_prior_is_uniform_and_weights_normalize():
     u = equi_prior(4)
     assert np.allclose(u.values, 0.25)
     w = np.array([2.0, 0.0, 6.0])
@@ -215,7 +215,7 @@ def _bundle(n=1, serp_size=1, mentions=_NO_MENTIONS):
     return CorpusBundle(ids, _NO_EDGES, ("",) * n, serp_size, mentions, frozenset())
 
 
-def test_serp_context_validates_ranks():
+def test_bundle_mentions_lie_on_the_result_page():
     # The result page's mention rows: resources in 0..n-1, ranks in
     # 1..serp_size.
     bundle = _bundle(n=1, serp_size=2, mentions=[[0, 1], [0, 2], [0, 2]])
@@ -246,12 +246,12 @@ def test_serp_context_validates_ranks():
     ids=["index-1.5", "index-1.0", "index-True", "rank-1.0", "rank-True", "rank-float64",
          "bool-array", "rank-numpy-True"],
 )
-def test_serp_context_rejects_indices_and_ranks_that_are_not_integers(mentions, message):
+def test_bundle_mentions_reject_indices_and_ranks_that_are_not_integers(mentions, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         _bundle(n=2, serp_size=1, mentions=mentions)
 
 
-def test_serp_context_takes_numpy_integers():
+def test_bundle_mentions_take_numpy_integers():
     bundle = _bundle(serp_size=np.int64(1), mentions=np.array([[0, 1]], dtype=np.int32))
     assert type(bundle.serp_size) is int and bundle.mentions.dtype == np.int64
     assert hit_prior(bundle).values.tolist() == [1.0]
