@@ -18,7 +18,9 @@ start with ``#``.  The resource universe is exactly the set of ids in the
 texts file; graph endpoints, result-page mentions and query entries must
 all resolve inside it.  A texts-file id holds no ``,`` either, since
 result pages separate mentions with it, so an endpoint or query entry
-with a ``,`` is a dangling reference.  ``load_bundle`` and
+with a ``,`` is a dangling reference.  ``_record_fault`` holds these
+rules for one texts record, for a texts file and for the texts table of
+``assemble_bundle`` alike.  ``load_bundle`` and
 ``assemble_bundle`` number the ids once (``_index``) and resolve the
 graph, then ``_assemble`` the query and the result page, into the index
 form of ``CorpusBundle``: the result page becomes its size and one
@@ -48,14 +50,40 @@ from .types import _blocks, _fields, _is_data, data_lines, parse_int, read_objec
 __all__ = ["load_bundle", "assemble_bundle", "build_resource_text", "InputFormatError"]
 
 
-def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
+def _id_fault(token: str, what: str) -> str | None:
+    """Why ``token`` is no resource id, or None."""
     if token.split() == [token] and token[0] != "#":
-        return token
+        return None
     if not token:
-        raise InputFormatError(path, line_no, f"empty {what}")
+        return f"empty {what}"
     if token.split() != [token]:
-        raise InputFormatError(path, line_no, f"{what} {shown(token)} contains whitespace")
-    raise InputFormatError(path, line_no, f"{what} {shown(token)} starts with '#'")
+        return f"{what} {shown(token)} contains whitespace"
+    return f"{what} {shown(token)} starts with '#'"
+
+
+def _check_resource_id(token: str, path, line_no: int, what: str) -> str:
+    fault = _id_fault(token, what)
+    if fault:
+        raise InputFormatError(path, line_no, fault)
+    return token
+
+
+def _record_fault(rid, text) -> str | None:
+    """Why ``rid`` and ``text`` are no texts-file record, or None: the id
+    and text are strings, the id a resource id, valid in UTF-8, with no
+    ``,``, since result pages separate mentions with it."""
+    if not isinstance(rid, str) or not isinstance(text, str):
+        return 'expected string fields "id" and "text"'
+    if rid.split() != [rid] or rid[0] == "#":  # ``_id_fault``'s test, without a call per id
+        return _id_fault(rid, "resource id")
+    if not rid.isascii():  # a flag read; JSON may spell a lone surrogate
+        try:
+            rid.encode("utf-8")
+        except UnicodeEncodeError:
+            return f"resource id {shown(rid)} is not valid in UTF-8"
+    if "," in rid:
+        return f"resource id {shown(rid)} contains ','"
+    return None
 
 
 def _resolve(index: dict[str, int], rid: str, role: str, path=None, line_no: int = 0) -> int:
@@ -234,20 +262,9 @@ def _read_texts_file(path) -> dict[str, str]:
         for line_no, record in chunk:
             rid = record.get("id")
             text = record.get("text")
-            if not isinstance(rid, str) or not isinstance(text, str):
-                raise InputFormatError(
-                    path, line_no, 'expected string fields "id" and "text"'
-                )
-            _check_resource_id(rid, path, line_no, "resource id")
-            if not rid.isascii():  # a flag read; JSON may spell a lone surrogate
-                try:
-                    rid.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise InputFormatError(
-                        path, line_no, f"resource id {shown(rid)} is not valid in UTF-8"
-                    ) from None
-            if "," in rid:  # result pages separate mentions with ","
-                raise InputFormatError(path, line_no, f"resource id {shown(rid)} contains ','")
+            reason = _record_fault(rid, text)
+            if reason:
+                raise InputFormatError(path, line_no, reason)
             if rid in texts:
                 raise InputFormatError(path, line_no, f"duplicate resource id {shown(rid)}")
             texts[rid] = text
@@ -319,11 +336,17 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp, query) -> CorpusBu
     ``graph_edges`` is an iterable of ``(subject, predicate, object)``
     triples, consumed once (a generator works); ``serp`` is a sequence
     holding, per result in rank order, a list of the resource ids it
-    mentions.  An identifier with no entry in the texts table raises
-    ``ValueError`` naming it; graph endpoints are resolved first, then
-    query entries, then result-page mentions.  ``load_bundle`` maps
-    identifiers to indices by the same rules.
+    mentions.  Each entry of ``texts`` must be a record a texts file can
+    hold, or its first bad one raises ``ValueError`` with the reason
+    ``load_bundle`` gives.  Then an identifier with no entry in the texts
+    table raises ``ValueError`` naming it; graph endpoints are resolved
+    first, then query entries, then result-page mentions.  ``load_bundle``
+    maps identifiers to indices by the same rules.
     """
+    for rid, text in texts.items():
+        reason = _record_fault(rid, text)
+        if reason:
+            raise ValueError(reason)
     index = _index(texts)
     ids = []
     for s, _p, o in graph_edges:

@@ -10,10 +10,11 @@ and trust per record in file order, with NaN for a missing trust.
 Each record is checked once, as it is read: ``_Columns.extend`` checks
 its field types, then its grade and trust ranges, then, on the first
 record naming an item, the item id rule of ``RelevanceJudgments``; and
-``_Columns.build`` that no item-worker pair repeats.  ``load_judgments``,
-a ``types.read_objects`` chunk at a time, and ``JudgmentSet.from_records``
-both build through ``_Columns``, so they reject the same records with the
-same reasons.
+``_Columns.build`` that no item-worker pair repeats.  A bad record is
+reported at its key: its line in a file, or its position in a list.
+``load_judgments``, a ``types.read_objects`` chunk at a time, and
+``JudgmentSet.from_records`` both build through ``_Columns``, so they
+reject the same records with the same reasons.
 
 ``krippendorff_alpha`` measures inter-rater reliability with one fixed
 distance between grades, ``RELEVANCE_DISTANCE``; ``filter_workers`` drops
@@ -32,12 +33,10 @@ import math
 import warnings
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
-from .types import InputFormatError, integer, number, parse_int, read_lines, read_objects
-from .types import read_rows
+from .types import InputFormatError, integer, number, parse_int, read_objects, read_rows
 from .types import shown, shown_int
 
 __all__ = [
@@ -140,9 +139,9 @@ class JudgmentSet:
     def from_records(cls, records: Iterable[Mapping]) -> "JudgmentSet":
         """The set of ``records``, in their order; a bad record raises
         ``ValueError`` with ``load_judgments``'s reason, or its position."""
-        columns = _Columns()
-        columns.extend(_mappings(records), lambda _, reason: ValueError(reason))
-        return columns.build(lambda _, reason: ValueError(reason))
+        columns = _Columns(lambda _, reason: ValueError(reason))
+        columns.extend(_mappings(records))
+        return columns.build()
 
     @property
     def records(self) -> tuple[dict, ...]:
@@ -190,15 +189,18 @@ def _recode(ids: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
 
 
 class _Columns:
-    """Record columns under construction, ids coded in order of first use."""
+    """Record columns under construction, ids coded in order of first use,
+    with each record's key: its line in a file, or its position."""
 
-    def __init__(self):
+    def __init__(self, error):
+        self.error = error  # error(key, reason): the exception for a bad record
         self.item_index: dict[str, int] = {}
         self.worker_index: dict[str, int] = {}
+        self.keys: list[np.ndarray] = []  # per ``extend`` call, its records' keys
         empty = np.zeros(0, dtype=np.intp)
         self.parts: list[tuple[np.ndarray, ...]] = [(empty, empty, empty, np.zeros(0))]
 
-    def extend(self, pairs, error) -> None:
+    def extend(self, pairs) -> None:
         """Append the records of ``(key, record)`` pairs, or raise
         ``error(key, reason)`` for the first bad record.
 
@@ -209,7 +211,7 @@ class _Columns:
         record that names an item, the item id rule, ``_item_fault``: once
         per distinct item, not once per record.
         """
-        items, workers, grades, trusts = [], [], [], []
+        keys, items, workers, grades, trusts = [], [], [], [], []
         item_index, worker_index = self.item_index, self.worker_index
         for key, record in pairs:
             item = record.get("item")
@@ -242,7 +244,8 @@ class _Columns:
                         reason = _item_fault(item)
                         code = item_index[item] = len(item_index)
             if reason:
-                raise error(key, reason)
+                raise self.error(key, reason)
+            keys.append(key)
             items.append(code)
             workers.append(worker_index.setdefault(worker, len(worker_index)))
             grades.append(grade)
@@ -253,16 +256,19 @@ class _Columns:
             np.array(grades, dtype=np.intp),
             np.array(trusts, dtype=np.float64),  # None becomes NaN
         ))
+        self.keys.append(np.array(keys, dtype=np.int64))
 
-    def build(self, error) -> JudgmentSet:
-        """The set of the records appended, or ``error(r, reason)`` for the
-        first record r that repeats an earlier record's item-worker pair."""
+    def build(self) -> JudgmentSet:
+        """The set of the records appended, or ``error(key, reason)`` at the
+        key of the first record that repeats an earlier record's
+        item-worker pair."""
         item_ids, worker_ids = tuple(self.item_index), tuple(self.worker_index)
         items, workers, grades, trust = map(np.concatenate, zip(*self.parts))
         _, first = np.unique(items * len(worker_ids) + workers, return_index=True)
         if first.size < items.size:
             r = int(np.setdiff1d(np.arange(items.size), first)[0])
-            raise error(r, (
+            key = int(np.concatenate(self.keys)[r])
+            raise self.error(key, (
                 f"duplicate judgment for item {shown(item_ids[items[r]])} "
                 f"by worker {shown(worker_ids[workers[r]])}"
             ))
@@ -396,20 +402,13 @@ def load_judgments(path) -> JudgmentSet:
     ``grade`` in 0..3, and optional numeric ``trust`` in [0, 1].  The first
     bad object is reported as ``path:line: reason``.  A repeated item-worker
     pair is found once the whole file is read, and reported at the line of
-    its second record, which only then is looked up.
+    its second record.
     """
-    columns = _Columns()
+    columns = _Columns(lambda line_no, reason: InputFormatError(path, line_no, reason))
     # A call per chunk, so that chunk's lists are freed before the next is read.
     for pairs in read_objects(path):
-        columns.extend(pairs, lambda line_no, reason: InputFormatError(path, line_no, reason))
-    return columns.build(lambda r, reason: InputFormatError(path, _record_line(path, r), reason))
-
-
-def _record_line(path, r: int) -> int:
-    """The line of record ``r`` (from 0) of a judgments file read whole: its
-    non-blank line ``r + 1``, as ``read_objects`` numbers the objects."""
-    numbers = (line_no for line_no, line in read_lines(path) if line.strip())
-    return next(islice(numbers, r, None))
+        columns.extend(pairs)
+    return columns.build()
 
 
 def load_qrels(path) -> RelevanceJudgments:

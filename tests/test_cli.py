@@ -28,8 +28,11 @@ def _rank_args(basic_dir, *extra):
     ]
 
 
+# The 6 output lines in chunks of 1, of 4 and 2, and in one chunk.
+@pytest.mark.parametrize("chunk", [1, 4, cli_module._RANK_CHUNK_LINES])
 @pytest.mark.parametrize("name", STRATEGIES)
-def test_rank_output_matches_library(basic_dir, basic_bundle, capsys, name):
+def test_rank_output_matches_library(basic_dir, basic_bundle, capsys, monkeypatch, name, chunk):
+    monkeypatch.setattr(cli_module, "_RANK_CHUNK_LINES", chunk)
     assert main(_rank_args(basic_dir, "--strategy", name)) == 0
     out = capsys.readouterr().out
     result = strategy(name, basic_bundle)

@@ -117,6 +117,13 @@ def _uri_text(line):
     return json.dumps({**record, "id": uri(record["id"])})
 
 
+def _many_texts(at):
+    """The fixture's texts and records ``r7``... after them, 9,000 lines in
+    all, with a second ``Berlin`` record inserted as line ``at``."""
+    lines = _lines("texts.jsonl") + [f'{{"id": "r{k}", "text": "x"}}' for k in range(7, 9000)]
+    return _text(lines[:at - 1] + ['{"id": "Berlin", "text": "again"}'] + lines[at - 1:])
+
+
 #: The rank inputs with every id rewritten by ``uri``.
 URI_FILES = {
     "graph.tsv": _text(line if line.startswith("#") else _uri_triple(line)
@@ -313,6 +320,91 @@ ROWS = [
     *(Row(f"texts-undecodable-{label}", RANK, "error: texts.jsonl:3: invalid JSON (",
           {"texts.jsonl": inserted("texts.jsonl", 3, line)}, prefix=True)
       for label, line in UNDECODABLE.items()),
+    # Rules that no reader's line loop in oracles.py has: no id starts with
+    # "#", a rank is ASCII digits, and the first dangling query entry in id
+    # order, or mention in rank order, is named, at the first line it is on;
+    # query entries are resolved before mentions.  A gap in the ranks the
+    # serp property's random files reach too seldom.
+    *(Row(f"{label}-starts-with-hash", RANK,
+          f"error: {name}:{line_no}: {what} '#b' starts with '#'", {name: appended(name, line)})
+      for label, name, line_no, line, what in [
+          ("texts-id", "texts.jsonl", 7, '{"id": "#b", "text": "x"}', "resource id"),
+          ("graph-object", "graph.tsv", 11, "Berlin\tp\t#b", "object"),
+          ("serp-mention", "serp.tsv", 4, "4\td\tBerlin,#b", "resource id"),
+      ]),
+    *(Row(f"serp-rank-{label}", RANK, f"error: serp.tsv:4: rank {shown(rank)} is not an integer",
+          {"serp.tsv": appended("serp.tsv", f"{rank}\td\tBerlin")})
+      for label, rank in [("underscore", "0_4"), ("space", " 4"), ("arabic-4", "\u0664")]),
+    Row("serp-rank-gap", RANK, "error: serp.tsv:0: ranks are not contiguous from 1; missing [4]",
+        {"serp.tsv": appended("serp.tsv", "5\td\tBerlin")}),
+    Row("query-dangling-in-id-order", RANK,
+        f"error: query.txt:3: query resource 'Apollo' {NO_ENTRY}",
+        {"query.txt": appended("query.txt", "Zeus", "Apollo")}),
+    Row("query-dangling-twice", RANK, f"error: query.txt:2: query resource 'Zeus' {NO_ENTRY}",
+        {"query.txt": appended("query.txt", "Zeus", "", "Zeus")}),
+    Row("query-dangling-before-mention", RANK,
+        f"error: query.txt:2: query resource 'Zeus' {NO_ENTRY}",
+        {"query.txt": appended("query.txt", "Zeus"),
+         "serp.tsv": appended("serp.tsv", "4\td\tApollo")}),
+    Row("serp-dangling-in-rank-order", RANK,
+        f"error: serp.tsv:2: result-page resource 'Apollo' {NO_ENTRY}",
+        {"serp.tsv": _text(["2\td\tZeus", "1\td\tApollo"])}),
+    # One fault of each reader rule at a fixed line, which the reader
+    # properties of test_readers.py reach only on some random files.
+    *(Row(label, RANK, f"error: {name}:{line_no}: {reason}",
+          {name: inserted(name, line_no, line)})
+      for label, name, line_no, line, reason in [
+          ("graph-subject-with-whitespace", "graph.tsv", 11, "Ber lin\tp\tCity",
+           "subject 'Ber lin' contains whitespace"),
+          ("graph-subject-with-comma", "graph.tsv", 11, "Berlin,City\tp\tCity",
+           f"graph subject 'Berlin,City' {NO_ENTRY}"),
+          ("graph-dangling-subject", "graph.tsv", 2, "Zeus\tp\tCity",
+           f"graph subject 'Zeus' {NO_ENTRY}"),
+          ("query-entry-with-comma", "query.txt", 2, "Berlin,City",
+           f"query resource 'Berlin,City' {NO_ENTRY}"),
+          ("texts-invalid-json", "texts.jsonl", 3, "{oops",
+           "invalid JSON (Expecting property name enclosed in double quotes)"),
+          ("texts-duplicate-id", "texts.jsonl", 7, '{"id": "Berlin", "text": "y"}',
+           "duplicate resource id 'Berlin'"),
+          ("texts-missing-text", "texts.jsonl", 3, '{"id": "Zed"}',
+           'expected string fields "id" and "text"'),
+          ("texts-id-with-comma", "texts.jsonl", 7, '{"id": "a,b", "text": "x"}',
+           "resource id 'a,b' contains ','"),
+          ("serp-duplicate-rank", "serp.tsv", 4, "3\td\tBerlin", "duplicate rank 3"),
+          ("serp-negative-rank", "serp.tsv", 4, "-1\td\tBerlin", "rank must be positive, got -1"),
+      ]),
+    # With no texts record, the first graph line is dangling.
+    Row("graph-dangling-over-empty-texts", RANK,
+        f"error: graph.tsv:2: graph subject 'Berlin' {NO_ENTRY}", {"texts.jsonl": ""}),
+    Row("serp-dangling-mention-after-comment", RANK,
+        f"error: serp.tsv:5: result-page resource 'Zeus' {NO_ENTRY}",
+        {"serp.tsv": appended("serp.tsv", "# c", "4\td\tCity,Zeus")}),
+    # Bad bytes after a faulty line: the fault is reported, in the block
+    # of the bad bytes (the fixture files), or in an earlier one.
+    *(Row(f"{name.split('.')[0]}-{label}-before-bad-bytes", RANK,
+          f"error: {name}:{line_no}: {reason}", {name: text.encode() + b"\xff\n"})
+      for label, name, line_no, text, reason in [
+          ("two-fields", "graph.tsv", 11, appended("graph.tsv", "Berlin\tp"),
+           "expected 3 tab-separated fields, got 2"),
+          ("invalid-json", "texts.jsonl", 7, appended("texts.jsonl", "{oops"),
+           "invalid JSON (Expecting property name enclosed in double quotes)"),
+          *((f"duplicate-id-{at}", "texts.jsonl", at, _many_texts(at),
+             "duplicate resource id 'Berlin'") for at in (4, 8500)),
+      ]),
+    # A graph of 4,000 lines of 64 bytes, 1,024 to a 64 KiB block, in which
+    # lines 3500 and 3501, in the fourth block, both hold a fault: line
+    # 3500's is reported.
+    *(Row(f"graph-chunk-{label}-first", RANK, f"error: graph.tsv:3500: {reason}",
+          {"graph.tsv": _text(bad.get(k, f"Berlin\t{'p' * 52}\tCity") for k in range(1, 4001))})
+      for label, bad, reason in [
+          ("dangling-object", {3500: "Berlin\tp\tZeus", 3501: "Berlin\tp"},
+           f"graph object 'Zeus' {NO_ENTRY}"),
+          ("two-fields", {3500: "Berlin\tp", 3501: "Berlin\tp\tZeus"},
+           "expected 3 tab-separated fields, got 2"),
+          ("dangling-subject", {3500: "Zeus\tp\tCity", 3501: "Berlin\t\tCity"},
+           f"graph subject 'Zeus' {NO_ENTRY}"),
+          ("empty-predicate", {3500: "Berlin\t\tCity", 3501: "Zeus\tp\tCity"}, "empty predicate"),
+      ]),
     # Judgments files, for agg and alpha alike.
     *(Row(f"judgments-undecodable-{label}", ("agg", "judgments.jsonl"),
           "error: judgments.jsonl:3: invalid JSON (",
@@ -326,7 +418,22 @@ ROWS = [
           ("text-trust", '{"item": "x", "worker": "w1", "grade": 1, "trust": "high"}',
            'field "trust" must be numeric'),
           ("grade-7", '{"item": "x", "worker": "w1", "grade": 7, "trust": 0.5}', f"{GRADES} 7"),
+          ("invalid-json", "not json", "invalid JSON (Expecting value)"),
+          ("missing-worker", '{"item": "x", "grade": 1}', 'missing or invalid "worker"'),
+          ("trust-true", '{"item": "x", "worker": "w1", "grade": 1, "trust": true}',
+           'field "trust" must be numeric'),
+          ("trust-nan", '{"item": "x", "worker": "w1", "grade": 1, "trust": NaN}',
+           "trust must lie in [0, 1], got nan"),
+          ("401-digit-trust", '{"item": "x", "worker": "w1", "grade": 1, "trust": 1%s}' % (
+              "0" * 400), "trust must lie in [0, 1]"),
+          ("grade-below-int64-and-trust-2",
+           '{"item": "x", "worker": "w1", "grade": -9223372036854775809, "trust": 2}',
+           f"{GRADES} -9223372036854775809"),
       ]),
+    *(Row(f"{command}-judgments-invalid-json-before-bad-bytes", (command, "judgments.jsonl"),
+          "error: judgments.jsonl:19: invalid JSON (Expecting ',' delimiter)",
+          {"judgments.jsonl": appended("judgments.jsonl", '{"item": "i"').encode() + b"\xff\n"})
+      for command in ("agg", "alpha")),
     *(Row(f"{command}-judgments-item-with-a-tab", (command, "judgments.jsonl"),
           "error: judgments.jsonl:3: item id 'a\\tb' holds a tab or line break",
           {"judgments.jsonl": _text([JUDGMENT % ("c", "w1", 2), "", JUDGMENT % ("a\\tb", "w1", 1),
@@ -382,6 +489,20 @@ ROWS = [
     Row("qrels-4000-digit-grade", (*EVAL, "1"), f"error: qrels.tsv:7: {GRADES} {SHOWN_4000}",
         {"qrels.tsv": appended("qrels.tsv", f"Museum\t{DIGITS[:4000]}")}),
     Row("qrels-not-utf-8", (*EVAL, "1"), f"error: qrels.tsv:{UTF8_FAULT}", {"qrels.tsv": NOT_UTF8}),
+    # A repeated item, which the qrels property's random files reach too
+    # seldom, and grades that are not ASCII digits, which its oracle reads.
+    Row("qrels-repeated-item", (*EVAL, "1"), "error: qrels.tsv:7: duplicate item 'Museum'",
+        {"qrels.tsv": appended("qrels.tsv", "Museum\t2")}),
+    *(Row(f"qrels-grade-{label}", (*EVAL, "1"),
+          f"error: qrels.tsv:7: grade {shown(grade)} is not an integer",
+          {"qrels.tsv": appended("qrels.tsv", f"Atlantis\t{grade}")})
+      for label, grade in [("underscore", "0_3"), ("space", " 3"), ("arabic-3", "\u0663")]),
+    *(Row(f"qrels-{label}", (*EVAL, "1"), f"error: qrels.tsv:7: {reason}",
+          {"qrels.tsv": appended("qrels.tsv", line)})
+      for label, line, reason in [
+          ("grade-9", "Atlantis\t9", f"{GRADES} 9"),
+          ("one-field", "Atlantis 1", "expected 2 tab-separated fields, got 1"),
+      ]),
     # Success runs: rank, every strategy with and without --bidirectional,
     # on the fixture and on its ids rewritten as long URIs.
     *(Row(f"rank-{name}{label}", (*RANK, "--strategy", name, *flags), code=0,
@@ -414,6 +535,26 @@ ROWS = [
         (*RANK, "--strategy", "HIT", "--emit-priors", "priors.tsv"), files=STOPWORD_TEXTS,
         code=0, out=golden("rank_HIT.tsv"), written={"priors.tsv": STOPWORD_PRIORS},
         err=(uniform_svd_warning(1, "6x0"),)),
+    # A result that mentions no resource still counts in the page size.
+    Row("rank-HIT-result-without-mentions", (*RANK, "--strategy", "HIT"),
+        files={"serp.tsv": appended("serp.tsv", "4\td\t")}, code=0, out=ranking(
+            ("Germany", "0.309856906737"), ("Europe", "0.250954897209"),
+            ("Berlin", "0.206569054214"), ("Museum", "0.0992820396857"),
+            ("City", "0.0822545084516"), ("River", "0.0510825937023"))),
+    # Blank lines and comment lines, indented or not, change nothing.
+    Row("rank-HIT-graph-blank-and-comment-lines", (*RANK, "--strategy", "HIT"),
+        files={"graph.tsv": _text(line for pair in zip(_lines("graph.tsv"),
+                                                       ["", "   ", "  # d", "\t#e"] * 3)
+                                  for line in pair)},
+        code=0, out=golden("rank_HIT.tsv")),
+    Row("rank-query-comment-lines", RANK, files={"query.txt": "# the query\n  #b\n\nGermany\n"},
+        code=0, out=golden("rank_LDRANK.tsv")),
+    # An empty query amplifies the top HIT resource alone: Berlin, as the
+    # query "Berlin" does.
+    Row("rank-empty-query", RANK, files={"query.txt": ""}, code=0, out=ranking(
+        ("Berlin", "0.289186982661"), ("Germany", "0.269057363245"),
+        ("Europe", "0.21454549527"), ("Museum", "0.100504921159"),
+        ("City", "0.0936823036508"), ("River", "0.0330229340143"))),
     # The largest --stress below the overflow (from 1e200, an error row).
     Row("rank-stress-1e150", (*RANK, "--stress", "1e150"), code=0, out=ranking(
         ("Germany", "0.357834210775"), ("Europe", "0.276789095843"),
@@ -434,6 +575,9 @@ ROWS = [
     Row("eval-spaced-cutoffs", (*EVAL, " 1 , 3,,5 "), code=0, out=EVAL_TABLE, err=TIMINGS),
     Row("eval-indented-comment", ("eval", "m.tsv", "--cutoffs", "1,3,5"),
         files={"m.tsv": _text(["  # note", ENTRY])}, code=0, out=EVAL_TABLE, err=TIMINGS),
+    Row("eval-qrels-blank-and-comment-lines", (*EVAL, "1,3,5"),
+        files={"qrels.tsv": _text(["  # note", "", *_lines("qrels.tsv"), "   ", "#x\t3"])},
+        code=0, out=EVAL_TABLE, err=TIMINGS),
     *(Row(f"eval-no-bundles{label}", ("eval", "m.tsv", "--cutoffs", "1,3", *flags),
           files={"m.tsv": "# no bundles yet\n"}, code=0, out=b"strategy\tndcg@1\tndcg@3\n")
       for label, flags in [("", ()), ("-per-query", ("--per-query",))]),

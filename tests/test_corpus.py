@@ -1,4 +1,4 @@
-import re
+import json
 import tracemalloc
 from unittest import mock
 
@@ -24,23 +24,6 @@ def test_load_bundle_basic(basic_bundle):
     assert {b.resource_ids[i] for i in b.query} == {"Germany"}
 
 
-def test_load_bundle_is_deterministic(basic_dir):
-    paths = (
-        basic_dir / "graph.tsv",
-        basic_dir / "texts.jsonl",
-        basic_dir / "serp.tsv",
-        basic_dir / "query.txt",
-    )
-    a = load_bundle(*paths)
-    b = load_bundle(*paths)
-    assert a.resource_ids == b.resource_ids
-    assert np.array_equal(a.graph_edges, b.graph_edges)
-    assert a.texts == b.texts
-    assert a.serp_size == b.serp_size
-    assert np.array_equal(a.mentions, b.mentions)
-    assert a.query == b.query
-
-
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
@@ -59,90 +42,6 @@ def _bundle_files(tmp_path, graph=None, texts=None, serp=None, query=None):
     return graph_p, texts_p, serp_p, query_p
 
 
-def test_graph_line_field_count_error(tmp_path):
-    files = _bundle_files(tmp_path, graph="a\tp\n")
-    with pytest.raises(InputFormatError) as exc:
-        load_bundle(*files)
-    assert "g.tsv" in str(exc.value)
-    assert ":1:" in str(exc.value)
-
-
-def test_graph_comments_and_blank_lines_skipped(tmp_path):
-    files = _bundle_files(tmp_path, graph="# comment\n\na\tp\tb\n")
-    bundle = load_bundle(*files)
-    assert bundle.graph_edges.tolist() == [[0, 1]]
-
-
-def test_resource_id_with_whitespace_rejected(tmp_path):
-    files = _bundle_files(tmp_path, graph="a b\tp\tb\n")
-    with pytest.raises(InputFormatError):
-        load_bundle(*files)
-
-
-def test_texts_bad_json_reports_line(tmp_path):
-    files = _bundle_files(tmp_path, texts='{"id": "a", "text": "x"}\n{oops\n')
-    with pytest.raises(InputFormatError) as exc:
-        load_bundle(*files)
-    assert ":2:" in str(exc.value)
-
-
-def test_texts_duplicate_id_rejected(tmp_path):
-    files = _bundle_files(
-        tmp_path,
-        texts='{"id": "a", "text": "x"}\n{"id": "a", "text": "y"}\n',
-        graph="",
-        serp="",
-        query="",
-    )
-    with pytest.raises(InputFormatError):
-        load_bundle(*files)
-
-
-def test_texts_missing_field_rejected(tmp_path):
-    files = _bundle_files(tmp_path, texts='{"id": "a"}\n')
-    with pytest.raises(InputFormatError):
-        load_bundle(*files)
-
-
-def test_serp_duplicate_rank_rejected(tmp_path):
-    files = _bundle_files(tmp_path, serp="1\td1\ta\n1\td2\tb\n")
-    with pytest.raises(InputFormatError) as exc:
-        load_bundle(*files)
-    assert "duplicate rank" in str(exc.value)
-
-
-def test_serp_gap_in_ranks_rejected(tmp_path):
-    files = _bundle_files(tmp_path, serp="1\td1\ta\n3\td2\tb\n")
-    with pytest.raises(InputFormatError) as exc:
-        load_bundle(*files)
-    assert "contiguous" in str(exc.value)
-
-
-def test_serp_empty_mention_list_ok(tmp_path):
-    files = _bundle_files(tmp_path, serp="1\td1\t\n2\td2\ta\n")
-    bundle = load_bundle(*files)
-    assert bundle.serp_size == 2
-    assert bundle.mentions.tolist() == [[0, 2]]
-
-
-def test_dangling_references_rejected(tmp_path):
-    # Graph endpoint not present in the texts table.
-    files = _bundle_files(tmp_path, graph="a\tp\tzzz\n")
-    with pytest.raises(ValueError) as exc:
-        load_bundle(*files)
-    assert "zzz" in str(exc.value)
-
-    # Query entry not present in the texts table.
-    files = _bundle_files(tmp_path, query="zzz\n")
-    with pytest.raises(ValueError):
-        load_bundle(*files)
-
-    # Result-page mention not present in the texts table.
-    files = _bundle_files(tmp_path, serp="1\td1\tzzz\n")
-    with pytest.raises(ValueError):
-        load_bundle(*files)
-
-
 # 64 bytes with its line break, so a 64 KiB block holds 1024 such lines.
 _TRIPLE = "a\t" + "p" * 59 + "\tb"
 
@@ -151,26 +50,6 @@ def _many_chunk_graph(n_lines, bad):
     """``n_lines`` of ``a<TAB>ppp...<TAB>b``, with ``bad`` mapping line
     numbers to the lines that replace them."""
     return "".join(bad.get(k, _TRIPLE) + "\n" for k in range(1, n_lines + 1))
-
-
-# Line 3500 lies in the fourth block of 1024 lines, with line 3501.
-@pytest.mark.parametrize("bad, error, message", [
-    ({3500: "a\tp\tzzz", 3501: "a\tp"}, InputFormatError,
-     ":3500: graph object 'zzz' has no entry in the texts table"),
-    ({3500: "a\tp", 3501: "a\tp\tzzz"}, InputFormatError,
-     ":3500: expected 3 tab-separated fields, got 2"),
-    ({3500: "zzz\tp\tb", 3501: "a\t\tb"}, InputFormatError,
-     ":3500: graph subject 'zzz' has no entry in the texts table"),
-    ({3500: "a\t\tb", 3501: "zzz\tp\tb"}, InputFormatError, ":3500: empty predicate"),
-])
-def test_graph_fault_on_an_earlier_line_of_a_chunk_is_reported_first(
-    tmp_path, bad, error, message
-):
-    files = _bundle_files(tmp_path, graph=_many_chunk_graph(4000, bad))
-    with pytest.raises(error) as exc:
-        load_bundle(*files)
-    assert type(exc.value) is error
-    assert str(exc.value).endswith(message)
 
 
 def test_clean_graph_chunks_are_taken_in_bulk(tmp_path):
@@ -253,17 +132,6 @@ def test_an_id_too_long_for_the_table_rows_goes_through_the_line_rules(tmp_path)
     assert peak < 16 * words
 
 
-def test_an_empty_texts_file_leaves_every_graph_endpoint_dangling(tmp_path):
-    # With no id in any file either, the texts file names itself at line 0.
-    files = _bundle_files(tmp_path, graph="# c\n", texts="\n", serp="", query="# q\n")
-    message = f"{files[1]}:0: need at least one resource"
-    with pytest.raises(InputFormatError, match=f"^{re.escape(message)}$"):
-        load_bundle(*files)
-    files = _bundle_files(tmp_path, graph="# c\na\tp\tb\n", texts="", serp="", query="")
-    with pytest.raises(ValueError, match="graph subject 'a' has no entry in the texts table"):
-        load_bundle(*files)
-
-
 def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_dir, tmp_path):
     # The fixture's comment line goes through the line rules; without it,
     # every line is taken in bulk.
@@ -282,111 +150,6 @@ def test_basic_fixture_loads_alike_in_bulk_and_line_by_line(basic_bundle, basic_
     assert bulk.serp_size == basic_bundle.serp_size
     assert np.array_equal(bulk.mentions, basic_bundle.mentions)
     assert bulk.query == basic_bundle.query
-
-
-def test_empty_query_file_ok(tmp_path):
-    files = _bundle_files(tmp_path, query="")
-    bundle = load_bundle(*files)
-    assert bundle.query == frozenset()
-
-
-def test_non_utf8_file_rejected(tmp_path):
-    files = _bundle_files(tmp_path)
-    files[0].write_bytes(b"a\tp\tb\xff\n")
-    with pytest.raises(InputFormatError):
-        load_bundle(*files)
-
-
-@pytest.mark.parametrize("rank", ["0_1", " 1", "١"])
-def test_serp_rank_must_be_ascii_digits(tmp_path, rank):
-    files = _bundle_files(tmp_path, serp=f"{rank}\td1\ta\n")
-    message = re.escape(f"s.tsv:1: rank {rank!r} is not an integer") + "$"
-    with pytest.raises(InputFormatError, match=message):
-        load_bundle(*files)
-
-
-def test_serp_negative_rank_message_is_kept(tmp_path):
-    files = _bundle_files(tmp_path, serp="-1\td1\ta\n")
-    with pytest.raises(InputFormatError, match=r"s.tsv:1: rank must be positive, got -1$"):
-        load_bundle(*files)
-
-
-def test_texts_id_starting_with_hash_is_rejected(tmp_path):
-    files = _bundle_files(
-        tmp_path,
-        graph="#a\tp\tb\nb\tp\t#a\n",
-        texts='{"id": "b", "text": "beta"}\n{"id": "#a", "text": "alpha"}\n',
-        serp="",
-        query="",
-    )
-    with pytest.raises(InputFormatError, match=r"t.jsonl:2: resource id '#a' starts with '#'$"):
-        load_bundle(*files)
-
-
-def test_texts_id_with_comma_is_rejected(tmp_path):
-    files = _bundle_files(
-        tmp_path,
-        graph="a\tp\ta\n",
-        texts='{"id": "a", "text": "alpha"}\n{"id": "a,b", "text": "beta"}\n',
-        serp="1\td1\ta,b\n",
-        query="",
-    )
-    with pytest.raises(InputFormatError, match=r"t.jsonl:2: resource id 'a,b' contains ','$"):
-        load_bundle(*files)
-
-
-@pytest.mark.parametrize("graph, query, role", [
-    ("a,b\tp\ta\n", "a\n", "graph subject"),
-    ("a\tp\ta\n", "a,b\n", "query resource"),
-])
-def test_reference_with_comma_is_dangling(tmp_path, graph, query, role):
-    files = _bundle_files(tmp_path, graph=graph, serp="", query=query)
-    # A graph endpoint and a query entry are each reported at their line.
-    where = r".*g\.tsv:1: " if role.startswith("graph") else r".*q\.txt:1: "
-    with pytest.raises(ValueError, match=f"^{where}{role} 'a,b' has no entry in the texts table$"):
-        load_bundle(*files)
-
-
-def test_first_dangling_query_entry_in_id_order_is_reported(tmp_path):
-    # The query is a set, so its iteration order follows the string hash;
-    # the entries are resolved in id order, so one id is named in every run.
-    query = "".join(f"q{k:02d}\n" for k in range(20, 0, -1))
-    files = _bundle_files(tmp_path, query=query)
-    with pytest.raises(InputFormatError, match=r"q\.txt:20: query resource 'q01' has no entry"):
-        load_bundle(*files)
-
-
-@pytest.mark.parametrize("serp, query, where", [
-    ("1\td1\ta\n# c\n2\td2\tb,zz\n", "b\n", r"s\.tsv:3: result-page resource 'zz'"),
-    ("2\td2\tzz\n1\td1\tyy\n", "b\n", r"s\.tsv:2: result-page resource 'yy'"),
-    ("1\td1\ta\n", "b\n\nzz\nzz\n", r"q\.txt:3: query resource 'zz'"),
-    ("1\td1\tzz\n", "yy\n", r"q\.txt:1: query resource 'yy'"),
-], ids=["mention", "mention-in-rank-order", "query-first-line", "query-before-mentions"])
-def test_dangling_query_entry_or_mention_is_reported_at_its_line(tmp_path, serp, query, where):
-    files = _bundle_files(tmp_path, serp=serp, query=query)
-    with pytest.raises(InputFormatError, match=f"^.*{where} has no entry in the texts table$"):
-        load_bundle(*files)
-
-
-@pytest.mark.parametrize("graph, serp, where", [
-    ("a\tp\t#b\n", "1\td1\ta\n", r"g.tsv:1: object '#b'"),
-    ("a\tp\tb\n", "1\td1\ta,#b\n", r"s.tsv:1: resource id '#b'"),
-])
-def test_reference_starting_with_hash_is_rejected(tmp_path, graph, serp, where):
-    files = _bundle_files(tmp_path, graph=graph, serp=serp)
-    with pytest.raises(InputFormatError, match=where + " starts with '#'$"):
-        load_bundle(*files)
-
-
-def test_hash_line_is_a_comment_in_a_query_file(tmp_path):
-    files = _bundle_files(tmp_path, query="# the query\n  #b\nb\n")
-    assert load_bundle(*files).query == frozenset({1})
-
-
-def test_missing_file_raises_oserror(tmp_path):
-    files = _bundle_files(tmp_path)
-    with pytest.raises(OSError):
-        load_bundle(tmp_path / "nope.tsv", files[1], files[2], files[3])
 
 
 def test_assemble_orders_ids_lexicographically():
@@ -461,6 +224,39 @@ def test_assemble_bundle_names_an_unknown_id_in_any_role(parsed, role, at, unkno
         assemble_bundle(triples, texts, serp, query)
     assert type(exc.value) is ValueError
     assert str(exc.value) == f"{what} {unknown!r} has no entry in the texts table"
+
+
+
+def _mostly(good, bad):
+    """Draw from ``good`` three times in four, else from ``bad``."""
+    return st.integers(0, 3).flatmap(lambda k: bad if k == 0 else good)
+
+
+# Ids and texts of records a texts file may or may not hold: each record
+# rule is broken by some, and about a third of the tables build.
+_RECORD_IDS = _mostly(
+    _NAMES, st.sampled_from(["", "#a", "a b", "a\x85", "a,b", "Zed\ud800", "\xe9", 0, None]),
+)
+_RECORD_TEXTS = _mostly(st.text(alphabet="xyz ", max_size=4), st.sampled_from([1, None, ["t"]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_RECORD_IDS, _RECORD_TEXTS, min_size=1, max_size=4))
+def test_assemble_bundle_takes_the_records_load_bundle_takes(tmp_path_factory, texts):
+    # The same records as a texts file: the same bundle, or the loader's
+    # reason without its "path:line: " prefix.
+    lines = "".join(json.dumps({"id": rid, "text": text}) + "\n" for rid, text in texts.items())
+    files = _bundle_files(tmp_path_factory.mktemp("texts"), graph="", texts=lines, serp="",
+                          query="")
+    try:
+        loaded = load_bundle(*files)
+    except InputFormatError as exc:
+        with pytest.raises(ValueError) as built:
+            assemble_bundle([], texts, [], [])
+        assert type(built.value) is ValueError and str(built.value) == exc.reason
+        return
+    built = assemble_bundle([], texts, [], [])
+    assert (built.resource_ids, built.texts) == (loaded.resource_ids, loaded.texts)
 
 
 @settings(max_examples=100, deadline=None)

@@ -287,22 +287,6 @@ def test_load_judgments_fixture(fixtures_dir):
     assert js.records[0]["trust"] == 0.9
 
 
-def test_load_judgments_reports_bad_lines(tmp_path):
-    path = tmp_path / "j.jsonl"
-    path.write_text('{"item": "a", "worker": "w", "grade": 2}\nnot json\n')
-    with pytest.raises(InputFormatError) as exc:
-        load_judgments(path)
-    assert ":2:" in str(exc.value)
-
-    path.write_text('{"item": "a", "worker": "w", "grade": 9}\n')
-    with pytest.raises(InputFormatError):
-        load_judgments(path)
-
-    path.write_text('{"item": "a", "grade": 1}\n')
-    with pytest.raises(InputFormatError):
-        load_judgments(path)
-
-
 def test_qrels_round_trip(tmp_path):
     judged = RelevanceJudgments(grades={"b": 2, "a": 0, "c": 3})
     text = format_qrels(judged)
@@ -376,34 +360,6 @@ def test_qrels_written_by_format_qrels_load_back(tmp_path_factory, grades):
     path = tmp_path_factory.mktemp("qrels") / "q.tsv"
     path.write_text(format_qrels(judged), encoding="utf-8", newline="")
     assert load_qrels(path).grades == judged.grades
-
-
-def test_load_qrels_validation(tmp_path):
-    path = tmp_path / "q.tsv"
-    path.write_text("a\t9\n")
-    with pytest.raises(InputFormatError):
-        load_qrels(path)
-    path.write_text("a\t1\na\t2\n")
-    with pytest.raises(InputFormatError):
-        load_qrels(path)
-    path.write_text("a 1\n")
-    with pytest.raises(InputFormatError):
-        load_qrels(path)
-
-
-@pytest.mark.parametrize("grade", ["0_3", "٣", " 3"])
-def test_qrels_grade_must_be_ascii_digits(tmp_path, grade):
-    path = tmp_path / "q.tsv"
-    path.write_text(f"a\t{grade}\n", encoding="utf-8")
-    message = re.escape(f"q.tsv:1: grade {grade!r} is not an integer") + "$"
-    with pytest.raises(InputFormatError, match=message):
-        load_qrels(path)
-
-
-def test_indented_comment_is_a_comment_in_qrels(tmp_path):
-    path = tmp_path / "q.tsv"
-    path.write_text("  # note\na\t3\n#x\t3\n", encoding="utf-8")
-    assert load_qrels(path).grades == {"a": 3}
 
 
 # ------------------------------------------------- columns against oracles
@@ -663,6 +619,18 @@ _LINES = _mostly(
     lines=['{"item": "a", "worker": "w", "grade": 7}', "not json"],
     ends=["\n"] * 14, last_end=True, chunk=4096,
 )
+# A bool is no trust; a NaN trust is given, so out of range; a trust too
+# large for a float is out of range too; a grade beyond int64 is named in
+# full, before the trust out of range on its line.
+@example(lines=['{"item": "a", "worker": "w", "grade": 1, "trust": true}'],
+         ends=["\n"] * 14, last_end=True, chunk=4096)
+@example(lines=['{"item": "a", "worker": "w", "grade": 1}',
+                '{"item": "b", "worker": "w", "grade": 1, "trust": NaN}'],
+         ends=["\n"] * 14, last_end=True, chunk=4096)
+@example(lines=['{"item": "a", "worker": "w", "grade": 1, "trust": 1%s}' % ("0" * 400)],
+         ends=["\n"] * 14, last_end=True, chunk=4096)
+@example(lines=['{"item": "a", "worker": "w", "grade": %d, "trust": 2}' % (-(2**63) - 1)],
+         ends=["\n"] * 14, last_end=True, chunk=4096)
 def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end, chunk):
     text = "".join(line + end for line, end in zip(lines, ends))
     if lines and not last_end:
@@ -736,51 +704,3 @@ def test_from_records_rejects_a_record_that_is_not_a_mapping(record, kind):
         JudgmentSet.from_records(records[::-1])
 
 
-def test_chunked_parse_reports_format_error_before_bad_bytes(tmp_path):
-    good = '{"item": "a", "worker": "w%d", "grade": 1}\n'
-    path = tmp_path / "j.jsonl"
-    path.write_bytes(
-        "".join(good % k for k in range(3)).encode()
-        + b"not json\n"
-        + "".join(good % k for k in range(3, 9000)).encode()
-        + b"\xff\n"
-    )
-    with pytest.raises(InputFormatError, match=r":4: invalid JSON"):
-        load_judgments(path)
-    path.write_bytes("".join(good % k for k in range(9000)).encode() + b"\xff\n")
-    with pytest.raises(InputFormatError, match=r":0: not valid UTF-8"):
-        load_judgments(path)
-
-
-@pytest.mark.parametrize("trust", ["true", "false"])
-def test_load_judgments_rejects_a_boolean_trust(tmp_path, trust):
-    path = tmp_path / "j.jsonl"
-    path.write_text('{"item": "a", "worker": "w", "grade": 1, "trust": %s}\n' % trust)
-    with pytest.raises(InputFormatError, match=r':1: field "trust" must be numeric$'):
-        load_judgments(path)
-    with pytest.raises(InputFormatError, match=r':1: field "trust" must be numeric$'):
-        _load_line_by_line(path)
-
-
-@pytest.mark.parametrize("fields, reason", [
-    ({"grade": 1, "trust": float("nan")}, "trust must lie in [0, 1], got nan"),
-    ({"grade": 10**30}, f"grade must be one of (0, 1, 2, 3), got {10**30}"),
-    ({"grade": -(2**63) - 1, "trust": 2}, f"grade must be one of (0, 1, 2, 3), got {-(2**63) - 1}"),
-])
-def test_nan_trust_and_huge_grades_are_range_errors(tmp_path, fields, reason):
-    # A given NaN trust is not a missing one, and a grade beyond int64 is
-    # named in full, by both entry points.
-    path = tmp_path / "j.jsonl"
-    path.write_text('{"item": "a", "worker": "w", "grade": 1}\n'
-                    + json.dumps({"item": "b", "worker": "w", **fields}) + "\n")
-    with pytest.raises(InputFormatError, match=re.escape(f":2: {reason}") + "$"):
-        load_judgments(path)
-    with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
-        _one_record(**fields)
-
-
-def test_load_judgments_huge_trust_is_a_format_error(tmp_path):
-    path = tmp_path / "j.jsonl"
-    path.write_text('{"item": "a", "worker": "w", "grade": 1, "trust": 1%s}\n' % ("0" * 400))
-    with pytest.raises(InputFormatError, match=r":1: trust must lie in \[0, 1\]"):
-        load_judgments(path)

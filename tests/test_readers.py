@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ldrank.types as types_module
-from ldrank import InputFormatError, load_judgments, load_qrels
+from ldrank import InputFormatError, load_qrels
 from ldrank.cli import _read_manifest
 from ldrank.corpus import _graph_file_ids, _read_query_file, _read_serp_file, _read_texts_file
 from ldrank.types import parse_int, read_lines, read_rows
@@ -106,6 +106,14 @@ _TEXT_LINES = _mostly(
     lines=['{"id": "a", "text": "x"}', "{oops", '{"id": "b", "text": "y"}'],
     ends=["\n"] * 14, last_end=True, bad_bytes=True, chunk=2,
 )
+@example(  # an id with a ",", which would split a result page's mention list
+    lines=['{"id": "a", "text": "x"}', '{"id": "a,b", "text": "y"}'],
+    ends=["\n"] * 14, last_end=True, bad_bytes=False, chunk=4096,
+)
+@example(  # a duplicate id, a format error and bytes that are not UTF-8, in one block
+    lines=['{"id": "a", "text": "x"}', '{"id": "a", "text": "y"}', "{oops"],
+    ends=["\n"] * 14, last_end=True, bad_bytes=True, chunk=1 << 16,
+)
 @example(  # an id that JSON spells with a lone surrogate, then a duplicate id
     lines=['{"id": "a", "text": "x"}', '{"id": "Zed\\ud800", "text": "x"}',
            '{"id": "a", "text": "y"}'],
@@ -125,23 +133,6 @@ def test_texts_reader_matches_line_loop(tmp_path_factory, lines, ends, last_end,
     with mock.patch.object(types_module, "_CHUNK_BYTES", chunk):
         got = _outcome(_read_texts_file, path)
     assert got == _outcome(oracles.texts_by_line, path)
-
-
-# Line 8500 lies in the 64 KiB block that holds the bad bytes, so it is
-# reached only through the lines that block yields before them.
-@pytest.mark.parametrize("bad", [4, 8500])
-def test_texts_reader_reports_format_error_before_bad_bytes(tmp_path, bad):
-    good = '{"id": "r%d", "text": "x"}\n'
-    path = tmp_path / "t.jsonl"
-    path.write_bytes(
-        "".join(good % k for k in range(bad - 1)).encode()
-        + b'{"id": "r0", "text": "again"}\n'
-        + "".join(good % k for k in range(bad - 1, 9000)).encode()
-        + b"\xff\n"
-    )
-    with pytest.raises(InputFormatError, match=f":{bad}: duplicate resource id 'r0'"):
-        _read_texts_file(path)
-    assert _outcome(_read_texts_file, path) == _outcome(oracles.texts_by_line, path)
 
 
 # ---------------------------------------- tab-separated files vs line loops
@@ -275,15 +266,6 @@ def test_graph_chunks_resolve_as_line_loop(tmp_path_factory, lines, flaws, ends,
 # --------------------------------------------------- the shared line rules
 
 
-def test_read_rows_skips_blank_and_comment_lines(tmp_path):
-    path = tmp_path / "f.tsv"
-    path.write_text("a\tb\n\n   \n# c\n  # d\n\t#e\nc\td\n", encoding="utf-8")
-    assert list(read_rows(path, 2)) == [(1, ["a", "b"]), (7, ["c", "d"])]
-    path.write_text("a\tb\n\nc\n", encoding="utf-8")
-    with pytest.raises(InputFormatError, match=r":3: expected 2 tab-separated pairs, got 1$"):
-        list(read_rows(path, 2, "pairs"))
-
-
 def test_read_rows_yields_every_row_before_bad_bytes(tmp_path):
     # 30000 rows: the bad bytes lie blocks into the file, and the rows of the
     # block that holds them must be yielded, none skipped or repeated.
@@ -326,26 +308,6 @@ def test_read_lines_splits_as_text_mode_and_yields_lines_before_bad_bytes(
         got.extend(read_lines(path))
     assert str(exc.value) == f"{path}:0: not valid UTF-8 (invalid start byte)"
     assert got == (want if text.endswith(("\n", "\r")) or not text else want[:-1])
-
-
-# Bad bytes in the same chunk as an earlier malformed line.
-@pytest.mark.parametrize("name, load, data, reason", [
-    ("t.jsonl", _read_texts_file,
-     b'{"id": "a", "text": "x"}\n{oops\n\xff\n',
-     "invalid JSON (Expecting property name enclosed in double quotes)"),
-    ("g.tsv", lambda p: list(chain.from_iterable(_graph_file_ids(p, _GRAPH_INDEX))),
-     b"a\tp\ta\nb\tp\n\xff\n",
-     "expected 3 tab-separated fields, got 2"),
-    ("j.jsonl", load_judgments,
-     b'{"item": "i", "worker": "w", "grade": 1}\n{"item": "i"\n\xff\n',
-     "invalid JSON (Expecting ',' delimiter)"),
-])
-def test_format_error_before_bad_bytes_in_one_block(tmp_path, name, load, data, reason):
-    path = tmp_path / name
-    path.write_bytes(data)
-    with pytest.raises(InputFormatError) as exc:
-        load(path)
-    assert str(exc.value) == f"{path}:2: {reason}"
 
 
 @pytest.mark.parametrize("text", ["0_1", " 1", "1 ", "+1", "٣", "1\x85", "", "-", "1e3"])
