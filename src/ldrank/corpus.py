@@ -86,6 +86,15 @@ def _record_fault(rid, text) -> str | None:
     return None
 
 
+def _predicate_fault(predicate) -> str | None:
+    """Why ``predicate`` is no triple's predicate, or None: it is a
+    non-empty ``str``, whether a graph file line or ``assemble_bundle``
+    gives it."""
+    if not isinstance(predicate, str):
+        return f"predicate must be a string, got {shown(predicate)}"
+    return None if predicate else "empty predicate"
+
+
 def _resolve(index: dict[str, int], rid: str, role: str, path=None, line_no: int = 0) -> int:
     """``rid``'s index, else ``InputFormatError`` at ``path:line_no``, or
     ``ValueError`` with no ``path``."""
@@ -250,8 +259,9 @@ def _graph_line_ids(path, line_no: int, line: str,
     subject, predicate, obj = _fields(path, line_no, line, 3)
     _check_resource_id(subject, path, line_no, "subject")
     _check_resource_id(obj, path, line_no, "object")
-    if not predicate:
-        raise InputFormatError(path, line_no, "empty predicate")
+    reason = _predicate_fault(predicate)
+    if reason:
+        raise InputFormatError(path, line_no, reason)
     return (_resolve(index, subject, "graph subject", path, line_no),
             _resolve(index, obj, "graph object", path, line_no))
 
@@ -337,11 +347,13 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp, query) -> CorpusBu
     triples, consumed once (a generator works); ``serp`` is a sequence
     holding, per result in rank order, a list of the resource ids it
     mentions.  Each entry of ``texts`` must be a record a texts file can
-    hold, or its first bad one raises ``ValueError`` with the reason
+    hold, and each predicate a non-empty ``str``, as on a graph file line,
+    or the first bad one raises ``ValueError`` with the reason
     ``load_bundle`` gives.  Then an identifier with no entry in the texts
     table raises ``ValueError`` naming it; graph endpoints are resolved
-    first, then query entries, then result-page mentions.  ``load_bundle``
-    maps identifiers to indices by the same rules.
+    first, each triple's predicate checked before them, then query
+    entries, then result-page mentions.  ``load_bundle`` maps identifiers
+    to indices by the same rules.
     """
     for rid, text in texts.items():
         reason = _record_fault(rid, text)
@@ -349,7 +361,10 @@ def assemble_bundle(graph_edges, texts: dict[str, str], serp, query) -> CorpusBu
             raise ValueError(reason)
     index = _index(texts)
     ids = []
-    for s, _p, o in graph_edges:
+    for s, p, o in graph_edges:
+        reason = _predicate_fault(p)
+        if reason:
+            raise ValueError(reason)
         ids.append(_resolve(index, s, "graph subject"))
         ids.append(_resolve(index, o, "graph object"))
     edges = np.array(ids, dtype=np.int64).reshape(-1, 2)

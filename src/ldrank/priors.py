@@ -11,9 +11,11 @@ Three independent experts emit a prior each:
   when the count rows of the resources under focus are amplified (each
   entry of the ``SparseMatrix`` of counts scaled by its row) and the
   truncated SVD is recomputed; its dimension and stress come from
-  ``PipelineParams``, which checked their ranges.  ``sparse_svd`` gives
-  one result per matrix, so a stress that leaves the counts as they are
-  (stress 1, or focus rows without stems) drifts by exactly zero.
+  ``PipelineParams``, which checked their ranges.  A drift no larger
+  than the rounding of the norms (``DRIFT_ROUNDING``) counts as none, so
+  a stress that leaves the counts, or every coordinate norm, as they are
+  (stress 1, focus rows without stems, or a focus block whose singular
+  value stays below sigma_k) drifts by zero.
 
 One rule, ``_normalized``, turns evidence weights into a prior: they are
 divided by their total, or, when no weight is positive, the prior falls
@@ -36,6 +38,10 @@ __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
 #: Singular values closer than this fraction of the largest one count as tied.
 TIE_RTOL = 1e-9
+#: Each coordinate norm is computed to within a few float64 roundings of the
+#: largest one, so a drift up to this many epsilons of the largest norm, of
+#: either matrix, is rounding, not growth.
+DRIFT_ROUNDING = 64
 
 
 def equi_prior(n: int) -> Distribution:
@@ -102,12 +108,14 @@ def svd_prior(
     Computes rank-k coordinates (k = ``params.ndim``) for every resource,
     multiplies the count rows of the ``info_need`` resources by
     ``params.stress``, recomputes the coordinates, and scores each resource
-    by the growth of its coordinate norm (negative drifts clamp to zero).
-    If sigma_k ties sigma_(k+1), k widens over the tie (see ``TIE_RTOL``).
-    All-zero drift falls back to the uniform distribution with a warning,
-    and so does a ``k`` above the rank bound min(resources, stems), which
-    includes an empty vocabulary.  A stress so large that the squared
-    stressed counts overflow float64 raises ``ValueError``.
+    by the growth of its coordinate norm.  A drift at or below
+    ``DRIFT_ROUNDING`` * float64 epsilon * the largest norm of either
+    matrix counts as zero, and so does a negative one.  If sigma_k ties
+    sigma_(k+1), k widens over the tie (see ``TIE_RTOL``).  All-zero drift
+    falls back to the uniform distribution with a warning, and so does a
+    ``k`` above the rank bound min(resources, stems), which includes an
+    empty vocabulary.  A stress so large that the squared stressed counts
+    overflow float64 raises ``ValueError``.
     """
     n = matrix.n_resources
     focus = integer_array(list(info_need), "info_need", n)
@@ -131,7 +139,10 @@ def svd_prior(
         )
 
     grown = _coordinate_norms(replace(counts, data=stressed), k)
-    drift = np.maximum(grown - _coordinate_norms(counts, k), 0.0)
+    norms = _coordinate_norms(counts, k)
+    rounding = DRIFT_ROUNDING * np.finfo(np.float64).eps * max(grown.max(), norms.max())
+    drift = grown - norms
+    drift[drift <= rounding] = 0.0
     return _normalized(
         drift,
         "latent coordinates did not grow for any resource; svd prior falls back to uniform",

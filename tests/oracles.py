@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ldrank.judgments import JudgmentSet
 from ldrank.types import Distribution, InputFormatError, SparseMatrix, read_lines
 
 
@@ -434,6 +435,24 @@ def _records_by_line(path, numbered_lines):
         yield {"item": item, "worker": worker, "grade": grade, "trust": trust}
 
 
+def judgments_by_line(path):
+    """The per-line loop over the whole file, as ``load_judgments`` ran it
+    before chunking; a repeated pair is reported at the first line that
+    repeats one."""
+    records = list(_records_by_line(path, read_lines(path)))
+    try:
+        return JudgmentSet.from_records(records)
+    except ValueError as exc:
+        seen = set()
+        numbers = (line_no for line_no, line in read_lines(path) if line.strip())
+        for line_no, record in zip(numbers, records):
+            pair = record["item"], record["worker"]
+            if pair in seen:
+                raise InputFormatError(path, line_no, str(exc)) from exc
+            seen.add(pair)
+        raise
+
+
 def item_id_fault(item):
     """Why a non-empty ``str`` cannot be an item id, character by
     character, or None: a qrels line cannot hold it."""
@@ -535,6 +554,24 @@ def graph_triples_by_line(path):
         yield line_no, subject, predicate, obj
 
 
+def _resolved(index, rid, role, path, line_no):
+    """``rid``'s index in ``index``, else the fault of a dangling id."""
+    if rid not in index:
+        reason = f"{role} {shown(rid)} has no entry in the texts table"
+        raise InputFormatError(path, line_no, reason)
+    return index[rid]
+
+
+def graph_ids_by_line(path, index):
+    """The subject and object indices of a graph file's triples, in turn,
+    each endpoint resolved in ``index`` as its line is checked."""
+    ids = []
+    for line_no, subject, _predicate, obj in graph_triples_by_line(path):
+        ids.append(_resolved(index, subject, "graph subject", path, line_no))
+        ids.append(_resolved(index, obj, "graph object", path, line_no))
+    return ids
+
+
 def serp_by_line(path):
     """The ``(line_no, [resource ids])`` of each result, in rank order."""
     rows = {}
@@ -578,6 +615,28 @@ def query_by_line(path):
         if rid not in resources:
             resources[rid] = line_no
     return resources
+
+
+def bundle_by_line(graph_path, texts_path, serp_path, query_path):
+    """The fields of the bundle of four files, as lists: the texts file is
+    read, then the result page, then the query file; then the graph, each
+    endpoint resolved as its line is checked; then the query entries, in
+    id order, and the mentions, in rank order, are resolved, each at its
+    line.  With no resource at all, the texts file is at fault."""
+    texts = texts_by_line(texts_path)
+    serp = serp_by_line(serp_path)
+    query = query_by_line(query_path)
+    ids = sorted(texts)
+    index = {rid: k for k, rid in enumerate(ids)}
+    edges = graph_ids_by_line(graph_path, index)
+    entries = sorted(_resolved(index, rid, "query resource", query_path, line_no)
+                     for rid, line_no in sorted(query.items()))
+    mentions = [[_resolved(index, rid, "result-page resource", serp_path, line_no), rank]
+                for rank, (line_no, rids) in enumerate(serp, start=1) for rid in rids]
+    if not ids:
+        raise InputFormatError(texts_path, 0, "need at least one resource")
+    pairs = [edges[k:k + 2] for k in range(0, len(edges), 2)]
+    return ids, pairs, [texts[rid] for rid in ids], len(serp), mentions, entries
 
 
 def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):

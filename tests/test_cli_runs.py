@@ -17,8 +17,8 @@ An error row (exit code 1) must print nothing on stdout and end stderr
 with its line, or with a line that starts with it for a prefix row, under
 200 bytes.  Only that line says ``error:``; a bare ``error:`` line is all
 of stderr, and argparse's ``ldrank ...: error:`` line follows its usage.
-The properties of ``test_cli.py`` check their error runs with the same
-``_mismatch``.
+The fault sweep of ``test_fault_sweep.py`` and the properties of
+``test_cli.py`` check their runs with the same ``_mismatch``.
 
 ``test_cli_run_in_process`` runs each row through ``cli.main``;
 ``test_cli_runs_through_the_installed_script`` runs the whole table

@@ -226,6 +226,16 @@ def test_assemble_bundle_names_an_unknown_id_in_any_role(parsed, role, at, unkno
     assert str(exc.value) == f"{what} {unknown!r} has no entry in the texts table"
 
 
+@pytest.mark.parametrize("predicate, reason", [
+    ("", "empty predicate"), (5, "predicate must be a string, got int"),
+    (None, "predicate must be a string, got NoneType"),
+])
+def test_assemble_bundle_takes_the_predicates_a_graph_file_takes(predicate, reason):
+    # A graph file line with an empty predicate gets the same reason (row
+    # graph-line-empty-predicate of the CLI table).
+    with pytest.raises(ValueError, match=f"^{reason}$"):
+        assemble_bundle([("a", predicate, "b")], {"a": "", "b": ""}, [], [])
+
 
 def _mostly(good, bad):
     """Draw from ``good`` three times in four, else from ``bad``."""

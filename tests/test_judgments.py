@@ -21,7 +21,6 @@ from ldrank import (
     majority_vote,
 )
 from ldrank.judgments import RELEVANCE_DISTANCE
-from ldrank.types import read_lines
 
 import oracles
 
@@ -499,24 +498,6 @@ def test_judgment_set_duplicate_names_first_repeat():
 # ------------------------------------------------ chunked parse vs line loop
 
 
-def _load_line_by_line(path):
-    """The per-line loop over the whole file, as ``load_judgments`` ran it
-    before chunking; a repeated pair is reported at the first line that
-    repeats one."""
-    records = list(oracles._records_by_line(path, read_lines(path)))
-    try:
-        return JudgmentSet.from_records(records)
-    except ValueError as exc:
-        seen = set()
-        numbers = (line_no for line_no, line in read_lines(path) if line.strip())
-        for line_no, record in zip(numbers, records):
-            pair = record["item"], record["worker"]
-            if pair in seen:
-                raise InputFormatError(path, line_no, str(exc)) from exc
-            seen.add(pair)
-        raise
-
-
 def _outcome(load, path):
     try:
         js = load(path)
@@ -639,9 +620,9 @@ def test_chunked_parse_matches_line_loop(tmp_path_factory, lines, ends, last_end
     path.write_bytes(text.encode("utf-8"))
     with mock.patch.object(types_module, "_CHUNK_BYTES", chunk):
         got = _outcome(load_judgments, path)
-    assert got == _outcome(_load_line_by_line, path)
+    assert got == _outcome(oracles.judgments_by_line, path)
     if got[0] is not InputFormatError and got[0] is not ValueError:
-        assert load_judgments(path).records == _load_line_by_line(path).records
+        assert load_judgments(path).records == oracles.judgments_by_line(path).records
 
 
 @settings(max_examples=300, deadline=None)

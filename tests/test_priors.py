@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from ldrank import (
     CorpusBundle,
     Distribution,
+    Pipeline,
     PipelineParams,
+    assemble_bundle,
     build_info_need,
     build_text_matrix,
     equi_prior,
@@ -187,6 +189,20 @@ def test_svd_prior_unchanged_matrix_falls_back_to_exact_uniform(focus, stress):
     with pytest.warns(UserWarning, match="did not grow"):
         p = svd_prior(m, focus, PipelineParams(ndim=1, stress=stress))
     assert np.array_equal(p.values, np.full(4, 0.25))
+
+
+def test_svd_prior_drift_of_rounding_alone_falls_back_to_uniform():
+    # r2's one stem is in no other text, so its row is a block of its own;
+    # stress 2 moves its singular value from 1 to 2, still below sigma_3, so
+    # no coordinate norm changes and every drift is rounding, about 1e-15.
+    texts = ["omega omega lambda", "omega castle paris sigma epsilon zeta alpha", "delta",
+             "beta beta beta alpha", "omega sigma gamma lambda castle epsilon",
+             "kappa lambda river berlin theta", "berlin"]
+    bundle = assemble_bundle([], {f"r{i}": t for i, t in enumerate(texts)},
+                             [["r5", "r3", "r6", "r2", "r4"], ["r2", "r0", "r5"]], set())
+    with pytest.warns(UserWarning, match="did not grow"):
+        p = Pipeline(bundle, PipelineParams(ndim=3, stress=2.0)).prior("SVD")
+    assert np.array_equal(p.values, np.full(7, 1 / 7))
 
 
 def test_svd_prior_widens_k_over_tied_singular_values():

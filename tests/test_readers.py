@@ -177,15 +177,7 @@ def _graph_ids(path):
 
 
 def _graph_ids_by_line(path):
-    """The oracle's triples, each resolved as its line is checked."""
-    ids = []
-    for line_no, subject, _predicate, obj in oracles.graph_triples_by_line(path):
-        for rid, role in ((subject, "graph subject"), (obj, "graph object")):
-            if rid not in _GRAPH_INDEX:
-                reason = f"{role} {oracles.shown(rid)} has no entry in the texts table"
-                raise InputFormatError(path, line_no, reason)
-            ids.append(_GRAPH_INDEX[rid])
-    return ids
+    return oracles.graph_ids_by_line(path, _GRAPH_INDEX)
 
 
 _TSV_FORMATS = {
