@@ -12,10 +12,10 @@ Three independent experts emit a prior each:
   entry of the ``SparseMatrix`` of counts scaled by its row) and the
   truncated SVD is recomputed; its dimension and stress come from
   ``PipelineParams``, which checked their ranges.  A drift no larger
-  than the rounding of the norms (``DRIFT_ROUNDING``) counts as none, so
-  a stress that leaves the counts, or every coordinate norm, as they are
-  (stress 1, focus rows without stems, or a focus block whose singular
-  value stays below sigma_k) drifts by zero.
+  than the error the solver can leave in the norms (``DRIFT_ROUNDING``)
+  counts as none, so a stress that leaves the counts, or every coordinate
+  norm, as they are (stress 1, focus rows without stems, or a focus block
+  whose singular value stays below sigma_k) drifts by zero.
 
 One rule, ``_normalized``, turns evidence weights into a prior: they are
 divided by their total, or, when no weight is positive, the prior falls
@@ -38,9 +38,11 @@ __all__ = ["equi_prior", "hit_prior", "build_info_need", "svd_prior"]
 
 #: Singular values closer than this fraction of the largest one count as tied.
 TIE_RTOL = 1e-9
-#: Each coordinate norm is computed to within a few float64 roundings of the
-#: largest one, so a drift up to this many epsilons of the largest norm, of
-#: either matrix, is rounding, not growth.
+#: A truncated SVD leaves each coordinate norm within a few float64
+#: roundings of the largest norm, times sigma_1 over the gap below the
+#: truncation: a Ritz vector's error is its residual over that gap.  So a
+#: drift up to this many epsilons of the largest norm, times the larger
+#: factor of the two matrices, is solver error, not growth.
 DRIFT_ROUNDING = 64
 
 
@@ -87,17 +89,26 @@ def build_info_need(query, hit: Distribution) -> frozenset[int]:
     return frozenset([*query, int(np.argmax(hit.values))])
 
 
-def _coordinate_norms(counts, k: int) -> np.ndarray:
+def _coordinate_norms(counts, k: int) -> tuple[np.ndarray, float]:
     """Row norms of the rank-k latent coordinates ``u * s``, k widened while
     sigma_k ties sigma_(k+1): only then is the truncation unique.  Ties among
-    negligible singular values add nothing to the norms and are let be."""
+    negligible singular values add nothing to the norms and are let be.
+
+    Also returns the error factor of the norms, sigma_1 over the gap below
+    the truncation: from the last singular value within the widened k above
+    the tie tolerance to the next one, 0 past the last; 1 for a zero matrix."""
     limit = min(counts.shape)
     while True:
         u, s, _ = sparse_svd(counts, min(k + 1, limit))
         tol = TIE_RTOL * s[0]
         if k == limit or s[k - 1] <= tol or s[k - 1] - s[k] > tol:
-            return np.linalg.norm(u[:, :k] * s[:k], axis=1)
+            break
         k += 1
+    norms = np.linalg.norm(u[:, :k] * s[:k], axis=1)
+    j = np.count_nonzero(s[:k] > tol)
+    if not j:  # an all-zero matrix: every norm is 0
+        return norms, 1.0
+    return norms, s[0] / (s[j - 1] - (s[j] if j < s.size else 0.0))
 
 
 def svd_prior(
@@ -110,12 +121,15 @@ def svd_prior(
     ``params.stress``, recomputes the coordinates, and scores each resource
     by the growth of its coordinate norm.  A drift at or below
     ``DRIFT_ROUNDING`` * float64 epsilon * the largest norm of either
-    matrix counts as zero, and so does a negative one.  If sigma_k ties
-    sigma_(k+1), k widens over the tie (see ``TIE_RTOL``).  All-zero drift
-    falls back to the uniform distribution with a warning, and so does a
-    ``k`` above the rank bound min(resources, stems), which includes an
-    empty vocabulary.  A stress so large that the squared stressed counts
-    overflow float64 raises ``ValueError``.
+    matrix * the larger of the two matrices' sigma_1 / (sigma_j -
+    sigma_(j+1)) counts as zero, and so does a negative one: sigma_j is
+    the last singular value above the tie tolerance within k, widened
+    over a tie as below, and sigma_(j+1) the next, 0 past the last.  If
+    sigma_k ties sigma_(k+1), k widens over the tie (see ``TIE_RTOL``).
+    All-zero drift falls back to the uniform distribution with a warning,
+    and so does a ``k`` above the rank bound min(resources, stems), which
+    includes an empty vocabulary.  A stress so large that the squared
+    stressed counts overflow float64 raises ``ValueError``.
     """
     n = matrix.n_resources
     focus = integer_array(list(info_need), "info_need", n)
@@ -138,9 +152,10 @@ def svd_prior(
             f"stress {stress} is too large: the squared stressed counts overflow"
         )
 
-    grown = _coordinate_norms(replace(counts, data=stressed), k)
-    norms = _coordinate_norms(counts, k)
-    rounding = DRIFT_ROUNDING * np.finfo(np.float64).eps * max(grown.max(), norms.max())
+    grown, grown_factor = _coordinate_norms(replace(counts, data=stressed), k)
+    norms, norms_factor = _coordinate_norms(counts, k)
+    rounding = (DRIFT_ROUNDING * np.finfo(np.float64).eps * max(grown.max(), norms.max())
+                * max(grown_factor, norms_factor))
     drift = grown - norms
     drift[drift <= rounding] = 0.0
     return _normalized(

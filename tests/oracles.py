@@ -9,13 +9,14 @@ one reading loop per input file instead of the shared chunked readers.
 
 import json
 import math
+import re
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
 
 from ldrank.judgments import JudgmentSet
-from ldrank.types import Distribution, InputFormatError, SparseMatrix, read_lines
+from ldrank.types import Distribution, InputFormatError, SparseMatrix
 
 
 def normalized(weights):
@@ -130,26 +131,56 @@ def truncation_residual_by_gram(dense, k):
     return float(np.sqrt((s[k:] ** 2).sum()))
 
 
+def _widened_rank(s, k, rtol):
+    """k, widened while sigma_k ties sigma_(k+1) above ``rtol`` * sigma_1."""
+    while k < s.size and s[k - 1] > rtol * s[0] and s[k - 1] - s[k] <= rtol * s[0]:
+        k += 1
+    return k
+
+
 def coordinate_norms_by_dense_svd(dense, k, rtol=1e-9):
     """Rank-k coordinate norms, k widened while sigma_k ties sigma_(k+1)."""
     u, s, _vt = np.linalg.svd(dense, full_matrices=False)
-    while k < s.size and s[k - 1] > rtol * s[0] and s[k - 1] - s[k] <= rtol * s[0]:
-        k += 1
+    k = _widened_rank(s, k, rtol)
     return np.linalg.norm(u[:, :k] * s[:k], axis=1)
 
 
+def sigma_over_gap_by_dense_svd(dense, k, rtol=1e-9):
+    """sigma_1 over the gap below the rank-k truncation: from the last
+    singular value within the widened k that exceeds ``rtol`` * sigma_1 to
+    the next one, which is 0 past the last; 1 for a zero matrix."""
+    s = np.linalg.svd(dense, compute_uv=False)
+    kept = [x for x in s[:_widened_rank(s, k, rtol)] if x > rtol * s[0]]
+    if not kept:
+        return 1.0
+    below = s[len(kept)] if len(kept) < s.size else 0.0
+    return s[0] / (kept[-1] - below)
+
+
 def latent_prior_by_dense_svd(dense, info_need, k, stress):
-    prev = coordinate_norms_by_dense_svd(dense, k)
+    """The latent-drift prior: growth of each rank-k coordinate norm when
+    the ``info_need`` rows are multiplied by ``stress``, normalized.
+
+    A drift no larger than the error an SVD solver can leave in a norm
+    counts as none: 64 float64 epsilons of the largest norm of either
+    matrix, times the larger ``sigma_over_gap_by_dense_svd`` of the two,
+    since a singular subspace is off by its residual over the gap below
+    it.  The uniform distribution when nothing drifts, or when k exceeds
+    min(rows, columns), an empty vocabulary included."""
+    n = dense.shape[0]
+    uniform = np.full(n, 1.0 / n)
+    if k > min(dense.shape):
+        return uniform
     stressed = dense.copy()
     for i in info_need:
         stressed[i] *= stress
+    prev = coordinate_norms_by_dense_svd(dense, k)
     after = coordinate_norms_by_dense_svd(stressed, k)
-    drift = np.maximum(after - prev, 0.0)
+    ratio = max(sigma_over_gap_by_dense_svd(m, k) for m in (dense, stressed))
+    noise = 64 * np.finfo(np.float64).eps * max(prev.max(), after.max()) * ratio
+    drift = np.where(after - prev > noise, after - prev, 0.0)
     total = drift.sum()
-    if total == 0.0:
-        n = dense.shape[0]
-        return np.full(n, 1.0 / n)
-    return drift / total
+    return uniform if total == 0.0 else drift / total
 
 
 # ---------------------------------------------------------------- consensus
@@ -351,31 +382,65 @@ def hit_weights_by_loop(serp_size, mentions, n):
     return scores
 
 
-def dense_pipeline_scores(bundle, tokenize_fn, alpha=0.7, k=1, stress=1000.0,
-                          damping=0.5, epsilon=1e-9):
-    """End-to-end dense reimplementation of the full ranking pipeline."""
+def dense_pipeline_scores(bundle, tokenize_fn, name="LDRANK", alpha=0.7, k=1, stress=1000.0,
+                          damping=0.5, epsilon=1e-9, bidirectional=False, max_iters=10000):
+    """End-to-end dense reimplementation of the ranking of strategy
+    ``name``: the stationary vector, by a dense eigendecomposition, of the
+    walk whose teleport and dangling fill are the strategy's prior.
+
+    EQUI's prior is uniform and HIT's the visibility weights of
+    ``hit_weights_by_loop``, or uniform when nothing is mentioned.  SVD's is
+    ``latent_prior_by_dense_svd`` of the counts of ``stem_counts_by_counter``
+    with the query plus the first top hit under stress, which is uniform for
+    a k above the rank bound or an empty vocabulary and for drifts of
+    solver error alone.  LDRANK's is the mean of ``consensus_by_loops``
+    over the hit, latent and uniform priors, after at most ``max_iters``
+    steps.  The walk moves along the distinct (subject, object) pairs, each
+    mirrored with ``bidirectional``."""
     n = bundle.n
     equi = np.full(n, 1.0 / n)
-
     raw = hit_weights_by_loop(bundle.serp_size, bundle.mentions, n)
     hit = raw / raw.sum() if raw.sum() > 0 else equi.copy()
-
-    info_need = set(bundle.query)
-    info_need.add(int(np.argmax(hit)))
-
-    _vocab, counts = stem_counts_by_counter(bundle.texts, tokenize_fn)
-    latent = latent_prior_by_dense_svd(counts, info_need, k, stress)
-    final = consensus_mean_by_loops([hit, latent, equi], damping, epsilon)
+    prior = {"EQUI": equi, "HIT": hit}.get(name)
+    if prior is None:
+        info_need = set(bundle.query) | {int(np.argmax(hit))}
+        _vocab, counts = stem_counts_by_counter(bundle.texts, tokenize_fn)
+        prior = latent_prior_by_dense_svd(counts, info_need, k, stress)
+    if name == "LDRANK":
+        prior = consensus_mean_by_loops([hit, prior, equi], damping, epsilon, max_iters)
 
     pairs = {(int(s), int(o)) for s, o in bundle.graph_edges}
+    if bidirectional:
+        pairs |= {(o, s) for s, o in pairs}
     out_edges = edges_to_out_lists(n, pairs)
-    walk = dense_walk_matrix(out_edges, alpha, final, final)
+    walk = dense_walk_matrix(out_edges, alpha, prior, prior)
     return stationary_by_eig(walk)
 
 
 # ---------------------------------------------------------------- input files
 #
 # One loop per file format, each reading and checking one line at a time.
+
+
+def lines_of_file(path):
+    """Yield ``(line_no, line)`` for each line of a UTF-8 file, read whole:
+    lines end at ``\n``, ``\r\n`` or ``\r`` and are numbered from 1.  At
+    the first undecodable byte the text is cut after the last line end
+    before it, its lines are yielded, and ``InputFormatError`` is raised at
+    line 0."""
+    data = Path(path).read_bytes()
+    try:
+        text, fault = data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        fault = exc
+        text = data[:exc.start].decode("utf-8")
+        text = text[:max(text.rfind("\n"), text.rfind("\r")) + 1]
+    lines = re.split(r"\r\n|\r|\n", text)
+    if not lines[-1]:  # the text ends with a line end, or is empty
+        lines.pop()
+    yield from enumerate(lines, 1)
+    if fault:
+        raise InputFormatError(path, 0, f"not valid UTF-8 ({fault.reason})")
 
 
 def _json_fault(exc):
@@ -439,12 +504,12 @@ def judgments_by_line(path):
     """The per-line loop over the whole file, as ``load_judgments`` ran it
     before chunking; a repeated pair is reported at the first line that
     repeats one."""
-    records = list(_records_by_line(path, read_lines(path)))
+    records = list(_records_by_line(path, lines_of_file(path)))
     try:
         return JudgmentSet.from_records(records)
     except ValueError as exc:
         seen = set()
-        numbers = (line_no for line_no, line in read_lines(path) if line.strip())
+        numbers = (line_no for line_no, line in lines_of_file(path) if line.strip())
         for line_no, record in zip(numbers, records):
             pair = record["item"], record["worker"]
             if pair in seen:
@@ -505,7 +570,7 @@ def _resource_id_by_split(token, path, line_no, what):
 def texts_by_line(path):
     """The id-to-text table of a JSON Lines texts file."""
     texts = {}
-    for line_no, raw in read_lines(path):
+    for line_no, raw in lines_of_file(path):
         if not raw.strip():
             continue
         try:
@@ -537,7 +602,7 @@ def texts_by_line(path):
 def graph_triples_by_line(path):
     """Yield ``(line_no, subject, predicate, object)`` for each triple of a
     graph file, as its line is checked."""
-    for line_no, raw in read_lines(path):
+    for line_no, raw in lines_of_file(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -575,7 +640,7 @@ def graph_ids_by_line(path, index):
 def serp_by_line(path):
     """The ``(line_no, [resource ids])`` of each result, in rank order."""
     rows = {}
-    for line_no, raw in read_lines(path):
+    for line_no, raw in lines_of_file(path):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -607,7 +672,7 @@ def serp_by_line(path):
 def query_by_line(path):
     """The resource ids of a query file, each with the first line it is on."""
     resources = {}
-    for line_no, raw in read_lines(path):
+    for line_no, raw in lines_of_file(path):
         line = raw.strip()
         if not line:
             continue
@@ -642,7 +707,7 @@ def bundle_by_line(graph_path, texts_path, serp_path, query_path):
 def qrels_by_line(path, valid_grades=(0, 1, 2, 3)):
     """The item-to-grade table of a qrels file."""
     grades = {}
-    for line_no, line in read_lines(path):
+    for line_no, line in lines_of_file(path):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -669,7 +734,7 @@ def manifest_by_line(path):
     manifest's directory."""
     base = Path(path).parent
     entries = []
-    for line_no, line in read_lines(path):
+    for line_no, line in lines_of_file(path):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -20,32 +20,6 @@ def _dist(*values):
     return Distribution(np.array(values, dtype=float))
 
 
-def _tv(p, q):
-    return _pairwise_tv(np.stack([p.values, q.values]))[0, 1]
-
-
-# -------------------------------------------------------------- distance
-
-
-def test_pairwise_distance_known_value():
-    assert _tv(_dist(1.0, 0.0), _dist(0.0, 1.0)) == pytest.approx(1.0)
-    assert _tv(_dist(0.5, 0.5), _dist(0.5, 0.5)) == 0.0
-    assert _tv(_dist(0.8, 0.2), _dist(0.6, 0.4)) == pytest.approx(0.2)
-
-
-def test_pairwise_distance_properties():
-    rng = np.random.default_rng(31)
-    for _ in range(200):
-        n = int(rng.integers(2, 7))
-        p = oracles.normalized(rng.random(n) + 1e-9)
-        q = oracles.normalized(rng.random(n) + 1e-9)
-        d = _tv(p, q)
-        assert 0.0 <= d <= 1.0
-        assert d == pytest.approx(_tv(q, p))
-    with pytest.raises(ValueError):
-        consensual_pool((_dist(1.0), _dist(0.5, 0.5)), PipelineParams())
-
-
 # ------------------------------------------------------------------ pool
 
 
@@ -73,28 +47,35 @@ def test_two_experts_meet_at_midpoint():
     assert np.allclose(res.distribution.values, [0.5, 0.5], atol=1e-12)
 
 
-def test_three_expert_symmetric_case():
-    experts = (_dist(1.0, 0.0), _dist(0.0, 1.0), _dist(0.5, 0.5))
-    res = consensual_pool(experts, PipelineParams())
+# Hand-picked pairs with their total-variation distance.
+_PINNED_PAIRS = {
+    "disjoint": ((1.0, 0.0), (0.0, 1.0), 1.0),
+    "equal": ((0.5, 0.5), (0.5, 0.5), 0.0),
+    "shifted": ((0.8, 0.2), (0.6, 0.4), 0.2),
+}
+
+
+@pytest.mark.parametrize("p, q, distance", _PINNED_PAIRS.values(), ids=list(_PINNED_PAIRS))
+def test_pinned_pair_has_its_distance(p, q, distance):
+    d = _pairwise_tv(np.array([p, q]))
+    assert d[0, 1] == d[1, 0] == pytest.approx(distance, abs=1e-15)
+    assert d[0, 0] == d[1, 1] == 0.0
+
+
+# Hand-picked pools whose experts are symmetric about the uniform mean.
+_PINNED_POOLS = {
+    "two-opposite": ((1.0, 0.0), (0.0, 1.0)),
+    "three-symmetric": ((1.0, 0.0), (0.0, 1.0), (0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("experts", _PINNED_POOLS.values(), ids=list(_PINNED_POOLS))
+def test_pinned_pool_meets_at_the_uniform_mean(experts):
+    res = consensual_pool(tuple(_dist(*e) for e in experts), PipelineParams())
     assert res.converged
     assert np.allclose(res.distribution.values, [0.5, 0.5], atol=1e-9)
-
-
-def test_result_stays_in_convex_hull():
-    rng = np.random.default_rng(37)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        m = int(rng.integers(2, 5))
-        experts = tuple(
-            oracles.normalized(rng.random(n) + 1e-12) for _ in range(m)
-        )
-        res = consensual_pool(experts, PipelineParams())
-        assert res.converged
-        rows = np.stack([e.values for e in experts])
-        lo = rows.min(axis=0) - 1e-12
-        hi = rows.max(axis=0) + 1e-12
-        v = res.distribution.values
-        assert np.all(v >= lo) and np.all(v <= hi)
+    assert np.allclose(res.distribution.values, oracles.consensus_mean_by_loops(experts),
+                       atol=1e-9)
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,18 +88,25 @@ def test_result_stays_in_convex_hull():
     epsilon=st.floats(0.0, 2.0, exclude_min=True),
     max_iters=st.integers(1, 60),
 )
-def test_pooled_mean_lies_between_the_experts(experts, damping, epsilon, max_iters):
+def test_pooled_mean_lies_between_the_experts_and_matches_the_loops(
+    experts, damping, epsilon, max_iters
+):
     # Converged or not: every step mixes the experts, so no entry of the
-    # mean leaves the range the experts span.
+    # mean leaves the range the experts span.  A converged pool ends at the
+    # mean of the pure-Python loops, up to the rounding of their sums.
     pool = tuple(oracles.normalized(w) for w in experts)
     params = PipelineParams(damping=damping, consensus_epsilon=epsilon,
                             consensus_max_iters=max_iters)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        v = consensual_pool(pool, params).distribution.values
+        result = consensual_pool(pool, params)
+    v = result.distribution.values
     rows = np.stack([e.values for e in pool])
     assert np.all(v >= rows.min(axis=0) - 1e-12)
     assert np.all(v <= rows.max(axis=0) + 1e-12)
+    if result.converged:
+        want = oracles.consensus_mean_by_loops(rows, damping, epsilon, max_iters)
+        assert np.allclose(v, want, rtol=0, atol=1e-9)
 
 
 def test_max_pairwise_distance_is_monotone():
@@ -134,19 +122,6 @@ def test_max_pairwise_distance_is_monotone():
         cur = dist.max()
         assert cur <= prev + 1e-15
         prev = cur
-
-
-def test_matches_pure_python_reference():
-    rng = np.random.default_rng(43)
-    for _ in range(25):
-        n = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 5))
-        experts = tuple(
-            oracles.normalized(rng.random(n) + 1e-9) for _ in range(m)
-        )
-        res = consensual_pool(experts, PipelineParams())
-        want = oracles.consensus_mean_by_loops([e.values for e in experts])
-        assert np.allclose(res.distribution.values, want, atol=1e-7)
 
 
 def test_non_convergence_returns_mean_with_flag():
@@ -175,15 +150,3 @@ def test_pool_validation():
         PipelineParams(consensus_epsilon=0.0)
     with pytest.raises(ValueError):
         PipelineParams(consensus_max_iters=0)
-
-
-def test_mean_is_valid_distribution():
-    rng = np.random.default_rng(47)
-    for _ in range(50):
-        experts = tuple(
-            oracles.normalized(rng.random(3) + 1e-9) for _ in range(3)
-        )
-        res = consensual_pool(experts, PipelineParams())
-        v = res.distribution.values
-        assert v.min() >= 0.0
-        assert abs(v.sum() - 1.0) < 1e-9

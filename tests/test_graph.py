@@ -6,91 +6,37 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ldrank import (
-    Distribution,
-    PipelineParams,
-    build_graph,
-    equi_prior,
-    power_rank,
-)
+from ldrank import PipelineParams, build_graph, power_rank
 from ldrank.corpus import assemble_bundle
 
 import oracles
 
 
-def _bundle(edges, ids=None, query=()):
-    ids = ids or sorted({x for s, _p, o in edges for x in (s, o)})
-    texts = {rid: "" for rid in ids}
-    return assemble_bundle(edges, texts, [], query)
-
-
-def test_build_graph_dedups_predicates(basic_bundle):
-    g = build_graph(basic_bundle)
-    successors = oracles.successor_lists(g)
-    # 9 triples, 8 distinct subject/object pairs.
-    assert g.nnz == 8
-    # Berlin (index 0) points at City, Germany, Museum.
-    assert successors[0] == [1, 3, 4]
-    # City has no out-edges.
-    assert successors[1] == []
-
-
-def test_build_graph_bidirectional_symmetric(basic_bundle):
-    g = build_graph(basic_bundle, bidirectional=True)
-    present = set(zip(g.rows.tolist(), g.cols.tolist()))
-    assert present == {(j, i) for i, j in present}
-
-
-def test_self_loops_kept():
-    g = build_graph(_bundle([("a", "p", "a"), ("a", "q", "b")]))
-    assert oracles.successor_lists(g)[0] == [0, 1]
-
-
-def test_nnz_and_sorted_successors():
-    edges = [("c", "p", "a"), ("c", "p", "b"), ("a", "p", "c")]
-    g = build_graph(_bundle(edges))
-    assert g.nnz == 3
-    assert oracles.successor_lists(g)[2] == [0, 1]
-
-
-_IDS = tuple(f"r{i}" for i in range(6))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    triples=st.lists(
-        st.tuples(st.sampled_from(_IDS), st.sampled_from(("p", "q")), st.sampled_from(_IDS)),
-        max_size=40,
-    ),
-    bidirectional=st.booleans(),
-)
-def test_build_graph_matches_out_list_oracle(triples, bidirectional):
-    # Two predicates over six nodes: parallel edges and self-loops are common.
-    bundle = _bundle(triples, ids=list(_IDS))
-    g = build_graph(bundle, bidirectional=bidirectional)
-    index = {rid: i for i, rid in enumerate(bundle.resource_ids)}
-    pairs = {(index[s], index[o]) for s, _p, o in triples}
-    if bidirectional:
-        pairs |= {(j, i) for i, j in pairs}
-    assert oracles.successor_lists(g) == oracles.edges_to_out_lists(bundle.n, pairs)
-    assert g.nnz == len(pairs)
+def _bundle(edges, ids):
+    return assemble_bundle(edges, {rid: "" for rid in ids}, [], ())
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=12),
-    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+    triples=st.lists(
+        st.tuples(st.integers(0, 11), st.sampled_from(("p", "q")), st.integers(0, 11)),
+        max_size=60,
+    ),
     bidirectional=st.booleans(),
 )
-@example(n=1, pairs=[], bidirectional=False)
-@example(n=1, pairs=[(0, 0), (0, 0)], bidirectional=True)
-@example(n=5, pairs=[], bidirectional=True)
-def test_build_graph_matches_np_unique(n, pairs, bidirectional):
-    # Self-loops and repeated pairs are common on up to 12 nodes.
-    pairs = [(i % n, j % n) for i, j in pairs]
+@example(n=1, triples=[], bidirectional=False)
+@example(n=1, triples=[(0, "p", 0), (0, "q", 0)], bidirectional=True)
+@example(n=5, triples=[], bidirectional=True)
+def test_build_graph_matches_out_list_oracle_and_np_unique(n, triples, bidirectional):
+    # Two predicates over up to 12 nodes: parallel edges, repeated pairs and
+    # self-loops are common.
+    pairs = [(i % n, j % n) for i, _p, j in triples]
     ids = [f"r{i:02d}" for i in range(n)]
-    bundle = _bundle([(ids[i], "p", ids[j]) for i, j in pairs], ids=ids)
+    bundle = _bundle([(ids[i % n], p, ids[j % n]) for i, p, j in triples], ids)
     g = build_graph(bundle, bidirectional=bidirectional)
+    distinct = set(pairs) | ({(j, i) for i, j in pairs} if bidirectional else set())
+    assert oracles.successor_lists(g) == oracles.edges_to_out_lists(n, distinct)
     src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     if bidirectional:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
@@ -100,6 +46,28 @@ def test_build_graph_matches_np_unique(n, pairs, bidirectional):
     assert np.array_equal(g.cols, cols)
     assert np.array_equal(g.data, 1.0 / np.bincount(rows, minlength=n)[rows])
     assert g.rows.dtype == g.cols.dtype == np.int64 and g.data.dtype == np.float64
+
+
+# Hand-picked graphs with their successor lists.  The fixture's nine
+# triples hold eight distinct pairs (Berlin locatedIn and capitalOf
+# Germany), and City has no out-edge; over Berlin, City, Europe, Germany,
+# Museum, River.
+_PINNED = {
+    "fixture": (None, False, [[1, 3, 4], [], [3], [2], [0], [0, 3]]),
+    "fixture-bidirectional": (None, True, [[1, 3, 4, 5], [0], [3], [0, 2, 5], [0], [0, 3]]),
+    "self-loop": ([("a", "p", "a"), ("a", "q", "b")], False, [[0, 1], []]),
+    "sorted-successors": ([("c", "p", "a"), ("c", "p", "b"), ("a", "p", "c")], False,
+                          [[2], [], [0, 1]]),
+}
+
+
+@pytest.mark.parametrize("edges, bidirectional, successors", _PINNED.values(), ids=list(_PINNED))
+def test_pinned_graph_has_its_successor_lists(basic_bundle, edges, bidirectional, successors):
+    ids = sorted({x for s, _p, o in edges or () for x in (s, o)})
+    bundle = basic_bundle if edges is None else _bundle(edges, ids)
+    g = build_graph(bundle, bidirectional=bidirectional)
+    assert oracles.successor_lists(g) == successors
+    assert g.nnz == sum(map(len, successors))
 
 
 @settings(max_examples=300, deadline=None)
@@ -114,7 +82,7 @@ def test_build_graph_matches_np_unique(n, pairs, bidirectional):
 def test_each_non_empty_row_of_the_walk_matrix_sums_to_one(n, pairs, bidirectional):
     pairs = [(i % n, j % n) for i, j in pairs]
     ids = [f"r{i:02d}" for i in range(n)]
-    g = build_graph(_bundle([(ids[i], "p", ids[j]) for i, j in pairs], ids=ids), bidirectional)
+    g = build_graph(_bundle([(ids[i], "p", ids[j]) for i, j in pairs], ids), bidirectional)
     sums = np.zeros(n)
     for i, value in zip(g.rows.tolist(), g.data.tolist()):
         sums[i] += value
@@ -124,8 +92,9 @@ def test_each_non_empty_row_of_the_walk_matrix_sums_to_one(n, pairs, bidirection
     assert (g.data > 0).all()
 
 
-# The transition operator S (row i uniform over the successors of i, or the
-# fill if it has none) is applied inside power_rank, one step per iteration.
+# The walk step x @ S (row i of S uniform over the successors of i, and the
+# mass of a row with none spread by the fill) runs inside power_rank, once
+# per iteration.
 
 
 def _walk(graph, teleport, steps, alpha=0.7):
@@ -136,7 +105,7 @@ def _walk(graph, teleport, steps, alpha=0.7):
         return power_rank(graph, teleport, params).scores.values
 
 
-def test_transition_operator_matches_dense():
+def test_walk_steps_match_the_dense_walk_and_a_csr_matvec():
     rng = np.random.default_rng(7)
     vectors = np.random.default_rng(8)
     for _ in range(50):
@@ -148,7 +117,7 @@ def test_transition_operator_matches_dense():
             for j in range(n)
             if rng.random() < 0.3
         ]
-        bundle = _bundle(edges, ids=ids)
+        bundle = _bundle(edges, ids)
         g = build_graph(bundle)
         fill = oracles.normalized(rng.random(n) + 0.05)
         dense = oracles.dense_transition(oracles.successor_lists(g), fill.values)
@@ -173,16 +142,3 @@ def test_transition_operator_matches_dense():
             assert np.allclose(got, x, atol=1e-12)
             assert np.array_equal(got, y)
 
-
-def test_operator_preserves_total_mass():
-    bundle = _bundle([("a", "p", "b"), ("c", "p", "a")], ids=["a", "b", "c", "d"])
-    g = build_graph(bundle)
-    teleport = Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
-    for steps in (1, 2, 3):
-        assert _walk(g, teleport, steps).sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_operator_rejects_wrong_lengths():
-    g = build_graph(_bundle([("a", "p", "b")]))
-    with pytest.raises(ValueError, match=r"fill distribution has length 3, graph has shape \(2, 2\)"):
-        power_rank(g, equi_prior(3), PipelineParams())

@@ -133,52 +133,6 @@ def test_all_stopword_texts_give_an_empty_vocabulary(texts):
 # ------------------------------------------------------------------ SVD
 
 
-def test_sparse_svd_known_values():
-    # Rows (1,0), (0,1), (1,1): squared singular values are the
-    # eigenvalues 3 and 1 of the 2x2 Gram matrix.
-    _, s, _ = sparse_svd(_counts([[1, 0], [0, 1], [1, 1]]), 2)
-    assert np.allclose(s, [np.sqrt(3.0), 1.0], atol=1e-10)
-
-
-def test_sparse_svd_diagonal():
-    _, s, _ = sparse_svd(_counts(np.diag([3.0, 2.0, 1.0])), 2)
-    assert np.allclose(s, [3.0, 2.0], atol=1e-10)
-
-
-def test_sparse_svd_matches_gram_oracle_all_ranks():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        dense = rng.integers(0, 4, size=(7, 5)).astype(float)
-        dense[rng.random(dense.shape) < 0.5] = 0.0
-        counts = _counts(dense)
-        want = oracles.singular_values_by_gram(dense)
-        for k in range(1, 6):
-            _, s, _ = sparse_svd(counts, k)
-            # The Gram route squares the conditioning, so near-zero values
-            # carry an error of order sqrt(eps) * s_max; 1e-6 respects that.
-            assert np.allclose(s, want[:k], atol=1e-6), k
-
-
-def test_sparse_svd_orthonormal_vectors():
-    rng = np.random.default_rng(3)
-    dense = rng.integers(0, 5, size=(8, 6)).astype(float)
-    u, _, vt = sparse_svd(_counts(dense), 4)
-    assert np.allclose(u.T @ u, np.eye(4), atol=1e-8)
-    assert np.allclose(vt @ vt.T, np.eye(4), atol=1e-8)
-
-
-def test_sparse_svd_truncation_is_best_approximation():
-    rng = np.random.default_rng(5)
-    dense = rng.integers(0, 3, size=(6, 5)).astype(float)
-    counts = _counts(dense)
-    for k in range(1, 6):
-        u, s, vt = sparse_svd(counts, k)
-        approx = (u * s) @ vt
-        got = np.linalg.norm(dense - approx)
-        want = oracles.truncation_residual_by_gram(dense, k)
-        assert abs(got - want) < 1e-8, k
-
-
 def test_sparse_svd_deterministic():
     rng = np.random.default_rng(9)
     dense = rng.integers(0, 4, size=(9, 7)).astype(float)
@@ -246,6 +200,26 @@ def test_sparse_svd_matches_dense_svd(dense, data):
                                rtol=0, atol=1e-7 * max(want[0], 1.0)), k
 
 
+# Hand-picked matrices with their singular values: rows (1,0), (0,1),
+# (1,1), whose Gram matrix has eigenvalues 3 and 1; a diagonal; and rows
+# (2,0), (0,5) and a zero row, whose coordinates are (0,2), (5,0), (0,0).
+_PINNED = {
+    "gram-eigenvalues": ([[1, 0], [0, 1], [1, 1]], [np.sqrt(3.0), 1.0]),
+    "diagonal": (np.diag([3.0, 2.0, 1.0]), [3.0, 2.0, 1.0]),
+    "zero-row": ([[2, 0], [0, 5], [0, 0]], [5.0, 2.0]),
+}
+
+
+@pytest.mark.parametrize("dense, sigma", _PINNED.values(), ids=list(_PINNED))
+def test_pinned_matrix_has_its_singular_values(dense, sigma):
+    dense = np.asarray(dense, dtype=float)
+    for k in range(1, len(sigma) + 1):
+        u, s, _ = sparse_svd(_counts(dense), k)
+        assert np.allclose(s, sigma[:k], rtol=0, atol=1e-10), k
+        norms = np.linalg.norm(u * s, axis=1)
+        assert np.allclose(norms, oracles.coordinate_norms_by_dense_svd(dense, k), atol=1e-10), k
+
+
 def test_sparse_svd_finds_every_copy_of_a_repeated_singular_value():
     # Equal diagonal blocks repeat each singular value of the block, and
     # extra rows tie the copies to the rest.  From one start vector only one
@@ -278,14 +252,6 @@ def test_sparse_svd_rank_bounds():
         sparse_svd(counts, 3)
 
 
-def test_sparse_svd_descending_order():
-    rng = np.random.default_rng(13)
-    dense = rng.integers(0, 6, size=(10, 6)).astype(float)
-    _, s, _ = sparse_svd(_counts(dense), 5)
-    assert np.all(np.diff(s) <= 0)
-    assert s.min() >= 0
-
-
 def test_sparse_svd_returns_row_major_u():
     # numpy sums a contiguous row pairwise and a strided one in sequence,
     # so the layout of u sets the last bits of the coordinate norms once
@@ -294,36 +260,3 @@ def test_sparse_svd_returns_row_major_u():
     for k in (9, 10):  # below min(shape), then at it
         u, _, _ = sparse_svd(_counts(dense), k)
         assert u.flags.c_contiguous, k
-
-
-# ---------------------------------------------------------- coordinates
-
-
-def test_resource_coordinates_shape_and_scaling():
-    u, s, _ = sparse_svd(_counts([[2, 0], [0, 5], [0, 0]]), 2)
-    coords = u * s
-    assert coords.shape == (3, 2)
-    assert np.allclose(np.abs(coords[:2]), [[0, 2], [5, 0]])
-    # The all-zero row has an all-zero coordinate vector.
-    assert np.allclose(coords[2], 0.0)
-
-
-def test_coordinate_norms_never_exceed_row_norms():
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        dense = rng.integers(0, 4, size=(7, 6)).astype(float)
-        row_norms = np.linalg.norm(dense, axis=1)
-        counts = _counts(dense)
-        for k in range(1, 7):
-            u, s, _ = sparse_svd(counts, k)
-            norms = np.linalg.norm(u * s, axis=1)
-            assert np.all(norms <= row_norms + 1e-8), k
-
-
-def test_full_rank_coordinates_preserve_row_norms():
-    rng = np.random.default_rng(23)
-    dense = rng.integers(1, 5, size=(6, 4)).astype(float)
-    u, s, _ = sparse_svd(_counts(dense), 4)
-    assert np.allclose(
-        np.linalg.norm(u * s, axis=1), np.linalg.norm(dense, axis=1), atol=1e-8
-    )

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from ldrank import (
     CorpusBundle,
     Distribution,
-    Pipeline,
     PipelineParams,
-    assemble_bundle,
     build_info_need,
     build_text_matrix,
     equi_prior,
@@ -51,18 +49,21 @@ def _page(n, serp_size, mentions):
     )
 
 
-def test_hit_prior_rank_weighting():
-    # Three documents: rank 1 is worth 3, rank 2 worth 2, rank 3 worth 1.
-    p = hit_prior(_page(4, 3, [[0, 1], [0, 2], [2, 3]]))
-    assert np.allclose(p.values, np.array([5.0, 0.0, 1.0, 0.0]) / 6.0)
+# Hand-picked pages with their hit priors: rank r of N documents is worth
+# N + 1 - r.  On the fixture, Berlin is on ranks 1 and 2, Germany on 1,
+# Museum and River on 2, City and Europe on 3.
+_PINNED_PAGES = {
+    "rank-weighting": ((4, 3, [[0, 1], [0, 2], [2, 3]]), [5, 0, 1, 0]),
+    "fixture": (None, [5, 1, 1, 3, 2, 2]),
+}
 
 
-def test_hit_prior_matches_loop_oracle(basic_bundle):
-    p = hit_prior(basic_bundle)
-    raw = oracles.hit_weights_by_loop(
-        basic_bundle.serp_size, basic_bundle.mentions, basic_bundle.n
-    )
-    assert np.array_equal(p.values, raw / raw.sum())
+@pytest.mark.parametrize("page, weights", _PINNED_PAGES.values(), ids=list(_PINNED_PAGES))
+def test_pinned_page_has_its_hit_prior(basic_bundle, page, weights):
+    bundle = basic_bundle if page is None else _page(*page)
+    raw = oracles.hit_weights_by_loop(bundle.serp_size, bundle.mentions, bundle.n)
+    assert raw.tolist() == weights
+    assert np.array_equal(hit_prior(bundle).values, raw / raw.sum())
 
 
 @settings(max_examples=200, deadline=None)
@@ -145,41 +146,6 @@ def test_info_need_rejects_bad_indices():
 # ------------------------------------------------------------------- svd
 
 
-def test_svd_prior_puts_mass_on_stressed_rows():
-    dense = np.array(
-        [
-            [3.0, 1.0, 0.0, 0.0],
-            [0.0, 2.0, 1.0, 0.0],
-            [1.0, 0.0, 2.0, 1.0],
-            [0.0, 1.0, 0.0, 3.0],
-        ]
-    )
-    m = _matrix_from_dense(dense)
-    p = svd_prior(m, {1}, PipelineParams(ndim=2, stress=1000.0))
-    assert p.values[1] == max(p.values)
-
-
-def test_svd_prior_matches_dense_oracle():
-    rng = np.random.default_rng(17)
-    for trial in range(10):
-        dense = rng.integers(1, 4, size=(6, 5)).astype(float)
-        m = _matrix_from_dense(dense)
-        info_need = {int(i) for i in rng.choice(6, size=2, replace=False)}
-        for k in (1, 2, 3):
-            got = svd_prior(m, info_need, PipelineParams(ndim=k, stress=1000.0))
-            want = oracles.latent_prior_by_dense_svd(dense, info_need, k, 1000.0)
-            assert np.allclose(got.values, want, atol=1e-6), (trial, k)
-
-
-def test_svd_prior_stress_one_degenerates_to_uniform():
-    dense = np.array([[1.0, 2.0], [3.0, 1.0], [0.0, 2.0]])
-    m = _matrix_from_dense(dense)
-    # Stress 1 changes nothing, so no coordinate can grow.
-    with pytest.warns(UserWarning):
-        p = svd_prior(m, {0}, PipelineParams(ndim=1, stress=1.0))
-    assert np.allclose(p.values, 1.0 / 3.0)
-
-
 @pytest.mark.parametrize("focus, stress", [({0, 2}, 1000.0), ({1}, 1.0)])
 def test_svd_prior_unchanged_matrix_falls_back_to_exact_uniform(focus, stress):
     # Rows 0 and 2 hold no stems, so stressing them changes nothing, as does
@@ -191,18 +157,25 @@ def test_svd_prior_unchanged_matrix_falls_back_to_exact_uniform(focus, stress):
     assert np.array_equal(p.values, np.full(4, 0.25))
 
 
-def test_svd_prior_drift_of_rounding_alone_falls_back_to_uniform():
-    # r2's one stem is in no other text, so its row is a block of its own;
-    # stress 2 moves its singular value from 1 to 2, still below sigma_3, so
-    # no coordinate norm changes and every drift is rounding, about 1e-15.
-    texts = ["omega omega lambda", "omega castle paris sigma epsilon zeta alpha", "delta",
-             "beta beta beta alpha", "omega sigma gamma lambda castle epsilon",
-             "kappa lambda river berlin theta", "berlin"]
-    bundle = assemble_bundle([], {f"r{i}": t for i, t in enumerate(texts)},
-                             [["r5", "r3", "r6", "r2", "r4"], ["r2", "r0", "r5"]], set())
-    with pytest.warns(UserWarning, match="did not grow"):
-        p = Pipeline(bundle, PipelineParams(ndim=3, stress=2.0)).prior("SVD")
-    assert np.array_equal(p.values, np.full(7, 1 / 7))
+# Hand-picked count matrices whose SVD prior sends most of its mass to the
+# stressed rows: a 4 x 4 matrix stressed on row 1, and the fixture's texts
+# stressed on its info need, Germany (the query) and Berlin (the top hit).
+_PINNED_MATRICES = {
+    "stressed-row": ([[3, 1, 0, 0], [0, 2, 1, 0], [1, 0, 2, 1], [0, 1, 0, 3]], {1}, 2),
+    "fixture": (None, {0, 3}, 1),
+}
+
+
+@pytest.mark.parametrize("dense, focus, k", _PINNED_MATRICES.values(), ids=list(_PINNED_MATRICES))
+def test_pinned_matrix_puts_its_svd_prior_on_the_stressed_rows(basic_bundle, dense, focus, k):
+    if dense is None:
+        assert build_info_need(basic_bundle.query, hit_prior(basic_bundle)) == focus
+        dense = oracles.dense_from_sparse(build_text_matrix(basic_bundle).counts)
+    dense = np.asarray(dense, dtype=float)
+    p = svd_prior(_matrix_from_dense(dense), focus, PipelineParams(ndim=k, stress=1000.0))
+    assert np.allclose(p.values, oracles.latent_prior_by_dense_svd(dense, focus, k, 1000.0),
+                       atol=1e-6)
+    assert p.values[sorted(focus)].sum() > 0.5
 
 
 def test_svd_prior_widens_k_over_tied_singular_values():
@@ -236,13 +209,3 @@ def test_svd_prior_rank_above_matrix_falls_back_to_uniform():
     with pytest.warns(UserWarning, match="falls back to uniform"):
         p = svd_prior(empty, {0}, PipelineParams(ndim=1))
     assert np.array_equal(p.values, np.full(3, 1.0 / 3.0))
-
-
-def test_svd_prior_on_fixture_is_query_biased(basic_bundle):
-    matrix = build_text_matrix(basic_bundle)
-    hit = hit_prior(basic_bundle)
-    info_need = build_info_need(basic_bundle.query, hit)
-    p = svd_prior(matrix, info_need, PipelineParams(ndim=1, stress=1000.0))
-    # Germany (index 3) is the query resource; Berlin (0) the top hit.
-    assert frozenset({0, 3}) == info_need
-    assert p.values[0] + p.values[3] > 0.5

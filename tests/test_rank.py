@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ldrank import (
@@ -14,10 +14,9 @@ from ldrank import (
     RankingResult,
     build_graph,
     equi_prior,
-    ldrank,
     load_bundle,
     power_rank,
-    strategy,
+    tokenize,
 )
 from ldrank.corpus import assemble_bundle
 from ldrank.types import SUM_TOL
@@ -33,20 +32,6 @@ def _graph(edges, ids, bidirectional=False):
     return build_graph(_bundle(edges, ids), bidirectional=bidirectional)
 
 
-def test_two_node_chain_against_dense_oracle():
-    # a -> b, b dangling; teleport and fill both uniform.
-    g = _graph([("a", "p", "b")], ["a", "b"])
-    t = equi_prior(2)
-    res = power_rank(g, t, PipelineParams(alpha=0.8))
-    want = oracles.stationary_by_eig(
-        oracles.dense_walk_matrix([[1], []], 0.8, t.values, t.values)
-    )
-    assert res.converged
-    assert np.abs(res.scores.values - want).sum() < 1e-9
-    # b receives everything a passes along, so it must score higher.
-    assert res.scores.values[1] > res.scores.values[0]
-
-
 def test_all_dangling_graph_returns_teleport():
     g = _graph([], ["a", "b", "c"])
     t = Distribution(np.array([0.2, 0.5, 0.3]))
@@ -55,38 +40,6 @@ def test_all_dangling_graph_returns_teleport():
     # the first iterate equals the start and the loop exits immediately.
     assert res.iterations == 1
     assert np.abs(res.scores.values - t.values).max() < 1e-15
-
-
-def test_matches_dense_eig_on_random_graphs():
-    rng = np.random.default_rng(53)
-    for trial in range(60):
-        n = int(rng.integers(2, 11))
-        ids = [f"r{i:02d}" for i in range(n)]
-        edges = [
-            (ids[i], "p", ids[j])
-            for i in range(n)
-            for j in range(n)
-            if rng.random() < 0.3
-        ]
-        t = oracles.normalized(rng.random(n) + 0.05)
-        alpha = rng.choice([0.6, 0.7, 0.8])
-        g = _graph(edges, ids)
-        res = power_rank(g, t, PipelineParams(alpha=float(alpha)))
-        dense = oracles.dense_walk_matrix(
-            oracles.successor_lists(g), float(alpha), t.values, t.values
-        )
-        want = oracles.stationary_by_eig(dense)
-        assert res.converged, trial
-        assert np.abs(res.scores.values - want).sum() < 1e-8, trial
-
-
-def test_stationarity_residual_below_tolerance():
-    g = _graph([("a", "p", "b"), ("b", "p", "c"), ("c", "p", "a")], ["a", "b", "c"])
-    t = Distribution(np.array([0.5, 0.25, 0.25]))
-    res = power_rank(g, t, PipelineParams(alpha=0.7, tol=1e-10))
-    dense = oracles.dense_walk_matrix([[1], [2], [0]], 0.7, t.values, t.values)
-    residual = np.abs(res.scores.values - res.scores.values @ dense).sum()
-    assert residual < 1e-10
 
 
 @settings(max_examples=300, deadline=None)
@@ -115,24 +68,6 @@ def test_a_converged_walk_meets_its_residual_bound(data, n, alpha, tol):
     assert residual < tol + n * np.finfo(np.float64).eps
 
 
-def test_scores_form_distribution():
-    g = _graph([("a", "p", "b"), ("c", "p", "b")], ["a", "b", "c", "d"])
-    t = equi_prior(4)
-    res = power_rank(g, t, PipelineParams())
-    v = res.scores.values
-    assert v.min() >= 0
-    assert abs(v.sum() - 1.0) < 1e-9
-
-
-def test_order_breaks_ties_by_resource_id():
-    # Symmetric two-cycle: both nodes share the same score exactly.
-    bundle = _bundle([("b", "p", "a"), ("a", "p", "b")], ["a", "b"])
-    t = equi_prior(2)
-    res = power_rank(build_graph(bundle), t, PipelineParams())
-    assert res.scores.values[0] == pytest.approx(res.scores.values[1])
-    assert [bundle.resource_ids[i] for i in res.order] == ["a", "b"]
-
-
 _ID_CHARS = "abcXYZ09_-"
 
 
@@ -158,16 +93,6 @@ def test_order_breaks_ties_as_the_id_lexsort(ids, data):
     assert res.order.tolist() == want.tolist()
 
 
-def test_order_sorted_by_score():
-    rng = np.random.default_rng(59)
-    ids = [f"r{i}" for i in range(6)]
-    edges = [(ids[i], "p", ids[j]) for i in range(6) for j in range(6) if i != j and rng.random() < 0.4]
-    t = oracles.normalized(rng.random(6) + 0.01)
-    res = power_rank(_graph(edges, ids), t, PipelineParams())
-    ranked_scores = res.scores.values[res.order]
-    assert np.all(np.diff(ranked_scores) <= 1e-15)
-
-
 def test_max_iters_flags_nonconvergence():
     g = _graph([("a", "p", "b"), ("b", "p", "a")], ["a", "b"])
     t = Distribution(np.array([0.9, 0.1]))
@@ -185,7 +110,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PipelineParams(tol=0.0)
     g = _graph([("a", "p", "b")], ["a", "b"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match=r"^fill distribution has length 3, graph has shape \(2, 2\)$"):
         power_rank(g, equi_prior(3), PipelineParams())
 
 
@@ -239,7 +165,7 @@ def test_any_valid_settings_rank_or_raise_an_input_error(basic_dir, params):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             try:
-                res = strategy(name, bundle, params)
+                res = Pipeline(bundle, params).rank(name)
             except ValueError:
                 continue
         assert isinstance(res.scores, Distribution)
@@ -249,67 +175,14 @@ def test_any_valid_settings_rank_or_raise_an_input_error(basic_dir, params):
 # ------------------------------------------------------------- pipeline
 
 
-def test_ldrank_fixture_end_to_end(basic_bundle):
-    res = ldrank(basic_bundle)
-    assert res.converged
-    assert res.scores.values.min() >= 0
-    assert abs(res.scores.values.sum() - 1.0) < 1e-9
-    ranked = [basic_bundle.resource_ids[i] for i in res.order]
-    # Germany is the query resource, gets half the drift prior and has two
-    # in-edges from well-scored nodes, so it must come out on top.  River
-    # has no in-edges at all: nothing but the teleport feeds it, so it
-    # lands at the bottom.
-    assert ranked[0] == "Germany"
-    assert ranked[-1] == "River"
-
-
-def test_ldrank_matches_dense_pipeline(basic_bundle):
-    from ldrank import tokenize
-
-    res = ldrank(basic_bundle)
-    want = oracles.dense_pipeline_scores(basic_bundle, tokenize)
-    assert np.abs(res.scores.values - want).sum() < 1e-6
-
-
-def test_priors_exposed(basic_bundle):
-    pipeline = Pipeline(basic_bundle)
-    assert pipeline.consensus.converged
-    for name in ("EQUI", "HIT", "SVD", "LDRANK"):
-        assert abs(pipeline.prior(name).values.sum() - 1.0) < 1e-9
-    assert np.allclose(pipeline.prior("EQUI").values, 1.0 / 6.0)
-
-
 def test_strategy_dispatch(basic_bundle):
-    equi = strategy("EQUI", basic_bundle)
-    hit = strategy("HIT", basic_bundle)
-    svd = strategy("SVD", basic_bundle)
-    full = strategy("LDRANK", basic_bundle)
+    equi, hit, svd, full = (Pipeline(basic_bundle).rank(name) for name in STRATEGIES)
     assert not np.allclose(equi.scores.values, hit.scores.values)
     assert not np.allclose(hit.scores.values, svd.scores.values)
-    ld2 = ldrank(basic_bundle)
+    ld2 = Pipeline(basic_bundle).rank("LDRANK")
     assert np.array_equal(full.scores.values, ld2.scores.values)
     with pytest.raises(ValueError):
-        strategy("PAGERANK", basic_bundle)
-
-
-def test_strategy_teleport_equals_dangling(basic_bundle):
-    # On EQUI the teleport is uniform, so the City dangling row spreads
-    # uniformly too; verify against the dense oracle built that way.
-    res = strategy("EQUI", basic_bundle)
-    g = build_graph(basic_bundle)
-    n = basic_bundle.n
-    uniform = np.full(n, 1.0 / n)
-    dense = oracles.dense_walk_matrix(
-        oracles.successor_lists(g), 0.7, uniform, uniform
-    )
-    want = oracles.stationary_by_eig(dense)
-    assert np.abs(res.scores.values - want).sum() < 1e-8
-
-
-def test_bidirectional_changes_result(basic_bundle):
-    plain = ldrank(basic_bundle)
-    mirrored = ldrank(basic_bundle, PipelineParams(bidirectional=True))
-    assert not np.allclose(plain.scores.values, mirrored.scores.values)
+        Pipeline(basic_bundle).rank("PAGERANK")
 
 
 def test_ranking_result_orders_by_its_scores():
@@ -335,20 +208,25 @@ def test_ranking_result_order_sorts_scores_with_ties_by_index(weights):
     assert np.all(np.diff(order)[tied] > 0)
 
 
-# ------------------------------------------------------------- relabelling
+# ------------------------------------------------------- random bundles
 
 _WORDS = ("river", "city", "museum", "bridge", "tower")
+# Sixteen words: texts share some stems, and a text whose stems no other
+# text holds gives the count matrix a block of its own.
+_VOCABULARY = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "theta", "kappa",
+               "lambda", "sigma", "omega", "river", "city", "castle", "paris", "berlin")
 
 
 @st.composite
-def _bundle_parts(draw):
-    """Parsed primitives (texts, edges, serp, query) over resources
-    r0..r{n-1}."""
-    n = draw(st.integers(min_value=2, max_value=7))
+def _bundle_parts(draw, words=_WORDS):
+    """Parsed primitives (texts, triples, serp, query) over resources
+    r0..r{n-1}: two predicates, so parallel edges and self-loops are
+    common, and documents that may mention a resource twice."""
+    n = draw(st.integers(min_value=2, max_value=8))
     node = st.integers(min_value=0, max_value=n - 1)
-    texts = [" ".join(draw(st.lists(st.sampled_from(_WORDS), max_size=5))) for _ in range(n)]
-    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
-    serp = draw(st.lists(st.lists(node, unique=True, max_size=3), min_size=1, max_size=4))
+    texts = [" ".join(draw(st.lists(st.sampled_from(words), max_size=7))) for _ in range(n)]
+    edges = draw(st.lists(st.tuples(node, st.sampled_from("pq"), node), max_size=3 * n))
+    serp = draw(st.lists(st.lists(node, max_size=3), max_size=4))
     query = draw(st.sets(node, max_size=2))
     return texts, edges, serp, query
 
@@ -362,20 +240,129 @@ def _bundle_and_renaming(draw):
     return texts, edges, serp, query, perm
 
 
-def _assemble(texts, edges, serp, query, name):
+def _assemble(texts, edges, serp, query, name=lambda i: f"r{i}"):
     return assemble_bundle(
-        [(name(s), "p", name(o)) for s, o in edges],
+        [(name(s), p, name(o)) for s, p, o in edges],
         {name(i): text for i, text in enumerate(texts)},
         [[name(i) for i in mentions] for mentions in serp],
         {name(i) for i in query},
     )
 
 
+# Two bundles whose SVD prior is solver error alone.  The focus resource's
+# one stem is in no other text, so its row is a block of its own, and
+# stress 2 leaves the block's singular value below sigma_k: no coordinate
+# norm changes.  In the first, every drift is about 1e-15; in the second,
+# sigma_2 lies 0.018 above the block, and that small gap leaves a norm
+# 5e-14 off, above 64 epsilons of the largest norm.
+_SOLVER_NOISE = {
+    "below-sigma-3": (
+        (["omega omega lambda", "omega castle paris sigma epsilon zeta alpha", "delta",
+          "beta beta beta alpha", "omega sigma gamma lambda castle epsilon",
+          "kappa lambda river berlin theta", "berlin"],
+         [], [[5, 3, 6, 2, 4], [2, 0, 5]], set()),
+        PipelineParams(ndim=3, stress=2.0),
+    ),
+    "small-gap": (
+        (["", "kappa", "epsilon gamma sigma river epsilon", "river delta sigma", "delta lambda",
+          "gamma omega beta alpha epsilon", "theta", "theta city"],
+         [], [[0, 1], [0, 4, 3]], {1}),
+        PipelineParams(ndim=2, stress=2.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("parts, params", _SOLVER_NOISE.values(), ids=list(_SOLVER_NOISE))
+def test_svd_prior_of_solver_error_alone_falls_back_to_uniform(parts, params):
+    bundle = _assemble(*parts)
+    with pytest.warns(UserWarning, match="did not grow"):
+        p = Pipeline(bundle, params).prior("SVD")
+    assert np.array_equal(p.values, np.full(bundle.n, 1 / bundle.n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=_bundle_parts(_VOCABULARY),
+    params=st.builds(
+        PipelineParams,
+        alpha=st.floats(0.01, 0.99),
+        ndim=st.integers(1, 9),
+        stress=st.floats(0.1, 1e4),
+        damping=st.floats(0.05, 1.0),
+        bidirectional=st.booleans(),
+    ),
+)
+@example(*_SOLVER_NOISE["below-sigma-3"])
+@example(*_SOLVER_NOISE["small-gap"])
+def test_every_strategy_ranks_as_the_dense_pipeline(parts, params):
+    # Up to 9 dimensions over at most 8 resources: the rank bound and the
+    # empty vocabulary fall back.  A walk or pool at its iteration cap (at
+    # damping 1 the pool oscillates) is flagged and warned instead.
+    bundle = _assemble(*parts)
+    pipeline = Pipeline(bundle, params)
+    for name in STRATEGIES:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = pipeline.rank(name)
+        warned = [str(w.message) for w in caught]
+        if name == "LDRANK" and not pipeline.consensus.converged:
+            assert (f"consensus pooling still above epsilon after "
+                    f"{params.consensus_max_iters} iterations") in warned
+            continue
+        if not result.converged:
+            assert (f"power iteration still above tolerance after "
+                    f"{params.power_max_iters} iterations") in warned
+            continue
+        assert np.abs(result.scores.values - _dense(bundle, params, name)).sum() < 1e-6, name
+
+
+def _dense(bundle, params, name):
+    return oracles.dense_pipeline_scores(
+        bundle, tokenize, name, alpha=params.alpha, k=params.ndim, stress=params.stress,
+        damping=params.damping, bidirectional=params.bidirectional,
+    )
+
+
+# The hand-picked bundles of the end-to-end check, one row per bundle and
+# strategy: the fixture in both edge modes, a dangling chain, a cycle, a
+# symmetric two-cycle whose EQUI and HIT scores tie, and a sink with an
+# isolated resource.  Every walk and pool here converges.
+_PINNED = {
+    "fixture": (None, PipelineParams()),
+    "fixture-bidirectional": (None, PipelineParams(bidirectional=True)),
+    "two-node-chain": ((["river city", "river"], [(0, "p", 1)], [[1], [0, 1]], {0}),
+                       PipelineParams(alpha=0.8)),
+    "three-cycle": ((["berlin river", "paris river", "castle"],
+                     [(0, "p", 1), (1, "p", 2), (2, "p", 0)], [[2]], set()),
+                    PipelineParams(tol=1e-10)),
+    "two-cycle": ((["river", "river"], [(1, "p", 0), (0, "p", 1)], [[0, 1]], set()),
+                  PipelineParams()),
+    "sink-and-isolated": ((["museum", "museum tower", "bridge", ""],
+                           [(0, "p", 1), (2, "p", 1)], [[1, 3], [2]], {3}),
+                          PipelineParams()),
+}
+
+
+@pytest.mark.parametrize("case, name", [(c, n) for c in _PINNED for n in STRATEGIES],
+                         ids=[f"{c}-{n}" for c in _PINNED for n in STRATEGIES])
+def test_pinned_bundle_ranks_as_the_dense_pipeline(basic_bundle, case, name):
+    parts, params = _PINNED[case]
+    bundle = basic_bundle if parts is None else _assemble(*parts)
+    result = Pipeline(bundle, params).rank(name)
+    assert result.converged
+    assert np.abs(result.scores.values - _dense(bundle, params, name)).sum() < 1e-6
+    want = oracles.order_by_score_then_id(result.scores.values, bundle.resource_ids)
+    assert result.order.tolist() == want.tolist()
+
+
+# ------------------------------------------------------------- relabelling
+
+
 @settings(max_examples=150, deadline=None)
 @given(_bundle_and_renaming())
 def test_relabelling_resources_permutes_ldrank_scores(case):
     texts, edges, serp, query, perm = case
-    before = _assemble(texts, edges, serp, query, lambda i: f"r{i}")
+    before = _assemble(texts, edges, serp, query)
     after = _assemble(texts, edges, serp, query, lambda i: f"r{perm[i]}")
     # The top hit joins the focus set, and a tie for it goes to the lowest
     # index, i.e. to the smallest identifier: only a unique top hit is
@@ -385,7 +372,7 @@ def test_relabelling_resources_permutes_ldrank_scores(case):
         pipeline = Pipeline(before)
         assume(np.count_nonzero(pipeline.hit.values == pipeline.hit.values.max()) == 1)
         a = pipeline.rank("LDRANK").scores.values
-        b = ldrank(after).scores.values
+        b = Pipeline(after).rank("LDRANK").scores.values
     assert np.abs(b[list(perm)] - a).sum() < 1e-8
 
 
@@ -393,8 +380,8 @@ def test_relabelling_resources_permutes_ldrank_scores(case):
 @given(_bundle_parts())
 def test_bidirectional_leaves_symmetric_graph_unchanged(parts):
     texts, edges, serp, query = parts
-    symmetric = edges + [(o, s) for s, o in edges]
-    bundle = _assemble(texts, symmetric, serp, query, lambda i: f"r{i}")
+    symmetric = edges + [(o, p, s) for s, p, o in edges]
+    bundle = _assemble(texts, symmetric, serp, query)
     plain, mirrored = build_graph(bundle), build_graph(bundle, bidirectional=True)
     assert np.array_equal(plain.rows, mirrored.rows)
     assert np.array_equal(plain.cols, mirrored.cols)
@@ -411,7 +398,7 @@ def test_bidirectional_leaves_symmetric_graph_unchanged(parts):
 @settings(max_examples=100, deadline=None)
 @given(_bundle_parts())
 def test_priors_and_scores_are_distributions_and_repeatable(parts):
-    bundle = _assemble(*parts, lambda i: f"r{i}")
+    bundle = _assemble(*parts)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         first, second = Pipeline(bundle), Pipeline(bundle)

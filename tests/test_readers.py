@@ -274,8 +274,8 @@ def test_read_rows_yields_every_row_before_bad_bytes(tmp_path):
 _LINE_TEXT = st.text(st.sampled_from("ab #\t{}\x85\x1c\u2028\xe9"), max_size=6)
 
 
-# Text mode is the oracle here: every other reader's oracle reads through
-# ``read_lines``, and so through the same ``_chunks``.
+# Text mode is the oracle here, as ``oracles.lines_of_file``, which every
+# line loop reads through, is for the readers above.
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(_LINE_TEXT, max_size=14), _ENDS, st.booleans(), st.sampled_from([1, 2, 3, 7, 1 << 16])
