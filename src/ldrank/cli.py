@@ -97,7 +97,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--lambda", dest="damping", type=_real,
-        help="consensus step size in (0, 1] (default: %(default)s)",
+        help="consensus step size in (0, 1) (default: %(default)s)",
     )
     parser.add_argument(
         "--consensus-eps", dest="consensus_epsilon", metavar="CONSENSUS_EPS", type=_real,

@@ -386,7 +386,7 @@ _PARAM_RULES = {
     "ndim": _COUNT,
     "stress": _POSITIVE,
     "tol": _POSITIVE,
-    "damping": partial(number, rule="must lie in (0, 1]", ok=lambda v: 0.0 < v <= 1.0),
+    "damping": partial(number, rule="must lie in (0, 1)", ok=lambda v: 0.0 < v < 1.0),
     "consensus_epsilon": _POSITIVE,
     "consensus_max_iters": _COUNT,
     "power_max_iters": _COUNT,

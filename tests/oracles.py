@@ -243,7 +243,28 @@ def gain_by_direct_formula(grades, r):
     return total
 
 
+def ndcg_by_direct_formula(ranked, r):
+    """The direct-formula gain of ``ranked`` over that of its descending
+    sort, or 1.0 when that ideal gain is 0."""
+    ideal = gain_by_direct_formula(sorted(ranked, reverse=True), r)
+    return 1.0 if ideal == 0.0 else gain_by_direct_formula(ranked, r) / ideal
+
+
 # ---------------------------------------------------------------- agreement
+
+def _distance_by_rule(g, h):
+    """The distance between grades ``g`` and ``h`` of the 0..3 scale, by its
+    rule: a non-relevant 0 against a relevant h costs 0.5 + 0.25 (h - 1),
+    two relevant grades 0.25 per step."""
+    low, high = sorted((g, h))
+    if low == 0 < high:
+        return 0.5 + 0.25 * (high - 1)
+    return 0.25 * (high - low)
+
+
+#: ``table[g][h]``: the scale's distances, stated apart from the package's.
+RELEVANCE_DISTANCE_BY_RULE = [[_distance_by_rule(g, h) for h in range(4)] for g in range(4)]
+
 
 def alpha_by_pair_enumeration(item_grades, table):
     """Agreement coefficient by literally enumerating ordered grade pairs.
@@ -253,7 +274,7 @@ def alpha_by_pair_enumeration(item_grades, table):
     """
     units = [grades for grades in item_grades.values() if len(grades) >= 2]
     if not units:
-        raise ValueError("nothing pairable")
+        raise ValueError("no item has two or more judgments; alpha is undefined")
     n_total = sum(len(g) for g in units)
 
     observed = 0.0
@@ -293,31 +314,6 @@ def _records_by_item(records):
     for rec in records:
         grouped[rec["item"]].append(rec)
     return dict(grouped)
-
-
-def alpha_by_item_loop(records, table):
-    """Agreement coefficient, one item's coincidences added at a time."""
-    pairable = [
-        [rec["grade"] for rec in recs]
-        for recs in _records_by_item(records).values()
-        if len(recs) >= 2
-    ]
-    if not pairable:
-        raise ValueError("no item has two or more judgments; alpha is undefined")
-    coincidence = np.zeros((4, 4))
-    for grades in pairable:
-        m = len(grades)
-        counts = np.bincount(grades, minlength=4).astype(np.float64)
-        coincidence += (np.outer(counts, counts) - np.diag(counts)) / (m - 1)
-    total = coincidence.sum()
-    margins = coincidence.sum(axis=0)
-    observed = float((coincidence * table).sum()) / total
-    expected = float((np.outer(margins, margins) * table).sum()) / (
-        total * (total - 1.0)
-    )
-    if expected == 0.0:
-        return 1.0
-    return 1.0 - observed / expected
 
 
 def kept_records_by_counter(records, threshold):
@@ -505,17 +501,15 @@ def judgments_by_line(path):
     before chunking; a repeated pair is reported at the first line that
     repeats one."""
     records = list(_records_by_line(path, lines_of_file(path)))
-    try:
-        return JudgmentSet.from_records(records)
-    except ValueError as exc:
-        seen = set()
-        numbers = (line_no for line_no, line in lines_of_file(path) if line.strip())
-        for line_no, record in zip(numbers, records):
-            pair = record["item"], record["worker"]
-            if pair in seen:
-                raise InputFormatError(path, line_no, str(exc)) from exc
-            seen.add(pair)
-        raise
+    seen = set()
+    numbers = (line_no for line_no, line in lines_of_file(path) if line.strip())
+    for line_no, record in zip(numbers, records):
+        pair = record["item"], record["worker"]
+        if pair in seen:
+            raise InputFormatError(path, line_no, f"duplicate judgment for item "
+                                   f"{shown(pair[0])} by worker {shown(pair[1])}")
+        seen.add(pair)
+    return JudgmentSet.from_records(records)
 
 
 def item_id_fault(item):

@@ -240,7 +240,8 @@ ROWS = [
       for strategy, flag, value, reason in [
           (("--strategy", "HIT"), "--stress", "-5", "stress must be positive and finite, got -5.0"),
           (("--strategy", "EQUI"), "--ndim", "0", "ndim must be at least 1, got 0"),
-          (("--strategy", "HIT"), "--lambda", "7", "damping must lie in (0, 1], got 7.0"),
+          (("--strategy", "HIT"), "--lambda", "7", "damping must lie in (0, 1), got 7.0"),
+          (("--strategy", "HIT"), "--lambda", "1", "damping must lie in (0, 1), got 1.0"),
           ((), "--tol", "nan", "tol must be positive and finite, got nan"),
           ((), "--consensus-eps", "nan", "consensus_epsilon must be positive and finite, got nan"),
           ((), "--max-iters", "0", "power_max_iters must be at least 1, got 0"),

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldrank import (
@@ -18,6 +18,9 @@ from ldrank import (
 from ldrank.evaluation import _gains
 
 import oracles
+
+
+_ZERO_GAIN = "ideal ranking has zero gain; returning 1.0"
 
 
 # ------------------------------------------------------------------- dcg
@@ -48,29 +51,27 @@ def test_dcg_cutoff_truncates():
     assert dcg(grades, 100) == pytest.approx(dcg(grades, 6))
 
 
-def test_dcg_matches_direct_formula_on_random_lists():
-    rng = np.random.default_rng(61)
-    for _ in range(100):
-        grades = rng.integers(0, 4, size=int(rng.integers(1, 12))).tolist()
-        r = int(rng.integers(1, 15))
-        assert dcg(grades, r) == pytest.approx(
-            oracles.gain_by_direct_formula(grades, r), abs=1e-12
-        )
-
-
 _GRADE_LISTS = st.lists(st.integers(0, 3), min_size=1, max_size=40)
 _CUTOFF_SETS = st.lists(st.integers(1, 50), min_size=1, max_size=6, unique=True).map(tuple)
 
 
 @settings(max_examples=300, deadline=None)
 @given(grades=_GRADE_LISTS, cutoffs=_CUTOFF_SETS)
+@example(grades=[0, 0], cutoffs=(1, 3))
 def test_one_pass_gains_equal_dcg_bit_for_bit_at_every_cutoff(grades, cutoffs):
     # Each cutoff's value is a prefix of one sum, which adds the same terms
-    # in the same order as a sum cut at that cutoff alone.
+    # in the same order as a sum cut at that cutoff alone.  NDCG divides it
+    # by the gain of the descending sort; when every grade is 0 there is
+    # nothing to divide by, and each call scores 1.0 with one warning.
     gains = _gains(grades, cutoffs)
     for r, gain in zip(cutoffs, gains):
         want = oracles.gain_by_direct_formula(grades, r)
         assert gain.hex() == dcg(grades, r).hex() == want.hex(), r
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            score = ndcg(grades, r)
+        assert score.hex() == oracles.ndcg_by_direct_formula(grades, r).hex(), r
+        assert [str(w.message) for w in caught] == [_ZERO_GAIN] * (not any(grades))
 
 
 def test_dcg_rejects_bad_input():
@@ -174,16 +175,20 @@ def test_compare_strategies_scores_equal_ndcg_bit_for_bit_at_every_cutoff(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         table = compare_strategies([(bundle, judged)], cutoffs)
-        pipeline = Pipeline(bundle)
-        for name in STRATEGIES:
-            ranked = [grades[i] for i in pipeline.rank(name).order.tolist()]
-            for r in cutoffs:
-                got, want = table.per_query_ndcg[0][name][r], ndcg(ranked, r)
-                assert got.hex() == want.hex(), (name, r)
-    # A bundle whose grades are all 0 scores 1.0 with one warning, where
-    # each ndcg call warns.
-    zero_gain = [w for w in caught if str(w.message).startswith("ideal ranking has zero gain")]
-    assert len(zero_gain) == (0 if any(grades) else 1 + len(STRATEGIES) * len(cutoffs))
+    # One bundle: each mean is its one score.  A bundle whose grades are
+    # all 0 scores 1.0 with one warning.
+    assert table.n_queries == 1 and table.cutoffs == cutoffs
+    assert list(table.mean_ndcg) == list(table.mean_seconds) == list(STRATEGIES)
+    pipeline = Pipeline(bundle)
+    for name in STRATEGIES:
+        ranked = [grades[i] for i in pipeline.rank(name).order.tolist()]
+        for r in cutoffs:
+            want = oracles.ndcg_by_direct_formula(ranked, r)
+            got = table.per_query_ndcg[0][name][r], table.mean_ndcg[name][r]
+            assert [v.hex() for v in got] == [want.hex()] * 2, (name, r)
+        assert table.mean_seconds[name] >= 0.0
+    zero_gain = [w for w in caught if str(w.message) == _ZERO_GAIN]
+    assert len(zero_gain) == (not any(grades))
 
 
 def test_compare_strategies_empty_input():

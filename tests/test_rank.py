@@ -129,7 +129,7 @@ _BAD_VALUES = {
     "ndim": _NOT_A_COUNT,
     "stress": _NOT_POSITIVE,
     "tol": _NOT_POSITIVE,
-    "damping": _NOT_POSITIVE | st.floats(min_value=1.0, exclude_min=True),
+    "damping": _NOT_POSITIVE | st.floats(min_value=1.0),
     "consensus_epsilon": _NOT_POSITIVE,
     "consensus_max_iters": _NOT_A_COUNT,
     "power_max_iters": _NOT_A_COUNT,
@@ -153,7 +153,7 @@ def test_out_of_range_setting_names_its_field(case):
     stress=_POSITIVE | st.sampled_from([5e-324, 1e150, 1e200, 1e300]),
     tol=_POSITIVE | st.sampled_from([5e-324, 1e-300]),
     bidirectional=st.booleans(),
-    damping=_OPEN_UNIT | st.just(1.0),
+    damping=_OPEN_UNIT,
     consensus_epsilon=_POSITIVE | st.just(5e-324),
     consensus_max_iters=st.integers(min_value=1, max_value=500),
     power_max_iters=st.integers(min_value=1, max_value=500),
@@ -288,7 +288,7 @@ def test_svd_prior_of_solver_error_alone_falls_back_to_uniform(parts, params):
         alpha=st.floats(0.01, 0.99),
         ndim=st.integers(1, 9),
         stress=st.floats(0.1, 1e4),
-        damping=st.floats(0.05, 1.0),
+        damping=st.floats(0.05, 1.0, exclude_max=True),
         bidirectional=st.booleans(),
     ),
 )
@@ -296,8 +296,9 @@ def test_svd_prior_of_solver_error_alone_falls_back_to_uniform(parts, params):
 @example(*_SOLVER_NOISE["small-gap"])
 def test_every_strategy_ranks_as_the_dense_pipeline(parts, params):
     # Up to 9 dimensions over at most 8 resources: the rank bound and the
-    # empty vocabulary fall back.  A walk or pool at its iteration cap (at
-    # damping 1 the pool oscillates) is flagged and warned instead.
+    # empty vocabulary fall back.  A walk or pool at its iteration cap (just
+    # below damping 1 the pool may still reach it) is flagged and warned
+    # instead.
     bundle = _assemble(*parts)
     pipeline = Pipeline(bundle, params)
     for name in STRATEGIES:
