@@ -3,7 +3,11 @@
 The walk structure ignores predicates entirely: an edge is a distinct
 (subject, object) pair.  ``build_graph`` turns a bundle's edge rows into
 the walk matrix S itself, a ``types.SparseMatrix`` over resource indices
-with no ids; ``rank.power_rank`` steps with ``x @ S``.
+with no ids.  ``rank.power_rank`` computes each step's ``x @ S`` from its
+pattern and row degrees: it scales ``x`` by the row weights once, spreads
+the result to the entries, which run by source, and adds it into the
+targets in entry order, the same products in the same order as ``x @ S``,
+so the step equals ``x @ S`` bit for bit.
 """
 
 from __future__ import annotations

@@ -2,10 +2,15 @@
 
 ``power_rank`` runs the damped power iteration for the walk matrix
 ``alpha * S + (1 - alpha) * ones * teleport'`` without ever materializing
-the dense matrix: each step is one product ``x @ S`` with the sparse S of
-``graph.build_graph``, at O(edges + n).  Its ``RankingResult`` holds the
-scores, and reads the ranking of indices off them: score ties by
-ascending index, which is id order, as the bundle sorts its ids.
+the dense matrix.  Each step computes ``x @ S`` for the sparse S of
+``graph.build_graph`` from S's pattern and row degrees, at O(edges + n):
+it scales ``x`` by the row weights ``1 / degree`` once, spreads the result
+to the entries, which run by source, and adds it into the targets in entry
+order.  Every target then sums the same products in the same order as
+``x @ S`` does, so the scores equal those of ``x @ S`` bit for bit.  Its
+``RankingResult`` holds the scores, and reads the ranking of indices off
+them: score ties by ascending index, which is id order, as the bundle
+sorts its ids.
 
 Every stage takes its settings from one ``PipelineParams`` (defined in
 ``types``), which has checked them when it was built.
@@ -78,8 +83,9 @@ def power_rank(
 ) -> RankingResult:
     """Power iteration from the teleport vector to the stationary scores.
 
-    ``graph`` is the walk matrix S, n-by-n with each non-empty row summing
-    to one, as ``graph.build_graph`` gives it.  ``teleport`` is the restart
+    ``graph`` is the walk matrix S, n-by-n with its entries by source and
+    each holding ``1 / degree`` of its row, as ``graph.build_graph`` gives
+    it; any other matrix raises ``ValueError``.  ``teleport`` is the restart
     distribution and also fills the empty rows.  Stops when the L1
     difference between successive iterates drops below ``params.tol``; the
     walk matrix is an ``alpha``-contraction in L1, so the stationarity
@@ -91,15 +97,24 @@ def power_rank(
     n = len(teleport)
     if graph.shape != (n, n):
         raise ValueError(f"fill distribution has length {n}, graph has shape {graph.shape}")
-    dangling = np.bincount(graph.rows, minlength=n) == 0
+    degree = np.bincount(graph.rows, minlength=n)
+    weight = 1.0 / np.maximum(degree, 1)
+    if (graph.rows[1:] < graph.rows[:-1]).any():
+        raise ValueError("graph is not a walk matrix: its rows decrease somewhere")
+    # With sorted rows, np.repeat(weight, degree) is weight[rows].
+    if not np.array_equal(graph.data, np.repeat(weight, degree)):
+        raise ValueError("graph is not a walk matrix: an entry is not 1 / degree of its row")
+    dangling = degree == 0
     restart = (1.0 - params.alpha) * teleport.values
     x = teleport.values.copy()
     iterations = 0
     converged = False
     while iterations < params.power_max_iters:
-        # Row i sends x[i] / degree(i) to each successor, summed in entry
-        # order; the last bits of the printed scores depend on that order.
-        step = x @ graph
+        # Row i sends x[i] / degree(i) to each successor: x @ S's products,
+        # added into the targets in x @ S's entry order, so the step equals
+        # it bit for bit; the last bits of the printed scores depend on that.
+        step = np.zeros(n)
+        np.add.at(step, graph.cols, np.repeat(x * weight, degree))
         mass = float(x[dangling].sum())
         if mass:
             step = step + mass * teleport.values

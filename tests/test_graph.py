@@ -142,3 +142,38 @@ def test_walk_steps_match_the_dense_walk_and_a_csr_matvec():
             assert np.allclose(got, x, atol=1e-12)
             assert np.array_equal(got, y)
 
+
+# Every target with 30 sources, from sources of one to four successors:
+# long sums, where another summation order would change the last bits.
+_DENSE = [(i, "p", j) for i in range(30) for j in range(0, 30, i % 4 + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=30),
+    triples=st.lists(
+        st.tuples(st.integers(0, 29), st.sampled_from(("p", "q")), st.integers(0, 29)),
+        max_size=150,
+    ),
+    bidirectional=st.booleans(),
+    weights=st.lists(st.floats(0.05, 1.0), min_size=30, max_size=30),
+)
+@example(n=30, triples=_DENSE, bidirectional=False, weights=[1 / (i + 1) for i in range(30)])
+@example(n=30, triples=_DENSE, bidirectional=True, weights=[(i % 7 + 1) / 7 for i in range(30)])
+@example(n=3, triples=[], bidirectional=True, weights=[0.5] * 30)
+def test_walk_iterates_equal_steps_of_x_at_s_bit_for_bit(n, triples, bidirectional, weights):
+    # Two predicates over up to 30 nodes: parallel edges, self-loops and
+    # dangling rows are common, one-way or mirrored.
+    ids = [f"r{i:02d}" for i in range(n)]
+    bundle = _bundle([(ids[i % n], p, ids[j % n]) for i, p, j in triples], ids)
+    g = build_graph(bundle, bidirectional=bidirectional)
+    fill = oracles.normalized(weights[:n])
+    dangling = np.bincount(g.rows, minlength=n) == 0
+    x = fill.values
+    for steps in range(1, 5):
+        step = x @ g
+        mass = float(x[dangling].sum())
+        if mass:
+            step = step + mass * fill.values
+        x = 0.7 * step + (1 - 0.7) * fill.values
+        assert np.array_equal(_walk(g, fill, steps), x), steps

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from ldrank import (
     Pipeline,
     PipelineParams,
     RankingResult,
+    SparseMatrix,
     build_graph,
     equi_prior,
     load_bundle,
@@ -113,6 +115,18 @@ def test_config_validation():
     with pytest.raises(ValueError,
                        match=r"^fill distribution has length 3, graph has shape \(2, 2\)$"):
         power_rank(g, equi_prior(3), PipelineParams())
+
+
+# power_rank steps from S's pattern and row degrees, so it takes only a walk
+# matrix: entries by source, each holding 1 / degree of its row.
+@pytest.mark.parametrize("rows, cols, data, reason", [
+    ([0, 0, 1], [0, 1, 0], [0.25, 0.75, 1.0], "an entry is not 1 / degree of its row"),
+    ([1, 0, 0], [0, 0, 1], [1.0, 0.5, 0.5], "its rows decrease somewhere"),
+], ids=["two-weights-in-a-row", "unsorted-rows"])
+def test_power_rank_rejects_a_matrix_that_is_not_a_walk_matrix(rows, cols, data, reason):
+    graph = SparseMatrix((2, 2), rows, cols, np.array(data))
+    with pytest.raises(ValueError, match=f"^graph is not a walk matrix: {re.escape(reason)}$"):
+        power_rank(graph, equi_prior(2), PipelineParams())
 
 
 # ------------------------------------------------------------- settings
